@@ -67,7 +67,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_steal_test engine_metrics_test \
-  engine_router_test \
+  engine_router_test engine_merge_test \
   core_parallel_test core_serialize_test core_packed_store_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
   util_parse_bytes_test cli_test gps_cli
@@ -90,13 +90,16 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
 # are relaxed atomics absorbed across the steal hand-off — TSan must
 # bless the counter absorb next to the reservoir merge.
+# engine_merge_test runs the Algorithm-2 merge passes on several threads
+# inside monitor ticks (fixed-chunk driver + union patch).
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_steal_test \
-  engine_metrics_test engine_router_test core_parallel_test \
-  core_packed_store_test graph_binary_stream_test graph_intersect_test
+  engine_metrics_test engine_router_test engine_merge_test \
+  core_parallel_test core_packed_store_test graph_binary_stream_test \
+  graph_intersect_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
+  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
 
 echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full

@@ -5,11 +5,12 @@
 // their unbiased variance estimates and the triangle–wedge covariance needed
 // for the clustering-coefficient confidence interval.
 //
-// The computation is localized per sampled edge (Eqs. 13–14): for each edge
-// k, estimators are accumulated over the triangles and wedges incident to k
-// in the sampled graph; covariance cross-terms between subgraphs sharing k
-// are folded in with running prefix sums, so the whole pass costs
-// O(sum_k min{deg(v1), deg(v2)}) = O(m^{3/2}).
+// The computation is localized per sampled edge (Eqs. 13–14) and runs on
+// the one Algorithm-2 kernel the engine's union passes share
+// (core/algorithm2.h): an edge's triangles come from one adaptive
+// intersection of its two endpoint blocks and its wedge terms in O(1) from
+// per-record partner sums filled by one pass per node, so the whole pass
+// costs O(m + Σ_k min{deg(v1), deg(v2)} · log m), within O(m^{3/2} log m).
 
 #ifndef GPS_CORE_POST_STREAM_H_
 #define GPS_CORE_POST_STREAM_H_
@@ -30,10 +31,10 @@ inline GraphEstimates EstimatePostStream(const SampleView& view) {
   return EstimatePostStream(view.reservoir());
 }
 
-/// Parallel variant: partitions the per-edge accumulation (which the paper
-/// notes is embarrassingly parallel, Section 4 "Efficiency") across
-/// `num_threads` workers. Produces the same estimates as the serial
-/// version up to floating-point summation order.
+/// Parallel variant: runs the per-edge accumulation (which the paper notes
+/// is embarrassingly parallel, Section 4 "Efficiency") on `num_threads`
+/// threads over fixed chunks with an ordered reduction, so the estimates
+/// are bit-identical to EstimatePostStream for every thread count.
 GraphEstimates EstimatePostStreamParallel(const GpsReservoir& reservoir,
                                           unsigned num_threads);
 

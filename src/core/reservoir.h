@@ -182,9 +182,15 @@ class GpsReservoir {
   /// Calls fn(slot, record) for each sampled edge (heap order).
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
-    for (const HeapItem& item : heap_.Items()) {
-      fn(item.slot, store_.Record(item.slot));
-    }
+    ForEachSlot([&](SlotId slot) { fn(slot, store_.Record(slot)); });
+  }
+
+  /// Calls fn(slot) for each sampled edge's slot in ForEachEdge's heap
+  /// order — the order checkpoints preserve, so sums taken in it stay
+  /// bit-identical across resume.
+  template <typename Fn>
+  void ForEachSlot(Fn&& fn) const {
+    for (const HeapItem& item : heap_.Items()) fn(item.slot);
   }
 
   /// Validates internal invariants (heap property, graph <-> slot

@@ -1,58 +1,49 @@
 #include "engine/merge.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "core/algorithm2.h"
 #include "core/local_counts.h"
+#include "core/post_stream.h"
 #include "graph/sampled_graph.h"
 #include "graph/types.h"
 
 namespace gps {
 namespace {
 
-// The union of the shard reservoirs, indexed like a reservoir: a sampled
-// adjacency whose slot payloads point into a flat record array. Edge-hash
-// sharding guarantees shard samples are edge-disjoint, so AddEdge never
-// collides.
-//
-// `stratum` packs (shard << 32 | sub-stratum): with empty sub-stratum
-// tables every edge of shard s carries stratum s<<32, so all stratum
-// comparisons below reduce to the classic shard comparisons bit for bit;
-// steal-mode engines supply per-slot batch ids as sub-strata.
-struct MergedRecord {
+// One sampled edge of the union. `stratum` packs (shard << 32 |
+// sub-stratum): with empty sub-stratum tables every edge of shard s
+// carries stratum s<<32, so the span tests reduce to the classic shard
+// comparisons bit for bit; steal-mode engines supply per-slot batch ids as
+// sub-strata.
+struct UnionRecord {
   Edge edge;
-  double inv_q = 0.0;   // 1 / min{1, w / z*_shard}
+  double inv_q = 0.0;  // 1 / min{1, w / z*_shard}
   uint64_t stratum = 0;
 };
 
-struct MergedSample {
-  SampledGraph graph;
-  std::vector<MergedRecord> records;
-};
+// The union as the Algorithm-2 kernel's record set (core/algorithm2.h):
+// per-shard inclusion probabilities and per-record strata.
+class UnionRecords {
+ public:
+  UnionRecords(const SampledGraph& graph,
+               const std::vector<UnionRecord>& records)
+      : graph_(graph), records_(records) {}
 
-MergedSample BuildMergedSample(std::span<const ShardSampleRef> shards) {
-  MergedSample merged;
-  size_t total = 0;
-  for (const ShardSampleRef& ref : shards) total += ref.reservoir->size();
-  merged.records.reserve(total);
-  for (uint32_t s = 0; s < shards.size(); ++s) {
-    const GpsReservoir& reservoir = *shards[s].reservoir;
-    const std::span<const uint32_t> strata = shards[s].slot_strata;
-    const uint64_t shard_bits = static_cast<uint64_t>(s) << 32;
-    reservoir.ForEachEdge(
-        [&](SlotId shard_slot, const GpsReservoir::EdgeRecord& rec) {
-          const double q = reservoir.ProbabilityForWeight(rec.weight);
-          const SlotId slot = static_cast<SlotId>(merged.records.size());
-          const uint64_t stratum =
-              shard_bits |
-              (shard_slot < strata.size() ? strata[shard_slot] : 0u);
-          merged.records.push_back({rec.edge, 1.0 / q, stratum});
-          merged.graph.AddEdge(rec.edge, slot);
-        });
-  }
-  return merged;
-}
+  const SampledGraph& graph() const { return graph_; }
+  size_t slot_bound() const { return records_.size(); }
+  Edge edge(SlotId slot) const { return records_[slot].edge; }
+  double inv_q(SlotId slot) const { return records_[slot].inv_q; }
+  uint64_t stratum(SlotId slot) const { return records_[slot].stratum; }
+
+ private:
+  const SampledGraph& graph_;
+  const std::vector<UnionRecord>& records_;
+};
 
 std::vector<ShardSampleRef> PlainRefs(
     std::span<const GpsReservoir* const> shards) {
@@ -62,149 +53,24 @@ std::vector<ShardSampleRef> PlainRefs(
   return refs;
 }
 
-MergedSample BuildMergedSample(std::span<const GpsReservoir* const> shards) {
-  return BuildMergedSample(std::span<const ShardSampleRef>(PlainRefs(shards)));
+unsigned PassThreads(const UnionSample& sample, unsigned num_threads) {
+  return num_threads != 0 ? num_threads : MergeThreads(sample.num_shards());
 }
 
-// Mirrors PartialSums/AccumulateEdge of core/post_stream.cc (Algorithm 2
-// localized per edge, with the triangle-wedge covariance of Eq. 12), with
-// two generalizations:
-//   * per-edge inclusion probabilities come from each edge's own shard
-//     threshold instead of one global z*;
-//   * with SpanOnly, a subgraph contributes only when its edges span >= 2
-//     shards; the pair-covariance prefix sums then run over counted
-//     subgraphs only, so cross terms pair spanning subgraphs with
-//     spanning subgraphs (within-shard subgraphs belong to the in-stream
-//     stratum and are estimated there).
-struct PartialSums {
-  double n_tri = 0.0, v_tri = 0.0, c_tri = 0.0;
-  double n_wed = 0.0, v_wed = 0.0, c_wed = 0.0;
-  double cov_tw = 0.0;
-};
-
-template <bool SpanOnly>
-void AccumulateMergedEdge(const MergedSample& sample, SlotId slot_k,
-                          PartialSums* out) {
-  const MergedRecord& rec = sample.records[slot_k];
-  const SampledGraph& graph = sample.graph;
-  NodeId v1 = rec.edge.u;
-  NodeId v2 = rec.edge.v;
-  if (graph.Degree(v1) > graph.Degree(v2)) std::swap(v1, v2);
-
-  const double inv_q = rec.inv_q;
-  const uint64_t sh = rec.stratum;
-
-  double nk_tri = 0.0, vk_tri = 0.0;
-  double nk_wed = 0.0, vk_wed = 0.0;
-  double run_tri = 0.0;      // prefix sum of 1/(q1*q2) over counted triangles
-  double ck_tri = 0.0;       // ordered-pair triangle cross-products
-  double run_wed = 0.0;      // prefix sum of 1/q_other over counted wedges
-  double ck_wed = 0.0;       // ordered-pair wedge cross-products
-  double d_contained = 0.0;  // counted (triangle, contained-wedge) pairs
-  double covb = 0.0;         // |tri ∩ wedge| = 2 contributions
-
-  graph.ForEachNeighbor(v1, [&](NodeId v3, SlotId slot_k1) {
-    if (v3 == v2) return;
-    const MergedRecord& r1 = sample.records[slot_k1];
-    const double inv_q1 = r1.inv_q;
-
-    const SlotId slot_k2 = graph.FindEdge(MakeEdge(v2, v3));
-    if (slot_k2 != kNoSlot) {
-      const MergedRecord& r2 = sample.records[slot_k2];
-      const double inv_q2 = r2.inv_q;
-      const bool tri_counted =
-          !SpanOnly || !(r1.stratum == sh && r2.stratum == sh);
-      if (tri_counted) {
-        const double inv_q1q2 = inv_q1 * inv_q2;
-        const double est = inv_q * inv_q1q2;
-        nk_tri += est;
-        vk_tri += est * (est - 1.0);
-        ck_tri += run_tri * inv_q1q2;
-        run_tri += inv_q1q2;
-        // Pairs (triangle, wedge ⊂ triangle sharing only k) to subtract
-        // from the run_tri * run_wed product: only wedges this pass
-        // counted participate in run_wed.
-        if (!SpanOnly || r1.stratum != sh) d_contained += inv_q1q2 * inv_q1;
-        if (!SpanOnly || r2.stratum != sh) d_contained += inv_q1q2 * inv_q2;
-        // Case |tri ∩ wedge| = 2: the wedge {k1, k2} inside the triangle.
-        if (!SpanOnly || r1.stratum != r2.stratum) {
-          covb += est * (inv_q1q2 - 1.0);
-        }
-      }
-    }
-
-    // Wedge {k1, k} at the shared endpoint v1.
-    if (!SpanOnly || r1.stratum != sh) {
-      const double west = inv_q * inv_q1;
-      nk_wed += west;
-      vk_wed += west * (west - 1.0);
-      ck_wed += run_wed * inv_q1;
-      run_wed += inv_q1;
-    }
-  });
-
-  graph.ForEachNeighbor(v2, [&](NodeId v3, SlotId slot_k2) {
-    if (v3 == v1) return;
-    const MergedRecord& r2 = sample.records[slot_k2];
-    if (SpanOnly && r2.stratum == sh) return;
-    const double inv_q2 = r2.inv_q;
-    const double west = inv_q * inv_q2;
-    nk_wed += west;
-    vk_wed += west * (west - 1.0);
-    ck_wed += run_wed * inv_q2;
-    run_wed += inv_q2;
-  });
-
-  const double pair_factor = 2.0 * inv_q * (inv_q - 1.0);
-  out->n_tri += nk_tri;
-  out->v_tri += vk_tri;
-  out->c_tri += ck_tri * pair_factor;
-  out->n_wed += nk_wed;
-  out->v_wed += vk_wed;
-  out->c_wed += ck_wed * pair_factor;
-  out->cov_tw += (run_tri * run_wed - d_contained) * inv_q * (inv_q - 1.0);
-  out->cov_tw += covb;
-}
-
-GraphEstimates Finalize(const PartialSums& sums) {
-  GraphEstimates out;
-  out.triangles.value = sums.n_tri / 3.0;
-  out.triangles.variance = sums.v_tri / 3.0 + sums.c_tri;
-  out.wedges.value = sums.n_wed / 2.0;
-  out.wedges.variance = sums.v_wed / 2.0 + sums.c_wed;
-  out.tri_wedge_cov = sums.cov_tw;
-  return out;
-}
-
-template <bool SpanOnly>
-GraphEstimates EstimateOverSample(const MergedSample& sample) {
-  PartialSums sums;
-  for (SlotId slot = 0; slot < sample.records.size(); ++slot) {
-    AccumulateMergedEdge<SpanOnly>(sample, slot, &sums);
-  }
-  return Finalize(sums);
-}
-
-template <bool SpanOnly>
-GraphEstimates EstimateUnion(std::span<const GpsReservoir* const> shards) {
-  return EstimateOverSample<SpanOnly>(BuildMergedSample(shards));
-}
-
-/// The motif cross-shard pass over a prebuilt union sample; shared by
-/// both EstimateCrossShardMotifs overloads.
-std::vector<MotifAccumulator> CrossShardMotifsOverSample(
-    const MergedSample& sample, size_t num_shards,
-    std::span<const std::string> motif_names) {
+/// The motif cross-shard pass over an up-to-date union, in its record
+/// order.
+std::vector<MotifAccumulator> CrossShardMotifs(
+    const SampledGraph& graph, const std::vector<UnionRecord>& records,
+    std::span<const SlotId> order, std::span<const std::string> motif_names) {
   std::vector<MotifAccumulator> out(motif_names.size());
-  if (num_shards < 2 || motif_names.empty()) return out;
   for (size_t m = 0; m < motif_names.size(); ++m) {
     const MotifEntry* entry = FindMotif(motif_names[m]);
     assert(entry != nullptr && "unvalidated motif name");
     const InStreamMotifCounter::EnumerateFn enumerate =
         entry->make_enumerator();
     MotifAccumulator raw;
-    for (SlotId slot = 0; slot < sample.records.size(); ++slot) {
-      const MergedRecord& rec = sample.records[slot];
+    for (const SlotId slot : order) {
+      const UnionRecord& rec = records[slot];
       // Treat each union-sampled edge as the enumerator's "arriving" edge:
       // the streaming enumerators report instances containing it without
       // ever listing it among the members, so each instance is enumerated
@@ -214,11 +80,10 @@ std::vector<MotifAccumulator> CrossShardMotifsOverSample(
             double product = rec.inv_q;
             bool spans = false;
             for (const Edge& member : members) {
-              const SlotId member_slot =
-                  sample.graph.FindEdge(member.Canonical());
+              const SlotId member_slot = graph.FindEdge(member.Canonical());
               if (member_slot == kNoSlot) return;
-              product *= sample.records[member_slot].inv_q;
-              spans |= sample.records[member_slot].stratum != rec.stratum;
+              product *= records[member_slot].inv_q;
+              spans |= records[member_slot].stratum != rec.stratum;
             }
             // Within-shard instances belong to the in-stream stratum.
             if (!spans) return;
@@ -226,7 +91,7 @@ std::vector<MotifAccumulator> CrossShardMotifsOverSample(
             raw.variance += product * (product - 1.0);
             ++raw.snapshots;
           };
-      enumerate(rec.edge, sample.graph, emit);
+      enumerate(rec.edge, graph, emit);
     }
     out[m].count = raw.count / entry->num_edges;
     out[m].variance = raw.variance / entry->num_edges;
@@ -237,44 +102,137 @@ std::vector<MotifAccumulator> CrossShardMotifsOverSample(
 
 }  // namespace
 
+// The union of the shard reservoirs, indexed like a reservoir: a sampled
+// adjacency whose payloads index the record array. Edge-hash sharding
+// keeps shard samples edge-disjoint, so AddEdge never collides.
 struct UnionSample::Impl {
-  MergedSample sample;
+  SampledGraph graph;
+  std::vector<UnionRecord> records;  // by union slot
+  std::vector<SlotId> free_slots;    // union slots of removed records
+  // Per shard: reservoir slot -> union slot of the edge that reservoir
+  // slot held at the last update, or kNoSlot.
+  std::vector<std::vector<SlotId>> union_slot;
+  // The live union slots, shard by shard in reservoir heap order: the
+  // resume-stable record order every pass reads.
+  std::vector<SlotId> order;
 };
 
-UnionSample::UnionSample(std::unique_ptr<Impl> impl, size_t num_shards)
-    : impl_(std::move(impl)), num_shards_(num_shards) {}
+unsigned MergeThreads(size_t num_shards) {
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      std::max<size_t>(1, std::min(num_shards, hardware)));
+}
+
+UnionSample::UnionSample() : impl_(std::make_unique<Impl>()) {}
 UnionSample::~UnionSample() = default;
 UnionSample::UnionSample(UnionSample&&) noexcept = default;
 UnionSample& UnionSample::operator=(UnionSample&&) noexcept = default;
 
 size_t UnionSample::num_edges() const {
-  return impl_ ? impl_->sample.records.size() : 0;
+  return impl_ ? impl_->order.size() : 0;
 }
 
-UnionSample BuildUnionSample(
-    std::span<const GpsReservoir* const> shards) {
-  auto impl = std::make_unique<UnionSample::Impl>();
-  // No pass ever reads the index below two shards (there is no spanning
-  // stratum), so skip the O(total sample) build for K = 1.
-  if (shards.size() >= 2) impl->sample = BuildMergedSample(shards);
-  return UnionSample(std::move(impl), shards.size());
+void UnionSample::Update(std::span<const ShardSampleRef> shards) {
+  num_shards_ = shards.size();
+  if (shards.size() < 2) return;
+  if (!impl_ || impl_->union_slot.size() != shards.size()) {
+    impl_ = std::make_unique<Impl>();
+    impl_->union_slot.resize(shards.size());
+  }
+  Impl& u = *impl_;
+
+  // Evictions first, over every shard, so no edge is re-added while a
+  // stale copy is still indexed. A record goes when its reservoir slot was
+  // freed or now holds another edge.
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const PackedSampleStore& store = shards[s].reservoir->store();
+    std::vector<SlotId>& column = u.union_slot[s];
+    for (SlotId slot = 0; slot < column.size(); ++slot) {
+      const SlotId held = column[slot];
+      if (held == kNoSlot) continue;
+      if (slot < store.num_slots() && store.live(slot) &&
+          store.edge(slot) == u.records[held].edge) {
+        continue;
+      }
+      u.graph.RemoveEdge(u.records[held].edge);
+      u.free_slots.push_back(held);
+      column[slot] = kNoSlot;
+    }
+    column.resize(store.num_slots(), kNoSlot);
+  }
+
+  // Admissions, then every live record's inclusion probability (its
+  // shard's z* moves) and stratum, in the record order the passes read.
+  size_t total = 0;
+  for (const ShardSampleRef& ref : shards) total += ref.reservoir->size();
+  u.records.reserve(total);
+  u.order.clear();
+  u.order.reserve(total);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const GpsReservoir& reservoir = *shards[s].reservoir;
+    const std::span<const uint32_t> strata = shards[s].slot_strata;
+    const uint64_t shard_bits = static_cast<uint64_t>(s) << 32;
+    std::vector<SlotId>& column = u.union_slot[s];
+    reservoir.ForEachSlot([&](SlotId slot) {
+      SlotId& held = column[slot];
+      if (held == kNoSlot) {
+        if (u.free_slots.empty()) {
+          held = static_cast<SlotId>(u.records.size());
+          u.records.emplace_back();
+        } else {
+          held = u.free_slots.back();
+          u.free_slots.pop_back();
+        }
+        u.records[held].edge = reservoir.store().edge(slot);
+        const bool added = u.graph.AddEdge(u.records[held].edge, held);
+        assert(added && "shard samples must be edge-disjoint");
+        (void)added;
+      }
+      UnionRecord& rec = u.records[held];
+      rec.inv_q = 1.0 / reservoir.Probability(slot);
+      rec.stratum = shard_bits | (slot < strata.size() ? strata[slot] : 0u);
+      u.order.push_back(held);
+    });
+  }
 }
 
 UnionSample BuildUnionSample(std::span<const ShardSampleRef> shards) {
-  auto impl = std::make_unique<UnionSample::Impl>();
-  if (shards.size() >= 2) impl->sample = BuildMergedSample(shards);
-  return UnionSample(std::move(impl), shards.size());
+  UnionSample sample;
+  sample.Update(shards);
+  return sample;
 }
 
-GraphEstimates EstimateCrossShard(const UnionSample& sample) {
+UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards) {
+  return BuildUnionSample(std::span<const ShardSampleRef>(PlainRefs(shards)));
+}
+
+GraphEstimates EstimateCrossShard(const UnionSample& sample,
+                                  unsigned num_threads) {
   if (sample.num_shards() < 2) return {};
-  return EstimateOverSample</*SpanOnly=*/true>(sample.impl_->sample);
+  const UnionSample::Impl& u = *sample.impl_;
+  return algorithm2::Estimate</*SpanOnly=*/true>(
+      UnionRecords(u.graph, u.records), u.order,
+      PassThreads(sample, num_threads));
+}
+
+GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
+                                        unsigned num_threads) {
+  assert(sample.num_shards() >= 2 &&
+         "a lone shard's post-stream estimate is EstimatePostStream");
+  if (sample.num_shards() < 2) return {};
+  const UnionSample::Impl& u = *sample.impl_;
+  return algorithm2::Estimate</*SpanOnly=*/false>(
+      UnionRecords(u.graph, u.records), u.order,
+      PassThreads(sample, num_threads));
 }
 
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     const UnionSample& sample, std::span<const std::string> motif_names) {
-  return CrossShardMotifsOverSample(sample.impl_->sample,
-                                    sample.num_shards(), motif_names);
+  if (sample.num_shards() < 2) {
+    return std::vector<MotifAccumulator>(motif_names.size());
+  }
+  const UnionSample::Impl& u = *sample.impl_;
+  return CrossShardMotifs(u.graph, u.records, u.order, motif_names);
 }
 
 GraphEstimates SumShardEstimates(std::span<const GraphEstimates> shards) {
@@ -285,14 +243,14 @@ GraphEstimates SumShardEstimates(std::span<const GraphEstimates> shards) {
 
 GraphEstimates EstimateCrossShard(
     std::span<const GpsReservoir* const> shards) {
-  if (shards.size() < 2) return {};
-  return EstimateUnion</*SpanOnly=*/true>(shards);
+  return EstimateCrossShard(BuildUnionSample(shards));
 }
 
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards) {
   if (shards.empty()) return {};
-  return EstimateUnion</*SpanOnly=*/false>(shards);
+  if (shards.size() == 1) return EstimatePostStream(*shards[0]);
+  return EstimateMergedPostStream(BuildUnionSample(shards));
 }
 
 GraphEstimates AddEstimates(const GraphEstimates& a,
@@ -328,8 +286,7 @@ std::vector<MotifAccumulator> EstimateCrossShardMotifs(
   if (shards.size() < 2 || motif_names.empty()) {
     return std::vector<MotifAccumulator>(motif_names.size());
   }
-  return CrossShardMotifsOverSample(BuildMergedSample(shards),
-                                    shards.size(), motif_names);
+  return EstimateCrossShardMotifs(BuildUnionSample(shards), motif_names);
 }
 
 std::vector<MotifEstimate> MakeMotifEstimates(

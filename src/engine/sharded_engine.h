@@ -226,6 +226,12 @@ class ShardedEngine {
   /// first if needed.
   GraphEstimates MergedEstimates();
 
+  /// Post-stream estimates of ALL subgraphs from the union sample: the
+  /// MergeMode::kPostStreamMerged estimate, available in either mode.
+  /// With one shard it is EstimatePostStream of the lone reservoir, bit
+  /// for bit. Drains first if needed.
+  GraphEstimates MergedPostStreamEstimates();
+
   /// Merged motif estimates in suite order (empty without a motif suite):
   /// per-motif sums of the shard suites' in-stream accumulators plus the
   /// cross-shard post-stream correction over the union sample
@@ -286,10 +292,12 @@ class ShardedEngine {
   /// Continuous-monitoring mode, layered on Drain(): after every
   /// `n_edges` ingested edges (measured at absolute stream positions, so
   /// a resumed engine keeps the cadence of the uninterrupted run),
-  /// Process() drains, computes MergedEstimates(), and invokes `callback`
-  /// on the producer thread. Monitoring never touches estimator state —
-  /// sampling randomness and final results are identical with or without
-  /// it; each sample costs one pipeline drain. n_edges == 0 disables.
+  /// Process() drains, patches the union index with the admissions and
+  /// evictions since the last tick, computes the merged estimates on
+  /// MergeThreads(K) threads, and invokes `callback` on the producer
+  /// thread. Monitoring never touches estimator state — sampling
+  /// randomness and final results are identical with or without it.
+  /// n_edges == 0 disables.
   void EstimateEvery(uint64_t n_edges,
                      std::function<void(const MonitorRecord&)> callback);
 
@@ -442,9 +450,12 @@ class ShardedEngine {
   /// stderr.
   void DisablePinning(const std::string& why);
 
-  /// In-stream-mode merged estimates over a prebuilt union sample, so a
-  /// monitoring tick builds the O(sample) union index once for the
-  /// tri/wedge AND motif passes. Drained state required.
+  /// Patches union_ to the drained shard state and returns it.
+  const UnionSample& SyncUnion();
+
+  /// In-stream-mode merged estimates over the synced union sample, which
+  /// a monitoring tick shares between the tri/wedge AND motif passes.
+  /// Drained state required.
   GraphEstimates MergedGraphEstimatesOver(const UnionSample& sample);
   std::vector<MotifEstimate> MergedMotifEstimatesOver(
       const UnionSample& sample);
@@ -470,6 +481,11 @@ class ShardedEngine {
   uint64_t checkpoint_every_ = 0;
   std::string checkpoint_dir_;
   Status auto_checkpoint_status_;
+
+  /// The union of the shard reservoirs, kept across merges: SyncUnion
+  /// patches it with the admissions and evictions since the last merge
+  /// instead of rebuilding it.
+  UnionSample union_;
 
   // ---- Observability (observation-only; see util/metrics.h) ----------
   MetricsRegistry metrics_;

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -140,12 +141,16 @@ class SampledGraph {
   /// neighbor-id order regardless of insertion/eviction history.
   template <typename Fn>
   void ForEachNeighbor(NodeId v, Fn&& fn) const {
+    for (const AdjEntry& entry : Neighbors(v)) fn(entry.nbr, entry.slot);
+  }
+
+  /// v's adjacency block: its (neighbor, slot) entries in ascending
+  /// neighbor-id order, empty when v has no sampled edge. Valid until the
+  /// graph next changes.
+  std::span<const AdjEntry> Neighbors(NodeId v) const {
     const BlockRef* block = nodes_.Find(v);
-    if (!block) return;
-    const AdjEntry* entries = arena_.At(block->offset);
-    for (uint32_t i = 0; i < block->size; ++i) {
-      fn(entries[i].nbr, entries[i].slot);
-    }
+    if (!block) return {};
+    return {arena_.At(block->offset), block->size};
   }
 
   /// Calls fn(node, degree) for every node with at least one sampled edge.
@@ -167,11 +172,10 @@ class SampledGraph {
   /// contract, so dispatch can never perturb estimate bytes.
   template <typename Fn>
   void ForEachCommonNeighbor(NodeId u, NodeId v, Fn&& fn) const {
-    const BlockRef* bu = nodes_.Find(u);
-    const BlockRef* bv = nodes_.Find(v);
-    if (!bu || !bv) return;
-    IntersectSorted(arena_.At(bu->offset), bu->size, arena_.At(bv->offset),
-                    bv->size, &intersect_metrics_, std::forward<Fn>(fn));
+    const std::span<const AdjEntry> a = Neighbors(u);
+    const std::span<const AdjEntry> b = Neighbors(v);
+    IntersectSorted(a.data(), a.size(), b.data(), b.size(),
+                    &intersect_metrics_, std::forward<Fn>(fn));
   }
 
   /// Kernel-selection counters for this graph's intersections (registered

@@ -1,5 +1,6 @@
-// Tests for parallel post-stream estimation: agreement with the serial
-// implementation across thread counts and reservoir sizes.
+// Tests for parallel post-stream estimation: the fixed-chunk driver makes
+// EstimatePostStreamParallel bit-identical to EstimatePostStream for every
+// thread count and reservoir size.
 
 #include <vector>
 
@@ -24,40 +25,32 @@ GpsSampler SampleGraph(size_t capacity, uint64_t seed) {
   return sampler;
 }
 
-void ExpectClose(const GraphEstimates& a, const GraphEstimates& b) {
-  const double tol = 1e-9;
-  EXPECT_NEAR(a.triangles.value, b.triangles.value,
-              tol * (1.0 + std::abs(a.triangles.value)));
-  EXPECT_NEAR(a.triangles.variance, b.triangles.variance,
-              tol * (1.0 + std::abs(a.triangles.variance)));
-  EXPECT_NEAR(a.wedges.value, b.wedges.value,
-              tol * (1.0 + std::abs(a.wedges.value)));
-  EXPECT_NEAR(a.wedges.variance, b.wedges.variance,
-              tol * (1.0 + std::abs(a.wedges.variance)));
-  EXPECT_NEAR(a.tri_wedge_cov, b.tri_wedge_cov,
-              tol * (1.0 + std::abs(a.tri_wedge_cov)));
+void ExpectBitIdentical(const GraphEstimates& a, const GraphEstimates& b) {
+  EXPECT_EQ(a.triangles.value, b.triangles.value);
+  EXPECT_EQ(a.triangles.variance, b.triangles.variance);
+  EXPECT_EQ(a.wedges.value, b.wedges.value);
+  EXPECT_EQ(a.wedges.variance, b.wedges.variance);
+  EXPECT_EQ(a.tri_wedge_cov, b.tri_wedge_cov);
 }
 
 class ParallelPostStreamTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelPostStreamTest, MatchesSerialEstimates) {
-  const GpsSampler sampler = SampleGraph(2000, 703);
-  const GraphEstimates serial = EstimatePostStream(sampler.reservoir());
-  const GraphEstimates parallel =
-      EstimatePostStreamParallel(sampler.reservoir(), GetParam());
-  ExpectClose(serial, parallel);
+  // 4000 sampled edges: enough fixed-size chunks to keep 16 threads busy.
+  const GpsSampler sampler = SampleGraph(4000, 703);
+  ExpectBitIdentical(
+      EstimatePostStream(sampler.reservoir()),
+      EstimatePostStreamParallel(sampler.reservoir(), GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelPostStreamTest,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
 TEST(ParallelPostStreamTest, SmallReservoirFallsBackToSerial) {
-  const GpsSampler sampler = SampleGraph(200, 704);  // < parallel threshold
-  const GraphEstimates serial = EstimatePostStream(sampler.reservoir());
-  const GraphEstimates parallel =
-      EstimatePostStreamParallel(sampler.reservoir(), 8);
-  EXPECT_DOUBLE_EQ(serial.triangles.value, parallel.triangles.value);
-  EXPECT_DOUBLE_EQ(serial.wedges.value, parallel.wedges.value);
+  // Fewer sampled edges than one chunk: a single worker runs the pass.
+  const GpsSampler sampler = SampleGraph(200, 704);
+  ExpectBitIdentical(EstimatePostStream(sampler.reservoir()),
+                     EstimatePostStreamParallel(sampler.reservoir(), 8));
 }
 
 TEST(ParallelPostStreamTest, EmptyReservoir) {

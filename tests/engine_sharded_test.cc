@@ -148,6 +148,8 @@ TEST(ShardedEngineTest, SingleShardPostStreamMergeMatchesSerialPost) {
   GpsSampler serial(options);
   for (const Edge& e : stream) serial.Process(e);
   const GraphEstimates expected = EstimatePostStream(serial.reservoir());
+  InStreamEstimator serial_in_stream(options);
+  for (const Edge& e : stream) serial_in_stream.Process(e);
 
   ShardedEngineOptions engine_options;
   engine_options.sampler = options;
@@ -155,21 +157,19 @@ TEST(ShardedEngineTest, SingleShardPostStreamMergeMatchesSerialPost) {
   engine_options.merge_mode = MergeMode::kPostStreamMerged;
   ShardedEngine engine(engine_options);
   for (const Edge& e : stream) engine.Process(e);
-  const GraphEstimates merged = engine.MergedEstimates();
 
-  // Same estimator over a rebuilt adjacency: identical up to FP
-  // summation order.
-  const double tol = 1e-9;
-  EXPECT_NEAR(merged.triangles.value, expected.triangles.value,
-              tol * (1.0 + std::abs(expected.triangles.value)));
-  EXPECT_NEAR(merged.wedges.value, expected.wedges.value,
-              tol * (1.0 + std::abs(expected.wedges.value)));
-  EXPECT_NEAR(merged.triangles.variance, expected.triangles.variance,
-              tol * (1.0 + std::abs(expected.triangles.variance)));
-  EXPECT_NEAR(merged.wedges.variance, expected.wedges.variance,
-              tol * (1.0 + std::abs(expected.wedges.variance)));
-  EXPECT_NEAR(merged.tri_wedge_cov, expected.tri_wedge_cov,
-              tol * (1.0 + std::abs(expected.tri_wedge_cov)));
+  // One kernel over the same records in the same order: the K=1 merged
+  // post-stream estimate IS the serial one, bit for bit, in either mode.
+  ExpectExactlyEqual(engine.MergedEstimates(), expected);
+  ExpectExactlyEqual(EstimateMergedPostStream(
+                         std::vector<const GpsReservoir*>{&serial.reservoir()}),
+                     expected);
+
+  engine_options.merge_mode = MergeMode::kInStreamPlusCross;
+  ShardedEngine in_stream_engine(engine_options);
+  for (const Edge& e : stream) in_stream_engine.Process(e);
+  ExpectExactlyEqual(in_stream_engine.MergedPostStreamEstimates(),
+                     EstimatePostStream(serial_in_stream.reservoir()));
 }
 
 TEST(ShardedEngineTest, ShardReservoirsInvariantToBatchingAndRings) {

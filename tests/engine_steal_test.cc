@@ -142,13 +142,19 @@ TEST(StealSchedulerTest, StealingActuallyFiresUnderSkew) {
   // Hub-heavy + skewed routing: shard 0 receives the bulk of the stream,
   // so idle peers must find stealable batches. (The determinism suite
   // above makes the count irrelevant for results; this guards against the
-  // scheduler silently never stealing.)
+  // scheduler silently never stealing.) Whether one run steals depends on
+  // the host's scheduling — under load the owner can drain its own queue
+  // before a thief looks — so a steal in any of a few rounds suffices.
   const std::vector<Edge> stream = TestStream(2000, 6, 311, 312);
   ShardedEngineOptions options =
       StealOptions(4, 2000, 313, StealMode::kActive, /*batch_size=*/32,
                    /*skew=*/2.0);
-  const EngineState state = RunEngine(stream, options);
-  EXPECT_GT(state.steals, 0u);
+  constexpr int kMaxRounds = 5;
+  uint64_t steals = 0;
+  for (int round = 0; round < kMaxRounds && steals == 0; ++round) {
+    steals = RunEngine(stream, options).steals;
+  }
+  EXPECT_GT(steals, 0u);
 }
 
 TEST(StealSchedulerTest, SingleShardBypassKeepsSerialByteIdentity) {

@@ -8,7 +8,8 @@
 //       print triangle/wedge/clustering estimates with 95% CIs. With
 //       --checkpoint, estimator state is saved afterwards: a single
 //       GPS-INSTREAM file for serial runs, a manifest directory (as
-//       checkpoint-shards) for --shards K > 1.
+//       checkpoint-shards) for --shards K > 1. --threads T runs a serial
+//       post-stream pass on T threads; the output is the same for every T.
 //   resume    --checkpoint FILE --input FILE [--save FILE] [--no-permute]
 //       Load a saved in-stream estimator and continue over more edges;
 //       --save re-serializes the continued state so runs can chain.
@@ -206,6 +207,8 @@ int Usage() {
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
       "           [--checkpoint FILE]  (a directory with --shards K>1,\n"
       "           --motifs, or --steal)\n"
+      "           --threads T: threads of a serial run's post-stream\n"
+      "           pass; every T prints the same bytes\n"
       "           --steal on: idle shard workers steal batches from\n"
       "           overloaded peers; off: same deterministic\n"
       "           batch-substream scheduler, no stealing (byte-identical\n"
@@ -736,8 +739,8 @@ int RunEstimate(const Flags& flags) {
     if (flags.Has("threads")) {
       std::fprintf(stderr,
                    "error: --threads applies to single-shard post-stream "
-                   "estimation; with --shards the workers ARE the "
-                   "parallelism\n");
+                   "estimation; sharded runs merge on min(K, hardware "
+                   "threads) threads\n");
       return 1;
     }
     if (flags.Has("checkpoint") && estimator == "post") {
@@ -780,14 +783,9 @@ int RunEstimate(const Flags& flags) {
     report.degrees = degree_rows();
     PrintEstimateReport(kMergedInStreamLabel, report);
     if (estimator == "both") {
-      // Reuse the reservoirs the in-stream engine already built instead
-      // of streaming twice.
-      std::vector<const GpsReservoir*> reservoirs;
-      for (uint32_t s = 0; s < engine.num_shards(); ++s) {
-        reservoirs.push_back(&engine.shard(s).reservoir());
-      }
+      // The union the in-stream merge synced serves this pass too.
       PrintEstimateReport(kMergedPostStreamLabel,
-                          MakeReport(EstimateMergedPostStream(reservoirs)));
+                          MakeReport(engine.MergedPostStreamEstimates()));
     }
     if (flags.Has("checkpoint")) {
       const std::string dir = flags.Get("checkpoint", "");
