@@ -92,14 +92,19 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # bless the counter absorb next to the reservoir merge.
 # engine_merge_test runs the Algorithm-2 merge passes on several threads
 # inside monitor ticks (fixed-chunk driver + union patch).
+# engine_checkpoint_test and engine_resume_test cover the checkpoint
+# writers: SerializeShards streams the drained shards into their files on
+# the merge threads, and engine_resume_test fires CheckpointEvery inside
+# monitor ticks.
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_steal_test \
   engine_metrics_test engine_router_test engine_merge_test \
+  engine_checkpoint_test engine_resume_test \
   core_parallel_test core_packed_store_test graph_binary_stream_test \
   graph_intersect_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
+  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge|engine_checkpoint|engine_resume|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
 
 echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full

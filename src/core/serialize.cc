@@ -12,6 +12,7 @@
 #include "core/motifs.h"
 #include "core/packed_store.h"
 #include "util/digest.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -29,10 +30,13 @@ constexpr int kFormatVersion = 1;
 constexpr int kManifestVersion = 4;
 constexpr int kManifestMinReadVersion = 1;
 
-void WriteDouble(std::ostream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
+/// The sink behind every std::ostream overload.
+ByteSink StreamSink(std::ostream& out) {
+  return [&out](std::string_view chunk) {
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    return out ? Status::Ok()
+               : Status::IoError("write failure while serializing");
+  };
 }
 
 /// Reads and checks "<HEADER> <version>", accepting any version in
@@ -73,19 +77,16 @@ Status ValidateWeightOptions(const WeightOptions& weight) {
   return Status::Ok();
 }
 
-Status WriteWeightOptions(const WeightOptions& weight, std::ostream& out) {
+Status WriteWeightOptions(const WeightOptions& weight, TextWriter& out) {
   if (weight.kind == WeightKind::kCustom) {
     return Status::FailedPrecondition(
         "custom weight callables cannot be serialized");
   }
   if (Status s = ValidateWeightOptions(weight); !s.ok()) return s;
-  out << static_cast<int>(weight.kind) << ' ';
-  WriteDouble(out, weight.coefficient);
-  out << ' ';
-  WriteDouble(out, weight.adjacency_coefficient);
-  out << ' ';
-  WriteDouble(out, weight.default_weight);
-  out << '\n';
+  out.Int(static_cast<int>(weight.kind)).Char(' ');
+  out.Double(weight.coefficient).Char(' ');
+  out.Double(weight.adjacency_coefficient).Char(' ');
+  out.Double(weight.default_weight).Char('\n');
   return Status::Ok();
 }
 
@@ -104,13 +105,7 @@ Result<WeightOptions> ReadWeightOptions(std::istream& in) {
   return weight;
 }
 
-}  // namespace
-
-int ManifestFormatVersion() { return kManifestVersion; }
-int ManifestMinReadVersion() { return kManifestMinReadVersion; }
-int EstimatorFormatVersion() { return kFormatVersion; }
-
-Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
+Status WriteReservoir(const GpsReservoir& reservoir, TextWriter& out) {
   // Mirror the read-side ceiling: a checkpoint the deserializer would
   // reject must fail loudly at WRITE time, not when the operator tries
   // to resume from it.
@@ -123,29 +118,86 @@ Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
         "] cannot be checkpointed (raise kMaxCheckpointCapacity "
         "deliberately if needed)");
   }
-  out << kReservoirHeader << ' ' << kFormatVersion << '\n';
-  out << reservoir.options().capacity << ' ' << reservoir.options().seed
-      << '\n';
-  WriteDouble(out, reservoir.threshold());
-  out << ' ' << reservoir.edges_processed() << '\n';
+  out.Text(kReservoirHeader).Char(' ').Int(kFormatVersion).Char('\n');
+  out.Int(reservoir.options().capacity).Char(' ');
+  out.Int(reservoir.options().seed).Char('\n');
+  out.Double(reservoir.threshold()).Char(' ');
+  out.Int(reservoir.edges_processed()).Char('\n');
   const std::array<uint64_t, 4> rng = reservoir.RngState();
-  out << rng[0] << ' ' << rng[1] << ' ' << rng[2] << ' ' << rng[3] << '\n';
-  out << reservoir.size() << '\n';
-  Status status = Status::Ok();
-  reservoir.ForEachEdge(
-      [&](SlotId, const GpsReservoir::EdgeRecord& rec) {
-        out << rec.edge.u << ' ' << rec.edge.v << ' ';
-        WriteDouble(out, rec.weight);
-        out << ' ';
-        WriteDouble(out, rec.priority);
-        out << ' ';
-        WriteDouble(out, rec.cov_tri);
-        out << ' ';
-        WriteDouble(out, rec.cov_wedge);
-        out << '\n';
-      });
-  if (!out) return Status::IoError("write failure while serializing");
-  return status;
+  out.Int(rng[0]).Char(' ').Int(rng[1]).Char(' ');
+  out.Int(rng[2]).Char(' ').Int(rng[3]).Char('\n');
+  out.Int(reservoir.size()).Char('\n');
+  reservoir.ForEachEdge([&](SlotId, const GpsReservoir::EdgeRecord& rec) {
+    out.Int(rec.edge.u).Char(' ').Int(rec.edge.v).Char(' ');
+    out.Double(rec.weight).Char(' ').Double(rec.priority).Char(' ');
+    out.Double(rec.cov_tri).Char(' ').Double(rec.cov_wedge).Char('\n');
+  });
+  return Status::Ok();
+}
+
+Status WriteInStreamEstimator(const InStreamEstimator& estimator,
+                              TextWriter& out) {
+  out.Text(kInStreamHeader).Char(' ').Int(kFormatVersion).Char('\n');
+  if (Status s =
+          WriteWeightOptions(estimator.weight_function().options(), out);
+      !s.ok()) {
+    return s;
+  }
+  const InStreamEstimator::Accumulators acc = estimator.SaveAccumulators();
+  for (double v : {acc.n_tri, acc.v_tri, acc.n_wed, acc.v_wed, acc.cov_tw}) {
+    out.Double(v).Char(' ');
+  }
+  out.Char('\n');
+  return WriteReservoir(estimator.reservoir(), out);
+}
+
+Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
+  if (Status s = ValidateManifest(manifest); !s.ok()) return s;
+  out.Text(kManifestHeader).Char(' ').Int(kManifestVersion).Char('\n');
+  out.Int(manifest.num_shards).Char(' ').Int(manifest.base_seed).Char(' ');
+  out.Int(manifest.total_capacity).Char(' ');
+  out.Int(manifest.split_capacity ? 1 : 0).Char(' ');
+  out.Int(manifest.stream_offset).Char(' ');
+  out.Int(manifest.mem_budget_bytes).Char('\n');
+  if (Status s = WriteWeightOptions(manifest.weight, out); !s.ok()) return s;
+  out.Int(manifest.motif_names.size());
+  for (const std::string& name : manifest.motif_names) {
+    out.Char(' ').Text(name);
+  }
+  out.Char('\n');
+  out.Int(manifest.entries.size()).Char('\n');
+  for (const ShardManifestEntry& entry : manifest.entries) {
+    out.Int(entry.shard_index).Char(' ').Int(entry.shard_seed).Char(' ');
+    out.Int(entry.edges_processed).Char(' ').Int(entry.digest).Char(' ');
+    out.Text(entry.filename);
+    for (const MotifAccumulator& acc : entry.motif_accumulators) {
+      out.Char(' ').Double(acc.count).Char(' ').Double(acc.variance);
+      out.Char(' ').Int(acc.snapshots);
+    }
+    out.Char('\n');
+  }
+  return Status::Ok();
+}
+
+/// Formats with `write` into a TextWriter over `sink`, then flushes: the
+/// one path every public serializer takes.
+template <typename WriteFn>
+Status WriteText(ByteSink sink, WriteFn&& write) {
+  TextWriter out(std::move(sink));
+  if (Status s = write(out); !s.ok()) return s;
+  return out.Finish();
+}
+
+}  // namespace
+
+int ManifestFormatVersion() { return kManifestVersion; }
+int ManifestMinReadVersion() { return kManifestMinReadVersion; }
+int EstimatorFormatVersion() { return kFormatVersion; }
+
+Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
+  return WriteText(StreamSink(out), [&](TextWriter& w) {
+    return WriteReservoir(reservoir, w);
+  });
 }
 
 Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
@@ -227,12 +279,14 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
 }
 
 Status SerializeSampler(const GpsSampler& sampler, std::ostream& out) {
-  out << kSamplerHeader << ' ' << kFormatVersion << '\n';
-  if (Status s = WriteWeightOptions(sampler.weight_function().options(), out);
-      !s.ok()) {
-    return s;
-  }
-  return SerializeReservoir(sampler.reservoir(), out);
+  return WriteText(StreamSink(out), [&](TextWriter& w) {
+    w.Text(kSamplerHeader).Char(' ').Int(kFormatVersion).Char('\n');
+    if (Status s = WriteWeightOptions(sampler.weight_function().options(), w);
+        !s.ok()) {
+      return s;
+    }
+    return WriteReservoir(sampler.reservoir(), w);
+  });
 }
 
 Result<GpsSampler> DeserializeSampler(std::istream& in) {
@@ -245,20 +299,15 @@ Result<GpsSampler> DeserializeSampler(std::istream& in) {
 }
 
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
+                                  const ByteSink& sink) {
+  return WriteText(sink, [&](TextWriter& w) {
+    return WriteInStreamEstimator(estimator, w);
+  });
+}
+
+Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
                                   std::ostream& out) {
-  out << kInStreamHeader << ' ' << kFormatVersion << '\n';
-  if (Status s =
-          WriteWeightOptions(estimator.weight_function().options(), out);
-      !s.ok()) {
-    return s;
-  }
-  const InStreamEstimator::Accumulators acc = estimator.SaveAccumulators();
-  for (double v : {acc.n_tri, acc.v_tri, acc.n_wed, acc.v_wed, acc.cov_tw}) {
-    WriteDouble(out, v);
-    out << ' ';
-  }
-  out << '\n';
-  return SerializeReservoir(estimator.reservoir(), out);
+  return SerializeInStreamEstimator(estimator, StreamSink(out));
 }
 
 Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in) {
@@ -418,33 +467,14 @@ Status ValidateManifest(const ShardManifest& manifest) {
   return Status::Ok();
 }
 
+Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink) {
+  return WriteText(sink, [&](TextWriter& w) {
+    return WriteManifest(manifest, w);
+  });
+}
+
 Status SerializeManifest(const ShardManifest& manifest, std::ostream& out) {
-  if (Status s = ValidateManifest(manifest); !s.ok()) return s;
-  out << kManifestHeader << ' ' << kManifestVersion << '\n';
-  out << manifest.num_shards << ' ' << manifest.base_seed << ' '
-      << manifest.total_capacity << ' ' << (manifest.split_capacity ? 1 : 0)
-      << ' ' << manifest.stream_offset << ' ' << manifest.mem_budget_bytes
-      << '\n';
-  if (Status s = WriteWeightOptions(manifest.weight, out); !s.ok()) return s;
-  out << manifest.motif_names.size();
-  for (const std::string& name : manifest.motif_names) out << ' ' << name;
-  out << '\n';
-  out << manifest.entries.size() << '\n';
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    out << entry.shard_index << ' ' << entry.shard_seed << ' '
-        << entry.edges_processed << ' ' << entry.digest << ' '
-        << entry.filename;
-    for (const MotifAccumulator& acc : entry.motif_accumulators) {
-      out << ' ';
-      WriteDouble(out, acc.count);
-      out << ' ';
-      WriteDouble(out, acc.variance);
-      out << ' ' << acc.snapshots;
-    }
-    out << '\n';
-  }
-  if (!out) return Status::IoError("write failure while serializing");
-  return Status::Ok();
+  return SerializeManifest(manifest, StreamSink(out));
 }
 
 Result<ShardManifest> DeserializeManifest(std::istream& in) {

@@ -8,9 +8,13 @@
 // estimation) the snapshot accumulators — such that a resumed run is
 // bit-identical to an uninterrupted one.
 //
-// Format: versioned line-oriented text with round-trip-exact doubles
-// (printf "%.17g"). Custom weight callables cannot be serialized; samplers
-// configured with WeightKind::kCustom return FailedPrecondition.
+// Format: versioned line-oriented text with round-trip-exact doubles: 17
+// significant digits via std::to_chars (chars_format::general), the same
+// bytes as printf "%.17g". Writers stream their output through one 64 KiB
+// formatter buffer (util/text_writer.h) to a ByteSink chunk by chunk, so a
+// shard file is never held whole in memory; the std::ostream overloads are
+// that sink over a stream. Custom weight callables cannot be serialized;
+// samplers configured with WeightKind::kCustom return FailedPrecondition.
 //
 // Checkpoints are untrusted input (they cross machines in the distributed
 // merge pipeline): every deserializer validates structural invariants —
@@ -57,6 +61,7 @@
 #include "core/reservoir.h"
 #include "core/snapshot.h"
 #include "util/status.h"
+#include "util/text_writer.h"
 
 namespace gps {
 
@@ -136,7 +141,8 @@ struct ShardManifest {
 /// unique and in range, bare filenames. Enforced on both write and read.
 Status ValidateManifest(const ShardManifest& manifest);
 
-/// Writes a manifest (validating it first).
+/// Writes a manifest (validating it first) to `sink`, chunk by chunk.
+Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink);
 Status SerializeManifest(const ShardManifest& manifest, std::ostream& out);
 
 /// Reads and validates a manifest written by SerializeManifest.
@@ -154,7 +160,9 @@ Status SerializeSampler(const GpsSampler& sampler, std::ostream& out);
 Result<GpsSampler> DeserializeSampler(std::istream& in);
 
 /// Writes a full in-stream estimator (weight configuration + reservoir +
-/// snapshot accumulators).
+/// snapshot accumulators) to `sink`, chunk by chunk.
+Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
+                                  const ByteSink& sink);
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
                                   std::ostream& out);
 Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in);

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #if defined(__GLIBC__)
@@ -19,9 +21,19 @@
 #include "core/seeding.h"
 #include "core/serialize.h"
 #include "util/affinity.h"
+#include "util/digest.h"
+#include "util/parallel_chunks.h"
+#include "util/staged_file.h"
 
 namespace gps {
 namespace {
+
+/// Name of shard s's file inside a checkpoint directory.
+std::string ShardFileName(size_t s) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "shard-%04zu.gps", s);
+  return name;
+}
 
 /// Per-shard reservoir capacity implied by a manifest's layout; mirrors
 /// the split the engine constructor performs.
@@ -848,67 +860,48 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
                            ": " + ec.message());
   }
 
-  // Stage every file under a temporary name and rename only once all
-  // payloads are fully on disk: a write failure (disk full, I/O error)
-  // mid-checkpoint must leave the previous checkpoint in `dir` intact —
-  // the periodic auto-checkpoint path rewrites the same directory, so a
-  // destroyed checkpoint means a destroyed resume point. (A crash inside
-  // the final rename sequence can still mix generations; the per-file
-  // digests make the mix detectable — resume refuses — rather than
-  // silent.)
-  struct StagedFile {
-    std::filesystem::path tmp;
-    std::filesystem::path final;
-  };
-  std::vector<StagedFile> staged;
-  auto discard_staged = [&staged] {
-    for (const StagedFile& f : staged) {
-      std::error_code ignored;
-      std::filesystem::remove(f.tmp, ignored);
+  // Every file is staged beside its target and fsynced before any is
+  // renamed (util/staged_file.h): a write failure (disk full, I/O error)
+  // mid-checkpoint leaves the previous checkpoint in `dir` intact — the
+  // periodic auto-checkpoint path rewrites the same directory, so a
+  // destroyed checkpoint means a destroyed resume point. An unpublished
+  // StagedFile removes its temp file, so every early return cleans up.
+  //
+  // The drained shards are read-only, as in the merge passes, so the K
+  // shard files are written on the merge threads: each streams its shard
+  // into its temp file and chains the digest over the same chunks. Which
+  // thread writes which shard never changes a byte.
+  const uint32_t k = num_shards();
+  std::vector<std::optional<StagedFile>> staged(k);
+  std::vector<uint64_t> digests(k, kFnv1a64Offset);
+  std::vector<Status> written(k);
+  ForEachChunk(k, MergeThreads(k), [&](size_t s, unsigned) {
+    Result<StagedFile> file = StagedFile::Create(
+        (std::filesystem::path(dir) / ShardFileName(s)).string());
+    if (!file.ok()) {
+      written[s] = file.status();
+      return;
     }
-  };
-  auto stage = [&](const std::string& name,
-                   const std::string& bytes) -> Status {
-    const std::filesystem::path final_path =
-        std::filesystem::path(dir) / name;
-    const std::filesystem::path tmp_path =
-        std::filesystem::path(dir) / (name + ".tmp");
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out) {
-      std::error_code ignored;
-      std::filesystem::remove(tmp_path, ignored);
-      return Status::IoError("cannot write checkpoint file " +
-                             tmp_path.string());
-    }
-    staged.push_back({tmp_path, final_path});
-    return Status::Ok();
-  };
+    Status st = SerializeInStreamEstimator(
+        shards_[s]->in_stream_estimator(), [&](std::string_view chunk) {
+          digests[s] = Fnv1a64(chunk.data(), chunk.size(), digests[s]);
+          return file->Write(chunk);
+        });
+    if (st.ok()) st = file->Sync();
+    if (st.ok()) staged[s].emplace(std::move(*file));
+    written[s] = std::move(st);
+  });
+  for (const Status& st : written) {
+    if (!st.ok()) return st;
+  }
 
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard-%04u.gps", s);
-    // Serialize into memory first so the digest covers the exact bytes
-    // that land on disk.
-    std::ostringstream payload;
-    if (Status st = SerializeInStreamEstimator(
-            shards_[s]->in_stream_estimator(), payload);
-        !st.ok()) {
-      discard_staged();
-      return st;
-    }
-    const std::string bytes = payload.str();
-    if (Status st = stage(name, bytes); !st.ok()) {
-      discard_staged();
-      return st;
-    }
+  for (uint32_t s = 0; s < k; ++s) {
     ShardManifestEntry entry;
     entry.shard_index = s;
     entry.shard_seed = shards_[s]->reservoir().options().seed;
     entry.edges_processed = shards_[s]->reservoir().edges_processed();
-    entry.digest = ChecksumBytes(bytes);
-    entry.filename = name;
+    entry.digest = digests[s];
+    entry.filename = ShardFileName(s);
     const MotifSuite& suite = shards_[s]->motif_suite();
     entry.motif_accumulators.reserve(suite.size());
     for (size_t m = 0; m < suite.size(); ++m) {
@@ -916,30 +909,26 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
     }
     manifest.entries.push_back(std::move(entry));
   }
-
-  std::ostringstream manifest_payload;
-  if (Status st = SerializeManifest(manifest, manifest_payload); !st.ok()) {
-    discard_staged();
-    return st;
-  }
-  if (Status st = stage(kShardManifestFilename, manifest_payload.str());
+  Result<StagedFile> manifest_file = StagedFile::Create(
+      (std::filesystem::path(dir) / kShardManifestFilename).string());
+  if (!manifest_file.ok()) return manifest_file.status();
+  if (Status st = SerializeManifest(manifest,
+                                    [&](std::string_view chunk) {
+                                      return manifest_file->Write(chunk);
+                                    });
       !st.ok()) {
-    discard_staged();
     return st;
   }
+  if (Status st = manifest_file->Sync(); !st.ok()) return st;
 
-  // Everything is on disk; publish. Shard files first, manifest last, so
-  // an interrupted publish leaves at worst a digest-detectable mix.
-  for (const StagedFile& f : staged) {
-    std::error_code ec;
-    std::filesystem::rename(f.tmp, f.final, ec);
-    if (ec) {
-      discard_staged();
-      return Status::IoError("cannot publish checkpoint file " +
-                             f.final.string() + ": " + ec.message());
-    }
+  // Everything is durable under its temp name; publish. Shard files
+  // first, manifest last, so an interrupted publish leaves at worst a mix
+  // of generations the per-file digests detect — resume refuses it.
+  for (std::optional<StagedFile>& file : staged) {
+    if (Status st = file->Publish(); !st.ok()) return st;
   }
-  return Status::Ok();
+  if (Status st = manifest_file->Publish(); !st.ok()) return st;
+  return SyncDirectory(dir);
 }
 
 Result<GraphEstimates> ShardedEngine::MergeFromCheckpoints(

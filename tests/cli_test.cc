@@ -152,6 +152,28 @@ TEST_F(CliTest, CheckpointResumeRoundTrip) {
   std::remove(ckpt.c_str());
 }
 
+TEST_F(CliTest, FailedCheckpointWriteKeepsPreviousFile) {
+  // The serial checkpoint is staged beside its target. When the staged
+  // file cannot be written (a directory squats on its name) the run fails
+  // by name and the previous checkpoint keeps its bytes.
+  const std::string ckpt = TempPath("cli_staged.gps");
+  const std::string old_bytes = "previous checkpoint\n";
+  std::ofstream(ckpt) << old_bytes;
+  std::filesystem::remove_all(ckpt + ".tmp");
+  ASSERT_TRUE(std::filesystem::create_directory(ckpt + ".tmp"));
+  const CommandResult r = RunCli("estimate --input " + graph_path_ +
+                                 " --capacity 1500 --checkpoint " + ckpt);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("checkpoint error"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(ckpt + ".tmp"), std::string::npos) << r.output;
+  std::ifstream in(ckpt, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), old_bytes);
+  std::filesystem::remove_all(ckpt + ".tmp");
+  std::remove(ckpt.c_str());
+}
+
 TEST_F(CliTest, ResumeRejectsCorruptCheckpoint) {
   const std::string ckpt = TempPath("cli_bad_ckpt.gps");
   std::ofstream(ckpt) << "NOT-A-CHECKPOINT 1\n";

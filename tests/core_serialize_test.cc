@@ -1,10 +1,18 @@
 // Tests for checkpoint serialization: resumed runs must be bit-identical
-// to uninterrupted runs; corrupted/invalid checkpoints must fail cleanly.
+// to uninterrupted runs; corrupted/invalid checkpoints must fail cleanly;
+// the streaming formatter writes exactly the bytes of printf("%.17g").
 
 #include "core/serialize.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -13,6 +21,7 @@
 #include "core/post_stream.h"
 #include "gen/generators.h"
 #include "graph/stream.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -600,6 +609,103 @@ TEST(SerializeTest, ChecksumIsStableAndSensitive) {
   EXPECT_EQ(a, ChecksumBytes("GPS checkpoint payload"));
   EXPECT_NE(a, ChecksumBytes("GPS checkpoint payloaD"));
   EXPECT_NE(ChecksumBytes(""), ChecksumBytes(std::string_view("\0", 1)));
+}
+
+/// The reference every checkpoint double is pinned to: the bytes the
+/// format has always had.
+std::string PrintfG17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(SerializeTest, FormatterDoublesMatchPrintfG17) {
+  std::vector<double> values;
+  std::mt19937_64 rng(20170817);
+  // Random sign and mantissa under every biased exponent: 0 is the
+  // subnormals, 2047 infinities and NaNs.
+  for (uint64_t exponent = 0; exponent < 2048; ++exponent) {
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(
+          FromBits((rng() & 0x800FFFFFFFFFFFFFull) | (exponent << 52)));
+    }
+  }
+  // Uniform random 64-bit patterns.
+  for (int i = 0; i < 100000; ++i) values.push_back(FromBits(rng()));
+  // Zeros, the subnormal range's ends and the finite extremes.
+  using Limits = std::numeric_limits<double>;
+  for (double v : {0.0, Limits::denorm_min(), Limits::min(),
+                   std::nextafter(Limits::min(), 0.0), Limits::max(),
+                   Limits::epsilon()}) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
+  // Powers of ten and their neighbours one ulp away.
+  for (int p = -323; p <= 308; ++p) {
+    const double ten = std::strtod(("1e" + std::to_string(p)).c_str(), nullptr);
+    for (double v : {ten, std::nextafter(ten, 0.0),
+                     std::nextafter(ten, Limits::infinity())}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  // Large integers: around 2^53 (the last exactly representable run),
+  // 2^63/2^64, and the 16/17-digit boundary of %.17g.
+  for (int k = -4; k <= 4; ++k) {
+    for (double base : {std::ldexp(1.0, 53), std::ldexp(1.0, 63),
+                        std::ldexp(1.0, 64), 1e15, 1e16, 1e17, 1e22}) {
+      values.push_back(base + k * std::max(1.0, std::ldexp(base, -52)));
+    }
+  }
+
+  std::string written;
+  TextWriter out([&written](std::string_view chunk) {
+    EXPECT_LE(chunk.size(), TextWriter::kChunkBytes);
+    written.append(chunk);
+    return Status::Ok();
+  });
+  for (double v : values) out.Double(v).Char('\n');
+  ASSERT_TRUE(out.Finish().ok());
+  ASSERT_GT(written.size(), 4 * TextWriter::kChunkBytes);  // many chunks
+
+  size_t pos = 0;
+  size_t mismatches = 0;
+  for (double v : values) {
+    const size_t end = written.find('\n', pos);
+    ASSERT_NE(end, std::string::npos);
+    const std::string_view got(written.data() + pos, end - pos);
+    const std::string want = PrintfG17(v);
+    if (got != want && ++mismatches <= 5) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": wrote '" << got
+                    << "', printf wrote '" << want << "'";
+    }
+    pos = end + 1;
+  }
+  EXPECT_EQ(pos, written.size());
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " doubles";
+}
+
+TEST(SerializeTest, FormatterIntegersAndLongTextSpanChunks) {
+  std::string written;
+  TextWriter out([&written](std::string_view chunk) {
+    written.append(chunk);
+    return Status::Ok();
+  });
+  const std::string long_text(2 * TextWriter::kChunkBytes + 7, 'x');
+  out.Text(long_text).Char(' ');
+  out.Int(uint64_t{0}).Char(' ').Int(std::numeric_limits<uint64_t>::max());
+  out.Char(' ').Int(-1).Char(' ').Int(std::numeric_limits<int64_t>::min());
+  ASSERT_TRUE(out.Finish().ok());
+  EXPECT_EQ(written, long_text + " 0 18446744073709551615 -1 "
+                                 "-9223372036854775808");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "gen/generators.h"
 #include "graph/stream.h"
 #include "util/status.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -257,6 +259,95 @@ TEST(EngineCheckpointTest, FailedCheckpointDoesNotClobberExisting) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 
+  auto merged = ShardedEngine::MergeFromCheckpoints(
+      std::vector<std::string>{ManifestPath(dir)});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ExpectExactlyEqual(*merged, live);
+  std::filesystem::remove_all(dir);
+}
+
+std::string ReadFileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Names of the `*.tmp` entries in `dir`.
+std::vector<std::string> TempEntries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  return names;
+}
+
+TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
+  // The K files are written on several threads, streamed in chunks with
+  // the digest chained over them; each must still be exactly what the
+  // single-estimator serializer writes for its shard, under the digest of
+  // its whole bytes. K=8 has more shards than a small host has threads,
+  // so one thread writes several; the capacity spans several 64 KiB
+  // chunks per file.
+  EdgeList graph = GenerateBarabasiAlbert(3000, 6, 0.4, 801).value();
+  const std::vector<Edge> stream = MakePermutedStream(graph, 802);
+  for (const uint32_t k : {1u, 4u, 8u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ShardedEngineOptions options = EngineOptions(k, 43);
+    options.sampler.capacity = 12000;
+    options.motifs = {"tri"};
+    const std::filesystem::path dir = FreshDir("bytes-k" + std::to_string(k));
+    ShardedEngine engine(options);
+    for (const Edge& e : stream) engine.Process(e);
+    engine.Finish();
+    ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+
+    std::ifstream min(ManifestPath(dir), std::ios::binary);
+    auto manifest = DeserializeManifest(min);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    ASSERT_EQ(manifest->entries.size(), k);
+    for (const ShardManifestEntry& entry : manifest->entries) {
+      const std::string bytes = ReadFileBytes(dir / entry.filename);
+      std::ostringstream want;
+      ASSERT_TRUE(SerializeInStreamEstimator(
+                      engine.shard(entry.shard_index).in_stream_estimator(),
+                      want)
+                      .ok());
+      EXPECT_EQ(bytes, want.str()) << entry.filename;
+      EXPECT_EQ(entry.digest, ChecksumBytes(bytes)) << entry.filename;
+    }
+    EXPECT_GT(ReadFileBytes(dir / manifest->entries[0].filename).size(),
+              TextWriter::kChunkBytes);
+    EXPECT_TRUE(TempEntries(dir).empty());
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
+  // A directory squatting on one shard's temp name makes that shard's
+  // writer fail mid-checkpoint, after its peers have staged their files.
+  // The error names the file, every staged temp file is removed, and the
+  // previous checkpoint still merges to its live run bit for bit.
+  const std::vector<Edge> stream = TestStream(811);
+  const std::filesystem::path dir = FreshDir("squatted");
+  const GraphEstimates live =
+      RunAndCheckpoint(stream, EngineOptions(4, 47), &dir);
+  const std::filesystem::path squatter = dir / "shard-0002.gps.tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(squatter));
+
+  ShardedEngine engine(EngineOptions(4, 53));
+  for (size_t i = 0; i < stream.size() / 2; ++i) engine.Process(stream[i]);
+  const Status s = engine.SerializeShards(dir.string());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_NE(s.message().find("shard-0002.gps.tmp"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(TempEntries(dir),
+            std::vector<std::string>{"shard-0002.gps.tmp"});  // ours only
+
+  std::filesystem::remove(squatter);
   auto merged = ShardedEngine::MergeFromCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();

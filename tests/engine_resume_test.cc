@@ -147,23 +147,31 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
 TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
   // EstimateEvery fires at absolute stream positions, so a resumed
   // monitor keeps the uninterrupted run's sampling schedule and values.
+  // The monitored run checkpoints itself (CheckpointEvery) inside its
+  // ticks, on the writer threads, and the resume starts from the last of
+  // those checkpoints.
   const std::vector<Edge> stream = TestStream(821);
-  const ShardedEngineOptions options = EngineOptions(2, 43);
+  const ShardedEngineOptions options = EngineOptions(4, 43);
   constexpr uint64_t kEvery = 300;
+  constexpr uint64_t kCheckpointEvery = 3 * kEvery;
+  const std::filesystem::path dir = FreshDir("monitor");
 
   std::vector<MonitorRecord> full_records;
   ShardedEngine full(options);
   full.EstimateEvery(
       kEvery, [&](const MonitorRecord& r) { full_records.push_back(r); });
+  ASSERT_TRUE(full.CheckpointEvery(kCheckpointEvery, dir.string()).ok());
   for (const Edge& e : stream) full.Process(e);
   full.Finish();
+  ASSERT_TRUE(full.auto_checkpoint_status().ok())
+      << full.auto_checkpoint_status().ToString();
 
-  const size_t cut = stream.size() / 2;
-  const std::filesystem::path dir = FreshDir("monitor");
-  const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
+  const size_t cut = stream.size() / kCheckpointEvery * kCheckpointEvery;
+  ASSERT_GE(cut, kCheckpointEvery);
   auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{manifest});
+      std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ((*resumed)->edges_processed(), cut);
   std::vector<MonitorRecord> tail_records;
   (*resumed)->EstimateEvery(
       kEvery, [&](const MonitorRecord& r) { tail_records.push_back(r); });
@@ -183,6 +191,7 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
     EXPECT_EQ(tail_records[i].edges_processed, want.edges_processed);
     ExpectExactlyEqual(tail_records[i].estimates, want.estimates);
   }
+  ExpectExactlyEqual((*resumed)->MergedEstimates(), full.MergedEstimates());
   std::filesystem::remove_all(dir);
 }
 

@@ -1,9 +1,17 @@
-// Tests for Status/Result, OnlineStats, timers, and text formatting.
+// Tests for Status/Result, OnlineStats, timers, text formatting, and
+// staged (temp + fsync + rename) file writes.
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/staged_file.h"
 #include "util/status.h"
 #include "util/table.h"
+#include "util/text_writer.h"
 #include "util/timer.h"
 #include "util/welford.h"
 
@@ -137,6 +145,61 @@ TEST(TextTableTest, RendersAlignedColumns) {
   const size_t first_newline = s.find('\n');
   const size_t second_newline = s.find('\n', first_newline + 1);
   EXPECT_EQ(first_newline, second_newline - first_newline - 1);
+}
+
+/// A pre-cleaned path unique to the current test (ctest runs suites in
+/// parallel processes).
+std::string StagedTarget() {
+  const std::string path =
+      testing::TempDir() + "/staged_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::remove_all(path);
+  std::filesystem::remove_all(path + ".tmp");
+  return path;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(StagedFileTest, CommitReplacesTargetAndLeavesNoTemp) {
+  const std::string target = StagedTarget();
+  std::ofstream(target) << "old";
+  Result<StagedFile> file = StagedFile::Create(target);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE(file->Write("new ").ok());
+  ASSERT_TRUE(file->Write("bytes").ok());
+  EXPECT_EQ(ReadAll(target), "old");  // untouched until published
+  ASSERT_TRUE(file->Commit().ok());
+  EXPECT_EQ(ReadAll(target), "new bytes");
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  std::filesystem::remove(target);
+}
+
+TEST(StagedFileTest, SinkErrorMidWriteKeepsOldContentsAndNoTemp) {
+  const std::string target = StagedTarget();
+  std::ofstream(target) << "old checkpoint";
+  {
+    Result<StagedFile> file = StagedFile::Create(target);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    int chunks = 0;
+    TextWriter out([&](std::string_view chunk) {
+      if (++chunks == 2) return Status::IoError("device full");
+      return file->Write(chunk);
+    });
+    for (int i = 0; i < 50000; ++i) out.Double(i * 0.1).Char('\n');
+    const Status s = out.Finish();
+    EXPECT_EQ(s.code(), StatusCode::kIoError);
+    EXPECT_EQ(s.message(), "device full");
+    EXPECT_EQ(chunks, 2);  // the sink is not called after its error
+    EXPECT_TRUE(std::filesystem::exists(target + ".tmp"));
+  }  // destroyed unpublished: the temp file goes with it
+  EXPECT_EQ(ReadAll(target), "old checkpoint");
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  std::filesystem::remove(target);
 }
 
 }  // namespace

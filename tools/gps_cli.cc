@@ -72,6 +72,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -91,6 +92,7 @@
 #include "graph/stream.h"
 #include "util/metrics.h"
 #include "util/parse_bytes.h"
+#include "util/staged_file.h"
 #include "util/table.h"
 #include "util/trace.h"
 
@@ -452,19 +454,22 @@ void PrintEstimateReport(const char* label, const EstimateReport& report) {
   std::printf("%s", t.ToString().c_str());
 }
 
-/// Serializes an in-stream estimator to `path`; used by `estimate
-/// --checkpoint` (serial) and `resume --save`.
+/// Serializes an in-stream estimator to `path` through a staged temp
+/// file, so a failed or interrupted write leaves the previous checkpoint
+/// at `path` intact; used by `estimate --checkpoint` (serial) and `resume
+/// --save`.
 int WriteEstimatorCheckpoint(const InStreamEstimator& estimator,
                              const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  const Status s = SerializeInStreamEstimator(estimator, out);
+  Result<StagedFile> file = StagedFile::Create(path);
+  Status s = file.status();
+  if (s.ok()) {
+    s = SerializeInStreamEstimator(estimator, [&](std::string_view chunk) {
+      return file->Write(chunk);
+    });
+  }
+  if (s.ok()) s = file->Commit();
   if (!s.ok()) {
     std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  if (!out) {
-    std::fprintf(stderr, "checkpoint error: cannot write %s\n",
-                 path.c_str());
     return 1;
   }
   std::printf("checkpoint written to %s\n", path.c_str());
