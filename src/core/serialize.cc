@@ -30,15 +30,6 @@ constexpr int kFormatVersion = 1;
 constexpr int kManifestVersion = 4;
 constexpr int kManifestMinReadVersion = 1;
 
-/// The sink behind every std::ostream overload.
-ByteSink StreamSink(std::ostream& out) {
-  return [&out](std::string_view chunk) {
-    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    return out ? Status::Ok()
-               : Status::IoError("write failure while serializing");
-  };
-}
-
 /// Reads and checks "<HEADER> <version>", accepting any version in
 /// [min_version, max_version]; returns the version actually found so
 /// multi-version readers (the manifest) can branch on it.
@@ -305,11 +296,6 @@ Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
   });
 }
 
-Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
-                                  std::ostream& out) {
-  return SerializeInStreamEstimator(estimator, StreamSink(out));
-}
-
 Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in) {
   if (Status s = ExpectHeader(in, kInStreamHeader); !s.ok()) return s;
   Result<WeightOptions> weight = ReadWeightOptions(in);
@@ -471,10 +457,6 @@ Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink) {
   return WriteText(sink, [&](TextWriter& w) {
     return WriteManifest(manifest, w);
   });
-}
-
-Status SerializeManifest(const ShardManifest& manifest, std::ostream& out) {
-  return SerializeManifest(manifest, StreamSink(out));
 }
 
 Result<ShardManifest> DeserializeManifest(std::istream& in) {

@@ -12,9 +12,9 @@
 // significant digits via std::to_chars (chars_format::general), the same
 // bytes as printf "%.17g". Writers stream their output through one 64 KiB
 // formatter buffer (util/text_writer.h) to a ByteSink chunk by chunk, so a
-// shard file is never held whole in memory; the std::ostream overloads are
-// that sink over a stream. Custom weight callables cannot be serialized;
-// samplers configured with WeightKind::kCustom return FailedPrecondition.
+// shard file is never held whole in memory; StreamSink is that sink over a
+// std::ostream. Custom weight callables cannot be serialized; samplers
+// configured with WeightKind::kCustom return FailedPrecondition.
 //
 // Checkpoints are untrusted input (they cross machines in the distributed
 // merge pipeline): every deserializer validates structural invariants —
@@ -141,9 +141,9 @@ struct ShardManifest {
 /// unique and in range, bare filenames. Enforced on both write and read.
 Status ValidateManifest(const ShardManifest& manifest);
 
-/// Writes a manifest (validating it first) to `sink`, chunk by chunk.
+/// Writes a manifest (validating it first) to `sink`, chunk by chunk;
+/// StreamSink(out) writes it to a std::ostream.
 Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink);
-Status SerializeManifest(const ShardManifest& manifest, std::ostream& out);
 
 /// Reads and validates a manifest written by SerializeManifest.
 Result<ShardManifest> DeserializeManifest(std::istream& in);
@@ -163,8 +163,6 @@ Result<GpsSampler> DeserializeSampler(std::istream& in);
 /// snapshot accumulators) to `sink`, chunk by chunk.
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
                                   const ByteSink& sink);
-Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
-                                  std::ostream& out);
 Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in);
 
 }  // namespace gps

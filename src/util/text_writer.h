@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string_view>
 #include <utility>
 
@@ -29,6 +30,15 @@ namespace gps {
 /// return aborts the write: the sink is not called again, and the writer
 /// reports that status.
 using ByteSink = std::function<Status(std::string_view chunk)>;
+
+/// A sink that appends every chunk to `out`; IoError once the stream fails.
+inline ByteSink StreamSink(std::ostream& out) {
+  return [&out](std::string_view chunk) {
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    return out ? Status::Ok()
+               : Status::IoError("write failure while serializing");
+  };
+}
 
 class TextWriter {
  public:

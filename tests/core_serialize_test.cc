@@ -117,7 +117,7 @@ TEST(SerializeTest, ResumedInStreamEstimatorMatchesUninterrupted) {
     first_half.Process(stream[i]);
   }
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeInStreamEstimator(first_half, buffer).ok());
+  ASSERT_TRUE(SerializeInStreamEstimator(first_half, StreamSink(buffer)).ok());
   auto resumed = DeserializeInStreamEstimator(buffer);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (size_t i = stream.size() / 3; i < stream.size(); ++i) {
@@ -298,7 +298,7 @@ ShardManifest TestManifest() {
 TEST(SerializeTest, ManifestRoundTripPreservesEverything) {
   const ShardManifest manifest = TestManifest();
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeManifest(manifest, buffer).ok());
+  ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   auto r = DeserializeManifest(buffer);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->num_shards, manifest.num_shards);
@@ -330,7 +330,7 @@ TEST(SerializeTest, ManifestMotifSetRoundTrip) {
   manifest.entries[1].motif_accumulators = {{7.0, 1.0, 4},
                                             {100.25, 55.5, 17}};
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeManifest(manifest, buffer).ok());
+  ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   auto r = DeserializeManifest(buffer);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->motif_names, manifest.motif_names);
@@ -356,7 +356,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
     entry.motif_accumulators.resize(2);
   }
   std::stringstream buffer;
-  const Status write = SerializeManifest(unknown, buffer);
+  const Status write = SerializeManifest(unknown, StreamSink(buffer));
   ASSERT_FALSE(write.ok());
   EXPECT_NE(write.message().find("pentagon"), std::string::npos)
       << write.ToString();
@@ -381,7 +381,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
   arity.entries[0].motif_accumulators = {{1.0, 0.0, 1}};
   // entries[1] left without accumulators
   std::stringstream arity_buffer;
-  EXPECT_FALSE(SerializeManifest(arity, arity_buffer).ok());
+  EXPECT_FALSE(SerializeManifest(arity, StreamSink(arity_buffer)).ok());
 
   // Negative / non-finite accumulators are refused.
   ShardManifest negative = TestManifest();
@@ -389,7 +389,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
   negative.entries[0].motif_accumulators = {{-1.0, 0.0, 0}};
   negative.entries[1].motif_accumulators = {{1.0, 0.0, 1}};
   std::stringstream negative_buffer;
-  const Status neg = SerializeManifest(negative, negative_buffer);
+  const Status neg = SerializeManifest(negative, StreamSink(negative_buffer));
   ASSERT_FALSE(neg.ok());
   EXPECT_NE(neg.message().find("tri"), std::string::npos);
   {
@@ -426,7 +426,7 @@ TEST(SerializeTest, ManifestSerializationValidates) {
   for (const ShardManifest* m : {&dup, &range, &traversal, &spacey,
                                  &nan_weight, &zero_cap, &small_offset}) {
     std::stringstream buffer;
-    const Status s = SerializeManifest(*m, buffer);
+    const Status s = SerializeManifest(*m, StreamSink(buffer));
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   }
@@ -549,7 +549,7 @@ TEST(SerializeTest, ManifestVersionCompatibility) {
   }
   // Writers always emit the current version.
   std::stringstream out;
-  ASSERT_TRUE(SerializeManifest(TestManifest(), out).ok());
+  ASSERT_TRUE(SerializeManifest(TestManifest(), StreamSink(out)).ok());
   EXPECT_EQ(out.str().rfind("GPS-MANIFEST 4", 0), 0u) << out.str();
 }
 
@@ -567,7 +567,7 @@ TEST(SerializeTest, ManifestCapacityProvenanceCrossChecked) {
   manifest.mem_budget_bytes = 141096;
   manifest.entries.push_back({0, 9, 250, 777, "shard.gps", {}});
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeManifest(manifest, buffer).ok());
+  ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   auto ok = DeserializeManifest(buffer);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->mem_budget_bytes, 141096u);
@@ -576,7 +576,7 @@ TEST(SerializeTest, ManifestCapacityProvenanceCrossChecked) {
   // on write and on read.
   manifest.mem_budget_bytes = 10485760;
   std::stringstream corrupt_buffer;
-  const Status write = SerializeManifest(manifest, corrupt_buffer);
+  const Status write = SerializeManifest(manifest, StreamSink(corrupt_buffer));
   ASSERT_FALSE(write.ok());
   EXPECT_NE(write.message().find("provenance"), std::string::npos)
       << write.ToString();

@@ -94,11 +94,11 @@ TEST(EngineCheckpointTest, PartialManifestsFromDifferentHostsMerge) {
   const std::string path_b = (dir / "host-b.gpsm").string();
   {
     std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_a, out).ok());
+    ASSERT_TRUE(SerializeManifest(host_a, StreamSink(out)).ok());
   }
   {
     std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_b, out).ok());
+    ASSERT_TRUE(SerializeManifest(host_b, StreamSink(out)).ok());
   }
 
   auto merged = ShardedEngine::MergeFromCheckpoints(
@@ -313,7 +313,7 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
       std::ostringstream want;
       ASSERT_TRUE(SerializeInStreamEstimator(
                       engine.shard(entry.shard_index).in_stream_estimator(),
-                      want)
+                      StreamSink(want))
                       .ok());
       EXPECT_EQ(bytes, want.str()) << entry.filename;
       EXPECT_EQ(entry.digest, ChecksumBytes(bytes)) << entry.filename;
@@ -412,11 +412,11 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
   const std::string path_b = (dir_b / "half.gpsm").string();
   {
     std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(a, out).ok());
+    ASSERT_TRUE(SerializeManifest(a, StreamSink(out)).ok());
   }
   {
     std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(b, out).ok());
+    ASSERT_TRUE(SerializeManifest(b, StreamSink(out)).ok());
   }
   auto merged = ShardedEngine::MergeFromCheckpoints(
       std::vector<std::string>{path_a, path_b});

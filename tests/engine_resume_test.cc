@@ -23,6 +23,7 @@
 #include "gen/generators.h"
 #include "graph/stream.h"
 #include "util/status.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -147,52 +148,61 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
 TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
   // EstimateEvery fires at absolute stream positions, so a resumed
   // monitor keeps the uninterrupted run's sampling schedule and values.
-  // The monitored run checkpoints itself (CheckpointEvery) inside its
-  // ticks, on the writer threads, and the resume starts from the last of
-  // those checkpoints.
+  // The monitored run checkpoints itself (CheckpointEvery) on the writer
+  // threads every 2.5 ticks: every second checkpoint lands on a tick, and
+  // the last one — the resume cut — falls between two ticks, so the
+  // resumed engine must wait for the next absolute multiple of kEvery
+  // rather than count a fresh interval from the cut.
   const std::vector<Edge> stream = TestStream(821);
-  const ShardedEngineOptions options = EngineOptions(4, 43);
   constexpr uint64_t kEvery = 300;
-  constexpr uint64_t kCheckpointEvery = 3 * kEvery;
-  const std::filesystem::path dir = FreshDir("monitor");
-
-  std::vector<MonitorRecord> full_records;
-  ShardedEngine full(options);
-  full.EstimateEvery(
-      kEvery, [&](const MonitorRecord& r) { full_records.push_back(r); });
-  ASSERT_TRUE(full.CheckpointEvery(kCheckpointEvery, dir.string()).ok());
-  for (const Edge& e : stream) full.Process(e);
-  full.Finish();
-  ASSERT_TRUE(full.auto_checkpoint_status().ok())
-      << full.auto_checkpoint_status().ToString();
-
+  constexpr uint64_t kCheckpointEvery = 750;
   const size_t cut = stream.size() / kCheckpointEvery * kCheckpointEvery;
-  ASSERT_GE(cut, kCheckpointEvery);
-  auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ((*resumed)->edges_processed(), cut);
-  std::vector<MonitorRecord> tail_records;
-  (*resumed)->EstimateEvery(
-      kEvery, [&](const MonitorRecord& r) { tail_records.push_back(r); });
-  for (size_t i = cut; i < stream.size(); ++i) {
-    (*resumed)->Process(stream[i]);
-  }
-  (*resumed)->Finish();
+  ASSERT_GE(cut, 2 * kCheckpointEvery);  // one checkpoint on a tick
+  ASSERT_NE(cut % kEvery, 0u);           // the resume cut between ticks
+  for (const uint32_t k : {2u, 4u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const ShardedEngineOptions options = EngineOptions(k, 43);
+    const std::filesystem::path dir = FreshDir("monitor-k" + std::to_string(k));
 
-  size_t expected_tail = 0;
-  for (const MonitorRecord& r : full_records) {
-    if (r.edges_processed > cut) ++expected_tail;
+    std::vector<MonitorRecord> full_records;
+    ShardedEngine full(options);
+    full.EstimateEvery(
+        kEvery, [&](const MonitorRecord& r) { full_records.push_back(r); });
+    ASSERT_TRUE(full.CheckpointEvery(kCheckpointEvery, dir.string()).ok());
+    for (const Edge& e : stream) full.Process(e);
+    full.Finish();
+    ASSERT_TRUE(full.auto_checkpoint_status().ok())
+        << full.auto_checkpoint_status().ToString();
+
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(
+        std::vector<std::string>{ManifestPath(dir)});
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ((*resumed)->edges_processed(), cut);
+    std::vector<MonitorRecord> tail_records;
+    (*resumed)->EstimateEvery(
+        kEvery, [&](const MonitorRecord& r) { tail_records.push_back(r); });
+    for (size_t i = cut; i < stream.size(); ++i) {
+      (*resumed)->Process(stream[i]);
+    }
+    (*resumed)->Finish();
+
+    size_t expected_tail = 0;
+    for (const MonitorRecord& r : full_records) {
+      if (r.edges_processed > cut) ++expected_tail;
+    }
+    ASSERT_GT(expected_tail, 0u);
+    ASSERT_EQ(tail_records.size(), expected_tail);
+    EXPECT_EQ(tail_records.front().edges_processed,
+              (cut / kEvery + 1) * kEvery);
+    for (size_t i = 0; i < tail_records.size(); ++i) {
+      const MonitorRecord& want =
+          full_records[full_records.size() - expected_tail + i];
+      EXPECT_EQ(tail_records[i].edges_processed, want.edges_processed);
+      ExpectExactlyEqual(tail_records[i].estimates, want.estimates);
+    }
+    ExpectExactlyEqual((*resumed)->MergedEstimates(), full.MergedEstimates());
+    std::filesystem::remove_all(dir);
   }
-  ASSERT_EQ(tail_records.size(), expected_tail);
-  for (size_t i = 0; i < tail_records.size(); ++i) {
-    const MonitorRecord& want =
-        full_records[full_records.size() - expected_tail + i];
-    EXPECT_EQ(tail_records[i].edges_processed, want.edges_processed);
-    ExpectExactlyEqual(tail_records[i].estimates, want.estimates);
-  }
-  ExpectExactlyEqual((*resumed)->MergedEstimates(), full.MergedEstimates());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
@@ -342,7 +352,7 @@ TEST(EngineResumeTest, RejectsTamperedStreamOffset) {
   manifest.stream_offset += 1000;
   {
     std::ofstream out(manifest_path, std::ios::trunc | std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(manifest, out).ok());
+    ASSERT_TRUE(SerializeManifest(manifest, StreamSink(out)).ok());
   }
 
   auto resumed = ShardedEngine::ResumeFromCheckpoints(
@@ -385,11 +395,11 @@ TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
   const std::string path_b = (dir / "host-b.gpsm").string();
   {
     std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_a, out).ok());
+    ASSERT_TRUE(SerializeManifest(host_a, StreamSink(out)).ok());
   }
   {
     std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_b, out).ok());
+    ASSERT_TRUE(SerializeManifest(host_b, StreamSink(out)).ok());
   }
 
   for (const auto& order :
@@ -410,7 +420,7 @@ TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
   ShardManifest host_b2 = host_b;  // still offset + 1000
   {
     std::ofstream out(path_a, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(SerializeManifest(host_a2, out).ok());
+    ASSERT_TRUE(SerializeManifest(host_a2, StreamSink(out)).ok());
   }
   for (const auto& order :
        {std::vector<std::string>{path_a, path_b},
