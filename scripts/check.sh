@@ -64,16 +64,20 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # graph_intersect_test rides along for the simd kernels: unaligned
 # vector loads and scalar tails over arena block boundaries are exactly
 # where an out-of-bounds read would hide.
+# core_in_stream_test and core_reservoir_test drive Algorithm 3's
+# per-arrival loop directly (duplicates, loops, eviction edge cases): it
+# indexes raw slot-column pointers and prefetches ahead.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_steal_test engine_metrics_test \
   engine_router_test engine_merge_test \
   core_parallel_test core_serialize_test core_packed_store_test \
+  core_in_stream_test core_reservoir_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
   util_parse_bytes_test cli_test gps_cli
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_|core_parallel|core_serialize|core_packed_store|graph_binary_stream|graph_edge_list|graph_intersect|util_parse_bytes|cli_test'
+  -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|util_parse_bytes|cli_test'
 
 echo "=== TSan build + threaded suites (steal hand-off stress) ==="
 # engine_metrics_test rides along: metric snapshots race live relaxed

@@ -18,6 +18,21 @@
 // The estimation step runs BEFORE the sampling step for the arriving edge,
 // so snapshot probabilities are measured at the stopping time T_k (the slot
 // immediately before k's arrival).
+//
+// Per-arrival cost: two node-table lookups (one per endpoint), one binary
+// search of the smaller endpoint block (the duplicate check), one
+// intersection of the two blocks (the triangle updates, whose match count
+// is also the weight function's |Γ̂(u) ∩ Γ̂(v)|), and one pass over both
+// blocks (the wedge updates) — plus the reservoir update. z* and the slot
+// column bases are read once per arrival, and the five running sums are
+// written back once.
+//
+// The order of the floating-point operations in Process is part of the
+// byte-identity contract: estimates, monitor rows and checkpoints must keep
+// their bytes, so a rewrite must perform the same operations in the same
+// order (triangles in ascending common-neighbour order, then u's block, then
+// v's, each in ascending neighbour order). core_in_stream_test's
+// GoldenAlgorithm3Bits pins the results.
 
 #ifndef GPS_CORE_IN_STREAM_H_
 #define GPS_CORE_IN_STREAM_H_
@@ -39,7 +54,8 @@ class InStreamEstimator {
   explicit InStreamEstimator(GpsSamplerOptions options = {});
 
   /// Processes one arriving edge: snapshot estimation (GPSESTIMATE), then
-  /// the reservoir update (GPSUPDATE).
+  /// the reservoir update (GPSUPDATE). A self loop or a repeat of a sampled
+  /// edge is counted as an arrival and otherwise skipped.
   void Process(const Edge& e);
 
   /// Current unbiased estimates of N_t(△), N_t(Λ), their variances, the
@@ -50,6 +66,8 @@ class InStreamEstimator {
   /// seeds, identical in realization — to a post-stream GPS reservoir).
   const GpsReservoir& reservoir() const { return reservoir_; }
 
+  /// Arrivals processed, including skipped duplicates and self loops (as
+  /// GpsSampler counts them).
   uint64_t edges_processed() const { return reservoir_.edges_processed(); }
 
   /// Snapshot-accumulator state, exposed for checkpointing

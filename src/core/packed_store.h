@@ -52,6 +52,14 @@ struct EdgeRecord {
   double cov_wedge = 0.0;
 };
 
+/// Base pointers of the columns Algorithm 3 reads and updates for every
+/// sampled edge adjacent to an arrival (see core/in_stream.h).
+struct InStreamColumns {
+  const double* weight;
+  double* cov_tri;
+  double* cov_wedge;
+};
+
 /// How a reservoir's bytes were sized: either an explicit capacity
 /// (budget_bytes == 0, the legacy `--capacity` path) or a `--mem` budget
 /// from which the capacity was derived. The byte fields are the
@@ -144,14 +152,16 @@ class PackedSampleStore {
   Edge edge(SlotId slot) const { return EdgeFromKey(keys_[slot]); }
   double weight(SlotId slot) const { return weights_[slot]; }
   double priority(SlotId slot) const { return priorities_[slot]; }
-  double cov_tri(SlotId slot) const { return cov_tri_[slot]; }
-  double cov_wedge(SlotId slot) const { return cov_wedge_[slot]; }
 
-  /// In-stream estimation updates the covariance accumulators in place
-  /// (the one mutation that outlives Store); these replace the old
-  /// MutableRecord escape hatch.
-  void AddCovTri(SlotId slot, double delta) { cov_tri_[slot] += delta; }
-  void AddCovWedge(SlotId slot, double delta) { cov_wedge_[slot] += delta; }
+  /// The three columns in-stream estimation touches per sampled neighbour,
+  /// indexed by SlotId: weights are read, and the covariance accumulators
+  /// are updated in place (the one mutation that outlives Store). The
+  /// columns are preallocated, so Allocate never moves them: the pointers
+  /// stay valid until the store is assigned to or destroyed. No stripe
+  /// lock is taken.
+  InStreamColumns in_stream_columns() {
+    return {weights_.data(), cov_tri_.data(), cov_wedge_.data()};
+  }
 
   bool live(SlotId slot) const { return live_[slot] != 0; }
 

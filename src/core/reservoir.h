@@ -121,8 +121,10 @@ class GpsReservoir {
   /// as an arrival — pair with NoteExternalArrivals.
   ProcessResult Admit(const EdgeRecord& record);
 
-  /// Accounts `n` arrivals processed externally (by a mini-reservoir whose
-  /// sampled records are re-bound through Admit).
+  /// Accounts `n` arrivals that never reached Process: those of a
+  /// mini-reservoir whose sampled records are re-bound through Admit, or a
+  /// duplicate or self loop the caller refused before Process (as Process
+  /// itself would, without an RNG draw).
   void NoteExternalArrivals(uint64_t n) { processed_ += n; }
 
   /// Raises z* to at least `z` (the threshold evidence a merged
@@ -148,12 +150,18 @@ class GpsReservoir {
   /// while no edge has ever been evicted.
   double threshold() const { return z_star_; }
 
-  /// Conditional inclusion probability min{1, w/z*} for a given weight;
-  /// 1 while z* == 0 (every edge so far is kept with certainty).
-  double ProbabilityForWeight(double weight) const {
-    if (z_star_ <= 0.0) return 1.0;
-    const double p = weight / z_star_;
+  /// Conditional inclusion probability min{1, w/z*} for a given weight
+  /// and threshold; 1 while z* == 0 (every edge so far is kept with
+  /// certainty). Static so hot loops can hold z* in a register.
+  static double InclusionProbability(double weight, double z_star) {
+    if (z_star <= 0.0) return 1.0;
+    const double p = weight / z_star;
     return p < 1.0 ? p : 1.0;
+  }
+
+  /// InclusionProbability at the current threshold.
+  double ProbabilityForWeight(double weight) const {
+    return InclusionProbability(weight, z_star_);
   }
 
   /// Inclusion probability of the sampled edge in `slot`.
@@ -167,17 +175,10 @@ class GpsReservoir {
   /// Materializes the record in `slot` from the store's SoA columns.
   EdgeRecord Record(SlotId slot) const { return store_.Record(slot); }
 
-  /// In-stream estimation's covariance-accumulator updates (Algorithm 3
-  /// lines 16-19 / 24-27) — the only record mutation that happens after
-  /// admission; replaces the old MutableRecord escape hatch.
-  void AddCovTri(SlotId slot, double delta) {
-    store_.AddCovTri(slot, delta);
-  }
-  void AddCovWedge(SlotId slot, double delta) {
-    store_.AddCovWedge(slot, delta);
-  }
-  double cov_tri(SlotId slot) const { return store_.cov_tri(slot); }
-  double cov_wedge(SlotId slot) const { return store_.cov_wedge(slot); }
+  /// The weight and covariance-accumulator columns in-stream estimation
+  /// reads and updates (Algorithm 3 lines 14-27) — the only record
+  /// mutation that happens after admission.
+  InStreamColumns in_stream_columns() { return store_.in_stream_columns(); }
 
   /// Calls fn(slot, record) for each sampled edge (heap order).
   template <typename Fn>

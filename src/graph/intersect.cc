@@ -28,6 +28,8 @@ namespace gps {
 namespace intersect_detail {
 namespace {
 
+#if GPS_INTERSECT_X86
+
 /// Scalar two-pointer tail shared by the vector kernels: finishes the
 /// intersection from positions (i, j), emitting through the kernel's
 /// callback. Returns matches; adds its comparisons to *steps.
@@ -76,8 +78,6 @@ size_t ScalarTailCount(const AdjEntry* a, size_t na, const AdjEntry* b,
   *steps += local;
   return matches;
 }
-
-#if GPS_INTERSECT_X86
 
 /// Deinterleaves the nbr lanes of 4 consecutive AdjEntries starting at p:
 /// [n0 s0 n1 s1][n2 s2 n3 s3] -> [n0 n1 n2 n3].

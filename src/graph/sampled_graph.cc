@@ -51,7 +51,7 @@ SlotId SampledGraph::EraseHalf(NodeId u, NodeId nbr) {
 bool SampledGraph::AddEdge(const Edge& e, SlotId slot) {
   if (e.IsSelfLoop()) return false;
   const BlockRef* bu = nodes_.Find(e.u);
-  if (bu != nullptr && FindInBlock(*bu, e.v) != kNoSlot) return false;
+  if (bu != nullptr && FindInBlock(Block(*bu), e.v) != kNoSlot) return false;
   InsertHalf(e.u, e.v, slot);
   InsertHalf(e.v, e.u, slot);
   ++num_edges_;
@@ -71,7 +71,7 @@ SlotId SampledGraph::RemoveEdge(const Edge& e) {
 SlotId SampledGraph::FindEdge(const Edge& e) const {
   const BlockRef* bu = nodes_.Find(e.u);
   if (!bu) return kNoSlot;
-  return FindInBlock(*bu, e.v);
+  return FindInBlock(Block(*bu), e.v);
 }
 
 size_t SampledGraph::CountCommonNeighbors(NodeId u, NodeId v) const {

@@ -150,7 +150,16 @@ class SampledGraph {
   std::span<const AdjEntry> Neighbors(NodeId v) const {
     const BlockRef* block = nodes_.Find(v);
     if (!block) return {};
-    return {arena_.At(block->offset), block->size};
+    return Block(*block);
+  }
+
+  /// The slot `nbr` carries in `block`, a neighbor-sorted Neighbors()
+  /// span, or kNoSlot: one binary search, no node-table lookup.
+  static SlotId FindInBlock(std::span<const AdjEntry> block, NodeId nbr) {
+    const auto it = std::lower_bound(
+        block.begin(), block.end(), nbr,
+        [](const AdjEntry& entry, NodeId key) { return entry.nbr < key; });
+    return it != block.end() && it->nbr == nbr ? it->slot : kNoSlot;
   }
 
   /// Calls fn(node, degree) for every node with at least one sampled edge.
@@ -223,11 +232,8 @@ class SampledGraph {
         [](const AdjEntry& entry, NodeId key) { return entry.nbr < key; });
   }
 
-  SlotId FindInBlock(const BlockRef& block, NodeId nbr) const {
-    const AdjEntry* it = LowerBound(block, nbr);
-    return it != arena_.At(block.offset) + block.size && it->nbr == nbr
-               ? it->slot
-               : kNoSlot;
+  std::span<const AdjEntry> Block(const BlockRef& block) const {
+    return {arena_.At(block.offset), block.size};
   }
 
   /// Inserts the directed half-edge u -> (nbr, slot), growing u's block a

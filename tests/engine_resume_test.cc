@@ -109,6 +109,44 @@ TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
   }
 }
 
+TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
+  // Shards count a repeated edge or a self loop as an arrival even though
+  // they skip it, so the checkpoint's per-shard arrival counts add up to
+  // the manifest's stream offset and the run resumes. Here the cut falls
+  // after 300 distinct edges plus one repeat (reversed) and one loop.
+  const std::vector<Edge> base = TestStream(831);
+  ASSERT_GT(base.size(), 600u);
+  std::vector<Edge> stream(base.begin(), base.begin() + 150);
+  stream.push_back(Edge{base[40].v, base[40].u});
+  stream.insert(stream.end(), base.begin() + 150, base.begin() + 250);
+  stream.push_back(Edge{base[7].u, base[7].u});
+  stream.insert(stream.end(), base.begin() + 250, base.end());
+  const size_t cut = 302;
+  const ShardedEngineOptions options = EngineOptions(2, 47);
+
+  ShardedEngine uninterrupted(options);
+  for (const Edge& e : stream) uninterrupted.Process(e);
+  uninterrupted.Finish();
+
+  const std::filesystem::path dir = FreshDir("repeats");
+  const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(
+      std::vector<std::string>{manifest});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ((*resumed)->edges_processed(), cut);
+  for (size_t i = cut; i < stream.size(); ++i) (*resumed)->Process(stream[i]);
+  (*resumed)->Finish();
+  EXPECT_EQ((*resumed)->edges_processed(), stream.size());
+  ExpectExactlyEqual((*resumed)->MergedEstimates(),
+                     uninterrupted.MergedEstimates());
+  for (uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(ReservoirBytes((*resumed)->shard(s).reservoir()),
+              ReservoirBytes(uninterrupted.shard(s).reservoir()))
+        << "shard " << s;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
   // checkpoint -> resume -> checkpoint -> resume: interruption is
   // composable, as for the serial `resume --save` path.
