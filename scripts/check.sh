@@ -4,17 +4,17 @@
 # baseline (> 10% relative regression fails), then the metrics-overhead
 # gate (instrumented vs GPS_METRICS=0 ingest, scripts/overhead_gate.sh),
 # then an ASan/UBSan Debug pass and a TSan Debug pass over the threaded
-# engine suites — the TSan pass includes engine_steal_test (the
-# work-stealing hand-off stress) and engine_metrics_test (snapshot
-# aggregation racing live relaxed-atomic writers).
+# engine suites — the TSan pass includes engine_metrics_test (snapshot
+# aggregation racing live relaxed-atomic writers) and engine_merge_test
+# (the multi-threaded merge passes inside monitor ticks).
 # Mirrors the release + sanitize + tsan + simd-off jobs of
 # .github/workflows/ci.yml
 # (CI additionally archives BENCH_engine.json / BENCH_scaling.json per
 # run and schedules a nightly GPS_STAT_TRIALS=200 statistical pass).
 #
 # Every ctest invocation carries --timeout 300: a hung shard worker (ring
-# deadlock, missed drain handshake, stuck steal merge) must fail the
-# suite fast, not stall the whole run.
+# deadlock, missed drain handshake) must fail the suite fast, not stall
+# the whole run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,9 +38,6 @@ echo "=== Engine perf smoke (JSON + baseline regression gate) ==="
 # --alloc-report archives the packed-store budget breakdown next to the
 # perf record, so a capacity-derivation change shows up in the artifact
 # diff.
-# The run includes the router-scaling row (R=4 vs R=1, wall-clock with a
-# critical-path fallback on small hosts) gated >= 1.4x and against the
-# baseline's router_scaling_speedup.
 ./build/bench_engine --edges 200000 --capacity 50000 \
   --json build/BENCH_engine.json \
   --alloc-report build/BENCH_alloc_report.txt \
@@ -58,9 +55,9 @@ echo "=== ASan/UBSan build + engine/serialization/cli/store/ingest tests ==="
 # bless for out-of-bounds reads on truncated/corrupt inputs.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
-# engine_router_test rides along for the span-lifetime rules: routed
-# blocks alias the producer's input (and the mmap on the binary path)
-# until sequenced — ASan catches any use past a fence.
+# engine_router_test rides along for the span-lifetime rules: the block
+# entry points route spans aliasing the producer's input (and the mmap on
+# the binary-ingest path) into the shard rings.
 # graph_intersect_test rides along for the simd kernels: unaligned
 # vector loads and scalar tails over arena block boundaries are exactly
 # where an out-of-bounds read would hide.
@@ -69,8 +66,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # indexes raw slot-column pointers and prefetches ahead.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
-  engine_resume_test engine_steal_test engine_metrics_test \
-  engine_router_test engine_merge_test \
+  engine_resume_test engine_metrics_test engine_router_test \
+  engine_merge_test \
   core_parallel_test core_serialize_test core_packed_store_test \
   core_in_stream_test core_reservoir_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
@@ -79,21 +76,19 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
   -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|util_parse_bytes|cli_test'
 
-echo "=== TSan build + threaded suites (steal hand-off stress) ==="
+echo "=== TSan build + threaded suites ==="
 # engine_metrics_test rides along: metric snapshots race live relaxed
 # writers by design, exactly what TSan must bless. core_packed_store_test
-# covers the striped-lock admission path of the budget-sized store.
+# covers the store each shard worker owns.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
 # graph_binary_stream_test exercises IngestBinaryStream feeding mapped
 # block spans into live shard worker rings (ProcessBlock) — the zero-copy
-# hand-off TSan must bless.
-# engine_router_test is the router-pool hand-off stress: the mutex-guarded
-# job queue, completion map, and shell recycling between R router threads
-# and the sequencing producer are exactly what TSan must bless.
+# hand-off TSan must bless. engine_router_test does the same through
+# ProcessBlock/ProcessEdges with monitor ticks and auto-checkpoints firing
+# mid-block.
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
-# are relaxed atomics absorbed across the steal hand-off — TSan must
-# bless the counter absorb next to the reservoir merge.
+# are relaxed atomics that metric snapshots read while workers run.
 # engine_merge_test runs the Algorithm-2 merge passes on several threads
 # inside monitor ticks (fixed-chunk driver + union patch).
 # engine_checkpoint_test and engine_resume_test cover the checkpoint
@@ -101,14 +96,14 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # the merge threads, and engine_resume_test fires CheckpointEvery inside
 # monitor ticks.
 cmake --build build-tsan -j"$(nproc)" --target \
-  engine_ring_buffer_test engine_sharded_test engine_steal_test \
-  engine_metrics_test engine_router_test engine_merge_test \
-  engine_checkpoint_test engine_resume_test \
+  engine_ring_buffer_test engine_sharded_test engine_metrics_test \
+  engine_router_test engine_merge_test engine_checkpoint_test \
+  engine_resume_test \
   core_parallel_test core_packed_store_test graph_binary_stream_test \
   graph_intersect_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_ring_buffer|engine_sharded|engine_steal|engine_metrics|engine_router|engine_merge|engine_checkpoint|engine_resume|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
+  -R 'engine_ring_buffer|engine_sharded|engine_metrics|engine_router|engine_merge|engine_checkpoint|engine_resume|core_parallel|core_packed_store|graph_binary_stream|graph_intersect'
 
 echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full

@@ -83,27 +83,6 @@ class InStreamEstimator {
     return {n_tri_, v_tri_, n_wed_, v_wed_, cov_tw_};
   }
 
-  // ---- Scheduler hooks (engine/shard.h steal mode) -----------------------
-  //
-  // The work-stealing scheduler re-binds detached batch mini-estimators to
-  // their owner shard by adding the mini's snapshot accumulators (batches
-  // are independent substreams, so unbiased counts and variance estimates
-  // sum) and Admit()-ing the mini's sampled records into the owner's
-  // reservoir. Merge order is fixed (batch index), so floating-point
-  // accumulation stays deterministic. Not part of the streaming API.
-
-  /// Adds a detached substream's snapshot accumulators.
-  void AbsorbAccumulators(const Accumulators& acc) {
-    n_tri_ += acc.n_tri;
-    v_tri_ += acc.v_tri;
-    n_wed_ += acc.n_wed;
-    v_wed_ += acc.v_wed;
-    cov_tw_ += acc.cov_tw;
-  }
-
-  /// Mutable reservoir access for the scheduler's record re-binding.
-  GpsReservoir* mutable_reservoir() { return &reservoir_; }
-
   const WeightFunction& weight_function() const { return weight_fn_; }
 
   /// Reconstructs an estimator from checkpointed parts.

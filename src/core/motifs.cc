@@ -108,16 +108,6 @@ void MotifSuite::RestoreAccumulators(
   for (size_t i = 0; i < motifs_.size(); ++i) motifs_[i].acc = accs[i];
 }
 
-void MotifSuite::AbsorbAccumulators(
-    std::span<const MotifAccumulator> accs) {
-  assert(accs.size() == motifs_.size());
-  for (size_t i = 0; i < motifs_.size(); ++i) {
-    motifs_[i].acc.count += accs[i].count;
-    motifs_[i].acc.variance += accs[i].variance;
-    motifs_[i].acc.snapshots += accs[i].snapshots;
-  }
-}
-
 std::vector<MotifAccumulator> MotifSuite::Accumulators() const {
   std::vector<MotifAccumulator> accs;
   accs.reserve(motifs_.size());

@@ -104,12 +104,6 @@ class MotifSuite {
   /// must match the suite's size and order.
   void RestoreAccumulators(std::span<const MotifAccumulator> accs);
 
-  /// Adds a detached substream's accumulators element-wise (engine steal
-  /// mode: batch mini-suites re-bound to the owner in batch order — see
-  /// InStreamEstimator::AbsorbAccumulators). `accs` must match the suite's
-  /// size and order.
-  void AbsorbAccumulators(std::span<const MotifAccumulator> accs);
-
   /// The current accumulators, in suite order.
   std::vector<MotifAccumulator> Accumulators() const;
 

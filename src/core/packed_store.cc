@@ -78,40 +78,7 @@ PackedSampleStore::PackedSampleStore(size_t capacity)
   free_.reserve(cap_);
 }
 
-PackedSampleStore::PackedSampleStore(const PackedSampleStore& other)
-    : cap_(other.cap_),
-      used_(other.used_),
-      keys_(other.keys_),
-      weights_(other.weights_),
-      priorities_(other.priorities_),
-      cov_tri_(other.cov_tri_),
-      cov_wedge_(other.cov_wedge_),
-      live_(other.live_),
-      free_(other.free_) {
-  if (other.stripes_) stripes_ = std::make_unique<StripeArray>();
-  if (other.free_mu_) free_mu_ = std::make_unique<std::mutex>();
-}
-
-PackedSampleStore& PackedSampleStore::operator=(
-    const PackedSampleStore& other) {
-  if (this == &other) return *this;
-  cap_ = other.cap_;
-  used_ = other.used_;
-  keys_ = other.keys_;
-  weights_ = other.weights_;
-  priorities_ = other.priorities_;
-  cov_tri_ = other.cov_tri_;
-  cov_wedge_ = other.cov_wedge_;
-  live_ = other.live_;
-  free_ = other.free_;
-  stripes_ = other.stripes_ ? std::make_unique<StripeArray>() : nullptr;
-  free_mu_ = other.free_mu_ ? std::make_unique<std::mutex>() : nullptr;
-  return *this;
-}
-
 Result<SlotId> PackedSampleStore::TryAllocate() {
-  std::unique_lock<std::mutex> lock;
-  if (free_mu_) lock = std::unique_lock<std::mutex>(*free_mu_);
   if (!free_.empty()) {
     const SlotId slot = free_.back();
     free_.pop_back();
@@ -141,30 +108,17 @@ SlotId PackedSampleStore::Allocate() {
 }
 
 void PackedSampleStore::Free(SlotId slot) {
-  {
-    std::unique_lock<std::mutex> lock;
-    if (stripes_) lock = std::unique_lock<std::mutex>(StripeFor(slot));
-    live_[slot] = 0;
-  }
-  std::unique_lock<std::mutex> lock;
-  if (free_mu_) lock = std::unique_lock<std::mutex>(*free_mu_);
+  live_[slot] = 0;
   free_.push_back(slot);
 }
 
 void PackedSampleStore::Store(SlotId slot, const EdgeRecord& record) {
-  std::unique_lock<std::mutex> lock;
-  if (stripes_) lock = std::unique_lock<std::mutex>(StripeFor(slot));
   keys_[slot] = EdgeKey(record.edge);
   weights_[slot] = record.weight;
   priorities_[slot] = record.priority;
   cov_tri_[slot] = record.cov_tri;
   cov_wedge_[slot] = record.cov_wedge;
   live_[slot] = 1;
-}
-
-void PackedSampleStore::EnableConcurrentAdmission() {
-  if (!stripes_) stripes_ = std::make_unique<StripeArray>();
-  if (!free_mu_) free_mu_ = std::make_unique<std::mutex>();
 }
 
 }  // namespace gps

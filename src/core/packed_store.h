@@ -13,22 +13,13 @@
 // matter how much churn surrounds it. Snapshot, serialize, and adjacency
 // code all hold SlotIds across evictions and depend on that stability.
 //
-// Concurrency: the store is single-writer by default (the shard worker
-// that owns the reservoir). In steal mode the owner re-binds stolen
-// batches while monitor/metrics readers may walk live slots, so
-// EnableConcurrentAdmission() arms bucket-level striped locks: every slot
-// write (Store/Free/Allocate) takes the stripe mutex for its slot bucket,
-// never a store-global mutex. Determinism is unaffected — stripe locks
-// order nothing; the engine's batch-index re-bind sequencing does (see
-// src/engine/README.md "Memory budgeting").
+// Concurrency: the store is single-writer (the shard worker that owns the
+// reservoir); readers take it only under the engine's drain handshake.
 
 #ifndef GPS_CORE_PACKED_STORE_H_
 #define GPS_CORE_PACKED_STORE_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -92,8 +83,8 @@ inline constexpr uint64_t kStoreNodeIndexBytes = 48;
 inline constexpr uint64_t kStoreBytesPerSlot =
     kStoreSlotBytes + kStoreHeapBytes + kStoreAdjacencyBytes +
     kStoreNodeIndexBytes;
-/// Budget headroom reserved for fixed structures (vector headers, stripe
-/// locks, free lists) independent of capacity.
+/// Budget headroom reserved for fixed structures (vector headers, free
+/// list) independent of capacity.
 inline constexpr uint64_t kStoreFixedBytes = 4096;
 
 /// The layout an explicit capacity implies (budget recorded verbatim;
@@ -111,17 +102,10 @@ std::string FormatAllocationReport(const StoreLayout& layout);
 
 class PackedSampleStore {
  public:
-  static constexpr size_t kLockStripes = 64;
-
   /// Preallocates every column for `capacity` + 1 slots (the transient
   /// candidate during a full-reservoir insert). No allocation happens
   /// after construction; growth past the layout is a named refusal.
   explicit PackedSampleStore(size_t capacity);
-
-  PackedSampleStore(const PackedSampleStore& other);
-  PackedSampleStore& operator=(const PackedSampleStore& other);
-  PackedSampleStore(PackedSampleStore&&) = default;
-  PackedSampleStore& operator=(PackedSampleStore&&) = default;
 
   /// Hands out a stable SlotId: recycled from the free list when
   /// available (plf_hive idiom — ids freed by evictions are reused, ids
@@ -157,8 +141,7 @@ class PackedSampleStore {
   /// indexed by SlotId: weights are read, and the covariance accumulators
   /// are updated in place (the one mutation that outlives Store). The
   /// columns are preallocated, so Allocate never moves them: the pointers
-  /// stay valid until the store is assigned to or destroyed. No stripe
-  /// lock is taken.
+  /// stay valid until the store is assigned to or destroyed.
   InStreamColumns in_stream_columns() {
     return {weights_.data(), cov_tri_.data(), cov_wedge_.data()};
   }
@@ -175,19 +158,7 @@ class PackedSampleStore {
     return static_cast<uint64_t>(cap_) * kStoreSlotBytes;
   }
 
-  /// Arms bucket-level striped locking of slot writes (steal mode).
-  void EnableConcurrentAdmission();
-  bool concurrent_admission() const { return stripes_ != nullptr; }
-
-  /// The stripe mutex guarding `slot`'s bucket; valid only after
-  /// EnableConcurrentAdmission.
-  std::mutex& StripeFor(SlotId slot) {
-    return (*stripes_)[slot % kLockStripes];
-  }
-
  private:
-  using StripeArray = std::array<std::mutex, kLockStripes>;
-
   size_t cap_ = 0;   // preallocated slots (capacity + 1)
   size_t used_ = 0;  // high-water mark of handed-out slots
   std::vector<uint64_t> keys_;
@@ -197,12 +168,6 @@ class PackedSampleStore {
   std::vector<double> cov_wedge_;
   std::vector<uint8_t> live_;
   std::vector<SlotId> free_;
-  // Mutexes are not copyable/movable; held indirectly so the store stays
-  // movable. Copies re-arm fresh (unlocked) locks. The free list is a
-  // single shared structure, so it gets its own mutex rather than a
-  // stripe (stripes guard per-slot column writes only).
-  std::unique_ptr<StripeArray> stripes_;
-  std::unique_ptr<std::mutex> free_mu_;
 };
 
 }  // namespace gps

@@ -32,24 +32,7 @@ GpsReservoir::ProcessResult GpsReservoir::Process(const Edge& raw,
     return {};
   }
 
-  return InsertWithPriority(e, EdgeRecord{e, weight, priority, 0.0, 0.0});
-}
-
-GpsReservoir::ProcessResult GpsReservoir::Admit(const EdgeRecord& record) {
-  const Edge e = record.edge.Canonical();
-  if (e.IsSelfLoop() || graph_.HasEdge(e)) return {};
-  if (record.priority <= z_star_ && heap_.size() >= options_.capacity) {
-    metrics_.precheck_rejects.Increment();
-    return {};
-  }
-  EdgeRecord canonical = record;
-  canonical.edge = e;
-  return InsertWithPriority(e, canonical);
-}
-
-GpsReservoir::ProcessResult GpsReservoir::InsertWithPriority(
-    const Edge& e, const EdgeRecord& record) {
-  const double priority = record.priority;
+  const EdgeRecord record{e, weight, priority, 0.0, 0.0};
   ProcessResult result;
   if (heap_.size() < options_.capacity) {
     const SlotId slot = store_.Allocate();

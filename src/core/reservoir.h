@@ -46,19 +46,10 @@ namespace gps {
 struct ReservoirMetrics {
   /// Arrivals rejected by the O(1) z*-precheck before touching the heap.
   Counter precheck_rejects;
-  /// Edges that entered the sample (Process draws and Admit re-binds).
+  /// Edges that entered the sample.
   Counter admissions;
   /// Sampled edges evicted to make room for a higher priority.
   Counter evictions;
-
-  /// Folds another reservoir's counts into this one (steal mode: a
-  /// detached mini-reservoir's activity is attributed to its owner shard
-  /// at re-bind time).
-  void Absorb(const ReservoirMetrics& other) {
-    precheck_rejects.Add(other.precheck_rejects.Value());
-    admissions.Add(other.admissions.Value());
-    evictions.Add(other.evictions.Value());
-  }
 };
 
 /// Reservoir configuration.
@@ -103,40 +94,10 @@ class GpsReservoir {
   /// skewed priorities this is the common case for the sampling step.
   ProcessResult Process(const Edge& e, double weight);
 
-  // ---- Scheduler / merge hooks (engine/shard.h steal mode) ---------------
-  //
-  // The work-stealing scheduler processes detached batches into
-  // mini-reservoirs with counter-based priorities (core/seeding.h
-  // DeriveBatchSeed) and re-binds them to the owner shard by merging the
-  // mini records back, in batch-index order. Because the priorities are a
-  // pure function of (batch, offset) rather than of a sequential RNG,
-  // "top-m by priority" composes exactly: merging per-batch top-m samples
-  // reproduces the top-m (and threshold) of the full candidate set. These
-  // hooks expose the pieces of that merge; they are NOT part of the
-  // streaming API.
-
-  /// Inserts a record with an externally fixed priority (no RNG draw).
-  /// Duplicate edges and self loops are ignored (earlier-merged batches
-  /// win, which is deterministic under in-order merging). Does not count
-  /// as an arrival — pair with NoteExternalArrivals.
-  ProcessResult Admit(const EdgeRecord& record);
-
-  /// Accounts `n` arrivals that never reached Process: those of a
-  /// mini-reservoir whose sampled records are re-bound through Admit, or a
-  /// duplicate or self loop the caller refused before Process (as Process
-  /// itself would, without an RNG draw).
+  /// Accounts `n` arrivals that never reached Process: a duplicate or
+  /// self loop the caller refused before Process (as Process itself
+  /// would, without an RNG draw).
   void NoteExternalArrivals(uint64_t n) { processed_ += n; }
-
-  /// Raises z* to at least `z` (the threshold evidence a merged
-  /// mini-reservoir carries: priorities it evicted internally).
-  void RaiseThreshold(double z) {
-    if (z > z_star_) z_star_ = z;
-  }
-
-  /// Arms bucket-level striped locking of the store's slot writes so
-  /// re-bind admission can proceed against concurrent slot readers
-  /// without a store-global mutex (steal mode; see packed_store.h).
-  void EnableConcurrentAdmission() { store_.EnableConcurrentAdmission(); }
 
   /// Number of edges currently sampled, |K̂| = min(t, m).
   size_t size() const { return heap_.size(); }
@@ -206,7 +167,6 @@ class GpsReservoir {
 
   /// Sampling counters (precheck rejects / admissions / evictions).
   const ReservoirMetrics& metrics() const { return metrics_; }
-  ReservoirMetrics* mutable_metrics() { return &metrics_; }
 
   /// Current RNG state, for checkpointing (see core/serialize.h).
   std::array<uint64_t, 4> RngState() const { return rng_.SaveState(); }
@@ -229,11 +189,6 @@ class GpsReservoir {
       return a.priority < b.priority;
     }
   };
-
-  /// Shared insertion step of Process and Admit: the canonical edge `e`
-  /// (not a loop, not sampled) enters with a fixed priority; the minimum
-  /// of the m+1 candidates is discarded and z* updated.
-  ProcessResult InsertWithPriority(const Edge& e, const EdgeRecord& record);
 
   GpsOptions options_;
   Rng rng_;

@@ -37,23 +37,6 @@ inline uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard,
   return SplitMix64Next(&state);
 }
 
-/// Derives the RNG seed of one detached batch substream for the engine's
-/// work-stealing scheduler (engine/shard.h, StealMode): batch `batch_index`
-/// of the shard whose derived seed is `shard_seed` is processed as an
-/// independent mini-estimator seeded by this value — a COUNTER-BASED
-/// derivation, a pure function of (shard seed, batch index) with no
-/// sequential RNG state, so any worker (owner or thief) can process the
-/// batch at any time and produce identical results. Distinct batches of
-/// one shard, equal batch indices of different shards, and the shard's own
-/// sequential stream (DeriveShardSeed) all decorrelate through the same
-/// golden-ratio + SplitMix64 avalanche used for shard seeds.
-inline uint64_t DeriveBatchSeed(uint64_t shard_seed, uint64_t batch_index) {
-  uint64_t state =
-      shard_seed ^ ((batch_index + 1) * 0x9e3779b97f4a7c15ULL);
-  (void)SplitMix64Next(&state);
-  return SplitMix64Next(&state);
-}
-
 }  // namespace gps
 
 #endif  // GPS_CORE_SEEDING_H_

@@ -32,7 +32,12 @@ InStreamMotifCounter::InStreamMotifCounter(GpsSamplerOptions options,
 
 void InStreamMotifCounter::Process(const Edge& raw) {
   const Edge e = raw.Canonical();
-  if (e.IsSelfLoop() || reservoir_.graph().HasEdge(e)) return;
+  // A loop or a repeat of a sampled edge completes no motif and is not
+  // sampled, but it is an arrival, as GpsReservoir::Process counts it.
+  if (e.IsSelfLoop() || reservoir_.graph().HasEdge(e)) {
+    reservoir_.NoteExternalArrivals(1);
+    return;
+  }
 
   // Snapshot step: freeze HT products for each completed motif instance.
   AccumulateMotifSnapshots(e, reservoir_, enumerate_, &acc_);

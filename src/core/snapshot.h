@@ -78,7 +78,8 @@ class InStreamMotifCounter {
   InStreamMotifCounter(GpsSamplerOptions options, EnumerateFn enumerate);
 
   /// Snapshot estimation for motifs completed by e, then the GPS sampling
-  /// step. Self loops and in-sample duplicates are skipped.
+  /// step. A self loop or a repeat of a sampled edge is counted as an
+  /// arrival and otherwise skipped.
   void Process(const Edge& e);
 
   /// Unbiased estimate of the number of motif instances whose edges have

@@ -12,10 +12,6 @@ Result<uint64_t> IngestBinaryStream(const std::string& path,
   for (size_t b = 0; b < reader->num_blocks(); ++b) {
     auto block = reader->Block(b);
     if (!block.ok()) {
-      // A failed block read aborts the ingest with the reader (and its
-      // mapping) going out of scope — fence first: with router threads
-      // the engine may still alias earlier blocks' spans.
-      engine.FenceRouters();
       return block.status().WithContext(
           path + " block " + std::to_string(b) + " of " +
           std::to_string(reader->num_blocks()));
@@ -23,10 +19,6 @@ Result<uint64_t> IngestBinaryStream(const std::string& path,
     engine.ProcessBlock(*block);
     fed += block->size();
   }
-  // Same lifetime rule on success: no submitted span may outlive the
-  // mapping. A fence never submits partial batches, so this is invisible
-  // to the sample path.
-  engine.FenceRouters();
   return fed;
 }
 

@@ -16,10 +16,9 @@ namespace gps {
 namespace {
 
 // One sampled edge of the union. `stratum` packs (shard << 32 |
-// sub-stratum): with empty sub-stratum tables every edge of shard s
-// carries stratum s<<32, so the span tests reduce to the classic shard
-// comparisons bit for bit; steal-mode engines supply per-slot batch ids as
-// sub-strata.
+// sub-stratum): with empty sub-stratum tables (the engine's) every edge
+// of shard s carries stratum s<<32, so the span tests reduce to shard
+// comparisons.
 struct UnionRecord {
   Edge edge;
   double inv_q = 0.0;  // 1 / min{1, w / z*_shard}

@@ -58,15 +58,13 @@ enum class MergeMode {
 GraphEstimates SumShardEstimates(std::span<const GraphEstimates> shards);
 
 /// One shard's contribution to the union sample: its reservoir plus an
-/// optional per-slot sub-stratum table (engine steal mode: the batch each
-/// sampled edge was processed in, indexed by reservoir SlotId). The
+/// optional per-slot sub-stratum table indexed by reservoir SlotId. The
 /// spanning test of the cross pass compares full stratum ids
 /// (shard, sub-stratum): with an empty table every edge of the shard
-/// shares sub-stratum 0, reproducing the classic shard-granularity
-/// decomposition bit for bit; with batch sub-strata, instances whose
-/// edges span different batches of ONE shard also fall into the cross
-/// stratum (their within-batch counterparts were counted by the batch
-/// mini-estimators).
+/// shares sub-stratum 0, the shard-granularity decomposition the engine
+/// uses (ShardWorker::slot_strata() is always empty); with sub-strata,
+/// instances whose edges span different sub-strata of ONE shard also fall
+/// into the cross stratum.
 struct ShardSampleRef {
   const GpsReservoir* reservoir = nullptr;
   std::span<const uint32_t> slot_strata = {};

@@ -1,46 +1,43 @@
 #include "engine/shard.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <ctime>
 #include <utility>
 
-#include "core/seeding.h"
 #include "util/affinity.h"
 
 namespace gps {
+
+uint64_t ThreadCpuNowNs() {
+#ifdef CLOCK_THREAD_CPUTIME_ID
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+#else
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+#endif
+}
+
 namespace {
 
-/// Charges the enclosing scope's duration to a worker's busy clock
-/// (batch granularity, so the clock reads are amortized). Uses per-THREAD
-/// CPU time, not wall time: on oversubscribed hosts (CI runners, 1-core
-/// containers) wall time inside a scope includes time spent descheduled
-/// while OTHER workers ran, which would double-count the same core and
-/// flatten the critical-path metric stealing is gated on.
+/// Charges the enclosing scope's duration to a worker's busy clock (batch
+/// granularity, so the clock reads are amortized) on the per-thread CPU
+/// clock.
 class BusyScope {
  public:
   explicit BusyScope(std::atomic<uint64_t>* counter)
-      : counter_(counter), start_(Now()) {}
+      : counter_(counter), start_(ThreadCpuNowNs()) {}
   ~BusyScope() {
-    counter_->fetch_add(Now() - start_, std::memory_order_relaxed);
+    counter_->fetch_add(ThreadCpuNowNs() - start_,
+                        std::memory_order_relaxed);
   }
 
  private:
-  static uint64_t Now() {
-#ifdef CLOCK_THREAD_CPUTIME_ID
-    timespec ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<uint64_t>(ts.tv_nsec);
-#else
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-#endif
-  }
-
   std::atomic<uint64_t>* counter_;
   uint64_t start_;
 };
@@ -62,42 +59,29 @@ class Backoff {
 
 }  // namespace
 
-ShardWorker::ShardWorker(uint32_t index, const ShardOptions& options)
-    : index_(index),
-      options_(options),
+ShardWorker::ShardWorker(const ShardOptions& options)
+    : options_(options),
       motifs_(options.motifs),
       ring_(options.ring_capacity),
       recycle_(options.ring_capacity) {
   if (options_.estimator == ShardEstimatorKind::kInStream) {
     in_stream_ = std::make_unique<InStreamEstimator>(options_.sampler);
-    if (options_.steal != StealMode::kDisabled) {
-      // Thieves read the owner store's slot columns (ProcessDetached is
-      // pure, but Admit re-binds race with concurrent steals of LATER
-      // batches): arm bucket-level striped locks instead of serializing
-      // the whole store.
-      in_stream_->mutable_reservoir()->EnableConcurrentAdmission();
-    }
   } else {
     assert(options_.motifs.empty() &&
            "motif suites need in-stream shard estimators");
-    assert(options_.steal == StealMode::kDisabled &&
-           "the steal scheduler needs in-stream shard estimators");
     sampler_ = std::make_unique<GpsSampler>(options_.sampler);
   }
 }
 
-ShardWorker::ShardWorker(uint32_t index, const ShardOptions& options,
+ShardWorker::ShardWorker(const ShardOptions& options,
                          std::unique_ptr<InStreamEstimator> restored,
                          std::span<const MotifAccumulator> restored_motifs)
-    : index_(index),
-      options_(options),
+    : options_(options),
       in_stream_(std::move(restored)),
       motifs_(options.motifs),
       ring_(options.ring_capacity),
       recycle_(options.ring_capacity) {
   assert(options_.estimator == ShardEstimatorKind::kInStream);
-  assert(options_.steal == StealMode::kDisabled &&
-         "checkpoints restore sequential shard processing");
   assert(in_stream_ != nullptr);
   assert(in_stream_->reservoir().options().seed == options_.sampler.seed);
   assert(in_stream_->reservoir().options().capacity ==
@@ -107,11 +91,6 @@ ShardWorker::ShardWorker(uint32_t index, const ShardOptions& options,
 }
 
 ShardWorker::~ShardWorker() { Join(); }
-
-void ShardWorker::SetStealPeers(std::vector<ShardWorker*> peers) {
-  assert(!thread_.joinable() && "peers must be registered before Start");
-  peers_ = std::move(peers);
-}
 
 void ShardWorker::SetTrace(TraceEventSink* sink, TraceBuffer* buffer) {
   assert(!thread_.joinable() && "trace must be attached before Start");
@@ -170,14 +149,6 @@ const InStreamEstimator& ShardWorker::in_stream_estimator() const {
 }
 
 void ShardWorker::RunWorker() {
-  if (options_.steal == StealMode::kDisabled) {
-    RunWorkerSequential();
-  } else {
-    RunWorkerStealing();
-  }
-}
-
-void ShardWorker::RunWorkerSequential() {
   EdgeBatch batch;
   Backoff backoff;
   uint64_t idle_start = 0;  // wall-clock mark of the first fruitless probe
@@ -235,232 +206,6 @@ void ShardWorker::RunWorkerSequential() {
     if (ring_.closed() || recycle_.TryPush(std::move(batch))) {
       batch = EdgeBatch();
     }
-  }
-  if (MetricsEnabled() && idle_start != 0) {
-    idle_ns_.fetch_add(MetricsNowNs() - idle_start,
-                       std::memory_order_relaxed);
-  }
-}
-
-// ---- Steal scheduler -----------------------------------------------------
-
-bool ShardWorker::PumpRing() {
-  bool moved = false;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      // Bounded transfer: once the shared queue holds a ring's worth of
-      // batches, leave the rest in the ring so a slow pipeline still
-      // backpressures the producer.
-      if (queue_.size() >= options_.ring_capacity) break;
-    }
-    EdgeBatch incoming;
-    if (!ring_.TryPop(&incoming)) break;
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back({batches_enqueued_++, std::move(incoming)});
-    moved = true;
-  }
-  return moved;
-}
-
-bool ShardWorker::MergeReadyResults() {
-  bool merged_any = false;
-  for (;;) {
-    BatchResult result;
-    {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      auto it = completed_.find(next_merge_);
-      if (it == completed_.end()) break;
-      result = std::move(it->second);
-      completed_.erase(it);
-    }
-    {
-      const BusyScope busy(&busy_ns_);
-      TraceSpan span(trace_sink_, trace_buf_, "rebind");
-      span.SetArg("batch", static_cast<int64_t>(result.index));
-      AbsorbResult(result);
-      worker_metrics_.batches_rebound.Increment();
-    }
-    ++next_merge_;
-    unmerged_results_.fetch_sub(1, std::memory_order_relaxed);
-    // Publish the merged state BEFORE the drain handshake observes the
-    // consumed count (release pairs with WaitDrained's acquire).
-    consumed_edges_.fetch_add(result.arrivals, std::memory_order_release);
-    merged_any = true;
-  }
-  return merged_any;
-}
-
-bool ShardWorker::TakeFront(PendingBatch* out) {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  unmerged_results_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ShardWorker::TryStealBatch(PendingBatch* out) {
-  if (unmerged_results_.load(std::memory_order_relaxed) >=
-      kMaxUnmergedResults) {
-    return false;  // owner is behind on merging; do not pile on
-  }
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  // Leave the oldest batch for the owner: it is the next to merge, so the
-  // owner processing it keeps the merge frontier moving.
-  if (queue_.size() <= 1) return false;
-  *out = std::move(queue_.back());
-  queue_.pop_back();
-  unmerged_results_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ShardWorker::StealOne() {
-  const uint32_t n = static_cast<uint32_t>(peers_.size());
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t candidate = (next_victim_ + i) % n;
-    ShardWorker* victim = peers_[candidate];
-    if (victim == this) continue;
-    PendingBatch batch;
-    if (victim->TryStealBatch(&batch)) {
-      next_victim_ = candidate;
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      worker_metrics_.batches_stolen.Increment();
-      BatchResult result;
-      {
-        // Executed by THIS worker, so the time lands on the thief's busy
-        // clock — the whole point of the critical-path metric.
-        const BusyScope busy(&busy_ns_);
-        const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
-        TraceSpan span(trace_sink_, trace_buf_, "steal");
-        span.SetArg("victim", static_cast<int64_t>(victim->index()));
-        result = victim->ProcessDetached(std::move(batch));
-        worker_metrics_.batches_processed.Increment();
-      }
-      PostResult(victim, std::move(result));
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ShardWorker::OwnWorkComplete() {
-  if (!ring_.closed()) return false;
-  // Close() is store-released after the producer's final push: one more
-  // pump distinguishes drained from racing.
-  if (PumpRing()) return false;
-  if (ring_.SizeApprox() != 0) return false;  // queue was full; not done
-  // Lock order: queue_mu_ before results_mu_ (the only two-lock site).
-  std::lock_guard<std::mutex> queue_lock(queue_mu_);
-  std::lock_guard<std::mutex> results_lock(results_mu_);
-  return queue_.empty() && completed_.empty() &&
-         next_merge_ == batches_enqueued_;
-}
-
-ShardWorker::BatchResult ShardWorker::ProcessDetached(
-    PendingBatch&& batch) const {
-  BatchResult result;
-  result.index = batch.index;
-  result.arrivals = batch.edges.size();
-
-  // The mini-estimator is an ordinary in-stream GPS estimator over just
-  // this batch, seeded by the counter-based batch substream. A batch can
-  // fill at most batch-many slots, so the mini capacity is capped at the
-  // batch size: behavior is identical (no eviction happens below the
-  // cap either way) and per-batch memory stays O(batch).
-  GpsSamplerOptions mini_options = options_.sampler;
-  mini_options.capacity =
-      std::min(options_.sampler.capacity, batch.edges.size());
-  mini_options.seed = DeriveBatchSeed(options_.sampler.seed, batch.index);
-  result.mini = std::make_unique<InStreamEstimator>(mini_options);
-
-  MotifSuite suite(options_.motifs);
-  const size_t n = batch.edges.size();
-  if (!suite.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      const Edge e = batch.edges.edge(i);
-      suite.Observe(e, result.mini->reservoir());
-      result.mini->Process(e);
-    }
-    result.motif_accs = suite.Accumulators();
-  } else {
-    for (size_t i = 0; i < n; ++i) result.mini->Process(batch.edges.edge(i));
-  }
-  return result;
-}
-
-void ShardWorker::AbsorbResult(const BatchResult& result) {
-  GpsReservoir* reservoir = in_stream_->mutable_reservoir();
-  // Threshold evidence first: priorities the mini evicted internally are
-  // candidates this merge never sees. Raising z* early is safe — every
-  // surviving mini record beats the mini's own threshold.
-  reservoir->RaiseThreshold(result.mini->reservoir().threshold());
-  const uint32_t batch_id = static_cast<uint32_t>(result.index);
-  result.mini->reservoir().ForEachEdge(
-      [&](SlotId, const GpsReservoir::EdgeRecord& record) {
-        const GpsReservoir::ProcessResult admitted =
-            reservoir->Admit(record);
-        if (admitted.inserted) {
-          if (admitted.slot >= slot_strata_.size()) {
-            slot_strata_.resize(admitted.slot + 1, 0);
-          }
-          slot_strata_[admitted.slot] = batch_id;
-        }
-      });
-  reservoir->NoteExternalArrivals(result.mini->edges_processed());
-  in_stream_->AbsorbAccumulators(result.mini->SaveAccumulators());
-  if (!motifs_.empty()) motifs_.AbsorbAccumulators(result.motif_accs);
-  // Attribute the mini-reservoir's sampling activity to the owner shard.
-  // Note the semantics: `admissions` then counts both the mini's internal
-  // admissions and the Admit() re-binds above — a measure of sampling
-  // WORK, not of final sample size (which is a gauge, not a counter).
-  reservoir->mutable_metrics()->Absorb(result.mini->reservoir().metrics());
-  reservoir->graph().intersect_metrics()->Absorb(
-      *result.mini->reservoir().graph().intersect_metrics());
-}
-
-void ShardWorker::PostResult(ShardWorker* owner, BatchResult&& result) {
-  std::lock_guard<std::mutex> lock(owner->results_mu_);
-  owner->completed_.emplace(result.index, std::move(result));
-}
-
-void ShardWorker::RunWorkerStealing() {
-  Backoff backoff;
-  uint64_t idle_start = 0;  // wall-clock mark of the first fruitless pass
-  for (;;) {
-    bool progress = PumpRing();
-    if (MergeReadyResults()) progress = true;
-
-    PendingBatch own;
-    if (TakeFront(&own)) {
-      const uint64_t own_index = own.index;
-      BatchResult result;
-      {
-        const BusyScope busy(&busy_ns_);
-        const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
-        TraceSpan span(trace_sink_, trace_buf_, "batch");
-        span.SetArg("batch", static_cast<int64_t>(own_index));
-        result = ProcessDetached(std::move(own));
-        worker_metrics_.batches_processed.Increment();
-      }
-      PostResult(this, std::move(result));
-      progress = true;
-    } else if (options_.steal == StealMode::kActive && !peers_.empty()) {
-      if (StealOne()) progress = true;
-    }
-
-    if (progress) {
-      backoff.Reset();
-      if (MetricsEnabled() && idle_start != 0) {
-        idle_ns_.fetch_add(MetricsNowNs() - idle_start,
-                           std::memory_order_relaxed);
-        idle_start = 0;
-      }
-      continue;
-    }
-    if (OwnWorkComplete()) break;
-    if (MetricsEnabled() && idle_start == 0) idle_start = MetricsNowNs();
-    backoff.Pause();
   }
   if (MetricsEnabled() && idle_start != 0) {
     idle_ns_.fetch_add(MetricsNowNs() - idle_start,

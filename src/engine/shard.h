@@ -9,67 +9,18 @@
 //     estimator (the drain handshake publishes the worker's writes with a
 //     release/acquire pair on the consumed-edge counter).
 //
-// Determinism (sequential mode, StealMode::kDisabled): the worker consumes
-// its substream in submission order with a private, deterministically
-// seeded RNG, so the reservoir state after t submitted edges is a pure
-// function of (substream prefix, options) — independent of thread
-// scheduling, batch boundaries, and ring capacity.
-//
-// == Deterministic work stealing (StealMode::kArmed / kActive) ==
-//
-// Edge-hash partitioning balances edge COUNTS, not COST: hub-heavy shards
-// spend far more time in per-edge neighborhood scans, so the slowest shard
-// gates end-to-end throughput. The steal scheduler lets idle workers take
-// whole pending batches from overloaded peers without giving up
-// determinism:
-//
-//   * every batch is bound, by (owner shard, batch index), to a
-//     COUNTER-BASED RNG substream (core/seeding.h DeriveBatchSeed) and
-//     processed as an independent mini-estimator — a fresh
-//     InStreamEstimator (plus mini MotifSuite) over just that batch;
-//   * the batch's priorities are therefore a pure function of the batch,
-//     so ANY worker can process it, at ANY time, with identical output;
-//   * the owner re-binds completed batch results strictly in batch-index
-//     order: snapshot/motif accumulators add (independent substreams), and
-//     the mini's sampled records are Admit()-ed into the owner's
-//     accumulation reservoir. With fixed per-edge priorities, "top-m by
-//     priority" composes exactly — merging per-batch top-m samples
-//     reproduces the top-m set and threshold of the whole substream — and
-//     the fixed merge order makes every floating-point accumulation and
-//     heap operation sequence a pure function of the substream.
-//
-// Net effect: the final shard state (and every merged estimate, manifest
-// byte, and motif accumulator downstream) is IDENTICAL whether stealing
-// fired or not — kActive output == kArmed output == any interleaving —
-// while the per-batch estimation work (the expensive neighborhood scans)
-// spreads across however many workers are idle. Within-batch subgraph
-// instances are estimated by the batch minis; instances spanning batches
-// fall to the engine's cross-stratum union pass, which this worker
-// supports by recording the batch id of every sampled edge
-// (slot_strata()).
-//
-// Steal-mode shared state is guarded at two independent granularities so
-// thieves and the owner do not serialize on one lock: the pending-batch
-// queue (queue_mu_) and the completed-result map (results_mu_) have
-// separate mutexes — a thief publishing a finished mini (PostResult)
-// never contends with the owner pumping its ring, and vice versa. Both
-// locks are touched O(1/batch_size) per edge. Below them, the owner
-// reservoir's packed store arms bucket-level striped locks
-// (EnableConcurrentAdmission) so re-bind admission's slot writes are
-// safe against concurrent slot readers without any store-global mutex.
-// The drain handshake is unchanged: consumed-edge counts publish
-// (release) only after a batch's result is merged, so a drained reader
-// always sees fully re-bound state.
+// Determinism: the worker consumes its substream in submission order
+// with a private, deterministically seeded RNG, so the reservoir state
+// after t submitted edges is a pure function of (substream prefix,
+// options) — independent of thread scheduling, batch boundaries, and ring
+// capacity.
 
 #ifndef GPS_ENGINE_SHARD_H_
 #define GPS_ENGINE_SHARD_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -85,17 +36,19 @@
 
 namespace gps {
 
-/// Per-worker scheduler counters (no-ops under GPS_METRICS=0). Owned by
-/// the worker, updated only by the thread doing the work, aggregated by
-/// the engine's MetricsRegistry at snapshot time.
+/// Per-thread CPU clock in ns (CLOCK_THREAD_CPUTIME_ID; the steady clock
+/// where the platform lacks it). The workers' busy clocks and the
+/// producer's route clock both read it: on an oversubscribed host, wall
+/// time inside a scope also counts time spent descheduled while other
+/// threads ran.
+uint64_t ThreadCpuNowNs();
+
+/// Per-worker counters (no-ops under GPS_METRICS=0). Owned by the worker,
+/// updated only by the worker thread, aggregated by the engine's
+/// MetricsRegistry at snapshot time.
 struct WorkerMetrics {
-  /// Batches this worker executed (its own, plus any it stole).
+  /// Batches this worker executed.
   Counter batches_processed;
-  /// Batches this worker took from a peer's pending queue (kActive only).
-  Counter batches_stolen;
-  /// Completed batch results this worker re-bound in index order
-  /// (steal modes only; 0 in sequential mode).
-  Counter batches_rebound;
   /// Wall-clock duration of each batch execution.
   LatencyHistogram batch_latency;
 };
@@ -107,20 +60,6 @@ struct WorkerMetrics {
 enum class ShardEstimatorKind {
   kInStream,
   kPostStream,
-};
-
-/// Work-stealing scheduler mode (see the file comment).
-enum class StealMode {
-  /// Classic sequential per-shard processing (default): one RNG stream per
-  /// shard, byte-compatible with every release before the scheduler.
-  kDisabled,
-  /// Batch-substream semantics, but every batch is executed by its owner.
-  /// The reference point of the determinism contract: kActive output is
-  /// byte-identical to kArmed output on the same substream assignment.
-  kArmed,
-  /// Batch-substream semantics + idle workers steal pending batches from
-  /// overloaded peers.
-  kActive,
 };
 
 /// Structure-of-arrays edge batch: the ring hand-off payload. Split
@@ -164,9 +103,6 @@ struct ShardOptions {
   /// invariance contracts — is unchanged. Requires kInStream when
   /// non-empty.
   std::vector<std::string> motifs;
-  /// Scheduler mode; kArmed/kActive require kInStream (the batch
-  /// mini-estimators are in-stream estimators).
-  StealMode steal = StealMode::kDisabled;
   /// CPU to pin the worker thread to at Start (-1, the default, leaves
   /// the inherited mask). Placement only — by the determinism contract
   /// results are byte-identical pinned or not; a denied affinity syscall
@@ -177,7 +113,7 @@ struct ShardOptions {
 
 class ShardWorker {
  public:
-  ShardWorker(uint32_t index, const ShardOptions& options);
+  explicit ShardWorker(const ShardOptions& options);
 
   /// Resume construction: adopts a checkpoint-restored in-stream estimator
   /// (reservoir, RNG state, and snapshot accumulators mid-stream) instead
@@ -185,8 +121,8 @@ class ShardWorker {
   /// per options.motifs entry, same order; empty iff no suite). The
   /// estimator's reservoir options must match `options.sampler` (callers
   /// validate against the manifest layout); requires
-  /// ShardEstimatorKind::kInStream and StealMode::kDisabled.
-  ShardWorker(uint32_t index, const ShardOptions& options,
+  /// ShardEstimatorKind::kInStream.
+  ShardWorker(const ShardOptions& options,
               std::unique_ptr<InStreamEstimator> restored,
               std::span<const MotifAccumulator> restored_motifs = {});
 
@@ -195,19 +131,9 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Registers the peer set stealing draws victims from (call before
-  /// Start; the engine passes all workers of the layout, self included —
-  /// the worker skips itself). The ORDER is this thief's victim-scan
-  /// preference: the round-robin scan starts from the last hit and walks
-  /// the vector, so the engine puts same-socket victims first when core
-  /// pinning is active (batch payloads stay in the socket-local cache).
-  /// By the determinism contract, victim order never affects results.
-  /// Only meaningful under StealMode::kActive.
-  void SetStealPeers(std::vector<ShardWorker*> peers);
-
-  /// Attaches a trace buffer for this worker's spans ("batch", "steal",
-  /// "rebind"). Call before Start; null disables tracing (the default).
-  /// The sink must outlive the worker thread.
+  /// Attaches a trace buffer for this worker's "batch" spans. Call before
+  /// Start; null disables tracing (the default). The sink must outlive the
+  /// worker thread.
   void SetTrace(TraceEventSink* sink, TraceBuffer* buffer);
 
   /// Launches the worker thread (pinned per options.cpu_affinity). Call
@@ -223,13 +149,11 @@ class ShardWorker {
   /// full. Producer thread only. Empty batches are ignored.
   void Submit(EdgeBatch&& batch);
 
-  /// Hands back an emptied batch buffer for reuse, if one is available
-  /// (sequential mode recycles every consumed buffer; steal mode lets
-  /// detached batches free theirs). Producer thread only.
+  /// Hands back an emptied batch buffer for reuse, if one is available.
+  /// Producer thread only.
   bool TryRecycle(EdgeBatch* out) { return recycle_.TryPop(out); }
 
-  /// Blocks until every submitted edge has been consumed by the worker —
-  /// in steal mode, until every batch result is merged back in order. On
+  /// Blocks until every submitted edge has been consumed by the worker. On
   /// return the estimator state is safely readable until the next Submit.
   /// Producer thread only.
   void WaitDrained() const;
@@ -237,36 +161,26 @@ class ShardWorker {
   /// Signals end of stream and joins the worker thread. Idempotent.
   void Join();
 
-  uint32_t index() const { return index_; }
   uint64_t edges_submitted() const { return submitted_edges_; }
 
-  /// Batches this worker stole from peers (kActive only; diagnostics).
-  uint64_t steals_performed() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
-  /// Seconds THIS worker spent executing work (its own batches, batches it
-  /// stole, and result merging). The maximum over workers is the
-  /// scheduler's critical path: on a host with enough cores it bounds the
-  /// ingestion wall-clock, and it is the metric stealing shrinks — a
-  /// single-core host shows the balance win here even though its
-  /// wall-clock cannot improve (bench_engine gates on this when
-  /// hardware_concurrency is too small to run the workers in parallel).
+  /// Seconds this worker spent executing batches (per-thread CPU time).
+  /// The maximum over workers is the ingest critical path: on a host with
+  /// enough cores it bounds the ingestion wall-clock.
   double busy_seconds() const {
     return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
            1e-9;
   }
 
   /// Wall-clock seconds this worker spent with no work available (waiting
-  /// on an empty ring / pending queue). Complements busy_seconds(): a
-  /// large idle share on a loaded engine means the shard layout, not the
-  /// worker, is the bottleneck. Always 0 under GPS_METRICS=0.
+  /// on an empty ring). Complements busy_seconds(): a large idle share on
+  /// a loaded engine means the shard layout, not the worker, is the
+  /// bottleneck. Always 0 under GPS_METRICS=0.
   double idle_seconds() const {
     return static_cast<double>(idle_ns_.load(std::memory_order_relaxed)) *
            1e-9;
   }
 
-  /// Scheduler counters (batches processed/stolen/re-bound, latency).
+  /// Worker counters (batches processed, batch latency).
   const WorkerMetrics& worker_metrics() const { return worker_metrics_; }
 
   /// Backpressure counters of the data ring feeding this worker.
@@ -276,8 +190,7 @@ class ShardWorker {
   const GpsReservoir& reservoir() const;
 
   /// In-stream estimates of the shard's substream (triangles and wedges
-  /// entirely inside this shard; in steal mode, entirely inside one
-  /// batch). Requires kInStream.
+  /// entirely inside this shard). Requires kInStream.
   GraphEstimates InStreamEstimates() const;
 
   /// The shard's in-stream estimator, for checkpointing. Requires
@@ -288,72 +201,19 @@ class ShardWorker {
   /// caller must hold the drained/joined guarantee.
   const MotifSuite& motif_suite() const { return motifs_; }
 
-  /// Per-slot sub-stratum table for the cross-stratum union pass: in steal
-  /// mode, slot_strata()[slot] is the batch index that sampled the
-  /// reservoir record in `slot`; empty in sequential mode (all edges of
-  /// the shard share one stratum). Caller must hold the drained/joined
-  /// guarantee. Entries for freed slots are stale but unreachable (the
-  /// union pass only walks live reservoir slots).
-  std::span<const uint32_t> slot_strata() const { return slot_strata_; }
+  /// Per-slot sub-stratum table for the cross-stratum union pass
+  /// (engine/merge.h ShardSampleRef). Always empty: every edge of a shard
+  /// belongs to the shard's one stratum.
+  std::span<const uint32_t> slot_strata() const { return {}; }
 
   ShardEstimatorKind estimator_kind() const { return options_.estimator; }
-  StealMode steal_mode() const { return options_.steal; }
 
  private:
-  /// One pending detached batch: the edges plus the batch index its RNG
-  /// substream and merge position derive from.
-  struct PendingBatch {
-    uint64_t index = 0;
-    EdgeBatch edges;
-  };
-
-  /// One completed detached batch: the mini-estimator over exactly that
-  /// batch, ready to be re-bound to the owner in index order.
-  struct BatchResult {
-    uint64_t index = 0;
-    uint64_t arrivals = 0;
-    std::unique_ptr<InStreamEstimator> mini;
-    std::vector<MotifAccumulator> motif_accs;
-  };
-
-  /// Steal-ahead bound: a victim stops being stealable while this many of
-  /// its batch results await in-order merging, so a slow owner cannot
-  /// accumulate unbounded completed minis.
-  static constexpr uint64_t kMaxUnmergedResults = 16;
-
   void RunWorker();
-  void RunWorkerSequential();
-  void RunWorkerStealing();
 
-  /// Moves ring arrivals into the shared pending queue (owner only),
-  /// bounded by ring_capacity so producer backpressure survives.
-  bool PumpRing();
-  /// Merges completed results in strict batch-index order (owner only).
-  bool MergeReadyResults();
-  /// Pops the oldest pending batch for the owner itself.
-  bool TakeFront(PendingBatch* out);
-  /// Steals the newest pending batch; called by thieves on the victim.
-  bool TryStealBatch(PendingBatch* out);
-  /// Scans peers round-robin and processes one stolen batch if any.
-  bool StealOne();
-  /// True once the ring is closed, pumped dry, and every batch is merged.
-  bool OwnWorkComplete();
-
-  /// Processes one detached batch into its mini-estimator; pure function
-  /// of (batch, this shard's immutable options) — safe from any thread.
-  BatchResult ProcessDetached(PendingBatch&& batch) const;
-  /// Re-binds one completed batch to the accumulation state (owner only).
-  void AbsorbResult(const BatchResult& result);
-  /// Publishes a completed result to the owner's completion map.
-  static void PostResult(ShardWorker* owner, BatchResult&& result);
-
-  uint32_t index_;
   ShardOptions options_;
 
-  // Exactly one of the two is live, per options_.estimator. In steal mode
-  // in_stream_ is the ACCUMULATION estimator batch results merge into
-  // (its own RNG is never drawn from — batch substreams are counter
-  // based).
+  // Exactly one of the two is live, per options_.estimator.
   std::unique_ptr<InStreamEstimator> in_stream_;
   std::unique_ptr<GpsSampler> sampler_;
   // Worker-owned alongside in_stream_ (reads its reservoir, never writes).
@@ -372,22 +232,6 @@ class ShardWorker {
   WorkerMetrics worker_metrics_;                   // worker-thread writes
   TraceEventSink* trace_sink_ = nullptr;  // set before Start, then const
   TraceBuffer* trace_buf_ = nullptr;      // worker-thread writes
-
-  // ---- Steal-mode state ----------------------------------------------
-  // Two independent locks (see the file comment). Lock order when both
-  // are needed: queue_mu_ before results_mu_ (only OwnWorkComplete takes
-  // both).
-  std::mutex queue_mu_;    // guards queue_
-  std::mutex results_mu_;  // guards completed_
-  std::deque<PendingBatch> queue_;
-  std::map<uint64_t, BatchResult> completed_;
-  std::atomic<uint64_t> unmerged_results_{0};
-  std::atomic<uint64_t> steals_{0};
-  uint64_t batches_enqueued_ = 0;  // owner thread only
-  uint64_t next_merge_ = 0;        // owner thread only
-  std::vector<uint32_t> slot_strata_;  // owner writes; drained readers
-  std::vector<ShardWorker*> peers_;    // set before Start, then immutable
-  uint32_t next_victim_ = 0;           // round-robin scan start
 };
 
 }  // namespace gps

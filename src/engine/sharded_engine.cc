@@ -23,6 +23,7 @@
 #include "util/affinity.h"
 #include "util/digest.h"
 #include "util/parallel_chunks.h"
+#include "util/random.h"
 #include "util/staged_file.h"
 
 namespace gps {
@@ -53,7 +54,7 @@ bool SameWeightConfig(const WeightOptions& a, const WeightOptions& b) {
 /// would silently break the resume byte-identity contract).
 ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
                               uint32_t s, ShardEstimatorKind kind,
-                              StealMode steal, int cpu_affinity = -1) {
+                              int cpu_affinity = -1) {
   ShardOptions shard_options;
   shard_options.sampler = options.sampler;
   shard_options.sampler.capacity = PerShardCapacity(
@@ -63,7 +64,6 @@ ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
   shard_options.estimator = kind;
   shard_options.ring_capacity = options.ring_capacity;
   shard_options.motifs = options.motifs;
-  shard_options.steal = steal;
   shard_options.cpu_affinity = cpu_affinity;
   return shard_options;
 }
@@ -277,9 +277,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   assert((options_.motifs.empty() ||
           options_.merge_mode == MergeMode::kInStreamPlusCross) &&
          "motif suites need in-stream shard estimators");
-  assert((options_.steal == StealMode::kDisabled ||
-          options_.merge_mode == MergeMode::kInStreamPlusCross) &&
-         "the steal scheduler needs in-stream shard estimators");
   assert(ValidateMotifNames(options_.motifs).ok() &&
          "unvalidated motif names");
   const uint32_t k = options_.num_shards;
@@ -287,115 +284,40 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
       options_.merge_mode == MergeMode::kPostStreamMerged
           ? ShardEstimatorKind::kPostStream
           : ShardEstimatorKind::kInStream;
-  // A single-shard layout has no peers to steal from or to: bypass the
-  // scheduler so K=1 keeps replaying the serial sample path byte for
-  // byte even with stealing enabled (the engine's K=1 contract).
-  effective_steal_ = (k >= 2 && kind == ShardEstimatorKind::kInStream)
-                         ? options_.steal
-                         : StealMode::kDisabled;
 
-  // Core-pinning plan: workers 0..K-1 take the first K schedulable cpus,
-  // router threads the next R. Planned BEFORE worker construction so
-  // ShardOptions carries each worker's affinity and the steal scan can
-  // order victims by socket.
+  // Core-pinning plan: worker s takes the s-th schedulable cpu. Planned
+  // before worker construction so ShardOptions carries each affinity.
+  std::vector<int> cpu_plan;
   if (options_.pin_threads) {
-    const uint32_t routers =
-        options_.router_threads >= 2 ? options_.router_threads : 0;
-    const std::vector<int> cpus = AvailableCpus();
-    const size_t needed = static_cast<size_t>(k) + routers;
-    if (cpus.size() < needed) {
-      DisablePinning("core pinning disabled: " +
-                     std::to_string(cpus.size()) +
-                     " schedulable cpus for " + std::to_string(needed) +
-                     " engine threads");
-    } else {
-      cpu_plan_.assign(cpus.begin(),
-                       cpus.begin() + static_cast<ptrdiff_t>(needed));
+    cpu_plan = AvailableCpus();
+    if (cpu_plan.size() < k) {
+      WarnPinningDisabled("core pinning disabled: " +
+                          std::to_string(cpu_plan.size()) +
+                          " schedulable cpus for " + std::to_string(k) +
+                          " engine threads");
+      cpu_plan.clear();
     }
   }
 
   shards_.reserve(k);
   pending_.resize(k);
   for (uint32_t s = 0; s < k; ++s) {
-    shards_.push_back(std::make_unique<ShardWorker>(
-        s, MakeShardOptions(options_, s, kind, effective_steal_,
-                            s < cpu_plan_.size() ? cpu_plan_[s] : -1)));
+    shards_.push_back(std::make_unique<ShardWorker>(MakeShardOptions(
+        options_, s, kind, s < cpu_plan.size() ? cpu_plan[s] : -1)));
     pending_[s].reserve(options_.batch_size);
   }
-  if (effective_steal_ == StealMode::kActive) {
-    std::vector<ShardWorker*> peers;
-    peers.reserve(k);
-    for (auto& shard : shards_) peers.push_back(shard.get());
-    if (cpu_plan_.empty()) {
-      for (auto& shard : shards_) shard->SetStealPeers(peers);
-    } else {
-      // Pinned layout: same-socket victims first, so a stolen batch's
-      // payload moves within the socket-local cache hierarchy. Stable
-      // sort keeps shard order within each group; by the determinism
-      // contract victim order never changes results.
-      std::vector<int> socket(k);
-      for (uint32_t s = 0; s < k; ++s) {
-        socket[s] = SocketOfCpu(cpu_plan_[s]);
-      }
-      for (uint32_t s = 0; s < k; ++s) {
-        std::vector<ShardWorker*> ordered = peers;
-        std::stable_sort(ordered.begin(), ordered.end(),
-                         [&](const ShardWorker* a, const ShardWorker* b) {
-                           return (socket[a->index()] == socket[s]) >
-                                  (socket[b->index()] == socket[s]);
-                         });
-        shards_[s]->SetStealPeers(std::move(ordered));
-      }
-    }
-  }
-  SetupRouters();
   RegisterObservability();
   for (auto& shard : shards_) shard->Start();
-  ApplyPinning();
-}
-
-void ShardedEngine::SetupRouters() {
-  if (options_.router_threads < 2) return;
-  RouterPool::Options pool;
-  pool.routers = options_.router_threads;
-  pool.num_shards = num_shards();
-  pool.route = EdgeRouter{num_shards(), options_.shard_skew};
-  pool.trace = options_.trace;
-  if (options_.trace != nullptr) {
-    // Trace tids: shards take 0..K-1 and the producer K
-    // (RegisterObservability), routers K+1..K+R.
-    pool.trace_buffers.reserve(pool.routers);
-    for (uint32_t r = 0; r < pool.routers; ++r) {
-      pool.trace_buffers.push_back(options_.trace->MakeBuffer(
-          static_cast<int>(num_shards() + 1 + r),
-          "router-" + std::to_string(r)));
-    }
-  }
-  router_ = std::make_unique<RouterPool>(pool);
-}
-
-void ShardedEngine::ApplyPinning() {
-  if (cpu_plan_.empty()) return;
+  // A pin the syscall refused leaves that worker on the inherited mask.
   for (const auto& shard : shards_) {
     if (!shard->pin_status().ok()) {
-      DisablePinning(shard->pin_status().ToString());
-      return;
-    }
-  }
-  if (router_ != nullptr) {
-    for (uint32_t r = 0; r < router_->num_routers(); ++r) {
-      const int cpu = cpu_plan_[num_shards() + r];
-      if (Status st = router_->PinRouterTo(r, cpu); !st.ok()) {
-        DisablePinning(st.ToString());
-        return;
-      }
+      WarnPinningDisabled(shard->pin_status().ToString());
+      break;
     }
   }
 }
 
-void ShardedEngine::DisablePinning(const std::string& why) {
-  cpu_plan_.clear();
-  if (!pin_warning_.empty()) return;  // warn once
+void ShardedEngine::WarnPinningDisabled(const std::string& why) {
   pin_warning_ = why;
   std::fprintf(stderr, "warning: %s (running unpinned)\n", why.c_str());
 }
@@ -403,13 +325,15 @@ void ShardedEngine::DisablePinning(const std::string& why) {
 ShardedEngine::~ShardedEngine() { Finish(); }
 
 uint32_t ShardedEngine::ShardOfEdge(const Edge& e, uint32_t num_shards) {
-  // The route lives in EdgeRouter (engine/router.h) so the router threads
-  // and the serial producer share one definition and cannot drift.
-  return EdgeRouter{num_shards}.Route(e);
-}
-
-uint32_t ShardedEngine::RouteShard(const Edge& e) const {
-  return EdgeRouter{num_shards(), options_.shard_skew}.Route(e);
+  if (num_shards <= 1) return 0;
+  // SplitMix64 over the canonical 64-bit edge key: both orientations of
+  // an edge — and thus every re-observation — hash identically.
+  uint64_t state = EdgeKey(e);
+  const uint64_t h = SplitMix64Next(&state);
+  // Lemire multiply-shift reduction: unbiased enough for partitioning and
+  // cheaper than modulo.
+  return static_cast<uint32_t>(
+      (static_cast<unsigned __int128>(h) * num_shards) >> 64);
 }
 
 void ShardedEngine::RefillPending(uint32_t s) {
@@ -424,7 +348,7 @@ void ShardedEngine::RefillPending(uint32_t s) {
 }
 
 void ShardedEngine::RouteOne(const Edge& e) {
-  const uint32_t s = RouteShard(e);
+  const uint32_t s = ShardOfEdge(e, num_shards());
   EdgeBatch& batch = pending_[s];
   batch.push_back(e);
   if (batch.size() >= options_.batch_size) SubmitPending(s);
@@ -439,136 +363,34 @@ void ShardedEngine::SubmitPending(uint32_t s) {
 
 void ShardedEngine::Process(const Edge& e) {
   assert(!finished_);
-  // Per-edge arrivals interleaved with outstanding router blocks must see
-  // those blocks' edges first (stream order). The check is one relaxed
-  // atomic load; pure per-edge feeds never pay more than that.
-  if (router_ != nullptr && router_->blocks_outstanding() != 0) {
-    FenceRouters();
-  }
   ++edges_processed_;
   RouteOne(e);
   if (monitor_every_ != 0 || checkpoint_every_ != 0) FirePeriodicHooks();
 }
 
-uint64_t ShardedEngine::DistanceToNextHook() const {
-  uint64_t distance = UINT64_MAX;
-  if (monitor_every_ != 0) {
-    distance = std::min(distance,
-                        monitor_every_ - edges_processed_ % monitor_every_);
-  }
-  if (checkpoint_every_ != 0) {
-    distance = std::min(
-        distance, checkpoint_every_ - edges_processed_ % checkpoint_every_);
-  }
-  return distance;
-}
-
 void ShardedEngine::ProcessBlock(std::span<const Edge> block) {
   assert(!finished_);
-  const bool hooks = monitor_every_ != 0 || checkpoint_every_ != 0;
-
-  if (router_ == nullptr) {
-    if (hooks) {
-      // Hooks fire at exact stream positions; per-edge Process keeps the
-      // cadence (and therefore checkpoints/monitor records) identical to
-      // a non-blocked feed of the same stream.
-      for (const Edge& e : block) Process(e);
-      return;
-    }
-    // Serial block path: the same RouteOne step as Process, minus the
-    // per-edge hook check. Clocked for the routing-stage critical path
-    // (ring-full submit waits excluded via the submit clock).
-    const uint64_t t0 = ThreadCpuNowNs();
-    const uint64_t submit0 = producer_submit_ns_;
-    for (const Edge& e : block) {
-      ++edges_processed_;
-      RouteOne(e);
-    }
-    producer_route_ns_ +=
-        (ThreadCpuNowNs() - t0) - (producer_submit_ns_ - submit0);
+  if (monitor_every_ != 0 || checkpoint_every_ != 0) {
+    // Hooks fire at exact stream positions; per-edge Process keeps the
+    // cadence (and therefore checkpoints/monitor records) identical to a
+    // non-blocked feed of the same stream.
+    for (const Edge& e : block) Process(e);
     return;
   }
-
-  // Router path: hand the block (split at hook positions, so the cadence
-  // stays exact) to the pool; sequence whatever has completed. The
-  // producer only BLOCKS on the pool when its in-flight cap pushes back.
-  size_t offset = 0;
-  RoutedBlock routed;
-  while (offset < block.size()) {
-    size_t take = block.size() - offset;
-    if (hooks) {
-      take = static_cast<size_t>(std::min<uint64_t>(take,
-                                                    DistanceToNextHook()));
-    }
-    const std::span<const Edge> slice = block.subspan(offset, take);
-    while (!router_->TrySubmitBlock(slice)) {
-      router_->PopSequenced(&routed);
-      SequenceRoutedBlock(routed);
-    }
-    edges_processed_ += take;
-    offset += take;
-    while (router_->TryPopSequenced(&routed)) SequenceRoutedBlock(routed);
-    // The hook position was ingested in full just now; the hook's own
-    // Drain (via Flush) fences the remaining in-flight blocks, so the
-    // estimates/checkpoint see exactly the edges up to this position.
-    if (hooks) FirePeriodicHooks();
-  }
-}
-
-void ShardedEngine::ProcessEdges(std::span<const Edge> edges) {
-  if (router_ == nullptr) {
-    ProcessBlock(edges);
-    return;
-  }
-  // Slice a flat (text-parsed) edge vector into router-block-sized spans
-  // so it scatters across the pool exactly like a GPS-STREAM file.
-  for (size_t offset = 0; offset < edges.size();
-       offset += kRouterSliceEdges) {
-    ProcessBlock(edges.subspan(
-        offset, std::min(kRouterSliceEdges, edges.size() - offset)));
-  }
-}
-
-void ShardedEngine::SequenceRoutedBlock(RoutedBlock& routed) {
+  // The same RouteOne step as Process, minus the per-edge hook check.
+  // Clocked for the route stage (ring-full submit waits excluded via the
+  // submit clock).
   const uint64_t t0 = ThreadCpuNowNs();
   const uint64_t submit0 = producer_submit_ns_;
-  TraceSpan span(options_.trace, producer_trace_buf_, "sequence");
-  span.SetArg("block", static_cast<int64_t>(routed.index));
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    const EdgeBatch& sub = routed.per_shard[s];
-    size_t offset = 0;
-    while (offset < sub.size()) {
-      EdgeBatch& batch = pending_[s];
-      // Split at exactly batch_size — the serial loop's batch boundaries,
-      // which in steal mode define the RNG substreams. Bulk appends on
-      // the SoA columns: cheaper per edge than the serial hash+push, so
-      // sequencing is NOT just the routing work moved back to one thread.
-      const size_t take = std::min(options_.batch_size - batch.size(),
-                                   sub.size() - offset);
-      const auto from = static_cast<ptrdiff_t>(offset);
-      const auto to = static_cast<ptrdiff_t>(offset + take);
-      batch.u.insert(batch.u.end(), sub.u.begin() + from, sub.u.begin() + to);
-      batch.v.insert(batch.v.end(), sub.v.begin() + from, sub.v.begin() + to);
-      offset += take;
-      if (batch.size() >= options_.batch_size) SubmitPending(s);
-    }
+  for (const Edge& e : block) {
+    ++edges_processed_;
+    RouteOne(e);
   }
   producer_route_ns_ +=
       (ThreadCpuNowNs() - t0) - (producer_submit_ns_ - submit0);
-  router_->RecycleShell(std::move(routed));
-}
-
-void ShardedEngine::FenceRouters() {
-  if (router_ == nullptr) return;
-  RoutedBlock routed;
-  while (router_->blocks_outstanding() != 0) {
-    router_->PopSequenced(&routed);
-    SequenceRoutedBlock(routed);
-  }
 }
 
 void ShardedEngine::Flush() {
-  FenceRouters();
   for (uint32_t s = 0; s < num_shards(); ++s) {
     if (pending_[s].empty()) continue;
     shards_[s]->Submit(std::move(pending_[s]));
@@ -584,7 +406,6 @@ void ShardedEngine::Drain() {
 void ShardedEngine::Finish() {
   if (finished_) return;
   Flush();
-  if (router_ != nullptr) router_->Close();
   for (auto& shard : shards_) shard->Join();
   finished_ = true;
 }
@@ -607,25 +428,10 @@ std::vector<ShardSampleRef> ShardedEngine::CollectSampleRefs() const {
   return refs;
 }
 
-uint64_t ShardedEngine::StealsPerformed() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->steals_performed();
-  return total;
-}
-
 double ShardedEngine::MaxWorkerBusySeconds() const {
   double max_busy = 0.0;
   for (const auto& shard : shards_) {
     max_busy = std::max(max_busy, shard->busy_seconds());
-  }
-  return max_busy;
-}
-
-double ShardedEngine::MaxRouterBusySeconds() const {
-  if (router_ == nullptr) return 0.0;
-  double max_busy = 0.0;
-  for (uint32_t r = 0; r < router_->num_routers(); ++r) {
-    max_busy = std::max(max_busy, router_->router_busy_seconds(r));
   }
   return max_busy;
 }
@@ -644,8 +450,6 @@ void ShardedEngine::RegisterObservability() {
     const WorkerMetrics& worker = shard.worker_metrics();
     metrics_.AddCounter("worker.batches_processed",
                         &worker.batches_processed);
-    metrics_.AddCounter("worker.batches_stolen", &worker.batches_stolen);
-    metrics_.AddCounter("worker.batches_rebound", &worker.batches_rebound);
     metrics_.AddHistogram("worker.batch_latency", &worker.batch_latency);
     const ReservoirMetrics& res = shard.reservoir().metrics();
     metrics_.AddCounter("reservoir.precheck_rejects", &res.precheck_rejects);
@@ -669,20 +473,6 @@ void ShardedEngine::RegisterObservability() {
   metrics_.AddGauge("store.probe_len_p99", &derived_.probe_len_p99);
   metrics_.AddGauge("intersect.comparisons_saved",
                     &derived_.intersect_comparisons_saved);
-
-  if (router_ != nullptr) {
-    for (uint32_t r = 0; r < router_->num_routers(); ++r) {
-      const RouterMetrics& rm = router_->router_metrics(r);
-      metrics_.AddCounter("router.blocks_routed", &rm.blocks_routed);
-      metrics_.AddHistogram("router.block_latency", &rm.block_latency);
-    }
-    metrics_.AddCounter("router.sequencer_stalls",
-                        &router_->sequencer_stalls());
-    metrics_.AddGauge("router.busy_seconds",
-                      &derived_.router_busy_seconds_max);
-    metrics_.AddGauge("engine.producer_route_seconds",
-                      &derived_.producer_route_seconds);
-  }
 
   if (options_.trace != nullptr) {
     for (uint32_t s = 0; s < k; ++s) {
@@ -735,10 +525,6 @@ void ShardedEngine::RefreshDerivedGauges() {
   derived_.load_factor_max.Set(load_factor_max);
   derived_.probe_len_p99.Set(probe_p99_max);
   derived_.intersect_comparisons_saved.Set(comparisons_saved);
-  if (router_ != nullptr) {
-    derived_.router_busy_seconds_max.Set(MaxRouterBusySeconds());
-    derived_.producer_route_seconds.Set(ProducerRouteSeconds());
-  }
 }
 
 MetricsSnapshot ShardedEngine::SnapshotMetrics() {
@@ -765,13 +551,7 @@ std::vector<MotifEstimate> ShardedEngine::MergedMotifEstimatesOver(
   std::vector<std::vector<MotifAccumulator>> per_shard;
   per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    const MotifSuite& suite = shard->motif_suite();
-    std::vector<MotifAccumulator> accs;
-    accs.reserve(suite.size());
-    for (size_t m = 0; m < suite.size(); ++m) {
-      accs.push_back(suite.accumulator(m));
-    }
-    per_shard.push_back(std::move(accs));
+    per_shard.push_back(shard->motif_suite().Accumulators());
   }
   return MakeMotifEstimates(
       options_.motifs, SumShardMotifAccumulators(per_shard),
@@ -823,16 +603,6 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   if (options_.merge_mode != MergeMode::kInStreamPlusCross) {
     return Status::FailedPrecondition(
         "sharded checkpoints require in-stream shard estimators");
-  }
-  // Skewed routing is a bench/stress knob, and the manifest does not
-  // carry it: a resumed engine would silently fall back to the uniform
-  // hash and route the continued stream to DIFFERENT shards, breaking
-  // the resume byte-identity contract. Refuse rather than corrupt.
-  if (options_.shard_skew > 0.0) {
-    return Status::FailedPrecondition(
-        "sharded checkpoints require the uniform edge-hash partition "
-        "(shard_skew is a benchmark knob and is not recorded in "
-        "manifests)");
   }
   ShardManifest manifest;
   manifest.num_shards = num_shards();
@@ -902,11 +672,7 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
     entry.edges_processed = shards_[s]->reservoir().edges_processed();
     entry.digest = digests[s];
     entry.filename = ShardFileName(s);
-    const MotifSuite& suite = shards_[s]->motif_suite();
-    entry.motif_accumulators.reserve(suite.size());
-    for (size_t m = 0; m < suite.size(); ++m) {
-      entry.motif_accumulators.push_back(suite.accumulator(m));
-    }
+    entry.motif_accumulators = shards_[s]->motif_suite().Accumulators();
     manifest.entries.push_back(std::move(entry));
   }
   Result<StagedFile> manifest_file = StagedFile::Create(
@@ -978,13 +744,8 @@ ShardedEngine::ShardedEngine(
   shards_.reserve(k);
   pending_.resize(k);
   for (uint32_t s = 0; s < k; ++s) {
-    // Checkpoints restore sequential shard processing (a manifest does
-    // not carry batch-substream state), so the resumed engine runs with
-    // the scheduler disabled.
     shards_.push_back(std::make_unique<ShardWorker>(
-        s,
-        MakeShardOptions(options_, s, ShardEstimatorKind::kInStream,
-                         StealMode::kDisabled),
+        MakeShardOptions(options_, s, ShardEstimatorKind::kInStream),
         std::move(restored[s]), restored_motifs[s]));
     pending_[s].reserve(options_.batch_size);
   }
@@ -1038,12 +799,6 @@ Status ShardedEngine::CheckpointEvery(uint64_t n_edges,
       options_.merge_mode != MergeMode::kInStreamPlusCross) {
     return Status::FailedPrecondition(
         "sharded checkpoints require in-stream shard estimators");
-  }
-  if (n_edges != 0 && options_.shard_skew > 0.0) {
-    return Status::FailedPrecondition(
-        "sharded checkpoints require the uniform edge-hash partition "
-        "(shard_skew is a benchmark knob and is not recorded in "
-        "manifests)");
   }
   checkpoint_every_ = n_edges;
   checkpoint_dir_ = dir;

@@ -44,7 +44,6 @@
 #include "core/estimates.h"
 #include "core/gps.h"
 #include "engine/merge.h"
-#include "engine/router.h"
 #include "engine/shard.h"
 #include "graph/types.h"
 #include "util/metrics.h"
@@ -56,12 +55,6 @@ namespace gps {
 /// File name SerializeShards gives the manifest inside a checkpoint
 /// directory.
 inline constexpr const char* kShardManifestFilename = "manifest.gpsm";
-
-/// Block size ProcessEdges slices a flat edge span into for the router
-/// pool — matches the GPS-STREAM default block size
-/// (kBinaryStreamDefaultBlockEdges), so text and binary ingest exercise
-/// the same routing granularity. Traversal only, never sample path.
-inline constexpr size_t kRouterSliceEdges = size_t{1} << 16;
 
 struct ShardedEngineOptions {
   /// Base sampler configuration. `capacity` is the TOTAL memory budget
@@ -92,51 +85,18 @@ struct ShardedEngineOptions {
   /// randomness, so enabling motifs never changes reservoirs or tri/wedge
   /// estimates.
   std::vector<std::string> motifs;
-  /// Work-stealing scheduler mode (engine/shard.h). kArmed and kActive
-  /// switch shard processing to deterministic batch substreams: every
-  /// batch is bound to a counter-based RNG substream derived from (owner
-  /// shard, batch index) and processed as an independent mini-estimator,
-  /// re-bound to its owner at merge time — so kActive (idle workers steal
-  /// pending batches from overloaded peers) produces merged estimates,
-  /// motif statistics, and checkpoint manifests BYTE-IDENTICAL to kArmed
-  /// (no thief ever fires) on the same substream assignment, regardless
-  /// of thread scheduling. Requires MergeMode::kInStreamPlusCross. In
-  /// steal mode the batch size is part of the sample path (it defines the
-  /// substream boundaries); with num_shards == 1 the scheduler is
-  /// bypassed (there are no peers), preserving the serial byte-identity
-  /// contract with stealing enabled.
-  StealMode steal = StealMode::kDisabled;
-  /// Deliberate routing skew for scheduler benchmarks and steal stress
-  /// tests: 0 (default) is the production uniform edge-hash partition;
-  /// s > 0 biases the hash toward low shard indices (the hash unit
-  /// variate is raised to 1+s before the range reduction), overloading
-  /// shard 0 so stealing provably has work to move. Still a pure,
-  /// deterministic function of the edge. Because manifests do not record
-  /// the knob (a resumed run would silently reroute uniformly),
-  /// SerializeShards/CheckpointEvery refuse when it is nonzero.
-  double shard_skew = 0.0;
-  /// Parallel router threads (engine/router.h). 1 (the default) routes
-  /// inline on the producer — the classic single-producer path, byte for
-  /// byte. R >= 2 builds a RouterPool: ProcessBlock/ProcessEdges hand
-  /// whole blocks to R scatter threads and the producer becomes the
-  /// deterministic sequencer, reproducing the serial per-shard edge order
-  /// AND batch boundaries exactly — so any R is byte-identical to any
-  /// other (and composes with the K=1 and steal on==off contracts). Only
-  /// the block paths parallelize; per-edge Process stays inline.
-  uint32_t router_threads = 1;
-  /// Pin shard workers (then router threads) to distinct cores from the
-  /// process affinity mask, and prefer same-socket victims in the steal
-  /// scan. Graceful no-op with one named stderr warning (pin_warning())
+  /// Pin the K shard workers to distinct cores from the process affinity
+  /// mask. Graceful no-op with one named stderr warning (pin_warning())
   /// when the affinity syscall is denied — containers routinely do — or
-  /// the mask has fewer cores than threads. Placement only: results are
+  /// the mask has fewer cores than workers. Placement only: results are
   /// byte-identical pinned or not.
   bool pin_threads = false;
   /// Optional Chrome-trace recorder (util/trace.h). When set, every worker
-  /// gets a per-thread span buffer ("batch"/"steal"/"rebind" spans) and
-  /// the producer thread records "estimate" and "checkpoint" spans; the
-  /// sink must outlive the engine, and the caller writes the JSON after
-  /// Finish(). Null (default) disables tracing entirely. Observation-only:
-  /// tracing never changes the sample path.
+  /// gets a per-thread span buffer ("batch" spans) and the producer
+  /// thread records "estimate" and "checkpoint" spans; the sink must
+  /// outlive the engine, and the caller writes the JSON after Finish().
+  /// Null (default) disables tracing entirely. Observation-only: tracing
+  /// never changes the sample path.
   TraceEventSink* trace = nullptr;
 };
 
@@ -159,7 +119,7 @@ struct MonitorRecord {
   /// Merged motif estimates in suite order; empty when the engine runs
   /// without a motif suite.
   std::vector<MotifEstimate> motifs;
-  /// Point-in-time engine metrics (ring backpressure, scheduler activity,
+  /// Point-in-time engine metrics (ring backpressure, worker activity,
   /// sampling internals — util/metrics.h). Empty under GPS_METRICS=0.
   MetricsSnapshot metrics;
 };
@@ -189,28 +149,15 @@ class ShardedEngine {
   /// edges go mapping -> pending batch with no intermediate EdgeList.
   /// Byte-identical to calling Process(e) for each edge in order (same
   /// routing, same batch boundaries, same hook cadence); the block is
-  /// only a traversal unit, never part of the sample path. With
-  /// router_threads >= 2 the block is scattered by the router pool (split
-  /// at hook positions first, so monitor/checkpoint cadence stays exact)
-  /// and the span is aliased until the next FenceRouters/Flush/Drain —
-  /// callers whose backing storage is going away (an mmap) must fence
-  /// first.
+  /// only a traversal unit, never part of the sample path. The edges are
+  /// copied into pending batches before the call returns, so the span
+  /// need not outlive it.
   void ProcessBlock(std::span<const Edge> block);
 
-  /// ProcessBlock over an arbitrarily large span, sliced into
-  /// router-sized blocks (kRouterSliceEdges) so a text-parsed edge vector
-  /// feeds the router pool exactly like a GPS-STREAM file's blocks.
-  /// Byte-identical to the per-edge loop, like ProcessBlock.
-  void ProcessEdges(std::span<const Edge> edges);
+  /// ProcessBlock over an edge span of any size (a text-parsed stream).
+  void ProcessEdges(std::span<const Edge> edges) { ProcessBlock(edges); }
 
-  /// Waits until every block handed to the router pool is scattered and
-  /// sequenced into pending batches (no-op without a pool). Afterwards no
-  /// submitted span is aliased. Never submits partial batches, so fencing
-  /// is invisible to the sample path even in steal mode.
-  void FenceRouters();
-
-  /// Pushes all partially filled batches to their shards (fencing the
-  /// router pool first).
+  /// Pushes all partially filled batches to their shards.
   void Flush();
 
   /// Flush + wait until every submitted edge is consumed. Afterwards (and
@@ -315,13 +262,10 @@ class ShardedEngine {
     return auto_checkpoint_status_;
   }
 
-  /// Deterministic shard assignment: avalanche hash of the canonical edge
-  /// key, reduced to [0, num_shards).
+  /// Deterministic shard assignment: SplitMix64 avalanche of the
+  /// canonical edge key, reduced to [0, num_shards) by Lemire's
+  /// multiply-shift. Both orientations of an edge hash alike.
   static uint32_t ShardOfEdge(const Edge& e, uint32_t num_shards);
-
-  /// ShardOfEdge with the engine's configured shard_skew applied (equal to
-  /// ShardOfEdge for the default skew 0).
-  uint32_t RouteShard(const Edge& e) const;
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
@@ -329,38 +273,17 @@ class ShardedEngine {
   /// Total edges routed (submitted + still pending in batches).
   uint64_t edges_processed() const { return edges_processed_; }
 
-  /// The scheduler mode actually in effect (options().steal downgraded to
-  /// kDisabled for single-shard or post-stream-merged layouts).
-  StealMode effective_steal() const { return effective_steal_; }
-
-  /// Total batches stolen across all workers so far (kActive only;
-  /// diagnostics — by the determinism contract the count never affects
-  /// results). Caller must hold the Drain()/Finish() guarantee.
-  uint64_t StealsPerformed() const;
-
-  /// The scheduler's critical path: the busiest worker's executed-work
-  /// seconds (ShardWorker::busy_seconds). On a host with >= K+1 cores
-  /// this bounds ingestion wall-clock; stealing shrinks it on any host.
+  /// The ingest critical path: the busiest worker's executed-work seconds
+  /// (ShardWorker::busy_seconds). On a host with >= K+1 cores this bounds
+  /// ingestion wall-clock.
   double MaxWorkerBusySeconds() const;
 
-  /// The busiest router thread's scatter seconds (per-thread CPU time); 0
-  /// without a pool. max(this, ProducerRouteSeconds()) is the routing
-  /// stage's critical path — the metric the bench's router-scaling gate
-  /// falls back to on hosts too small to show the wall-clock win.
-  double MaxRouterBusySeconds() const;
-
-  /// Producer CPU seconds spent routing on the BLOCK paths
-  /// (ProcessBlock/ProcessEdges): the inline route-and-batch loop with
-  /// R=1, the sequencer's in-order sub-batch appends with R>=2. Ring-full
-  /// submit waits are excluded (downstream backpressure, not routing
-  /// work); the per-edge Process path is not clocked.
+  /// Producer CPU seconds spent routing on the block paths
+  /// (ProcessBlock/ProcessEdges without armed hooks). Ring-full submit
+  /// waits are excluded (downstream backpressure, not routing work); the
+  /// per-edge Process path is not clocked.
   double ProducerRouteSeconds() const {
     return static_cast<double>(producer_route_ns_) * 1e-9;
-  }
-
-  /// Router threads actually running (0 when routing is inline).
-  uint32_t active_routers() const {
-    return router_ ? router_->num_routers() : 0;
   }
 
   /// Why core pinning was disabled (named reason), or empty when pinning
@@ -370,13 +293,8 @@ class ShardedEngine {
   /// Aggregated engine metrics: per-shard ring/worker/reservoir counters
   /// plus derived gauges (z* max, sample sizes, busy/idle seconds).
   /// Drains first if needed, so the snapshot is consistent with every
-  /// edge ingested so far. Empty under GPS_METRICS=0.
-  ///
-  /// A mid-stream call therefore flushes the pending partial batches,
-  /// exactly like the monitor/checkpoint hooks: invisible in sequential
-  /// mode (batch boundaries don't enter the sample path), and in steal
-  /// modes part of the run's batch partition — kArmed and kActive remain
-  /// byte-identical under the same snapshot points.
+  /// edge ingested so far; like the monitor/checkpoint hooks, the drain
+  /// is invisible to the sample path. Empty under GPS_METRICS=0.
   MetricsSnapshot SnapshotMetrics();
 
   /// Per-shard worker access (reservoirs, in-stream estimates). Caller
@@ -410,17 +328,17 @@ class ShardedEngine {
   /// guarantee.
   std::vector<const GpsReservoir*> CollectReservoirs() const;
 
-  /// Per-shard union-sample inputs (reservoir + batch sub-strata in steal
-  /// mode); caller must hold the drained/finished guarantee.
+  /// Per-shard union-sample inputs; caller must hold the drained/finished
+  /// guarantee.
   std::vector<ShardSampleRef> CollectSampleRefs() const;
 
   /// Hands the shard a fresh (recycled when possible) pending buffer.
   void RefillPending(uint32_t s);
 
-  /// The ONE route-and-batch step shared by Process and the serial
-  /// ProcessBlock loop: route the edge, append to its shard's pending
-  /// batch, hand off at batch_size. Inlined; any drift between the two
-  /// callers would break the block-path byte-identity contract.
+  /// The ONE route-and-batch step shared by Process and the ProcessBlock
+  /// loop: route the edge, append to its shard's pending batch, hand off
+  /// at batch_size. Inlined; any drift between the two callers would
+  /// break the block-path byte-identity contract.
   void RouteOne(const Edge& e);
 
   /// Submits shard s's full pending batch and refills it, charging the
@@ -428,27 +346,9 @@ class ShardedEngine {
   /// producer_route_ns_ measures routing, not worker backpressure.
   void SubmitPending(uint32_t s);
 
-  /// Builds the router pool (and its trace buffers) when router_threads
-  /// >= 2. Fresh constructor only; resumed engines run the serial
-  /// producer.
-  void SetupRouters();
-
-  /// Checks the worker pins and pins the router threads per cpu_plan_;
-  /// the first failure disables pinning with its named reason.
-  void ApplyPinning();
-
-  /// Sequences one routed block: appends each shard's sub-batch to its
-  /// pending batch in block order, splitting at exactly batch_size — the
-  /// serial loop's boundaries, bit for bit.
-  void SequenceRoutedBlock(RoutedBlock& block);
-
-  /// Edges until the next armed monitor/checkpoint position fires
-  /// (>= 1); unbounded when no hook is armed.
-  uint64_t DistanceToNextHook() const;
-
-  /// Records the named reason pinning was disabled and warns once on
-  /// stderr.
-  void DisablePinning(const std::string& why);
+  /// Records the named reason pinning was disabled and warns on stderr.
+  /// Called at most once: a plan the mask cannot hold pins no worker.
+  void WarnPinningDisabled(const std::string& why);
 
   /// Patches union_ to the drained shard state and returns it.
   const UnionSample& SyncUnion();
@@ -461,15 +361,8 @@ class ShardedEngine {
       const UnionSample& sample);
 
   ShardedEngineOptions options_;
-  StealMode effective_steal_ = StealMode::kDisabled;
   std::vector<std::unique_ptr<ShardWorker>> shards_;
   std::vector<EdgeBatch> pending_;
-  /// Null when router_threads <= 1 (inline routing).
-  std::unique_ptr<RouterPool> router_;
-  /// CPU assignment when pinning is active: workers 0..K-1, then routers
-  /// (util/affinity.h AvailableCpus order). Empty when pinning is off or
-  /// was disabled.
-  std::vector<int> cpu_plan_;
   std::string pin_warning_;
   uint64_t producer_route_ns_ = 0;   // block-path routing CPU time
   uint64_t producer_submit_ns_ = 0;  // hand-off (incl. ring-full waits)
@@ -501,8 +394,6 @@ class ShardedEngine {
     Gauge arena_bytes_total;   // store.arena_bytes (sum across shards)
     Gauge load_factor_max;     // store.load_factor (max across shards)
     Gauge probe_len_p99;       // store.probe_len_p99 (max across shards)
-    Gauge router_busy_seconds_max;  // router.busy_seconds (max, pool only)
-    Gauge producer_route_seconds;   // engine.producer_route_seconds
     /// intersect.comparisons_saved: scalar-merge comparisons avoided by
     /// adaptive kernel selection, summed across shards.
     Gauge intersect_comparisons_saved;

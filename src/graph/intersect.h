@@ -97,16 +97,6 @@ struct IntersectMetrics {
   /// Scalar-merge comparisons (na + nb) minus the comparisons the chosen
   /// kernel performed, accumulated over calls where the kernel won.
   Counter comparisons_saved;  // feeds the intersect.comparisons_saved gauge
-
-  /// Folds another graph's counts into this one (steal mode: a detached
-  /// mini-reservoir's intersections are attributed to its owner shard at
-  /// re-bind time, mirroring ReservoirMetrics::Absorb).
-  void Absorb(const IntersectMetrics& other) {
-    merge_calls.Add(other.merge_calls.Value());
-    gallop_calls.Add(other.gallop_calls.Value());
-    simd_calls.Add(other.simd_calls.Value());
-    comparisons_saved.Add(other.comparisons_saved.Value());
-  }
 };
 
 namespace intersect_detail {

@@ -1,6 +1,5 @@
 #include "util/affinity.h"
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -43,21 +42,6 @@ Status PinThreadToCpu(std::thread& thread, int cpu) {
   return Status::Ok();
 }
 
-int SocketOfCpu(int cpu) {
-  // sysfs is the portable-across-distros source for package topology; a
-  // short read (VMs and containers often hide it) degrades to socket 0.
-  char path[128];
-  std::snprintf(path, sizeof(path),
-                "/sys/devices/system/cpu/cpu%d/topology/physical_package_id",
-                cpu);
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) return 0;
-  int socket = 0;
-  const int matched = std::fscanf(f, "%d", &socket);
-  std::fclose(f);
-  return (matched == 1 && socket >= 0) ? socket : 0;
-}
-
 #else  // !defined(__linux__)
 
 std::vector<int> AvailableCpus() { return {}; }
@@ -66,8 +50,6 @@ Status PinThreadToCpu(std::thread&, int) {
   return Status::FailedPrecondition(
       "sched_setaffinity is unavailable on this platform");
 }
-
-int SocketOfCpu(int) { return 0; }
 
 #endif
 

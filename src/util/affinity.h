@@ -1,14 +1,12 @@
 // Thin, failure-tolerant wrapper over the platform's CPU-affinity
 // syscalls, for the engine's core-pinning mode (--pin): pin shard worker
-// and router threads to distinct cores so they stop migrating between
-// ingest bursts, and expose enough topology (socket ids) for the steal
-// scheduler to prefer same-socket victims.
+// threads to distinct cores so they stop migrating between ingest bursts.
 //
 // Everything here is best-effort by design. Containers routinely deny
 // sched_setaffinity (seccomp), cgroup masks shrink the visible CPU set,
-// and non-Linux hosts have no sysfs topology at all — so every entry
-// point degrades to a named Status / conservative default instead of
-// failing the run. Pinning is a placement hint, never a correctness
+// and non-Linux hosts have no affinity syscall at all — so every entry
+// point degrades to a named Status / empty result instead of failing the
+// run. Pinning is a placement hint, never a correctness
 // requirement: by the engine's determinism contract, results are
 // byte-identical with pinning on, off, or silently unavailable.
 
@@ -31,11 +29,6 @@ std::vector<int> AvailableCpus();
 /// platform or errno when the affinity syscall is unavailable or denied
 /// (unprivileged containers); the thread keeps its inherited mask then.
 Status PinThreadToCpu(std::thread& thread, int cpu);
-
-/// Physical package (socket) id of `cpu` from sysfs topology; 0 when the
-/// topology is unreadable — on such hosts every CPU lands in one "socket",
-/// which degrades same-socket-first victim ordering to the plain order.
-int SocketOfCpu(int cpu);
 
 }  // namespace gps
 

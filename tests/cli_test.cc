@@ -223,32 +223,28 @@ TEST_F(CliTest, EstimateSharded) {
             std::string::npos);
 }
 
-TEST_F(CliTest, EstimateStealOnMatchesStealOffByteForByte) {
-  // The scheduler's user-facing contract: --steal on output equals
-  // --steal off output exactly (same deterministic batch-substream
-  // semantics; only thief activation differs).
-  const std::string args = "estimate --input " + graph_path_ +
-                           " --capacity 2000 --shards 4 --batch 128 "
-                           "--seed 9 --motifs tri,4cycle --steal ";
-  const CommandResult off = RunCli(args + "off");
-  ASSERT_EQ(off.exit_code, 0) << off.output;
-  const CommandResult on = RunCli(args + "on");
-  ASSERT_EQ(on.exit_code, 0) << on.output;
-  EXPECT_EQ(off.output, on.output);
-  EXPECT_NE(on.output.find("merged in-stream estimates"),
-            std::string::npos);
-}
-
-TEST_F(CliTest, EstimateStealFlagValidation) {
-  const CommandResult bad =
-      RunCli("estimate --input " + graph_path_ + " --steal sideways");
-  EXPECT_NE(bad.exit_code, 0);
-  EXPECT_NE(bad.output.find("expects on or off"), std::string::npos);
-  const CommandResult post =
-      RunCli("estimate --input " + graph_path_ +
-             " --estimator post --steal on");
-  EXPECT_NE(post.exit_code, 0);
-  EXPECT_NE(post.output.find("in-stream"), std::string::npos);
+TEST_F(CliTest, SchedulerAndRouterFlagsAreUnknown) {
+  // The engine has one producer loop and one sequential worker loop; the
+  // flags that selected a work-stealing scheduler or a router pool are
+  // refused like any other unknown flag (usage error, exit 2).
+  const std::string dir = TempPath("ckpt");
+  for (const std::string& command :
+       {"estimate --input " + graph_path_ + " --capacity 500 --shards 2",
+        "monitor --input " + graph_path_ +
+            " --capacity 500 --shards 2 --every 2000",
+        "checkpoint-shards --input " + graph_path_ +
+            " --capacity 500 --shards 2 --out " + dir}) {
+    const CommandResult steal = RunCli(command + " --steal on");
+    EXPECT_EQ(steal.exit_code, 2) << command << "\n" << steal.output;
+    EXPECT_NE(steal.output.find("unknown flag '--steal'"), std::string::npos)
+        << command << "\n" << steal.output;
+    const CommandResult routers = RunCli(command + " --routers 2");
+    EXPECT_EQ(routers.exit_code, 2) << command << "\n" << routers.output;
+    EXPECT_NE(routers.output.find("unknown flag '--routers'"),
+              std::string::npos)
+        << command << "\n" << routers.output;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST_F(CliTest, EstimatePostStreamHonorsThreads) {
@@ -895,7 +891,7 @@ TEST_F(CliTest, EstimateTraceWritesChromeTraceFile) {
   const std::string trace_path = TempPath("trace.json");
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
-             " --capacity 500 --shards 2 --steal on --trace " + trace_path);
+             " --capacity 500 --shards 2 --trace " + trace_path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("trace written to"), std::string::npos);
   std::ifstream in(trace_path);

@@ -223,5 +223,46 @@ TEST(InStreamMotifCounterTest, SkipsLoopsAndDuplicates) {
   EXPECT_EQ(counter.reservoir().size(), 2u);
 }
 
+TEST(InStreamMotifCounterTest, RepeatsAndLoopsCountAsArrivals) {
+  // `dirty` also sees, after every fifth arrival that was sampled, that
+  // edge again reversed plus a self loop at one of its endpoints. Neither
+  // completes a motif nor draws a priority, so the estimates must equal
+  // the repeat-free run's; both still count as arrivals, as GpsSampler
+  // counts them.
+  EdgeList graph = GenerateBarabasiAlbert(300, 5, 0.6, 521).value();
+  const std::vector<Edge> stream = MakePermutedStream(graph, 522);
+  GpsSamplerOptions options;
+  options.capacity = stream.size() / 3;  // evictions happen
+  options.seed = 523;
+  InStreamMotifCounter clean(options, TriangleEnumerator());
+  InStreamMotifCounter dirty(options, TriangleEnumerator());
+  GpsSampler sampler(options);
+  uint64_t extra = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const Edge& e = stream[i];
+    clean.Process(e);
+    dirty.Process(e);
+    sampler.Process(e);
+    if (i % 5 != 4 || !dirty.reservoir().graph().HasEdge(e.Canonical())) {
+      continue;
+    }
+    for (const Edge& junk : {Edge{e.v, e.u}, Edge{e.u, e.u}}) {
+      dirty.Process(junk);
+      sampler.Process(junk);
+      ++extra;
+    }
+  }
+  ASSERT_GT(extra, 0u);
+  ASSERT_GT(clean.reservoir().threshold(), 0.0);
+  EXPECT_EQ(dirty.reservoir().edges_processed(),
+            sampler.reservoir().edges_processed());
+  EXPECT_EQ(dirty.reservoir().edges_processed(),
+            clean.reservoir().edges_processed() + extra);
+  EXPECT_GT(clean.Count(), 0.0);
+  EXPECT_EQ(dirty.Count(), clean.Count());
+  EXPECT_EQ(dirty.VarianceLowerEstimate(), clean.VarianceLowerEstimate());
+  EXPECT_EQ(dirty.SnapshotsTaken(), clean.SnapshotsTaken());
+}
+
 }  // namespace
 }  // namespace gps

@@ -5,11 +5,11 @@
 //   * the kernel agrees with a brute-force reference that enumerates every
 //     sampled triangle and wedge and every pair of them, on ER, BA and
 //     Chung–Lu samples — the serial reservoir (one stratum) and span-only
-//     unions of K in {2, 4} shards, with and without batch sub-strata;
+//     unions of K in {2, 4} shards, with and without per-slot sub-strata;
 //   * its output is bit-identical for every thread count;
 //   * the union the engine patches across monitor ticks gives the same
-//     bits as a fresh BuildUnionSample at every tick — with motifs, with
-//     steal-mode sub-strata, and after ResumeFromCheckpoints;
+//     bits as a fresh BuildUnionSample at every tick — with motifs, and
+//     after ResumeFromCheckpoints;
 //   * estimating never moves the arrival-path intersection counters.
 //
 // The suite runs under ASan and TSan in CI (engine_ suites): the merge
@@ -265,8 +265,8 @@ TEST(Algorithm2ReferenceTest, SpanOnlyUnionMatchesBruteForce) {
 }
 
 TEST(Algorithm2ReferenceTest, BatchSubStrataMatchBruteForce) {
-  // Steal-mode engines tag each sampled edge with its batch: instances
-  // spanning two batches of ONE shard belong to the cross pass as well.
+  // A per-slot sub-stratum table (ShardSampleRef) splits a shard: instances
+  // spanning two sub-strata of ONE shard belong to the cross pass as well.
   const std::vector<Edge> stream = MakePermutedStream(kGraphs[1].make(), 41);
   const std::vector<GpsSampler> shards =
       ShardSamples(stream, 2, stream.size() / 3, 42);
@@ -402,42 +402,36 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
       GenerateBarabasiAlbert(1500, 6, 0.6, 71).value(), 72);
   constexpr uint64_t kEvery = 600;
   const size_t half = stream.size() / 2;
-  for (const StealMode steal : {StealMode::kDisabled, StealMode::kArmed}) {
-    const std::string mode =
-        steal == StealMode::kArmed ? "steal_armed" : "sequential";
-    SCOPED_TRACE(mode);
-    ShardedEngineOptions options;
-    options.sampler.capacity = 900;
-    options.sampler.seed = 73;
-    options.num_shards = 4;
-    options.batch_size = 64;
-    options.steal = steal;
-    options.motifs = {"tri", "4clique", "3path"};
+  ShardedEngineOptions options;
+  options.sampler.capacity = 900;
+  options.sampler.seed = 73;
+  options.num_shards = 4;
+  options.batch_size = 64;
+  options.motifs = {"tri", "4clique", "3path"};
 
-    int ticks = 0;
-    ShardedEngine engine(options);
-    engine.EstimateEvery(kEvery, CheckEachTick(&engine, &ticks));
-    for (size_t i = 0; i < half; ++i) engine.Process(stream[i]);
-    const std::filesystem::path dir = FreshDir("engine_merge", mode);
-    ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
-    for (size_t i = half; i < stream.size(); ++i) engine.Process(stream[i]);
-    engine.Finish();
-    EXPECT_EQ(ticks, static_cast<int>(stream.size() / kEvery));
-    // Thresholds rose, so ticks patched evictions as well as admissions.
-    EXPECT_GT(engine.shard(0).reservoir().threshold(), 0.0);
-    ExpectFinalMatchesFreshUnion(engine);
+  int ticks = 0;
+  ShardedEngine engine(options);
+  engine.EstimateEvery(kEvery, CheckEachTick(&engine, &ticks));
+  for (size_t i = 0; i < half; ++i) engine.Process(stream[i]);
+  const std::filesystem::path dir = FreshDir("engine_merge", "sequential");
+  ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+  for (size_t i = half; i < stream.size(); ++i) engine.Process(stream[i]);
+  engine.Finish();
+  EXPECT_EQ(ticks, static_cast<int>(stream.size() / kEvery));
+  // Thresholds rose, so ticks patched evictions as well as admissions.
+  EXPECT_GT(engine.shard(0).reservoir().threshold(), 0.0);
+  ExpectFinalMatchesFreshUnion(engine);
 
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(
-        std::vector<std::string>{ManifestPath(dir)});
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    ShardedEngine& continued = **resumed;
-    ticks = 0;
-    continued.EstimateEvery(kEvery, CheckEachTick(&continued, &ticks));
-    for (size_t i = half; i < stream.size(); ++i) continued.Process(stream[i]);
-    continued.Finish();
-    EXPECT_GT(ticks, 0);
-    ExpectFinalMatchesFreshUnion(continued);
-  }
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(
+      std::vector<std::string>{ManifestPath(dir)});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ShardedEngine& continued = **resumed;
+  ticks = 0;
+  continued.EstimateEvery(kEvery, CheckEachTick(&continued, &ticks));
+  for (size_t i = half; i < stream.size(); ++i) continued.Process(stream[i]);
+  continued.Finish();
+  EXPECT_GT(ticks, 0);
+  ExpectFinalMatchesFreshUnion(continued);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Observability subsystem contracts (util/metrics.h, util/trace.h, and
 // their engine instrumentation).
 //
-// The load-bearing property mirrors the steal scheduler's: observation
-// must be invisible. Metrics and tracing never feed back into sampling
-// decisions, so a run with a trace sink attached and mid-stream metric
-// snapshots taken is byte-identical (shard reservoirs, merged estimates)
-// to a bare run. The suite also pins the primitive semantics the engine
-// counters rely on — power-of-two histogram bucketing, same-name
-// aggregation (sum counters/buckets, max gauges) — and the steal-off
-// invariant that no steal metric moves unless a thief actually fires.
+// The load-bearing property: observation must be invisible. Metrics and
+// tracing never feed back into sampling decisions, so a run with a trace
+// sink attached and mid-stream metric snapshots taken is byte-identical
+// (shard reservoirs, merged estimates) to a bare run. The suite also pins
+// the primitive semantics the engine counters rely on — power-of-two
+// histogram bucketing and same-name aggregation (sum counters/buckets,
+// max gauges).
 //
 // Runs under TSan in CI (name matches the engine_ test regex): snapshot
 // aggregation races against live relaxed-atomic writers by design.
@@ -44,14 +43,12 @@ std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
 }
 
 ShardedEngineOptions EngineOptions(uint32_t shards, size_t capacity,
-                                   uint64_t seed,
-                                   StealMode steal = StealMode::kDisabled) {
+                                   uint64_t seed) {
   ShardedEngineOptions options;
   options.sampler.capacity = capacity;
   options.sampler.seed = seed;
   options.num_shards = shards;
   options.batch_size = 64;
-  options.steal = steal;
   return options;
 }
 
@@ -199,11 +196,8 @@ TEST(EngineMetricsTest, MonitorRecordCarriesSnapshot) {
   EXPECT_GT(seen.back().CounterOr0("reservoir.admissions"), 0u);
 }
 
-// Observation must be invisible in sequential mode: a run with tracing
-// attached and metrics snapshot-drained mid-stream ends byte-identical
-// to a bare run. (In steal modes a mid-stream snapshot drains and thus
-// flushes partial batches — part of the batch partition, like the
-// monitor hook; that contract is covered by the next test.)
+// Observation must be invisible: a run with tracing attached and metrics
+// snapshot-drained mid-stream ends byte-identical to a bare run.
 TEST(EngineMetricsTest, ObservationPreservesByteIdentity) {
   const std::vector<Edge> stream = TestStream(800, 8, 31, 32);
   ShardedEngine plain(EngineOptions(4, 250, 9));
@@ -233,66 +227,6 @@ TEST(EngineMetricsTest, ObservationPreservesByteIdentity) {
   ExpectExactlyEqual(plain.MergedEstimates(), observed.MergedEstimates());
 }
 
-// Steal contract with observability on: kArmed and kActive stay
-// byte-identical to each other under identical trace sinks and snapshot
-// points (the batch partition is the same; who processes a batch and
-// whether anyone watches is invisible).
-TEST(EngineMetricsTest, StealOnOffByteIdenticalUnderObservation) {
-  const std::vector<Edge> stream = TestStream(800, 8, 31, 32);
-  auto run = [&](StealMode steal) {
-    TraceEventSink sink;
-    ShardedEngineOptions options = EngineOptions(4, 250, 9, steal);
-    options.trace = &sink;
-    ShardedEngine engine(options);
-    size_t processed = 0;
-    std::vector<std::string> reservoirs;
-    for (const Edge& e : stream) {
-      engine.Process(e);
-      if (++processed == stream.size() / 2) engine.SnapshotMetrics();
-    }
-    engine.Finish();
-    engine.SnapshotMetrics();
-    for (uint32_t s = 0; s < 4; ++s) {
-      reservoirs.push_back(ReservoirBytes(engine.shard(s).reservoir()));
-    }
-    return reservoirs;
-  };
-  EXPECT_EQ(run(StealMode::kArmed), run(StealMode::kActive));
-}
-
-// Steal-off invariants: without an armed scheduler no steal machinery may
-// run, and an armed scheduler without load imbalance pressure must still
-// report zero thefts through BOTH surfaces (engine API and metrics).
-TEST(EngineMetricsTest, StealDisabledMeansZeroStealMetrics) {
-  const std::vector<Edge> stream = TestStream(500, 8, 41, 42);
-  for (const uint32_t shards : {1u, 4u}) {
-    ShardedEngine engine(
-        EngineOptions(shards, 150, 3, StealMode::kDisabled));
-    for (const Edge& e : stream) engine.Process(e);
-    engine.Finish();
-    EXPECT_EQ(engine.StealsPerformed(), 0u) << "K=" << shards;
-    const MetricsSnapshot snap = engine.SnapshotMetrics();
-    EXPECT_EQ(snap.CounterOr0("worker.batches_stolen"), 0u)
-        << "K=" << shards;
-    EXPECT_EQ(snap.CounterOr0("worker.batches_rebound"), 0u)
-        << "K=" << shards;
-    for (uint32_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(engine.shard(s).worker_metrics().batches_stolen.Value(), 0u)
-          << "K=" << shards << " shard " << s;
-    }
-  }
-}
-
-TEST(EngineMetricsTest, ArmedSchedulerStealsNothingWithoutThieves) {
-  const std::vector<Edge> stream = TestStream(500, 8, 41, 42);
-  ShardedEngine engine(EngineOptions(4, 150, 3, StealMode::kArmed));
-  for (const Edge& e : stream) engine.Process(e);
-  engine.Finish();
-  EXPECT_EQ(engine.StealsPerformed(), 0u);
-  EXPECT_EQ(engine.SnapshotMetrics().CounterOr0("worker.batches_stolen"),
-            0u);
-}
-
 // ---------------------------------------------------------------------------
 // Trace sink.
 
@@ -319,7 +253,7 @@ TEST(TraceTest, WriteJsonEmitsThreadNamesAndSpans) {
     TraceSpan span(&sink, buf, "batch");
     span.SetArg("edges", 64);
   }
-  { TraceSpan span(&sink, buf, "steal"); }
+  { TraceSpan span(&sink, buf, "checkpoint"); }
   ASSERT_EQ(sink.SpanCount(), 2u);
   EXPECT_EQ(sink.DroppedCount(), 0u);
   ASSERT_TRUE(sink.WriteJson(path).ok());

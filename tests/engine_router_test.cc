@@ -1,32 +1,35 @@
-// Parallel deterministic edge-router contracts (engine/router.h).
+// Producer route-and-batch contracts (ShardedEngine::RouteOne and the
+// block entry points built on it).
 //
 // The load-bearing property: routing is a pure per-edge function and the
-// sequencer replays block order with exact batch_size splits, so HOW MANY
-// router threads scattered the blocks is invisible — R router threads
-// produce byte-identical shard reservoirs, merged estimates, motif
-// statistics, and checkpoint manifests to the classic single producer
-// (R=1), for any block slicing, and compose with the steal scheduler's
-// on==off and the engine's K=1 contracts unchanged.
+// producer replays stream order with exact batch_size splits, so HOW the
+// stream reaches the engine is invisible — ProcessBlock in any slicing,
+// ProcessEdges, and Process interleaved with blocks give byte-identical
+// shard reservoirs, merged estimates and motif statistics to the per-edge
+// loop; monitor ticks and auto-checkpoints land at the same absolute
+// positions mid-block; IngestBinaryStream names a corrupt block; and core
+// pinning is placement only (byte-identical, one named warning when
+// unavailable).
 //
 // The suite runs under TSan and ASan in CI (ci.yml / scripts/check.sh):
-// the router hand-off (mutex-guarded job queue, completion map, shell
-// recycling) is exactly the code a data race would corrupt silently, and
-// the zero-copy block spans alias an mmap whose lifetime the fence rules
-// guard.
+// block spans alias the producer's input (and the mmap on the
+// binary-ingest path) while edges are routed into the shard rings.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/ingest.h"
-#include "engine/router.h"
 #include "engine/sharded_engine.h"
 #include "engine_test_util.h"
 #include "gen/generators.h"
@@ -49,21 +52,17 @@ std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
   return MakePermutedStream(graph, stream_seed);
 }
 
-ShardedEngineOptions RouterOptions(uint32_t shards, uint32_t routers,
-                                   size_t capacity = 300,
-                                   size_t batch_size = 64) {
+ShardedEngineOptions BlockOptions(uint32_t shards) {
   ShardedEngineOptions options;
-  options.sampler.capacity = capacity;
+  options.sampler.capacity = 300;
   options.sampler.seed = 11;
   options.num_shards = shards;
-  options.batch_size = batch_size;
-  options.router_threads = routers;
+  options.batch_size = 64;
   return options;
 }
 
 /// Feeds the stream through ProcessBlock in `block_edges`-sized spans —
-/// small odd blocks, so the sequencer sees many blocks whose boundaries
-/// never align with batch_size.
+/// small odd blocks whose boundaries never align with batch_size.
 void FeedBlocks(ShardedEngine& engine, const std::vector<Edge>& stream,
                 size_t block_edges) {
   std::span<const Edge> remaining(stream);
@@ -78,16 +77,11 @@ struct EngineState {
   std::vector<std::string> reservoirs;
   GraphEstimates merged;
   std::vector<MotifEstimate> motifs;
-  uint64_t blocks_routed = 0;
-  uint64_t sequencer_stalls = 0;
 };
 
 EngineState CaptureState(ShardedEngine& engine) {
   engine.Finish();
   EngineState state;
-  const MetricsSnapshot snapshot = engine.SnapshotMetrics();
-  state.blocks_routed = snapshot.CounterOr0("router.blocks_routed");
-  state.sequencer_stalls = snapshot.CounterOr0("router.sequencer_stalls");
   for (uint32_t s = 0; s < engine.num_shards(); ++s) {
     state.reservoirs.push_back(ReservoirBytes(engine.shard(s).reservoir()));
   }
@@ -98,10 +92,8 @@ EngineState CaptureState(ShardedEngine& engine) {
 
 void ExpectSameState(const EngineState& a, const EngineState& b,
                      const std::string& what) {
-  ASSERT_EQ(a.reservoirs.size(), b.reservoirs.size()) << what;
-  for (size_t s = 0; s < a.reservoirs.size(); ++s) {
-    EXPECT_EQ(a.reservoirs[s], b.reservoirs[s]) << what << " shard " << s;
-  }
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.reservoirs, b.reservoirs);
   ExpectExactlyEqual(a.merged, b.merged);
   ExpectMotifsExactlyEqual(a.motifs, b.motifs);
 }
@@ -120,91 +112,37 @@ std::map<std::string, std::string> DirBytes(
   return files;
 }
 
-TEST(RouterIdentity, AnyRouterCountMatchesSerialProducer) {
+TEST(RouterIdentity, ProcessBlockAndProcessEdgesMatchPerEdgeLoop) {
   const std::vector<Edge> stream = TestStream(400, 8, 21, 22);
-  // Baseline: the classic per-edge single-producer path.
-  ShardedEngineOptions base = RouterOptions(4, 1);
-  base.motifs = {"4clique", "3path"};
-  ShardedEngine serial(base);
-  for (const Edge& e : stream) serial.Process(e);
-  const EngineState want = CaptureState(serial);
+  for (const uint32_t shards : {1u, 4u}) {
+    const std::string k = "K=" + std::to_string(shards) + " ";
+    ShardedEngineOptions options = BlockOptions(shards);
+    options.motifs = {"4clique", "3path"};
+    ShardedEngine per_edge(options);
+    for (const Edge& e : stream) per_edge.Process(e);
+    const EngineState want = CaptureState(per_edge);
 
-  for (const uint32_t routers : {1u, 2u, 4u}) {
     for (const size_t block : {size_t{97}, size_t{1024}}) {
-      ShardedEngineOptions options = RouterOptions(4, routers);
-      options.motifs = {"4clique", "3path"};
       ShardedEngine engine(options);
-      EXPECT_EQ(engine.active_routers(), routers >= 2 ? routers : 0u);
       FeedBlocks(engine, stream, block);
-      const EngineState got = CaptureState(engine);
-      const std::string what = "R=" + std::to_string(routers) + " block=" +
-                               std::to_string(block);
-      ExpectSameState(want, got, what);
-      if (routers >= 2 && MetricsEnabled()) {
-        // The pool actually did the scattering (not a silent serial
-        // fallback) — sized to the block count fed above.
-        EXPECT_GT(got.blocks_routed, 0u) << what;
-      }
+      ExpectSameState(want, CaptureState(engine),
+                      k + "block=" + std::to_string(block));
     }
+    ShardedEngine flat(options);
+    flat.ProcessEdges(std::span<const Edge>(stream));
+    ExpectSameState(want, CaptureState(flat), k + "ProcessEdges");
   }
 }
 
-TEST(RouterIdentity, ProcessEdgesMatchesPerEdgeLoop) {
-  const std::vector<Edge> stream = TestStream(300, 8, 31, 32);
-  ShardedEngine serial(RouterOptions(3, 1));
-  for (const Edge& e : stream) serial.Process(e);
-  const EngineState want = CaptureState(serial);
-
-  for (const uint32_t routers : {1u, 4u}) {
-    ShardedEngine engine(RouterOptions(3, routers));
-    engine.ProcessEdges(std::span<const Edge>(stream));
-    ExpectSameState(want, CaptureState(engine),
-                    "ProcessEdges R=" + std::to_string(routers));
-  }
-}
-
-TEST(RouterIdentity, SingleShardKeepsSerialContract) {
-  const std::vector<Edge> stream = TestStream(200, 8, 41, 42);
-  ShardedEngine serial(RouterOptions(1, 1));
-  for (const Edge& e : stream) serial.Process(e);
-  const EngineState want = CaptureState(serial);
-
-  ShardedEngine engine(RouterOptions(1, 4));
-  FeedBlocks(engine, stream, 113);
-  ExpectSameState(want, CaptureState(engine), "K=1 R=4");
-}
-
-TEST(RouterIdentity, ComposesWithStealOnOffContract) {
-  const std::vector<Edge> stream = TestStream(400, 10, 51, 52);
-  // Skewed routing so thieves actually fire; small batches so the
-  // substream boundaries — which the sequencer must reproduce exactly —
-  // fall mid-block everywhere.
-  std::vector<EngineState> states;
-  for (const StealMode steal : {StealMode::kArmed, StealMode::kActive}) {
-    for (const uint32_t routers : {1u, 4u}) {
-      ShardedEngineOptions options = RouterOptions(4, routers, 300, 32);
-      options.steal = steal;
-      options.shard_skew = 1.5;
-      ShardedEngine engine(options);
-      FeedBlocks(engine, stream, 211);
-      states.push_back(CaptureState(engine));
-    }
-  }
-  for (size_t i = 1; i < states.size(); ++i) {
-    ExpectSameState(states[0], states[i],
-                    "steal x router combination " + std::to_string(i));
-  }
-}
-
-TEST(RouterIdentity, PerEdgeProcessInterleavedWithBlocksFences) {
+TEST(RouterIdentity, PerEdgeProcessInterleavedWithBlocks) {
   const std::vector<Edge> stream = TestStream(300, 8, 61, 62);
-  ShardedEngine serial(RouterOptions(2, 1));
-  for (const Edge& e : stream) serial.Process(e);
-  const EngineState want = CaptureState(serial);
+  ShardedEngine per_edge(BlockOptions(2));
+  for (const Edge& e : stream) per_edge.Process(e);
+  const EngineState want = CaptureState(per_edge);
 
-  // Alternate block and per-edge feeding: the per-edge path must fence
-  // outstanding routed blocks so stream order is preserved.
-  ShardedEngine engine(RouterOptions(2, 2));
+  // Alternate block and per-edge feeding: both go through the one
+  // route-and-batch step, so the open batches carry across the switch.
+  ShardedEngine engine(BlockOptions(2));
   std::span<const Edge> remaining(stream);
   bool as_block = true;
   while (!remaining.empty()) {
@@ -218,31 +156,6 @@ TEST(RouterIdentity, PerEdgeProcessInterleavedWithBlocksFences) {
     remaining = remaining.subspan(take);
   }
   ExpectSameState(want, CaptureState(engine), "interleaved feed");
-}
-
-TEST(RouterIdentity, BinaryIngestMatchesTextAcrossRouterCounts) {
-  const std::vector<Edge> stream = TestStream(400, 8, 71, 72);
-  const std::filesystem::path dir = FreshDir("router_ingest", "bin");
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "stream.gps").string();
-  BinaryStreamWriteOptions write_options;
-  write_options.block_edges = 251;  // many small blocks
-  ASSERT_TRUE(WriteBinaryStream(path, stream, write_options).ok());
-
-  ShardedEngine serial(RouterOptions(4, 1));
-  for (const Edge& e : stream) serial.Process(e);
-  const EngineState want = CaptureState(serial);
-
-  for (const uint32_t routers : {1u, 2u, 4u}) {
-    // The mmap'd reader dies inside IngestBinaryStream — the fence rules
-    // must leave no aliased span behind (ASan would catch a violation).
-    ShardedEngine engine(RouterOptions(4, routers));
-    auto fed = IngestBinaryStream(path, engine);
-    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-    EXPECT_EQ(*fed, stream.size());
-    ExpectSameState(want, CaptureState(engine),
-                    "binary R=" + std::to_string(routers));
-  }
 }
 
 TEST(RouterIngest, BlockReadFailureNamesTheBlock) {
@@ -264,7 +177,7 @@ TEST(RouterIngest, BlockReadFailureNamesTheBlock) {
     byte = static_cast<char>(byte ^ 0x20);
     f.write(&byte, 1);
   }
-  ShardedEngine engine(RouterOptions(2, 2));
+  ShardedEngine engine(BlockOptions(2));
   auto fed = IngestBinaryStream(path, engine);
   ASSERT_FALSE(fed.ok());
   EXPECT_NE(fed.status().ToString().find("block 1"), std::string::npos)
@@ -272,16 +185,14 @@ TEST(RouterIngest, BlockReadFailureNamesTheBlock) {
   engine.Finish();
 }
 
-// ---- Monitor / checkpoint hooks on the block path (exact cadence) ------
-
 TEST(RouterHooks, MonitorFiresAtExactPositionsMidBlock) {
   const std::vector<Edge> stream = TestStream(300, 8, 91, 92);
   // Cadence 500 never aligns with 173-edge blocks: every tick lands
-  // mid-block, forcing the hook-position split.
+  // mid-block.
   constexpr uint64_t kEvery = 500;
-  const auto run = [&](uint32_t routers, bool per_edge) {
+  const auto run = [&](bool per_edge) {
     std::vector<std::pair<uint64_t, double>> ticks;
-    ShardedEngine engine(RouterOptions(3, routers));
+    ShardedEngine engine(BlockOptions(3));
     engine.EstimateEvery(kEvery, [&](const MonitorRecord& record) {
       ticks.emplace_back(record.edges_processed,
                          record.estimates.triangles.value);
@@ -295,30 +206,20 @@ TEST(RouterHooks, MonitorFiresAtExactPositionsMidBlock) {
     return ticks;
   };
 
-  const auto want = run(1, /*per_edge=*/true);
+  const auto want = run(/*per_edge=*/true);
   ASSERT_EQ(want.size(), stream.size() / kEvery);
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].first, (i + 1) * kEvery);
   }
-  // Block path (serial and routed) fires at the same absolute positions
-  // with bit-identical estimates.
-  for (const uint32_t routers : {1u, 2u, 4u}) {
-    const auto got = run(routers, /*per_edge=*/false);
-    ASSERT_EQ(got.size(), want.size()) << "R=" << routers;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].first, want[i].first) << "R=" << routers;
-      EXPECT_EQ(got[i].second, want[i].second) << "R=" << routers;
-    }
-  }
+  EXPECT_EQ(run(/*per_edge=*/false), want);
 }
 
 TEST(RouterHooks, AutoCheckpointMidBlockMatchesPerEdgeFeed) {
   const std::vector<Edge> stream = TestStream(300, 8, 93, 94);
   constexpr uint64_t kEvery = 700;  // lands mid-block for 173-edge blocks
-  const auto run = [&](uint32_t routers, bool per_edge,
-                       const std::string& tag) {
+  const auto run = [&](bool per_edge, const std::string& tag) {
     const std::filesystem::path dir = FreshDir("router_ckpt", tag);
-    ShardedEngine engine(RouterOptions(2, routers));
+    ShardedEngine engine(BlockOptions(2));
     EXPECT_TRUE(engine.CheckpointEvery(kEvery, dir.string()).ok());
     if (per_edge) {
       for (const Edge& e : stream) engine.Process(e);
@@ -329,25 +230,20 @@ TEST(RouterHooks, AutoCheckpointMidBlockMatchesPerEdgeFeed) {
     EXPECT_TRUE(engine.auto_checkpoint_status().ok());
     return DirBytes(dir);
   };
-  // The LAST periodic checkpoint is what survives in the directory; all
-  // three feeds must leave byte-identical resume points.
-  const auto want = run(1, /*per_edge=*/true, "per_edge");
+  // The last periodic checkpoint is what survives in the directory; both
+  // feeds must leave byte-identical resume points.
+  const auto want = run(/*per_edge=*/true, "per_edge");
   EXPECT_FALSE(want.empty());
-  const auto serial_block = run(1, /*per_edge=*/false, "serial_block");
-  const auto routed_block = run(4, /*per_edge=*/false, "routed_block");
-  EXPECT_EQ(want, serial_block);
-  EXPECT_EQ(want, routed_block);
+  EXPECT_EQ(run(/*per_edge=*/false, "block"), want);
 }
-
-// ---- Core pinning (placement only, graceful degradation) ---------------
 
 TEST(RouterPinning, PinnedRunIsByteIdenticalToUnpinned) {
   const std::vector<Edge> stream = TestStream(300, 8, 95, 96);
-  ShardedEngine unpinned(RouterOptions(2, 2));
+  ShardedEngine unpinned(BlockOptions(2));
   FeedBlocks(unpinned, stream, 173);
   const EngineState want = CaptureState(unpinned);
 
-  ShardedEngineOptions options = RouterOptions(2, 2);
+  ShardedEngineOptions options = BlockOptions(2);
   options.pin_threads = true;
   ShardedEngine pinned(options);  // may fall back (warned) — still runs
   FeedBlocks(pinned, stream, 173);
@@ -356,11 +252,11 @@ TEST(RouterPinning, PinnedRunIsByteIdenticalToUnpinned) {
 
 TEST(RouterPinning, AppliesCleanlyWhereAffinityIsAvailable) {
   // Probe the syscall the engine uses: where containers deny affinity (or
-  // the mask is too small for the thread count), skip by name — the
-  // graceful-degradation path is covered by the test above.
+  // the mask is smaller than the two workers), skip by name — the
+  // degradation path is covered by the other pinning tests.
   const std::vector<int> cpus = AvailableCpus();
-  if (cpus.size() < 4) {
-    GTEST_SKIP() << "needs >= 4 schedulable cpus, have " << cpus.size();
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "needs >= 2 schedulable cpus, have " << cpus.size();
   }
   {
     std::thread probe([] {});
@@ -370,7 +266,7 @@ TEST(RouterPinning, AppliesCleanlyWhereAffinityIsAvailable) {
       GTEST_SKIP() << "affinity syscall denied: " << pin.ToString();
     }
   }
-  ShardedEngineOptions options = RouterOptions(2, 2);
+  ShardedEngineOptions options = BlockOptions(2);
   options.pin_threads = true;
   ShardedEngine engine(options);
   EXPECT_EQ(engine.pin_warning(), "");
@@ -380,84 +276,28 @@ TEST(RouterPinning, AppliesCleanlyWhereAffinityIsAvailable) {
 }
 
 TEST(RouterPinning, WarnsOnceWhenMaskIsTooSmall) {
-  const std::vector<int> cpus = AvailableCpus();
-  // 64 workers + 64 routers exceeds any plausible CI mask; if the host
-  // really has 128+ schedulable cpus there is nothing to degrade.
-  if (cpus.size() >= 128) {
-    GTEST_SKIP() << "mask too large to force degradation";
-  }
-  ShardedEngineOptions options = RouterOptions(1, 1, 50);
-  options.num_shards = 64;
-  options.router_threads = 64;
+  // One worker more than the mask has cpus.
+  const size_t cpus = AvailableCpus().size();
+  const auto shards = static_cast<uint32_t>(cpus + 1);
+  ShardedEngineOptions options = BlockOptions(shards);
+  options.sampler.capacity = 50 * (cpus + 1);
   options.pin_threads = true;
-  ShardedEngine engine(options);
-  EXPECT_NE(engine.pin_warning().find("core pinning disabled"),
-            std::string::npos)
-      << engine.pin_warning();
-  engine.Finish();
-}
-
-// ---- RouterPool unit-level behavior ------------------------------------
-
-TEST(RouterPool, SequencesBlocksInSubmissionOrder) {
-  RouterPool::Options options;
-  options.routers = 4;
-  options.num_shards = 2;
-  options.route = EdgeRouter{2};
-  RouterPool pool(options);
-
-  std::vector<Edge> edges;
-  for (uint32_t i = 0; i < 1000; ++i) edges.push_back({i, i + 1});
-  const size_t kBlock = 100;
-  size_t submitted = 0;
-  uint64_t next_index = 0;
-  RoutedBlock block;
-  while (submitted < edges.size()) {
-    const std::span<const Edge> slice(edges.data() + submitted, kBlock);
-    while (!pool.TrySubmitBlock(slice)) {
-      pool.PopSequenced(&block);
-      EXPECT_EQ(block.index, next_index++);
-      pool.RecycleShell(std::move(block));
-    }
-    submitted += kBlock;
+  ::testing::internal::CaptureStderr();
+  {
+    ShardedEngine engine(options);
+    FeedBlocks(engine, TestStream(200, 8, 99, 100), 173);
+    engine.Finish();
+    EXPECT_NE(engine.pin_warning().find("core pinning disabled: " +
+                                        std::to_string(cpus) +
+                                        " schedulable cpus"),
+              std::string::npos)
+        << engine.pin_warning();
   }
-  while (pool.blocks_outstanding() != 0) {
-    pool.PopSequenced(&block);
-    EXPECT_EQ(block.index, next_index++);
-    // In-block order per shard, and the route matches EdgeRouter.
-    size_t total = 0;
-    for (uint32_t s = 0; s < 2; ++s) {
-      for (size_t i = 0; i < block.per_shard[s].size(); ++i) {
-        EXPECT_EQ(options.route.Route(block.per_shard[s].edge(i)), s);
-      }
-      total += block.per_shard[s].size();
-    }
-    EXPECT_EQ(total, kBlock);
-    pool.RecycleShell(std::move(block));
-  }
-  EXPECT_EQ(next_index, edges.size() / kBlock);
-  pool.Close();
-}
-
-TEST(RouterPool, EmptyBlocksAreIgnored) {
-  RouterPool::Options options;
-  options.routers = 2;
-  options.num_shards = 2;
-  options.route = EdgeRouter{2};
-  RouterPool pool(options);
-  EXPECT_TRUE(pool.TrySubmitBlock({}));
-  EXPECT_EQ(pool.blocks_outstanding(), 0u);
-  pool.Close();
-}
-
-TEST(RouterPool, EdgeRouterMatchesEngineStaticRoute) {
-  const std::vector<Edge> stream = TestStream(100, 6, 99, 100);
-  for (const uint32_t k : {1u, 2u, 7u}) {
-    const EdgeRouter route{k};
-    for (const Edge& e : stream) {
-      EXPECT_EQ(route.Route(e), ShardedEngine::ShardOfEdge(e, k));
-    }
-  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::string warning = "warning: core pinning disabled";
+  const size_t first = err.find(warning);
+  ASSERT_NE(first, std::string::npos) << err;
+  EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
 }
 
 }  // namespace

@@ -14,10 +14,15 @@
 // Monitoring: EstimateEvery() samples the exact stream positions asked
 // for, each sample equals a fresh prefix-only run's merged estimates, and
 // monitoring never perturbs the sample path.
+//
+// The block entry points (ProcessBlock/ProcessEdges) and core pinning are
+// covered in tests/engine_router_test.cc.
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,6 +97,30 @@ TEST(ShardOfEdgeTest, SpreadsRoughlyEvenly) {
   for (int c : counts) {
     EXPECT_GT(c, 0.8 * expected);
     EXPECT_LT(c, 1.2 * expected);
+  }
+}
+
+TEST(ShardOfEdgeTest, RouteIsPinnedBitForBit) {
+  // The partition is part of every sharded checkpoint: a resumed run must
+  // route the rest of the stream exactly as the interrupted one did. FNV
+  // folds of the route over a fixed edge grid, recorded from the
+  // SplitMix64 + Lemire route as first released.
+  const std::pair<uint32_t, uint64_t> kGolden[] = {
+      {2, 0x7bef6f0fe11b91d4ull}, {3, 0x23f4530f3910bdbdull},
+      {4, 0xf4ba6afe33b43600ull}, {7, 0x9f3b2443caa50970ull},
+      {8, 0x7dc31fb967a2b46bull}, {64, 0x063ae5be9e99b70dull}};
+  for (const auto& [k, want] : kGolden) {
+    uint64_t h = 1469598103934665603ull;
+    for (NodeId u = 0; u < 300; ++u) {
+      for (NodeId v = u + 1; v < 300; v += 3) {
+        h = (h ^ ShardedEngine::ShardOfEdge(Edge{u, v}, k)) *
+            1099511628211ull;
+      }
+    }
+    const NodeId big = 4000000000u;
+    h = (h ^ ShardedEngine::ShardOfEdge(Edge{big, big - 1}, k)) *
+        1099511628211ull;
+    EXPECT_EQ(h, want) << "K=" << k;
   }
 }
 

@@ -273,13 +273,6 @@ TEST(IntersectKernelTest, MetricsAttributeCallsToTheChosenKernel) {
   EXPECT_EQ(metrics.gallop_calls.Value(), 1u);
   // 8-vs-4096 galloping touches a tiny fraction of the large block.
   EXPECT_GT(metrics.comparisons_saved.Value(), 3000u);
-
-  IntersectMetrics absorbed;
-  absorbed.Absorb(metrics);
-  EXPECT_EQ(absorbed.merge_calls.Value(), 1u);
-  EXPECT_EQ(absorbed.gallop_calls.Value(), 1u);
-  EXPECT_EQ(absorbed.comparisons_saved.Value(),
-            metrics.comparisons_saved.Value());
 }
 
 TEST(IntersectKernelTest, SampledGraphCommonNeighborsUseKernels) {

@@ -52,7 +52,7 @@
 //       build type, and whether metrics instrumentation is compiled in.
 //
 // Observability (estimate and monitor): --stats prints an aggregated
-// metrics snapshot (ring backpressure, scheduler activity, sampling
+// metrics snapshot (ring backpressure, worker activity, sampling
 // internals) after the run; --stats-out FILE writes it as JSON instead;
 // --trace FILE records per-worker Chrome trace_event spans loadable in
 // chrome://tracing or Perfetto. All observation-only: estimates are
@@ -201,26 +201,18 @@ int Usage() {
       "  estimate --input FILE [--capacity N | --mem BYTES] [--seed S]\n"
       "           [--weight uniform|adjacency|triangle|triangle-wedge]\n"
       "           [--estimator in-stream|post|both] [--no-permute]\n"
-      "           [--shards K] [--batch B] [--threads T] [--steal on|off]\n"
-      "           [--routers R] [--pin on|off]\n"
+      "           [--shards K] [--batch B] [--threads T] [--pin on|off]\n"
       "           [--motifs tri,wedge,4clique,3path,4cycle,5clique,\n"
       "            tailed_triangle]\n"
       "           [--degree NODE ...]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
-      "           [--checkpoint FILE]  (a directory with --shards K>1,\n"
-      "           --motifs, or --steal)\n"
+      "           [--checkpoint FILE]  (a directory with --shards K>1\n"
+      "           or --motifs)\n"
       "           --threads T: threads of a serial run's post-stream\n"
       "           pass; every T prints the same bytes\n"
-      "           --steal on: idle shard workers steal batches from\n"
-      "           overloaded peers; off: same deterministic\n"
-      "           batch-substream scheduler, no stealing (byte-identical\n"
-      "           results); omit for the classic sequential path\n"
-      "           --routers R: R >= 2 scatters ingest blocks across R\n"
-      "           router threads; any R is byte-identical to R=1 (the\n"
-      "           classic single-producer path)\n"
-      "           --pin on: pin shard workers and router threads to\n"
-      "           distinct cores (placement only; warns and runs unpinned\n"
-      "           where the affinity syscall is denied)\n"
+      "           --pin on: pin the shard workers to distinct cores\n"
+      "           (placement only; warns and runs unpinned where the\n"
+      "           affinity syscall is denied)\n"
       "           --mem BYTES (e.g. 512M, 2G): derive the reservoir\n"
       "           capacity from a memory budget instead of --capacity;\n"
       "           the allocation report prints on stderr at startup\n"
@@ -231,16 +223,14 @@ int Usage() {
       "           [--motifs LIST]  (cross-checked against the manifest)\n"
       "  monitor  --input FILE --every N [--capacity N | --mem BYTES]\n"
       "           [--seed S]\n"
-      "           [--weight KIND] [--shards K] [--batch B]\n"
-      "           [--steal on|off] [--routers R] [--pin on|off]\n"
+      "           [--weight KIND] [--shards K] [--batch B] [--pin on|off]\n"
       "           [--motifs LIST] [--output csv|table]\n"
       "           [--no-permute] [--checkpoint-every M --checkpoint DIR]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
       "  checkpoint-shards --input FILE --out DIR\n"
       "           [--capacity N | --mem BYTES]\n"
       "           [--seed S] [--weight KIND] [--shards K] [--batch B]\n"
-      "           [--steal on|off] [--routers R] [--pin on|off]\n"
-      "           [--motifs LIST] [--no-permute]\n"
+      "           [--pin on|off] [--motifs LIST] [--no-permute]\n"
       "  merge-checkpoints --manifest FILE [--manifest FILE ...]\n"
       "  convert  --input FILE --output FILE [--to auto|binary|text]\n"
       "           [--input-format auto|text|binary] [--block-edges N]\n"
@@ -513,8 +503,6 @@ struct ShardedRunConfig {
   uint64_t shards = 1;
   uint64_t batch = 1024;
   std::vector<std::string> motifs;
-  StealMode steal = StealMode::kDisabled;
-  uint64_t routers = 1;
   bool pin = false;
 };
 
@@ -568,32 +556,6 @@ bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
     return false;
   }
   out->sampler.capacity = capacity;
-  // The work-stealing scheduler: "--steal on" activates thieves, "--steal
-  // off" arms the same deterministic batch-substream scheduler without
-  // them (the two are byte-identical by contract — src/engine/README.md);
-  // omitting the flag keeps the classic sequential per-shard path.
-  if (flags.Has("steal")) {
-    const std::string steal = flags.Get("steal", "");
-    if (steal == "on") {
-      out->steal = StealMode::kActive;
-    } else if (steal == "off") {
-      out->steal = StealMode::kArmed;
-    } else {
-      std::fprintf(stderr,
-                   "error: flag '--steal' expects on or off, got '%s'\n",
-                   steal.c_str());
-      return false;
-    }
-  }
-  // Parallel edge routing: "--routers N" with N >= 2 scatters ingest
-  // blocks across N router threads (deterministic — any N is
-  // byte-identical to N=1 by the engine contract); 1 is the classic
-  // single-producer path.
-  if (!GetPositiveFlag(flags, "routers", 1, &out->routers)) return false;
-  if (out->routers > 256) {
-    std::fprintf(stderr, "error: --routers must be in [1, 256]\n");
-    return false;
-  }
   if (flags.Has("pin")) {
     const std::string pin = flags.Get("pin", "");
     if (pin == "on") {
@@ -616,8 +578,6 @@ ShardedEngineOptions MakeEngineOptions(const ShardedRunConfig& config) {
   options.num_shards = static_cast<uint32_t>(config.shards);
   options.batch_size = config.batch;
   options.motifs = config.motifs;
-  options.steal = config.steal;
-  options.router_threads = static_cast<uint32_t>(config.routers);
   options.pin_threads = config.pin;
   return options;
 }
@@ -679,10 +639,6 @@ void PrintShardedBanner(size_t stream_size, const ShardedRunConfig& config) {
               stream_size, config.sampler.capacity,
               static_cast<unsigned long long>(config.shards),
               static_cast<unsigned long long>(config.batch));
-  if (config.routers > 1) {
-    std::printf(", %llu routers",
-                static_cast<unsigned long long>(config.routers));
-  }
   if (config.pin) std::printf(", pinned");
   std::printf("\n");
 }
@@ -722,23 +678,15 @@ int RunEstimate(const Flags& flags) {
                  "--estimator post or --motifs)\n");
     return 1;
   }
-  if (config.steal != StealMode::kDisabled && estimator == "post") {
-    std::fprintf(stderr,
-                 "error: the steal scheduler needs in-stream shard "
-                 "estimators (drop --estimator post or --steal)\n");
-    return 1;
-  }
 
   // Motif suites always run on the engine (K >= 1): K=1 reproduces the
   // serial sample path byte for byte, and only the engine's manifest
-  // checkpoints carry motif accumulators. Likewise --steal routes through
-  // the engine (a single-shard engine bypasses the scheduler but still
-  // replays the serial path exactly), and so do --stats/--trace runs
-  // (the metrics registry and tracer are engine subsystems; observation
-  // does not perturb the sample — src/engine/README.md).
-  if (config.shards > 1 || !config.motifs.empty() ||
-      config.steal != StealMode::kDisabled || config.routers > 1 ||
-      config.pin || obs.any()) {
+  // checkpoints carry motif accumulators. Likewise --pin and
+  // --stats/--trace runs route through the engine (pinning, the metrics
+  // registry and the tracer are engine subsystems; none perturbs the
+  // sample — src/engine/README.md).
+  if (config.shards > 1 || !config.motifs.empty() || config.pin ||
+      obs.any()) {
     // Sharded engine path: K worker threads, hash-partitioned substreams,
     // merged stratified estimates (src/engine/).
     if (flags.Has("threads")) {
@@ -764,8 +712,6 @@ int RunEstimate(const Flags& flags) {
     TraceEventSink trace_sink;
     engine_options.trace = obs.trace.empty() ? nullptr : &trace_sink;
     ShardedEngine engine(engine_options);
-    // The block path: slices the stream across the router pool when
-    // --routers N >= 2, and is byte-identical to the per-edge loop.
     engine.ProcessEdges(std::span<const Edge>(*stream));
     engine.Finish();
     const auto degree_rows = [&] {
@@ -1148,13 +1094,12 @@ int RunMonitor(const Flags& flags) {
   // monitor must not stream on for hours with a silently stale
   // checkpoint — and still fail the run at the end.
   bool checkpoint_error_reported = false;
-  // Feed in router-block-sized chunks: --routers parallelism on the
-  // block path, while the sticky-checkpoint check still runs at least
-  // once per chunk (and hooks fire at their exact positions regardless —
-  // the engine splits blocks at hook boundaries).
+  // Feed in chunks so the sticky-checkpoint check runs once per chunk;
+  // hooks fire at their exact positions regardless of the chunking.
+  constexpr size_t kFeedChunkEdges = size_t{1} << 16;
   std::span<const Edge> remaining(*stream);
   while (!remaining.empty()) {
-    const size_t take = std::min(remaining.size(), kRouterSliceEdges);
+    const size_t take = std::min(remaining.size(), kFeedChunkEdges);
     engine.ProcessEdges(remaining.subspan(0, take));
     remaining = remaining.subspan(take);
     if (checkpoint_every != 0 && !checkpoint_error_reported &&
@@ -1401,8 +1346,8 @@ int main(int argc, char** argv) {
     allowed = {"input",     "capacity",  "seed",   "weight",
                "estimator", "no-permute", "shards", "batch",
                "threads",   "checkpoint", "motifs", "degree",
-               "steal",     "stats",      "stats-out", "trace",
-               "mem",       "input-format", "routers", "pin"};
+               "stats",     "stats-out",  "trace",  "mem",
+               "input-format", "pin"};
   } else if (command == "resume") {
     allowed = {"checkpoint", "input", "seed", "save", "no-permute",
                "input-format"};
@@ -1415,14 +1360,12 @@ int main(int argc, char** argv) {
                "weight", "shards",   "batch",
                "every",  "output",   "checkpoint-every",
                "checkpoint", "no-permute", "motifs",
-               "steal",  "stats",    "stats-out",
-               "trace",  "mem",      "input-format",
-               "routers", "pin"};
+               "stats",  "stats-out", "trace",
+               "mem",    "input-format", "pin"};
   } else if (command == "checkpoint-shards") {
     allowed = {"input", "capacity", "seed",      "weight",
                "shards", "batch",   "no-permute", "out",
-               "motifs", "steal",   "mem",       "input-format",
-               "routers", "pin"};
+               "motifs", "mem",     "input-format", "pin"};
   } else if (command == "merge-checkpoints") {
     allowed = {"manifest"};
   } else if (command == "convert") {
