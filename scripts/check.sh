@@ -7,6 +7,8 @@
 # engine suites — the TSan pass includes engine_metrics_test (snapshot
 # aggregation racing live relaxed-atomic writers) and engine_merge_test
 # (the multi-threaded merge passes inside monitor ticks).
+# A short traced perfbench run of orkut-monitor and amazon-binary checks
+# that the replay driver still matches the CLI byte for byte.
 # Mirrors the release + sanitize + tsan + simd-off jobs of
 # .github/workflows/ci.yml
 # (CI additionally archives BENCH_engine.json / BENCH_scaling.json per
@@ -43,6 +45,20 @@ echo "=== Engine perf smoke (JSON + baseline regression gate) ==="
   --alloc-report build/BENCH_alloc_report.txt \
   --baseline bench/BENCH_engine.baseline.json
 GPS_BENCH_SCALE=0.05 ./build/bench_scaling --json build/BENCH_scaling.json
+
+echo "=== Replay byte identity (perfbench --trace 1) ==="
+# perfbench/replay.cc drives the union API (BuildUnionSample,
+# EstimateCrossShard, EstimateMergedPostStream) the way gps_cli does, and
+# its stdout must equal the CLI's byte for byte; a short traced run of the
+# two sharded workloads fails here, not only in the benchmark pipeline.
+for workload in orkut-monitor amazon-binary; do
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+  echo "$last" | grep -q '"correct": true' || {
+    echo "perfbench replay of $workload is not correct: $last"
+    exit 1
+  }
+done
 
 echo "=== Metrics overhead gate (< 2% vs GPS_METRICS=0) ==="
 # Reuses the Release build above as the instrumented side.
@@ -90,7 +106,10 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
 # are relaxed atomics that metric snapshots read while workers run.
 # engine_merge_test runs the Algorithm-2 merge passes on several threads
-# inside monitor ticks (fixed-chunk driver + union patch).
+# inside monitor ticks (fixed-chunk driver + union patch), and the union
+# update's parallel eviction detection, record refresh and triangle-list
+# recomputation; engine_sharded_test and engine_resume_test reach the same
+# code through monitor ticks and merges.
 # engine_checkpoint_test and engine_resume_test cover the checkpoint
 # writers: SerializeShards streams the drained shards into their files on
 # the merge threads, and engine_resume_test fires CheckpointEvery inside

@@ -11,6 +11,10 @@
 //   Edge edge(SlotId) const;            // the record's canonical edge
 //   double inv_q(SlotId) const;         // 1 / its inclusion probability
 //   uint64_t stratum(SlotId) const;     // its stratum (read with SpanOnly)
+//   void ForEachTriangle(SlotId, const Edge&, Fn&&) const;
+//       // fn(slot1, slot2) per sampled triangle at the record, in exactly
+//       // the sequence IntersectTriangles emits (below)
+//   void Prefetch(SlotId) const;        // hint: inv_q/stratum read soon
 //
 // The serial reservoir is the one-stratum case: one threshold z* for every
 // edge, every subgraph counted (SpanOnly = false). The union of the shard
@@ -22,7 +26,8 @@
 // Per sampled edge k = (v1, v2), with Ŝ_J = Π_{j∈J} 1/q_j:
 //   * triangles: one adaptive intersection of the two endpoint blocks
 //     (graph/intersect.h) yields the common neighbours w in ascending
-//     order — the triangles {k, (v1,w), (v2,w)} at k (lines 5-9). Each
+//     order — the triangles {k, (v1,w), (v2,w)} at k (lines 5-9); the
+//     engine's union reads the same sequence from its triangle index. Each
 //     triangle is visited once per edge, so count and variance sums carry
 //     a final 1/3; pairs of triangles sharing exactly k are summed with a
 //     running prefix (lines 14-15) under the factor 2·inv_q·(inv_q − 1)
@@ -39,21 +44,26 @@
 //     of τ count once each.
 //
 // Cost: the partner sums take one pass over each node's sorted block
-// (O(deg), plus a sort by stratum with SpanOnly) and each edge one
+// (O(deg), times the strata at the node with SpanOnly) and each edge one
 // intersection, O(min deg · log(max deg / min deg)); the whole estimate is
-// O(m + Σ_k min{deg(v1), deg(v2)} · log m), within O(m^{3/2} log m).
+// O(m + Σ_k min{deg(v1), deg(v2)} · log m), within O(m^{3/2} log m). A
+// record set that keeps its triangles (the engine's union) replaces the
+// intersections with a read of O(triangles at k).
 //
-// Parallelism and determinism: per-edge terms are independent (the paper:
-// Algorithm 2 "already has abundant parallelism"), so both passes run on
-// the fixed-chunk driver of util/parallel_chunks.h — chunks of kChunkSize
-// over the caller's record order, per-chunk partial sums, reduction in
-// chunk order — and the bytes never depend on the thread count. Every sum
-// is a function of the record order, the records' (edge, inv_q, stratum)
-// and the neighbour-sorted blocks only, never of slot numbering or
-// insertion history, so a union patched across monitor ticks and one built
-// fresh give the same bits. Intersections pass no metrics: estimation is
-// not arrival work, and the graph's intersect.* counters keep counting
-// arrivals only.
+// Parallelism and determinism: per-node and per-edge terms are
+// independent (the paper: Algorithm 2 "already has abundant
+// parallelism"), so both passes run on the fixed-chunk driver of
+// util/parallel_chunks.h. The partner pass walks the node table in fixed
+// position ranges; each node writes only its own half of each incident
+// record, so the visiting order cannot show. The accumulate pass takes
+// chunks of kChunkSize over the caller's record order, keeps per-chunk
+// partial sums and reduces them in chunk order, so the bytes never depend
+// on the thread count. Every sum is a function of the record order, the
+// records' (edge, inv_q, stratum) and the neighbour-sorted blocks only,
+// never of slot numbering, node-table layout or insertion history, so a
+// union patched across monitor ticks and one built fresh give the same
+// bits. Intersections pass no metrics: estimation is not arrival work, and
+// the graph's intersect.* counters keep counting arrivals only.
 
 #ifndef GPS_CORE_ALGORITHM2_H_
 #define GPS_CORE_ALGORITHM2_H_
@@ -74,9 +84,17 @@
 namespace gps {
 namespace algorithm2 {
 
-/// Records per chunk of every pass. A constant: chunk boundaries must not
-/// depend on the thread count.
+/// Records per chunk of the accumulate pass. A constant: chunk boundaries
+/// must not depend on the thread count.
 inline constexpr size_t kChunkSize = 256;
+
+/// Node-table positions per chunk of the partner pass. Any range gives the
+/// same bits; the constant only sets the load balance.
+inline constexpr size_t kNodeRange = 1024;
+
+/// How many nodes ahead the partner pass prefetches the records and
+/// partner sums a block points to; blocks themselves twice as far ahead.
+inline constexpr size_t kPrefetchNodes = 4;
 
 /// Additive partial sums of Algorithm 2 over a set of sampled edges.
 struct Sums {
@@ -121,21 +139,28 @@ struct PartnerSums {
 
 /// Per-worker scratch of the partner pass.
 struct NodeScratch {
-  struct Entry {
-    uint64_t group;
-    uint32_t pos;  // index in the node's block
-    double inv_q;
-  };
   struct Group {
-    uint32_t begin;
-    uint32_t end;
-    double s;        // Σ 1/q over the group
-    double q;        // Σ 1/q² over the group
-    double later_s;  // the same over the groups after it
-    double later_q;
+    uint64_t key;    // its stratum with SpanOnly, else its entry's position
+    double s;        // Σ 1/q over the group's edges, in block order
+    double q;        // Σ 1/q² over them
+    double other_s;  // the same over every other group
+    double other_q;
   };
-  std::vector<Entry> entries;
-  std::vector<Group> groups;
+  std::vector<uint64_t> keys;  // per block entry: its group's key
+  std::vector<Group> groups;   // ascending key
+  std::vector<std::pair<NodeId, std::span<const AdjEntry>>> blocks;
+};
+
+/// The buffers of one pass. A caller that estimates again and again (the
+/// engine's union, once per monitor tick) keeps them, so later passes
+/// reuse warm pages instead of allocating and faulting in fresh ones.
+/// Nothing carries over: a pass writes every entry it reads — the partner
+/// halves of every sampled record, the scratch of every node, the partial
+/// sums of every chunk.
+struct PassBuffers {
+  std::vector<PartnerSums> partners;  // by slot
+  std::vector<NodeScratch> scratch;   // by worker
+  std::vector<Sums> partial;          // by accumulate chunk
 };
 
 template <bool SpanOnly, typename Records>
@@ -153,71 +178,96 @@ uint64_t StratumOf(const Records& records, SlotId slot) {
 /// x. Two edges at x form a counted wedge iff they lie in different groups:
 /// with SpanOnly a group is a stratum, otherwise every edge is its own
 /// group. A record's half is the OTHER groups' totals, built as (groups
-/// before) + (groups after) — never a total minus the record's own term,
-/// which would cancel when one record's 1/q dominates the node.
+/// before) + (groups after) in ascending key order — never a total minus
+/// the record's own term, which would cancel when one record's 1/q
+/// dominates the node. Each group sums its edges in block order. With
+/// SpanOnly the groups are kept sorted as they appear: O(deg · strata at x).
 template <bool SpanOnly, typename Records>
 void FillPartnerSums(const Records& records, NodeId x,
                      std::span<const AdjEntry> block, NodeScratch* scratch,
                      PartnerSums* partners) {
-  std::vector<NodeScratch::Entry>& entries = scratch->entries;
-  entries.clear();
+  using Group = NodeScratch::Group;
+  if (block.size() == 1) {  // no other group: both sums are 0.0 + 0.0
+    const AdjEntry& entry = block[0];
+    const int half = x < entry.nbr ? 0 : 1;
+    partners[entry.slot].s[half] = 0.0;
+    partners[entry.slot].q[half] = 0.0;
+    return;
+  }
+  std::vector<uint64_t>& keys = scratch->keys;
+  std::vector<Group>& groups = scratch->groups;
+  const auto by_key = [](const Group& g, uint64_t key) { return g.key < key; };
+  keys.clear();
+  groups.clear();
   for (uint32_t pos = 0; pos < block.size(); ++pos) {
     const SlotId slot = block[pos].slot;
-    const uint64_t group = SpanOnly ? StratumOf<SpanOnly>(records, slot) : pos;
-    entries.push_back({group, pos, records.inv_q(slot)});
-  }
-  if constexpr (SpanOnly) {
-    std::sort(entries.begin(), entries.end(),
-              [](const NodeScratch::Entry& a, const NodeScratch::Entry& b) {
-                return a.group != b.group ? a.group < b.group : a.pos < b.pos;
-              });
-  }
-
-  std::vector<NodeScratch::Group>& groups = scratch->groups;
-  groups.clear();
-  for (uint32_t begin = 0; begin < entries.size();) {
-    NodeScratch::Group g{begin, begin, 0.0, 0.0, 0.0, 0.0};
-    for (; g.end < entries.size() && entries[g.end].group == entries[begin].group;
-         ++g.end) {
-      const double inv_q = entries[g.end].inv_q;
-      g.s += inv_q;
-      g.q += inv_q * inv_q;
+    const double inv_q = records.inv_q(slot);
+    if constexpr (SpanOnly) {
+      const uint64_t key = records.stratum(slot);
+      keys.push_back(key);
+      auto it = std::lower_bound(groups.begin(), groups.end(), key, by_key);
+      if (it == groups.end() || it->key != key) {
+        it = groups.insert(it, Group{key, 0.0, 0.0, 0.0, 0.0});
+      }
+      it->s += inv_q;
+      it->q += inv_q * inv_q;
+    } else {
+      groups.push_back(Group{pos, inv_q, inv_q * inv_q, 0.0, 0.0});
     }
-    groups.push_back(g);
-    begin = g.end;
   }
   double later_s = 0.0, later_q = 0.0;
   for (size_t g = groups.size(); g-- > 0;) {
-    groups[g].later_s = later_s;
-    groups[g].later_q = later_q;
+    groups[g].other_s = later_s;
+    groups[g].other_q = later_q;
     later_s += groups[g].s;
     later_q += groups[g].q;
   }
   double earlier_s = 0.0, earlier_q = 0.0;
-  for (const NodeScratch::Group& g : groups) {
-    const double s = earlier_s + g.later_s;
-    const double q = earlier_q + g.later_q;
-    for (uint32_t i = g.begin; i < g.end; ++i) {
-      const AdjEntry& entry = block[entries[i].pos];
-      const int half = x < entry.nbr ? 0 : 1;
-      partners[entry.slot].s[half] = s;
-      partners[entry.slot].q[half] = q;
-    }
+  for (Group& g : groups) {
+    g.other_s = earlier_s + g.other_s;
+    g.other_q = earlier_q + g.other_q;
     earlier_s += g.s;
     earlier_q += g.q;
   }
+  for (uint32_t pos = 0; pos < block.size(); ++pos) {
+    const Group& g = [&]() -> const Group& {
+      if constexpr (SpanOnly) {
+        return *std::lower_bound(groups.begin(), groups.end(), keys[pos],
+                                 by_key);
+      } else {
+        return groups[pos];
+      }
+    }();
+    const AdjEntry& entry = block[pos];
+    const int half = x < entry.nbr ? 0 : 1;
+    partners[entry.slot].s[half] = g.other_s;
+    partners[entry.slot].q[half] = g.other_q;
+  }
+}
+
+/// Calls fn(slot1, slot2) for every sampled triangle {k, k1, k2} at
+/// sampled edge k = edge, in ascending order of its third node w, where k1
+/// lies on the endpoint with the smaller block (edge.u's on a tie): the
+/// matches of one intersection of the two endpoint blocks, smaller block
+/// first. Every ForEachTriangle must emit exactly this sequence — the sums
+/// below add in it.
+template <typename Fn>
+void IntersectTriangles(const SampledGraph& graph, const Edge& edge,
+                        Fn&& fn) {
+  std::span<const AdjEntry> block1 = graph.Neighbors(edge.u);
+  std::span<const AdjEntry> block2 = graph.Neighbors(edge.v);
+  if (block1.size() > block2.size()) std::swap(block1, block2);
+  IntersectSorted(
+      block1.data(), block1.size(), block2.data(), block2.size(),
+      /*metrics=*/nullptr,
+      [&](NodeId, SlotId slot1, SlotId slot2) { fn(slot1, slot2); });
 }
 
 /// Adds sampled edge `slot`'s terms (see the file comment) to *out.
 template <bool SpanOnly, typename Records>
 void AccumulateEdge(const Records& records, SlotId slot,
                     const PartnerSums& partners, Sums* out) {
-  const SampledGraph& graph = records.graph();
   const Edge edge = records.edge(slot);
-  // k1 = (v1, w) on the smaller-degree endpoint v1, k2 = (v2, w).
-  std::span<const AdjEntry> block1 = graph.Neighbors(edge.u);
-  std::span<const AdjEntry> block2 = graph.Neighbors(edge.v);
-  if (block1.size() > block2.size()) std::swap(block1, block2);
   const double inv_q = records.inv_q(slot);
   const uint64_t sh = StratumOf<SpanOnly>(records, slot);
 
@@ -226,24 +276,23 @@ void AccumulateEdge(const Records& records, SlotId slot,
   double ck_tri = 0.0;       // Σ over pairs of counted triangles at k
   double d_contained = 0.0;  // (triangle, counted wedge {k, k_i} inside it)
   double covb = 0.0;         // (triangle, counted wedge {k1, k2} inside it)
-  IntersectSorted(
-      block1.data(), block1.size(), block2.data(), block2.size(),
-      /*metrics=*/nullptr, [&](NodeId, SlotId slot1, SlotId slot2) {
-        const uint64_t s1 = StratumOf<SpanOnly>(records, slot1);
-        const uint64_t s2 = StratumOf<SpanOnly>(records, slot2);
-        if (SpanOnly && s1 == sh && s2 == sh) return;  // within one stratum
-        const double inv_q1 = records.inv_q(slot1);
-        const double inv_q2 = records.inv_q(slot2);
-        const double inv_q1q2 = inv_q1 * inv_q2;
-        const double est = inv_q * inv_q1q2;
-        nk_tri += est;
-        vk_tri += est * (est - 1.0);
-        ck_tri += run_tri * inv_q1q2;
-        run_tri += inv_q1q2;
-        if (!SpanOnly || s1 != sh) d_contained += inv_q1q2 * inv_q1;
-        if (!SpanOnly || s2 != sh) d_contained += inv_q1q2 * inv_q2;
-        if (!SpanOnly || s1 != s2) covb += est * (inv_q1q2 - 1.0);
-      });
+  // k1 = (v1, w) on the smaller-degree endpoint v1, k2 = (v2, w).
+  records.ForEachTriangle(slot, edge, [&](SlotId slot1, SlotId slot2) {
+    const uint64_t s1 = StratumOf<SpanOnly>(records, slot1);
+    const uint64_t s2 = StratumOf<SpanOnly>(records, slot2);
+    if (SpanOnly && s1 == sh && s2 == sh) return;  // within one stratum
+    const double inv_q1 = records.inv_q(slot1);
+    const double inv_q2 = records.inv_q(slot2);
+    const double inv_q1q2 = inv_q1 * inv_q2;
+    const double est = inv_q * inv_q1q2;
+    nk_tri += est;
+    vk_tri += est * (est - 1.0);
+    ck_tri += run_tri * inv_q1q2;
+    run_tri += inv_q1q2;
+    if (!SpanOnly || s1 != sh) d_contained += inv_q1q2 * inv_q1;
+    if (!SpanOnly || s2 != sh) d_contained += inv_q1q2 * inv_q2;
+    if (!SpanOnly || s1 != s2) covb += est * (inv_q1q2 - 1.0);
+  });
 
   const double wed_s = partners.s[0] + partners.s[1];
   const double wed_q = partners.q[0] + partners.q[1];
@@ -260,42 +309,70 @@ void AccumulateEdge(const Records& records, SlotId slot,
 }
 
 /// Algorithm 2 over the records listed in `order` — every sampled slot
-/// once, in a resume-stable order — on up to `threads` threads. The result
-/// is bit-identical for every thread count.
+/// once, in a resume-stable order — on up to `threads` threads, in
+/// `*buffers`. The result is bit-identical for every thread count.
 template <bool SpanOnly, typename Records>
 GraphEstimates Estimate(const Records& records, std::span<const SlotId> order,
-                        unsigned threads) {
+                        unsigned threads, PassBuffers* buffers) {
   const SampledGraph& graph = records.graph();
-  const size_t chunks = NumChunks(order.size(), kChunkSize);
-  std::vector<PartnerSums> partners(records.slot_bound());
-  std::vector<NodeScratch> scratch(ChunkWorkers(chunks, threads));
-  // Each node is visited once, from the record holding its block's first
-  // entry.
-  ForEachChunk(chunks, threads, [&](size_t chunk, unsigned worker) {
-    const size_t end = std::min(order.size(), (chunk + 1) * kChunkSize);
-    for (size_t i = chunk * kChunkSize; i < end; ++i) {
-      const Edge edge = records.edge(order[i]);
-      for (const NodeId x : {edge.u, edge.v}) {
-        const std::span<const AdjEntry> block = graph.Neighbors(x);
-        if (block.front().slot != order[i]) continue;
-        FillPartnerSums<SpanOnly>(records, x, block, &scratch[worker],
-                                  partners.data());
+  if (buffers->partners.size() < records.slot_bound()) {
+    buffers->partners.resize(records.slot_bound());
+  }
+  PartnerSums* partners = buffers->partners.data();
+  const size_t ranges = NumChunks(graph.node_table_size(), kNodeRange);
+  const unsigned workers = ChunkWorkers(ranges, threads);
+  if (buffers->scratch.size() < workers) buffers->scratch.resize(workers);
+  ForEachChunk(ranges, threads, [&](size_t range, unsigned worker) {
+    // The range's blocks first, so the walk can prefetch ahead: every
+    // block, and every record and partner sum it points to, is a random
+    // access.
+    NodeScratch& scratch = buffers->scratch[worker];
+    std::vector<std::pair<NodeId, std::span<const AdjEntry>>>& blocks =
+        scratch.blocks;
+    blocks.clear();
+    graph.ForEachNodeBlockInRange(
+        range * kNodeRange, (range + 1) * kNodeRange,
+        [&](NodeId x, std::span<const AdjEntry> block) {
+          blocks.emplace_back(x, block);
+        });
+    for (size_t j = 0; j < blocks.size(); ++j) {
+      if (j + 2 * kPrefetchNodes < blocks.size()) {
+        __builtin_prefetch(blocks[j + 2 * kPrefetchNodes].second.data());
       }
+      if (j + kPrefetchNodes < blocks.size()) {
+        const std::span<const AdjEntry> ahead =
+            blocks[j + kPrefetchNodes].second;
+        for (const AdjEntry& entry : ahead) {
+          if (ahead.size() > 1) records.Prefetch(entry.slot);
+          __builtin_prefetch(&partners[entry.slot], /*rw=*/1);
+        }
+      }
+      FillPartnerSums<SpanOnly>(records, blocks[j].first, blocks[j].second,
+                                &scratch, partners);
     }
   });
 
-  std::vector<Sums> partial(chunks);
-  ForEachChunk(partial.size(), threads, [&](size_t chunk, unsigned) {
+  const size_t chunks = NumChunks(order.size(), kChunkSize);
+  buffers->partial.resize(chunks);
+  ForEachChunk(chunks, threads, [&](size_t chunk, unsigned) {
     Sums sums;  // local: neighbouring partials share cache lines
     const size_t end = std::min(order.size(), (chunk + 1) * kChunkSize);
     for (size_t i = chunk * kChunkSize; i < end; ++i) {
       AccumulateEdge<SpanOnly>(records, order[i], partners[order[i]], &sums);
     }
-    partial[chunk] = sums;
+    buffers->partial[chunk] = sums;
   });
   Sums total;
-  for (const Sums& sums : partial) total.Add(sums);
+  for (const Sums& sums : buffers->partial) total.Add(sums);
   return total.Finalize();
+}
+
+/// As above, on buffers of its own.
+template <bool SpanOnly, typename Records>
+GraphEstimates Estimate(const Records& records, std::span<const SlotId> order,
+                        unsigned threads) {
+  PassBuffers buffers;
+  return Estimate<SpanOnly>(records, order, threads, &buffers);
 }
 
 }  // namespace algorithm2

@@ -1,5 +1,6 @@
 #include "core/post_stream.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/algorithm2.h"
@@ -19,6 +20,15 @@ class ReservoirRecords {
   Edge edge(SlotId slot) const { return reservoir_.store().edge(slot); }
   double inv_q(SlotId slot) const {
     return 1.0 / reservoir_.Probability(slot);
+  }
+  /// No hint: the store keeps its columns private, and the pass runs once
+  /// per sample.
+  void Prefetch(SlotId) const {}
+  /// One intersection per record: the pass runs once per sample, so an
+  /// index of the triangles would cost memory and save nothing.
+  template <typename Fn>
+  void ForEachTriangle(SlotId, const Edge& edge, Fn&& fn) const {
+    algorithm2::IntersectTriangles(graph(), edge, std::forward<Fn>(fn));
   }
 
  private:

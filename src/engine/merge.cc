@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/post_stream.h"
 #include "graph/sampled_graph.h"
 #include "graph/types.h"
+#include "util/parallel_chunks.h"
 
 namespace gps {
 namespace {
@@ -25,23 +27,108 @@ struct UnionRecord {
   uint64_t stratum = 0;
 };
 
+/// One union triangle at a record (u, v): its third node w and the union
+/// slots of (u, w) and (v, w) — one match of IntersectSorted(block(u),
+/// block(v)).
+struct TriangleEntry {
+  NodeId w;
+  SlotId slot_u;
+  SlotId slot_v;
+};
+
+/// Every union record's triangles, ascending in w, in one pooled entry
+/// array: a record's list is an (offset, size) range of the pool. A
+/// recomputed list overwrites its old range when it fits and is appended
+/// otherwise; Compact() rewrites the pool once dead entries outnumber live
+/// ones (past a slack of 4096, so a small pool is not rewritten every
+/// tick). Offsets are 32-bit, like the adjacency arena's.
+class TriangleIndex {
+ public:
+  /// `slot`'s list; valid until the next Set or Compact.
+  std::span<const TriangleEntry> List(SlotId slot) const {
+    const ListRef& ref = lists_[slot];
+    return {pool_.data() + ref.offset, ref.size};
+  }
+
+  /// Reserves room for the lists of slots [0, max_slots).
+  void Reserve(size_t max_slots) { lists_.reserve(max_slots); }
+
+  /// Makes room for the lists of slots [0, num_slots).
+  void Resize(size_t num_slots) { lists_.resize(num_slots); }
+
+  /// Replaces `slot`'s list (empty: its record left the union).
+  void Set(SlotId slot, std::span<const TriangleEntry> list) {
+    ListRef& ref = lists_[slot];
+    live_ = live_ - ref.size + list.size();
+    if (list.size() > ref.size) {
+      assert(pool_.size() + list.size() <= UINT32_MAX);
+      ref.offset = static_cast<uint32_t>(pool_.size());
+      pool_.insert(pool_.end(), list.begin(), list.end());
+    } else {
+      std::copy(list.begin(), list.end(), pool_.begin() + ref.offset);
+    }
+    ref.size = static_cast<uint32_t>(list.size());
+  }
+
+  /// Drops the dead entries once they outnumber the live ones.
+  void Compact() {
+    if (pool_.size() <= 2 * live_ + 4096) return;
+    std::vector<TriangleEntry> pool;
+    pool.reserve(live_);
+    for (ListRef& ref : lists_) {
+      const uint32_t offset = static_cast<uint32_t>(pool.size());
+      pool.insert(pool.end(), pool_.begin() + ref.offset,
+                  pool_.begin() + ref.offset + ref.size);
+      ref.offset = offset;
+    }
+    pool_ = std::move(pool);
+  }
+
+ private:
+  struct ListRef {
+    uint32_t offset = 0;
+    uint32_t size = 0;
+  };
+  std::vector<TriangleEntry> pool_;
+  std::vector<ListRef> lists_;  // by union slot
+  size_t live_ = 0;             // pool entries some list holds
+};
+
 // The union as the Algorithm-2 kernel's record set (core/algorithm2.h):
-// per-shard inclusion probabilities and per-record strata.
+// per-shard inclusion probabilities, per-record strata, and the triangles
+// from the index.
 class UnionRecords {
  public:
   UnionRecords(const SampledGraph& graph,
-               const std::vector<UnionRecord>& records)
-      : graph_(graph), records_(records) {}
+               const std::vector<UnionRecord>& records,
+               const TriangleIndex& triangles)
+      : graph_(graph), records_(records), triangles_(triangles) {}
 
   const SampledGraph& graph() const { return graph_; }
   size_t slot_bound() const { return records_.size(); }
   Edge edge(SlotId slot) const { return records_[slot].edge; }
   double inv_q(SlotId slot) const { return records_[slot].inv_q; }
   uint64_t stratum(SlotId slot) const { return records_[slot].stratum; }
+  void Prefetch(SlotId slot) const { __builtin_prefetch(&records_[slot]); }
+
+  /// IntersectTriangles' sequence, read from the index: the list is in
+  /// ascending w with (u, w)'s slot first, so the pair swaps when v has
+  /// the smaller block.
+  template <typename Fn>
+  void ForEachTriangle(SlotId slot, const Edge& edge, Fn&& fn) const {
+    const std::span<const TriangleEntry> list = triangles_.List(slot);
+    if (list.empty()) return;
+    if (graph_.Degree(edge.u) > graph_.Degree(edge.v)) {
+      for (const TriangleEntry& t : list) fn(t.slot_v, t.slot_u);
+    } else {
+      for (const TriangleEntry& t : list) fn(t.slot_u, t.slot_v);
+    }
+  }
 
  private:
   const SampledGraph& graph_;
   const std::vector<UnionRecord>& records_;
+  const TriangleIndex& triangles_;
 };
 
 std::vector<ShardSampleRef> PlainRefs(
@@ -52,8 +139,8 @@ std::vector<ShardSampleRef> PlainRefs(
   return refs;
 }
 
-unsigned PassThreads(const UnionSample& sample, unsigned num_threads) {
-  return num_threads != 0 ? num_threads : MergeThreads(sample.num_shards());
+unsigned PassThreads(unsigned num_threads) {
+  return num_threads != 0 ? num_threads : MergeThreads();
 }
 
 /// The motif cross-shard pass over an up-to-date union, in its record
@@ -99,6 +186,17 @@ std::vector<MotifAccumulator> CrossShardMotifs(
   return out;
 }
 
+/// Union-slot state within one Update.
+enum class SlotState : uint8_t {
+  kLive,    // an indexed record whose list is current
+  kFree,    // on the free list
+  kAdded,   // admitted by this Update; its list is computed fresh
+  kQueued,  // live, its list queued for recomputation
+};
+
+/// Union records per chunk of a list recomputation.
+constexpr size_t kListChunk = 256;
+
 }  // namespace
 
 // The union of the shard reservoirs, indexed like a reservoir: a sampled
@@ -107,6 +205,7 @@ std::vector<MotifAccumulator> CrossShardMotifs(
 struct UnionSample::Impl {
   SampledGraph graph;
   std::vector<UnionRecord> records;  // by union slot
+  std::vector<SlotState> state;      // by union slot
   std::vector<SlotId> free_slots;    // union slots of removed records
   // Per shard: reservoir slot -> union slot of the edge that reservoir
   // slot held at the last update, or kNoSlot.
@@ -114,12 +213,76 @@ struct UnionSample::Impl {
   // The live union slots, shard by shard in reservoir heap order: the
   // resume-stable record order every pass reads.
   std::vector<SlotId> order;
+  TriangleIndex triangles;
+  // Reused by every pass; the passes take the union by const reference.
+  algorithm2::PassBuffers pass_buffers;
+
+  // Update's working sets: the union slots admitted by the current
+  // call, and those whose lists it recomputes.
+  std::vector<SlotId> added;
+  std::vector<SlotId> queued;
+
+  /// Queues a live record's list for recomputation, once.
+  void Queue(SlotId slot) {
+    if (state[slot] != SlotState::kLive) return;
+    state[slot] = SlotState::kQueued;
+    queued.push_back(slot);
+  }
+
+  /// Recomputes the triangle lists of `slots` — one intersection each, on
+  /// `threads` threads — and installs them chunk by chunk under a lock,
+  /// so no more than a chunk per thread is ever held twice. With
+  /// `queue_partners` the other two records of every new triangle are
+  /// queued (as a set: the queue's order may vary, its members do not).
+  void RecomputeLists(std::span<const SlotId> slots, unsigned threads,
+                      bool queue_partners);
 };
 
-unsigned MergeThreads(size_t num_shards) {
-  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::max<size_t>(1, std::min(num_shards, hardware)));
+void UnionSample::Impl::RecomputeLists(std::span<const SlotId> slots,
+                                       unsigned threads,
+                                       bool queue_partners) {
+  const size_t chunks = NumChunks(slots.size(), kListChunk);
+  std::vector<std::vector<TriangleEntry>> scratch(
+      ChunkWorkers(chunks, threads));
+  // Guards the index, `state` and `queued` while the chunks install.
+  std::mutex install_mu;
+  ForEachChunk(chunks, threads, [&](size_t chunk, unsigned worker) {
+    std::vector<TriangleEntry>& lists = scratch[worker];
+    lists.clear();
+    uint32_t sizes[kListChunk] = {};
+    const size_t begin = chunk * kListChunk;
+    const size_t end = std::min(slots.size(), begin + kListChunk);
+    for (size_t i = begin; i < end; ++i) {
+      const Edge edge = records[slots[i]].edge;
+      const std::span<const AdjEntry> a = graph.Neighbors(edge.u);
+      const std::span<const AdjEntry> b = graph.Neighbors(edge.v);
+      const size_t before = lists.size();
+      IntersectSorted(a.data(), a.size(), b.data(), b.size(),
+                      /*metrics=*/nullptr,
+                      [&](NodeId w, SlotId slot_u, SlotId slot_v) {
+                        lists.push_back({w, slot_u, slot_v});
+                      });
+      sizes[i - begin] = static_cast<uint32_t>(lists.size() - before);
+    }
+    // Which chunk installs first moves pool offsets only, never a list.
+    const std::lock_guard<std::mutex> lock(install_mu);
+    const TriangleEntry* next = lists.data();
+    for (size_t i = begin; i < end; ++i) {
+      const std::span<const TriangleEntry> list(next, sizes[i - begin]);
+      triangles.Set(slots[i], list);
+      if (queue_partners) {
+        for (const TriangleEntry& t : list) {
+          Queue(t.slot_u);
+          Queue(t.slot_v);
+        }
+      }
+      next += list.size();
+    }
+  });
+}
+
+unsigned MergeThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 UnionSample::UnionSample() : impl_(std::make_unique<Impl>()) {}
@@ -139,13 +302,36 @@ void UnionSample::Update(std::span<const ShardSampleRef> shards) {
     impl_->union_slot.resize(shards.size());
   }
   Impl& u = *impl_;
+  const unsigned threads = MergeThreads();
+  const size_t k = shards.size();
 
-  // Evictions first, over every shard, so no edge is re-added while a
-  // stale copy is still indexed. A record goes when its reservoir slot was
-  // freed or now holds another edge.
-  for (size_t s = 0; s < shards.size(); ++s) {
+  // The shards' capacities bound the live records, and so the union
+  // slots: a removed record's slot is reused before a new one is made.
+  // Reserving that bound keeps the per-slot arrays from reallocating — and
+  // holding two copies — each time the union grows; reserved pages cost
+  // nothing until used. The kept partner sums join once a pass has sized
+  // them: a fresh union's first pass allocates them exactly, where the
+  // build's freed memory can serve it.
+  std::vector<size_t> begin(k + 1, 0);  // each shard's run of the order
+  size_t max_slots = 0;
+  for (size_t s = 0; s < k; ++s) {
+    begin[s + 1] = begin[s] + shards[s].reservoir->size();
+    max_slots += shards[s].reservoir->capacity();
+  }
+  u.records.reserve(max_slots);
+  u.state.reserve(max_slots);
+  u.order.reserve(max_slots);
+  u.triangles.Reserve(max_slots);
+  if (!u.pass_buffers.partners.empty()) {
+    u.pass_buffers.partners.reserve(max_slots);
+  }
+
+  // Per shard, on the merge threads: the reservoir slots whose record
+  // leaves — the slot was freed or now holds another edge.
+  std::vector<std::vector<SlotId>> evicted(k);
+  ForEachChunk(k, threads, [&](size_t s, unsigned) {
     const PackedSampleStore& store = shards[s].reservoir->store();
-    std::vector<SlotId>& column = u.union_slot[s];
+    const std::vector<SlotId>& column = u.union_slot[s];
     for (SlotId slot = 0; slot < column.size(); ++slot) {
       const SlotId held = column[slot];
       if (held == kNoSlot) continue;
@@ -153,46 +339,95 @@ void UnionSample::Update(std::span<const ShardSampleRef> shards) {
           store.edge(slot) == u.records[held].edge) {
         continue;
       }
+      evicted[s].push_back(slot);
+    }
+  });
+
+  // Graph and index edits, on this thread. Evictions first, over every
+  // shard, so no edge is re-added while a stale copy is still indexed. A
+  // removed record's triangles lose an edge, so the other two records of
+  // each are queued for a new list.
+  u.queued.clear();
+  for (size_t s = 0; s < k; ++s) {
+    std::vector<SlotId>& column = u.union_slot[s];
+    for (const SlotId slot : evicted[s]) {
+      const SlotId held = column[slot];
+      for (const TriangleEntry& t : u.triangles.List(held)) {
+        u.Queue(t.slot_u);
+        u.Queue(t.slot_v);
+      }
+      u.triangles.Set(held, {});
       u.graph.RemoveEdge(u.records[held].edge);
+      u.state[held] = SlotState::kFree;
       u.free_slots.push_back(held);
       column[slot] = kNoSlot;
     }
-    column.resize(store.num_slots(), kNoSlot);
+    column.resize(shards[s].reservoir->store().num_slots(), kNoSlot);
+  }
+  // Admissions: every sampled slot without a record, in heap order.
+  u.added.clear();
+  // Exactly: the sampled slots less the records still live.
+  u.added.reserve(begin[k] - (u.records.size() - u.free_slots.size()));
+  for (size_t s = 0; s < k; ++s) {
+    const GpsReservoir& reservoir = *shards[s].reservoir;
+    std::vector<SlotId>& column = u.union_slot[s];
+    reservoir.ForEachSlot([&](SlotId slot) {
+      if (column[slot] != kNoSlot) return;
+      SlotId held;
+      if (u.free_slots.empty()) {
+        held = static_cast<SlotId>(u.records.size());
+        u.records.emplace_back();
+        u.state.push_back(SlotState::kFree);
+      } else {
+        held = u.free_slots.back();
+        u.free_slots.pop_back();
+      }
+      u.records[held].edge = reservoir.store().edge(slot);
+      const bool added = u.graph.AddEdge(u.records[held].edge, held);
+      assert(added && "shard samples must be edge-disjoint");
+      (void)added;
+      u.state[held] = SlotState::kAdded;
+      column[slot] = held;
+      u.added.push_back(held);
+    });
   }
 
-  // Admissions, then every live record's inclusion probability (its
-  // shard's z* moves) and stratum, in the record order the passes read.
-  size_t total = 0;
-  for (const ShardSampleRef& ref : shards) total += ref.reservoir->size();
-  u.records.reserve(total);
-  u.order.clear();
-  u.order.reserve(total);
-  for (size_t s = 0; s < shards.size(); ++s) {
+  u.triangles.Resize(u.records.size());
+
+  // Every live record's inclusion probability (its shard's z* moves) and
+  // stratum, and the record order the passes read: per shard, on the
+  // merge threads.
+  u.order.resize(begin[k]);
+  ForEachChunk(k, threads, [&](size_t s, unsigned) {
     const GpsReservoir& reservoir = *shards[s].reservoir;
     const std::span<const uint32_t> strata = shards[s].slot_strata;
     const uint64_t shard_bits = static_cast<uint64_t>(s) << 32;
-    std::vector<SlotId>& column = u.union_slot[s];
+    const std::vector<SlotId>& column = u.union_slot[s];
+    SlotId* out = u.order.data() + begin[s];
     reservoir.ForEachSlot([&](SlotId slot) {
-      SlotId& held = column[slot];
-      if (held == kNoSlot) {
-        if (u.free_slots.empty()) {
-          held = static_cast<SlotId>(u.records.size());
-          u.records.emplace_back();
-        } else {
-          held = u.free_slots.back();
-          u.free_slots.pop_back();
-        }
-        u.records[held].edge = reservoir.store().edge(slot);
-        const bool added = u.graph.AddEdge(u.records[held].edge, held);
-        assert(added && "shard samples must be edge-disjoint");
-        (void)added;
-      }
-      UnionRecord& rec = u.records[held];
+      UnionRecord& rec = u.records[column[slot]];
       rec.inv_q = 1.0 / reservoir.Probability(slot);
       rec.stratum = shard_bits | (slot < strata.size() ? strata[slot] : 0u);
-      u.order.push_back(held);
+      *out++ = column[slot];
     });
-  }
+  });
+
+  // The triangle lists: the added records', then those of every live
+  // record a changed triangle holds — the triangle gained or lost an edge
+  // other than the record's own. Every other list is still current: its
+  // triangles kept all three edges, and a live record keeps its union
+  // slot. A record queued by an eviction may have left since, or come
+  // back as an added one; only those still queued are recomputed.
+  u.RecomputeLists(u.added, threads, /*queue_partners=*/true);
+  std::erase_if(u.queued, [&](SlotId slot) {
+    return u.state[slot] != SlotState::kQueued;
+  });
+  u.RecomputeLists(u.queued, threads, /*queue_partners=*/false);
+  for (const SlotId slot : u.added) u.state[slot] = SlotState::kLive;
+  for (const SlotId slot : u.queued) u.state[slot] = SlotState::kLive;
+  u.triangles.Compact();
+  u.added = {};  // a fresh build's sets are as large as the union
+  u.queued = {};
 }
 
 UnionSample BuildUnionSample(std::span<const ShardSampleRef> shards) {
@@ -208,10 +443,10 @@ UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards) {
 GraphEstimates EstimateCrossShard(const UnionSample& sample,
                                   unsigned num_threads) {
   if (sample.num_shards() < 2) return {};
-  const UnionSample::Impl& u = *sample.impl_;
+  UnionSample::Impl& u = *sample.impl_;
   return algorithm2::Estimate</*SpanOnly=*/true>(
-      UnionRecords(u.graph, u.records), u.order,
-      PassThreads(sample, num_threads));
+      UnionRecords(u.graph, u.records, u.triangles), u.order,
+      PassThreads(num_threads), &u.pass_buffers);
 }
 
 GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
@@ -219,10 +454,10 @@ GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
   assert(sample.num_shards() >= 2 &&
          "a lone shard's post-stream estimate is EstimatePostStream");
   if (sample.num_shards() < 2) return {};
-  const UnionSample::Impl& u = *sample.impl_;
+  UnionSample::Impl& u = *sample.impl_;
   return algorithm2::Estimate</*SpanOnly=*/false>(
-      UnionRecords(u.graph, u.records), u.order,
-      PassThreads(sample, num_threads));
+      UnionRecords(u.graph, u.records, u.triangles), u.order,
+      PassThreads(num_threads), &u.pass_buffers);
 }
 
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(

@@ -70,22 +70,29 @@ struct ShardSampleRef {
   std::span<const uint32_t> slot_strata = {};
 };
 
-/// Threads a merge pass runs on unless the caller says otherwise:
-/// min(num_shards, hardware threads). The engine's shard workers sit idle
-/// while the producer merges, so the passes borrow their cores; the thread
-/// count never changes a result bit (core/algorithm2.h).
-unsigned MergeThreads(size_t num_shards);
+/// Threads an Algorithm-2 pass or a union update runs on unless the
+/// caller says otherwise: every hardware thread (at least 1). The engine's
+/// shard workers sit idle while the producer merges, so the passes borrow
+/// their cores; the thread count never changes a result bit
+/// (core/algorithm2.h).
+unsigned MergeThreads();
 
 /// The union of the shard reservoirs: one sampled adjacency over every
 /// shard's sample, each edge carrying its own shard's inclusion
-/// probability and its stratum. One union serves every pass over the same
-/// drained state (tri/wedge correction, merged post-stream, per-motif
-/// correction), and it can live across monitor ticks: Update patches it
-/// with the admissions and evictions since the last call instead of
-/// rebuilding the O(sample) index. A patched union gives the same bits as
-/// a fresh one — every pass reads the records in shard order, then
-/// reservoir heap order, and each node's neighbors in id order, never in
-/// index-slot order.
+/// probability and its stratum, plus a triangle index — every record's
+/// union triangles, the matches one intersection of its endpoint blocks
+/// would emit — so the Algorithm-2 passes read triangles instead of
+/// intersecting. One union serves every pass over the same drained state
+/// (tri/wedge correction, merged post-stream, per-motif correction), and
+/// it can live across monitor ticks: Update patches it with the
+/// admissions and evictions since the last call, recomputing only the
+/// triangle lists they touch, instead of rebuilding the O(sample) index. A
+/// patched union gives the same bits as a fresh one — every pass reads the
+/// records in shard order, then reservoir heap order, and each node's
+/// neighbors in id order, never in index-slot order.
+///
+/// The passes reuse buffers the union owns (partner sums, scratch, chunk
+/// partials), so two passes over one union must not run at once.
 class UnionSample {
  public:
   /// An empty union; the first Update is the full build.
@@ -103,10 +110,15 @@ class UnionSample {
   /// Brings the union up to date with the shards' samples: records whose
   /// reservoir slot was freed or now holds another edge are removed, newly
   /// sampled edges are added, and every live record's inclusion
-  /// probability (its shard's z* moves) and stratum are recomputed. Pass
-  /// the same shards in the same order at every call (a different shard
-  /// count starts over). Below two shards nothing is indexed: no pass
-  /// reads the union there. The shards must not change during the call.
+  /// probability (its shard's z* moves) and stratum are recomputed. The
+  /// triangle lists of the added records, and of the other two records of
+  /// every triangle an added or removed record belongs to, are recomputed.
+  /// Graph and index edits run on the calling thread; eviction detection,
+  /// the per-record refresh and the list intersections on MergeThreads()
+  /// threads. Pass the same shards in the same order at every call (a
+  /// different shard count starts over). Below two shards nothing is
+  /// indexed: no pass reads the union there. The shards must not change
+  /// during the call.
   void Update(std::span<const ShardSampleRef> shards);
 
  private:
@@ -123,7 +135,8 @@ class UnionSample {
 };
 
 /// A fresh union of the shard reservoirs (edge-hash sharding keeps them
-/// edge-disjoint): UnionSample::Update applied to an empty union.
+/// edge-disjoint): UnionSample::Update applied to an empty union, which
+/// computes every triangle list on MergeThreads() threads.
 UnionSample BuildUnionSample(std::span<const GpsReservoir* const> shards);
 
 /// As above with per-shard sub-stratum tables (see ShardSampleRef).
@@ -135,7 +148,7 @@ GraphEstimates EstimateCrossShard(
     std::span<const GpsReservoir* const> shards);
 
 /// As above, over a union sample, on `num_threads` threads (0:
-/// MergeThreads(K)); the result is the same for every thread count.
+/// MergeThreads()); the result is the same for every thread count.
 GraphEstimates EstimateCrossShard(const UnionSample& sample,
                                   unsigned num_threads = 0);
 
@@ -147,7 +160,7 @@ GraphEstimates EstimateMergedPostStream(
 
 /// As above, over a union of >= 2 shards (a lone shard has no union; its
 /// estimate is EstimatePostStream), on `num_threads` threads (0:
-/// MergeThreads(K)).
+/// MergeThreads()).
 GraphEstimates EstimateMergedPostStream(const UnionSample& sample,
                                         unsigned num_threads = 0);
 

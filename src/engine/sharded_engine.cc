@@ -573,7 +573,9 @@ GraphEstimates ShardedEngine::MergedEstimates() {
 
 GraphEstimates ShardedEngine::MergedPostStreamEstimates() {
   if (!finished_) Drain();
-  if (num_shards() == 1) return EstimatePostStream(shards_[0]->reservoir());
+  if (num_shards() == 1) {
+    return EstimatePostStreamParallel(shards_[0]->reservoir(), MergeThreads());
+  }
   return EstimateMergedPostStream(SyncUnion());
 }
 
@@ -645,7 +647,7 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   std::vector<std::optional<StagedFile>> staged(k);
   std::vector<uint64_t> digests(k, kFnv1a64Offset);
   std::vector<Status> written(k);
-  ForEachChunk(k, MergeThreads(k), [&](size_t s, unsigned) {
+  ForEachChunk(k, MergeThreads(), [&](size_t s, unsigned) {
     Result<StagedFile> file = StagedFile::Create(
         (std::filesystem::path(dir) / ShardFileName(s)).string());
     if (!file.ok()) {
@@ -820,15 +822,13 @@ void ShardedEngine::FirePeriodicHooks() {
       record.estimates = MergedGraphEstimatesOver(sample);
       record.motifs = MergedMotifEstimatesOver(sample);
     }
-    // Drained above, so the snapshot is consistent with the estimates.
-    RefreshDerivedGauges();
-    record.metrics = metrics_.Snapshot();
     monitor_callback_(record);
 #if defined(__GLIBC__)
-    // The union outlives each tick's transient buffers, so glibc can no
-    // longer hand their freed pages back by trimming the heap top. Without
-    // this call a 4-shard soc-orkut-sim monitor run (capacity 100000, a
-    // tick every 20000 edges) peaked at 40.1 MB resident instead of 34.7.
+    // The union and its pass buffers outlive each tick, so glibc can no
+    // longer hand the freed pages of a tick's transient allocations back
+    // by trimming the heap top. Without this call a 4-shard soc-orkut-sim
+    // monitor run (capacity 100000, a tick every 20000 edges) peaked at
+    // 47.4-48.0 MB resident instead of 38.5-38.9.
     malloc_trim(0);
 #endif
   }

@@ -119,9 +119,6 @@ struct MonitorRecord {
   /// Merged motif estimates in suite order; empty when the engine runs
   /// without a motif suite.
   std::vector<MotifEstimate> motifs;
-  /// Point-in-time engine metrics (ring backpressure, worker activity,
-  /// sampling internals — util/metrics.h). Empty under GPS_METRICS=0.
-  MetricsSnapshot metrics;
 };
 
 /// Everything a checkpoint set merges to: the tri/wedge estimates, the
@@ -241,10 +238,11 @@ class ShardedEngine {
   /// a resumed engine keeps the cadence of the uninterrupted run),
   /// Process() drains, patches the union index with the admissions and
   /// evictions since the last tick, computes the merged estimates on
-  /// MergeThreads(K) threads, and invokes `callback` on the producer
-  /// thread. Monitoring never touches estimator state — sampling
-  /// randomness and final results are identical with or without it.
-  /// n_edges == 0 disables.
+  /// MergeThreads() threads, and invokes `callback` on the producer
+  /// thread. A callback that wants engine metrics calls SnapshotMetrics()
+  /// (the tick has just drained, so it costs no extra drain). Monitoring
+  /// never touches estimator state — sampling randomness and final results
+  /// are identical with or without it. n_edges == 0 disables.
   void EstimateEvery(uint64_t n_edges,
                      std::function<void(const MonitorRecord&)> callback);
 

@@ -3,8 +3,11 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "util/digest.h"
+#include "util/staged_file.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -83,10 +86,14 @@ Status WriteBinaryStream(const std::string& path,
     }
   }
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
+  // Staged (util/staged_file.h): a failed or interrupted write leaves the
+  // previous file at `path` intact.
+  Result<StagedFile> file = StagedFile::Create(path);
+  if (!file.ok()) return file.status();
+  TextWriter out([&](std::string_view chunk) { return file->Write(chunk); });
+  const auto bytes = [](const void* data, size_t n) {
+    return std::string_view(static_cast<const char*>(data), n);
+  };
 
   unsigned char header[kBinaryStreamHeaderBytes] = {};
   std::memcpy(header, kBinaryStreamMagic, sizeof(kBinaryStreamMagic));
@@ -97,24 +104,21 @@ Status WriteBinaryStream(const std::string& path,
   StoreU32(header + 28, options.block_edges);
   StoreU64(header + kHeaderDigestedBytes,
            Fnv1a64Words(header, kHeaderDigestedBytes));
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  out.Text(bytes(header, sizeof(header)));
 
   const size_t blocks = BlockCount(edges.size(), options.block_edges);
   for (size_t b = 0; b < blocks; ++b) {
     const size_t begin = b * options.block_edges;
     const size_t n =
         std::min<size_t>(options.block_edges, edges.size() - begin);
-    const char* payload =
-        reinterpret_cast<const char*>(edges.data() + begin);
     const size_t payload_bytes = n * sizeof(Edge);
-    out.write(payload, static_cast<std::streamsize>(payload_bytes));
+    out.Text(bytes(edges.data() + begin, payload_bytes));
     unsigned char digest[kBlockDigestBytes];
-    StoreU64(digest, Fnv1a64Words(payload, payload_bytes));
-    out.write(reinterpret_cast<const char*>(digest), sizeof(digest));
+    StoreU64(digest, Fnv1a64Words(edges.data() + begin, payload_bytes));
+    out.Text(bytes(digest, sizeof(digest)));
   }
-  out.flush();
-  if (!out) return Status::IoError("write failed for '" + path + "'");
-  return Status::Ok();
+  if (Status s = out.Finish(); !s.ok()) return s;
+  return file->Commit();
 }
 
 bool LooksLikeBinaryStream(const std::string& path) {

@@ -78,7 +78,8 @@ struct BinaryStreamWriteOptions {
 /// Writes `edges` as a GPS-STREAM v1 file, preserving arrival order and
 /// duplicates (it is a STREAM, not a simplified graph). Refuses edges
 /// carrying the kInvalidNode sentinel by name, and block_edges outside
-/// [1, kBinaryStreamMaxBlockEdges].
+/// [1, kBinaryStreamMaxBlockEdges]. The write is staged
+/// (util/staged_file.h): on failure the previous file keeps its bytes.
 Status WriteBinaryStream(const std::string& path,
                          std::span<const Edge> edges,
                          const BinaryStreamWriteOptions& options = {});

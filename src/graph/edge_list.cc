@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <string>
+#include <string_view>
 
 #include "util/flat_hash_map.h"
 #include "util/mmap_file.h"
+#include "util/staged_file.h"
+#include "util/text_writer.h"
 
 namespace gps {
 namespace {
@@ -192,13 +194,14 @@ Result<EdgeList> EdgeList::Load(const std::string& path) {
 }
 
 Status EdgeList::Save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return Status::IoError("cannot open '" + path + "' for writing");
-  for (const Edge& e : edges_) {
-    file << e.u << ' ' << e.v << '\n';
-  }
-  if (!file) return Status::IoError("write failed for '" + path + "'");
-  return Status::Ok();
+  // Staged (util/staged_file.h): a failed or interrupted write leaves the
+  // previous file at `path` intact.
+  Result<StagedFile> file = StagedFile::Create(path);
+  if (!file.ok()) return file.status();
+  TextWriter out([&](std::string_view chunk) { return file->Write(chunk); });
+  for (const Edge& e : edges_) out.Int(e.u).Char(' ').Int(e.v).Char('\n');
+  if (Status s = out.Finish(); !s.ok()) return s;
+  return file->Commit();
 }
 
 }  // namespace gps

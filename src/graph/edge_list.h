@@ -61,7 +61,8 @@ class EdgeList {
   /// FromText on the same bytes. Refuses directories by name.
   static Result<EdgeList> Load(const std::string& path);
 
-  /// Writes "u v" lines. Returns IO error on failure.
+  /// Writes "u v" lines, staged (util/staged_file.h): on failure the
+  /// previous file keeps its bytes and the IO error names the temp file.
   Status Save(const std::string& path) const;
 
  private:

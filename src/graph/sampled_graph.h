@@ -170,6 +170,22 @@ class SampledGraph {
     });
   }
 
+  /// Number of node-table positions. Position ranges covering
+  /// [0, node_table_size()) hold every node once; an erased node leaves a
+  /// tombstone at its position until the table next rehashes.
+  size_t node_table_size() const { return nodes_.capacity(); }
+
+  /// Calls fn(node, block) — block as Neighbors(node) — for every node at
+  /// a node-table position in [begin, end). A parallel pass cuts the table
+  /// into fixed ranges and walks them on any threads: each node is visited
+  /// once, with no node-table lookup.
+  template <typename Fn>
+  void ForEachNodeBlockInRange(size_t begin, size_t end, Fn&& fn) const {
+    nodes_.ForEachInRange(begin, end, [&](NodeId node, const BlockRef& block) {
+      fn(node, Block(block));
+    });
+  }
+
   /// Counts |Γ̂(u) ∩ Γ̂(v)| — the weight computation of paper Section 3.2 —
   /// via the count-only intersection kernels (no slot resolution).
   size_t CountCommonNeighbors(NodeId u, NodeId v) const;

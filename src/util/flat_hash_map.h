@@ -15,6 +15,7 @@
 #ifndef GPS_UTIL_FLAT_HASH_MAP_H_
 #define GPS_UTIL_FLAT_HASH_MAP_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -142,7 +143,17 @@ class FlatHashMap {
   }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < ctrl_.size(); ++i) {
+    ForEachInRange(0, ctrl_.size(), std::forward<Fn>(fn));
+  }
+
+  /// ForEach restricted to the elements at table positions [begin, end)
+  /// (clamped to capacity()). Consecutive ranges covering [0, capacity())
+  /// visit every element once, so a parallel walk can cut the table into
+  /// fixed ranges.
+  template <typename Fn>
+  void ForEachInRange(size_t begin, size_t end, Fn&& fn) const {
+    end = std::min(end, ctrl_.size());
+    for (size_t i = begin; i < end; ++i) {
       if (ctrl_[i] == Ctrl::kFull) fn(slots_[i].key, slots_[i].value);
     }
   }

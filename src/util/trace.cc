@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/staged_file.h"
+
 namespace gps {
 
 TraceBuffer* TraceEventSink::MakeBuffer(int tid, std::string thread_name) {
@@ -57,17 +59,12 @@ Status TraceEventSink::WriteJson(const std::string& path) const {
   }
   out << "\n]}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace file for writing: " + path);
-  }
-  const std::string payload = out.str();
-  const size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != payload.size() || close_rc != 0) {
-    return Status::IoError("short write to trace file: " + path);
-  }
-  return Status::Ok();
+  // Staged (util/staged_file.h): a failed or interrupted write leaves the
+  // previous trace at `path` intact.
+  Result<StagedFile> file = StagedFile::Create(path);
+  if (!file.ok()) return file.status();
+  if (Status s = file->Write(out.str()); !s.ok()) return s;
+  return file->Commit();
 }
 
 }  // namespace gps

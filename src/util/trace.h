@@ -88,8 +88,9 @@ class TraceEventSink {
             .count());
   }
 
-  /// Writes all recorded spans as {"traceEvents":[...]} to `path`.
-  /// Call only after all writing threads have quiesced.
+  /// Writes all recorded spans as {"traceEvents":[...]} to `path`,
+  /// staged (util/staged_file.h): on failure the previous file keeps its
+  /// bytes. Call only after all writing threads have quiesced.
   Status WriteJson(const std::string& path) const;
 
   /// Total spans recorded across all buffers (for tests/diagnostics).

@@ -174,6 +174,50 @@ TEST_F(CliTest, FailedCheckpointWriteKeepsPreviousFile) {
   std::remove(ckpt.c_str());
 }
 
+TEST_F(CliTest, FailedOutputWritesKeepPreviousFiles) {
+  // convert (binary and text), --stats-out and --trace stage their output
+  // beside the target, like the checkpoints. With a directory squatting
+  // on the temp name each fails by the temp file's name, the previous
+  // file keeps its bytes, and no temp file is left.
+  const struct {
+    const char* name;
+    const char* args;
+  } kCases[] = {
+      {"out.gps", "convert --input {G} --to binary --output {}"},
+      {"out.txt", "convert --input {G} --to text --output {}"},
+      {"stats.json",
+       "estimate --input {G} --capacity 500 --shards 2 --stats-out {}"},
+      {"trace.json",
+       "estimate --input {G} --capacity 500 --shards 2 --trace {}"},
+  };
+  for (const auto& c : kCases) {
+    const std::string path = TempPath(c.name);
+    std::string args = c.args;
+    args.replace(args.find("{G}"), 3, graph_path_);
+    args.replace(args.find("{}"), 2, path);
+    const std::string old_bytes = "previous output\n";
+    std::ofstream(path, std::ios::binary) << old_bytes;
+    std::filesystem::remove_all(path + ".tmp");
+    ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+    const CommandResult r = RunCli(args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(path + ".tmp"), std::string::npos)
+        << args << "\n" << r.output;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), old_bytes) << args;
+    EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp")) << args;
+    std::filesystem::remove_all(path + ".tmp");
+
+    // Unobstructed, the same command replaces the file in one rename.
+    const CommandResult ok = RunCli(args);
+    EXPECT_EQ(ok.exit_code, 0) << args << "\n" << ok.output;
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << args;
+    std::remove(path.c_str());
+  }
+}
+
 TEST_F(CliTest, ResumeRejectsCorruptCheckpoint) {
   const std::string ckpt = TempPath("cli_bad_ckpt.gps");
   std::ofstream(ckpt) << "NOT-A-CHECKPOINT 1\n";
@@ -247,12 +291,25 @@ TEST_F(CliTest, SchedulerAndRouterFlagsAreUnknown) {
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
-TEST_F(CliTest, EstimatePostStreamHonorsThreads) {
-  const CommandResult r =
-      RunCli("estimate --input " + graph_path_ +
-             " --capacity 2000 --estimator post --threads 4");
+TEST_F(CliTest, EstimateSerialPostStream) {
+  const CommandResult r = RunCli("estimate --input " + graph_path_ +
+                                 " --capacity 2000 --estimator post");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("post-stream estimates"), std::string::npos);
+}
+
+TEST_F(CliTest, EstimateRefusesThreadsFlag) {
+  // Every Algorithm-2 pass runs on all hardware threads (the bytes never
+  // depend on the count), so --threads is gone: a usage error, exit 2,
+  // serial or sharded.
+  for (const std::string extra : {"", " --shards 2"}) {
+    const CommandResult r =
+        RunCli("estimate --input " + graph_path_ +
+               " --capacity 2000 --estimator post --threads 2" + extra);
+    EXPECT_EQ(r.exit_code, 2) << extra << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown flag '--threads'"), std::string::npos)
+        << extra << "\n" << r.output;
+  }
 }
 
 TEST_F(CliTest, ShardedCheckpointWritesManifest) {
@@ -291,13 +348,6 @@ TEST_F(CliTest, EstimateRejectsOverflowingShards) {
   EXPECT_NE(r.output.find("--shards must be in"), std::string::npos);
 }
 
-TEST_F(CliTest, ShardedRejectsThreads) {
-  const CommandResult r = RunCli("estimate --input " + graph_path_ +
-                                 " --shards 2 --threads 4");
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("single-shard"), std::string::npos);
-}
-
 TEST_F(CliTest, EstimateShardedPostOnly) {
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
@@ -328,7 +378,6 @@ TEST_F(CliTest, RejectsMisparsedNumericFlags) {
       {"--shards 2x", "--shards"},
       {"--seed 1e9", "--seed"},
       {"--batch 99999999999999999999999", "--batch"},
-      {"--threads ''", "--threads"},
   };
   for (const auto& c : kCases) {
     const CommandResult r =
@@ -416,7 +465,6 @@ TEST_F(CliTest, RejectsZeroCountFlags) {
     const char* flag;
   } kCases[] = {
       {"estimate --input {} --batch 0", "--batch"},
-      {"estimate --input {} --threads 0", "--threads"},
       {"monitor --input {} --every 0", "--every"},
       {"monitor --input {} --every 10 --checkpoint-every 0",
        "--checkpoint-every"},

@@ -8,8 +8,10 @@
 //     unions of K in {2, 4} shards, with and without per-slot sub-strata;
 //   * its output is bit-identical for every thread count;
 //   * the union the engine patches across monitor ticks gives the same
-//     bits as a fresh BuildUnionSample at every tick — with motifs, and
-//     after ResumeFromCheckpoints;
+//     bits as a fresh BuildUnionSample at every tick — at K in {2, 3, 4,
+//     8}, under heavy churn, with motifs, and after ResumeFromCheckpoints;
+//   * the partner pass, which walks the node table by position, gives the
+//     same bits over a table full of tombstones as over a compact one;
 //   * estimating never moves the arrival-path intersection counters.
 //
 // The suite runs under ASan and TSan in CI (engine_ suites): the merge
@@ -22,6 +24,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -397,41 +400,172 @@ void ExpectFinalMatchesFreshUnion(ShardedEngine& engine) {
   ExpectMatchesFreshUnion(engine, estimates, motifs);
 }
 
+/// The union's edge set at each tick, for counting the union triangles
+/// that gained or lost two or three edges between two ticks — the patch
+/// cases where a list is touched through more than one changed edge.
+class TriangleChangeTracker {
+  using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
+
+ public:
+  void Observe(const ShardedEngine& engine) {
+    EdgeSet now;
+    for (uint32_t s = 0; s < engine.num_shards(); ++s) {
+      engine.shard(s).reservoir().ForEachEdge(
+          [&](SlotId, const GpsReservoir::EdgeRecord& rec) {
+            now.insert({rec.edge.u, rec.edge.v});
+          });
+    }
+    multi_admitted_ += CountMultiChanged(now, last_);
+    multi_evicted_ += CountMultiChanged(last_, now);
+    last_ = std::move(now);
+  }
+  int multi_admitted() const { return multi_admitted_; }
+  int multi_evicted() const { return multi_evicted_; }
+
+ private:
+  /// Triangles of `graph` with >= 2 edges missing from `other`.
+  static int CountMultiChanged(const EdgeSet& graph, const EdgeSet& other) {
+    std::map<NodeId, std::set<NodeId>> adj;
+    for (const auto& [u, v] : graph) {
+      adj[u].insert(v);
+      adj[v].insert(u);
+    }
+    const auto changed = [&](NodeId a, NodeId b) {
+      return other.count({std::min(a, b), std::max(a, b)}) == 0;
+    };
+    int count = 0;
+    for (const auto& [u, v] : graph) {
+      for (const NodeId w : adj[u]) {
+        if (w <= v || adj[v].count(w) == 0) continue;  // once, u < v < w
+        count += changed(u, v) + changed(u, w) + changed(v, w) >= 2;
+      }
+    }
+    return count;
+  }
+
+  EdgeSet last_;
+  int multi_admitted_ = 0;
+  int multi_evicted_ = 0;
+};
+
 TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
-  const std::vector<Edge> stream = MakePermutedStream(
-      GenerateBarabasiAlbert(1500, 6, 0.6, 71).value(), 72);
-  constexpr uint64_t kEvery = 600;
+  // Churn-heavy and hub-heavy: a clustered preferential-attachment graph
+  // streamed three times (every edge re-arrives, so evicted edges come
+  // back in new reservoir slots) into a small sample, with a tick every
+  // 97 edges.
+  const EdgeList graph = GenerateBarabasiAlbert(250, 10, 0.8, 71).value();
+  std::vector<Edge> stream;
+  for (const uint64_t seed : {72, 73, 74}) {
+    const std::vector<Edge> pass = MakePermutedStream(graph, seed);
+    stream.insert(stream.end(), pass.begin(), pass.end());
+  }
+  constexpr uint64_t kEvery = 97;
   const size_t half = stream.size() / 2;
-  ShardedEngineOptions options;
-  options.sampler.capacity = 900;
-  options.sampler.seed = 73;
-  options.num_shards = 4;
-  options.batch_size = 64;
-  options.motifs = {"tri", "4clique", "3path"};
+  for (const uint32_t k : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ShardedEngineOptions options;
+    options.sampler.capacity = 240;
+    options.sampler.seed = 73;
+    options.num_shards = k;
+    options.batch_size = 16;
+    options.motifs = {"tri", "4clique", "3path"};
 
-  int ticks = 0;
-  ShardedEngine engine(options);
-  engine.EstimateEvery(kEvery, CheckEachTick(&engine, &ticks));
-  for (size_t i = 0; i < half; ++i) engine.Process(stream[i]);
-  const std::filesystem::path dir = FreshDir("engine_merge", "sequential");
-  ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
-  for (size_t i = half; i < stream.size(); ++i) engine.Process(stream[i]);
-  engine.Finish();
-  EXPECT_EQ(ticks, static_cast<int>(stream.size() / kEvery));
-  // Thresholds rose, so ticks patched evictions as well as admissions.
-  EXPECT_GT(engine.shard(0).reservoir().threshold(), 0.0);
-  ExpectFinalMatchesFreshUnion(engine);
+    int ticks = 0;
+    TriangleChangeTracker tracker;
+    ShardedEngine engine(options);
+    const auto check = CheckEachTick(&engine, &ticks);
+    engine.EstimateEvery(kEvery, [&](const MonitorRecord& record) {
+      check(record);
+      tracker.Observe(engine);
+    });
+    for (size_t i = 0; i < half; ++i) engine.Process(stream[i]);
+    const std::filesystem::path dir =
+        FreshDir("engine_merge", "k" + std::to_string(k));
+    ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+    for (size_t i = half; i < stream.size(); ++i) engine.Process(stream[i]);
+    engine.Finish();
+    EXPECT_EQ(ticks, static_cast<int>(stream.size() / kEvery));
+    // The ticks patched evictions as well as admissions, including
+    // triangles that gained or lost two or three edges in one tick.
+    EXPECT_GT(engine.shard(0).reservoir().threshold(), 0.0);
+    EXPECT_GT(tracker.multi_admitted(), 0);
+    EXPECT_GT(tracker.multi_evicted(), 0);
+    ExpectFinalMatchesFreshUnion(engine);
 
-  auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ShardedEngine& continued = **resumed;
-  ticks = 0;
-  continued.EstimateEvery(kEvery, CheckEachTick(&continued, &ticks));
-  for (size_t i = half; i < stream.size(); ++i) continued.Process(stream[i]);
-  continued.Finish();
-  EXPECT_GT(ticks, 0);
-  ExpectFinalMatchesFreshUnion(continued);
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(
+        std::vector<std::string>{ManifestPath(dir)});
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ShardedEngine& continued = **resumed;
+    ticks = 0;
+    continued.EstimateEvery(kEvery, CheckEachTick(&continued, &ticks));
+    for (size_t i = half; i < stream.size(); ++i) continued.Process(stream[i]);
+    continued.Finish();
+    EXPECT_GT(ticks, 0);
+    ExpectFinalMatchesFreshUnion(continued);
+  }
+}
+
+// ---- Partner pass over a node table full of tombstones ---------------------
+
+TEST(Algorithm2ThreadsTest, TombstoneHeavyNodeTablesKeepTheBits) {
+  // The partner pass walks the node table by position, so erased nodes'
+  // tombstones lie in its path. A matching over thousands of nodes grows
+  // the tables; a clustered region, streamed twice, then takes over the
+  // sample, and the matching's nodes leave tombstones behind.
+  std::vector<Edge> stream;
+  for (NodeId i = 0; i < 4000; ++i) {
+    stream.push_back({2 * i + 1000, 2 * i + 1001});
+  }
+  const EdgeList clustered = GenerateBarabasiAlbert(300, 10, 0.8, 91).value();
+  for (const uint64_t seed : {92, 94}) {
+    const std::vector<Edge> dense = MakePermutedStream(clustered, seed);
+    stream.insert(stream.end(), dense.begin(), dense.end());
+  }
+
+  // The serial reservoir: its own sampled graph.
+  GpsSamplerOptions options;
+  options.capacity = 1200;
+  options.seed = 93;
+  GpsSampler serial(options);
+  for (const Edge& e : stream) serial.Process(e);
+  const SampledGraph& sampled = serial.reservoir().graph();
+  // Most positions the matching's nodes filled are tombstones now.
+  ASSERT_LT(sampled.node_load_factor(), 0.25);
+  const GraphEstimates want = EstimatePostStreamParallel(serial.reservoir(), 1);
+  EXPECT_GT(want.triangles.value, 0.0);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("serial, threads=" + std::to_string(threads));
+    ExpectExactlyEqual(EstimatePostStreamParallel(serial.reservoir(), threads),
+                       want);
+  }
+
+  // A union patched through the same churn against one built fresh: the
+  // patched node table is mostly tombstones, the fresh one has none.
+  constexpr uint32_t kShards = 4;
+  std::vector<GpsSampler> shards;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    GpsSamplerOptions shard_options = options;
+    shard_options.capacity = options.capacity / kShards;
+    shard_options.seed = DeriveShardSeed(options.seed, s, kShards);
+    shards.emplace_back(shard_options);
+  }
+  UnionSample patched;
+  std::vector<ShardSampleRef> refs;
+  for (const GpsSampler& shard : shards) refs.push_back({&shard.reservoir()});
+  for (size_t i = 0; i < stream.size(); ++i) {
+    shards[ShardedEngine::ShardOfEdge(stream[i], kShards)].Process(stream[i]);
+    if (i % 500 == 499) patched.Update(refs);
+  }
+  patched.Update(refs);
+  const UnionSample fresh = BuildUnionSample(Reservoirs(shards));
+  const GraphEstimates cross = EstimateCrossShard(fresh, 1);
+  const GraphEstimates post = EstimateMergedPostStream(fresh, 1);
+  EXPECT_GT(cross.triangles.value, 0.0);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("union, threads=" + std::to_string(threads));
+    ExpectExactlyEqual(EstimateCrossShard(patched, threads), cross);
+    ExpectExactlyEqual(EstimateMergedPostStream(patched, threads), post);
+  }
 }
 
 }  // namespace

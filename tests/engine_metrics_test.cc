@@ -176,12 +176,14 @@ TEST(EngineMetricsTest, CountersNonzeroAfterRun) {
   EXPECT_GT(latency.sum_ns, 0u);
 }
 
-TEST(EngineMetricsTest, MonitorRecordCarriesSnapshot) {
+TEST(EngineMetricsTest, MonitorCallbackSnapshotsMetrics) {
+  // A tick carries no metrics; a callback that wants them snapshots the
+  // engine, which the tick has just drained.
   const std::vector<Edge> stream = TestStream(400, 8, 21, 22);
   ShardedEngine engine(EngineOptions(2, 150, 5));
   std::vector<MetricsSnapshot> seen;
-  engine.EstimateEvery(1000, [&](const MonitorRecord& record) {
-    seen.push_back(record.metrics);
+  engine.EstimateEvery(1000, [&](const MonitorRecord&) {
+    seen.push_back(engine.SnapshotMetrics());
   });
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();

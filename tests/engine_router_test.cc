@@ -16,6 +16,7 @@
 // binary-ingest path) while edges are routed into the shard rings.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -259,8 +260,15 @@ TEST(RouterPinning, AppliesCleanlyWhereAffinityIsAvailable) {
     GTEST_SKIP() << "needs >= 2 schedulable cpus, have " << cpus.size();
   }
   {
-    std::thread probe([] {});
+    // The probe stays alive until it is pinned: pinning a thread that has
+    // already exited reaches the caller instead (its kernel id reads 0),
+    // which would shrink this thread's mask to one cpu.
+    std::atomic<bool> pinned{false};
+    std::thread probe([&pinned] {
+      while (!pinned.load()) std::this_thread::yield();
+    });
     const Status pin = PinThreadToCpu(probe, cpus[0]);
+    pinned.store(true);
     probe.join();
     if (!pin.ok()) {
       GTEST_SKIP() << "affinity syscall denied: " << pin.ToString();

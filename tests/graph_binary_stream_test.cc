@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -132,6 +133,29 @@ TEST_F(BinaryStreamTest, WriterRejectsInvalidNodeSentinel) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.ToString().find("invalid-node sentinel"), std::string::npos);
+}
+
+TEST_F(BinaryStreamTest, FailedWriteKeepsPreviousFile) {
+  // The writer stages "<path>.tmp" and renames it over the target. With a
+  // directory squatting on the temp name the write fails, naming the temp
+  // file, and the previous file keeps its bytes.
+  const std::string path = Track(TempPath("bs_staged.gps"));
+  const std::string old_bytes = "previous stream\n";
+  WriteFileBytes(path, old_bytes);
+  std::filesystem::remove_all(path + ".tmp");
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+  const Status s = WriteBinaryStream(path, SampleEdges());
+  std::filesystem::remove_all(path + ".tmp");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_NE(s.ToString().find(path + ".tmp"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(ReadFileBytes(path), old_bytes);
+
+  // A successful write replaces the file and leaves no temp file behind.
+  ASSERT_TRUE(WriteBinaryStream(path, SampleEdges()).ok());
+  EXPECT_NE(ReadFileBytes(path), old_bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST_F(BinaryStreamTest, WriterRejectsBlockEdgesOutOfRange) {

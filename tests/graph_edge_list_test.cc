@@ -4,6 +4,9 @@
 #include "graph/edge_list.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -229,6 +232,39 @@ TEST(EdgeListTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->NumEdges(), 3u);
   EXPECT_EQ(loaded->Edges()[0], list.Edges()[0]);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeListTest, FailedSaveKeepsPreviousFile) {
+  // Save stages "<path>.tmp" and renames it over the target. With a
+  // directory squatting on the temp name the save fails, naming the temp
+  // file, and the previous file keeps its bytes.
+  EdgeList list;
+  list.Add(0, 1);
+  list.Add(2, 4000000000u);
+  const std::string path = testing::TempDir() + "/gps_edge_list_staged.txt";
+  const std::string old_bytes = "7 8\n";
+  std::ofstream(path, std::ios::binary) << old_bytes;
+  std::filesystem::remove_all(path + ".tmp");
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+  const Status s = list.Save(path);
+  std::filesystem::remove_all(path + ".tmp");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_NE(s.ToString().find(path + ".tmp"), std::string::npos)
+      << s.ToString();
+  const auto read = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(read(), old_bytes);
+
+  // A successful save replaces the file — the same "u v" lines as ever —
+  // and leaves no temp file behind.
+  ASSERT_TRUE(list.Save(path).ok());
+  EXPECT_EQ(read(), "0 1\n2 4000000000\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
 }
 

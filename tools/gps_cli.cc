@@ -3,13 +3,13 @@
 // Subcommands:
 //   estimate  --input FILE [--capacity N] [--seed S] [--weight KIND]
 //             [--estimator in-stream|post|both] [--shards K] [--batch B]
-//             [--threads T] [--checkpoint PATH]
+//             [--checkpoint PATH]
 //       Stream the edge list (randomly permuted unless --no-permute) and
 //       print triangle/wedge/clustering estimates with 95% CIs. With
 //       --checkpoint, estimator state is saved afterwards: a single
 //       GPS-INSTREAM file for serial runs, a manifest directory (as
-//       checkpoint-shards) for --shards K > 1. --threads T runs a serial
-//       post-stream pass on T threads; the output is the same for every T.
+//       checkpoint-shards) for --shards K > 1. Every post-stream pass runs
+//       on all hardware threads; the output is the same for any count.
 //   resume    --checkpoint FILE --input FILE [--save FILE] [--no-permute]
 //       Load a saved in-stream estimator and continue over more edges;
 //       --save re-serializes the continued state so runs can chain.
@@ -201,15 +201,13 @@ int Usage() {
       "  estimate --input FILE [--capacity N | --mem BYTES] [--seed S]\n"
       "           [--weight uniform|adjacency|triangle|triangle-wedge]\n"
       "           [--estimator in-stream|post|both] [--no-permute]\n"
-      "           [--shards K] [--batch B] [--threads T] [--pin on|off]\n"
+      "           [--shards K] [--batch B] [--pin on|off]\n"
       "           [--motifs tri,wedge,4clique,3path,4cycle,5clique,\n"
       "            tailed_triangle]\n"
       "           [--degree NODE ...]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
       "           [--checkpoint FILE]  (a directory with --shards K>1\n"
       "           or --motifs)\n"
-      "           --threads T: threads of a serial run's post-stream\n"
-      "           pass; every T prints the same bytes\n"
       "           --pin on: pin the shard workers to distinct cores\n"
       "           (placement only; warns and runs unpinned where the\n"
       "           affinity syscall is denied)\n"
@@ -612,10 +610,13 @@ bool EmitObservability(ShardedEngine& engine, const StatsConfig& config,
     if (config.stats_out.empty()) {
       std::printf("metrics:\n%s\n", json.c_str());
     } else {
-      std::ofstream out(config.stats_out);
-      if (!out || !(out << json << "\n") || !out.flush()) {
-        std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                     config.stats_out.c_str());
+      // Staged: a failed write leaves the previous file intact.
+      Result<StagedFile> out = StagedFile::Create(config.stats_out);
+      Status s = out.ok() ? out->Write(json + "\n") : out.status();
+      if (s.ok()) s = out->Commit();
+      if (!s.ok()) {
+        std::fprintf(stderr, "error: cannot write metrics: %s\n",
+                     s.ToString().c_str());
         return false;
       }
       std::printf("metrics written to %s\n", config.stats_out.c_str());
@@ -656,8 +657,6 @@ int RunEstimate(const Flags& flags) {
   }
   ShardedRunConfig config;
   if (!ParseShardedRunConfig(flags, stream->size(), &config)) return 1;
-  uint64_t threads = 1;
-  if (!GetPositiveFlag(flags, "threads", 1, &threads)) return 1;
   config.sampler.weight = *weight;
   const GpsSamplerOptions& options = config.sampler;
 
@@ -689,13 +688,6 @@ int RunEstimate(const Flags& flags) {
       obs.any()) {
     // Sharded engine path: K worker threads, hash-partitioned substreams,
     // merged stratified estimates (src/engine/).
-    if (flags.Has("threads")) {
-      std::fprintf(stderr,
-                   "error: --threads applies to single-shard post-stream "
-                   "estimation; sharded runs merge on min(K, hardware "
-                   "threads) threads\n");
-      return 1;
-    }
     if (flags.Has("checkpoint") && estimator == "post") {
       std::fprintf(stderr,
                    "error: sharded checkpoints require in-stream shard "
@@ -770,8 +762,8 @@ int RunEstimate(const Flags& flags) {
     PrintEstimateReport("in-stream estimates (Algorithm 3)", report);
   }
   if (estimator == "post" || estimator == "both") {
-    EstimateReport report = MakeReport(EstimatePostStreamParallel(
-        in_stream.reservoir(), static_cast<unsigned>(threads)));
+    EstimateReport report = MakeReport(
+        EstimatePostStreamParallel(in_stream.reservoir(), MergeThreads()));
     if (estimator == "post") {
       // The sample path is shared, so the HT edge/degree statistics are
       // identical for both frameworks; print them in whichever block
@@ -1343,11 +1335,11 @@ int main(int argc, char** argv) {
 
   std::vector<const char*> allowed;
   if (command == "estimate") {
-    allowed = {"input",     "capacity",  "seed",   "weight",
-               "estimator", "no-permute", "shards", "batch",
-               "threads",   "checkpoint", "motifs", "degree",
-               "stats",     "stats-out",  "trace",  "mem",
-               "input-format", "pin"};
+    allowed = {"input",      "capacity",  "seed",   "weight",
+               "estimator",  "no-permute", "shards", "batch",
+               "checkpoint", "motifs",    "degree", "stats",
+               "stats-out",  "trace",     "mem",    "input-format",
+               "pin"};
   } else if (command == "resume") {
     allowed = {"checkpoint", "input", "seed", "save", "no-permute",
                "input-format"};
