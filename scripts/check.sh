@@ -7,7 +7,7 @@
 # engine suites — the TSan pass includes engine_metrics_test (snapshot
 # aggregation racing live relaxed-atomic writers) and engine_merge_test
 # (the multi-threaded merge passes inside monitor ticks).
-# A short traced perfbench run of orkut-monitor and amazon-binary checks
+# A short traced perfbench run of every BENCHMARK.json workload checks
 # that the replay driver still matches the CLI byte for byte.
 # Mirrors the release + sanitize + tsan + simd-off jobs of
 # .github/workflows/ci.yml
@@ -49,9 +49,12 @@ GPS_BENCH_SCALE=0.05 ./build/bench_scaling --json build/BENCH_scaling.json
 echo "=== Replay byte identity (perfbench --trace 1) ==="
 # perfbench/replay.cc drives the union API (BuildUnionSample,
 # EstimateCrossShard, EstimateMergedPostStream) the way gps_cli does, and
-# its stdout must equal the CLI's byte for byte; a short traced run of the
-# two sharded workloads fails here, not only in the benchmark pipeline.
-for workload in orkut-monitor amazon-binary; do
+# its stdout must equal the CLI's byte for byte; a short traced run of
+# each workload fails here, not only in the benchmark pipeline. At K=1
+# (orkut-serial) the replay calls InStreamEstimator and
+# EstimatePostStreamParallel directly, so it checks that the CLI's engine
+# route still prints the serial estimator's bytes.
+for workload in orkut-serial orkut-monitor amazon-binary; do
   last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 2 --trace 1 | tail -n 1)
   echo "$last" | grep -q '"correct": true' || {

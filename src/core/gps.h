@@ -47,16 +47,7 @@ class GpsSampler {
   const WeightFunction& weight_function() const { return weight_fn_; }
   uint64_t edges_processed() const { return reservoir_.edges_processed(); }
 
-  /// Reconstructs a sampler from checkpointed parts (see core/serialize.h).
-  static GpsSampler FromParts(const WeightOptions& weight,
-                              GpsReservoir reservoir) {
-    return GpsSampler(weight, std::move(reservoir));
-  }
-
  private:
-  GpsSampler(const WeightOptions& weight, GpsReservoir reservoir)
-      : weight_fn_(weight), reservoir_(std::move(reservoir)) {}
-
   WeightFunction weight_fn_;
   GpsReservoir reservoir_;
 };

@@ -18,7 +18,6 @@ namespace gps {
 namespace {
 
 constexpr const char* kReservoirHeader = "GPS-RESERVOIR";
-constexpr const char* kSamplerHeader = "GPS-SAMPLER";
 constexpr const char* kInStreamHeader = "GPS-INSTREAM";
 constexpr const char* kManifestHeader = "GPS-MANIFEST";
 constexpr int kFormatVersion = 1;
@@ -267,26 +266,6 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
         "duplicate edges in reservoir checkpoint");
   }
   return res;
-}
-
-Status SerializeSampler(const GpsSampler& sampler, std::ostream& out) {
-  return WriteText(StreamSink(out), [&](TextWriter& w) {
-    w.Text(kSamplerHeader).Char(' ').Int(kFormatVersion).Char('\n');
-    if (Status s = WriteWeightOptions(sampler.weight_function().options(), w);
-        !s.ok()) {
-      return s;
-    }
-    return WriteReservoir(sampler.reservoir(), w);
-  });
-}
-
-Result<GpsSampler> DeserializeSampler(std::istream& in) {
-  if (Status s = ExpectHeader(in, kSamplerHeader); !s.ok()) return s;
-  Result<WeightOptions> weight = ReadWeightOptions(in);
-  if (!weight.ok()) return weight.status();
-  Result<GpsReservoir> reservoir = DeserializeReservoir(in);
-  if (!reservoir.ok()) return reservoir.status();
-  return GpsSampler::FromParts(*weight, std::move(*reservoir));
 }
 
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,

@@ -1,4 +1,4 @@
-// Checkpoint serialization for samplers and estimators.
+// Checkpoint serialization for reservoirs and in-stream estimators.
 //
 // Stream processors run for days; operators need to stop, upgrade, and
 // resume without discarding the accumulated sample. These routines persist
@@ -13,7 +13,7 @@
 // bytes as printf "%.17g". Writers stream their output through one 64 KiB
 // formatter buffer (util/text_writer.h) to a ByteSink chunk by chunk, so a
 // shard file is never held whole in memory; StreamSink is that sink over a
-// std::ostream. Custom weight callables cannot be serialized; samplers
+// std::ostream. Custom weight callables cannot be serialized; estimators
 // configured with WeightKind::kCustom return FailedPrecondition.
 //
 // Checkpoints are untrusted input (they cross machines in the distributed
@@ -78,7 +78,7 @@ inline constexpr uint32_t kMaxManifestShards = 4096;
 int ManifestFormatVersion();
 /// The oldest GPS-MANIFEST version this build still reads.
 int ManifestMinReadVersion();
-/// The single-estimator (GPS-RESERVOIR/-SAMPLER/-INSTREAM) format version.
+/// The single-estimator (GPS-RESERVOIR/-INSTREAM) format version.
 int EstimatorFormatVersion();
 
 /// FNV-1a 64-bit digest of a byte string; binds manifest entries to the
@@ -154,10 +154,6 @@ Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out);
 
 /// Reads a reservoir previously written by SerializeReservoir.
 Result<GpsReservoir> DeserializeReservoir(std::istream& in);
-
-/// Writes a full GPS sampler (weight configuration + reservoir).
-Status SerializeSampler(const GpsSampler& sampler, std::ostream& out);
-Result<GpsSampler> DeserializeSampler(std::istream& in);
 
 /// Writes a full in-stream estimator (weight configuration + reservoir +
 /// snapshot accumulators) to `sink`, chunk by chunk.

@@ -148,6 +148,38 @@ const InStreamEstimator& ShardWorker::in_stream_estimator() const {
   return *in_stream_;
 }
 
+void ShardWorker::RunInline(const EdgeBatch& batch) {
+  assert(!thread_.joinable() && "a started worker is fed through Submit");
+  submitted_edges_ += batch.size();
+  RunBatch(batch);
+  consumed_edges_.store(submitted_edges_, std::memory_order_release);
+}
+
+void ShardWorker::RunBatch(const EdgeBatch& batch) {
+  const size_t n = batch.size();
+  const BusyScope busy(&busy_ns_);
+  const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
+  TraceSpan span(trace_sink_, trace_buf_, "batch");
+  span.SetArg("edges", static_cast<int64_t>(n));
+  if (in_stream_) {
+    if (!motifs_.empty()) {
+      // Motif snapshots freeze at the stopping time BEFORE the arriving
+      // edge's own sampling step, so the suite observes first; it only
+      // reads the reservoir, leaving the sample path untouched.
+      for (size_t i = 0; i < n; ++i) {
+        const Edge e = batch.edge(i);
+        motifs_.Observe(e, in_stream_->reservoir());
+        in_stream_->Process(e);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) in_stream_->Process(batch.edge(i));
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) sampler_->Process(batch.edge(i));
+  }
+  worker_metrics_.batches_processed.Increment();
+}
+
 void ShardWorker::RunWorker() {
   EdgeBatch batch;
   Backoff backoff;
@@ -172,30 +204,7 @@ void ShardWorker::RunWorker() {
       idle_start = 0;
     }
     const size_t n = batch.size();
-    {
-      const BusyScope busy(&busy_ns_);
-      const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
-      TraceSpan span(trace_sink_, trace_buf_, "batch");
-      span.SetArg("edges", static_cast<int64_t>(n));
-      if (in_stream_) {
-        if (!motifs_.empty()) {
-          // Motif snapshots freeze at the stopping time BEFORE the
-          // arriving edge's own sampling step, so the suite observes
-          // first; it only reads the reservoir, leaving the sample path
-          // untouched.
-          for (size_t i = 0; i < n; ++i) {
-            const Edge e = batch.edge(i);
-            motifs_.Observe(e, in_stream_->reservoir());
-            in_stream_->Process(e);
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) in_stream_->Process(batch.edge(i));
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) sampler_->Process(batch.edge(i));
-      }
-      worker_metrics_.batches_processed.Increment();
-    }
+    RunBatch(batch);
     // Release so a producer observing the new count also observes the
     // estimator state those edges produced.
     consumed_edges_.fetch_add(n, std::memory_order_release);

@@ -1,10 +1,13 @@
 // One shard of the sharded streaming engine: a GPS estimator running on
-// its own worker thread, fed batches of edges through a bounded SPSC ring.
+// its own worker thread, fed batches of edges through a bounded SPSC ring
+// — or, when the worker is never started, on the producer thread itself
+// (RunInline; the engine's K=1 layout).
 //
 // Threading contract:
-//   * exactly one producer thread calls Submit/CloseInput (the engine's
-//     ingestion thread);
-//   * the worker thread is the only mutator of the estimator state;
+//   * exactly one producer thread calls Submit/RunInline/Join (the
+//     engine's ingestion thread);
+//   * the worker thread, or the producer for an unstarted worker, is the
+//     only mutator of the estimator state;
 //   * after WaitDrained() or Join() returns, the producer may read the
 //     estimator (the drain handshake publishes the worker's writes with a
 //     release/acquire pair on the consumed-edge counter).
@@ -140,6 +143,11 @@ class ShardWorker {
   /// once before the first Submit.
   void Start();
 
+  /// Runs one batch on the calling thread through the worker loop's batch
+  /// body. For a worker that is never started: the engine's K=1 layout
+  /// feeds its one shard this way, with no thread and no ring hand-off.
+  void RunInline(const EdgeBatch& batch);
+
   /// Outcome of the Start-time core pin: Ok when options.cpu_affinity was
   /// -1 (nothing to do) or the pin succeeded; the named syscall failure
   /// otherwise. Valid after Start.
@@ -155,12 +163,14 @@ class ShardWorker {
 
   /// Blocks until every submitted edge has been consumed by the worker. On
   /// return the estimator state is safely readable until the next Submit.
-  /// Producer thread only.
+  /// Producer thread only; returns at once for an unstarted worker.
   void WaitDrained() const;
 
-  /// Signals end of stream and joins the worker thread. Idempotent.
+  /// Signals end of stream and joins the worker thread. Idempotent; a
+  /// no-op for an unstarted worker.
   void Join();
 
+  /// Edges handed to this shard, by Submit or RunInline.
   uint64_t edges_submitted() const { return submitted_edges_; }
 
   /// Seconds this worker spent executing batches (per-thread CPU time).
@@ -210,6 +220,10 @@ class ShardWorker {
 
  private:
   void RunWorker();
+
+  /// The batch body of RunWorker and RunInline: the shard's estimator (and
+  /// motif suite) over the batch in arrival order, clocked and traced.
+  void RunBatch(const EdgeBatch& batch);
 
   ShardOptions options_;
 

@@ -12,6 +12,9 @@
 //   producer thread            K worker threads, one InStreamEstimator
 //                              (or GpsSampler) per shard — engine/shard.h
 //
+// At K=1 there is no worker thread and no ring: each full batch runs on
+// the producer through the same batch body (ShardWorker::RunInline).
+//
 //   MergedEstimates() = sum of per-shard in-stream estimates (within-shard
 //   stratum) + cross-shard Horvitz-Thompson correction over the union
 //   sample (engine/merge.h).
@@ -87,9 +90,9 @@ struct ShardedEngineOptions {
   std::vector<std::string> motifs;
   /// Pin the K shard workers to distinct cores from the process affinity
   /// mask. Graceful no-op with one named stderr warning (pin_warning())
-  /// when the affinity syscall is denied — containers routinely do — or
-  /// the mask has fewer cores than workers. Placement only: results are
-  /// byte-identical pinned or not.
+  /// when the affinity syscall is denied — containers routinely do — the
+  /// mask has fewer cores than workers, or K=1 (no worker thread).
+  /// Placement only: results are byte-identical pinned or not.
   bool pin_threads = false;
   /// Optional Chrome-trace recorder (util/trace.h). When set, every worker
   /// gets a per-thread span buffer ("batch" spans) and the producer
@@ -124,6 +127,8 @@ struct MonitorRecord {
 /// Everything a checkpoint set merges to: the tri/wedge estimates, the
 /// configured motif statistics, and the merged edge-count estimate.
 struct CheckpointMergeResult {
+  /// Shard count K of the merged layout.
+  uint32_t num_shards = 1;
   GraphEstimates graph;
   std::vector<MotifEstimate> motifs;
   double edge_count = 0.0;
@@ -222,13 +227,14 @@ class ShardedEngine {
   /// Rebuilds a RUNNING engine from checkpoint manifests so the stream
   /// can continue where the interrupted run left off: per-shard
   /// reservoirs, snapshot accumulators, and RNG states are restored from
-  /// the shard files (exact round trip), workers are started, and
-  /// edges_processed() resumes at the manifest's stream offset (version-1
-  /// manifests: the sum of per-shard arrival counts). Feeding the suffix
-  /// of the original stream yields per-shard reservoirs and merged
-  /// estimates byte-identical to an uninterrupted run — the sharded
-  /// analog of `gps_cli resume`. Validation rules are those of
-  /// MergeFromCheckpoints (layout agreement, exact coverage, digests).
+  /// the shard files (exact round trip), workers are started (none at
+  /// K=1), and edges_processed() resumes at the manifest's stream offset
+  /// (version-1 manifests: the sum of per-shard arrival counts). Feeding
+  /// the suffix of the original stream yields per-shard reservoirs and
+  /// merged estimates byte-identical to an uninterrupted run. Validation
+  /// rules are those of MergeFromCheckpoints (layout agreement, exact
+  /// coverage, digests); a directory passed as a manifest path is refused
+  /// by name.
   static Result<std::unique_ptr<ShardedEngine>> ResumeFromCheckpoints(
       std::span<const std::string> manifest_paths,
       const ShardedResumeOptions& resume_options = {});
@@ -330,19 +336,25 @@ class ShardedEngine {
   /// guarantee.
   std::vector<ShardSampleRef> CollectSampleRefs() const;
 
-  /// Hands the shard a fresh (recycled when possible) pending buffer.
-  void RefillPending(uint32_t s);
-
   /// The ONE route-and-batch step shared by Process and the ProcessBlock
   /// loop: route the edge, append to its shard's pending batch, hand off
   /// at batch_size. Inlined; any drift between the two callers would
   /// break the block-path byte-identity contract.
   void RouteOne(const Edge& e);
 
-  /// Submits shard s's full pending batch and refills it, charging the
-  /// (possibly ring-full-blocked) hand-off to the submit clock so
-  /// producer_route_ns_ measures routing, not worker backpressure.
+  /// Hands shard s's pending batch over and readies the next one: onto
+  /// the worker's ring, or at K=1 through the shard's batch body right
+  /// here on the producer (StartWorkers).
+  void HandOff(uint32_t s);
+
+  /// HandOff of shard s's full pending batch, charged to the submit clock
+  /// so producer_route_ns_ measures routing, not the (possibly
+  /// ring-full-blocked) hand-off or the inline batch run.
   void SubmitPending(uint32_t s);
+
+  /// Starts the K worker threads — none at K=1, whose one shard runs on
+  /// the producer thread. Both constructors call it.
+  void StartWorkers();
 
   /// Records the named reason pinning was disabled and warns on stderr.
   /// Called at most once: a plan the mask cannot hold pins no worker.

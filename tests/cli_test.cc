@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,13 +28,8 @@ struct CommandResult {
   std::string output;
 };
 
-/// Runs the CLI with `env_prefix` prepended (e.g. "GPS_INTERSECT_KERNEL=simd")
-/// so tests can exercise environment-driven modes of a fresh process.
-CommandResult RunCliEnv(const std::string& env_prefix,
-                        const std::string& args) {
-  const std::string command = (env_prefix.empty() ? "" : env_prefix + " ") +
-                              std::string(GPS_CLI_PATH) + " " + args +
-                              " 2>&1";
+/// Runs `command` through the shell and collects its stdout.
+CommandResult RunShell(const std::string& command) {
   FILE* pipe = popen(command.c_str(), "r");
   CommandResult result;
   if (!pipe) return result;
@@ -41,6 +38,15 @@ CommandResult RunCliEnv(const std::string& env_prefix,
   const int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+/// Runs the CLI with `env_prefix` prepended (e.g. "GPS_INTERSECT_KERNEL=simd")
+/// so tests can exercise environment-driven modes of a fresh process.
+/// `output` holds stdout and stderr together.
+CommandResult RunCliEnv(const std::string& env_prefix,
+                        const std::string& args) {
+  return RunShell((env_prefix.empty() ? "" : env_prefix + " ") +
+                  std::string(GPS_CLI_PATH) + " " + args + " 2>&1");
 }
 
 CommandResult RunCli(const std::string& args) { return RunCliEnv("", args); }
@@ -52,6 +58,44 @@ std::string TempPath(const std::string& name) {
       ::testing::UnitTest::GetInstance()->current_test_info();
   return testing::TempDir() + "/" + (info ? info->name() : "unknown") + "_" +
          name;
+}
+
+/// TempPath with whatever an earlier run left there removed, so a stale
+/// file cannot stand where a checkpoint directory is about to go.
+std::string FreshPath(const std::string& name) {
+  const std::string path = TempPath(name);
+  std::filesystem::remove_all(path);
+  return path;
+}
+
+/// Slurps a file's raw bytes for byte-identity assertions.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Runs the CLI with stdout alone in `output` and stderr in `*err`.
+CommandResult RunCliSplit(const std::string& args, std::string* err) {
+  const std::string err_path = TempPath("stderr.txt");
+  const CommandResult result =
+      RunShell(std::string(GPS_CLI_PATH) + " " + args + " 2>" + err_path);
+  *err = FileBytes(err_path);
+  std::remove(err_path.c_str());
+  return result;
+}
+
+/// Every regular file under `dir`, name -> contents. Equal maps mean
+/// byte-identical checkpoint directories.
+std::map<std::string, std::string> DirBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().filename().string()] =
+          FileBytes(entry.path().string());
+    }
+  }
+  return files;
 }
 
 class CliTest : public ::testing::Test {
@@ -77,6 +121,19 @@ TEST_F(CliTest, NoArgsPrintsUsage) {
 TEST_F(CliTest, UnknownCommandFails) {
   const CommandResult r = RunCli("frobnicate");
   EXPECT_NE(r.exit_code, 0);
+}
+
+TEST_F(CliTest, RemovedSubcommandsAreUnknown) {
+  // `resume` (one bare GPS-INSTREAM file) folded into resume-shards, and
+  // `checkpoint-shards` into `estimate --checkpoint DIR`: both are usage
+  // errors now.
+  for (const std::string command : {"resume", "checkpoint-shards"}) {
+    const CommandResult r = RunCli(command + " --input " + graph_path_);
+    EXPECT_EQ(r.exit_code, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown subcommand '" + command + "'"),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST_F(CliTest, CorpusListsEntries) {
@@ -135,43 +192,27 @@ TEST_F(CliTest, EstimateWithEachWeight) {
   EXPECT_NE(bad.exit_code, 0);
 }
 
-TEST_F(CliTest, CheckpointResumeRoundTrip) {
-  const std::string ckpt = TempPath("cli_ckpt.gps");
-  const CommandResult est =
-      RunCli("estimate --input " + graph_path_ +
-             " --capacity 1500 --checkpoint " + ckpt);
-  ASSERT_EQ(est.exit_code, 0) << est.output;
-  EXPECT_NE(est.output.find("checkpoint written"), std::string::npos);
-
-  const CommandResult resume =
-      RunCli("resume --checkpoint " + ckpt + " --input " + graph_path_);
-  EXPECT_EQ(resume.exit_code, 0) << resume.output;
-  EXPECT_NE(resume.output.find("resumed at"), std::string::npos);
-  EXPECT_NE(resume.output.find("in-stream estimates (resumed)"),
-            std::string::npos);
-  std::remove(ckpt.c_str());
-}
-
 TEST_F(CliTest, FailedCheckpointWriteKeepsPreviousFile) {
-  // The serial checkpoint is staged beside its target. When the staged
-  // file cannot be written (a directory squats on its name) the run fails
-  // by name and the previous checkpoint keeps its bytes.
-  const std::string ckpt = TempPath("cli_staged.gps");
-  const std::string old_bytes = "previous checkpoint\n";
-  std::ofstream(ckpt) << old_bytes;
-  std::filesystem::remove_all(ckpt + ".tmp");
-  ASSERT_TRUE(std::filesystem::create_directory(ckpt + ".tmp"));
+  // Checkpoint files are staged beside their targets. When a shard file
+  // cannot be staged (a directory squats on its temp name) the run fails
+  // by name and the previous checkpoint keeps every byte.
+  const std::string dir = FreshPath("cli_staged");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1500 --seed 3 --checkpoint " + dir)
+                .exit_code,
+            0);
+  const std::map<std::string, std::string> old_files = DirBytes(dir);
+  const std::string squat = dir + "/shard-0000.gps.tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(squat));
   const CommandResult r = RunCli("estimate --input " + graph_path_ +
-                                 " --capacity 1500 --checkpoint " + ckpt);
+                                 " --capacity 1500 --seed 4 --checkpoint " +
+                                 dir);
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("checkpoint error"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find(ckpt + ".tmp"), std::string::npos) << r.output;
-  std::ifstream in(ckpt, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  EXPECT_EQ(bytes.str(), old_bytes);
-  std::filesystem::remove_all(ckpt + ".tmp");
-  std::remove(ckpt.c_str());
+  EXPECT_NE(r.output.find(squat), std::string::npos) << r.output;
+  std::filesystem::remove_all(squat);
+  EXPECT_EQ(DirBytes(dir), old_files);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CliTest, FailedOutputWritesKeepPreviousFiles) {
@@ -218,13 +259,48 @@ TEST_F(CliTest, FailedOutputWritesKeepPreviousFiles) {
   }
 }
 
-TEST_F(CliTest, ResumeRejectsCorruptCheckpoint) {
-  const std::string ckpt = TempPath("cli_bad_ckpt.gps");
-  std::ofstream(ckpt) << "NOT-A-CHECKPOINT 1\n";
-  const CommandResult r =
-      RunCli("resume --checkpoint " + ckpt + " --input " + graph_path_);
-  EXPECT_NE(r.exit_code, 0);
-  std::remove(ckpt.c_str());
+TEST_F(CliTest, ManifestCommandsRefuseBareInStreamFile) {
+  // A K=1 checkpoint directory's shard-0000.gps holds the bytes that
+  // `estimate --checkpoint FILE` once wrote as a single GPS-INSTREAM
+  // file. Such a file is not a checkpoint on its own: both manifest
+  // readers refuse it, naming the header they found.
+  const std::string dir = FreshPath("bare_dir");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1500 --checkpoint " + dir)
+                .exit_code,
+            0);
+  const std::string bare = dir + "/shard-0000.gps";
+  for (const std::string& command :
+       {"merge-checkpoints --manifest " + bare,
+        "resume-shards --manifest " + bare + " --input " + graph_path_}) {
+    const CommandResult r = RunCli(command);
+    EXPECT_EQ(r.exit_code, 1) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("expected GPS-MANIFEST, found GPS-INSTREAM"),
+              std::string::npos)
+        << command << "\n" << r.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliTest, CheckpointDirectoryAsManifestIsRefusedByName) {
+  // Every checkpoint is a directory, so passing the directory itself is
+  // the likely slip: the refusal names the manifest inside it.
+  const std::string dir = FreshPath("dir_manifest");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1000 --shards 2 --checkpoint " + dir)
+                .exit_code,
+            0);
+  for (const std::string& command :
+       {"merge-checkpoints --manifest " + dir,
+        "resume-shards --manifest " + dir + " --input " + graph_path_}) {
+    const CommandResult r = RunCli(command);
+    EXPECT_EQ(r.exit_code, 1) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("is a checkpoint directory; pass " + dir +
+                            "/manifest.gpsm"),
+              std::string::npos)
+        << command << "\n" << r.output;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CliTest, FlagMissingValueFails) {
@@ -271,13 +347,14 @@ TEST_F(CliTest, SchedulerAndRouterFlagsAreUnknown) {
   // The engine has one producer loop and one sequential worker loop; the
   // flags that selected a work-stealing scheduler or a router pool are
   // refused like any other unknown flag (usage error, exit 2).
-  const std::string dir = TempPath("ckpt");
+  const std::string dir = FreshPath("ckpt");
   for (const std::string& command :
        {"estimate --input " + graph_path_ + " --capacity 500 --shards 2",
         "monitor --input " + graph_path_ +
             " --capacity 500 --shards 2 --every 2000",
-        "checkpoint-shards --input " + graph_path_ +
-            " --capacity 500 --shards 2 --out " + dir}) {
+        "estimate --input " + graph_path_ +
+            " --capacity 500 --shards 2 --estimator in-stream --checkpoint " +
+            dir}) {
     const CommandResult steal = RunCli(command + " --steal on");
     EXPECT_EQ(steal.exit_code, 2) << command << "\n" << steal.output;
     EXPECT_NE(steal.output.find("unknown flag '--steal'"), std::string::npos)
@@ -325,13 +402,16 @@ TEST_F(CliTest, ShardedCheckpointWritesManifest) {
 }
 
 TEST_F(CliTest, ShardedCheckpointRejectsPostEstimator) {
-  // Post-stream shards keep no in-stream state to persist.
-  const CommandResult r =
-      RunCli("estimate --input " + graph_path_ +
-             " --shards 2 --estimator post --checkpoint " +
-             TempPath("nope"));
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("in-stream"), std::string::npos);
+  // Post-stream shards keep no in-stream state to persist, at any K.
+  for (const std::string shards : {"1", "2"}) {
+    const std::string dir = FreshPath("nope" + shards);
+    const CommandResult r =
+        RunCli("estimate --input " + graph_path_ + " --shards " + shards +
+               " --estimator post --checkpoint " + dir);
+    EXPECT_EQ(r.exit_code, 1) << shards << "\n" << r.output;
+    EXPECT_NE(r.output.find("in-stream"), std::string::npos) << r.output;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << shards;
+  }
 }
 
 TEST_F(CliTest, EstimateRejectsZeroShards) {
@@ -407,19 +487,20 @@ std::string EstimatesBlock(const std::string& output,
   return output.substr(start, end - start);
 }
 
-TEST_F(CliTest, CheckpointShardsMergeMatchesLiveByteForByte) {
-  const std::string dir = TempPath("ckpt_shards_dir");
+TEST_F(CliTest, CheckpointMergeMatchesLiveByteForByte) {
+  const std::string dir = FreshPath("ckpt_shards_dir");
   const std::string params =
-      " --capacity 1500 --seed 11 --shards 4 --batch 256";
+      " --capacity 1500 --seed 11 --shards 4 --batch 256"
+      " --estimator in-stream";
   const CommandResult live =
-      RunCli("estimate --input " + graph_path_ + params +
-             " --estimator in-stream");
+      RunCli("estimate --input " + graph_path_ + params);
   ASSERT_EQ(live.exit_code, 0) << live.output;
 
-  const CommandResult ckpt = RunCli("checkpoint-shards --input " +
-                                    graph_path_ + params + " --out " + dir);
+  const CommandResult ckpt = RunCli("estimate --input " + graph_path_ +
+                                    params + " --checkpoint " + dir);
   ASSERT_EQ(ckpt.exit_code, 0) << ckpt.output;
-  EXPECT_NE(ckpt.output.find("manifest written"), std::string::npos);
+  EXPECT_NE(ckpt.output.find("sharded checkpoint written"),
+            std::string::npos);
 
   const CommandResult merged =
       RunCli("merge-checkpoints --manifest " + dir + "/manifest.gpsm");
@@ -433,11 +514,11 @@ TEST_F(CliTest, CheckpointShardsMergeMatchesLiveByteForByte) {
 }
 
 TEST_F(CliTest, MergeCheckpointsRejectsMismatchedSeeds) {
-  const std::string dir_a = TempPath("merge_a");
-  const std::string dir_b = TempPath("merge_b");
+  const std::string dir_a = FreshPath("merge_a");
+  const std::string dir_b = FreshPath("merge_b");
   const std::string base =
-      "checkpoint-shards --input " + graph_path_ +
-      " --capacity 1000 --shards 2 --out ";
+      "estimate --input " + graph_path_ +
+      " --capacity 1000 --shards 2 --estimator in-stream --checkpoint ";
   ASSERT_EQ(RunCli(base + dir_a + " --seed 1").exit_code, 0);
   ASSERT_EQ(RunCli(base + dir_b + " --seed 2").exit_code, 0);
   const CommandResult r =
@@ -674,30 +755,34 @@ TEST_F(CliTest, ResumeShardsContinuationMatchesUninterruptedByteForByte) {
     }
   }
 
-  const std::string params = " --capacity 900 --seed 17 --shards 4";
-  const CommandResult uninterrupted =
-      RunCli("estimate --input " + full + params +
-             " --estimator in-stream --no-permute");
-  ASSERT_EQ(uninterrupted.exit_code, 0) << uninterrupted.output;
+  for (const std::string shards : {"1", "4"}) {
+    SCOPED_TRACE("shards=" + shards);
+    const std::string params =
+        " --capacity 900 --seed 17 --estimator in-stream --shards " + shards;
+    const CommandResult uninterrupted =
+        RunCli("estimate --input " + full + params + " --no-permute");
+    ASSERT_EQ(uninterrupted.exit_code, 0) << uninterrupted.output;
 
-  const std::string dir = TempPath("resume_dir");
-  const CommandResult ckpt =
-      RunCli("checkpoint-shards --input " + part_a + params +
-             " --no-permute --out " + dir);
-  ASSERT_EQ(ckpt.exit_code, 0) << ckpt.output;
-  const CommandResult resumed =
-      RunCli("resume-shards --manifest " + dir + "/manifest.gpsm --input " +
-             part_b + " --no-permute");
-  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    const std::string dir = FreshPath("resume_dir" + shards);
+    const CommandResult ckpt =
+        RunCli("estimate --input " + part_a + params +
+               " --no-permute --checkpoint " + dir);
+    ASSERT_EQ(ckpt.exit_code, 0) << ckpt.output;
+    const CommandResult resumed =
+        RunCli("resume-shards --manifest " + dir + "/manifest.gpsm --input " +
+               part_b + " --no-permute");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
 
-  const std::string label = "merged in-stream estimates";
-  EXPECT_EQ(EstimatesBlock(uninterrupted.output, label),
-            EstimatesBlock(resumed.output, label));
+    // "in-stream estimates" ends both labels, K=1's and the merged one.
+    const std::string label = "in-stream estimates";
+    EXPECT_EQ(EstimatesBlock(uninterrupted.output, label),
+              EstimatesBlock(resumed.output, label));
+    std::filesystem::remove_all(dir);
+  }
 
   std::remove(full.c_str());
   std::remove(part_a.c_str());
   std::remove(part_b.c_str());
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CliTest, ListMotifsShowsRegistry) {
@@ -722,8 +807,7 @@ TEST_F(CliTest, EstimateWithMotifsPrintsMotifRows) {
 }
 
 TEST_F(CliTest, EstimateMotifsRouteThroughEngineAtOneShard) {
-  // --motifs without --shards runs the K=1 engine (byte-identical sample
-  // path; manifest checkpoints carry the accumulators).
+  // A K=1 motif run checkpoints a manifest that carries the accumulators.
   const std::string dir = TempPath("motif_ckpt");
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
@@ -776,10 +860,10 @@ TEST_F(CliTest, MonitorWithMotifsExtendsCsvSchema) {
 }
 
 TEST_F(CliTest, ResumeShardsCrossChecksMotifSet) {
-  const std::string dir = TempPath("resume_motifs");
-  ASSERT_EQ(RunCli("checkpoint-shards --input " + graph_path_ +
+  const std::string dir = FreshPath("resume_motifs");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
                    " --capacity 1000 --shards 2 --motifs tri,4clique"
-                   " --out " + dir)
+                   " --estimator in-stream --checkpoint " + dir)
                 .exit_code,
             0);
   // Matching set passes and prints motif rows.
@@ -813,24 +897,44 @@ TEST_F(CliTest, ResumeShardsRejectsMissingManifest) {
 }
 
 TEST_F(CliTest, ResumeSavePersistsContinuedState) {
-  const std::string first = TempPath("chain1.gps");
-  const std::string second = TempPath("chain2.gps");
-  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
-                   " --capacity 1500 --checkpoint " + first)
-                .exit_code,
-            0);
+  // estimate --checkpoint -> resume-shards --save -> resume-shards at
+  // K=1: the chain continues from the SAVED state, not the original.
+  const std::string first = FreshPath("chain1");
+  const std::string second = FreshPath("chain2");
+  const CommandResult est =
+      RunCli("estimate --input " + graph_path_ +
+             " --capacity 1500 --estimator in-stream --checkpoint " + first);
+  ASSERT_EQ(est.exit_code, 0) << est.output;
+  unsigned long long edges = 0;
+  ASSERT_EQ(std::sscanf(est.output.c_str(), "stream: %llu edges", &edges), 1)
+      << est.output;
+
   const CommandResult saved =
-      RunCli("resume --checkpoint " + first + " --input " + graph_path_ +
-             " --save " + second);
+      RunCli("resume-shards --manifest " + first + "/manifest.gpsm --input " +
+             graph_path_ + " --save " + second);
   EXPECT_EQ(saved.exit_code, 0) << saved.output;
-  EXPECT_NE(saved.output.find("checkpoint written"), std::string::npos);
-  // The chain continues from the SAVED state, not the original.
+  EXPECT_NE(saved.output.find("resumed 1 shards at " +
+                              std::to_string(edges) + " processed edges"),
+            std::string::npos)
+      << saved.output;
+  EXPECT_NE(saved.output.find("in-stream estimates (Algorithm 3)"),
+            std::string::npos)
+      << saved.output;
+  EXPECT_NE(saved.output.find("sharded checkpoint written to " + second),
+            std::string::npos)
+      << saved.output;
+
   const CommandResult resumed =
-      RunCli("resume --checkpoint " + second + " --input " + graph_path_);
+      RunCli("resume-shards --manifest " + second +
+             "/manifest.gpsm --input " + graph_path_);
   EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
-  EXPECT_NE(resumed.output.find("resumed at"), std::string::npos);
-  std::remove(first.c_str());
-  std::remove(second.c_str());
+  EXPECT_NE(resumed.output.find("resumed 1 shards at " +
+                                std::to_string(2 * edges) +
+                                " processed edges"),
+            std::string::npos)
+      << resumed.output;
+  std::filesystem::remove_all(first);
+  std::filesystem::remove_all(second);
 }
 
 TEST_F(CliTest, VersionReportsFormats) {
@@ -895,9 +999,8 @@ TEST_F(CliTest, EstimateStatsPrintsMetrics) {
   EXPECT_NE(r.output.find("\"reservoir.admissions\""), std::string::npos);
 }
 
-// --stats routes even a single-shard run through the engine and must not
-// change the estimates the serial path would report (the engine's K=1
-// byte-identity contract, observed through the CLI surface).
+// --stats is observation-only: a K=1 run prints the plain run's stdout,
+// byte for byte, before its metrics block.
 TEST_F(CliTest, EstimateStatsKeepsSerialEstimates) {
   const std::string base_args =
       "estimate --input " + graph_path_ + " --capacity 500 --seed 5";
@@ -905,19 +1008,27 @@ TEST_F(CliTest, EstimateStatsKeepsSerialEstimates) {
   const CommandResult stats = RunCli(base_args + " --stats");
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
   ASSERT_EQ(stats.exit_code, 0) << stats.output;
-  // Compare the estimate tables line by line; the stats run prints the
-  // same rows (under engine labels) before the metrics block.
-  std::istringstream lines(plain.output);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.find("triangles") == std::string::npos &&
-        line.find("wedges") == std::string::npos) {
-      continue;
-    }
-    EXPECT_NE(stats.output.find(line.substr(line.find('|'))),
-              std::string::npos)
-        << "missing row: " << line;
-  }
+  EXPECT_EQ(stats.output.substr(0, plain.output.size()), plain.output);
+  EXPECT_EQ(stats.output.substr(plain.output.size(), 9), "metrics:\n")
+      << stats.output;
+}
+
+TEST_F(CliTest, PinAtOneShardWarnsOnceAndKeepsStdout) {
+  // K=1 runs its one shard on the calling thread, so --pin on has no
+  // worker to pin: one named warning, and the stdout of --pin off.
+  const std::string args =
+      "estimate --input " + graph_path_ + " --capacity 1500 --seed 5";
+  std::string off_err, on_err;
+  const CommandResult off = RunCliSplit(args + " --pin off", &off_err);
+  const CommandResult on = RunCliSplit(args + " --pin on", &on_err);
+  ASSERT_EQ(off.exit_code, 0) << off_err;
+  ASSERT_EQ(on.exit_code, 0) << on_err;
+  EXPECT_EQ(on.output, off.output);
+  const std::string warning = "warning: core pinning disabled";
+  const size_t first = on_err.find(warning);
+  ASSERT_NE(first, std::string::npos) << on_err;
+  EXPECT_EQ(on_err.find(warning, first + 1), std::string::npos) << on_err;
+  EXPECT_EQ(off_err.find(warning), std::string::npos) << off_err;
 }
 
 TEST_F(CliTest, EstimateStatsOutWritesFile) {
@@ -1025,13 +1136,6 @@ TEST_F(CliTest, MemDerivedCapacityMatchesExplicitCapacity) {
 }
 
 // ---- convert + GPS-STREAM binary input -----------------------------------
-
-/// Slurps a file's raw bytes for byte-identity assertions.
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 TEST_F(CliTest, ConvertRoundTripIsByteIdentical) {
   const std::string binary = TempPath("convert.gps");

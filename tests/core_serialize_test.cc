@@ -67,42 +67,6 @@ TEST(SerializeTest, ReservoirRoundTripPreservesEverything) {
   EXPECT_DOUBLE_EQ(a.wedges.variance, b.wedges.variance);
 }
 
-TEST(SerializeTest, ResumedSamplerBitIdenticalToUninterrupted) {
-  // Run A: process the whole stream. Run B: process half, checkpoint,
-  // restore, process the rest. Final states must match exactly (the RNG
-  // state is part of the checkpoint).
-  const std::vector<Edge> stream = TestStream(611);
-  GpsSamplerOptions options;
-  options.capacity = 120;
-  options.seed = 612;
-
-  GpsSampler uninterrupted(options);
-  for (const Edge& e : stream) uninterrupted.Process(e);
-
-  GpsSampler first_half(options);
-  for (size_t i = 0; i < stream.size() / 2; ++i) {
-    first_half.Process(stream[i]);
-  }
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeSampler(first_half, buffer).ok());
-  auto resumed = DeserializeSampler(buffer);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  for (size_t i = stream.size() / 2; i < stream.size(); ++i) {
-    resumed->Process(stream[i]);
-  }
-
-  EXPECT_EQ(resumed->reservoir().size(), uninterrupted.reservoir().size());
-  EXPECT_DOUBLE_EQ(resumed->reservoir().threshold(),
-                   uninterrupted.reservoir().threshold());
-  uninterrupted.reservoir().ForEachEdge(
-      [&](SlotId, const GpsReservoir::EdgeRecord& rec) {
-        const SlotId slot = resumed->reservoir().graph().FindEdge(rec.edge);
-        ASSERT_NE(slot, kNoSlot);
-        EXPECT_DOUBLE_EQ(resumed->reservoir().Record(slot).priority,
-                         rec.priority);
-      });
-}
-
 TEST(SerializeTest, ResumedInStreamEstimatorMatchesUninterrupted) {
   const std::vector<Edge> stream = TestStream(621);
   GpsSamplerOptions options;
@@ -140,9 +104,9 @@ TEST(SerializeTest, CustomWeightRefused) {
   options.weight.custom = [](const Edge&, const SampledGraph&) {
     return 1.0;
   };
-  GpsSampler sampler(options);
+  InStreamEstimator estimator(options);
   std::stringstream buffer;
-  const Status s = SerializeSampler(sampler, buffer);
+  const Status s = SerializeInStreamEstimator(estimator, StreamSink(buffer));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }

@@ -149,7 +149,7 @@ TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
 
 TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
   // checkpoint -> resume -> checkpoint -> resume: interruption is
-  // composable, as for the serial `resume --save` path.
+  // composable (`gps_cli resume-shards --save` chains this way).
   const std::vector<Edge> stream = TestStream(811);
   const ShardedEngineOptions options = EngineOptions(4, 41);
 

@@ -189,53 +189,61 @@ TEST(RouterIngest, BlockReadFailureNamesTheBlock) {
 TEST(RouterHooks, MonitorFiresAtExactPositionsMidBlock) {
   const std::vector<Edge> stream = TestStream(300, 8, 91, 92);
   // Cadence 500 never aligns with 173-edge blocks: every tick lands
-  // mid-block.
+  // mid-block. K=1 runs its shard inline on the producer and must fire
+  // at the same absolute positions as the threaded layout.
   constexpr uint64_t kEvery = 500;
-  const auto run = [&](bool per_edge) {
-    std::vector<std::pair<uint64_t, double>> ticks;
-    ShardedEngine engine(BlockOptions(3));
-    engine.EstimateEvery(kEvery, [&](const MonitorRecord& record) {
-      ticks.emplace_back(record.edges_processed,
-                         record.estimates.triangles.value);
-    });
-    if (per_edge) {
-      for (const Edge& e : stream) engine.Process(e);
-    } else {
-      FeedBlocks(engine, stream, 173);
-    }
-    engine.Finish();
-    return ticks;
-  };
+  for (const uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto run = [&](bool per_edge) {
+      std::vector<std::pair<uint64_t, double>> ticks;
+      ShardedEngine engine(BlockOptions(shards));
+      engine.EstimateEvery(kEvery, [&](const MonitorRecord& record) {
+        ticks.emplace_back(record.edges_processed,
+                           record.estimates.triangles.value);
+      });
+      if (per_edge) {
+        for (const Edge& e : stream) engine.Process(e);
+      } else {
+        FeedBlocks(engine, stream, 173);
+      }
+      engine.Finish();
+      return ticks;
+    };
 
-  const auto want = run(/*per_edge=*/true);
-  ASSERT_EQ(want.size(), stream.size() / kEvery);
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].first, (i + 1) * kEvery);
+    const auto want = run(/*per_edge=*/true);
+    ASSERT_EQ(want.size(), stream.size() / kEvery);
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].first, (i + 1) * kEvery);
+    }
+    EXPECT_EQ(run(/*per_edge=*/false), want);
   }
-  EXPECT_EQ(run(/*per_edge=*/false), want);
 }
 
 TEST(RouterHooks, AutoCheckpointMidBlockMatchesPerEdgeFeed) {
   const std::vector<Edge> stream = TestStream(300, 8, 93, 94);
   constexpr uint64_t kEvery = 700;  // lands mid-block for 173-edge blocks
-  const auto run = [&](bool per_edge, const std::string& tag) {
-    const std::filesystem::path dir = FreshDir("router_ckpt", tag);
-    ShardedEngine engine(BlockOptions(2));
-    EXPECT_TRUE(engine.CheckpointEvery(kEvery, dir.string()).ok());
-    if (per_edge) {
-      for (const Edge& e : stream) engine.Process(e);
-    } else {
-      FeedBlocks(engine, stream, 173);
-    }
-    engine.Finish();
-    EXPECT_TRUE(engine.auto_checkpoint_status().ok());
-    return DirBytes(dir);
-  };
-  // The last periodic checkpoint is what survives in the directory; both
-  // feeds must leave byte-identical resume points.
-  const auto want = run(/*per_edge=*/true, "per_edge");
-  EXPECT_FALSE(want.empty());
-  EXPECT_EQ(run(/*per_edge=*/false, "block"), want);
+  for (const uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto run = [&](bool per_edge, const std::string& tag) {
+      const std::filesystem::path dir =
+          FreshDir("router_ckpt", tag + std::to_string(shards));
+      ShardedEngine engine(BlockOptions(shards));
+      EXPECT_TRUE(engine.CheckpointEvery(kEvery, dir.string()).ok());
+      if (per_edge) {
+        for (const Edge& e : stream) engine.Process(e);
+      } else {
+        FeedBlocks(engine, stream, 173);
+      }
+      engine.Finish();
+      EXPECT_TRUE(engine.auto_checkpoint_status().ok());
+      return DirBytes(dir);
+    };
+    // The last periodic checkpoint is what survives in the directory;
+    // both feeds must leave byte-identical resume points.
+    const auto want = run(/*per_edge=*/true, "per_edge");
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(run(/*per_edge=*/false, "block"), want);
+  }
 }
 
 TEST(RouterPinning, PinnedRunIsByteIdenticalToUnpinned) {

@@ -3,16 +3,14 @@
 // Subcommands:
 //   estimate  --input FILE [--capacity N] [--seed S] [--weight KIND]
 //             [--estimator in-stream|post|both] [--shards K] [--batch B]
-//             [--checkpoint PATH]
-//       Stream the edge list (randomly permuted unless --no-permute) and
-//       print triangle/wedge/clustering estimates with 95% CIs. With
-//       --checkpoint, estimator state is saved afterwards: a single
-//       GPS-INSTREAM file for serial runs, a manifest directory (as
-//       checkpoint-shards) for --shards K > 1. Every post-stream pass runs
-//       on all hardware threads; the output is the same for any count.
-//   resume    --checkpoint FILE --input FILE [--save FILE] [--no-permute]
-//       Load a saved in-stream estimator and continue over more edges;
-//       --save re-serializes the continued state so runs can chain.
+//             [--checkpoint DIR]
+//       Stream the edge list (randomly permuted unless --no-permute)
+//       through the sharded engine (K=1 by default: one shard, run on
+//       this thread) and print triangle/wedge/clustering estimates with
+//       95% CIs. With --checkpoint, the in-stream state is saved
+//       afterwards into DIR: a GPS-MANIFEST file plus one GPS-INSTREAM
+//       file per shard. Every post-stream pass runs on all hardware
+//       threads; the output is the same for any count.
 //   resume-shards  --manifest FILE [--manifest FILE ...] --input FILE
 //             [--save DIR] [--batch B] [--no-permute]
 //       Rebuild a RUNNING sharded engine from checkpoint manifests and
@@ -28,13 +26,10 @@
 //       bounds and widths) every N edges, plus a final row at end of
 //       stream. --checkpoint-every M additionally rewrites a resumable
 //       checkpoint in DIR every M edges.
-//   checkpoint-shards  --input FILE --out DIR [estimate flags]
-//       Run the sharded in-stream engine and persist per-shard state plus
-//       a GPS-MANIFEST file into DIR.
 //   merge-checkpoints  --manifest FILE [--manifest FILE ...]
 //       Merge shard checkpoints (possibly produced on different machines)
-//       and print the estimates the live sharded run would produce,
-//       without re-streaming.
+//       and print the estimates the live run would produce, without
+//       re-streaming.
 //   convert   --input FILE --output FILE [--to auto|binary|text]
 //             [--input-format auto|text|binary] [--block-edges N]
 //       Convert an edge stream between the text format and GPS-STREAM v1
@@ -68,7 +63,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <span>
 #include <string>
@@ -76,11 +70,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/in_stream.h"
-#include "core/local_counts.h"
 #include "core/motifs.h"
 #include "core/packed_store.h"
-#include "core/post_stream.h"
 #include "core/serialize.h"
 #include "engine/merge.h"
 #include "engine/sharded_engine.h"
@@ -104,14 +95,6 @@
 namespace {
 
 using namespace gps;  // NOLINT
-
-/// Shared by estimate/checkpoint-shards/merge-checkpoints so outputs are
-/// byte-comparable across the live and checkpoint-merge paths.
-constexpr const char* kMergedInStreamLabel =
-    "merged in-stream estimates (per-shard Algorithm 3 "
-    "+ cross-shard correction)";
-constexpr const char* kMergedPostStreamLabel =
-    "merged post-stream estimates (union sample)";
 
 /// Strict numeric parsing: operator-typed flags must not silently
 /// degrade ("--capacity abc" is an error, not 0; "--shards 2x" is an
@@ -192,9 +175,8 @@ bool GetPositiveFlag(const Flags& flags, const std::string& key,
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: gps_cli <estimate|resume|resume-shards|monitor"
-      "|checkpoint-shards|merge-checkpoints|convert|generate|exact|corpus"
-      "|list-motifs|version> [flags]\n"
+      "usage: gps_cli <estimate|resume-shards|monitor|merge-checkpoints"
+      "|convert|generate|exact|corpus|list-motifs|version> [flags]\n"
       "  Streaming subcommands read --input as text or GPS-STREAM binary;\n"
       "  --input-format auto|text|binary (default auto: sniff the magic)\n"
       "  forces the decoder. Estimates are byte-identical across formats.\n"
@@ -206,16 +188,16 @@ int Usage() {
       "            tailed_triangle]\n"
       "           [--degree NODE ...]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
-      "           [--checkpoint FILE]  (a directory with --shards K>1\n"
-      "           or --motifs)\n"
+      "           [--checkpoint DIR]  (in-stream state: a manifest plus\n"
+      "           one file per shard; resume-shards and merge-checkpoints\n"
+      "           read it)\n"
       "           --pin on: pin the shard workers to distinct cores\n"
       "           (placement only; warns and runs unpinned where the\n"
-      "           affinity syscall is denied)\n"
+      "           affinity syscall is denied, and at K=1, which runs its\n"
+      "           one shard on the calling thread)\n"
       "           --mem BYTES (e.g. 512M, 2G): derive the reservoir\n"
       "           capacity from a memory budget instead of --capacity;\n"
       "           the allocation report prints on stderr at startup\n"
-      "  resume   --checkpoint FILE --input FILE [--save FILE]\n"
-      "           [--no-permute]\n"
       "  resume-shards --manifest FILE [--manifest FILE ...]\n"
       "           --input FILE [--save DIR] [--batch B] [--no-permute]\n"
       "           [--motifs LIST]  (cross-checked against the manifest)\n"
@@ -225,10 +207,6 @@ int Usage() {
       "           [--motifs LIST] [--output csv|table]\n"
       "           [--no-permute] [--checkpoint-every M --checkpoint DIR]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
-      "  checkpoint-shards --input FILE --out DIR\n"
-      "           [--capacity N | --mem BYTES]\n"
-      "           [--seed S] [--weight KIND] [--shards K] [--batch B]\n"
-      "           [--pin on|off] [--motifs LIST] [--no-permute]\n"
       "  merge-checkpoints --manifest FILE [--manifest FILE ...]\n"
       "  convert  --input FILE --output FILE [--to auto|binary|text]\n"
       "           [--input-format auto|text|binary] [--block-edges N]\n"
@@ -388,11 +366,11 @@ Result<std::vector<Edge>> LoadStream(const Flags& flags) {
 
 // ---- Shared estimate formatting ------------------------------------------
 //
-// Every estimate block the CLI prints — estimate (serial and sharded),
-// merge-checkpoints, resume, resume-shards, checkpoint-shards, and the
-// monitor table mode — renders through these helpers over util/table, so a
-// statistic added in one place (a motif column, the edge count) shows up
-// with the same precision and alignment everywhere.
+// Every estimate block the CLI prints — estimate, merge-checkpoints,
+// resume-shards, and the monitor table mode — renders through these
+// helpers over util/table, so a statistic added in one place (a motif
+// column, the edge count) shows up with the same precision and alignment
+// everywhere.
 
 /// Count-style cell: integers with no padding ("1234567").
 std::string CountCell(double value) { return FormatDouble(value, 0); }
@@ -442,28 +420,6 @@ void PrintEstimateReport(const char* label, const EstimateReport& report) {
   std::printf("%s", t.ToString().c_str());
 }
 
-/// Serializes an in-stream estimator to `path` through a staged temp
-/// file, so a failed or interrupted write leaves the previous checkpoint
-/// at `path` intact; used by `estimate --checkpoint` (serial) and `resume
-/// --save`.
-int WriteEstimatorCheckpoint(const InStreamEstimator& estimator,
-                             const std::string& path) {
-  Result<StagedFile> file = StagedFile::Create(path);
-  Status s = file.status();
-  if (s.ok()) {
-    s = SerializeInStreamEstimator(estimator, [&](std::string_view chunk) {
-      return file->Write(chunk);
-    });
-  }
-  if (s.ok()) s = file->Commit();
-  if (!s.ok()) {
-    std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("checkpoint written to %s\n", path.c_str());
-  return 0;
-}
-
 /// Parses the optional --motifs flag into validated registry names;
 /// reports misparses/unknown names (by name) on stderr. `names` stays
 /// empty when the flag is absent.
@@ -495,7 +451,7 @@ bool GetDegreeNodes(const Flags& flags, std::vector<NodeId>* nodes) {
   return true;
 }
 
-/// Options common to the sharded paths of estimate and checkpoint-shards.
+/// Options common to estimate and monitor.
 struct ShardedRunConfig {
   GpsSamplerOptions sampler;
   uint64_t shards = 1;
@@ -586,7 +542,6 @@ struct StatsConfig {
   bool stats = false;
   std::string stats_out;
   std::string trace;
-  bool any() const { return stats || !trace.empty(); }
 };
 
 /// Parses --stats / --stats-out / --trace. --stats-out implies --stats.
@@ -633,15 +588,28 @@ bool EmitObservability(ShardedEngine& engine, const StatsConfig& config,
   return true;
 }
 
-/// The standard "stream: ..." banner of the sharded subcommands.
-void PrintShardedBanner(size_t stream_size, const ShardedRunConfig& config) {
-  std::printf("stream: %zu edges, reservoir: %zu edges, %llu shards "
-              "(batch %llu)",
-              stream_size, config.sampler.capacity,
-              static_cast<unsigned long long>(config.shards),
-              static_cast<unsigned long long>(config.batch));
-  if (config.pin) std::printf(", pinned");
-  std::printf("\n");
+/// The banner and block labels of a run, picked from K alone so every
+/// subcommand prints one text per layout. K=1 prints the serial
+/// estimator's text, which perfbench/replay.cc prints too, byte for byte;
+/// K>1 names the layout and the merge.
+struct RunText {
+  const char* in_stream_label;
+  const char* post_stream_label;
+  /// Banner tail after "stream: N edges, reservoir: C edges".
+  std::string layout;
+};
+
+RunText TextForShards(uint64_t shards, uint64_t batch = 0,
+                      bool pinned = false) {
+  if (shards == 1) {
+    return {"in-stream estimates (Algorithm 3)",
+            "post-stream estimates (Algorithm 2)", ""};
+  }
+  return {"merged in-stream estimates (per-shard Algorithm 3 "
+          "+ cross-shard correction)",
+          "merged post-stream estimates (union sample)",
+          ", " + std::to_string(shards) + " shards (batch " +
+              std::to_string(batch) + ")" + (pinned ? ", pinned" : "")};
 }
 
 int RunEstimate(const Flags& flags) {
@@ -658,7 +626,6 @@ int RunEstimate(const Flags& flags) {
   ShardedRunConfig config;
   if (!ParseShardedRunConfig(flags, stream->size(), &config)) return 1;
   config.sampler.weight = *weight;
-  const GpsSamplerOptions& options = config.sampler;
 
   const std::string estimator = flags.Get("estimator", "both");
   if (estimator != "in-stream" && estimator != "post" &&
@@ -677,180 +644,56 @@ int RunEstimate(const Flags& flags) {
                  "--estimator post or --motifs)\n");
     return 1;
   }
-
-  // Motif suites always run on the engine (K >= 1): K=1 reproduces the
-  // serial sample path byte for byte, and only the engine's manifest
-  // checkpoints carry motif accumulators. Likewise --pin and
-  // --stats/--trace runs route through the engine (pinning, the metrics
-  // registry and the tracer are engine subsystems; none perturbs the
-  // sample — src/engine/README.md).
-  if (config.shards > 1 || !config.motifs.empty() || config.pin ||
-      obs.any()) {
-    // Sharded engine path: K worker threads, hash-partitioned substreams,
-    // merged stratified estimates (src/engine/).
-    if (flags.Has("checkpoint") && estimator == "post") {
-      std::fprintf(stderr,
-                   "error: sharded checkpoints require in-stream shard "
-                   "estimators (drop --estimator post)\n");
-      return 1;
-    }
-    PrintShardedBanner(stream->size(), config);
-    ShardedEngineOptions engine_options = MakeEngineOptions(config);
-    if (estimator == "post") {
-      // Post-only: run the cheaper bare samplers per shard and let the
-      // engine's own merge branch do the union pass.
-      engine_options.merge_mode = MergeMode::kPostStreamMerged;
-    }
-    TraceEventSink trace_sink;
-    engine_options.trace = obs.trace.empty() ? nullptr : &trace_sink;
-    ShardedEngine engine(engine_options);
-    engine.ProcessEdges(std::span<const Edge>(*stream));
-    engine.Finish();
-    const auto degree_rows = [&] {
-      std::vector<std::pair<NodeId, double>> rows;
-      for (const NodeId node : degree_nodes) {
-        rows.emplace_back(node, engine.MergedDegreeEstimate(node));
-      }
-      return rows;
-    };
-    if (estimator == "post") {
-      EstimateReport report = MakeReport(engine.MergedEstimates());
-      report.edge_count = engine.MergedEdgeCountEstimate();
-      report.degrees = degree_rows();
-      PrintEstimateReport(kMergedPostStreamLabel, report);
-      return EmitObservability(engine, obs, &trace_sink) ? 0 : 1;
-    }
-    EstimateReport report = MakeReport(engine.MergedEstimates());
-    report.motifs = engine.MergedMotifEstimates();
-    report.edge_count = engine.MergedEdgeCountEstimate();
-    report.degrees = degree_rows();
-    PrintEstimateReport(kMergedInStreamLabel, report);
-    if (estimator == "both") {
-      // The union the in-stream merge synced serves this pass too.
-      PrintEstimateReport(kMergedPostStreamLabel,
-                          MakeReport(engine.MergedPostStreamEstimates()));
-    }
-    if (flags.Has("checkpoint")) {
-      const std::string dir = flags.Get("checkpoint", "");
-      if (Status s = engine.SerializeShards(dir); !s.ok()) {
-        std::fprintf(stderr, "checkpoint error: %s\n",
-                     s.ToString().c_str());
-        return 1;
-      }
-      std::printf("sharded checkpoint written to %s (manifest %s)\n",
-                  dir.c_str(), kShardManifestFilename);
-    }
-    return EmitObservability(engine, obs, &trace_sink) ? 0 : 1;
-  }
-
-  std::printf("stream: %zu edges, reservoir: %zu edges\n", stream->size(),
-              options.capacity);
-
-  InStreamEstimator in_stream(options);
-  for (const Edge& e : *stream) in_stream.Process(e);
-  const auto serial_degree_rows = [&] {
-    std::vector<std::pair<NodeId, double>> rows;
-    for (const NodeId node : degree_nodes) {
-      rows.emplace_back(node, EstimateDegree(in_stream.reservoir(), node));
-    }
-    return rows;
-  };
-  if (estimator == "in-stream" || estimator == "both") {
-    EstimateReport report = MakeReport(in_stream.Estimates());
-    report.edge_count = EstimateEdgeCount(in_stream.reservoir());
-    report.degrees = serial_degree_rows();
-    PrintEstimateReport("in-stream estimates (Algorithm 3)", report);
-  }
-  if (estimator == "post" || estimator == "both") {
-    EstimateReport report = MakeReport(
-        EstimatePostStreamParallel(in_stream.reservoir(), MergeThreads()));
-    if (estimator == "post") {
-      // The sample path is shared, so the HT edge/degree statistics are
-      // identical for both frameworks; print them in whichever block
-      // appears alone.
-      report.edge_count = EstimateEdgeCount(in_stream.reservoir());
-      report.degrees = serial_degree_rows();
-    }
-    PrintEstimateReport("post-stream estimates (Algorithm 2)", report);
-  }
-
-  if (flags.Has("checkpoint")) {
-    return WriteEstimatorCheckpoint(in_stream,
-                                    flags.Get("checkpoint", ""));
-  }
-  return 0;
-}
-
-int RunResume(const Flags& flags) {
-  std::ifstream in(flags.Get("checkpoint", ""));
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open checkpoint\n");
-    return 1;
-  }
-  auto estimator = DeserializeInStreamEstimator(in);
-  if (!estimator.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 estimator.status().ToString().c_str());
-    return 1;
-  }
-  auto stream = LoadStream(flags);
-  if (!stream.ok()) {
-    std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("resumed at %llu processed edges; feeding %zu more\n",
-              static_cast<unsigned long long>(estimator->edges_processed()),
-              stream->size());
-  for (const Edge& e : *stream) estimator->Process(e);
-  EstimateReport report = MakeReport(estimator->Estimates());
-  report.edge_count = EstimateEdgeCount(estimator->reservoir());
-  PrintEstimateReport("in-stream estimates (resumed)", report);
-  if (flags.Has("save")) {
-    // Persist the continued state so interrupted runs can chain
-    // checkpoint -> resume -> resume indefinitely.
-    return WriteEstimatorCheckpoint(*estimator, flags.Get("save", ""));
-  }
-  return 0;
-}
-
-int RunCheckpointShards(const Flags& flags) {
-  if (!flags.Has("out")) {
+  if (flags.Has("checkpoint") && estimator == "post") {
     std::fprintf(stderr,
-                 "error: checkpoint-shards needs --out DIR for the "
-                 "manifest and shard files\n");
+                 "error: checkpoints require in-stream shard estimators "
+                 "(drop --estimator post)\n");
     return 1;
   }
-  auto stream = LoadStream(flags);
-  if (!stream.ok()) {
-    std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
-    return 1;
-  }
-  auto weight = WeightFromName(flags.Get("weight", "triangle"));
-  if (!weight.ok()) {
-    std::fprintf(stderr, "error: %s\n", weight.status().ToString().c_str());
-    return 1;
-  }
-  ShardedRunConfig config;
-  if (!ParseShardedRunConfig(flags, stream->size(), &config)) return 1;
-  config.sampler.weight = *weight;
 
-  PrintShardedBanner(stream->size(), config);
-  ShardedEngine engine(MakeEngineOptions(config));
+  // K hash-partitioned shards with merged stratified estimates
+  // (src/engine/); K=1 reproduces the serial estimator byte for byte.
+  const RunText text = TextForShards(config.shards, config.batch, config.pin);
+  std::printf("stream: %zu edges, reservoir: %zu edges%s\n", stream->size(),
+              config.sampler.capacity, text.layout.c_str());
+  ShardedEngineOptions engine_options = MakeEngineOptions(config);
+  if (estimator == "post") {
+    // Post-only: run the cheaper bare samplers per shard and let the
+    // engine's own merge branch do the post-stream pass.
+    engine_options.merge_mode = MergeMode::kPostStreamMerged;
+  }
+  TraceEventSink trace_sink;
+  engine_options.trace = obs.trace.empty() ? nullptr : &trace_sink;
+  ShardedEngine engine(engine_options);
   engine.ProcessEdges(std::span<const Edge>(*stream));
   engine.Finish();
+  // Post-only runs print one block: the post-stream estimates, with no
+  // motif rows (MergedMotifEstimates is empty without in-stream shards).
+  // The HT edge/degree rows come from the same sample path either way.
   EstimateReport report = MakeReport(engine.MergedEstimates());
   report.motifs = engine.MergedMotifEstimates();
   report.edge_count = engine.MergedEdgeCountEstimate();
-  PrintEstimateReport(kMergedInStreamLabel, report);
-
-  const std::string dir = flags.Get("out", "");
-  if (Status s = engine.SerializeShards(dir); !s.ok()) {
-    std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
-    return 1;
+  for (const NodeId node : degree_nodes) {
+    report.degrees.emplace_back(node, engine.MergedDegreeEstimate(node));
   }
-  std::printf("manifest written to %s/%s (%u shard files)\n", dir.c_str(),
-              kShardManifestFilename, engine.num_shards());
-  return 0;
+  PrintEstimateReport(estimator == "post" ? text.post_stream_label
+                                          : text.in_stream_label,
+                      report);
+  if (estimator == "both") {
+    // The union the in-stream merge synced serves this pass too.
+    PrintEstimateReport(text.post_stream_label,
+                        MakeReport(engine.MergedPostStreamEstimates()));
+  }
+  if (flags.Has("checkpoint")) {
+    const std::string dir = flags.Get("checkpoint", "");
+    if (Status s = engine.SerializeShards(dir); !s.ok()) {
+      std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("sharded checkpoint written to %s (manifest %s)\n",
+                dir.c_str(), kShardManifestFilename);
+  }
+  return EmitObservability(engine, obs, &trace_sink) ? 0 : 1;
 }
 
 int RunMergeCheckpoints(const Flags& flags) {
@@ -869,7 +712,8 @@ int RunMergeCheckpoints(const Flags& flags) {
   EstimateReport report = MakeReport(merged->graph);
   report.motifs = merged->motifs;
   report.edge_count = merged->edge_count;
-  PrintEstimateReport(kMergedInStreamLabel, report);
+  PrintEstimateReport(TextForShards(merged->num_shards).in_stream_label,
+                      report);
   return 0;
 }
 
@@ -920,7 +764,8 @@ int RunResumeShards(const Flags& flags) {
   EstimateReport report = MakeReport((*engine)->MergedEstimates());
   report.motifs = (*engine)->MergedMotifEstimates();
   report.edge_count = (*engine)->MergedEdgeCountEstimate();
-  PrintEstimateReport(kMergedInStreamLabel, report);
+  PrintEstimateReport(TextForShards((*engine)->num_shards()).in_stream_label,
+                      report);
   if (flags.Has("save")) {
     const std::string dir = flags.Get("save", "");
     if (Status s = (*engine)->SerializeShards(dir); !s.ok()) {
@@ -1340,9 +1185,6 @@ int main(int argc, char** argv) {
                "checkpoint", "motifs",    "degree", "stats",
                "stats-out",  "trace",     "mem",    "input-format",
                "pin"};
-  } else if (command == "resume") {
-    allowed = {"checkpoint", "input", "seed", "save", "no-permute",
-               "input-format"};
   } else if (command == "resume-shards") {
     allowed = {"manifest", "input", "seed",
                "save",     "batch", "no-permute",
@@ -1354,10 +1196,6 @@ int main(int argc, char** argv) {
                "checkpoint", "no-permute", "motifs",
                "stats",  "stats-out", "trace",
                "mem",    "input-format", "pin"};
-  } else if (command == "checkpoint-shards") {
-    allowed = {"input", "capacity", "seed",      "weight",
-               "shards", "batch",   "no-permute", "out",
-               "motifs", "mem",     "input-format", "pin"};
   } else if (command == "merge-checkpoints") {
     allowed = {"manifest"};
   } else if (command == "convert") {
@@ -1381,10 +1219,8 @@ int main(int argc, char** argv) {
     return Usage();
   }
   if (command == "estimate") return RunEstimate(*flags);
-  if (command == "resume") return RunResume(*flags);
   if (command == "resume-shards") return RunResumeShards(*flags);
   if (command == "monitor") return RunMonitor(*flags);
-  if (command == "checkpoint-shards") return RunCheckpointShards(*flags);
   if (command == "merge-checkpoints") return RunMergeCheckpoints(*flags);
   if (command == "convert") return RunConvert(*flags);
   if (command == "generate") return RunGenerate(*flags);
