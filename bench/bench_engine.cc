@@ -250,8 +250,9 @@ bool GateAgainstBaseline(const std::string& path, double speedup_k4,
 /// Front-end (format decode only) throughput: the same stream written as
 /// a text edge list and as a GPS-STREAM v1 binary, read back through
 /// each format's production path — EdgeList::Load (strict bulk parse)
-/// vs. BinaryStreamReader block iteration (mmap + per-block digest, the
-/// zero-copy engine feed of engine/ingest.h). Best-of-N over a warm page
+/// vs. BinaryStreamReader block iteration (mmap + per-block digest; the
+/// block spans alias the mapping and can go straight into
+/// ShardedEngine::ProcessEdges). Best-of-N over a warm page
 /// cache, so the ratio measures decode cost, not disk. Gated: the binary
 /// format's reason to exist is outrunning the text parser.
 IngestOnlyResult RunIngestOnlyBench(const std::vector<Edge>& stream) {

@@ -1,14 +1,15 @@
 // Motif monitoring on the sharded engine: track arbitrary registered
 // motifs (here 4-cliques and 3-paths, which the specialized triangle/wedge
-// estimators do not cover) live over a stream, using the engine's
-// continuous-monitoring mode — the same pipeline `gps_cli monitor
-// --motifs` exposes. Estimation consumes no randomness, so the motif suite
+// estimators do not cover) live over a stream, reading the merged
+// estimates at fixed stream positions — the loop `gps_cli monitor
+// --motifs` runs. Estimation consumes no randomness, so the motif suite
 // rides on the exact same reservoir sample path the tri/wedge estimates
 // use, at any shard count.
 //
 //   build/examples/motif_monitoring
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "core/motifs.h"
@@ -36,13 +37,18 @@ int main() {
               stream.size(), options.num_shards, options.sampler.capacity);
   std::printf("%12s %16s %16s %16s\n", "edges seen", "triangles(est)",
               "4-cliques(est)", "3-paths(est)");
-  engine.EstimateEvery(stream.size() / 8, [](const gps::MonitorRecord& r) {
+  // Every eighth of the stream, read the merged motif estimates:
+  // MergedRecord() drains the shard workers and merges on this thread.
+  const uint64_t report_every = stream.size() / 8;
+  for (const gps::Edge& e : stream) {
+    engine.Process(e);
+    if (engine.edges_processed() % report_every != 0) continue;
+    const gps::MonitorRecord r = engine.MergedRecord();
     std::printf("%12llu %16.0f %16.0f %16.0f\n",
                 static_cast<unsigned long long>(r.edges_processed),
                 r.motifs[0].estimate.value, r.motifs[1].estimate.value,
                 r.motifs[2].estimate.value);
-  });
-  for (const gps::Edge& e : stream) engine.Process(e);
+  }
   engine.Finish();
 
   const std::vector<gps::MotifEstimate> final_motifs =

@@ -1,15 +1,19 @@
 // Real-time tracking: monitor triangle counts and clustering coefficient of
-// a live edge stream with the sharded GPS engine's continuous-monitoring
-// mode (paper Section 5 / Figure 3). Models a social-media monitoring
-// scenario: interactions arrive continuously; the application keeps fresh,
-// low-variance merged estimates with confidence bounds while storing only a
-// small sample, and periodically rewrites a resumable checkpoint so a
-// crashed monitor continues where it left off (gps_cli resume-shards).
+// a live edge stream with the sharded GPS engine (paper Section 5 /
+// Figure 3). Models a social-media monitoring scenario: interactions
+// arrive continuously; the application keeps fresh, low-variance merged
+// estimates with confidence bounds while storing only a small sample.
+// When to read an estimate is the application's choice: the estimators
+// stay unbiased at any stream position, and reading never changes the
+// sample.
 //
 //   build/examples/realtime_tracking
 //
-// The same mode is scriptable as `gps_cli monitor --every N --output csv`.
+// The same loop is scriptable as `gps_cli monitor --every N --output csv`,
+// which can also rewrite a resumable checkpoint as it goes
+// (--checkpoint-every M --checkpoint DIR; gps_cli resume-shards).
 
+#include <cstdint>
 #include <cstdio>
 
 #include "engine/sharded_engine.h"
@@ -43,25 +47,21 @@ int main() {
               "tri (actual)", "tri (est)", "tri 95% CI", "ci width",
               "cc (actual)", "cc (est)");
 
-  // The engine drains and reports merged estimates every report_every
-  // edges; the callback runs on the ingestion thread, so reading the
-  // exact counter alongside is safe.
-  const gps::ExactStreamCounter* exact_ptr = &exact;
-  monitor.EstimateEvery(
-      stream.size() / 12, [exact_ptr](const gps::MonitorRecord& record) {
-        const gps::Estimate& tri = record.estimates.triangles;
-        const gps::Estimate cc = record.estimates.ClusteringCoefficient();
-        std::printf(
-            "%12llu %14.0f %14.0f [%9.0f,%9.0f] %10.0f %10.4f %10.4f\n",
-            static_cast<unsigned long long>(record.edges_processed),
-            exact_ptr->Counts().triangles, tri.value, tri.Lower(),
-            tri.Upper(), tri.Upper() - tri.Lower(),
-            exact_ptr->Counts().ClusteringCoefficient(), cc.value);
-      });
-
+  // Every report_every edges, read the merged estimates: MergedRecord()
+  // drains the shard workers and merges on this thread.
+  const uint64_t report_every = stream.size() / 12;
   for (const gps::Edge& e : stream) {
-    exact.AddEdge(e);   // before Process: the periodic drain sees both
+    exact.AddEdge(e);
     monitor.Process(e);
+    if (monitor.edges_processed() % report_every != 0) continue;
+    const gps::MonitorRecord record = monitor.MergedRecord();
+    const gps::Estimate& tri = record.estimates.triangles;
+    const gps::Estimate cc = record.estimates.ClusteringCoefficient();
+    std::printf("%12llu %14.0f %14.0f [%9.0f,%9.0f] %10.0f %10.4f %10.4f\n",
+                static_cast<unsigned long long>(record.edges_processed),
+                exact.Counts().triangles, tri.value, tri.Lower(), tri.Upper(),
+                tri.Upper() - tri.Lower(),
+                exact.Counts().ClusteringCoefficient(), cc.value);
   }
   monitor.Finish();
 

@@ -25,6 +25,12 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DGPS_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" --timeout 300
 
+echo "=== Example: realtime_tracking ==="
+# The caller-driven monitor loop end to end (feed, read MergedRecord()
+# at each tick, finish) in about 0.2 s. motif_monitoring stays
+# compile-only: it runs for minutes.
+./build/examples/realtime_tracking
+
 echo "=== Motif pipeline smoke ==="
 ./build/bench_motif --smoke
 
@@ -74,9 +80,9 @@ echo "=== ASan/UBSan build + engine/serialization/cli/store/ingest tests ==="
 # bless for out-of-bounds reads on truncated/corrupt inputs.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
-# engine_router_test rides along for the span-lifetime rules: the block
-# entry points route spans aliasing the producer's input (and the mmap on
-# the binary-ingest path) into the shard rings.
+# engine_router_test rides along for the span-lifetime rules:
+# ProcessEdges routes spans aliasing the producer's input into the shard
+# rings (graph_binary_stream_test: spans aliasing the mmap).
 # graph_intersect_test rides along for the simd kernels: unaligned
 # vector loads and scalar tails over arena block boundaries are exactly
 # where an out-of-bounds read would hide.
@@ -101,11 +107,10 @@ echo "=== TSan build + threaded suites ==="
 # covers the store each shard worker owns.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
-# graph_binary_stream_test exercises IngestBinaryStream feeding mapped
-# block spans into live shard worker rings (ProcessBlock) — the zero-copy
-# hand-off TSan must bless. engine_router_test does the same through
-# ProcessBlock/ProcessEdges with monitor ticks and auto-checkpoints firing
-# mid-block.
+# graph_binary_stream_test feeds mapped GPS-STREAM block spans into live
+# shard worker rings (BinaryStreamReader::Block -> ProcessEdges) — the
+# zero-copy hand-off TSan must bless. engine_router_test feeds spans of
+# every size the same way.
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
 # are relaxed atomics that metric snapshots read while workers run.
 # engine_merge_test runs the Algorithm-2 merge passes on several threads
@@ -115,8 +120,8 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # code through monitor ticks and merges.
 # engine_checkpoint_test and engine_resume_test cover the checkpoint
 # writers: SerializeShards streams the drained shards into their files on
-# the merge threads, and engine_resume_test fires CheckpointEvery inside
-# monitor ticks.
+# the merge threads, and engine_resume_test's monitor loop calls it right
+# after a tick's merge passes.
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_metrics_test \
   engine_router_test engine_merge_test engine_checkpoint_test \

@@ -146,7 +146,7 @@ Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
   out.Text(kManifestHeader).Char(' ').Int(kManifestVersion).Char('\n');
   out.Int(manifest.num_shards).Char(' ').Int(manifest.base_seed).Char(' ');
   out.Int(manifest.total_capacity).Char(' ');
-  out.Int(manifest.split_capacity ? 1 : 0).Char(' ');
+  out.Int(1).Char(' ');  // the split-capacity column (ShardManifest)
   out.Int(manifest.stream_offset).Char(' ');
   out.Int(manifest.mem_budget_bytes).Char('\n');
   if (Status s = WriteWeightOptions(manifest.weight, out); !s.ok()) return s;
@@ -452,7 +452,11 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
     return Status::InvalidArgument(
         "manifest split-capacity flag must be 0 or 1");
   }
-  manifest.split_capacity = split == 1;
+  if (split == 0) {
+    return Status::InvalidArgument(
+        "manifest split-capacity flag 0 (the full capacity in every shard) "
+        "is not supported: every shard holds ceil(capacity / K) slots");
+  }
   // Version 1 predates the stream offset; leave it 0 (resume derives the
   // offset from the entries' arrival counts instead).
   if (*version >= 2 && !(in >> manifest.stream_offset)) {

@@ -110,11 +110,10 @@ struct ShardManifest {
   uint32_t num_shards = 1;
   /// Base seed the per-shard seeds were derived from.
   uint64_t base_seed = 1;
-  /// TOTAL reservoir capacity across shards (pre-split).
+  /// TOTAL reservoir capacity across shards (pre-split): each shard holds
+  /// ceil(total / K) slots. The layout line keeps a split-capacity column
+  /// after it; writers print 1 and readers refuse anything else by name.
   size_t total_capacity = 0;
-  /// True if per-shard capacity is ceil(total / K) (the engine default);
-  /// false if every shard received the full total.
-  bool split_capacity = true;
   /// Stream edges the writing engine had ingested when the checkpoint was
   /// taken (version >= 2). 0 for version-1 manifests, where resume falls
   /// back to the sum of the entries' arrival counts (equal for a fully

@@ -36,10 +36,10 @@ std::string ShardFileName(size_t s) {
   return name;
 }
 
-/// Per-shard reservoir capacity implied by a manifest's layout; mirrors
-/// the split the engine constructor performs.
-size_t PerShardCapacity(size_t total, uint32_t k, bool split) {
-  return split ? (total + k - 1) / k : total;
+/// Per-shard reservoir capacity: each of the k shards gets ceil(total /
+/// k) slots, so the layout's memory matches the serial sampler's.
+size_t PerShardCapacity(size_t total, uint32_t k) {
+  return (total + k - 1) / k;
 }
 
 bool SameWeightConfig(const WeightOptions& a, const WeightOptions& b) {
@@ -57,8 +57,8 @@ ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
                               int cpu_affinity = -1) {
   ShardOptions shard_options;
   shard_options.sampler = options.sampler;
-  shard_options.sampler.capacity = PerShardCapacity(
-      options.sampler.capacity, options.num_shards, options.split_capacity);
+  shard_options.sampler.capacity =
+      PerShardCapacity(options.sampler.capacity, options.num_shards);
   shard_options.sampler.seed =
       DeriveShardSeed(options.sampler.seed, s, options.num_shards);
   shard_options.estimator = kind;
@@ -86,7 +86,6 @@ Status CheckManifestsCompatible(const ShardManifest& base,
         std::to_string(base.base_seed));
   }
   if (other.total_capacity != base.total_capacity ||
-      other.split_capacity != base.split_capacity ||
       other.mem_budget_bytes != base.mem_budget_bytes) {
     return Status::FailedPrecondition(
         "manifest " + path + ": capacity layout does not match");
@@ -115,8 +114,7 @@ Result<std::string> ReadFileBytes(const std::filesystem::path& path) {
 
 /// A fully validated checkpoint set: the shared layout, the restored
 /// per-shard estimators in shard order, and the stream position the run
-/// was interrupted at. Shared by MergeFromCheckpoints (estimate without
-/// re-streaming) and ResumeFromCheckpoints (continue streaming).
+/// was interrupted at. ResumeFromCheckpoints builds its engine on it.
 struct LoadedCheckpoints {
   ShardManifest layout;  // entries cleared; motif_names retained
   std::vector<std::unique_ptr<InStreamEstimator>> estimators;
@@ -204,8 +202,7 @@ Result<LoadedCheckpoints> LoadCheckpoints(
     }
   }
 
-  const size_t per_shard_capacity =
-      PerShardCapacity(base.total_capacity, k, base.split_capacity);
+  const size_t per_shard_capacity = PerShardCapacity(base.total_capacity, k);
   LoadedCheckpoints loaded;
   loaded.estimators.reserve(k);
   uint64_t arrival_sum = 0;
@@ -392,24 +389,15 @@ void ShardedEngine::Process(const Edge& e) {
   assert(!finished_);
   ++edges_processed_;
   RouteOne(e);
-  if (monitor_every_ != 0 || checkpoint_every_ != 0) FirePeriodicHooks();
 }
 
-void ShardedEngine::ProcessBlock(std::span<const Edge> block) {
+void ShardedEngine::ProcessEdges(std::span<const Edge> edges) {
   assert(!finished_);
-  if (monitor_every_ != 0 || checkpoint_every_ != 0) {
-    // Hooks fire at exact stream positions; per-edge Process keeps the
-    // cadence (and therefore checkpoints/monitor records) identical to a
-    // non-blocked feed of the same stream.
-    for (const Edge& e : block) Process(e);
-    return;
-  }
-  // The same RouteOne step as Process, minus the per-edge hook check.
-  // Clocked for the route stage (ring-full submit waits excluded via the
-  // submit clock).
+  // The same RouteOne step as Process, clocked for the route stage
+  // (ring-full submit waits excluded via the submit clock).
   const uint64_t t0 = ThreadCpuNowNs();
   const uint64_t submit0 = producer_submit_ns_;
-  for (const Edge& e : block) {
+  for (const Edge& e : edges) {
     ++edges_processed_;
     RouteOne(e);
   }
@@ -626,6 +614,31 @@ double ShardedEngine::MergedDegreeEstimate(NodeId v) {
   return EstimateMergedDegree(CollectReservoirs(), v);
 }
 
+MonitorRecord ShardedEngine::MergedRecord() {
+  TraceSpan span(options_.trace, producer_trace_buf_, "estimate");
+  span.SetArg("edges", static_cast<int64_t>(edges_processed_));
+  MonitorRecord record;
+  record.edges_processed = edges_processed_;
+  if (options_.merge_mode == MergeMode::kPostStreamMerged) {
+    record.estimates = MergedEstimates();  // drains
+  } else {
+    // One drain and one union patch serve both passes.
+    if (!finished_) Drain();
+    const UnionSample& sample = SyncUnion();
+    record.estimates = MergedGraphEstimatesOver(sample);
+    record.motifs = MergedMotifEstimatesOver(sample);
+  }
+#if defined(__GLIBC__)
+  // The union and its pass buffers outlive each tick, so glibc can no
+  // longer hand the freed pages of a tick's transient allocations back
+  // by trimming the heap top. Without this call a 4-shard soc-orkut-sim
+  // monitor run (capacity 100000, a tick every 20000 edges) peaked at
+  // 47.4-48.0 MB resident instead of 38.5-38.9.
+  malloc_trim(0);
+#endif
+  return record;
+}
+
 Status ShardedEngine::SerializeShards(const std::string& dir) {
   if (options_.merge_mode != MergeMode::kInStreamPlusCross) {
     return Status::FailedPrecondition(
@@ -635,7 +648,6 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   manifest.num_shards = num_shards();
   manifest.base_seed = options_.sampler.seed;
   manifest.total_capacity = options_.sampler.capacity;
-  manifest.split_capacity = options_.split_capacity;
   manifest.stream_offset = edges_processed_;
   manifest.mem_budget_bytes = options_.sampler.mem_bytes;
   manifest.weight = options_.sampler.weight;
@@ -659,8 +671,8 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
 
   // Every file is staged beside its target and fsynced before any is
   // renamed (util/staged_file.h): a write failure (disk full, I/O error)
-  // mid-checkpoint leaves the previous checkpoint in `dir` intact — the
-  // periodic auto-checkpoint path rewrites the same directory, so a
+  // mid-checkpoint leaves the previous checkpoint in `dir` intact — a
+  // monitor's periodic checkpoints rewrite the same directory, so a
   // destroyed checkpoint means a destroyed resume point. An unpublished
   // StagedFile removes its temp file, so every early return cleans up.
   //
@@ -724,40 +736,6 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   return SyncDirectory(dir);
 }
 
-Result<GraphEstimates> ShardedEngine::MergeFromCheckpoints(
-    std::span<const std::string> manifest_paths) {
-  Result<CheckpointMergeResult> merged =
-      MergeFromCheckpointsDetailed(manifest_paths);
-  if (!merged.ok()) return merged.status();
-  return merged->graph;
-}
-
-Result<CheckpointMergeResult> ShardedEngine::MergeFromCheckpointsDetailed(
-    std::span<const std::string> manifest_paths) {
-  Result<LoadedCheckpoints> loaded = LoadCheckpoints(manifest_paths);
-  if (!loaded.ok()) return loaded.status();
-
-  std::vector<GraphEstimates> per_shard;
-  std::vector<const GpsReservoir*> reservoirs;
-  per_shard.reserve(loaded->estimators.size());
-  reservoirs.reserve(loaded->estimators.size());
-  for (const auto& est : loaded->estimators) {
-    per_shard.push_back(est->Estimates());
-    reservoirs.push_back(&est->reservoir());
-  }
-  const UnionSample sample = BuildUnionSample(reservoirs);
-  CheckpointMergeResult result;
-  result.num_shards = loaded->layout.num_shards;
-  result.graph = AddEstimates(SumShardEstimates(per_shard),
-                              EstimateCrossShard(sample));
-  result.motifs = MakeMotifEstimates(
-      loaded->layout.motif_names,
-      SumShardMotifAccumulators(loaded->motif_accumulators),
-      EstimateCrossShardMotifs(sample, loaded->layout.motif_names));
-  result.edge_count = EstimateMergedEdgeCount(reservoirs);
-  return result;
-}
-
 ShardedEngine::ShardedEngine(
     ShardedEngineOptions options,
     std::vector<std::unique_ptr<InStreamEstimator>> restored,
@@ -799,7 +777,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   options.sampler.weight = loaded->layout.weight;
   options.sampler.mem_bytes = loaded->layout.mem_budget_bytes;
   options.num_shards = loaded->layout.num_shards;
-  options.split_capacity = loaded->layout.split_capacity;
   options.batch_size = resume_options.batch_size;
   options.ring_capacity = resume_options.ring_capacity;
   options.merge_mode = MergeMode::kInStreamPlusCross;
@@ -809,59 +786,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
       new ShardedEngine(std::move(options), std::move(loaded->estimators),
                         std::move(loaded->motif_accumulators),
                         loaded->stream_offset));
-}
-
-void ShardedEngine::EstimateEvery(
-    uint64_t n_edges, std::function<void(const MonitorRecord&)> callback) {
-  monitor_every_ = callback ? n_edges : 0;
-  monitor_callback_ = monitor_every_ != 0 ? std::move(callback) : nullptr;
-}
-
-Status ShardedEngine::CheckpointEvery(uint64_t n_edges,
-                                      const std::string& dir) {
-  if (n_edges != 0 && dir.empty()) {
-    return Status::InvalidArgument(
-        "auto-checkpointing needs a destination directory");
-  }
-  if (n_edges != 0 &&
-      options_.merge_mode != MergeMode::kInStreamPlusCross) {
-    return Status::FailedPrecondition(
-        "sharded checkpoints require in-stream shard estimators");
-  }
-  checkpoint_every_ = n_edges;
-  checkpoint_dir_ = dir;
-  return Status::Ok();
-}
-
-void ShardedEngine::FirePeriodicHooks() {
-  if (monitor_every_ != 0 && edges_processed_ % monitor_every_ == 0) {
-    TraceSpan span(options_.trace, producer_trace_buf_, "estimate");
-    span.SetArg("edges", static_cast<int64_t>(edges_processed_));
-    MonitorRecord record;
-    record.edges_processed = edges_processed_;
-    if (options_.merge_mode == MergeMode::kPostStreamMerged) {
-      record.estimates = MergedEstimates();  // drains
-    } else {
-      // One drain and one union patch serve both passes.
-      if (!finished_) Drain();
-      const UnionSample& sample = SyncUnion();
-      record.estimates = MergedGraphEstimatesOver(sample);
-      record.motifs = MergedMotifEstimatesOver(sample);
-    }
-    monitor_callback_(record);
-#if defined(__GLIBC__)
-    // The union and its pass buffers outlive each tick, so glibc can no
-    // longer hand the freed pages of a tick's transient allocations back
-    // by trimming the heap top. Without this call a 4-shard soc-orkut-sim
-    // monitor run (capacity 100000, a tick every 20000 edges) peaked at
-    // 47.4-48.0 MB resident instead of 38.5-38.9.
-    malloc_trim(0);
-#endif
-  }
-  if (checkpoint_every_ != 0 && auto_checkpoint_status_.ok() &&
-      edges_processed_ % checkpoint_every_ == 0) {
-    auto_checkpoint_status_ = SerializeShards(checkpoint_dir_);
-  }
 }
 
 }  // namespace gps

@@ -27,8 +27,8 @@
 // Determinism contract:
 //   * fixed (stream, options) => byte-identical per-shard reservoirs
 //     regardless of thread scheduling, batch size, or ring capacity;
-//   * num_shards == 1 (split_capacity default) reproduces the serial
-//     InStreamEstimator / GpsSampler sample path exactly, byte for byte.
+//   * num_shards == 1 reproduces the serial InStreamEstimator /
+//     GpsSampler sample path exactly, byte for byte.
 //
 // Threading contract: Process/Flush/Drain/Finish/MergedEstimates must all
 // be called from one thread (the producer). Estimator state is readable
@@ -38,7 +38,6 @@
 #define GPS_ENGINE_SHARDED_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -60,8 +59,9 @@ namespace gps {
 inline constexpr const char* kShardManifestFilename = "manifest.gpsm";
 
 struct ShardedEngineOptions {
-  /// Base sampler configuration. `capacity` is the TOTAL memory budget
-  /// (split across shards unless split_capacity is false); `seed` is the
+  /// Base sampler configuration. `capacity` is the TOTAL memory budget:
+  /// each shard's reservoir gets ceil(capacity / K) slots, so the
+  /// engine's total memory matches the serial sampler's; `seed` is the
   /// base seed each shard's seed is derived from (core/seeding.h);
   /// `mem_bytes` is the --mem byte budget the capacity was derived from
   /// (0 for an explicit capacity) — recorded in checkpoint manifests as
@@ -74,10 +74,6 @@ struct ShardedEngineOptions {
   size_t batch_size = 1024;
   /// Per-shard ring capacity in batches.
   size_t ring_capacity = 64;
-  /// If true (default), each shard's reservoir gets ceil(capacity / K)
-  /// slots so the engine's total memory matches the serial sampler's; if
-  /// false every shard gets the full `capacity`.
-  bool split_capacity = true;
   /// Estimation strategy; see engine/merge.h.
   MergeMode merge_mode = MergeMode::kInStreamPlusCross;
   /// Motif statistics (core/motifs.h registry names, validated by the
@@ -113,7 +109,7 @@ struct ShardedResumeOptions {
   TraceEventSink* trace = nullptr;
 };
 
-/// One merged-estimate sample of the continuous-monitoring mode.
+/// One merged-estimate sample of a monitored stream (MergedRecord).
 struct MonitorRecord {
   /// Stream position the sample was taken at (total edges ingested,
   /// including any checkpointed prefix a resumed engine started from).
@@ -122,16 +118,6 @@ struct MonitorRecord {
   /// Merged motif estimates in suite order; empty when the engine runs
   /// without a motif suite.
   std::vector<MotifEstimate> motifs;
-};
-
-/// Everything a checkpoint set merges to: the tri/wedge estimates, the
-/// configured motif statistics, and the merged edge-count estimate.
-struct CheckpointMergeResult {
-  /// Shard count K of the merged layout.
-  uint32_t num_shards = 1;
-  GraphEstimates graph;
-  std::vector<MotifEstimate> motifs;
-  double edge_count = 0.0;
 };
 
 class ShardedEngine {
@@ -146,18 +132,14 @@ class ShardedEngine {
   /// off once the shard's pending batch fills).
   void Process(const Edge& e);
 
-  /// Process() over a whole block of edges — the zero-copy ingest path:
-  /// a GPS-STREAM reader's Block() span aliases the file mapping, so the
-  /// edges go mapping -> pending batch with no intermediate EdgeList.
-  /// Byte-identical to calling Process(e) for each edge in order (same
-  /// routing, same batch boundaries, same hook cadence); the block is
-  /// only a traversal unit, never part of the sample path. The edges are
-  /// copied into pending batches before the call returns, so the span
-  /// need not outlive it.
-  void ProcessBlock(std::span<const Edge> block);
-
-  /// ProcessBlock over an edge span of any size (a text-parsed stream).
-  void ProcessEdges(std::span<const Edge> edges) { ProcessBlock(edges); }
+  /// Process() over a span of edges of any size: a whole parsed stream,
+  /// a piece of one cut at a monitor tick, or a GPS-STREAM reader's
+  /// Block() span aliasing the file mapping. Byte-identical to calling
+  /// Process(e) for each edge in order (same routing, same batch
+  /// boundaries); how a stream is cut into spans is never part of the
+  /// sample path. The edges are copied into pending batches before the
+  /// call returns, so the span need not outlive it.
+  void ProcessEdges(std::span<const Edge> edges);
 
   /// Pushes all partially filled batches to their shards.
   void Flush();
@@ -196,6 +178,17 @@ class ShardedEngine {
   /// first if needed.
   double MergedDegreeEstimate(NodeId v);
 
+  /// One monitoring tick at the current stream position: drains, patches
+  /// the union the engine keeps across ticks once for both the tri/wedge
+  /// and motif passes (engine/README.md "Continuous monitoring"), and
+  /// returns the merged estimates MergedEstimates() and
+  /// MergedMotifEstimates() would, bit for bit, at edges_processed().
+  /// Records the producer's "estimate" trace span. The caller picks the
+  /// positions — gps_cli monitor cuts the stream at every absolute
+  /// multiple of its --every — and reading never touches estimator
+  /// state, so the sample path is the same however often it is called.
+  MonitorRecord MergedRecord();
+
   /// Drains and serializes every shard's in-stream estimator into `dir`
   /// (created if missing): one GPS-INSTREAM file per shard plus a
   /// GPS-MANIFEST file (kShardManifestFilename) recording the layout,
@@ -205,66 +198,26 @@ class ShardedEngine {
   /// (MergeMode::kInStreamPlusCross).
   Status SerializeShards(const std::string& dir);
 
-  /// Reconstructs per-shard estimator state from one or more manifests
-  /// written by SerializeShards — possibly on different machines, each
-  /// covering a subset of the K shards — and returns the merged estimates
-  /// the live engine would produce (SumShardEstimates +
-  /// EstimateCrossShard), without re-streaming. All manifests must agree
-  /// on K, base seed, capacity, and weight configuration
-  /// (FailedPrecondition otherwise); their entries must cover every shard
-  /// exactly once, match the core/seeding.h derivation, and every shard
-  /// file must match its recorded digest.
-  static Result<GraphEstimates> MergeFromCheckpoints(
-      std::span<const std::string> manifest_paths);
-
-  /// MergeFromCheckpoints plus the motif statistics and merged edge-count
-  /// estimate the manifests carry (GPS-MANIFEST v3; v1/v2 merge to an
-  /// empty motif set). The tri/wedge estimates are bit-identical to
-  /// MergeFromCheckpoints'.
-  static Result<CheckpointMergeResult> MergeFromCheckpointsDetailed(
-      std::span<const std::string> manifest_paths);
-
-  /// Rebuilds a RUNNING engine from checkpoint manifests so the stream
-  /// can continue where the interrupted run left off: per-shard
+  /// Rebuilds a RUNNING engine from one or more manifests written by
+  /// SerializeShards — possibly on different machines, each covering a
+  /// subset of the K shards — so the stream can continue where the
+  /// interrupted run left off, or (after Finish) the merged estimates of
+  /// the checkpointed prefix can be read without re-streaming. Per-shard
   /// reservoirs, snapshot accumulators, and RNG states are restored from
   /// the shard files (exact round trip), workers are started (none at
   /// K=1), and edges_processed() resumes at the manifest's stream offset
   /// (version-1 manifests: the sum of per-shard arrival counts). Feeding
   /// the suffix of the original stream yields per-shard reservoirs and
-  /// merged estimates byte-identical to an uninterrupted run. Validation
-  /// rules are those of MergeFromCheckpoints (layout agreement, exact
-  /// coverage, digests); a directory passed as a manifest path is refused
-  /// by name.
+  /// merged estimates byte-identical to an uninterrupted run. All
+  /// manifests must agree on K, base seed, capacity, weight
+  /// configuration and motif suite (FailedPrecondition otherwise); their
+  /// entries must cover every shard exactly once and match the
+  /// core/seeding.h derivation, and every shard file must match its
+  /// recorded digest. A directory passed as a manifest path is refused by
+  /// name.
   static Result<std::unique_ptr<ShardedEngine>> ResumeFromCheckpoints(
       std::span<const std::string> manifest_paths,
       const ShardedResumeOptions& resume_options = {});
-
-  /// Continuous-monitoring mode, layered on Drain(): after every
-  /// `n_edges` ingested edges (measured at absolute stream positions, so
-  /// a resumed engine keeps the cadence of the uninterrupted run),
-  /// Process() drains, patches the union index with the admissions and
-  /// evictions since the last tick, computes the merged estimates on
-  /// MergeThreads() threads, and invokes `callback` on the producer
-  /// thread. A callback that wants engine metrics calls SnapshotMetrics()
-  /// (the tick has just drained, so it costs no extra drain). Monitoring
-  /// never touches estimator state — sampling randomness and final results
-  /// are identical with or without it. n_edges == 0 disables.
-  void EstimateEvery(uint64_t n_edges,
-                     std::function<void(const MonitorRecord&)> callback);
-
-  /// Periodic auto-checkpointing: after every `n_edges` ingested edges
-  /// (absolute positions, like EstimateEvery), SerializeShards(dir) —
-  /// each checkpoint overwrites the previous one, so `dir` always holds
-  /// the latest consistent resume point. Requires in-stream shard
-  /// estimators. A checkpoint failure mid-stream is sticky: it disables
-  /// further attempts and is reported by auto_checkpoint_status().
-  /// n_edges == 0 disables.
-  Status CheckpointEvery(uint64_t n_edges, const std::string& dir);
-
-  /// First error an auto-checkpoint hit, or OK.
-  const Status& auto_checkpoint_status() const {
-    return auto_checkpoint_status_;
-  }
 
   /// Deterministic shard assignment: SplitMix64 avalanche of the
   /// canonical edge key, reduced to [0, num_shards) by Lemire's
@@ -282,8 +235,7 @@ class ShardedEngine {
   /// ingestion wall-clock.
   double MaxWorkerBusySeconds() const;
 
-  /// Producer CPU seconds spent routing on the block paths
-  /// (ProcessBlock/ProcessEdges without armed hooks). Ring-full submit
+  /// Producer CPU seconds spent routing in ProcessEdges. Ring-full submit
   /// waits are excluded (downstream backpressure, not routing work); the
   /// per-edge Process path is not clocked.
   double ProducerRouteSeconds() const {
@@ -297,8 +249,8 @@ class ShardedEngine {
   /// Aggregated engine metrics: per-shard ring/worker/reservoir counters
   /// plus derived gauges (z* max, sample sizes, busy/idle seconds).
   /// Drains first if needed, so the snapshot is consistent with every
-  /// edge ingested so far; like the monitor/checkpoint hooks, the drain
-  /// is invisible to the sample path. Empty under GPS_METRICS=0.
+  /// edge ingested so far; like every drain, it is invisible to the
+  /// sample path. Empty under GPS_METRICS=0.
   MetricsSnapshot SnapshotMetrics();
 
   /// Per-shard worker access (reservoirs, in-stream estimates). Caller
@@ -316,10 +268,6 @@ class ShardedEngine {
                 std::vector<std::vector<MotifAccumulator>> restored_motifs,
                 uint64_t stream_offset);
 
-  /// Fires monitoring / auto-checkpoint hooks due at the current stream
-  /// position (called from Process after the edge is routed).
-  void FirePeriodicHooks();
-
   /// Registers every shard's metric instances with the registry and
   /// attaches trace buffers (both ctors call it once shards_ is built).
   void RegisterObservability();
@@ -336,10 +284,10 @@ class ShardedEngine {
   /// guarantee.
   std::vector<ShardSampleRef> CollectSampleRefs() const;
 
-  /// The ONE route-and-batch step shared by Process and the ProcessBlock
+  /// The ONE route-and-batch step shared by Process and the ProcessEdges
   /// loop: route the edge, append to its shard's pending batch, hand off
   /// at batch_size. Inlined; any drift between the two callers would
-  /// break the block-path byte-identity contract.
+  /// break the span-feed byte-identity contract.
   void RouteOne(const Edge& e);
 
   /// Hands shard s's pending batch over and readies the next one: onto
@@ -364,7 +312,7 @@ class ShardedEngine {
   const UnionSample& SyncUnion();
 
   /// In-stream-mode merged estimates over the synced union sample, which
-  /// a monitoring tick shares between the tri/wedge AND motif passes.
+  /// MergedRecord shares between the tri/wedge AND motif passes.
   /// Drained state required.
   GraphEstimates MergedGraphEstimatesOver(const UnionSample& sample);
   std::vector<MotifEstimate> MergedMotifEstimatesOver(
@@ -374,16 +322,10 @@ class ShardedEngine {
   std::vector<std::unique_ptr<ShardWorker>> shards_;
   std::vector<EdgeBatch> pending_;
   std::string pin_warning_;
-  uint64_t producer_route_ns_ = 0;   // block-path routing CPU time
+  uint64_t producer_route_ns_ = 0;   // ProcessEdges routing CPU time
   uint64_t producer_submit_ns_ = 0;  // hand-off (incl. ring-full waits)
   uint64_t edges_processed_ = 0;
   bool finished_ = false;
-
-  uint64_t monitor_every_ = 0;
-  std::function<void(const MonitorRecord&)> monitor_callback_;
-  uint64_t checkpoint_every_ = 0;
-  std::string checkpoint_dir_;
-  Status auto_checkpoint_status_;
 
   /// The union of the shard reservoirs, kept across merges: SyncUnion
   /// patches it with the admissions and evictions since the last merge

@@ -6,7 +6,8 @@
 // engine consumes it — fixed-width little-endian (u, v) pairs — so a
 // reader's only per-byte work is the integrity digest, and the block
 // payloads can feed ShardedEngine rings straight out of the page cache
-// (engine/ingest.h), no per-edge decode, no intermediate EdgeList.
+// (ShardedEngine::ProcessEdges), no per-edge decode, no intermediate
+// EdgeList.
 //
 // Design mirrors the GPS-MANIFEST philosophy (core/serialize.h) and
 // mccortex's versioned graph files: magic, version, typed header,
@@ -84,9 +85,9 @@ Status WriteBinaryStream(const std::string& path,
                          std::span<const Edge> edges,
                          const BinaryStreamWriteOptions& options = {});
 
-/// True if `path` starts with the GPS-STREAM magic (the `--input-format
-/// auto` sniff). False for unreadable/short files — callers fall back to
-/// the text parser, whose errors name the real problem.
+/// True if `path` starts with the GPS-STREAM magic (how gps_cli picks
+/// the decoder for --input). False for unreadable/short files — callers
+/// fall back to the text parser, whose errors name the real problem.
 bool LooksLikeBinaryStream(const std::string& path);
 
 /// Zero-copy reader over a memory-mapped GPS-STREAM file. Open() maps the

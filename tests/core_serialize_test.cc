@@ -248,7 +248,6 @@ ShardManifest TestManifest() {
   manifest.num_shards = 4;
   manifest.base_seed = 42;
   manifest.total_capacity = 1000;
-  manifest.split_capacity = true;
   manifest.stream_offset = 600;
   manifest.weight.kind = WeightKind::kTriangleWedge;
   manifest.weight.coefficient = 9.0;
@@ -268,7 +267,6 @@ TEST(SerializeTest, ManifestRoundTripPreservesEverything) {
   EXPECT_EQ(r->num_shards, manifest.num_shards);
   EXPECT_EQ(r->base_seed, manifest.base_seed);
   EXPECT_EQ(r->total_capacity, manifest.total_capacity);
-  EXPECT_EQ(r->split_capacity, manifest.split_capacity);
   EXPECT_EQ(r->stream_offset, manifest.stream_offset);
   EXPECT_EQ(r->weight.kind, manifest.weight.kind);
   EXPECT_DOUBLE_EQ(r->weight.coefficient, manifest.weight.coefficient);

@@ -1,8 +1,10 @@
-// Tests for the distributed shard-checkpoint pipeline: SerializeShards +
-// MergeFromCheckpoints must reproduce the live engine's merged estimates
-// exactly (bit-for-bit, since checkpoints round-trip doubles exactly and
-// the merge reuses the live code path), and incompatible, incomplete, or
-// corrupt checkpoint sets must fail with typed Status errors.
+// Tests for the distributed shard-checkpoint pipeline: SerializeShards,
+// then the merge merge-checkpoints runs (ResumeFromCheckpoints, Finish,
+// the merged estimates), must reproduce the live engine's merged
+// estimates exactly (bit-for-bit, since checkpoints round-trip doubles
+// exactly and the merge is the live code path), and incompatible,
+// incomplete, or corrupt checkpoint sets must fail with typed Status
+// errors.
 
 #include <filesystem>
 #include <fstream>
@@ -58,6 +60,7 @@ GraphEstimates RunAndCheckpoint(const std::vector<Edge>& stream,
 
 using engine_test::ExpectExactlyEqual;
 using engine_test::ManifestPath;
+using engine_test::MergeCheckpoints;
 
 TEST(EngineCheckpointTest, MergeReproducesLiveEstimatesExactly) {
   const std::vector<Edge> stream = TestStream(701);
@@ -67,9 +70,9 @@ TEST(EngineCheckpointTest, MergeReproducesLiveEstimatesExactly) {
     const GraphEstimates live =
         RunAndCheckpoint(stream, EngineOptions(k, 77), &dir);
     const std::vector<std::string> manifests = {ManifestPath(dir)};
-    auto merged = ShardedEngine::MergeFromCheckpoints(manifests);
+    auto merged = MergeCheckpoints(manifests);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    ExpectExactlyEqual(*merged, live);
+    ExpectExactlyEqual(merged->graph, live);
     std::filesystem::remove_all(dir);
   }
 }
@@ -101,19 +104,19 @@ TEST(EngineCheckpointTest, PartialManifestsFromDifferentHostsMerge) {
     ASSERT_TRUE(SerializeManifest(host_b, StreamSink(out)).ok());
   }
 
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{path_a, path_b});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectExactlyEqual(*merged, live);
+  ExpectExactlyEqual(merged->graph, live);
 
   // A partial set fails with a typed coverage error.
-  auto incomplete = ShardedEngine::MergeFromCheckpoints(
+  auto incomplete = MergeCheckpoints(
       std::vector<std::string>{path_a});
   ASSERT_FALSE(incomplete.ok());
   EXPECT_EQ(incomplete.status().code(), StatusCode::kFailedPrecondition);
 
   // The same shard claimed twice fails.
-  auto duplicated = ShardedEngine::MergeFromCheckpoints(
+  auto duplicated = MergeCheckpoints(
       std::vector<std::string>{path_a, path_a, path_b});
   ASSERT_FALSE(duplicated.ok());
   EXPECT_EQ(duplicated.status().code(), StatusCode::kFailedPrecondition);
@@ -145,7 +148,7 @@ TEST(EngineCheckpointTest, RejectsMismatchedLayouts) {
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
-    auto merged = ShardedEngine::MergeFromCheckpoints(
+    auto merged = MergeCheckpoints(
         std::vector<std::string>{ManifestPath(dir_base),
                                  ManifestPath(c.other)});
     ASSERT_FALSE(merged.ok());
@@ -169,7 +172,7 @@ TEST(EngineCheckpointTest, RejectsCorruptShardFile) {
                       std::ios::binary | std::ios::app);
     out << "tamper";
   }
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
@@ -183,7 +186,7 @@ TEST(EngineCheckpointTest, RejectsMissingShardFile) {
   const std::filesystem::path dir = FreshDir("missing");
   RunAndCheckpoint(stream, EngineOptions(2, 17), &dir);
   std::filesystem::remove(dir / "shard-0001.gps");
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
@@ -223,10 +226,10 @@ TEST(EngineCheckpointTest, MidStreamCheckpointKeepsEngineUsable) {
   ShardedEngine prefix_engine(options);
   for (size_t i = 0; i < half; ++i) prefix_engine.Process(stream[i]);
   prefix_engine.Finish();
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectExactlyEqual(*merged, prefix_engine.MergedEstimates());
+  ExpectExactlyEqual(merged->graph, prefix_engine.MergedEstimates());
 
   // And the interrupted engine's final state matches an uninterrupted run.
   ShardedEngine uninterrupted(options);
@@ -259,10 +262,10 @@ TEST(EngineCheckpointTest, FailedCheckpointDoesNotClobberExisting) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectExactlyEqual(*merged, live);
+  ExpectExactlyEqual(merged->graph, live);
   std::filesystem::remove_all(dir);
 }
 
@@ -348,17 +351,17 @@ TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
             std::vector<std::string>{"shard-0002.gps.tmp"});  // ours only
 
   std::filesystem::remove(squatter);
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectExactlyEqual(*merged, live);
+  ExpectExactlyEqual(merged->graph, live);
   std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
   // A motif-configured run checkpoints its per-shard accumulators into
-  // the v3 manifest; MergeFromCheckpointsDetailed must reproduce the live
-  // merged motif estimates and edge count bit for bit, at every K.
+  // the v3 manifest; the merge must reproduce the live merged motif
+  // estimates and edge count bit for bit, at every K.
   const std::vector<Edge> stream = TestStream(781);
   for (const uint32_t k : {1u, 2u, 4u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
@@ -375,7 +378,7 @@ TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
         engine.MergedMotifEstimates();
     const double live_edges = engine.MergedEdgeCountEstimate();
 
-    auto merged = ShardedEngine::MergeFromCheckpointsDetailed(
+    auto merged = MergeCheckpoints(
         std::vector<std::string>{ManifestPath(dir)});
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ExpectExactlyEqual(merged->graph, live);
@@ -418,7 +421,7 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
     std::ofstream out(path_b, std::ios::binary);
     ASSERT_TRUE(SerializeManifest(b, StreamSink(out)).ok());
   }
-  auto merged = ShardedEngine::MergeFromCheckpoints(
+  auto merged = MergeCheckpoints(
       std::vector<std::string>{path_a, path_b});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
@@ -428,9 +431,38 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
   std::filesystem::remove_all(dir_b);
 }
 
+TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
+  // The manifest's split-capacity column is always 1: every shard holds
+  // ceil(capacity / K) slots. A hand-edited 0 (every shard given the full
+  // capacity) is refused by name at every K — also at K=1, where both
+  // readings give the one shard the same capacity.
+  const std::vector<Edge> stream = TestStream(821);
+  for (const uint32_t k : {1u, 4u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    const std::filesystem::path dir = FreshDir("unsplit-k" + std::to_string(k));
+    RunAndCheckpoint(stream, EngineOptions(k, 59), &dir);
+    std::string text = ReadFileBytes(ManifestPath(dir));
+    // Line 2: <K> <base_seed> <total_capacity> <split> <offset> <budget>.
+    const std::string layout = std::to_string(k) + " 59 600 1 ";
+    const size_t at = text.find("\n" + layout);
+    ASSERT_NE(at, std::string::npos) << text;
+    text[at + layout.size() - 1] = '0';
+    std::ofstream(ManifestPath(dir), std::ios::binary | std::ios::trunc)
+        << text;
+
+    auto merged = MergeCheckpoints(std::vector<std::string>{ManifestPath(dir)});
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(merged.status().message().find("split-capacity flag 0"),
+              std::string::npos)
+        << merged.status().ToString();
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(EngineCheckpointTest, MergeRequiresAtLeastOneManifest) {
   auto merged =
-      ShardedEngine::MergeFromCheckpoints(std::vector<std::string>{});
+      MergeCheckpoints(std::vector<std::string>{});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
 }

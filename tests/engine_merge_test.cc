@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -48,6 +47,7 @@ namespace {
 
 using engine_test::ExpectExactlyEqual;
 using engine_test::ExpectMotifsExactlyEqual;
+using engine_test::FeedCutAt;
 using engine_test::FreshDir;
 using engine_test::ManifestPath;
 
@@ -384,13 +384,10 @@ void ExpectMatchesFreshUnion(const ShardedEngine& engine,
                          EstimateCrossShardMotifs(fresh, names)));
 }
 
-/// A monitor callback checking every tick against a fresh union.
-std::function<void(const MonitorRecord&)> CheckEachTick(
-    const ShardedEngine* engine, int* ticks) {
-  return [engine, ticks](const MonitorRecord& record) {
-    ++*ticks;
-    ExpectMatchesFreshUnion(*engine, record.estimates, record.motifs);
-  };
+/// One monitor tick, checked against a fresh union.
+void CheckTick(ShardedEngine& engine) {
+  const MonitorRecord record = engine.MergedRecord();
+  ExpectMatchesFreshUnion(engine, record.estimates, record.motifs);
 }
 
 /// The end-of-stream merge, checked like a tick.
@@ -473,16 +470,17 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
     int ticks = 0;
     TriangleChangeTracker tracker;
     ShardedEngine engine(options);
-    const auto check = CheckEachTick(&engine, &ticks);
-    engine.EstimateEvery(kEvery, [&](const MonitorRecord& record) {
-      check(record);
+    const auto tick = [&](uint64_t) {
+      ++ticks;
+      CheckTick(engine);
       tracker.Observe(engine);
-    });
-    for (size_t i = 0; i < half; ++i) engine.Process(stream[i]);
+    };
+    const std::span<const Edge> all(stream);
+    FeedCutAt(engine, all.first(half), kEvery, tick);
     const std::filesystem::path dir =
         FreshDir("engine_merge", "k" + std::to_string(k));
     ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
-    for (size_t i = half; i < stream.size(); ++i) engine.Process(stream[i]);
+    FeedCutAt(engine, all.subspan(half), kEvery, tick);
     engine.Finish();
     EXPECT_EQ(ticks, static_cast<int>(stream.size() / kEvery));
     // The ticks patched evictions as well as admissions, including
@@ -497,8 +495,10 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ShardedEngine& continued = **resumed;
     ticks = 0;
-    continued.EstimateEvery(kEvery, CheckEachTick(&continued, &ticks));
-    for (size_t i = half; i < stream.size(); ++i) continued.Process(stream[i]);
+    FeedCutAt(continued, all.subspan(half), kEvery, [&](uint64_t) {
+      ++ticks;
+      CheckTick(continued);
+    });
     continued.Finish();
     EXPECT_GT(ticks, 0);
     ExpectFinalMatchesFreshUnion(continued);

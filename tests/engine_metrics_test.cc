@@ -176,16 +176,16 @@ TEST(EngineMetricsTest, CountersNonzeroAfterRun) {
   EXPECT_GT(latency.sum_ns, 0u);
 }
 
-TEST(EngineMetricsTest, MonitorCallbackSnapshotsMetrics) {
-  // A tick carries no metrics; a callback that wants them snapshots the
-  // engine, which the tick has just drained.
+TEST(EngineMetricsTest, MonitorTickSnapshotsMetrics) {
+  // A tick carries no metrics; a monitor loop that wants them snapshots
+  // the engine, which the tick has just drained.
   const std::vector<Edge> stream = TestStream(400, 8, 21, 22);
   ShardedEngine engine(EngineOptions(2, 150, 5));
   std::vector<MetricsSnapshot> seen;
-  engine.EstimateEvery(1000, [&](const MonitorRecord&) {
+  engine_test::FeedCutAt(engine, stream, 1000, [&](uint64_t) {
+    engine.MergedRecord();
     seen.push_back(engine.SnapshotMetrics());
   });
-  for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
   ASSERT_GT(seen.size(), 1u);
   if (!MetricsEnabled()) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -184,16 +185,18 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
 }
 
 TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
-  // EstimateEvery fires at absolute stream positions, so a resumed
-  // monitor keeps the uninterrupted run's sampling schedule and values.
-  // The monitored run checkpoints itself (CheckpointEvery) on the writer
-  // threads every 2.5 ticks: every second checkpoint lands on a tick, and
-  // the last one — the resume cut — falls between two ticks, so the
-  // resumed engine must wait for the next absolute multiple of kEvery
-  // rather than count a fresh interval from the cut.
+  // Ticks fall at absolute stream positions, so a resumed monitor keeps
+  // the uninterrupted run's sampling schedule and values. The monitored
+  // run checkpoints itself every 2.5 ticks, the way gps_cli monitor
+  // does: every second checkpoint lands on a tick and is written right
+  // after its merge passes, on the writer threads, and the last one — the
+  // resume cut — falls between two ticks, so the resumed loop must take
+  // its next tick from edges_processed() rather than count a fresh
+  // interval from the cut.
   const std::vector<Edge> stream = TestStream(821);
   constexpr uint64_t kEvery = 300;
   constexpr uint64_t kCheckpointEvery = 750;
+  constexpr uint64_t kCut = 150;  // divides both
   const size_t cut = stream.size() / kCheckpointEvery * kCheckpointEvery;
   ASSERT_GE(cut, 2 * kCheckpointEvery);  // one checkpoint on a tick
   ASSERT_NE(cut % kEvery, 0u);           // the resume cut between ticks
@@ -204,24 +207,23 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
 
     std::vector<MonitorRecord> full_records;
     ShardedEngine full(options);
-    full.EstimateEvery(
-        kEvery, [&](const MonitorRecord& r) { full_records.push_back(r); });
-    ASSERT_TRUE(full.CheckpointEvery(kCheckpointEvery, dir.string()).ok());
-    for (const Edge& e : stream) full.Process(e);
+    engine_test::FeedCutAt(full, stream, kCut, [&](uint64_t pos) {
+      if (pos % kEvery == 0) full_records.push_back(full.MergedRecord());
+      if (pos % kCheckpointEvery == 0) {
+        const Status s = full.SerializeShards(dir.string());
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    });
     full.Finish();
-    ASSERT_TRUE(full.auto_checkpoint_status().ok())
-        << full.auto_checkpoint_status().ToString();
 
     auto resumed = ShardedEngine::ResumeFromCheckpoints(
         std::vector<std::string>{ManifestPath(dir)});
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ((*resumed)->edges_processed(), cut);
     std::vector<MonitorRecord> tail_records;
-    (*resumed)->EstimateEvery(
-        kEvery, [&](const MonitorRecord& r) { tail_records.push_back(r); });
-    for (size_t i = cut; i < stream.size(); ++i) {
-      (*resumed)->Process(stream[i]);
-    }
+    engine_test::FeedCutAt(
+        **resumed, std::span<const Edge>(stream).subspan(cut), kEvery,
+        [&](uint64_t) { tail_records.push_back((*resumed)->MergedRecord()); });
     (*resumed)->Finish();
 
     size_t expected_tail = 0;
@@ -364,8 +366,8 @@ TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
   EXPECT_NE(resumed.status().message().find("version"), std::string::npos)
       << resumed.status().ToString();
 
-  auto merged = ShardedEngine::MergeFromCheckpoints(
-      std::vector<std::string>{manifest_path});
+  auto merged =
+      engine_test::MergeCheckpoints(std::vector<std::string>{manifest_path});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
   std::filesystem::remove_all(dir);

@@ -11,12 +11,13 @@
 // scaled by GPS_STAT_TRIALS — and the cross-shard correction stratum is
 // load-bearing (dropping it undercounts badly for K > 1).
 //
-// Monitoring: EstimateEvery() samples the exact stream positions asked
-// for, each sample equals a fresh prefix-only run's merged estimates, and
-// monitoring never perturbs the sample path.
+// Monitoring: a caller-driven loop that cuts the stream at every tick and
+// reads MergedRecord() there samples exactly those positions, each sample
+// equals a fresh prefix-only run's merged estimates, and monitoring never
+// perturbs the sample path.
 //
-// The block entry points (ProcessBlock/ProcessEdges) and core pinning are
-// covered in tests/engine_router_test.cc.
+// The span entry point (ProcessEdges) and core pinning are covered in
+// tests/engine_router_test.cc.
 
 #include <cmath>
 #include <cstdint>
@@ -55,6 +56,7 @@ std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
 }
 
 using engine_test::ExpectExactlyEqual;
+using engine_test::ExpectMotifsExactlyEqual;
 using engine_test::ReservoirBytes;
 
 GpsSamplerOptions BaseOptions(size_t capacity, uint64_t seed) {
@@ -538,19 +540,20 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedMotifAccuracyTest,
 
 // --- Continuous monitoring ------------------------------------------------
 
-TEST(ShardedEngineTest, EstimateEverySamplesExactPrefixEstimates) {
+TEST(ShardedEngineTest, MonitorTicksSampleExactPrefixEstimates) {
   const std::vector<Edge> stream = TestStream(1200, 6, 81, 82);
   ShardedEngineOptions options;
   options.sampler = BaseOptions(1500, 83);
   options.num_shards = 4;
   options.batch_size = 64;
+  options.motifs = {"tri", "3path"};
 
   constexpr uint64_t kEvery = 700;
   std::vector<MonitorRecord> records;
   ShardedEngine engine(options);
-  engine.EstimateEvery(kEvery,
-                       [&](const MonitorRecord& r) { records.push_back(r); });
-  for (const Edge& e : stream) engine.Process(e);
+  engine_test::FeedCutAt(engine, stream, kEvery, [&](uint64_t) {
+    records.push_back(engine.MergedRecord());
+  });
   engine.Finish();
   const GraphEstimates monitored_final = engine.MergedEstimates();
 
@@ -559,9 +562,9 @@ TEST(ShardedEngineTest, EstimateEverySamplesExactPrefixEstimates) {
     EXPECT_EQ(records[i].edges_processed, (i + 1) * kEvery);
   }
 
-  // Each sample equals a fresh engine run over exactly that prefix: the
-  // monitored engine's mid-stream reads are linearizable at edge
-  // boundaries and perturb nothing.
+  // Each sample equals a fresh engine run over exactly that prefix, fed
+  // edge by edge: the monitored engine's mid-stream reads are
+  // linearizable at edge boundaries and perturb nothing.
   for (const MonitorRecord& record : records) {
     ShardedEngine prefix(options);
     for (uint64_t i = 0; i < record.edges_processed; ++i) {
@@ -569,6 +572,7 @@ TEST(ShardedEngineTest, EstimateEverySamplesExactPrefixEstimates) {
     }
     prefix.Finish();
     ExpectExactlyEqual(record.estimates, prefix.MergedEstimates());
+    ExpectMotifsExactlyEqual(record.motifs, prefix.MergedMotifEstimates());
   }
 
   // Monitoring must not change the final state either.
@@ -581,36 +585,6 @@ TEST(ShardedEngineTest, EstimateEverySamplesExactPrefixEstimates) {
               ReservoirBytes(unmonitored.shard(s).reservoir()))
         << "shard " << s;
   }
-}
-
-TEST(ShardedEngineTest, EstimateEveryZeroDisables) {
-  const std::vector<Edge> stream = TestStream(400, 5, 84, 85);
-  ShardedEngineOptions options;
-  options.sampler = BaseOptions(300, 86);
-  options.num_shards = 2;
-  ShardedEngine engine(options);
-  int fired = 0;
-  engine.EstimateEvery(10, [&](const MonitorRecord&) { ++fired; });
-  engine.EstimateEvery(0, [&](const MonitorRecord&) { ++fired; });
-  for (const Edge& e : stream) engine.Process(e);
-  engine.Finish();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(ShardedEngineTest, CheckpointEveryValidatesUpFront) {
-  ShardedEngineOptions options;
-  options.sampler = BaseOptions(100, 1);
-  options.num_shards = 2;
-  {
-    ShardedEngine engine(options);
-    const Status s = engine.CheckpointEvery(10, "");
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(engine.CheckpointEvery(0, "").ok());  // disable is fine
-  }
-  options.merge_mode = MergeMode::kPostStreamMerged;
-  ShardedEngine post(options);
-  const Status s = post.CheckpointEvery(10, "/tmp/unused");
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedEngineTest, CountsAndOptionsExposed) {

@@ -1,13 +1,18 @@
 // Helpers shared by the engine test suites (sharded / checkpoint /
-// resume): byte-level reservoir comparison, exact estimate equality, and
-// per-test temp directories. One definition each, so a change to the
-// serialization format or the GraphEstimates field set tightens every
-// byte-identity test at once instead of whichever copies got updated.
+// resume / merge / metrics): byte-level reservoir comparison, exact
+// estimate equality, per-test temp directories, the caller-driven tick
+// loop, and the checkpoint merge as merge-checkpoints runs it. One
+// definition each, so a change to the serialization format or the
+// GraphEstimates field set tightens every byte-identity test at once
+// instead of whichever copies got updated.
 
 #ifndef GPS_TESTS_ENGINE_TEST_UTIL_H_
 #define GPS_TESTS_ENGINE_TEST_UTIL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "core/motifs.h"
 #include "core/serialize.h"
 #include "engine/sharded_engine.h"
+#include "util/status.h"
 
 namespace gps {
 namespace engine_test {
@@ -70,6 +76,46 @@ inline void ExpectMotifsExactlyEqual(const std::vector<MotifEstimate>& a,
     EXPECT_EQ(a[m].estimate.variance, b[m].estimate.variance) << a[m].name;
     EXPECT_EQ(a[m].snapshots, b[m].snapshots) << a[m].name;
   }
+}
+
+/// The loop gps_cli monitor runs: feeds `stream` through ProcessEdges,
+/// cut at every absolute multiple of `period` (absolute: counted from
+/// edge 0 of the whole stream, so a resumed engine keeps the cadence),
+/// and calls `at_cut(position)` after each cut that lands on one.
+template <typename AtCut>
+void FeedCutAt(ShardedEngine& engine, std::span<const Edge> stream,
+               uint64_t period, AtCut&& at_cut) {
+  while (!stream.empty()) {
+    const uint64_t pos = engine.edges_processed();
+    const size_t take = static_cast<size_t>(
+        std::min<uint64_t>(stream.size(), (pos / period + 1) * period - pos));
+    engine.ProcessEdges(stream.first(take));
+    stream = stream.subspan(take);
+    if (engine.edges_processed() % period == 0) {
+      at_cut(engine.edges_processed());
+    }
+  }
+}
+
+/// Everything merge-checkpoints prints for a checkpoint set.
+struct MergedCheckpoint {
+  GraphEstimates graph;
+  std::vector<MotifEstimate> motifs;
+  double edge_count = 0.0;
+};
+
+/// Merges a checkpoint set the way merge-checkpoints does: resume it,
+/// feed nothing, finish, and read the merged estimates.
+inline Result<MergedCheckpoint> MergeCheckpoints(
+    const std::vector<std::string>& manifest_paths) {
+  auto engine = ShardedEngine::ResumeFromCheckpoints(manifest_paths);
+  if (!engine.ok()) return engine.status();
+  (*engine)->Finish();
+  MergedCheckpoint merged;
+  merged.graph = (*engine)->MergedEstimates();
+  merged.motifs = (*engine)->MergedMotifEstimates();
+  merged.edge_count = (*engine)->MergedEdgeCountEstimate();
+  return merged;
 }
 
 }  // namespace engine_test

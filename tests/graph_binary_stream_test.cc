@@ -1,6 +1,7 @@
 // Tests for GPS-STREAM v1 (graph/binary_stream.h): round trips, strict
 // named refusals on every corruption class, and the zero-copy engine
-// feed's byte-identity with a per-edge Process loop.
+// feed's byte-identity with a per-edge Process loop: block spans aliasing
+// the mapping go straight into ShardedEngine::ProcessEdges.
 
 #include "graph/binary_stream.h"
 
@@ -13,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/ingest.h"
 #include "engine/sharded_engine.h"
+#include "engine_test_util.h"
 #include "graph/types.h"
 #include "util/digest.h"
 
@@ -312,10 +313,12 @@ TEST_F(CorruptionTest, RejectsMissingFile) {
 
 // ---- Zero-copy engine feed -----------------------------------------------
 
-TEST_F(BinaryStreamTest, IngestBinaryStreamMatchesProcessLoop) {
+TEST_F(BinaryStreamTest, MappedBlockSpansFeedEngineLikeProcessLoop) {
   // The acceptance contract: feeding the engine straight from mapped
   // blocks must be byte-identical to the per-edge Process loop over the
-  // same stream — same reservoirs, same estimates, same counters.
+  // same stream — same reservoirs, same estimates, same counters. The
+  // spans alias the mapping while a K=3 engine routes them into its
+  // worker rings.
   std::vector<Edge> stream;
   uint32_t x = 12345;
   for (int i = 0; i < 20000; ++i) {
@@ -333,39 +336,33 @@ TEST_F(BinaryStreamTest, IngestBinaryStreamMatchesProcessLoop) {
   engine_options.num_shards = 3;
 
   ShardedEngine from_file(engine_options);
-  auto fed = IngestBinaryStream(path, from_file);
-  ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-  EXPECT_EQ(*fed, stream.size());
+  auto reader = BinaryStreamReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->num_blocks(), 20u);
+  for (size_t b = 0; b < reader->num_blocks(); ++b) {
+    auto block = reader->Block(b);
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    from_file.ProcessEdges(*block);
+  }
   from_file.Finish();
 
   ShardedEngine from_loop(engine_options);
   for (const Edge& e : stream) from_loop.Process(e);
   from_loop.Finish();
 
-  EXPECT_EQ(from_file.edges_processed(), from_loop.edges_processed());
+  EXPECT_EQ(from_file.edges_processed(), stream.size());
+  EXPECT_EQ(from_loop.edges_processed(), stream.size());
+  for (uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(engine_test::ReservoirBytes(from_file.shard(s).reservoir()),
+              engine_test::ReservoirBytes(from_loop.shard(s).reservoir()))
+        << "shard " << s;
+  }
   const GraphEstimates a = from_file.MergedEstimates();
   const GraphEstimates b = from_loop.MergedEstimates();
   EXPECT_EQ(a.triangles.value, b.triangles.value);
   EXPECT_EQ(a.triangles.variance, b.triangles.variance);
   EXPECT_EQ(a.wedges.value, b.wedges.value);
   EXPECT_EQ(a.wedges.variance, b.wedges.variance);
-}
-
-TEST_F(BinaryStreamTest, IngestBinaryStreamPropagatesRefusals) {
-  const std::string path = Track(TempPath("bs_engine_corrupt.gps"));
-  ASSERT_TRUE(WriteBinaryStream(path, SampleEdges()).ok());
-  std::string mutated = ReadFileBytes(path);
-  mutated[mutated.size() - 1] ^= 0xff;
-  WriteFileBytes(path, mutated);
-
-  ShardedEngineOptions engine_options;
-  engine_options.sampler.capacity = 10;
-  ShardedEngine engine(engine_options);
-  auto fed = IngestBinaryStream(path, engine);
-  ASSERT_FALSE(fed.ok());
-  EXPECT_NE(fed.status().ToString().find("digest mismatch"),
-            std::string::npos);
-  engine.Finish();
 }
 
 }  // namespace

@@ -21,17 +21,17 @@
 //       interrupted. --save re-checkpoints afterwards.
 //   monitor   --input FILE --every N [estimate flags] [--output csv|table]
 //             [--checkpoint-every M --checkpoint DIR]
-//       Continuous-monitoring mode: stream through the sharded engine and
-//       emit a merged-estimate time series (point estimates + 95% CI
-//       bounds and widths) every N edges, plus a final row at end of
-//       stream. --checkpoint-every M additionally rewrites a resumable
-//       checkpoint in DIR every M edges.
+//       Continuous-monitoring mode: cut the stream at every multiple of N
+//       and emit a merged-estimate row there (point estimates + 95% CI
+//       bounds and widths), plus a final row at end of stream.
+//       --checkpoint-every M additionally rewrites a resumable checkpoint
+//       in DIR at every multiple of M and at the end of the stream.
 //   merge-checkpoints  --manifest FILE [--manifest FILE ...]
-//       Merge shard checkpoints (possibly produced on different machines)
-//       and print the estimates the live run would produce, without
-//       re-streaming.
+//       Resume shard checkpoints (possibly produced on different
+//       machines) and print the estimates the live run would produce,
+//       without re-streaming.
 //   convert   --input FILE --output FILE [--to auto|binary|text]
-//             [--input-format auto|text|binary] [--block-edges N]
+//             [--block-edges N]
 //       Convert an edge stream between the text format and GPS-STREAM v1
 //       binary (graph/binary_stream.h), preserving stream order and
 //       duplicates. Binary output is reopened and digest-verified before
@@ -46,6 +46,9 @@
 //       Print the checkpoint format versions this build writes/reads, the
 //       build type, and whether metrics instrumentation is compiled in.
 //
+// Every --input is read as GPS-STREAM when the file starts with its
+// magic, as a text edge list otherwise.
+//
 // Observability (estimate and monitor): --stats prints an aggregated
 // metrics snapshot (ring backpressure, worker activity, sampling
 // internals) after the run; --stats-out FILE writes it as JSON instead;
@@ -55,6 +58,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -177,9 +181,9 @@ int Usage() {
       stderr,
       "usage: gps_cli <estimate|resume-shards|monitor|merge-checkpoints"
       "|convert|generate|exact|corpus|list-motifs|version> [flags]\n"
-      "  Streaming subcommands read --input as text or GPS-STREAM binary;\n"
-      "  --input-format auto|text|binary (default auto: sniff the magic)\n"
-      "  forces the decoder. Estimates are byte-identical across formats.\n"
+      "  Streaming subcommands read --input as GPS-STREAM binary when the\n"
+      "  file starts with its magic, as a text edge list otherwise.\n"
+      "  Estimates are byte-identical across formats.\n"
       "  estimate --input FILE [--capacity N | --mem BYTES] [--seed S]\n"
       "           [--weight uniform|adjacency|triangle|triangle-wedge]\n"
       "           [--estimator in-stream|post|both] [--no-permute]\n"
@@ -209,7 +213,7 @@ int Usage() {
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
       "  merge-checkpoints --manifest FILE [--manifest FILE ...]\n"
       "  convert  --input FILE --output FILE [--to auto|binary|text]\n"
-      "           [--input-format auto|text|binary] [--block-edges N]\n"
+      "           [--block-edges N]\n"
       "           (text <-> GPS-STREAM v1 binary; stream order and\n"
       "           duplicates preserved; binary writes are digest-verified\n"
       "           end to end before the command succeeds; --to auto\n"
@@ -307,36 +311,17 @@ Status CheckDatasetPath(const std::string& path) {
   return Status::Ok();
 }
 
-enum class InputFormat { kText, kBinary };
-
-/// Resolves --input-format: explicit text/binary, or auto (the default),
-/// which sniffs the GPS-STREAM magic. An explicit format never sniffs,
-/// so a text file that happens to start with the magic bytes can still
-/// be forced through the text parser and vice versa.
-Result<InputFormat> ResolveInputFormat(const Flags& flags,
-                                       const std::string& path) {
-  const std::string format = flags.Get("input-format", "auto");
-  if (format == "text") return InputFormat::kText;
-  if (format == "binary") return InputFormat::kBinary;
-  if (format != "auto") {
-    return Status::InvalidArgument("unknown --input-format '" + format +
-                                   "' (expected auto, text, or binary)");
-  }
-  return LooksLikeBinaryStream(path) ? InputFormat::kBinary
-                                     : InputFormat::kText;
-}
-
 /// Loads --input as an EdgeList in stream order (duplicates preserved),
-/// from either format. Binary input goes through the digest-verified
+/// from either format: GPS-STREAM when the file starts with its magic
+/// (the strict text parser refuses those bytes, so no text edge list
+/// does), text otherwise. Binary input goes through the digest-verified
 /// block reader; both formats then share the SAME permute/simplify path
 /// downstream, so estimates are byte-identical across a text file and
 /// its GPS-STREAM conversion.
 Result<EdgeList> LoadDatasetEdges(const Flags& flags) {
   const std::string path = flags.Get("input", "");
   if (Status s = CheckDatasetPath(path); !s.ok()) return s;
-  auto format = ResolveInputFormat(flags, path);
-  if (!format.ok()) return format.status();
-  if (*format == InputFormat::kBinary) {
+  if (LooksLikeBinaryStream(path)) {
     auto reader = BinaryStreamReader::Open(path);
     if (!reader.ok()) return reader.status();
     EdgeList list;
@@ -394,6 +379,15 @@ struct EstimateReport {
 EstimateReport MakeReport(const GraphEstimates& graph) {
   EstimateReport report;
   report.graph = graph;
+  return report;
+}
+
+/// The engine's merged block: its MergedEstimates, motif statistics and
+/// edge count, as estimate, resume-shards and merge-checkpoints print it.
+EstimateReport MergedReport(ShardedEngine& engine) {
+  EstimateReport report = MakeReport(engine.MergedEstimates());
+  report.motifs = engine.MergedMotifEstimates();
+  report.edge_count = engine.MergedEdgeCountEstimate();
   return report;
 }
 
@@ -670,9 +664,7 @@ int RunEstimate(const Flags& flags) {
   // Post-only runs print one block: the post-stream estimates, with no
   // motif rows (MergedMotifEstimates is empty without in-stream shards).
   // The HT edge/degree rows come from the same sample path either way.
-  EstimateReport report = MakeReport(engine.MergedEstimates());
-  report.motifs = engine.MergedMotifEstimates();
-  report.edge_count = engine.MergedEdgeCountEstimate();
+  EstimateReport report = MergedReport(engine);
   for (const NodeId node : degree_nodes) {
     report.degrees.emplace_back(node, engine.MergedDegreeEstimate(node));
   }
@@ -704,16 +696,16 @@ int RunMergeCheckpoints(const Flags& flags) {
                  "--manifest FILE\n");
     return 1;
   }
-  auto merged = ShardedEngine::MergeFromCheckpointsDetailed(manifests);
-  if (!merged.ok()) {
-    std::fprintf(stderr, "error: %s\n", merged.status().ToString().c_str());
+  // The checkpointed prefix, merged as the live engine merged it: resume
+  // the set, feed nothing, finish.
+  auto engine = ShardedEngine::ResumeFromCheckpoints(manifests);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  EstimateReport report = MakeReport(merged->graph);
-  report.motifs = merged->motifs;
-  report.edge_count = merged->edge_count;
-  PrintEstimateReport(TextForShards(merged->num_shards).in_stream_label,
-                      report);
+  (*engine)->Finish();
+  PrintEstimateReport(TextForShards((*engine)->num_shards()).in_stream_label,
+                      MergedReport(**engine));
   return 0;
 }
 
@@ -759,13 +751,10 @@ int RunResumeShards(const Flags& flags) {
               (*engine)->num_shards(),
               static_cast<unsigned long long>((*engine)->edges_processed()),
               stream->size());
-  for (const Edge& e : *stream) (*engine)->Process(e);
+  (*engine)->ProcessEdges(std::span<const Edge>(*stream));
   (*engine)->Finish();
-  EstimateReport report = MakeReport((*engine)->MergedEstimates());
-  report.motifs = (*engine)->MergedMotifEstimates();
-  report.edge_count = (*engine)->MergedEdgeCountEstimate();
   PrintEstimateReport(TextForShards((*engine)->num_shards()).in_stream_label,
-                      report);
+                      MergedReport(**engine));
   if (flags.Has("save")) {
     const std::string dir = flags.Get("save", "");
     if (Status s = (*engine)->SerializeShards(dir); !s.ok()) {
@@ -911,67 +900,57 @@ int RunMonitor(const Flags& flags) {
   } else {
     std::printf("%s\n", table.HeaderLine().c_str());
   }
-  bool emitted_any = false;
-  uint64_t last_emitted = 0;
-  engine.EstimateEvery(every, [&](const MonitorRecord& record) {
-    PrintMonitorRow(record, csv, table);
-    emitted_any = true;
-    last_emitted = record.edges_processed;
-  });
-  if (checkpoint_every != 0) {
-    if (Status s = engine.CheckpointEvery(checkpoint_every, checkpoint_dir);
-        !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // A failed auto-checkpoint is sticky (the engine stops refreshing the
-  // resume point), so warn the moment it happens — a long-running
-  // monitor must not stream on for hours with a silently stale
-  // checkpoint — and still fail the run at the end.
-  bool checkpoint_error_reported = false;
-  // Feed in chunks so the sticky-checkpoint check runs once per chunk;
-  // hooks fire at their exact positions regardless of the chunking.
-  constexpr size_t kFeedChunkEdges = size_t{1} << 16;
+  // The monitor owns its schedule: it cuts the stream at every absolute
+  // multiple of --every (a row) and of --checkpoint-every (a checkpoint,
+  // written after the row when both fall on one position) and feeds each
+  // piece through ProcessEdges. Where the stream is cut never changes
+  // the sample path.
+  //
+  // A failed checkpoint is sticky: warn the moment it happens — a
+  // long-running monitor must not stream on for hours with a silently
+  // stale checkpoint — stop checkpointing, so DIR keeps the last good
+  // one, and still print every row before failing the run.
+  Status checkpoint_status;
+  const auto next_multiple = [&engine](uint64_t period) {
+    return (engine.edges_processed() / period + 1) * period;
+  };
   std::span<const Edge> remaining(*stream);
   while (!remaining.empty()) {
-    const size_t take = std::min(remaining.size(), kFeedChunkEdges);
-    engine.ProcessEdges(remaining.subspan(0, take));
+    const bool checkpointing = checkpoint_every != 0 && checkpoint_status.ok();
+    uint64_t next = next_multiple(every);
+    if (checkpointing) next = std::min(next, next_multiple(checkpoint_every));
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(
+        remaining.size(), next - engine.edges_processed()));
+    engine.ProcessEdges(remaining.first(take));
     remaining = remaining.subspan(take);
-    if (checkpoint_every != 0 && !checkpoint_error_reported &&
-        !engine.auto_checkpoint_status().ok()) {
-      std::fprintf(stderr,
-                   "checkpoint error (auto-checkpointing disabled): %s\n",
-                   engine.auto_checkpoint_status().ToString().c_str());
-      checkpoint_error_reported = true;
+    const uint64_t at = engine.edges_processed();
+    if (at % every == 0) PrintMonitorRow(engine.MergedRecord(), csv, table);
+    if (checkpointing && at % checkpoint_every == 0) {
+      checkpoint_status = engine.SerializeShards(checkpoint_dir);
+      if (!checkpoint_status.ok()) {
+        std::fprintf(stderr,
+                     "checkpoint error (auto-checkpointing disabled): %s\n",
+                     checkpoint_status.ToString().c_str());
+      }
     }
   }
   engine.Finish();
-  if (!engine.auto_checkpoint_status().ok()) {
-    if (!checkpoint_error_reported) {
-      std::fprintf(stderr, "checkpoint error: %s\n",
-                   engine.auto_checkpoint_status().ToString().c_str());
-    }
-    return 1;
+  // The final row, unless a tick landed on the last edge. An empty stream
+  // still gets its (zero-estimate) row: the time series always has at
+  // least one data row.
+  const uint64_t end = engine.edges_processed();
+  const auto landed_at_end = [end](uint64_t period) {
+    return end != 0 && end % period == 0;
+  };
+  if (!landed_at_end(every)) {
+    PrintMonitorRow(engine.MergedRecord(), csv, table);
   }
-  // Final row at end of stream, unless a periodic sample already landed
-  // exactly there. An empty stream still gets its (zero-estimate) row:
-  // the time series always has at least one data row.
-  if (!emitted_any || last_emitted != engine.edges_processed()) {
-    MonitorRecord final_record;
-    final_record.edges_processed = engine.edges_processed();
-    final_record.estimates = engine.MergedEstimates();
-    final_record.motifs = engine.MergedMotifEstimates();
-    PrintMonitorRow(final_record, csv, table);
-  }
+  if (!checkpoint_status.ok()) return 1;
   // Leave the directory at the end-of-stream state so a resume continues
-  // from where the monitor stopped, not the last period — skipped when
-  // the periodic hook already landed exactly there (an identical rewrite
-  // would only cost I/O and a needless republish window).
-  if (checkpoint_every != 0 &&
-      (engine.edges_processed() == 0 ||
-       engine.edges_processed() % checkpoint_every != 0)) {
+  // from where the monitor stopped, not the last period — skipped when a
+  // periodic checkpoint already landed there (an identical rewrite would
+  // only cost I/O and a needless republish window).
+  if (checkpoint_every != 0 && !landed_at_end(checkpoint_every)) {
     if (Status s = engine.SerializeShards(checkpoint_dir); !s.ok()) {
       std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
       return 1;
@@ -1043,12 +1022,6 @@ int RunConvert(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  auto in_format = ResolveInputFormat(flags, input);
-  if (!in_format.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 in_format.status().ToString().c_str());
-    return 1;
-  }
   const std::string to = flags.Get("to", "auto");
   if (to != "auto" && to != "binary" && to != "text") {
     std::fprintf(stderr,
@@ -1061,8 +1034,7 @@ int RunConvert(const Flags& flags) {
   // binary in -> text out. Same-format conversion (re-blocking, text
   // normalization) is allowed but must be asked for explicitly.
   const bool to_binary =
-      to == "binary" ||
-      (to == "auto" && *in_format == InputFormat::kText);
+      to == "binary" || (to == "auto" && !LooksLikeBinaryStream(input));
   uint64_t block_edges = kBinaryStreamDefaultBlockEdges;
   if (!GetPositiveFlag(flags, "block-edges", block_edges, &block_edges)) {
     return 1;
@@ -1183,27 +1155,26 @@ int main(int argc, char** argv) {
     allowed = {"input",      "capacity",  "seed",   "weight",
                "estimator",  "no-permute", "shards", "batch",
                "checkpoint", "motifs",    "degree", "stats",
-               "stats-out",  "trace",     "mem",    "input-format",
-               "pin"};
+               "stats-out",  "trace",     "mem",    "pin"};
   } else if (command == "resume-shards") {
     allowed = {"manifest", "input", "seed",
                "save",     "batch", "no-permute",
-               "motifs",   "input-format"};
+               "motifs"};
   } else if (command == "monitor") {
     allowed = {"input",  "capacity", "seed",
                "weight", "shards",   "batch",
                "every",  "output",   "checkpoint-every",
                "checkpoint", "no-permute", "motifs",
                "stats",  "stats-out", "trace",
-               "mem",    "input-format", "pin"};
+               "mem",    "pin"};
   } else if (command == "merge-checkpoints") {
     allowed = {"manifest"};
   } else if (command == "convert") {
-    allowed = {"input", "output", "to", "block-edges", "input-format"};
+    allowed = {"input", "output", "to", "block-edges"};
   } else if (command == "generate") {
     allowed = {"name", "scale", "output"};
   } else if (command == "exact") {
-    allowed = {"input", "higher-motifs", "input-format"};
+    allowed = {"input", "higher-motifs"};
   } else if (command == "corpus" || command == "list-motifs" ||
              command == "version") {
     allowed = {};
