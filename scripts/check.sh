@@ -14,9 +14,9 @@
 # (CI additionally archives BENCH_engine.json / BENCH_scaling.json per
 # run and schedules a nightly GPS_STAT_TRIALS=200 statistical pass).
 #
-# Every ctest invocation carries --timeout 300: a hung shard worker (ring
-# deadlock, missed drain handshake) must fail the suite fast, not stall
-# the whole run.
+# Every ctest invocation carries --timeout 300: a hung shard worker (a
+# lost wake-up in the batch ring, a drain that never completes) must fail
+# the suite fast, not stall the whole run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,9 +102,11 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|util_parse_bytes|cli_test'
 
 echo "=== TSan build + threaded suites ==="
-# engine_metrics_test rides along: metric snapshots race live relaxed
-# writers by design, exactly what TSan must bless. core_packed_store_test
-# covers the store each shard worker owns.
+# engine_ring_buffer_test drives the batch ring's sleeping waits (full
+# Push, empty Pop, WaitDrained) on two threads. engine_metrics_test rides
+# along: metric snapshots race live relaxed writers by design, exactly
+# what TSan must bless. core_packed_store_test covers the store each
+# shard worker owns.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
 # graph_binary_stream_test feeds mapped GPS-STREAM block spans into live

@@ -1,134 +1,132 @@
-// Bounded single-producer/single-consumer ring buffer.
+// Bounded batch ring from the engine's producer to one shard worker.
 //
-// The sharded engine's hand-off primitive: the ingestion thread pushes
-// *batches* of edges (amortizing synchronization to one release-store per
-// batch_size edges) and each shard worker pops from its own ring. SPSC
-// keeps the fast path to two relaxed loads + one release store per side;
-// head/tail are cache-line padded, and each side caches the opposing index
-// so the common case touches no shared line at all (the folly/rigtorp
-// idiom, also used by the mccortex stream loaders this design follows).
+// The engine hands edges off in batches (1,024 by default), so a shard
+// sees one hand-off per batch and a mutex acquisition there is noise
+// beside the GPS work the batch carries. Every wait sleeps on a condition
+// variable instead of polling: Push while the ring is full, Pop while it
+// is empty, and WaitDrained until the consumer has finished every item
+// pushed so far. An idle worker therefore holds no CPU while the producer
+// parses, merges or writes a checkpoint.
 //
-// Non-blocking by design: TryPush/TryPop never wait. Blocking policies
-// (spin, yield, sleep) belong to the caller — see engine/shard.cc — so the
-// same buffer serves both latency-sensitive and throughput workloads.
-//
-// Close() is a producer-side end-of-stream signal: after it, TryPop drains
-// the remaining items and closed() lets the consumer distinguish "empty
-// for now" from "empty forever".
+// The slots are a fixed array, so a push allocates nothing; items move in
+// and out. Close() ends the stream: Pop hands out what is still queued,
+// then returns nullopt. A side is woken only by the change it can be
+// asleep on (an empty ring filling, a full one freeing a slot, the last
+// unfinished item finishing), so a producer held back by a full ring is
+// not woken again when a batch finishes.
 
 #ifndef GPS_ENGINE_RING_BUFFER_H_
 #define GPS_ENGINE_RING_BUFFER_H_
 
-#include <atomic>
-#include <cassert>
+#include <array>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "util/metrics.h"
 
 namespace gps {
 
-/// Per-ring backpressure counters (no-ops under GPS_METRICS=0). push_fail
-/// is incremented by the producer, pop_empty by the consumer, and the
-/// occupancy high-water mark by the producer — each metric stays
-/// single-writer, so relaxed atomics tell the whole story.
+/// Per-ring backpressure counters (no-ops under GPS_METRICS=0). The
+/// producer writes push_fail and occupancy_hwm, the consumer pop_empty and
+/// pop_wait_ns.
 struct RingMetrics {
-  /// TryPush calls that found the ring full (producer stalls/backoff).
+  /// Push calls that found the ring full and slept for room.
   Counter push_fail;
-  /// TryPop calls that found the ring empty (consumer idle probes).
+  /// Pop calls that found the ring empty and slept for an item.
   Counter pop_empty;
-  /// Highest occupancy observed at push time. Computed from the
-  /// producer's cached head, so it is an upper bound on true occupancy,
-  /// bounded by capacity(); saturation (== capacity) is the backpressure
-  /// signal that matters.
+  /// Wall-clock nanoseconds the consumer slept inside Pop.
+  Counter pop_wait_ns;
+  /// Most items ever queued at once; reaching BatchRing::kCapacity is the
+  /// backpressure signal that matters.
   Gauge occupancy_hwm;
 };
 
+/// One producer, one consumer.
 template <typename T>
-class SpscRingBuffer {
+class BatchRing {
  public:
-  /// Capacity contract: `capacity` must be >= 1 (asserted — a zero-slot
-  /// ring cannot hand anything off and always indicates a caller bug); the
-  /// effective capacity is `capacity` rounded UP to a power of two with a
-  /// floor of 2, because index wrapping is a mask, not a modulo. In
-  /// particular a requested capacity of 1 yields a 2-slot ring — callers
-  /// that need strict single-occupancy hand-off must enforce it
-  /// themselves. capacity() reports the effective value.
-  explicit SpscRingBuffer(size_t capacity) {
-    assert(capacity >= 1 && "SpscRingBuffer needs at least one slot");
-    size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
+  /// Slots per ring: Push sleeps once this many items are queued.
+  static constexpr size_t kCapacity = 64;
 
-  SpscRingBuffer(const SpscRingBuffer&) = delete;
-  SpscRingBuffer& operator=(const SpscRingBuffer&) = delete;
+  BatchRing() = default;
+  BatchRing(const BatchRing&) = delete;
+  BatchRing& operator=(const BatchRing&) = delete;
 
-  size_t capacity() const { return slots_.size(); }
-
-  /// Producer side. Moves `item` into the ring and returns true, or
-  /// returns false (item untouched) when the ring is full.
-  bool TryPush(T&& item) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ == slots_.size()) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ == slots_.size()) {
-        metrics_.push_fail.Increment();
-        return false;
-      }
+  /// Producer side. Moves `item` into the ring, sleeping while it is full.
+  void Push(T&& item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (count_ == kCapacity) {
+      metrics_.push_fail.Increment();
+      producer_cv_.wait(lock, [this] { return count_ < kCapacity; });
     }
-    slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
-    metrics_.occupancy_hwm.SetMax(
-        static_cast<double>(tail - cached_head_ + 1));
-    return true;
+    slots_[(head_ + count_) % kCapacity] = std::move(item);
+    const bool was_empty = count_++ == 0;
+    ++unfinished_;
+    metrics_.occupancy_hwm.SetMax(static_cast<double>(count_));
+    lock.unlock();
+    if (was_empty) consumer_cv_.notify_one();
   }
 
-  /// Consumer side. Moves the oldest item into *out and returns true, or
-  /// returns false when the ring is empty.
-  bool TryPop(T* out) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) {
-        metrics_.pop_empty.Increment();
-        return false;
-      }
+  /// Consumer side. Moves the oldest item out, sleeping while the ring is
+  /// empty; nullopt once the ring is closed and drained. Call Done() when
+  /// the item is finished.
+  std::optional<T> Pop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (count_ == 0 && !closed_) {
+      metrics_.pop_empty.Increment();
+      const uint64_t start = MetricsNowNs();
+      consumer_cv_.wait(lock, [this] { return count_ > 0 || closed_; });
+      metrics_.pop_wait_ns.Add(MetricsNowNs() - start);
     }
-    *out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    if (count_ == 0) return std::nullopt;
+    std::optional<T> item(std::move(slots_[head_]));
+    head_ = (head_ + 1) % kCapacity;
+    const bool was_full = count_-- == kCapacity;
+    lock.unlock();
+    if (was_full) producer_cv_.notify_one();
+    return item;
   }
 
-  /// Producer signals end of stream. Items already in the ring remain
-  /// poppable; the consumer treats closed() && empty as termination.
-  void Close() { closed_.store(true, std::memory_order_release); }
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  /// Approximate occupancy (exact only from the owning side).
-  size_t SizeApprox() const {
-    return tail_.load(std::memory_order_acquire) -
-           head_.load(std::memory_order_acquire);
+  /// Consumer side: the item of the last Pop is finished.
+  void Done() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (--unfinished_ > 0) return;
+    lock.unlock();
+    producer_cv_.notify_one();
   }
 
-  /// Backpressure counters (see RingMetrics).
+  /// Producer side. Sleeps until every item pushed so far is Done. The
+  /// mutex orders the consumer's work on those items before the return.
+  void WaitDrained() {
+    std::unique_lock<std::mutex> lock(mu_);
+    producer_cv_.wait(lock, [this] { return unfinished_ == 0; });
+  }
+
+  /// Producer side: end of stream.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    consumer_cv_.notify_one();
+  }
+
   const RingMetrics& metrics() const { return metrics_; }
 
  private:
-  static constexpr size_t kCacheLine = 64;
-
-  std::vector<T> slots_;
-  size_t mask_ = 0;
-
-  alignas(kCacheLine) std::atomic<size_t> head_{0};  // consumer-owned
-  alignas(kCacheLine) size_t cached_tail_ = 0;       // consumer's view
-  alignas(kCacheLine) std::atomic<size_t> tail_{0};  // producer-owned
-  alignas(kCacheLine) size_t cached_head_ = 0;       // producer's view
-  alignas(kCacheLine) std::atomic<bool> closed_{false};
-  alignas(kCacheLine) RingMetrics metrics_;
+  std::mutex mu_;
+  std::condition_variable producer_cv_;  // Push (room), WaitDrained
+  std::condition_variable consumer_cv_;  // Pop (an item or Close)
+  std::array<T, kCapacity> slots_{};
+  size_t head_ = 0;        // oldest queued item
+  size_t count_ = 0;       // queued items
+  size_t unfinished_ = 0;  // pushed items not yet Done
+  bool closed_ = false;
+  RingMetrics metrics_;
 };
 
 }  // namespace gps

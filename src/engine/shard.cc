@@ -3,6 +3,7 @@
 #include <cassert>
 #include <chrono>
 #include <ctime>
+#include <optional>
 #include <utility>
 
 #include "util/affinity.h"
@@ -42,28 +43,10 @@ class BusyScope {
   uint64_t start_;
 };
 
-// Backoff for full/empty ring waits: spin briefly (the partner is usually
-// one batch away), then yield so single-core hosts make progress.
-class Backoff {
- public:
-  void Pause() {
-    if (++spins_ < kSpinLimit) return;
-    std::this_thread::yield();
-  }
-  void Reset() { spins_ = 0; }
-
- private:
-  static constexpr int kSpinLimit = 64;
-  int spins_ = 0;
-};
-
 }  // namespace
 
 ShardWorker::ShardWorker(const ShardOptions& options)
-    : options_(options),
-      motifs_(options.motifs),
-      ring_(options.ring_capacity),
-      recycle_(options.ring_capacity) {
+    : options_(options), motifs_(options.motifs) {
   if (options_.estimator == ShardEstimatorKind::kInStream) {
     in_stream_ = std::make_unique<InStreamEstimator>(options_.sampler);
   } else {
@@ -78,9 +61,7 @@ ShardWorker::ShardWorker(const ShardOptions& options,
                          std::span<const MotifAccumulator> restored_motifs)
     : options_(options),
       in_stream_(std::move(restored)),
-      motifs_(options.motifs),
-      ring_(options.ring_capacity),
-      recycle_(options.ring_capacity) {
+      motifs_(options.motifs) {
   assert(options_.estimator == ShardEstimatorKind::kInStream);
   assert(in_stream_ != nullptr);
   assert(in_stream_->reservoir().options().seed == options_.sampler.seed);
@@ -111,20 +92,11 @@ void ShardWorker::Start() {
   }
 }
 
-void ShardWorker::Submit(EdgeBatch&& batch) {
+void ShardWorker::Submit(std::vector<Edge>&& batch) {
   if (batch.empty()) return;
   assert(thread_.joinable() && !joined_);
   submitted_edges_ += batch.size();
-  Backoff backoff;
-  while (!ring_.TryPush(std::move(batch))) backoff.Pause();
-}
-
-void ShardWorker::WaitDrained() const {
-  Backoff backoff;
-  while (consumed_edges_.load(std::memory_order_acquire) !=
-         submitted_edges_) {
-    backoff.Pause();
-  }
+  ring_.Push(std::move(batch));
 }
 
 void ShardWorker::Join() {
@@ -148,77 +120,39 @@ const InStreamEstimator& ShardWorker::in_stream_estimator() const {
   return *in_stream_;
 }
 
-void ShardWorker::RunInline(const EdgeBatch& batch) {
+void ShardWorker::RunInline(std::span<const Edge> batch) {
   assert(!thread_.joinable() && "a started worker is fed through Submit");
   submitted_edges_ += batch.size();
   RunBatch(batch);
-  consumed_edges_.store(submitted_edges_, std::memory_order_release);
 }
 
-void ShardWorker::RunBatch(const EdgeBatch& batch) {
-  const size_t n = batch.size();
+void ShardWorker::RunBatch(std::span<const Edge> batch) {
   const BusyScope busy(&busy_ns_);
   const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
   TraceSpan span(trace_sink_, trace_buf_, "batch");
-  span.SetArg("edges", static_cast<int64_t>(n));
+  span.SetArg("edges", static_cast<int64_t>(batch.size()));
   if (in_stream_) {
     if (!motifs_.empty()) {
       // Motif snapshots freeze at the stopping time BEFORE the arriving
       // edge's own sampling step, so the suite observes first; it only
       // reads the reservoir, leaving the sample path untouched.
-      for (size_t i = 0; i < n; ++i) {
-        const Edge e = batch.edge(i);
+      for (const Edge& e : batch) {
         motifs_.Observe(e, in_stream_->reservoir());
         in_stream_->Process(e);
       }
     } else {
-      for (size_t i = 0; i < n; ++i) in_stream_->Process(batch.edge(i));
+      for (const Edge& e : batch) in_stream_->Process(e);
     }
   } else {
-    for (size_t i = 0; i < n; ++i) sampler_->Process(batch.edge(i));
+    for (const Edge& e : batch) sampler_->Process(e);
   }
   worker_metrics_.batches_processed.Increment();
 }
 
 void ShardWorker::RunWorker() {
-  EdgeBatch batch;
-  Backoff backoff;
-  uint64_t idle_start = 0;  // wall-clock mark of the first fruitless probe
-  for (;;) {
-    if (!ring_.TryPop(&batch)) {
-      // Close() is store-released after the producer's final push, so
-      // observing closed() here means the ring already holds everything
-      // it ever will: one more pop distinguishes drained from racing.
-      if (ring_.closed()) {
-        if (!ring_.TryPop(&batch)) break;
-      } else {
-        if (MetricsEnabled() && idle_start == 0) idle_start = MetricsNowNs();
-        backoff.Pause();
-        continue;
-      }
-    }
-    backoff.Reset();
-    if (MetricsEnabled() && idle_start != 0) {
-      idle_ns_.fetch_add(MetricsNowNs() - idle_start,
-                         std::memory_order_relaxed);
-      idle_start = 0;
-    }
-    const size_t n = batch.size();
-    RunBatch(batch);
-    // Release so a producer observing the new count also observes the
-    // estimator state those edges produced.
-    consumed_edges_.fetch_add(n, std::memory_order_release);
-    // Return the emptied buffer so the producer reuses its capacity
-    // instead of allocating per batch; best effort — a full recycle ring
-    // just drops the buffer.
-    batch.clear();
-    if (ring_.closed() || recycle_.TryPush(std::move(batch))) {
-      batch = EdgeBatch();
-    }
-  }
-  if (MetricsEnabled() && idle_start != 0) {
-    idle_ns_.fetch_add(MetricsNowNs() - idle_start,
-                       std::memory_order_relaxed);
+  while (std::optional<std::vector<Edge>> batch = ring_.Pop()) {
+    RunBatch(*batch);
+    ring_.Done();
   }
 }
 

@@ -1,22 +1,21 @@
 // One shard of the sharded streaming engine: a GPS estimator running on
-// its own worker thread, fed batches of edges through a bounded SPSC ring
-// — or, when the worker is never started, on the producer thread itself
-// (RunInline; the engine's K=1 layout).
+// its own worker thread, fed batches of edges through a bounded batch
+// ring (engine/ring_buffer.h) — or, when the worker is never started, on
+// the producer thread itself (RunInline; the engine's K=1 layout).
 //
 // Threading contract:
-//   * exactly one producer thread calls Submit/RunInline/Join (the
-//     engine's ingestion thread);
+//   * exactly one producer thread calls Submit/RunInline/WaitDrained/Join
+//     (the engine's ingestion thread);
 //   * the worker thread, or the producer for an unstarted worker, is the
 //     only mutator of the estimator state;
 //   * after WaitDrained() or Join() returns, the producer may read the
-//     estimator (the drain handshake publishes the worker's writes with a
-//     release/acquire pair on the consumed-edge counter).
+//     estimator (the ring's mutex orders the worker's writes before
+//     either return).
 //
 // Determinism: the worker consumes its substream in submission order
 // with a private, deterministically seeded RNG, so the reservoir state
 // after t submitted edges is a pure function of (substream prefix,
-// options) — independent of thread scheduling, batch boundaries, and ring
-// capacity.
+// options) — independent of thread scheduling and batch boundaries.
 
 #ifndef GPS_ENGINE_SHARD_H_
 #define GPS_ENGINE_SHARD_H_
@@ -65,40 +64,11 @@ enum class ShardEstimatorKind {
   kPostStream,
 };
 
-/// Structure-of-arrays edge batch: the ring hand-off payload. Split
-/// endpoint arrays keep the producer's append loop and the consumer's
-/// sequential scan on two dense, homogeneous streams (no interleaved
-/// padding, vectorizable loads), and a recycled batch reuses both
-/// capacities.
-struct EdgeBatch {
-  std::vector<NodeId> u;
-  std::vector<NodeId> v;
-
-  size_t size() const { return u.size(); }
-  bool empty() const { return u.empty(); }
-  void reserve(size_t n) {
-    u.reserve(n);
-    v.reserve(n);
-  }
-  void clear() {
-    u.clear();
-    v.clear();
-  }
-  void push_back(const Edge& e) {
-    u.push_back(e.u);
-    v.push_back(e.v);
-  }
-  Edge edge(size_t i) const { return Edge{u[i], v[i]}; }
-};
-
 struct ShardOptions {
   /// Per-shard sampler configuration; `seed` must already be the derived
   /// per-shard seed (core/seeding.h).
   GpsSamplerOptions sampler;
   ShardEstimatorKind estimator = ShardEstimatorKind::kInStream;
-  /// Ring capacity in batches (rounded up to a power of two, minimum 2 —
-  /// engine/ring_buffer.h).
-  size_t ring_capacity = 64;
   /// Motif statistics (core/motifs.h registry names, validated by the
   /// caller) estimated alongside the tri/wedge estimator on the SAME
   /// reservoir sample path. The suite only reads the reservoir, so the
@@ -146,25 +116,21 @@ class ShardWorker {
   /// Runs one batch on the calling thread through the worker loop's batch
   /// body. For a worker that is never started: the engine's K=1 layout
   /// feeds its one shard this way, with no thread and no ring hand-off.
-  void RunInline(const EdgeBatch& batch);
+  void RunInline(std::span<const Edge> batch);
 
   /// Outcome of the Start-time core pin: Ok when options.cpu_affinity was
   /// -1 (nothing to do) or the pin succeeded; the named syscall failure
   /// otherwise. Valid after Start.
   const Status& pin_status() const { return pin_status_; }
 
-  /// Hands a batch to the worker; blocks (yielding) while the ring is
-  /// full. Producer thread only. Empty batches are ignored.
-  void Submit(EdgeBatch&& batch);
+  /// Hands a batch to the worker; sleeps while the ring is full.
+  /// Producer thread only. Empty batches are ignored.
+  void Submit(std::vector<Edge>&& batch);
 
-  /// Hands back an emptied batch buffer for reuse, if one is available.
-  /// Producer thread only.
-  bool TryRecycle(EdgeBatch* out) { return recycle_.TryPop(out); }
-
-  /// Blocks until every submitted edge has been consumed by the worker. On
-  /// return the estimator state is safely readable until the next Submit.
-  /// Producer thread only; returns at once for an unstarted worker.
-  void WaitDrained() const;
+  /// Sleeps until the worker has run every submitted edge. On return the
+  /// estimator state is safely readable until the next Submit. Producer
+  /// thread only; returns at once for an unstarted worker.
+  void WaitDrained() { ring_.WaitDrained(); }
 
   /// Signals end of stream and joins the worker thread. Idempotent; a
   /// no-op for an unstarted worker.
@@ -181,19 +147,18 @@ class ShardWorker {
            1e-9;
   }
 
-  /// Wall-clock seconds this worker spent with no work available (waiting
-  /// on an empty ring). Complements busy_seconds(): a large idle share on
-  /// a loaded engine means the shard layout, not the worker, is the
-  /// bottleneck. Always 0 under GPS_METRICS=0.
+  /// Wall-clock seconds this worker slept on an empty ring.
+  /// Complements busy_seconds(): a large idle share on a loaded engine
+  /// means the shard layout, not the worker, is the bottleneck. Always 0
+  /// under GPS_METRICS=0.
   double idle_seconds() const {
-    return static_cast<double>(idle_ns_.load(std::memory_order_relaxed)) *
-           1e-9;
+    return static_cast<double>(ring_.metrics().pop_wait_ns.Value()) * 1e-9;
   }
 
   /// Worker counters (batches processed, batch latency).
   const WorkerMetrics& worker_metrics() const { return worker_metrics_; }
 
-  /// Backpressure counters of the data ring feeding this worker.
+  /// Backpressure counters of the ring feeding this worker.
   const RingMetrics& ring_metrics() const { return ring_.metrics(); }
 
   /// The shard's reservoir; caller must hold the drained/joined guarantee.
@@ -223,7 +188,7 @@ class ShardWorker {
 
   /// The batch body of RunWorker and RunInline: the shard's estimator (and
   /// motif suite) over the batch in arrival order, clocked and traced.
-  void RunBatch(const EdgeBatch& batch);
+  void RunBatch(std::span<const Edge> batch);
 
   ShardOptions options_;
 
@@ -233,17 +198,14 @@ class ShardWorker {
   // Worker-owned alongside in_stream_ (reads its reservoir, never writes).
   MotifSuite motifs_;
 
-  SpscRingBuffer<EdgeBatch> ring_;
-  SpscRingBuffer<EdgeBatch> recycle_;  // worker -> producer buffer return
+  BatchRing<std::vector<Edge>> ring_;
   std::thread thread_;
   bool joined_ = false;
   Status pin_status_;  // set by Start, then const
 
-  uint64_t submitted_edges_ = 0;                   // producer-owned
-  std::atomic<uint64_t> consumed_edges_{0};        // worker publishes
-  std::atomic<uint64_t> busy_ns_{0};               // executed-work clock
-  std::atomic<uint64_t> idle_ns_{0};               // no-work wall clock
-  WorkerMetrics worker_metrics_;                   // worker-thread writes
+  uint64_t submitted_edges_ = 0;       // producer-owned
+  std::atomic<uint64_t> busy_ns_{0};   // executed-work clock
+  WorkerMetrics worker_metrics_;       // worker-thread writes
   TraceEventSink* trace_sink_ = nullptr;  // set before Start, then const
   TraceBuffer* trace_buf_ = nullptr;      // worker-thread writes
 };

@@ -62,7 +62,6 @@ ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
   shard_options.sampler.seed =
       DeriveShardSeed(options.sampler.seed, s, options.num_shards);
   shard_options.estimator = kind;
-  shard_options.ring_capacity = options.ring_capacity;
   shard_options.motifs = options.motifs;
   shard_options.cpu_affinity = cpu_affinity;
   return shard_options;
@@ -356,26 +355,19 @@ uint32_t ShardedEngine::ShardOfEdge(const Edge& e, uint32_t num_shards) {
 
 void ShardedEngine::RouteOne(const Edge& e) {
   const uint32_t s = ShardOfEdge(e, num_shards());
-  EdgeBatch& batch = pending_[s];
+  std::vector<Edge>& batch = pending_[s];
   batch.push_back(e);
   if (batch.size() >= options_.batch_size) SubmitPending(s);
 }
 
 void ShardedEngine::HandOff(uint32_t s) {
-  EdgeBatch& batch = pending_[s];
+  std::vector<Edge>& batch = pending_[s];
   if (num_shards() == 1) {
     shards_[s]->RunInline(batch);
     batch.clear();  // keeps its capacity for the next batch
     return;
   }
-  shards_[s]->Submit(std::move(batch));
-  // Reuse a buffer the worker handed back instead of allocating per
-  // batch; recycled buffers keep their capacity.
-  if (shards_[s]->TryRecycle(&batch)) {
-    batch.clear();
-  } else {
-    batch = EdgeBatch();
-  }
+  shards_[s]->Submit(std::exchange(batch, {}));
   batch.reserve(options_.batch_size);
 }
 
@@ -394,7 +386,7 @@ void ShardedEngine::Process(const Edge& e) {
 void ShardedEngine::ProcessEdges(std::span<const Edge> edges) {
   assert(!finished_);
   // The same RouteOne step as Process, clocked for the route stage
-  // (ring-full submit waits excluded via the submit clock).
+  // (hand-offs excluded via the submit clock).
   const uint64_t t0 = ThreadCpuNowNs();
   const uint64_t submit0 = producer_submit_ns_;
   for (const Edge& e : edges) {
@@ -765,9 +757,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   if (resume_options.batch_size < 1) {
     return Status::InvalidArgument("resume batch size must be >= 1");
   }
-  if (resume_options.ring_capacity < 1) {
-    return Status::InvalidArgument("resume ring capacity must be >= 1");
-  }
   Result<LoadedCheckpoints> loaded = LoadCheckpoints(manifest_paths);
   if (!loaded.ok()) return loaded.status();
 
@@ -778,7 +767,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   options.sampler.mem_bytes = loaded->layout.mem_budget_bytes;
   options.num_shards = loaded->layout.num_shards;
   options.batch_size = resume_options.batch_size;
-  options.ring_capacity = resume_options.ring_capacity;
   options.merge_mode = MergeMode::kInStreamPlusCross;
   options.motifs = loaded->layout.motif_names;
   options.trace = resume_options.trace;

@@ -6,7 +6,7 @@
 //   Process(e)  --hash(EdgeKey)-->  pending batch per shard
 //        |                                |  (batch_size edges)
 //        |                                v
-//        |                     SPSC ring (engine/ring_buffer.h)
+//        |                     batch ring (engine/ring_buffer.h)
 //        |                                |
 //        v                                v
 //   producer thread            K worker threads, one InStreamEstimator
@@ -26,12 +26,12 @@
 //
 // Determinism contract:
 //   * fixed (stream, options) => byte-identical per-shard reservoirs
-//     regardless of thread scheduling, batch size, or ring capacity;
+//     regardless of thread scheduling or batch size;
 //   * num_shards == 1 reproduces the serial InStreamEstimator /
 //     GpsSampler sample path exactly, byte for byte.
 //
-// Threading contract: Process/Flush/Drain/Finish/MergedEstimates must all
-// be called from one thread (the producer). Estimator state is readable
+// Threading contract: Process/Drain/Finish/MergedEstimates must all be
+// called from one thread (the producer). Estimator state is readable
 // only between Drain() (or Finish()) and the next Process().
 
 #ifndef GPS_ENGINE_SHARDED_ENGINE_H_
@@ -72,8 +72,6 @@ struct ShardedEngineOptions {
   /// Edges per hand-off batch; larger batches amortize ring traffic,
   /// smaller ones reduce ingestion-to-sample latency.
   size_t batch_size = 1024;
-  /// Per-shard ring capacity in batches.
-  size_t ring_capacity = 64;
   /// Estimation strategy; see engine/merge.h.
   MergeMode merge_mode = MergeMode::kInStreamPlusCross;
   /// Motif statistics (core/motifs.h registry names, validated by the
@@ -100,11 +98,10 @@ struct ShardedEngineOptions {
 };
 
 /// Transport knobs a resumed engine cannot recover from a manifest (they
-/// do not affect the sample path, only hand-off granularity and ring
-/// sizing — see the determinism contract above).
+/// do not affect the sample path, only hand-off granularity — see the
+/// determinism contract above).
 struct ShardedResumeOptions {
   size_t batch_size = 1024;
-  size_t ring_capacity = 64;
   /// Optional trace recorder, as ShardedEngineOptions::trace.
   TraceEventSink* trace = nullptr;
 };
@@ -141,16 +138,14 @@ class ShardedEngine {
   /// call returns, so the span need not outlive it.
   void ProcessEdges(std::span<const Edge> edges);
 
-  /// Pushes all partially filled batches to their shards.
-  void Flush();
-
-  /// Flush + wait until every submitted edge is consumed. Afterwards (and
-  /// until the next Process) shard state is safely readable, so streaming
+  /// Hands every partly filled batch to its shard and waits until the
+  /// shards have run every edge routed so far. Afterwards (and until the
+  /// next Process) shard state is safely readable, so streaming
   /// applications can take mid-stream estimates.
   void Drain();
 
-  /// Drain + stop and join all workers. Idempotent; further Process calls
-  /// are invalid.
+  /// Hands off the partly filled batches, then stops and joins all
+  /// workers. Idempotent; further Process calls are invalid.
   void Finish();
 
   /// Merged whole-graph estimates per the configured MergeMode. Drains
@@ -235,9 +230,9 @@ class ShardedEngine {
   /// ingestion wall-clock.
   double MaxWorkerBusySeconds() const;
 
-  /// Producer CPU seconds spent routing in ProcessEdges. Ring-full submit
-  /// waits are excluded (downstream backpressure, not routing work); the
-  /// per-edge Process path is not clocked.
+  /// Producer CPU seconds spent routing in ProcessEdges. Hand-offs are
+  /// excluded (ring traffic, and at K=1 the inline batch runs, not routing
+  /// work); the per-edge Process path is not clocked.
   double ProducerRouteSeconds() const {
     return static_cast<double>(producer_route_ns_) * 1e-9;
   }
@@ -296,9 +291,12 @@ class ShardedEngine {
   void HandOff(uint32_t s);
 
   /// HandOff of shard s's full pending batch, charged to the submit clock
-  /// so producer_route_ns_ measures routing, not the (possibly
-  /// ring-full-blocked) hand-off or the inline batch run.
+  /// so producer_route_ns_ measures routing, not the hand-off or the
+  /// inline batch run.
   void SubmitPending(uint32_t s);
+
+  /// Hands every partly filled pending batch off (Drain and Finish).
+  void Flush();
 
   /// Starts the K worker threads — none at K=1, whose one shard runs on
   /// the producer thread. Both constructors call it.
@@ -320,10 +318,10 @@ class ShardedEngine {
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<ShardWorker>> shards_;
-  std::vector<EdgeBatch> pending_;
+  std::vector<std::vector<Edge>> pending_;
   std::string pin_warning_;
   uint64_t producer_route_ns_ = 0;   // ProcessEdges routing CPU time
-  uint64_t producer_submit_ns_ = 0;  // hand-off (incl. ring-full waits)
+  uint64_t producer_submit_ns_ = 0;  // hand-off CPU time
   uint64_t edges_processed_ = 0;
   bool finished_ = false;
 

@@ -18,8 +18,4 @@ std::vector<Edge> MakePermutedStream(const EdgeList& list, uint64_t seed) {
   return edges;
 }
 
-VectorStream MakePermutedVectorStream(const EdgeList& list, uint64_t seed) {
-  return VectorStream(MakePermutedStream(list, seed));
-}
-
 }  // namespace gps

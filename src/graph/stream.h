@@ -21,47 +21,6 @@ namespace gps {
 /// determined by `seed` (Fisher–Yates).
 std::vector<Edge> MakePermutedStream(const EdgeList& list, uint64_t seed);
 
-/// Pull-based stream interface for example applications and tests that want
-/// to model open-ended arrival.
-class EdgeStream {
- public:
-  virtual ~EdgeStream() = default;
-
-  /// Produces the next edge; returns false at end of stream.
-  virtual bool Next(Edge* out) = 0;
-
-  /// Rewinds to the beginning, replaying the identical order.
-  virtual void Reset() = 0;
-
-  /// Total number of edges, if known (0 if unknown/unbounded).
-  virtual uint64_t SizeHint() const { return 0; }
-};
-
-/// EdgeStream over a materialized vector of edges.
-class VectorStream : public EdgeStream {
- public:
-  explicit VectorStream(std::vector<Edge> edges)
-      : edges_(std::move(edges)) {}
-
-  bool Next(Edge* out) override {
-    if (pos_ >= edges_.size()) return false;
-    *out = edges_[pos_++];
-    return true;
-  }
-  void Reset() override { pos_ = 0; }
-  uint64_t SizeHint() const override { return edges_.size(); }
-
-  /// Current position (edges already emitted).
-  uint64_t Position() const { return pos_; }
-
- private:
-  std::vector<Edge> edges_;
-  size_t pos_ = 0;
-};
-
-/// Convenience: permuted VectorStream over an edge list.
-VectorStream MakePermutedVectorStream(const EdgeList& list, uint64_t seed);
-
 }  // namespace gps
 
 #endif  // GPS_GRAPH_STREAM_H_

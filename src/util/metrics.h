@@ -14,9 +14,9 @@
 //
 // Copy semantics: the metric types wrap std::atomic but define value-copy
 // constructors/assignment (relaxed load + store). Copies are NOT atomic as
-// a whole; they exist so that owning objects (GpsReservoir, EdgeBatch
-// results) keep their move/copy semantics. Only copy metrics from
-// quiescent or single-threaded contexts.
+// a whole; they exist so that owning objects (GpsReservoir and the
+// sampled graph it owns) keep their move/copy semantics. Only copy metrics
+// from quiescent or single-threaded contexts.
 
 #ifndef GPS_UTIL_METRICS_H_
 #define GPS_UTIL_METRICS_H_

@@ -1,9 +1,9 @@
 // ShardedEngine contract tests.
 //
 // Determinism: fixed (stream, seed, K) gives byte-identical per-shard
-// reservoirs regardless of batch size and ring capacity (thread-schedule
-// independence), and K=1 reproduces the serial GpsSampler /
-// InStreamEstimator sample path exactly.
+// reservoirs regardless of batch size (thread-schedule independence),
+// and K=1 reproduces the serial GpsSampler / InStreamEstimator sample
+// path exactly.
 //
 // Accuracy: merged K ∈ {1, 2, 4, 8} estimates are gated through the
 // shared statistical harness (tests/stat_harness.h) — multi-trial mean
@@ -19,10 +19,14 @@
 // The span entry point (ProcessEdges) and core pinning are covered in
 // tests/engine_router_test.cc.
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -203,37 +207,31 @@ TEST(ShardedEngineTest, SingleShardPostStreamMergeMatchesSerialPost) {
                      EstimatePostStream(serial_in_stream.reservoir()));
 }
 
-TEST(ShardedEngineTest, ShardReservoirsInvariantToBatchingAndRings) {
+TEST(ShardedEngineTest, ShardReservoirsInvariantToBatching) {
   const std::vector<Edge> stream = TestStream(1500, 6, 41, 42);
   constexpr uint32_t kShards = 4;
 
   std::vector<std::string> reference;
-  bool first = true;
   for (const size_t batch_size : {size_t{1}, size_t{64}, size_t{1024}}) {
-    for (const size_t ring_capacity : {size_t{2}, size_t{64}}) {
-      ShardedEngineOptions options;
-      options.sampler = BaseOptions(2000, 43);
-      options.num_shards = kShards;
-      options.batch_size = batch_size;
-      options.ring_capacity = ring_capacity;
-      ShardedEngine engine(options);
-      for (const Edge& e : stream) engine.Process(e);
-      engine.Finish();
+    ShardedEngineOptions options;
+    options.sampler = BaseOptions(2000, 43);
+    options.num_shards = kShards;
+    options.batch_size = batch_size;
+    ShardedEngine engine(options);
+    for (const Edge& e : stream) engine.Process(e);
+    engine.Finish();
 
-      std::vector<std::string> bytes;
-      for (uint32_t s = 0; s < kShards; ++s) {
-        bytes.push_back(ReservoirBytes(engine.shard(s).reservoir()));
-      }
-      if (first) {
-        reference = bytes;
-        first = false;
-      } else {
-        for (uint32_t s = 0; s < kShards; ++s) {
-          EXPECT_EQ(bytes[s], reference[s])
-              << "shard " << s << " diverged at batch_size=" << batch_size
-              << " ring_capacity=" << ring_capacity;
-        }
-      }
+    std::vector<std::string> bytes;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      bytes.push_back(ReservoirBytes(engine.shard(s).reservoir()));
+    }
+    if (reference.empty()) {
+      reference = bytes;
+      continue;
+    }
+    for (uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(bytes[s], reference[s])
+          << "shard " << s << " diverged at batch_size=" << batch_size;
     }
   }
 }
@@ -585,6 +583,34 @@ TEST(ShardedEngineTest, MonitorTicksSampleExactPrefixEstimates) {
               ReservoirBytes(unmonitored.shard(s).reservoir()))
         << "shard " << s;
   }
+}
+
+double ProcessCpuSeconds() {
+  rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ShardedEngineTest, IdleWorkersSleepAfterDrain) {
+  // A drained engine has nothing for its workers to do: each must sleep
+  // on its empty ring, not poll it. Spinning workers burned about 800 ms
+  // of process CPU in this 200 ms window on a 4-vCPU host.
+  const std::vector<Edge> stream = TestStream(1000, 4, 51, 52);
+  ShardedEngineOptions options;
+  options.sampler = BaseOptions(1000, 53);
+  options.num_shards = 4;
+  ShardedEngine engine(options);
+  for (const Edge& e : stream) engine.Process(e);
+  engine.Drain();
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double idle_cpu = ProcessCpuSeconds() - cpu_before;
+  EXPECT_LT(idle_cpu, 0.050) << "process CPU seconds while drained";
+  engine.Finish();
 }
 
 TEST(ShardedEngineTest, CountsAndOptionsExposed) {

@@ -1,5 +1,5 @@
-// Tests for stream construction: permutation determinism, content
-// preservation, and the pull-based stream interface.
+// Tests for stream construction: permutation determinism and content
+// preservation.
 
 #include "graph/stream.h"
 
@@ -58,35 +58,6 @@ TEST(StreamTest, SimplifiesBeforePermuting) {
     EXPECT_FALSE(e.IsSelfLoop());
     EXPECT_LT(e.u, e.v);
   }
-}
-
-TEST(VectorStreamTest, NextAndReset) {
-  EdgeList graph = SmallGraph();
-  VectorStream stream = MakePermutedVectorStream(graph, 3);
-  EXPECT_EQ(stream.SizeHint(), graph.NumEdges());
-
-  std::vector<Edge> first_pass;
-  Edge e;
-  while (stream.Next(&e)) first_pass.push_back(e);
-  EXPECT_EQ(first_pass.size(), graph.NumEdges());
-  EXPECT_EQ(stream.Position(), graph.NumEdges());
-  EXPECT_FALSE(stream.Next(&e));
-
-  stream.Reset();
-  EXPECT_EQ(stream.Position(), 0u);
-  std::vector<Edge> second_pass;
-  while (stream.Next(&e)) second_pass.push_back(e);
-  EXPECT_EQ(first_pass.size(), second_pass.size());
-  for (size_t i = 0; i < first_pass.size(); ++i) {
-    EXPECT_EQ(first_pass[i], second_pass[i]);
-  }
-}
-
-TEST(VectorStreamTest, EmptyStream) {
-  VectorStream stream((std::vector<Edge>()));
-  Edge e;
-  EXPECT_FALSE(stream.Next(&e));
-  EXPECT_EQ(stream.SizeHint(), 0u);
 }
 
 }  // namespace
