@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI: Release build + full ctest, then the engine perf smoke with
-# its machine-readable JSON artifact gated against the checked-in
-# baseline (> 10% relative regression fails), then the metrics-overhead
+# Local CI: Release build + full ctest (in an empty temp directory that
+# must stay empty), then the engine perf smoke with its machine-readable
+# JSON artifact gated against the checked-in baseline (> 10% relative
+# regression fails), then the metrics-overhead
 # gate (instrumented vs GPS_METRICS=0 ingest, scripts/overhead_gate.sh),
 # then an ASan/UBSan Debug pass and a TSan Debug pass over the threaded
 # engine suites — the TSan pass includes engine_metrics_test (snapshot
@@ -23,7 +24,17 @@ cd "$(dirname "$0")/.."
 echo "=== Release build (-Werror) + ctest ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DGPS_WERROR=ON
 cmake --build build -j"$(nproc)"
-ctest --test-dir build --output-on-failure -j"$(nproc)" --timeout 300
+# TEST_TMPDIR and TMPDIR point at a fresh empty directory: every suite
+# removes what it creates there, and anything left fails the check.
+test_tmp=$(mktemp -d)
+TEST_TMPDIR="$test_tmp" TMPDIR="$test_tmp" \
+  ctest --test-dir build --output-on-failure -j"$(nproc)" --timeout 300
+if [ -n "$(ls -A "$test_tmp")" ]; then
+  echo "tests left entries in their temp directory $test_tmp:"
+  ls -A "$test_tmp"
+  exit 1
+fi
+rmdir "$test_tmp"
 
 echo "=== Example: realtime_tracking ==="
 # The caller-driven monitor loop end to end (feed, read MergedRecord()

@@ -514,15 +514,6 @@ std::vector<MotifAccumulator> SumShardMotifAccumulators(
   return total;
 }
 
-std::vector<MotifAccumulator> EstimateCrossShardMotifs(
-    std::span<const GpsReservoir* const> shards,
-    std::span<const std::string> motif_names) {
-  if (shards.size() < 2 || motif_names.empty()) {
-    return std::vector<MotifAccumulator>(motif_names.size());
-  }
-  return EstimateCrossShardMotifs(BuildUnionSample(shards), motif_names);
-}
-
 std::vector<MotifEstimate> MakeMotifEstimates(
     std::span<const std::string> motif_names,
     std::span<const MotifAccumulator> within,

@@ -186,15 +186,10 @@ std::vector<MotifAccumulator> SumShardMotifAccumulators(
     std::span<const std::vector<MotifAccumulator>> shards);
 
 /// Post-stream HT estimates of the named motifs' instances spanning >= 2
-/// shards, from the union of the shard reservoirs. Enumerates each
-/// instance once per member edge via the registry enumerator and divides
-/// by MotifEntry::num_edges. Returns zeros (one accumulator per name) for
-/// < 2 shards. Names must be registered (callers validate).
-std::vector<MotifAccumulator> EstimateCrossShardMotifs(
-    std::span<const GpsReservoir* const> shards,
-    std::span<const std::string> motif_names);
-
-/// As above, over a union sample.
+/// shards, over a union sample. Enumerates each instance once per member
+/// edge via the registry enumerator and divides by MotifEntry::num_edges.
+/// Returns zeros (one accumulator per name) for < 2 shards. Names must be
+/// registered (callers validate).
 std::vector<MotifAccumulator> EstimateCrossShardMotifs(
     const UnionSample& sample, std::span<const std::string> motif_names);
 

@@ -6,8 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "util/affinity.h"
-
 namespace gps {
 
 uint64_t ThreadCpuNowNs() {
@@ -83,13 +81,6 @@ void ShardWorker::SetTrace(TraceEventSink* sink, TraceBuffer* buffer) {
 void ShardWorker::Start() {
   assert(!thread_.joinable());
   thread_ = std::thread([this] { RunWorker(); });
-  // Pin from the starting thread via the handle (synchronous, so the
-  // engine can warn once right after construction) rather than from the
-  // worker itself. A failure leaves the inherited mask: pinning is a
-  // placement hint, never a correctness requirement.
-  if (options_.cpu_affinity >= 0) {
-    pin_status_ = PinThreadToCpu(thread_, options_.cpu_affinity);
-  }
 }
 
 void ShardWorker::Submit(std::vector<Edge>&& batch) {

@@ -76,12 +76,6 @@ struct ShardOptions {
   /// invariance contracts — is unchanged. Requires kInStream when
   /// non-empty.
   std::vector<std::string> motifs;
-  /// CPU to pin the worker thread to at Start (-1, the default, leaves
-  /// the inherited mask). Placement only — by the determinism contract
-  /// results are byte-identical pinned or not; a denied affinity syscall
-  /// is recorded in pin_status() and otherwise ignored (the engine warns
-  /// once and runs unpinned).
-  int cpu_affinity = -1;
 };
 
 class ShardWorker {
@@ -109,19 +103,13 @@ class ShardWorker {
   /// worker thread.
   void SetTrace(TraceEventSink* sink, TraceBuffer* buffer);
 
-  /// Launches the worker thread (pinned per options.cpu_affinity). Call
-  /// once before the first Submit.
+  /// Launches the worker thread. Call once before the first Submit.
   void Start();
 
   /// Runs one batch on the calling thread through the worker loop's batch
   /// body. For a worker that is never started: the engine's K=1 layout
   /// feeds its one shard this way, with no thread and no ring hand-off.
   void RunInline(std::span<const Edge> batch);
-
-  /// Outcome of the Start-time core pin: Ok when options.cpu_affinity was
-  /// -1 (nothing to do) or the pin succeeded; the named syscall failure
-  /// otherwise. Valid after Start.
-  const Status& pin_status() const { return pin_status_; }
 
   /// Hands a batch to the worker; sleeps while the ring is full.
   /// Producer thread only. Empty batches are ignored.
@@ -201,7 +189,6 @@ class ShardWorker {
   BatchRing<std::vector<Edge>> ring_;
   std::thread thread_;
   bool joined_ = false;
-  Status pin_status_;  // set by Start, then const
 
   uint64_t submitted_edges_ = 0;       // producer-owned
   std::atomic<uint64_t> busy_ns_{0};   // executed-work clock

@@ -20,7 +20,6 @@
 #include "core/post_stream.h"
 #include "core/seeding.h"
 #include "core/serialize.h"
-#include "util/affinity.h"
 #include "util/digest.h"
 #include "util/parallel_chunks.h"
 #include "util/random.h"
@@ -53,8 +52,7 @@ bool SameWeightConfig(const WeightOptions& a, const WeightOptions& b) {
 /// fresh construction and checkpoint resume cannot drift apart (drift
 /// would silently break the resume byte-identity contract).
 ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
-                              uint32_t s, ShardEstimatorKind kind,
-                              int cpu_affinity = -1) {
+                              uint32_t s, ShardEstimatorKind kind) {
   ShardOptions shard_options;
   shard_options.sampler = options.sampler;
   shard_options.sampler.capacity =
@@ -63,7 +61,6 @@ ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
       DeriveShardSeed(options.sampler.seed, s, options.num_shards);
   shard_options.estimator = kind;
   shard_options.motifs = options.motifs;
-  shard_options.cpu_affinity = cpu_affinity;
   return shard_options;
 }
 
@@ -288,40 +285,15 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
       options_.merge_mode == MergeMode::kPostStreamMerged
           ? ShardEstimatorKind::kPostStream
           : ShardEstimatorKind::kInStream;
-
-  // Core-pinning plan: worker s takes the s-th schedulable cpu. Planned
-  // before worker construction so ShardOptions carries each affinity.
-  std::vector<int> cpu_plan;
-  if (options_.pin_threads && k == 1) {
-    WarnPinningDisabled(
-        "core pinning disabled: the one shard runs on the producer thread");
-  } else if (options_.pin_threads) {
-    cpu_plan = AvailableCpus();
-    if (cpu_plan.size() < k) {
-      WarnPinningDisabled("core pinning disabled: " +
-                          std::to_string(cpu_plan.size()) +
-                          " schedulable cpus for " + std::to_string(k) +
-                          " engine threads");
-      cpu_plan.clear();
-    }
-  }
-
   shards_.reserve(k);
   pending_.resize(k);
   for (uint32_t s = 0; s < k; ++s) {
-    shards_.push_back(std::make_unique<ShardWorker>(MakeShardOptions(
-        options_, s, kind, s < cpu_plan.size() ? cpu_plan[s] : -1)));
+    shards_.push_back(
+        std::make_unique<ShardWorker>(MakeShardOptions(options_, s, kind)));
     pending_[s].reserve(options_.batch_size);
   }
   RegisterObservability();
   StartWorkers();
-  // A pin the syscall refused leaves that worker on the inherited mask.
-  for (const auto& shard : shards_) {
-    if (!shard->pin_status().ok()) {
-      WarnPinningDisabled(shard->pin_status().ToString());
-      break;
-    }
-  }
 }
 
 void ShardedEngine::StartWorkers() {
@@ -332,11 +304,6 @@ void ShardedEngine::StartWorkers() {
   // a soc-orkut-sim estimate (capacity 100000) rose from 25.9 to 29.6 MB.
   if (num_shards() == 1) return;
   for (auto& shard : shards_) shard->Start();
-}
-
-void ShardedEngine::WarnPinningDisabled(const std::string& why) {
-  pin_warning_ = why;
-  std::fprintf(stderr, "warning: %s (running unpinned)\n", why.c_str());
 }
 
 ShardedEngine::~ShardedEngine() { Finish(); }
@@ -752,11 +719,7 @@ ShardedEngine::ShardedEngine(
 }
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
-    std::span<const std::string> manifest_paths,
-    const ShardedResumeOptions& resume_options) {
-  if (resume_options.batch_size < 1) {
-    return Status::InvalidArgument("resume batch size must be >= 1");
-  }
+    std::span<const std::string> manifest_paths) {
   Result<LoadedCheckpoints> loaded = LoadCheckpoints(manifest_paths);
   if (!loaded.ok()) return loaded.status();
 
@@ -766,10 +729,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   options.sampler.weight = loaded->layout.weight;
   options.sampler.mem_bytes = loaded->layout.mem_budget_bytes;
   options.num_shards = loaded->layout.num_shards;
-  options.batch_size = resume_options.batch_size;
   options.merge_mode = MergeMode::kInStreamPlusCross;
   options.motifs = loaded->layout.motif_names;
-  options.trace = resume_options.trace;
   return std::unique_ptr<ShardedEngine>(
       new ShardedEngine(std::move(options), std::move(loaded->estimators),
                         std::move(loaded->motif_accumulators),

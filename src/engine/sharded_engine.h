@@ -69,8 +69,11 @@ struct ShardedEngineOptions {
   GpsSamplerOptions sampler;
   /// Number of shards K (>= 1).
   uint32_t num_shards = 1;
-  /// Edges per hand-off batch; larger batches amortize ring traffic,
-  /// smaller ones reduce ingestion-to-sample latency.
+  /// Edges per hand-off batch. gps_cli always runs the default: from 64
+  /// to 4096, K=4 wall time moved only within host noise and the
+  /// estimates never changed. The field stays settable for the tests that
+  /// vary it to check that batching never reaches the sample path, and
+  /// for perfbench/replay.cc, which sets gps_cli's value explicitly.
   size_t batch_size = 1024;
   /// Estimation strategy; see engine/merge.h.
   MergeMode merge_mode = MergeMode::kInStreamPlusCross;
@@ -82,27 +85,12 @@ struct ShardedEngineOptions {
   /// randomness, so enabling motifs never changes reservoirs or tri/wedge
   /// estimates.
   std::vector<std::string> motifs;
-  /// Pin the K shard workers to distinct cores from the process affinity
-  /// mask. Graceful no-op with one named stderr warning (pin_warning())
-  /// when the affinity syscall is denied — containers routinely do — the
-  /// mask has fewer cores than workers, or K=1 (no worker thread).
-  /// Placement only: results are byte-identical pinned or not.
-  bool pin_threads = false;
   /// Optional Chrome-trace recorder (util/trace.h). When set, every worker
   /// gets a per-thread span buffer ("batch" spans) and the producer
   /// thread records "estimate" and "checkpoint" spans; the sink must
   /// outlive the engine, and the caller writes the JSON after Finish().
   /// Null (default) disables tracing entirely. Observation-only: tracing
   /// never changes the sample path.
-  TraceEventSink* trace = nullptr;
-};
-
-/// Transport knobs a resumed engine cannot recover from a manifest (they
-/// do not affect the sample path, only hand-off granularity — see the
-/// determinism contract above).
-struct ShardedResumeOptions {
-  size_t batch_size = 1024;
-  /// Optional trace recorder, as ShardedEngineOptions::trace.
   TraceEventSink* trace = nullptr;
 };
 
@@ -209,10 +197,10 @@ class ShardedEngine {
   /// entries must cover every shard exactly once and match the
   /// core/seeding.h derivation, and every shard file must match its
   /// recorded digest. A directory passed as a manifest path is refused by
-  /// name.
+  /// name. The resumed engine runs the default batch size and no trace:
+  /// neither reaches the sample path.
   static Result<std::unique_ptr<ShardedEngine>> ResumeFromCheckpoints(
-      std::span<const std::string> manifest_paths,
-      const ShardedResumeOptions& resume_options = {});
+      std::span<const std::string> manifest_paths);
 
   /// Deterministic shard assignment: SplitMix64 avalanche of the
   /// canonical edge key, reduced to [0, num_shards) by Lemire's
@@ -236,10 +224,6 @@ class ShardedEngine {
   double ProducerRouteSeconds() const {
     return static_cast<double>(producer_route_ns_) * 1e-9;
   }
-
-  /// Why core pinning was disabled (named reason), or empty when pinning
-  /// is off or fully applied. Mirrors the one-shot stderr warning.
-  const std::string& pin_warning() const { return pin_warning_; }
 
   /// Aggregated engine metrics: per-shard ring/worker/reservoir counters
   /// plus derived gauges (z* max, sample sizes, busy/idle seconds).
@@ -302,10 +286,6 @@ class ShardedEngine {
   /// the producer thread. Both constructors call it.
   void StartWorkers();
 
-  /// Records the named reason pinning was disabled and warns on stderr.
-  /// Called at most once: a plan the mask cannot hold pins no worker.
-  void WarnPinningDisabled(const std::string& why);
-
   /// Patches union_ to the drained shard state and returns it.
   const UnionSample& SyncUnion();
 
@@ -319,7 +299,6 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<ShardWorker>> shards_;
   std::vector<std::vector<Edge>> pending_;
-  std::string pin_warning_;
   uint64_t producer_route_ns_ = 0;   // ProcessEdges routing CPU time
   uint64_t producer_submit_ns_ = 0;  // hand-off CPU time
   uint64_t edges_processed_ = 0;

@@ -337,7 +337,7 @@ TEST_F(CliTest, FlagValidationIsPerSubcommand) {
 TEST_F(CliTest, EstimateSharded) {
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
-             " --capacity 2000 --shards 4 --batch 256");
+             " --capacity 2000 --shards 4");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("4 shards"), std::string::npos);
   EXPECT_NE(r.output.find("merged in-stream estimates"), std::string::npos);
@@ -346,9 +346,19 @@ TEST_F(CliTest, EstimateSharded) {
 }
 
 TEST_F(CliTest, SchedulerAndRouterFlagsAreUnknown) {
-  // The engine has one producer loop and one sequential worker loop; the
-  // flags that selected a work-stealing scheduler or a router pool are
-  // refused like any other unknown flag (usage error, exit 2).
+  // The engine has one producer loop and one sequential worker loop with
+  // a fixed hand-off batch; the flags that selected a work-stealing
+  // scheduler, a router pool, core pinning or the batch size are refused
+  // like any other unknown flag (usage error, exit 2).
+  const auto expect_unknown = [](const std::string& command,
+                                 const std::string& flag,
+                                 const std::string& value) {
+    const std::string args = command + " " + flag + " " + value;
+    const CommandResult r = RunCli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown flag '" + flag + "'"), std::string::npos)
+        << args << "\n" << r.output;
+  };
   const std::string dir = FreshPath("ckpt");
   for (const std::string& command :
        {"estimate --input " + graph_path_ + " --capacity 500 --shards 2",
@@ -357,16 +367,18 @@ TEST_F(CliTest, SchedulerAndRouterFlagsAreUnknown) {
         "estimate --input " + graph_path_ +
             " --capacity 500 --shards 2 --estimator in-stream --checkpoint " +
             dir}) {
-    const CommandResult steal = RunCli(command + " --steal on");
-    EXPECT_EQ(steal.exit_code, 2) << command << "\n" << steal.output;
-    EXPECT_NE(steal.output.find("unknown flag '--steal'"), std::string::npos)
-        << command << "\n" << steal.output;
-    const CommandResult routers = RunCli(command + " --routers 2");
-    EXPECT_EQ(routers.exit_code, 2) << command << "\n" << routers.output;
-    EXPECT_NE(routers.output.find("unknown flag '--routers'"),
-              std::string::npos)
-        << command << "\n" << routers.output;
+    expect_unknown(command, "--steal", "on");
+    expect_unknown(command, "--routers", "2");
+    expect_unknown(command, "--pin", "on");
+    expect_unknown(command, "--batch", "256");
   }
+  expect_unknown("resume-shards --manifest " + dir +
+                     "/manifest.gpsm --input " + graph_path_,
+                 "--batch", "256");
+  // A batch this large aborted the run on its allocation while the flag
+  // existed.
+  expect_unknown("estimate --input " + graph_path_ + " --capacity 2000",
+                 "--batch", "1000000000000");
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
@@ -459,7 +471,7 @@ TEST_F(CliTest, RejectsMisparsedNumericFlags) {
       {"--capacity -5", "--capacity"},
       {"--shards 2x", "--shards"},
       {"--seed 1e9", "--seed"},
-      {"--batch 99999999999999999999999", "--batch"},
+      {"--capacity 99999999999999999999999", "--capacity"},
   };
   for (const auto& c : kCases) {
     const CommandResult r =
@@ -492,8 +504,7 @@ std::string EstimatesBlock(const std::string& output,
 TEST_F(CliTest, CheckpointMergeMatchesLiveByteForByte) {
   const std::string dir = FreshPath("ckpt_shards_dir");
   const std::string params =
-      " --capacity 1500 --seed 11 --shards 4 --batch 256"
-      " --estimator in-stream";
+      " --capacity 1500 --seed 11 --shards 4 --estimator in-stream";
   const CommandResult live =
       RunCli("estimate --input " + graph_path_ + params);
   ASSERT_EQ(live.exit_code, 0) << live.output;
@@ -547,11 +558,11 @@ TEST_F(CliTest, RejectsZeroCountFlags) {
     const char* command_args;
     const char* flag;
   } kCases[] = {
-      {"estimate --input {} --batch 0", "--batch"},
       {"monitor --input {} --every 0", "--every"},
       {"monitor --input {} --every 10 --checkpoint-every 0",
        "--checkpoint-every"},
-      {"resume-shards --manifest x --input {} --batch 0", "--batch"},
+      {"convert --input {} --output /dev/null --block-edges 0",
+       "--block-edges"},
   };
   for (const auto& c : kCases) {
     std::string args = c.command_args;
@@ -1005,8 +1016,7 @@ TEST_F(CliTest, ForcedIntersectKernelsAreByteIdenticalOnGoldenStream) {
   // an estimate. 'simd' rides along even on non-simd builds, where it
   // must degrade to merge rather than diverge or crash.
   const std::string estimate_args = "estimate --input " + graph_path_ +
-                                    " --capacity 2000 --shards 4 "
-                                    "--batch 128 --seed 9";
+                                    " --capacity 2000 --shards 4 --seed 9";
   const std::string monitor_args = "monitor --input " + graph_path_ +
                                    " --capacity 1500 --seed 11 --shards 2 "
                                    "--every 1000";
@@ -1061,24 +1071,6 @@ TEST_F(CliTest, EstimateStatsKeepsSerialEstimates) {
   EXPECT_EQ(stats.output.substr(0, plain.output.size()), plain.output);
   EXPECT_EQ(stats.output.substr(plain.output.size(), 9), "metrics:\n")
       << stats.output;
-}
-
-TEST_F(CliTest, PinAtOneShardWarnsOnceAndKeepsStdout) {
-  // K=1 runs its one shard on the calling thread, so --pin on has no
-  // worker to pin: one named warning, and the stdout of --pin off.
-  const std::string args =
-      "estimate --input " + graph_path_ + " --capacity 1500 --seed 5";
-  std::string off_err, on_err;
-  const CommandResult off = RunCliSplit(args + " --pin off", &off_err);
-  const CommandResult on = RunCliSplit(args + " --pin on", &on_err);
-  ASSERT_EQ(off.exit_code, 0) << off_err;
-  ASSERT_EQ(on.exit_code, 0) << on_err;
-  EXPECT_EQ(on.output, off.output);
-  const std::string warning = "warning: core pinning disabled";
-  const size_t first = on_err.find(warning);
-  ASSERT_NE(first, std::string::npos) << on_err;
-  EXPECT_EQ(on_err.find(warning, first + 1), std::string::npos) << on_err;
-  EXPECT_EQ(off_err.find(warning), std::string::npos) << off_err;
 }
 
 TEST_F(CliTest, EstimateStatsOutWritesFile) {

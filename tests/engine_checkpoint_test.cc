@@ -30,8 +30,8 @@ std::vector<Edge> TestStream(uint64_t seed) {
   return MakePermutedStream(graph, seed + 1);
 }
 
-std::filesystem::path FreshDir(const std::string& name) {
-  return engine_test::FreshDir("engine_ckpt", name);
+engine_test::ScopedTempDir FreshDir(const std::string& name) {
+  return engine_test::ScopedTempDir("engine_ckpt", name);
 }
 
 ShardedEngineOptions EngineOptions(uint32_t num_shards, uint64_t seed) {
@@ -43,18 +43,16 @@ ShardedEngineOptions EngineOptions(uint32_t num_shards, uint64_t seed) {
   return options;
 }
 
-/// Streams, checkpoints into `dir` (when given), and returns the live
-/// merged estimates.
+/// Streams, checkpoints into `dir`, and returns the live merged
+/// estimates.
 GraphEstimates RunAndCheckpoint(const std::vector<Edge>& stream,
                                 const ShardedEngineOptions& options,
-                                const std::filesystem::path* dir) {
+                                const std::filesystem::path& dir) {
   ShardedEngine engine(options);
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
-  if (dir != nullptr) {
-    const Status s = engine.SerializeShards(dir->string());
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  }
+  const Status s = engine.SerializeShards(dir.string());
+  EXPECT_TRUE(s.ok()) << s.ToString();
   return engine.MergedEstimates();
 }
 
@@ -66,22 +64,21 @@ TEST(EngineCheckpointTest, MergeReproducesLiveEstimatesExactly) {
   const std::vector<Edge> stream = TestStream(701);
   for (const uint32_t k : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
-    const std::filesystem::path dir = FreshDir("k" + std::to_string(k));
+    const auto dir = FreshDir("k" + std::to_string(k));
     const GraphEstimates live =
-        RunAndCheckpoint(stream, EngineOptions(k, 77), &dir);
+        RunAndCheckpoint(stream, EngineOptions(k, 77), dir);
     const std::vector<std::string> manifests = {ManifestPath(dir)};
     auto merged = MergeCheckpoints(manifests);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ExpectExactlyEqual(merged->graph, live);
-    std::filesystem::remove_all(dir);
   }
 }
 
 TEST(EngineCheckpointTest, PartialManifestsFromDifferentHostsMerge) {
   const std::vector<Edge> stream = TestStream(711);
-  const std::filesystem::path dir = FreshDir("hosts");
+  const auto dir = FreshDir("hosts");
   const GraphEstimates live =
-      RunAndCheckpoint(stream, EngineOptions(4, 99), &dir);
+      RunAndCheckpoint(stream, EngineOptions(4, 99), dir);
 
   // Split the manifest in two, as if shards {0,1} and {2,3} were
   // checkpointed by different hosts sharing only the layout.
@@ -120,22 +117,20 @@ TEST(EngineCheckpointTest, PartialManifestsFromDifferentHostsMerge) {
       std::vector<std::string>{path_a, path_a, path_b});
   ASSERT_FALSE(duplicated.ok());
   EXPECT_EQ(duplicated.status().code(), StatusCode::kFailedPrecondition);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, RejectsMismatchedLayouts) {
   const std::vector<Edge> stream = TestStream(721);
-  const std::filesystem::path dir_base = FreshDir("base");
-  const std::filesystem::path dir_k2 = FreshDir("k2");
-  const std::filesystem::path dir_seed = FreshDir("seed");
-  const std::filesystem::path dir_weight = FreshDir("weight");
-  RunAndCheckpoint(stream, EngineOptions(4, 5), &dir_base);
-  RunAndCheckpoint(stream, EngineOptions(2, 5), &dir_k2);
-  RunAndCheckpoint(stream, EngineOptions(4, 6), &dir_seed);
+  const auto dir_base = FreshDir("base");
+  const auto dir_k2 = FreshDir("k2");
+  const auto dir_seed = FreshDir("seed");
+  const auto dir_weight = FreshDir("weight");
+  RunAndCheckpoint(stream, EngineOptions(4, 5), dir_base);
+  RunAndCheckpoint(stream, EngineOptions(2, 5), dir_k2);
+  RunAndCheckpoint(stream, EngineOptions(4, 6), dir_seed);
   ShardedEngineOptions uniform = EngineOptions(4, 5);
   uniform.sampler.weight.kind = WeightKind::kUniform;
-  RunAndCheckpoint(stream, uniform, &dir_weight);
+  RunAndCheckpoint(stream, uniform, dir_weight);
 
   const struct {
     const char* name;
@@ -157,16 +152,12 @@ TEST(EngineCheckpointTest, RejectsMismatchedLayouts) {
               std::string::npos)
         << merged.status().ToString();
   }
-
-  for (const auto& d : {dir_base, dir_k2, dir_seed, dir_weight}) {
-    std::filesystem::remove_all(d);
-  }
 }
 
 TEST(EngineCheckpointTest, RejectsCorruptShardFile) {
   const std::vector<Edge> stream = TestStream(731);
-  const std::filesystem::path dir = FreshDir("corrupt");
-  RunAndCheckpoint(stream, EngineOptions(2, 13), &dir);
+  const auto dir = FreshDir("corrupt");
+  RunAndCheckpoint(stream, EngineOptions(2, 13), dir);
   {
     std::ofstream out(dir / "shard-0000.gps",
                       std::ios::binary | std::ios::app);
@@ -178,19 +169,17 @@ TEST(EngineCheckpointTest, RejectsCorruptShardFile) {
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(merged.status().message().find("digest"), std::string::npos)
       << merged.status().ToString();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, RejectsMissingShardFile) {
   const std::vector<Edge> stream = TestStream(741);
-  const std::filesystem::path dir = FreshDir("missing");
-  RunAndCheckpoint(stream, EngineOptions(2, 17), &dir);
+  const auto dir = FreshDir("missing");
+  RunAndCheckpoint(stream, EngineOptions(2, 17), dir);
   std::filesystem::remove(dir / "shard-0001.gps");
   auto merged = MergeCheckpoints(
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, PostStreamShardsCannotCheckpoint) {
@@ -200,7 +189,7 @@ TEST(EngineCheckpointTest, PostStreamShardsCannotCheckpoint) {
   ShardedEngine engine(options);
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
-  const std::filesystem::path dir = FreshDir("post");
+  const auto dir = FreshDir("post");
   const Status s = engine.SerializeShards(dir.string());
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
@@ -211,7 +200,7 @@ TEST(EngineCheckpointTest, MidStreamCheckpointKeepsEngineUsable) {
   // must reflect the prefix only, and the engine must keep streaming to
   // the same final state as an uninterrupted run.
   const std::vector<Edge> stream = TestStream(761);
-  const std::filesystem::path dir = FreshDir("mid");
+  const auto dir = FreshDir("mid");
   const ShardedEngineOptions options = EngineOptions(4, 23);
 
   ShardedEngine engine(options);
@@ -236,17 +225,15 @@ TEST(EngineCheckpointTest, MidStreamCheckpointKeepsEngineUsable) {
   for (const Edge& e : stream) uninterrupted.Process(e);
   uninterrupted.Finish();
   ExpectExactlyEqual(full_live, uninterrupted.MergedEstimates());
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, FailedCheckpointDoesNotClobberExisting) {
   // A rejected re-checkpoint must fail BEFORE touching the directory: a
   // previous valid checkpoint there stays loadable.
   const std::vector<Edge> stream = TestStream(771);
-  const std::filesystem::path dir = FreshDir("noclobber");
+  const auto dir = FreshDir("noclobber");
   const GraphEstimates live =
-      RunAndCheckpoint(stream, EngineOptions(2, 29), &dir);
+      RunAndCheckpoint(stream, EngineOptions(2, 29), dir);
 
   ShardedEngineOptions bad = EngineOptions(2, 29);
   bad.sampler.weight.kind = WeightKind::kCustom;
@@ -266,7 +253,6 @@ TEST(EngineCheckpointTest, FailedCheckpointDoesNotClobberExisting) {
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectExactlyEqual(merged->graph, live);
-  std::filesystem::remove_all(dir);
 }
 
 std::string ReadFileBytes(const std::filesystem::path& path) {
@@ -301,7 +287,7 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
     ShardedEngineOptions options = EngineOptions(k, 43);
     options.sampler.capacity = 12000;
     options.motifs = {"tri"};
-    const std::filesystem::path dir = FreshDir("bytes-k" + std::to_string(k));
+    const auto dir = FreshDir("bytes-k" + std::to_string(k));
     ShardedEngine engine(options);
     for (const Edge& e : stream) engine.Process(e);
     engine.Finish();
@@ -324,7 +310,6 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
     EXPECT_GT(ReadFileBytes(dir / manifest->entries[0].filename).size(),
               TextWriter::kChunkBytes);
     EXPECT_TRUE(TempEntries(dir).empty());
-    std::filesystem::remove_all(dir);
   }
 }
 
@@ -334,9 +319,9 @@ TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
   // The error names the file, every staged temp file is removed, and the
   // previous checkpoint still merges to its live run bit for bit.
   const std::vector<Edge> stream = TestStream(811);
-  const std::filesystem::path dir = FreshDir("squatted");
+  const auto dir = FreshDir("squatted");
   const GraphEstimates live =
-      RunAndCheckpoint(stream, EngineOptions(4, 47), &dir);
+      RunAndCheckpoint(stream, EngineOptions(4, 47), dir);
   const std::filesystem::path squatter = dir / "shard-0002.gps.tmp";
   ASSERT_TRUE(std::filesystem::create_directory(squatter));
 
@@ -355,7 +340,6 @@ TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
       std::vector<std::string>{ManifestPath(dir)});
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectExactlyEqual(merged->graph, live);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
@@ -367,7 +351,7 @@ TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
     SCOPED_TRACE("K=" + std::to_string(k));
     ShardedEngineOptions options = EngineOptions(k, 31);
     options.motifs = {"tri", "4clique", "3path"};
-    const std::filesystem::path dir = FreshDir("motif-k" + std::to_string(k));
+    const auto dir = FreshDir("motif-k" + std::to_string(k));
 
     ShardedEngine engine(options);
     for (const Edge& e : stream) engine.Process(e);
@@ -384,20 +368,19 @@ TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
     ExpectExactlyEqual(merged->graph, live);
     engine_test::ExpectMotifsExactlyEqual(merged->motifs, live_motifs);
     EXPECT_EQ(merged->edge_count, live_edges);
-    std::filesystem::remove_all(dir);
   }
 }
 
 TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
   // Manifests of one run must agree on the ordered motif suite.
   const std::vector<Edge> stream = TestStream(791);
-  const std::filesystem::path dir_a = FreshDir("motifs-a");
-  const std::filesystem::path dir_b = FreshDir("motifs-b");
+  const auto dir_a = FreshDir("motifs-a");
+  const auto dir_b = FreshDir("motifs-b");
   ShardedEngineOptions options = EngineOptions(2, 37);
   options.motifs = {"tri"};
-  RunAndCheckpoint(stream, options, &dir_a);
+  RunAndCheckpoint(stream, options, dir_a);
   options.motifs = {"tri", "4clique"};
-  RunAndCheckpoint(stream, options, &dir_b);
+  RunAndCheckpoint(stream, options, dir_b);
 
   // Cross-wire: shard 0 from run A, shard 1 from run B (rewrite the
   // manifests to cover disjoint shards so only the motif sets disagree).
@@ -427,8 +410,6 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
   EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(merged.status().message().find("motif"), std::string::npos)
       << merged.status().ToString();
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
 }
 
 TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
@@ -439,8 +420,8 @@ TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
   const std::vector<Edge> stream = TestStream(821);
   for (const uint32_t k : {1u, 4u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
-    const std::filesystem::path dir = FreshDir("unsplit-k" + std::to_string(k));
-    RunAndCheckpoint(stream, EngineOptions(k, 59), &dir);
+    const auto dir = FreshDir("unsplit-k" + std::to_string(k));
+    RunAndCheckpoint(stream, EngineOptions(k, 59), dir);
     std::string text = ReadFileBytes(ManifestPath(dir));
     // Line 2: <K> <base_seed> <total_capacity> <split> <offset> <budget>.
     const std::string layout = std::to_string(k) + " 59 600 1 ";
@@ -456,7 +437,6 @@ TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
     EXPECT_NE(merged.status().message().find("split-capacity flag 0"),
               std::string::npos)
         << merged.status().ToString();
-    std::filesystem::remove_all(dir);
   }
 }
 

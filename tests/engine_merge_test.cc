@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <iterator>
 #include <map>
 #include <set>
@@ -48,8 +47,8 @@ namespace {
 using engine_test::ExpectExactlyEqual;
 using engine_test::ExpectMotifsExactlyEqual;
 using engine_test::FeedCutAt;
-using engine_test::FreshDir;
 using engine_test::ManifestPath;
+using engine_test::ScopedTempDir;
 
 // ---- Brute-force reference ------------------------------------------------
 
@@ -477,8 +476,7 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
     };
     const std::span<const Edge> all(stream);
     FeedCutAt(engine, all.first(half), kEvery, tick);
-    const std::filesystem::path dir =
-        FreshDir("engine_merge", "k" + std::to_string(k));
+    const ScopedTempDir dir("engine_merge", "k" + std::to_string(k));
     ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
     FeedCutAt(engine, all.subspan(half), kEvery, tick);
     engine.Finish();

@@ -32,8 +32,8 @@ namespace gps {
 namespace {
 
 using engine_test::ExpectExactlyEqual;
-using engine_test::FreshDir;
 using engine_test::ReservoirBytes;
+using engine_test::ScopedTempDir;
 
 std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
                              uint64_t graph_seed, uint64_t stream_seed) {
@@ -245,7 +245,7 @@ TEST(TraceTest, NullBufferSpanIsNoOp) {
 }
 
 TEST(TraceTest, WriteJsonEmitsThreadNamesAndSpans) {
-  const std::filesystem::path dir = FreshDir("metrics", "trace");
+  const ScopedTempDir dir("metrics", "trace");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "trace.json").string();
 
@@ -273,7 +273,7 @@ TEST(TraceTest, WriteJsonEmitsThreadNamesAndSpans) {
 }
 
 TEST(TraceTest, EngineRunProducesWorkerSpans) {
-  const std::filesystem::path dir = FreshDir("metrics", "engine_trace");
+  const ScopedTempDir dir("metrics", "engine_trace");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "trace.json").string();
 

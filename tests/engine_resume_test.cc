@@ -3,10 +3,11 @@
 // Contract: interrupt a sharded run at ANY stream offset, checkpoint,
 // ResumeFromCheckpoints, feed the suffix — and the per-shard reservoirs
 // and merged estimates are byte-identical to a run that was never
-// interrupted, for K in {1, 2, 4, 8} and independent of the resumed
-// engine's batch size. Manifest-version compatibility: version-1
-// manifests (no stream offset) still resume via the derived per-shard
-// arrival sum; unknown future versions fail with a typed error.
+// interrupted, for K in {1, 2, 4, 8}, also when the resumed engine runs
+// another batch size than the interrupted one. Manifest-version
+// compatibility: version-1 manifests (no stream offset) still resume via
+// the derived per-shard arrival sum; unknown future versions fail with a
+// typed error.
 
 #include <filesystem>
 #include <fstream>
@@ -34,8 +35,8 @@ std::vector<Edge> TestStream(uint64_t seed) {
   return MakePermutedStream(graph, seed + 1);
 }
 
-std::filesystem::path FreshDir(const std::string& name) {
-  return engine_test::FreshDir("engine_resume", name);
+engine_test::ScopedTempDir FreshDir(const std::string& name) {
+  return engine_test::ScopedTempDir("engine_resume", name);
 }
 
 ShardedEngineOptions EngineOptions(uint32_t num_shards, uint64_t seed) {
@@ -75,21 +76,20 @@ TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
 
     // Interrupt at the start, a quarter, half, and one edge short of the
     // end — the resumed engine must replay the suffix onto the restored
-    // state exactly. A deliberately different batch size shows transport
-    // granularity does not affect the sample path.
+    // state exactly. It runs the default batch size (1024), not the
+    // interrupted engine's 128: batch granularity does not affect the
+    // sample path.
     for (const size_t cut : {size_t{0}, stream.size() / 4,
                              stream.size() / 2, stream.size() - 1}) {
       SCOPED_TRACE("K=" + std::to_string(k) +
                    " cut=" + std::to_string(cut));
-      const std::filesystem::path dir =
+      const auto dir =
           FreshDir("k" + std::to_string(k) + "_c" + std::to_string(cut));
       const std::string manifest =
           CheckpointPrefix(stream, cut, options, dir);
 
-      ShardedResumeOptions resume_options;
-      resume_options.batch_size = 37;
       auto resumed = ShardedEngine::ResumeFromCheckpoints(
-          std::vector<std::string>{manifest}, resume_options);
+          std::vector<std::string>{manifest});
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
       EXPECT_EQ((*resumed)->num_shards(), k);
       EXPECT_EQ((*resumed)->edges_processed(), cut);
@@ -105,7 +105,6 @@ TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
                   ReservoirBytes(uninterrupted.shard(s).reservoir()))
             << "shard " << s;
       }
-      std::filesystem::remove_all(dir);
     }
   }
 }
@@ -129,7 +128,7 @@ TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
   for (const Edge& e : stream) uninterrupted.Process(e);
   uninterrupted.Finish();
 
-  const std::filesystem::path dir = FreshDir("repeats");
+  const auto dir = FreshDir("repeats");
   const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
   auto resumed = ShardedEngine::ResumeFromCheckpoints(
       std::vector<std::string>{manifest});
@@ -145,7 +144,6 @@ TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
               ReservoirBytes(uninterrupted.shard(s).reservoir()))
         << "shard " << s;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
@@ -159,8 +157,8 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
   uninterrupted.Finish();
 
   const size_t third = stream.size() / 3;
-  const std::filesystem::path dir1 = FreshDir("hop1");
-  const std::filesystem::path dir2 = FreshDir("hop2");
+  const auto dir1 = FreshDir("hop1");
+  const auto dir2 = FreshDir("hop2");
   const std::string manifest1 =
       CheckpointPrefix(stream, third, options, dir1);
 
@@ -180,8 +178,6 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
   (*final_hop)->Finish();
   ExpectExactlyEqual((*final_hop)->MergedEstimates(),
                      uninterrupted.MergedEstimates());
-  std::filesystem::remove_all(dir1);
-  std::filesystem::remove_all(dir2);
 }
 
 TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
@@ -203,7 +199,7 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
   for (const uint32_t k : {2u, 4u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     const ShardedEngineOptions options = EngineOptions(k, 43);
-    const std::filesystem::path dir = FreshDir("monitor-k" + std::to_string(k));
+    const auto dir = FreshDir("monitor-k" + std::to_string(k));
 
     std::vector<MonitorRecord> full_records;
     ShardedEngine full(options);
@@ -241,7 +237,6 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
       ExpectExactlyEqual(tail_records[i].estimates, want.estimates);
     }
     ExpectExactlyEqual((*resumed)->MergedEstimates(), full.MergedEstimates());
-    std::filesystem::remove_all(dir);
   }
 }
 
@@ -263,7 +258,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
         uninterrupted.MergedMotifEstimates();
 
     const size_t cut = stream.size() / 3;
-    const std::filesystem::path dir = FreshDir("motif-k" + std::to_string(k));
+    const auto dir = FreshDir("motif-k" + std::to_string(k));
     const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
 
     auto resumed = ShardedEngine::ResumeFromCheckpoints(
@@ -282,7 +277,6 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
                 ReservoirBytes(uninterrupted.shard(s).reservoir()))
           << "shard " << s;
     }
-    std::filesystem::remove_all(dir);
   }
 }
 
@@ -293,7 +287,7 @@ TEST(EngineResumeTest, VersionOneManifestStillResumes) {
   const std::vector<Edge> stream = TestStream(831);
   const ShardedEngineOptions options = EngineOptions(2, 47);
   const size_t cut = stream.size() / 2;
-  const std::filesystem::path dir = FreshDir("v1");
+  const auto dir = FreshDir("v1");
   const std::string manifest_path =
       CheckpointPrefix(stream, cut, options, dir);
 
@@ -333,12 +327,11 @@ TEST(EngineResumeTest, VersionOneManifestStillResumes) {
   (*resumed)->Finish();
   ExpectExactlyEqual((*resumed)->MergedEstimates(),
                      uninterrupted.MergedEstimates());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
   const std::vector<Edge> stream = TestStream(841);
-  const std::filesystem::path dir = FreshDir("vfuture");
+  const auto dir = FreshDir("vfuture");
   const std::string manifest_path =
       CheckpointPrefix(stream, stream.size() / 2, EngineOptions(2, 53), dir);
 
@@ -370,7 +363,6 @@ TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
       engine_test::MergeCheckpoints(std::vector<std::string>{manifest_path});
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineResumeTest, RejectsTamperedStreamOffset) {
@@ -378,7 +370,7 @@ TEST(EngineResumeTest, RejectsTamperedStreamOffset) {
   // a corrupt or mixed-up checkpoint set; resuming from it would lie
   // about the stream position.
   const std::vector<Edge> stream = TestStream(851);
-  const std::filesystem::path dir = FreshDir("offset");
+  const auto dir = FreshDir("offset");
   const std::string manifest_path =
       CheckpointPrefix(stream, stream.size() / 2, EngineOptions(2, 59), dir);
 
@@ -402,7 +394,6 @@ TEST(EngineResumeTest, RejectsTamperedStreamOffset) {
   EXPECT_NE(resumed.status().message().find("stream offset"),
             std::string::npos)
       << resumed.status().ToString();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
@@ -411,7 +402,7 @@ TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
   // matter which file is listed first — validation is a property of the
   // set, not of the argument order.
   const std::vector<Edge> stream = TestStream(871);
-  const std::filesystem::path dir = FreshDir("mixed");
+  const auto dir = FreshDir("mixed");
   const std::string manifest_path =
       CheckpointPrefix(stream, stream.size() / 2, EngineOptions(2, 67), dir);
 
@@ -472,22 +463,6 @@ TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
               std::string::npos)
         << resumed.status().ToString();
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(EngineResumeTest, RejectsBadResumeOptions) {
-  const std::vector<Edge> stream = TestStream(861);
-  const std::filesystem::path dir = FreshDir("badopts");
-  const std::string manifest_path =
-      CheckpointPrefix(stream, stream.size() / 2, EngineOptions(2, 61), dir);
-
-  ShardedResumeOptions zero_batch;
-  zero_batch.batch_size = 0;
-  auto r1 = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{manifest_path}, zero_batch);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -5,20 +5,16 @@
 // producer replays stream order with exact batch_size splits, so HOW the
 // stream reaches the engine is invisible — ProcessEdges over spans of any
 // size, and Process interleaved with spans, give byte-identical shard
-// reservoirs, merged estimates and motif statistics to the per-edge loop;
-// and core pinning is placement only (byte-identical, one named warning
-// when unavailable).
+// reservoirs, merged estimates and motif statistics to the per-edge loop.
 //
 // The suite runs under TSan and ASan in CI (ci.yml / scripts/check.sh):
 // the spans alias the producer's input while edges are routed into the
 // shard rings.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +23,6 @@
 #include "engine_test_util.h"
 #include "gen/generators.h"
 #include "graph/stream.h"
-#include "util/affinity.h"
 
 namespace gps {
 namespace {
@@ -133,76 +128,6 @@ TEST(RouterIdentity, PerEdgeProcessInterleavedWithBlocks) {
     remaining = remaining.subspan(take);
   }
   ExpectSameState(want, CaptureState(engine), "interleaved feed");
-}
-
-TEST(RouterPinning, PinnedRunIsByteIdenticalToUnpinned) {
-  const std::vector<Edge> stream = TestStream(300, 8, 95, 96);
-  ShardedEngine unpinned(BlockOptions(2));
-  FeedBlocks(unpinned, stream, 173);
-  const EngineState want = CaptureState(unpinned);
-
-  ShardedEngineOptions options = BlockOptions(2);
-  options.pin_threads = true;
-  ShardedEngine pinned(options);  // may fall back (warned) — still runs
-  FeedBlocks(pinned, stream, 173);
-  ExpectSameState(want, CaptureState(pinned), "pinned vs unpinned");
-}
-
-TEST(RouterPinning, AppliesCleanlyWhereAffinityIsAvailable) {
-  // Probe the syscall the engine uses: where containers deny affinity (or
-  // the mask is smaller than the two workers), skip by name — the
-  // degradation path is covered by the other pinning tests.
-  const std::vector<int> cpus = AvailableCpus();
-  if (cpus.size() < 2) {
-    GTEST_SKIP() << "needs >= 2 schedulable cpus, have " << cpus.size();
-  }
-  {
-    // The probe stays alive until it is pinned: pinning a thread that has
-    // already exited reaches the caller instead (its kernel id reads 0),
-    // which would shrink this thread's mask to one cpu.
-    std::atomic<bool> pinned{false};
-    std::thread probe([&pinned] {
-      while (!pinned.load()) std::this_thread::yield();
-    });
-    const Status pin = PinThreadToCpu(probe, cpus[0]);
-    pinned.store(true);
-    probe.join();
-    if (!pin.ok()) {
-      GTEST_SKIP() << "affinity syscall denied: " << pin.ToString();
-    }
-  }
-  ShardedEngineOptions options = BlockOptions(2);
-  options.pin_threads = true;
-  ShardedEngine engine(options);
-  EXPECT_EQ(engine.pin_warning(), "");
-  const std::vector<Edge> stream = TestStream(200, 8, 97, 98);
-  FeedBlocks(engine, stream, 173);
-  engine.Finish();
-}
-
-TEST(RouterPinning, WarnsOnceWhenMaskIsTooSmall) {
-  // One worker more than the mask has cpus.
-  const size_t cpus = AvailableCpus().size();
-  const auto shards = static_cast<uint32_t>(cpus + 1);
-  ShardedEngineOptions options = BlockOptions(shards);
-  options.sampler.capacity = 50 * (cpus + 1);
-  options.pin_threads = true;
-  ::testing::internal::CaptureStderr();
-  {
-    ShardedEngine engine(options);
-    FeedBlocks(engine, TestStream(200, 8, 99, 100), 173);
-    engine.Finish();
-    EXPECT_NE(engine.pin_warning().find("core pinning disabled: " +
-                                        std::to_string(cpus) +
-                                        " schedulable cpus"),
-              std::string::npos)
-        << engine.pin_warning();
-  }
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  const std::string warning = "warning: core pinning disabled";
-  const size_t first = err.find(warning);
-  ASSERT_NE(first, std::string::npos) << err;
-  EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 // equals a fresh prefix-only run's merged estimates, and monitoring never
 // perturbs the sample path.
 //
-// The span entry point (ProcessEdges) and core pinning are covered in
+// The span entry point (ProcessEdges) is covered in
 // tests/engine_router_test.cc.
 
 #include <sys/resource.h>

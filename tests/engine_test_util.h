@@ -1,10 +1,10 @@
 // Helpers shared by the engine test suites (sharded / checkpoint /
 // resume / merge / metrics): byte-level reservoir comparison, exact
-// estimate equality, per-test temp directories, the caller-driven tick
-// loop, and the checkpoint merge as merge-checkpoints runs it. One
-// definition each, so a change to the serialization format or the
-// GraphEstimates field set tightens every byte-identity test at once
-// instead of whichever copies got updated.
+// estimate equality, self-removing per-test temp directories, the
+// caller-driven tick loop, and the checkpoint merge as merge-checkpoints
+// runs it. One definition each, so a change to the serialization format
+// or the GraphEstimates field set tightens every byte-identity test at
+// once instead of whichever copies got updated.
 
 #ifndef GPS_TESTS_ENGINE_TEST_UTIL_H_
 #define GPS_TESTS_ENGINE_TEST_UTIL_H_
@@ -15,6 +15,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,20 +29,39 @@
 namespace gps {
 namespace engine_test {
 
-/// A unique, pre-cleaned temp directory for the current gtest case:
-/// ctest runs suites in parallel processes, so every path must be unique
-/// per (suite, test, name).
-inline std::filesystem::path FreshDir(const std::string& prefix,
-                                      const std::string& name) {
-  const ::testing::TestInfo* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) /
-      (prefix + "_" + std::string(info ? info->name() : "unknown") + "_" +
-       name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+/// A unique temp directory for the current gtest case, emptied when the
+/// guard is made and removed with everything in it when the guard goes
+/// out of scope, also when an ASSERT returns early. ctest runs suites in
+/// parallel processes, so every path must be unique per (suite, test,
+/// name). Only a named guard converts to its path: a path taken from a
+/// temporary guard would name a directory nothing removes.
+class ScopedTempDir {
+ public:
+  ScopedTempDir(const std::string& prefix, const std::string& name) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = std::filesystem::path(testing::TempDir()) /
+            (prefix + "_" + std::string(info ? info->name() : "unknown") +
+             "_" + name);
+    std::filesystem::remove_all(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;  // a destructor must not throw
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  operator const std::filesystem::path&() const& { return path_; }
+  operator const std::filesystem::path&() const&& = delete;
+  std::filesystem::path operator/(const std::filesystem::path& leaf) const {
+    return path_ / leaf;
+  }
+  std::string string() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
 
 inline std::string ManifestPath(const std::filesystem::path& dir) {
   return (dir / kShardManifestFilename).string();

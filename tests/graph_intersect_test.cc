@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -345,14 +344,13 @@ TEST(IntersectByteIdentityTest, ShardedEngineEstimatesAndManifests) {
     for (const Edge& e : stream) engine.Process(e);
     engine.Finish();
     estimates.push_back(engine.MergedEstimates());
-    const std::filesystem::path dir = engine_test::FreshDir(
-        "intersect_identity", IntersectKernelName(kernel));
+    const engine_test::ScopedTempDir dir("intersect_identity",
+                                         IntersectKernelName(kernel));
     ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
     std::ifstream in(engine_test::ManifestPath(dir), std::ios::binary);
     std::ostringstream bytes;
     bytes << in.rdbuf();
     manifests.push_back(bytes.str());
-    std::filesystem::remove_all(dir);
   }
   for (size_t k = 1; k < estimates.size(); ++k) {
     engine_test::ExpectExactlyEqual(estimates[k], estimates[0]);

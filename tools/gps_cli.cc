@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   estimate  --input FILE [--capacity N] [--seed S] [--weight KIND]
-//             [--estimator in-stream|post|both] [--shards K] [--batch B]
+//             [--estimator in-stream|post|both] [--shards K]
 //             [--checkpoint DIR]
 //       Stream the edge list (randomly permuted unless --no-permute)
 //       through the sharded engine (K=1 by default: one shard, run on
@@ -12,7 +12,7 @@
 //       file per shard. Every post-stream pass runs on all hardware
 //       threads; the output is the same for any count.
 //   resume-shards  --manifest FILE [--manifest FILE ...] --input FILE
-//             [--save DIR] [--batch B] [--no-permute]
+//             [--save DIR] [--no-permute]
 //       Rebuild a RUNNING sharded engine from checkpoint manifests and
 //       continue streaming. When --input is the exact remaining
 //       substream in arrival order (pass --no-permute for a file that
@@ -187,7 +187,7 @@ int Usage() {
       "  estimate --input FILE [--capacity N | --mem BYTES] [--seed S]\n"
       "           [--weight uniform|adjacency|triangle|triangle-wedge]\n"
       "           [--estimator in-stream|post|both] [--no-permute]\n"
-      "           [--shards K] [--batch B] [--pin on|off]\n"
+      "           [--shards K]\n"
       "           [--motifs tri,wedge,4clique,3path,4cycle,5clique,\n"
       "            tailed_triangle]\n"
       "           [--degree NODE ...]\n"
@@ -195,19 +195,14 @@ int Usage() {
       "           [--checkpoint DIR]  (in-stream state: a manifest plus\n"
       "           one file per shard; resume-shards and merge-checkpoints\n"
       "           read it)\n"
-      "           --pin on: pin the shard workers to distinct cores\n"
-      "           (placement only; warns and runs unpinned where the\n"
-      "           affinity syscall is denied, and at K=1, which runs its\n"
-      "           one shard on the calling thread)\n"
       "           --mem BYTES (e.g. 512M, 2G): derive the reservoir\n"
       "           capacity from a memory budget instead of --capacity;\n"
       "           the allocation report prints on stderr at startup\n"
       "  resume-shards --manifest FILE [--manifest FILE ...]\n"
-      "           --input FILE [--save DIR] [--batch B] [--no-permute]\n"
+      "           --input FILE [--save DIR] [--no-permute]\n"
       "           [--motifs LIST]  (cross-checked against the manifest)\n"
       "  monitor  --input FILE --every N [--capacity N | --mem BYTES]\n"
-      "           [--seed S]\n"
-      "           [--weight KIND] [--shards K] [--batch B] [--pin on|off]\n"
+      "           [--seed S] [--weight KIND] [--shards K]\n"
       "           [--motifs LIST] [--output csv|table]\n"
       "           [--no-permute] [--checkpoint-every M --checkpoint DIR]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
@@ -449,9 +444,7 @@ bool GetDegreeNodes(const Flags& flags, std::vector<NodeId>* nodes) {
 struct ShardedRunConfig {
   GpsSamplerOptions sampler;
   uint64_t shards = 1;
-  uint64_t batch = 1024;
   std::vector<std::string> motifs;
-  bool pin = false;
 };
 
 /// Parses and range-checks the sampler/sharding flags; false (after
@@ -468,7 +461,6 @@ bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
   if (!GetFlag(flags.GetU64("capacity", stream_size / 20 + 1), &capacity) ||
       !GetFlag(flags.GetU64("seed", 1), &out->sampler.seed) ||
       !GetFlag(flags.GetU64("shards", 1), &out->shards) ||
-      !GetPositiveFlag(flags, "batch", 1024, &out->batch) ||
       !GetMotifNames(flags, &out->motifs)) {
     return false;
   }
@@ -504,17 +496,6 @@ bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
     return false;
   }
   out->sampler.capacity = capacity;
-  if (flags.Has("pin")) {
-    const std::string pin = flags.Get("pin", "");
-    if (pin == "on") {
-      out->pin = true;
-    } else if (pin != "off") {
-      std::fprintf(stderr,
-                   "error: flag '--pin' expects on or off, got '%s'\n",
-                   pin.c_str());
-      return false;
-    }
-  }
   return true;
 }
 
@@ -524,9 +505,7 @@ ShardedEngineOptions MakeEngineOptions(const ShardedRunConfig& config) {
   ShardedEngineOptions options;
   options.sampler = config.sampler;
   options.num_shards = static_cast<uint32_t>(config.shards);
-  options.batch_size = config.batch;
   options.motifs = config.motifs;
-  options.pin_threads = config.pin;
   return options;
 }
 
@@ -585,7 +564,8 @@ bool EmitObservability(ShardedEngine& engine, const StatsConfig& config,
 /// The banner and block labels of a run, picked from K alone so every
 /// subcommand prints one text per layout. K=1 prints the serial
 /// estimator's text, which perfbench/replay.cc prints too, byte for byte;
-/// K>1 names the layout and the merge.
+/// K>1 names the layout, with the engine's default batch size, and the
+/// merge.
 struct RunText {
   const char* in_stream_label;
   const char* post_stream_label;
@@ -593,8 +573,7 @@ struct RunText {
   std::string layout;
 };
 
-RunText TextForShards(uint64_t shards, uint64_t batch = 0,
-                      bool pinned = false) {
+RunText TextForShards(uint64_t shards) {
   if (shards == 1) {
     return {"in-stream estimates (Algorithm 3)",
             "post-stream estimates (Algorithm 2)", ""};
@@ -603,7 +582,7 @@ RunText TextForShards(uint64_t shards, uint64_t batch = 0,
           "+ cross-shard correction)",
           "merged post-stream estimates (union sample)",
           ", " + std::to_string(shards) + " shards (batch " +
-              std::to_string(batch) + ")" + (pinned ? ", pinned" : "")};
+              std::to_string(ShardedEngineOptions{}.batch_size) + ")"};
 }
 
 int RunEstimate(const Flags& flags) {
@@ -647,7 +626,7 @@ int RunEstimate(const Flags& flags) {
 
   // K hash-partitioned shards with merged stratified estimates
   // (src/engine/); K=1 reproduces the serial estimator byte for byte.
-  const RunText text = TextForShards(config.shards, config.batch, config.pin);
+  const RunText text = TextForShards(config.shards);
   std::printf("stream: %zu edges, reservoir: %zu edges%s\n", stream->size(),
               config.sampler.capacity, text.layout.c_str());
   ShardedEngineOptions engine_options = MakeEngineOptions(config);
@@ -717,13 +696,7 @@ int RunResumeShards(const Flags& flags) {
                  "FILE\n");
     return 1;
   }
-  ShardedResumeOptions resume_options;
-  uint64_t batch = 0;
-  if (!GetPositiveFlag(flags, "batch", 1024, &batch)) return 1;
-  resume_options.batch_size = batch;
-
-  auto engine = ShardedEngine::ResumeFromCheckpoints(manifests,
-                                                     resume_options);
+  auto engine = ShardedEngine::ResumeFromCheckpoints(manifests);
   if (!engine.ok()) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
@@ -1152,21 +1125,19 @@ int main(int argc, char** argv) {
 
   std::vector<const char*> allowed;
   if (command == "estimate") {
-    allowed = {"input",      "capacity",  "seed",   "weight",
-               "estimator",  "no-permute", "shards", "batch",
-               "checkpoint", "motifs",    "degree", "stats",
-               "stats-out",  "trace",     "mem",    "pin"};
+    allowed = {"input",      "capacity",   "seed",   "weight",
+               "estimator",  "no-permute", "shards", "checkpoint",
+               "motifs",     "degree",     "stats",  "stats-out",
+               "trace",      "mem"};
   } else if (command == "resume-shards") {
-    allowed = {"manifest", "input", "seed",
-               "save",     "batch", "no-permute",
-               "motifs"};
+    allowed = {"manifest", "input",      "seed",
+               "save",     "no-permute", "motifs"};
   } else if (command == "monitor") {
-    allowed = {"input",  "capacity", "seed",
-               "weight", "shards",   "batch",
-               "every",  "output",   "checkpoint-every",
-               "checkpoint", "no-permute", "motifs",
-               "stats",  "stats-out", "trace",
-               "mem",    "pin"};
+    allowed = {"input",      "capacity",   "seed",
+               "weight",     "shards",     "every",
+               "output",     "checkpoint-every", "checkpoint",
+               "no-permute", "motifs",     "stats",
+               "stats-out",  "trace",      "mem"};
   } else if (command == "merge-checkpoints") {
     allowed = {"manifest"};
   } else if (command == "convert") {
