@@ -9,7 +9,7 @@
 //
 //   build/examples/realtime_tracking
 //
-// The same loop is scriptable as `gps_cli monitor --every N --output csv`,
+// The same loop is scriptable as `gps_cli monitor --every N` (CSV rows),
 // which can also rewrite a resumable checkpoint as it goes
 // (--checkpoint-every M --checkpoint DIR; gps_cli resume-shards).
 

@@ -38,9 +38,14 @@ cmake -B build-metrics-off -S . -DCMAKE_BUILD_TYPE=Release \
   -DGPS_METRICS=OFF -DGPS_BUILD_TESTS=OFF -DGPS_BUILD_EXAMPLES=OFF
 cmake --build build-metrics-off -j"$(nproc)" --target bench_engine
 
+# Copies the probe's output to fd 2 as it is, without reopening it: `tee
+# /dev/stderr` would truncate a log file that stderr is redirected to.
 probe() {
-  "$1/bench_engine" --edges "$EDGES" --no-exact --ingest-probe "$TRIALS" \
-    | tee /dev/stderr | awk -v key="$2" '$1 == key {print $2}'
+  local out
+  out="$("$1/bench_engine" --edges "$EDGES" --no-exact \
+    --ingest-probe "$TRIALS")" || return
+  printf '%s\n' "$out" >&2
+  awk -v key="$2" '$1 == key {print $2}' <<<"$out"
 }
 
 on_eps="$(probe "$ON_BUILD" ingest_probe_k4_eps)"

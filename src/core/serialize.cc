@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cmath>
@@ -21,40 +22,31 @@ constexpr const char* kReservoirHeader = "GPS-RESERVOIR";
 constexpr const char* kInStreamHeader = "GPS-INSTREAM";
 constexpr const char* kManifestHeader = "GPS-MANIFEST";
 constexpr int kFormatVersion = 1;
-// Manifests are versioned independently of the single-estimator formats:
-// v2 added the engine-level stream offset (resume support), v3 the
-// motif-statistic set (names + per-shard accumulators), v4 the capacity
-// provenance (--mem byte budget; 0 = explicit capacity). Readers stay
-// compatible with v1 through v3.
+// Manifests are versioned independently of the single-estimator formats.
+// Readers take exactly the version this build writes (serialize.h).
 constexpr int kManifestVersion = 4;
-constexpr int kManifestMinReadVersion = 1;
+// Records reserved up front when reading a reservoir (40 B each).
+constexpr size_t kRecordReserveLimit = size_t{1} << 16;
 
-/// Reads and checks "<HEADER> <version>", accepting any version in
-/// [min_version, max_version]; returns the version actually found so
-/// multi-version readers (the manifest) can branch on it.
-Result<int> ExpectHeaderVersioned(std::istream& in, const std::string& want,
-                                  int min_version, int max_version) {
+/// Reads and checks "<HEADER> <version>"; any other version is refused
+/// by name.
+Status ExpectHeader(std::istream& in, const std::string& want, int version) {
   std::string header;
-  int version = 0;
-  if (!(in >> header >> version)) {
+  int found = 0;
+  if (!(in >> header >> found)) {
     return Status::IoError("truncated checkpoint: missing header");
   }
   if (header != want) {
     return Status::InvalidArgument("checkpoint header mismatch: expected " +
                                    want + ", found " + header);
   }
-  if (version < min_version || version > max_version) {
+  if (found != version) {
     return Status::InvalidArgument(
-        "unsupported checkpoint version " + std::to_string(version) +
-        " for " + want + " (supported: " + std::to_string(min_version) +
-        ".." + std::to_string(max_version) + ")");
+        "unsupported checkpoint version " + std::to_string(found) +
+        " for " + want + " (this build reads version " +
+        std::to_string(version) + ")");
   }
-  return version;
-}
-
-Status ExpectHeader(std::istream& in, const std::string& want) {
-  return ExpectHeaderVersioned(in, want, kFormatVersion, kFormatVersion)
-      .status();
+  return Status::Ok();
 }
 
 Status ValidateWeightOptions(const WeightOptions& weight) {
@@ -181,7 +173,6 @@ Status WriteText(ByteSink sink, WriteFn&& write) {
 }  // namespace
 
 int ManifestFormatVersion() { return kManifestVersion; }
-int ManifestMinReadVersion() { return kManifestMinReadVersion; }
 int EstimatorFormatVersion() { return kFormatVersion; }
 
 Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
@@ -191,7 +182,10 @@ Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
 }
 
 Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
-  if (Status s = ExpectHeader(in, kReservoirHeader); !s.ok()) return s;
+  if (Status s = ExpectHeader(in, kReservoirHeader, kFormatVersion);
+      !s.ok()) {
+    return s;
+  }
   GpsOptions options;
   double z_star = 0.0;
   uint64_t processed = 0;
@@ -201,8 +195,8 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
         rng[0] >> rng[1] >> rng[2] >> rng[3] >> num_edges)) {
     return Status::IoError("truncated checkpoint: reservoir metadata");
   }
-  // A corrupt header must not drive the record allocation below: reject
-  // capacities beyond the ceiling before touching num_edges.
+  // The capacity sizes the restored store (GpsReservoir::FromParts), so
+  // a corrupt header is held to the ceiling before anything else.
   if (options.capacity == 0 ||
       options.capacity > kMaxCheckpointCapacity) {
     return Status::InvalidArgument(
@@ -227,8 +221,13 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
     return Status::InvalidArgument(
         "thresholded reservoir checkpoint is not full");
   }
-  std::vector<GpsReservoir::EdgeRecord> records(num_edges);
-  for (GpsReservoir::EdgeRecord& rec : records) {
+  // num_edges is untrusted too: the records grow as they parse, from a
+  // bounded reserve, so a file claiming 2^28 records but holding none is
+  // refused after reading what it holds, not after a 10 GiB allocation.
+  std::vector<GpsReservoir::EdgeRecord> records;
+  records.reserve(std::min(num_edges, kRecordReserveLimit));
+  for (size_t i = 0; i < num_edges; ++i) {
+    GpsReservoir::EdgeRecord& rec = records.emplace_back();
     if (!(in >> rec.edge.u >> rec.edge.v >> rec.weight >> rec.priority >>
           rec.cov_tri >> rec.cov_wedge)) {
       return Status::IoError("truncated checkpoint: edge records");
@@ -276,7 +275,10 @@ Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
 }
 
 Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in) {
-  if (Status s = ExpectHeader(in, kInStreamHeader); !s.ok()) return s;
+  if (Status s = ExpectHeader(in, kInStreamHeader, kFormatVersion);
+      !s.ok()) {
+    return s;
+  }
   Result<WeightOptions> weight = ReadWeightOptions(in);
   if (!weight.ok()) return weight.status();
   InStreamEstimator::Accumulators acc;
@@ -378,23 +380,21 @@ Status ValidateManifest(const ShardManifest& manifest) {
       }
     }
   }
-  if (manifest.stream_offset > 0) {
-    // The entries describe shards of the recorded run prefix, so no shard
-    // can have consumed more arrivals than the engine ever routed — and
-    // the covered shards together cannot exceed the routed total either.
-    // The counts are untrusted: detect wrap-around so crafted huge values
-    // cannot fold back under the offset.
-    uint64_t entry_sum = 0;
-    for (const ShardManifestEntry& entry : manifest.entries) {
-      if (entry_sum + entry.edges_processed < entry_sum ||
-          entry_sum + entry.edges_processed > manifest.stream_offset) {
-        return Status::InvalidArgument(
-            "manifest shard arrival counts exceed the recorded stream "
-            "offset " +
-            std::to_string(manifest.stream_offset));
-      }
-      entry_sum += entry.edges_processed;
+  // The entries describe shards of the recorded run prefix, so no shard
+  // can have consumed more arrivals than the engine ever routed — and
+  // the covered shards together cannot exceed the routed total either.
+  // The counts are untrusted: detect wrap-around so crafted huge values
+  // cannot fold back under the offset.
+  uint64_t entry_sum = 0;
+  for (const ShardManifestEntry& entry : manifest.entries) {
+    if (entry_sum + entry.edges_processed < entry_sum ||
+        entry_sum + entry.edges_processed > manifest.stream_offset) {
+      return Status::InvalidArgument(
+          "manifest shard arrival counts exceed the recorded stream "
+          "offset " +
+          std::to_string(manifest.stream_offset));
     }
+    entry_sum += entry.edges_processed;
   }
   std::vector<bool> seen(manifest.num_shards, false);
   for (const ShardManifestEntry& entry : manifest.entries) {
@@ -439,13 +439,15 @@ Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink) {
 }
 
 Result<ShardManifest> DeserializeManifest(std::istream& in) {
-  Result<int> version = ExpectHeaderVersioned(
-      in, kManifestHeader, kManifestMinReadVersion, kManifestVersion);
-  if (!version.ok()) return version.status();
+  if (Status s = ExpectHeader(in, kManifestHeader, kManifestVersion);
+      !s.ok()) {
+    return s;
+  }
   ShardManifest manifest;
   int split = -1;
   if (!(in >> manifest.num_shards >> manifest.base_seed >>
-        manifest.total_capacity >> split)) {
+        manifest.total_capacity >> split >> manifest.stream_offset >>
+        manifest.mem_budget_bytes)) {
     return Status::IoError("truncated manifest: layout");
   }
   if (split != 0 && split != 1) {
@@ -457,40 +459,26 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
         "manifest split-capacity flag 0 (the full capacity in every shard) "
         "is not supported: every shard holds ceil(capacity / K) slots");
   }
-  // Version 1 predates the stream offset; leave it 0 (resume derives the
-  // offset from the entries' arrival counts instead).
-  if (*version >= 2 && !(in >> manifest.stream_offset)) {
-    return Status::IoError("truncated manifest: stream offset");
-  }
-  // Version 4 added capacity provenance; earlier manifests came from
-  // explicit-capacity runs (budget 0 = "not budget derived").
-  if (*version >= 4 && !(in >> manifest.mem_budget_bytes)) {
-    return Status::IoError("truncated manifest: memory budget");
-  }
   Result<WeightOptions> weight = ReadWeightOptions(in);
   if (!weight.ok()) return weight.status();
   manifest.weight = *weight;
-  // Version 3 added the motif set; earlier manifests describe the bare
-  // tri/wedge estimator stack (empty motif list).
-  if (*version >= 3) {
-    size_t num_motifs = 0;
-    if (!(in >> num_motifs)) {
-      return Status::IoError("truncated manifest: motif count");
+  size_t num_motifs = 0;
+  if (!(in >> num_motifs)) {
+    return Status::IoError("truncated manifest: motif count");
+  }
+  if (num_motifs > MotifEntries().size()) {
+    return Status::InvalidArgument(
+        "manifest motif count " + std::to_string(num_motifs) +
+        " exceeds the registry size " +
+        std::to_string(MotifEntries().size()));
+  }
+  manifest.motif_names.reserve(num_motifs);
+  for (size_t m = 0; m < num_motifs; ++m) {
+    std::string name;
+    if (!(in >> name)) {
+      return Status::IoError("truncated manifest: motif names");
     }
-    if (num_motifs > MotifEntries().size()) {
-      return Status::InvalidArgument(
-          "manifest motif count " + std::to_string(num_motifs) +
-          " exceeds the registry size " +
-          std::to_string(MotifEntries().size()));
-    }
-    manifest.motif_names.reserve(num_motifs);
-    for (size_t m = 0; m < num_motifs; ++m) {
-      std::string name;
-      if (!(in >> name)) {
-        return Status::IoError("truncated manifest: motif names");
-      }
-      manifest.motif_names.push_back(std::move(name));
-    }
+    manifest.motif_names.push_back(std::move(name));
   }
   size_t num_entries = 0;
   if (!(in >> num_entries)) {

@@ -29,23 +29,18 @@
 // set of manifests whose layouts agree and whose entries cover every
 // shard exactly once (src/engine/sharded_engine.h).
 //
-// Manifest versioning: version 2 added `stream_offset` (the number of
-// stream edges the writing engine had ingested) so an interrupted sharded
-// run can be RESUMED, not just merged. Version 3 added the motif-statistic
-// set: a line naming the run's configured motifs (core/motifs.h registry
-// keys) and, per shard entry, one serialized MotifAccumulator per motif,
-// so multi-motif runs checkpoint/merge/resume like the tri/wedge set.
-// Version 4 added capacity provenance: the --mem byte budget the run's
-// total capacity was derived from (0 for an explicit --capacity), cross-
-// checked against the recorded capacity at read so a corrupt or
-// hand-edited manifest cannot silently resume with a different memory
-// envelope than the one the operator budgeted. Writers emit version 4;
-// readers accept versions 1-3 (empty motif set before v3; stream_offset
-// reported as 0 for v1 — resume then derives the offset from the
-// per-entry arrival counts; budget provenance 0 before v4). Unknown
-// motif names are refused BY NAME at read. The per-shard RNG state
-// itself lives in the GPS-INSTREAM shard files, which already
-// round-trip it exactly.
+// Manifest versioning: writers emit GPS-MANIFEST version 4 — the layout
+// line carries the stream offset (the number of stream edges the writing
+// engine had ingested, so an interrupted run can be resumed, not just
+// merged) and the --mem byte budget the total capacity was derived from
+// (0 for an explicit --capacity, cross-checked against the capacity at
+// read), followed by the run's motif set (core/motifs.h registry keys)
+// and, per shard entry, one serialized MotifAccumulator per motif. The
+// reader takes exactly the version this build writes and refuses every
+// other version by name; with no released checkpoints to honour, an
+// older-version reader would never retire. Unknown motif names are
+// refused BY NAME at read. The per-shard RNG state itself lives in the
+// GPS-INSTREAM shard files, which already round-trip it exactly.
 
 #ifndef GPS_CORE_SERIALIZE_H_
 #define GPS_CORE_SERIALIZE_H_
@@ -66,18 +61,17 @@
 namespace gps {
 
 /// Ceiling on the reservoir capacity a checkpoint may declare; bounds the
-/// deserializer's record allocation against corrupt headers (2^28 records
-/// ≈ 10 GiB). Raise deliberately if a deployment legitimately needs more.
+/// store a restored reservoir reserves against corrupt headers. Record
+/// counts never size an allocation: records grow as they are read.
+/// Raise deliberately if a deployment legitimately needs more.
 inline constexpr size_t kMaxCheckpointCapacity = size_t{1} << 28;
 
 /// Ceiling on a manifest's shard count K (matches gps_cli --shards).
 inline constexpr uint32_t kMaxManifestShards = 4096;
 
-/// The GPS-MANIFEST version this build writes (see the versioning note
-/// above). Exposed for compat triage (`gps_cli version`).
+/// The GPS-MANIFEST version this build writes and reads (see the
+/// versioning note above). Exposed for compat triage (`gps_cli version`).
 int ManifestFormatVersion();
-/// The oldest GPS-MANIFEST version this build still reads.
-int ManifestMinReadVersion();
 /// The single-estimator (GPS-RESERVOIR/-INSTREAM) format version.
 int EstimatorFormatVersion();
 
@@ -99,8 +93,8 @@ struct ShardManifestEntry {
   /// relative to the directory holding the manifest.
   std::string filename;
   /// Motif-statistic accumulators at checkpoint time, one per entry of
-  /// the manifest's `motif_names` (same order). Empty for version <= 2
-  /// manifests and runs without a motif suite.
+  /// the manifest's `motif_names` (same order). Empty for runs without a
+  /// motif suite.
   std::vector<MotifAccumulator> motif_accumulators;
 };
 
@@ -115,11 +109,11 @@ struct ShardManifest {
   /// after it; writers print 1 and readers refuse anything else by name.
   size_t total_capacity = 0;
   /// Stream edges the writing engine had ingested when the checkpoint was
-  /// taken (version >= 2). 0 for version-1 manifests, where resume falls
-  /// back to the sum of the entries' arrival counts (equal for a fully
-  /// covered layout: every routed edge is consumed by exactly one shard).
+  /// taken (0: an empty prefix). The entries' arrival counts never sum
+  /// past it, and a set covering every shard sums to it exactly: every
+  /// routed edge is consumed by exactly one shard.
   uint64_t stream_offset = 0;
-  /// Capacity provenance (version >= 4): the --mem byte budget
+  /// Capacity provenance: the --mem byte budget
   /// total_capacity was derived from, or 0 when the operator passed an
   /// explicit --capacity. When non-zero, validation cross-checks that
   /// DeriveStoreLayout(mem_budget_bytes).capacity == total_capacity.
@@ -127,8 +121,8 @@ struct ShardManifest {
   /// Weight configuration shared by all shards; kind != kCustom.
   WeightOptions weight;
   /// Motif-statistic set the run was configured with (core/motifs.h
-  /// registry names, suite order). Version >= 3; empty before that and
-  /// for runs without a motif suite. Unknown names are refused by name.
+  /// registry names, suite order); empty for runs without a motif suite.
+  /// Unknown names are refused by name.
   std::vector<std::string> motif_names;
   /// Shard files this manifest covers — possibly a subset of the K shards
   /// when a host ran only part of the layout.
@@ -137,7 +131,8 @@ struct ShardManifest {
 
 /// Validates manifest invariants: shard count and capacity within their
 /// ceilings, finite serializable weight configuration, entry indices
-/// unique and in range, bare filenames. Enforced on both write and read.
+/// unique and in range, arrival counts summing to at most the stream
+/// offset, bare filenames. Enforced on both write and read.
 Status ValidateManifest(const ShardManifest& manifest);
 
 /// Writes a manifest (validating it first) to `sink`, chunk by chunk;

@@ -169,8 +169,6 @@ class ShardWorker {
   /// belongs to the shard's one stratum.
   std::span<const uint32_t> slot_strata() const { return {}; }
 
-  ShardEstimatorKind estimator_kind() const { return options_.estimator; }
-
  private:
   void RunWorker();
 

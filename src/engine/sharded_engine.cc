@@ -96,6 +96,14 @@ Status CheckManifestsCompatible(const ShardManifest& base,
         ": motif set does not match (shards of one run share one ordered "
         "motif suite)");
   }
+  if (other.stream_offset != base.stream_offset) {
+    return Status::FailedPrecondition(
+        "manifest " + path + ": stream offset " +
+        std::to_string(other.stream_offset) + " does not match " +
+        std::to_string(base.stream_offset) +
+        " (checkpoints taken at different stream positions cannot be "
+        "combined)");
+  }
   return Status::Ok();
 }
 
@@ -108,16 +116,16 @@ Result<std::string> ReadFileBytes(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-/// A fully validated checkpoint set: the shared layout, the restored
-/// per-shard estimators in shard order, and the stream position the run
-/// was interrupted at. ResumeFromCheckpoints builds its engine on it.
+/// A fully validated checkpoint set: the shared layout (with the stream
+/// position the run was interrupted at) and the restored per-shard
+/// estimators in shard order. ResumeFromCheckpoints builds its engine on
+/// it.
 struct LoadedCheckpoints {
   ShardManifest layout;  // entries cleared; motif_names retained
   std::vector<std::unique_ptr<InStreamEstimator>> estimators;
   /// Restored motif accumulators, one vector per shard in shard order;
   /// every inner vector matches layout.motif_names (possibly empty).
   std::vector<std::vector<MotifAccumulator>> motif_accumulators;
-  uint64_t stream_offset = 0;
 };
 
 Result<LoadedCheckpoints> LoadCheckpoints(
@@ -132,11 +140,6 @@ Result<LoadedCheckpoints> LoadCheckpoints(
   };
   ShardManifest base;
   std::vector<LocatedEntry> located;
-  // The recorded stream offset must be validated across ALL manifests,
-  // not just whichever happens to be listed first: version-1 manifests
-  // report 0 ("unknown"), so the consensus is the unique nonzero offset
-  // — order-independent by construction.
-  uint64_t recorded_offset = 0;
   bool first = true;
   for (const std::string& path : manifest_paths) {
     // An ifstream opens a directory and then reads nothing, which would
@@ -159,18 +162,6 @@ Result<LoadedCheckpoints> LoadCheckpoints(
     } else if (Status st = CheckManifestsCompatible(base, *manifest, path);
                !st.ok()) {
       return st;
-    }
-    if (manifest->stream_offset > 0) {
-      if (recorded_offset == 0) {
-        recorded_offset = manifest->stream_offset;
-      } else if (recorded_offset != manifest->stream_offset) {
-        return Status::FailedPrecondition(
-            "manifest " + path + ": stream offset " +
-            std::to_string(manifest->stream_offset) +
-            " does not match the " + std::to_string(recorded_offset) +
-            " recorded by another manifest (checkpoints taken at "
-            "different stream positions cannot be combined)");
-      }
     }
     const std::filesystem::path dir =
         std::filesystem::path(path).parent_path();
@@ -253,17 +244,14 @@ Result<LoadedCheckpoints> LoadCheckpoints(
     loaded.motif_accumulators.push_back(le.entry.motif_accumulators);
   }
 
-  // Version-2 manifests record the offset explicitly; a fully covered
-  // layout must agree with the per-shard arrival counts (every routed
-  // edge is consumed by exactly one shard). Version-1 manifests fall back
-  // to the derived sum.
-  if (recorded_offset > 0 && recorded_offset != arrival_sum) {
+  // A fully covered layout accounts for every routed edge: each one is
+  // consumed by exactly one shard.
+  if (base.stream_offset != arrival_sum) {
     return Status::FailedPrecondition(
-        "manifest stream offset " + std::to_string(recorded_offset) +
+        "manifest stream offset " + std::to_string(base.stream_offset) +
         " disagrees with the shards' arrival counts (" +
         std::to_string(arrival_sum) + ")");
   }
-  loaded.stream_offset = arrival_sum;
   loaded.layout = std::move(base);
   loaded.layout.entries.clear();  // superseded by the restored estimators
   return loaded;
@@ -734,7 +722,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   return std::unique_ptr<ShardedEngine>(
       new ShardedEngine(std::move(options), std::move(loaded->estimators),
                         std::move(loaded->motif_accumulators),
-                        loaded->stream_offset));
+                        loaded->layout.stream_offset));
 }
 
 }  // namespace gps

@@ -188,12 +188,12 @@ class ShardedEngine {
   /// the checkpointed prefix can be read without re-streaming. Per-shard
   /// reservoirs, snapshot accumulators, and RNG states are restored from
   /// the shard files (exact round trip), workers are started (none at
-  /// K=1), and edges_processed() resumes at the manifest's stream offset
-  /// (version-1 manifests: the sum of per-shard arrival counts). Feeding
-  /// the suffix of the original stream yields per-shard reservoirs and
-  /// merged estimates byte-identical to an uninterrupted run. All
-  /// manifests must agree on K, base seed, capacity, weight
-  /// configuration and motif suite (FailedPrecondition otherwise); their
+  /// K=1), and edges_processed() resumes at the manifests' stream offset.
+  /// Feeding the suffix of the original stream yields per-shard
+  /// reservoirs and merged estimates byte-identical to an uninterrupted
+  /// run. All manifests must agree on K, base seed, capacity, weight
+  /// configuration, motif suite and stream offset (FailedPrecondition
+  /// otherwise), and the shards' arrival counts must sum to it; their
   /// entries must cover every shard exactly once and match the
   /// core/seeding.h derivation, and every shard file must match its
   /// recorded digest. A directory passed as a manifest path is refused by

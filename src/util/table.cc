@@ -95,33 +95,4 @@ std::string TextTable::ToString() const {
   return out;
 }
 
-StreamingTable::StreamingTable(std::vector<Column> columns)
-    : columns_(std::move(columns)) {
-  for (Column& column : columns_) {
-    column.width = std::max(column.width, column.title.size());
-  }
-}
-
-std::string StreamingTable::HeaderLine() const {
-  std::vector<std::string> titles;
-  titles.reserve(columns_.size());
-  for (const Column& column : columns_) titles.push_back(column.title);
-  return RowLine(titles);
-}
-
-std::string StreamingTable::RowLine(
-    const std::vector<std::string>& cells) const {
-  assert(cells.size() == columns_.size());
-  std::string line;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (c > 0) line += ' ';
-    const std::string& cell = cells[c];
-    if (cell.size() < columns_[c].width) {
-      line += std::string(columns_[c].width - cell.size(), ' ');
-    }
-    line += cell;
-  }
-  return line;
-}
-
 }  // namespace gps

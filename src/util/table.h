@@ -43,30 +43,6 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Fixed-width streaming row writer: like TextTable but renders each row
-/// as it arrives against pre-declared column widths, for live output that
-/// cannot buffer the whole series (gps_cli monitor's table mode). Cells
-/// are right-aligned; cells wider than their column keep their full text
-/// (alignment degrades, data never truncates).
-class StreamingTable {
- public:
-  struct Column {
-    std::string title;
-    size_t width = 0;  ///< effective width = max(width, title length)
-  };
-
-  explicit StreamingTable(std::vector<Column> columns);
-
-  /// The header line (no trailing newline).
-  std::string HeaderLine() const;
-
-  /// Renders one data row; must have the same arity as the columns.
-  std::string RowLine(const std::vector<std::string>& cells) const;
-
- private:
-  std::vector<Column> columns_;
-};
-
 }  // namespace gps
 
 #endif  // GPS_UTIL_TABLE_H_

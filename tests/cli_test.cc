@@ -561,8 +561,6 @@ TEST_F(CliTest, RejectsZeroCountFlags) {
       {"monitor --input {} --every 0", "--every"},
       {"monitor --input {} --every 10 --checkpoint-every 0",
        "--checkpoint-every"},
-      {"convert --input {} --output /dev/null --block-edges 0",
-       "--block-edges"},
   };
   for (const auto& c : kCases) {
     std::string args = c.command_args;
@@ -589,10 +587,13 @@ TEST_F(CliTest, MonitorNeedsEvery) {
 }
 
 TEST_F(CliTest, MonitorRejectsBadOutputAndCheckpointCombos) {
+  // CSV is the monitor's one layout: --output is an unknown flag.
   const CommandResult bad_output = RunCli(
       "monitor --input " + graph_path_ + " --every 100 --output yaml");
-  EXPECT_NE(bad_output.exit_code, 0);
-  EXPECT_NE(bad_output.output.find("output format"), std::string::npos);
+  EXPECT_EQ(bad_output.exit_code, 2) << bad_output.output;
+  EXPECT_NE(bad_output.output.find("unknown flag '--output'"),
+            std::string::npos)
+      << bad_output.output;
 
   const CommandResult no_dir = RunCli("monitor --input " + graph_path_ +
                                       " --every 100 --checkpoint-every 50");
@@ -753,10 +754,15 @@ TEST_F(CliTest, MonitorFailedCheckpointKeepsEveryRowAndTheOldCheckpoint) {
 }
 
 TEST_F(CliTest, MonitorTableOutput) {
-  const CommandResult r = RunCli("monitor --input " + graph_path_ +
-                                 " --every 5000 --output table");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("tri 95% CI"), std::string::npos);
+  // The table layout is gone and CSV needs no flag: --output names no
+  // layout, not even csv.
+  for (const std::string layout : {"table", "csv"}) {
+    const CommandResult r = RunCli("monitor --input " + graph_path_ +
+                                   " --every 5000 --output " + layout);
+    EXPECT_EQ(r.exit_code, 2) << layout << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown flag '--output'"), std::string::npos)
+        << layout << "\n" << r.output;
+  }
 }
 
 TEST_F(CliTest, MonitorCheckpointEveryThenResumeShards) {
@@ -1001,7 +1007,6 @@ TEST_F(CliTest, VersionReportsFormats) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("manifest format"), std::string::npos);
   EXPECT_NE(r.output.find("v4"), std::string::npos);
-  EXPECT_NE(r.output.find("manifest min read"), std::string::npos);
   EXPECT_NE(r.output.find("estimator format"), std::string::npos);
   EXPECT_NE(r.output.find("stream format"), std::string::npos);
   EXPECT_NE(r.output.find("metrics"), std::string::npos);
@@ -1279,10 +1284,14 @@ TEST_F(CliTest, ConvertValidatesFlags) {
   EXPECT_NE(bad_to.exit_code, 0);
   EXPECT_NE(bad_to.output.find("unknown --to 'xml'"), std::string::npos)
       << bad_to.output;
+  // Binary output always has the default block size.
   const CommandResult bad_block =
       RunCli("convert --input " + graph_path_ +
-             " --output /dev/null --block-edges 0");
-  EXPECT_NE(bad_block.exit_code, 0);
+             " --output /dev/null --block-edges 4");
+  EXPECT_EQ(bad_block.exit_code, 2) << bad_block.output;
+  EXPECT_NE(bad_block.output.find("unknown flag '--block-edges'"),
+            std::string::npos)
+      << bad_block.output;
 }
 
 }  // namespace

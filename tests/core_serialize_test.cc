@@ -214,10 +214,9 @@ TEST(SerializeTest, RejectsCorruptReservoirFields) {
 }
 
 TEST(SerializeTest, RejectsOversizedCapacityBeforeAllocating) {
-  // A corrupt header must not drive the record allocation: this declares
-  // an absurd capacity AND matching edge count; the deserializer has to
-  // fail on the capacity ceiling before sizing the record vector (if it
-  // allocated first, this test would OOM rather than return quickly).
+  // A corrupt header must not drive an allocation: this declares an
+  // absurd capacity AND matching edge count; the deserializer has to
+  // fail on the capacity ceiling before reserving anything by it.
   std::stringstream buffer(
       "GPS-RESERVOIR 1\n"
       "999999999999 1\n"
@@ -228,6 +227,23 @@ TEST(SerializeTest, RejectsOversizedCapacityBeforeAllocating) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("capacity"), std::string::npos);
+}
+
+TEST(SerializeTest, RejectsRecordCountBeyondTheFileBeforeAllocating) {
+  // A header at the capacity ceiling claiming 2^28 records (40 B each,
+  // 10 GiB) in a file that holds none: refused as truncated after
+  // reading what is there, without sizing anything by the claimed count.
+  std::stringstream buffer(
+      "GPS-RESERVOIR 1\n"
+      "268435456 3\n"
+      "0 268435456\n"
+      "1 2 3 4\n"
+      "268435456\n");
+  auto r = DeserializeReservoir(buffer);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find("edge records"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(SerializeTest, RejectsInvalidInStreamAccumulators) {
@@ -324,17 +340,25 @@ TEST(SerializeTest, ManifestMotifValidation) {
       << write.ToString();
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 3\n1 42 1000 1 0\n2 9 1 1\n1 pentagon\n0\n");
+        "GPS-MANIFEST 4\n1 42 1000 1 0 0\n2 9 1 1\n1 pentagon\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("pentagon"), std::string::npos);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("unknown motif 'pentagon'"),
+              std::string::npos)
+        << r.status().ToString();
   }
 
   // A duplicated motif name is refused.
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 3\n1 42 1000 1 0\n2 9 1 1\n2 tri tri\n0\n");
-    EXPECT_FALSE(DeserializeManifest(crafted).ok());
+        "GPS-MANIFEST 4\n1 42 1000 1 0 0\n2 9 1 1\n2 tri tri\n0\n");
+    auto r = DeserializeManifest(crafted);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("motif 'tri' listed twice"),
+              std::string::npos)
+        << r.status().ToString();
   }
 
   // Entry accumulator arity must match the motif set.
@@ -356,9 +380,15 @@ TEST(SerializeTest, ManifestMotifValidation) {
   EXPECT_NE(neg.message().find("tri"), std::string::npos);
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 3\n1 42 1000 1 0\n2 9 1 1\n1 tri\n1\n"
-        "0 42 10 123 shard.gps 5 nan 2\n");
-    EXPECT_FALSE(DeserializeManifest(crafted).ok());
+        "GPS-MANIFEST 4\n1 42 1000 1 10 0\n2 9 1 1\n1 tri\n1\n"
+        "0 42 10 123 shard.gps 5 -1 2\n");
+    auto r = DeserializeManifest(crafted);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(
+                  "invalid 'tri' accumulator for manifest shard 0"),
+              std::string::npos)
+        << r.status().ToString();
   }
 }
 
@@ -395,43 +425,55 @@ TEST(SerializeTest, ManifestSerializationValidates) {
 }
 
 TEST(SerializeTest, ManifestRejectsCorruptText) {
-  // Layout reminder: "GPS-MANIFEST 1\n K base_seed capacity split\n
-  // kind coeff adj default\n num_entries\n idx seed edges digest file\n".
+  // Layout reminder: "GPS-MANIFEST 4\n K base_seed capacity split offset
+  // budget\n kind coeff adj default\n num_motifs names\n num_entries\n
+  // idx seed edges digest file\n".
   const struct {
     const char* name;
     const char* text;
     StatusCode want;
+    const char* message;
   } kCases[] = {
-      {"wrong header", "GPS-NOPE 1\n", StatusCode::kInvalidArgument},
-      {"truncated", "GPS-MANIFEST 1\n4 42\n", StatusCode::kIoError},
+      {"wrong header", "GPS-NOPE 4\n", StatusCode::kInvalidArgument,
+       "expected GPS-MANIFEST, found GPS-NOPE"},
+      {"truncated", "GPS-MANIFEST 4\n4 42\n", StatusCode::kIoError,
+       "truncated manifest: layout"},
       {"zero shards",
-       "GPS-MANIFEST 1\n0 42 1000 1\n2 9 1 1\n0\n",
-       StatusCode::kInvalidArgument},
+       "GPS-MANIFEST 4\n0 42 1000 1 0 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "manifest shard count 0 outside"},
       {"shard count over ceiling",
-       "GPS-MANIFEST 1\n5000 42 1000 1\n2 9 1 1\n0\n",
-       StatusCode::kInvalidArgument},
+       "GPS-MANIFEST 4\n5000 42 1000 1 0 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "manifest shard count 5000 outside"},
       {"capacity over ceiling",
-       "GPS-MANIFEST 1\n4 42 999999999999 1\n2 9 1 1\n0\n",
-       StatusCode::kInvalidArgument},
+       "GPS-MANIFEST 4\n4 42 999999999999 1 0 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "manifest capacity 999999999999"},
       {"bad split flag",
-       "GPS-MANIFEST 1\n4 42 1000 7\n2 9 1 1\n0\n",
-       StatusCode::kInvalidArgument},
+       "GPS-MANIFEST 4\n4 42 1000 7 0 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "split-capacity flag must be 0 or 1"},
       {"entry index out of range",
-       "GPS-MANIFEST 1\n4 42 1000 1\n2 9 1 1\n1\n"
+       "GPS-MANIFEST 4\n4 42 1000 1 250 0\n2 9 1 1\n0\n1\n"
        "9 111 250 777 shard.gps\n",
-       StatusCode::kInvalidArgument},
+       StatusCode::kInvalidArgument, "manifest shard index 9 out of range"},
       {"duplicate entry",
-       "GPS-MANIFEST 1\n4 42 1000 1\n2 9 1 1\n2\n"
+       "GPS-MANIFEST 4\n4 42 1000 1 500 0\n2 9 1 1\n0\n2\n"
        "0 111 250 777 a.gps\n0 111 250 777 b.gps\n",
-       StatusCode::kInvalidArgument},
+       StatusCode::kInvalidArgument, "manifest lists shard 0 twice"},
       {"more entries than shards",
-       "GPS-MANIFEST 1\n2 42 1000 1\n2 9 1 1\n3\n"
+       "GPS-MANIFEST 4\n2 42 1000 1 6 0\n2 9 1 1\n0\n3\n"
        "0 1 2 3 a.gps\n1 1 2 3 b.gps\n1 1 2 3 c.gps\n",
-       StatusCode::kInvalidArgument},
+       StatusCode::kInvalidArgument,
+       "manifest lists more shard files than shards"},
       {"path traversal filename",
-       "GPS-MANIFEST 1\n4 42 1000 1\n2 9 1 1\n1\n"
+       "GPS-MANIFEST 4\n4 42 1000 1 250 0\n2 9 1 1\n0\n1\n"
        "0 111 250 777 ../evil.gps\n",
-       StatusCode::kInvalidArgument},
+       StatusCode::kInvalidArgument, "must be a bare file name"},
+      // Offset 0 is an empty prefix, not "unknown": an entry that ran
+      // arrivals does not fit under it.
+      {"arrivals past the stream offset",
+       "GPS-MANIFEST 4\n4 42 1000 1 0 0\n2 9 1 1\n0\n1\n"
+       "0 111 250 777 shard.gps\n",
+       StatusCode::kInvalidArgument,
+       "arrival counts exceed the recorded stream offset 0"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
@@ -439,75 +481,48 @@ TEST(SerializeTest, ManifestRejectsCorruptText) {
     auto r = DeserializeManifest(buffer);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), c.want) << r.status().ToString();
+    EXPECT_NE(r.status().message().find(c.message), std::string::npos)
+        << r.status().ToString();
   }
 }
 
 TEST(SerializeTest, ManifestVersionCompatibility) {
-  // Version 1 (pre stream-offset) still reads, reporting offset 0.
+  // The reader takes exactly the version writers emit, 4: the layout line
+  // ends with the --mem budget the capacity was derived from (0 marks an
+  // explicit --capacity run).
+  const std::string body =
+      "\n4 42 1000 1 900 141096\n2 9 1 1\n0\n1\n"
+      "0 111 250 777 shard.gps\n";
   {
-    std::stringstream v1(
-        "GPS-MANIFEST 1\n4 42 1000 1\n2 9 1 1\n1\n"
-        "0 111 250 777 shard.gps\n");
-    auto r = DeserializeManifest(v1);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->stream_offset, 0u);
-    EXPECT_EQ(r->num_shards, 4u);
-  }
-  // Version 2 reads the offset from the layout line.
-  {
-    std::stringstream v2(
-        "GPS-MANIFEST 2\n4 42 1000 1 900\n2 9 1 1\n1\n"
-        "0 111 250 777 shard.gps\n");
-    auto r = DeserializeManifest(v2);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->stream_offset, 900u);
-  }
-  // A truncated version-2 layout line is an IO error, not a misparse.
-  {
-    std::stringstream truncated("GPS-MANIFEST 2\n4 42 1000 1\n");
-    auto r = DeserializeManifest(truncated);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-  }
-  // Version 3 adds the motif-set line; an empty set reads like v2.
-  // Pre-v4 manifests report no budget provenance.
-  {
-    std::stringstream v3(
-        "GPS-MANIFEST 3\n4 42 1000 1 900\n2 9 1 1\n0\n1\n"
-        "0 111 250 777 shard.gps\n");
-    auto r = DeserializeManifest(v3);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->stream_offset, 900u);
-    EXPECT_TRUE(r->motif_names.empty());
-    EXPECT_EQ(r->mem_budget_bytes, 0u);
-  }
-  // Version 4 appends the --mem budget the capacity was derived from to
-  // the layout line; 0 marks an explicit --capacity run.
-  {
-    std::stringstream v4(
-        "GPS-MANIFEST 4\n4 42 1000 1 900 141096\n2 9 1 1\n0\n1\n"
-        "0 111 250 777 shard.gps\n");
+    std::stringstream v4("GPS-MANIFEST 4" + body);
     auto r = DeserializeManifest(v4);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stream_offset, 900u);
     EXPECT_EQ(r->mem_budget_bytes, 141096u);
+    EXPECT_TRUE(r->motif_names.empty());
   }
-  // A truncated version-4 layout line (budget missing) is an IO error.
+  // Every other version is refused by name, older ones included: no
+  // writer has emitted them, and their layout lines differ from this
+  // one.
+  for (const int version : {1, 2, 3, 5}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::stringstream other("GPS-MANIFEST " + std::to_string(version) +
+                            body);
+    auto r = DeserializeManifest(other);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(
+                  "unsupported checkpoint version " +
+                  std::to_string(version) + " for GPS-MANIFEST"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // A truncated layout line (budget missing) is an IO error.
   {
     std::stringstream truncated("GPS-MANIFEST 4\n4 42 1000 1 900\n");
     auto r = DeserializeManifest(truncated);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-  }
-  // Unknown future versions are refused by name: their layout lines may
-  // carry fields this reader does not understand.
-  {
-    std::stringstream v5(
-        "GPS-MANIFEST 5\n4 42 1000 1 900 0 extra\n2 9 1 1\n0\n0\n");
-    auto r = DeserializeManifest(v5);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("version"), std::string::npos)
-        << r.status().ToString();
   }
   // Writers always emit the current version.
   std::stringstream out;

@@ -6,8 +6,10 @@
 // incomplete, or corrupt checkpoint sets must fail with typed Status
 // errors.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -438,6 +440,131 @@ TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
               std::string::npos)
         << merged.status().ToString();
   }
+}
+
+/// `text` cut after every '\n'; the last piece lacks one when the text
+/// does not end in a newline.
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t end = std::min(text.find('\n', pos), text.size() - 1) + 1;
+    lines.push_back(text.substr(pos, end - pos));
+    pos = end;
+  }
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line;
+  return text;
+}
+
+/// The kinds of damage the mutation test applies to a checkpoint file.
+enum class Mutation { kByteFlip, kTruncate, kDelete, kDuplicate, kSplice,
+                      kVersion };
+
+/// `text` with one seeded mutation of kind `kind`; kSplice copies a line
+/// of `donor` over one of the text's lines, kVersion sets the header's
+/// version digit to 1-9.
+std::string Mutate(Mutation kind, const std::string& text,
+                   const std::string& donor, std::mt19937_64& rng) {
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % n);
+  };
+  std::string out = text;
+  std::vector<std::string> lines = SplitLines(text);
+  switch (kind) {
+    case Mutation::kByteFlip:
+      out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+      return out;
+    case Mutation::kTruncate:
+      out.resize(pick(out.size()));
+      return out;
+    case Mutation::kDelete:
+      lines.erase(lines.begin() + static_cast<long>(pick(lines.size())));
+      return JoinLines(lines);
+    case Mutation::kDuplicate: {
+      const size_t at = pick(lines.size());
+      lines.insert(lines.begin() + static_cast<long>(at), lines[at]);
+      return JoinLines(lines);
+    }
+    case Mutation::kSplice: {
+      const std::vector<std::string> donor_lines = SplitLines(donor);
+      lines[pick(lines.size())] = donor_lines[pick(donor_lines.size())];
+      return JoinLines(lines);
+    }
+    case Mutation::kVersion:
+      out[out.find('\n') - 1] = static_cast<char>('1' + pick(9));
+      return out;
+  }
+  return out;
+}
+
+TEST(EngineCheckpointTest, SeededMutantsEndInAStatus) {
+  // Checkpoints are untrusted input. Seeded mutants of a real K=2
+  // checkpoint — byte flips, truncations, deleted, duplicated and spliced
+  // lines, other header versions — must each end in a Status from the
+  // merge: no abort, no sanitizer report. The digests bind the shard
+  // files, so every shard-file mutant is refused by its digest; a
+  // manifest of any version but 4 is refused by name; a manifest mutant
+  // the reader accepts (whitespace, a trailing line, a smaller
+  // diagnostic arrival count) merges to the live estimates.
+  const std::vector<Edge> stream = TestStream(891);
+  const auto dir = FreshDir("mutants");
+  const GraphEstimates live =
+      RunAndCheckpoint(stream, EngineOptions(2, 61), dir);
+  const std::vector<std::string> manifests = {ManifestPath(dir)};
+  auto original = MergeCheckpoints(manifests);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ExpectExactlyEqual(original->graph, live);
+
+  const std::filesystem::path files[] = {
+      ManifestPath(dir), dir / "shard-0000.gps", dir / "shard-0001.gps"};
+  std::vector<std::string> bytes;
+  for (const std::filesystem::path& file : files) {
+    bytes.push_back(ReadFileBytes(file));
+  }
+  std::mt19937_64 rng(20171024);
+  for (size_t f = 0; f < 3; ++f) {
+    // The manifest takes its spliced lines from shard 1's file, each
+    // shard file from the other one.
+    const std::string& donor = bytes[f == 1 ? 2 : 1];
+    int tried = 0;
+    while (tried < 200) {
+      const auto kind = static_cast<Mutation>(rng() % 6);
+      const std::string mutant = Mutate(kind, bytes[f], donor, rng);
+      if (mutant == bytes[f]) continue;
+      ++tried;
+      SCOPED_TRACE(files[f].filename().string() + " mutant " +
+                   std::to_string(tried) + " (kind " +
+                   std::to_string(static_cast<int>(kind)) + ")");
+      std::ofstream(files[f], std::ios::binary | std::ios::trunc) << mutant;
+
+      auto merged = MergeCheckpoints(manifests);
+      if (f > 0) {
+        ASSERT_FALSE(merged.ok());
+        EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(merged.status().message().find(
+                      "digest mismatch for shard file"),
+                  std::string::npos)
+            << merged.status().ToString();
+      } else if (kind == Mutation::kVersion) {
+        ASSERT_FALSE(merged.ok());
+        EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(merged.status().message().find("version"),
+                  std::string::npos)
+            << merged.status().ToString();
+      } else if (merged.ok()) {
+        ExpectExactlyEqual(merged->graph, live);
+        EXPECT_EQ(merged->edge_count, original->edge_count);
+      }
+    }
+    std::ofstream(files[f], std::ios::binary | std::ios::trunc) << bytes[f];
+  }
+  auto restored = MergeCheckpoints(manifests);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectExactlyEqual(restored->graph, live);
 }
 
 TEST(EngineCheckpointTest, MergeRequiresAtLeastOneManifest) {

@@ -19,10 +19,10 @@
 //       is already ordered; the default permutes the file standalone),
 //       the result is byte-identical to a run that was never
 //       interrupted. --save re-checkpoints afterwards.
-//   monitor   --input FILE --every N [estimate flags] [--output csv|table]
+//   monitor   --input FILE --every N [estimate flags]
 //             [--checkpoint-every M --checkpoint DIR]
 //       Continuous-monitoring mode: cut the stream at every multiple of N
-//       and emit a merged-estimate row there (point estimates + 95% CI
+//       and emit a merged-estimate CSV row there (point estimates + 95% CI
 //       bounds and widths), plus a final row at end of stream.
 //       --checkpoint-every M additionally rewrites a resumable checkpoint
 //       in DIR at every multiple of M and at the end of the stream.
@@ -31,7 +31,6 @@
 //       machines) and print the estimates the live run would produce,
 //       without re-streaming.
 //   convert   --input FILE --output FILE [--to auto|binary|text]
-//             [--block-edges N]
 //       Convert an edge stream between the text format and GPS-STREAM v1
 //       binary (graph/binary_stream.h), preserving stream order and
 //       duplicates. Binary output is reopened and digest-verified before
@@ -43,8 +42,8 @@
 //   corpus
 //       List the paper-analog corpus.
 //   version
-//       Print the checkpoint format versions this build writes/reads, the
-//       build type, and whether metrics instrumentation is compiled in.
+//       Print the checkpoint format versions this build writes and reads,
+//       the build type, and whether metrics instrumentation is compiled in.
 //
 // Every --input is read as GPS-STREAM when the file starts with its
 // magic, as a text edge list otherwise.
@@ -203,12 +202,11 @@ int Usage() {
       "           [--motifs LIST]  (cross-checked against the manifest)\n"
       "  monitor  --input FILE --every N [--capacity N | --mem BYTES]\n"
       "           [--seed S] [--weight KIND] [--shards K]\n"
-      "           [--motifs LIST] [--output csv|table]\n"
+      "           [--motifs LIST]\n"
       "           [--no-permute] [--checkpoint-every M --checkpoint DIR]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
       "  merge-checkpoints --manifest FILE [--manifest FILE ...]\n"
       "  convert  --input FILE --output FILE [--to auto|binary|text]\n"
-      "           [--block-edges N]\n"
       "           (text <-> GPS-STREAM v1 binary; stream order and\n"
       "           duplicates preserved; binary writes are digest-verified\n"
       "           end to end before the command succeeds; --to auto\n"
@@ -346,11 +344,10 @@ Result<std::vector<Edge>> LoadStream(const Flags& flags) {
 
 // ---- Shared estimate formatting ------------------------------------------
 //
-// Every estimate block the CLI prints — estimate, merge-checkpoints,
-// resume-shards, and the monitor table mode — renders through these
-// helpers over util/table, so a statistic added in one place (a motif
-// column, the edge count) shows up with the same precision and alignment
-// everywhere.
+// Every estimate block the CLI prints — estimate, merge-checkpoints and
+// resume-shards — renders through these helpers over util/table, so a
+// statistic added in one place (a motif row, the edge count) shows up
+// with the same precision and alignment everywhere.
 
 /// Count-style cell: integers with no padding ("1234567").
 std::string CountCell(double value) { return FormatDouble(value, 0); }
@@ -759,56 +756,22 @@ std::string MonitorCsvHeader(std::span<const std::string> motifs) {
   return header;
 }
 
-/// The monitor's table layout; shares the CiCell/FormatDouble formatting
-/// of the estimate blocks, with per-motif columns appended in suite order.
-StreamingTable MonitorTable(std::span<const std::string> motifs) {
-  std::vector<StreamingTable::Column> columns = {
-      {"edges", 12},      {"triangles", 14}, {"tri 95% CI", 26},
-      {"wedges", 16},     {"wedge 95% CI", 28}, {"cc", 8},
-      {"cc 95% CI", 18},
-  };
-  for (const std::string& name : motifs) {
-    columns.push_back({name, 14});
-    columns.push_back({name + " 95% CI", 26});
-  }
-  return StreamingTable(std::move(columns));
-}
-
-void PrintMonitorRow(const MonitorRecord& record, bool csv,
-                     const StreamingTable& table) {
+void PrintMonitorRow(const MonitorRecord& record) {
   const Estimate& tri = record.estimates.triangles;
   const Estimate& wed = record.estimates.wedges;
   const Estimate cc = record.estimates.ClusteringCoefficient();
-  if (csv) {
-    std::printf("%llu,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
-                "%.17g,%.17g,%.17g",
-                static_cast<unsigned long long>(record.edges_processed),
-                tri.value, tri.Lower(), tri.Upper(),
-                tri.Upper() - tri.Lower(), wed.value, wed.Lower(),
-                wed.Upper(), wed.Upper() - wed.Lower(), cc.value,
-                cc.Lower(), cc.Upper());
-    for (const MotifEstimate& motif : record.motifs) {
-      const Estimate& est = motif.estimate;
-      std::printf(",%.17g,%.17g,%.17g,%.17g", est.value, est.Lower(),
-                  est.Upper(), est.Upper() - est.Lower());
-    }
-    std::printf("\n");
-    return;
-  }
-  std::vector<std::string> cells = {
-      std::to_string(record.edges_processed),
-      CountCell(tri.value),
-      CiCell(tri, 0),
-      CountCell(wed.value),
-      CiCell(wed, 0),
-      FormatDouble(cc.value, 4),
-      CiCell(cc, 4),
-  };
+  std::printf("%llu,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
+              "%.17g,%.17g,%.17g",
+              static_cast<unsigned long long>(record.edges_processed),
+              tri.value, tri.Lower(), tri.Upper(), tri.Upper() - tri.Lower(),
+              wed.value, wed.Lower(), wed.Upper(), wed.Upper() - wed.Lower(),
+              cc.value, cc.Lower(), cc.Upper());
   for (const MotifEstimate& motif : record.motifs) {
-    cells.push_back(CountCell(motif.estimate.value));
-    cells.push_back(CiCell(motif.estimate, 0));
+    const Estimate& est = motif.estimate;
+    std::printf(",%.17g,%.17g,%.17g,%.17g", est.value, est.Lower(),
+                est.Upper(), est.Upper() - est.Lower());
   }
-  std::printf("%s\n", table.RowLine(cells).c_str());
+  std::printf("\n");
 }
 
 int RunMonitor(const Flags& flags) {
@@ -834,15 +797,6 @@ int RunMonitor(const Flags& flags) {
   uint64_t every = 0;
   if (!GetPositiveFlag(flags, "every", 1, &every)) return 1;
 
-  const std::string output = flags.Get("output", "csv");
-  if (output != "csv" && output != "table") {
-    std::fprintf(stderr, "error: unknown output format '%s' (expected "
-                         "csv or table)\n",
-                 output.c_str());
-    return 1;
-  }
-  const bool csv = output == "csv";
-
   uint64_t checkpoint_every = 0;  // 0 = auto-checkpointing off
   if (flags.Has("checkpoint-every") &&
       !GetPositiveFlag(flags, "checkpoint-every", 1, &checkpoint_every)) {
@@ -866,13 +820,8 @@ int RunMonitor(const Flags& flags) {
   ShardedEngineOptions engine_options = MakeEngineOptions(config);
   engine_options.trace = obs.trace.empty() ? nullptr : &trace_sink;
   ShardedEngine engine(engine_options);
-  const StreamingTable table = MonitorTable(config.motifs);
 
-  if (csv) {
-    std::printf("%s\n", MonitorCsvHeader(config.motifs).c_str());
-  } else {
-    std::printf("%s\n", table.HeaderLine().c_str());
-  }
+  std::printf("%s\n", MonitorCsvHeader(config.motifs).c_str());
   // The monitor owns its schedule: it cuts the stream at every absolute
   // multiple of --every (a row) and of --checkpoint-every (a checkpoint,
   // written after the row when both fall on one position) and feeds each
@@ -897,7 +846,7 @@ int RunMonitor(const Flags& flags) {
     engine.ProcessEdges(remaining.first(take));
     remaining = remaining.subspan(take);
     const uint64_t at = engine.edges_processed();
-    if (at % every == 0) PrintMonitorRow(engine.MergedRecord(), csv, table);
+    if (at % every == 0) PrintMonitorRow(engine.MergedRecord());
     if (checkpointing && at % checkpoint_every == 0) {
       checkpoint_status = engine.SerializeShards(checkpoint_dir);
       if (!checkpoint_status.ok()) {
@@ -916,7 +865,7 @@ int RunMonitor(const Flags& flags) {
     return end != 0 && end % period == 0;
   };
   if (!landed_at_end(every)) {
-    PrintMonitorRow(engine.MergedRecord(), csv, table);
+    PrintMonitorRow(engine.MergedRecord());
   }
   if (!checkpoint_status.ok()) return 1;
   // Leave the directory at the end-of-stream state so a resume continues
@@ -1008,15 +957,6 @@ int RunConvert(const Flags& flags) {
   // normalization) is allowed but must be asked for explicitly.
   const bool to_binary =
       to == "binary" || (to == "auto" && !LooksLikeBinaryStream(input));
-  uint64_t block_edges = kBinaryStreamDefaultBlockEdges;
-  if (!GetPositiveFlag(flags, "block-edges", block_edges, &block_edges)) {
-    return 1;
-  }
-  if (block_edges > kBinaryStreamMaxBlockEdges) {
-    std::fprintf(stderr, "error: --block-edges must be in [1, %u]\n",
-                 kBinaryStreamMaxBlockEdges);
-    return 1;
-  }
 
   auto list = LoadDatasetEdges(flags);
   if (!list.ok()) {
@@ -1042,10 +982,7 @@ int RunConvert(const Flags& flags) {
   };
 
   if (to_binary) {
-    BinaryStreamWriteOptions options;
-    options.block_edges = static_cast<uint32_t>(block_edges);
-    if (Status s = WriteBinaryStream(output, list->Edges(), options);
-        !s.ok()) {
+    if (Status s = WriteBinaryStream(output, list->Edges()); !s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
@@ -1104,8 +1041,6 @@ int RunVersion() {
   TextTable t({"component", "value"});
   t.AddRow({"manifest format",
             "v" + std::to_string(ManifestFormatVersion())});
-  t.AddRow({"manifest min read",
-            "v" + std::to_string(ManifestMinReadVersion())});
   t.AddRow({"estimator format",
             "v" + std::to_string(EstimatorFormatVersion())});
   t.AddRow({"stream format",
@@ -1135,13 +1070,13 @@ int main(int argc, char** argv) {
   } else if (command == "monitor") {
     allowed = {"input",      "capacity",   "seed",
                "weight",     "shards",     "every",
-               "output",     "checkpoint-every", "checkpoint",
+               "checkpoint-every", "checkpoint",
                "no-permute", "motifs",     "stats",
                "stats-out",  "trace",      "mem"};
   } else if (command == "merge-checkpoints") {
     allowed = {"manifest"};
   } else if (command == "convert") {
-    allowed = {"input", "output", "to", "block-edges"};
+    allowed = {"input", "output", "to"};
   } else if (command == "generate") {
     allowed = {"name", "scale", "output"};
   } else if (command == "exact") {
