@@ -8,7 +8,8 @@
 # includes engine_metrics_test (snapshot aggregation racing live
 # relaxed-atomic writers) and engine_merge_test (the multi-threaded
 # merge passes inside monitor ticks), then a -DGPS_SIMD=OFF build with
-# the full ctest.
+# the full ctest (scalar intersection kernels and byte-at-a-time
+# hash-table probes).
 # A short traced perfbench run of every BENCHMARK.json workload checks
 # that the replay driver still matches the CLI byte for byte.
 # Mirrors the release + sanitize + tsan + simd-off jobs of
@@ -98,6 +99,9 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # core_in_stream_test and core_reservoir_test drive Algorithm 3's
 # per-arrival loop directly (duplicates, loops, eviction edge cases): it
 # indexes raw slot-column pointers and prefetches ahead.
+# util_flat_hash_map_test and graph_sampled_graph_test drive the node
+# table's 16-byte control-byte group loads, which end exactly at the
+# table's last byte.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_metrics_test engine_router_test \
@@ -105,10 +109,11 @@ cmake --build build-asan -j"$(nproc)" --target \
   core_parallel_test core_serialize_test core_packed_store_test \
   core_in_stream_test core_reservoir_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
+  graph_sampled_graph_test util_flat_hash_map_test \
   util_parse_bytes_test cli_test gps_cli
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|util_parse_bytes|cli_test'
+  -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|graph_sampled_graph|util_flat_hash_map|util_parse_bytes|cli_test'
 
 echo "=== TSan build + threaded suites ==="
 # engine_ring_buffer_test drives the batch ring's sleeping waits (full
@@ -147,7 +152,10 @@ echo "=== Scalar-only build (-DGPS_SIMD=OFF) + full ctest ==="
 # The vector kernels compiled out entirely (the non-x86 path). The full
 # suite must pass on scalar merge/gallop alone, and the differential
 # tests prove the scalar kernels produce the same bytes the SIMD build
-# does — the determinism contract is per-kernel, not per-ISA.
+# does — the determinism contract is per-kernel, not per-ISA. Hash-table
+# probes take the byte-at-a-time tag walk here, and
+# util_flat_hash_map_test's layout identity checks it against a scalar
+# reference table.
 cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=Release -DGPS_SIMD=OFF \
   -DGPS_WERROR=ON -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
 cmake --build build-nosimd -j"$(nproc)"

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -35,6 +36,8 @@ class EdgeList {
   NodeId NumNodes() const { return num_nodes_; }
 
   const std::vector<Edge>& Edges() const { return edges_; }
+  /// Hands the edge vector out of an expiring list, without a copy.
+  std::vector<Edge> TakeEdges() && { return std::move(edges_); }
   const Edge& operator[](size_t i) const { return edges_[i]; }
 
   void Reserve(size_t n) { edges_.reserve(n); }

@@ -4,13 +4,10 @@
 
 namespace gps {
 
-void SampledGraph::InsertHalf(NodeId u, NodeId nbr, SlotId slot) {
-  BlockRef* block = nodes_.Find(u);
-  if (block == nullptr) {
-    BlockRef fresh;
-    fresh.log2_cap = AdjacencyArena::kMinClass;
-    fresh.offset = arena_.AllocateBlock(fresh.log2_cap);
-    block = nodes_.Insert(u, fresh).first;
+void SampledGraph::InsertHalf(BlockRef* block, NodeId nbr, SlotId slot) {
+  if (block->log2_cap == 0) {
+    block->log2_cap = AdjacencyArena::kMinClass;
+    block->offset = arena_.AllocateBlock(block->log2_cap);
   }
   if (block->size == AdjacencyArena::ClassCapacity(block->log2_cap)) {
     // Promote to the next size class: allocate first (which may move the
@@ -43,17 +40,17 @@ SlotId SampledGraph::EraseHalf(NodeId u, NodeId nbr) {
   --block->size;
   if (block->size == 0) {
     arena_.FreeBlock(block->offset, block->log2_cap);
-    nodes_.Erase(u);
+    nodes_.EraseAt(block);
   }
   return slot;
 }
 
 bool SampledGraph::AddEdge(const Edge& e, SlotId slot) {
   if (e.IsSelfLoop()) return false;
-  const BlockRef* bu = nodes_.Find(e.u);
-  if (bu != nullptr && FindInBlock(Block(*bu), e.v) != kNoSlot) return false;
-  InsertHalf(e.u, e.v, slot);
-  InsertHalf(e.v, e.u, slot);
+  BlockRef* bu = nodes_.FindOrInsert(e.u).first;
+  if (FindInBlock(Block(*bu), e.v) != kNoSlot) return false;
+  InsertHalf(bu, e.v, slot);
+  InsertHalf(nodes_.FindOrInsert(e.v).first, e.u, slot);
   ++num_edges_;
   return true;
 }

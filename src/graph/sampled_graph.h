@@ -252,13 +252,14 @@ class SampledGraph {
     return {arena_.At(block.offset), block.size};
   }
 
-  /// Inserts the directed half-edge u -> (nbr, slot), growing u's block a
-  /// size class if full. Precondition: nbr not already present.
-  void InsertHalf(NodeId u, NodeId nbr, SlotId slot);
+  /// Inserts the directed half-edge u -> (nbr, slot) into u's node-table
+  /// entry `block`, giving a fresh entry its first block and growing a
+  /// full block a size class. Precondition: nbr not already present.
+  void InsertHalf(BlockRef* block, NodeId nbr, SlotId slot);
 
   /// Erases the directed half-edge u -> nbr; frees u's block and erases u
-  /// from the node table when it empties. Returns the erased slot or
-  /// kNoSlot.
+  /// from the node table (at the position its lookup found) when it
+  /// empties. Returns the erased slot or kNoSlot.
   SlotId EraseHalf(NodeId u, NodeId nbr);
 
   FlatHashMap<NodeId, BlockRef> nodes_;

@@ -1,13 +1,14 @@
 #include "graph/stream.h"
 
+#include <utility>
+
 #include "util/random.h"
 
 namespace gps {
 
-std::vector<Edge> MakePermutedStream(const EdgeList& list, uint64_t seed) {
-  EdgeList simplified = list;
-  simplified.Simplify();
-  std::vector<Edge> edges = simplified.Edges();
+std::vector<Edge> MakePermutedStream(EdgeList list, uint64_t seed) {
+  list.Simplify();
+  std::vector<Edge> edges = std::move(list).TakeEdges();
   Rng rng(seed);
   // Fisher–Yates; explicit loop (rather than std::shuffle) so the
   // permutation is identical across standard library implementations.

@@ -18,8 +18,10 @@
 namespace gps {
 
 /// Returns the (simplified) edges of `list` in a uniformly random order
-/// determined by `seed` (Fisher–Yates).
-std::vector<Edge> MakePermutedStream(const EdgeList& list, uint64_t seed);
+/// determined by `seed` (Fisher–Yates). Simplifies and permutes `list`'s
+/// own edge vector: pass std::move(list) when the caller is done with it,
+/// or an lvalue to permute a copy.
+std::vector<Edge> MakePermutedStream(EdgeList list, uint64_t seed);
 
 }  // namespace gps
 

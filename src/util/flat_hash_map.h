@@ -5,8 +5,35 @@
 // Section 3.2). That requires a neighbor-set membership query that is fast
 // *and* cheap to mutate under eviction churn. std::unordered_map's
 // node-based buckets are a poor fit, so we provide a compact linear-probing
-// table with byte control metadata (empty / full / tombstone), power-of-two
-// capacity, and max load factor 7/8 before tombstone-aware rehash.
+// table with power-of-two capacity and max load factor 7/8 before
+// tombstone-aware rehash.
+//
+// Control bytes. Every table position has one control byte beside its
+// slot: 0 empty, 1 tombstone, 0x80 | tag when full, where the tag is the
+// top 7 bits of the key's hash (the low bits pick the home position). A
+// probe compares tags and reads a slot only where the tag matches, so
+// walking past other keys' positions costs no slot reads; an absent key
+// reads a slot for about 1 in 128 full positions it passes.
+//
+// Group scan. On x86-64 (SSE2 is its baseline) a probe loads the 16
+// control bytes that start at its current position and matches the tag,
+// the empties and the non-full bytes with one compare each. A position
+// whose 16 bytes would run past the end of the table — one of the last 15,
+// or any position of a table smaller than 16 — is probed one byte at a
+// time, and so is every position in builds with -DGPS_SIMD=OFF or off
+// x86-64. Both walks visit positions in the same order and stop at the
+// same empty.
+//
+// Positions. Iteration order is part of the contract: the com-amazon-sim
+// generator writes its edges in FlatHashSet order and SampleView divides
+// in FlatHashMap order, so where a key lands must stay a pure function of
+// its hash and the operation sequence. A key's home is hash & (capacity-1);
+// it probes linearly from there, an insert takes the first tombstone before
+// the first empty (else that empty), Insert() grows or rehashes first when
+// live + tombstones would reach 7/8 (doubling, or the same size when
+// tombstones dominate), and a rehash re-inserts in old position order.
+// Tags and group scans change how fast a probe gets there, never where a
+// key lands. Every operation probes once.
 //
 // The containers intentionally support only what the code base needs:
 // trivially-copyable-ish keys with user-provided hash, insert/find/erase,
@@ -16,12 +43,26 @@
 #define GPS_UTIL_FLAT_HASH_MAP_H_
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
+
+// -DGPS_SIMD=OFF (CMake) defines GPS_SIMD=0: every probe then takes the
+// byte-at-a-time walk, as off x86-64.
+#ifndef GPS_SIMD
+#define GPS_SIMD 1
+#endif
+#if GPS_SIMD && defined(__x86_64__)
+#include <emmintrin.h>
+#define GPS_FLAT_HASH_SSE2 1
+#else
+#define GPS_FLAT_HASH_SSE2 0
+#endif
 
 namespace gps {
 
@@ -52,7 +93,31 @@ struct MixHash {
 /// Flat open-addressing hash map with linear probing.
 template <typename K, typename V, typename Hash = MixHash>
 class FlatHashMap {
-  enum class Ctrl : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
+  static constexpr uint8_t kEmpty = 0;
+  static constexpr uint8_t kTombstone = 1;
+  static constexpr uint8_t kFullBit = 0x80;
+  static constexpr size_t kNoPosition = SIZE_MAX;
+#if GPS_FLAT_HASH_SSE2
+  static constexpr size_t kGroupWidth = 16;
+
+  /// The kGroupWidth control bytes from one position; each mask has bit i
+  /// set for the byte at that position + i.
+  class Group {
+   public:
+    explicit Group(const uint8_t* ctrl)
+        : bytes_(_mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl))) {}
+    uint32_t Match(uint8_t byte) const {
+      return static_cast<uint32_t>(_mm_movemask_epi8(
+          _mm_cmpeq_epi8(bytes_, _mm_set1_epi8(static_cast<char>(byte)))));
+    }
+    uint32_t NonFull() const {
+      return ~static_cast<uint32_t>(_mm_movemask_epi8(bytes_)) & 0xffffu;
+    }
+
+   private:
+    __m128i bytes_;
+  };
+#endif
 
   struct Slot {
     K key;
@@ -74,7 +139,7 @@ class FlatHashMap {
 
   /// Removes all elements, keeping capacity.
   void clear() {
-    std::fill(ctrl_.begin(), ctrl_.end(), Ctrl::kEmpty);
+    std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
     size_ = 0;
     used_ = 0;
   }
@@ -86,18 +151,33 @@ class FlatHashMap {
   }
 
   /// Inserts (key, value) if absent. Returns pointer to the stored value and
-  /// whether insertion happened.
+  /// whether insertion happened. The table grows first when it is at its
+  /// load cap, even if key is present.
   std::pair<V*, bool> Insert(const K& key, V value) {
     MaybeGrow();
-    size_t idx;
-    if (FindIndex(key, &idx)) return {&slots_[idx].value, false};
-    idx = FindInsertIndex(key);
-    if (ctrl_[idx] == Ctrl::kEmpty) ++used_;
-    ctrl_[idx] = Ctrl::kFull;
-    slots_[idx].key = key;
-    slots_[idx].value = std::move(value);
-    ++size_;
-    return {&slots_[idx].value, true};
+    const size_t hash = hash_(key);
+    const auto [idx, found] = Probe<true>(key, hash);
+    if (found) return {&slots_[idx].value, false};
+    V* stored = Claim(idx, hash, key);
+    *stored = std::move(value);
+    return {stored, true};
+  }
+
+  /// Returns the value for key and whether it was inserted (as V{}). Unlike
+  /// Insert, the table grows only when key is absent: the same table as
+  /// Find followed, on a miss, by Insert, in one probe.
+  std::pair<V*, bool> FindOrInsert(const K& key) {
+    const size_t hash = hash_(key);
+    size_t idx = kNoPosition;
+    if (!ctrl_.empty()) {
+      const auto [pos, found] = Probe<true>(key, hash);
+      if (found) return {&slots_[pos].value, false};
+      idx = pos;
+    }
+    if (MaybeGrow()) idx = FirstNonFull(hash);
+    V* stored = Claim(idx, hash, key);
+    *stored = V{};
+    return {stored, true};
   }
 
   /// Returns the value for key, default-inserting if absent.
@@ -128,9 +208,21 @@ class FlatHashMap {
   bool Erase(const K& key) {
     size_t idx;
     if (!FindIndex(key, &idx)) return false;
-    ctrl_[idx] = Ctrl::kTombstone;
+    ctrl_[idx] = kTombstone;
     --size_;
     return true;
+  }
+
+  /// Erases the element `value` points at — a pointer Find, Insert or
+  /// FindOrInsert returned, with no insert since — without probing again.
+  void EraseAt(const V* value) {
+    const size_t idx =
+        static_cast<size_t>(reinterpret_cast<const char*>(value) -
+                            reinterpret_cast<const char*>(slots_.data())) /
+        sizeof(Slot);
+    assert(idx < ctrl_.size() && IsFull(ctrl_[idx]));
+    ctrl_[idx] = kTombstone;
+    --size_;
   }
 
   /// Calls fn(key, value&) for every element. Mutation of values is allowed;
@@ -138,7 +230,7 @@ class FlatHashMap {
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (size_t i = 0; i < ctrl_.size(); ++i) {
-      if (ctrl_[i] == Ctrl::kFull) fn(slots_[i].key, slots_[i].value);
+      if (IsFull(ctrl_[i])) fn(slots_[i].key, slots_[i].value);
     }
   }
   template <typename Fn>
@@ -154,7 +246,7 @@ class FlatHashMap {
   void ForEachInRange(size_t begin, size_t end, Fn&& fn) const {
     end = std::min(end, ctrl_.size());
     for (size_t i = begin; i < end; ++i) {
-      if (ctrl_[i] == Ctrl::kFull) fn(slots_[i].key, slots_[i].value);
+      if (IsFull(ctrl_[i])) fn(slots_[i].key, slots_[i].value);
     }
   }
 
@@ -168,7 +260,7 @@ class FlatHashMap {
   }
 
   /// Calls fn(probe_length) for every live element, where probe_length is
-  /// the number of slots between the key's home bucket and where it
+  /// the number of positions between the key's home bucket and where it
   /// actually resides (0 = home). O(capacity) full-table walk — intended
   /// for metrics snapshots, never per-arrival hot paths.
   template <typename Fn>
@@ -176,77 +268,144 @@ class FlatHashMap {
     if (ctrl_.empty()) return;
     const size_t mask = ctrl_.size() - 1;
     for (size_t i = 0; i < ctrl_.size(); ++i) {
-      if (ctrl_[i] != Ctrl::kFull) continue;
+      if (!IsFull(ctrl_[i])) continue;
       const size_t home = hash_(slots_[i].key) & mask;
       fn((i - home) & mask);
     }
   }
 
  private:
+  static bool IsFull(uint8_t ctrl) { return (ctrl & kFullBit) != 0; }
+
+  /// The control byte of a full position holding a key with this hash.
+  static uint8_t FullCtrl(size_t hash) {
+    return static_cast<uint8_t>(
+        kFullBit | (hash >> (std::numeric_limits<size_t>::digits - 7)));
+  }
+
   static size_t NormalizeCapacity(size_t n) {
     size_t cap = 8;
     while (cap < n) cap <<= 1;
     return cap;
   }
 
-  void MaybeGrow() {
+  /// Rehashes when live + tombstone occupancy would cross 7/8 — to twice
+  /// the size, or to the same size when tombstones dominate — and says
+  /// whether it did.
+  bool MaybeGrow() {
     if (ctrl_.empty()) {
       Rehash(8);
-      return;
+      return true;
     }
-    // Grow when live + tombstone occupancy crosses 7/8. If tombstones
-    // dominate, rehash at the same size to reclaim them.
-    if ((used_ + 1) * 8 >= ctrl_.size() * 7) {
-      size_t target = (size_ + 1) * 8 >= ctrl_.size() * 7 ? ctrl_.size() * 2
-                                                          : ctrl_.size();
-      Rehash(target);
+    if ((used_ + 1) * 8 < ctrl_.size() * 7) return false;
+    Rehash((size_ + 1) * 8 >= ctrl_.size() * 7 ? ctrl_.size() * 2
+                                                : ctrl_.size());
+    return true;
+  }
+
+  /// Re-places every live key, in old position order, into a fresh table
+  /// of new_cap positions. The keys are unique and the table has no
+  /// tombstones, so each goes to the first empty from its home.
+  void Rehash(size_t new_cap) {
+    std::vector<uint8_t> old_ctrl = std::move(ctrl_);
+    std::vector<Slot> old_slots = std::move(slots_);
+    ctrl_.assign(new_cap, kEmpty);
+    slots_.resize(new_cap);
+    used_ = size_;
+    for (size_t i = 0; i < old_ctrl.size(); ++i) {
+      if (!IsFull(old_ctrl[i])) continue;
+      const size_t idx = FirstNonFull(hash_(old_slots[i].key));
+      ctrl_[idx] = old_ctrl[i];
+      slots_[idx] = std::move(old_slots[i]);
     }
   }
 
-  void Rehash(size_t new_cap) {
-    std::vector<Ctrl> old_ctrl = std::move(ctrl_);
-    std::vector<Slot> old_slots = std::move(slots_);
-    ctrl_.assign(new_cap, Ctrl::kEmpty);
-    slots_.resize(new_cap);
-    size_ = 0;
-    used_ = 0;
-    for (size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] == Ctrl::kFull) {
-        Insert(old_slots[i].key, std::move(old_slots[i].value));
-      }
-    }
+  /// Fills non-full position idx with key; the caller stores the value.
+  V* Claim(size_t idx, size_t hash, const K& key) {
+    if (ctrl_[idx] == kEmpty) ++used_;
+    ctrl_[idx] = FullCtrl(hash);
+    slots_[idx].key = key;
+    ++size_;
+    return &slots_[idx].value;
   }
 
   bool FindIndex(const K& key, size_t* out) const {
-    if (ctrl_.empty()) return false;
-    const size_t mask = ctrl_.size() - 1;
-    size_t idx = hash_(key) & mask;
+    if (size_ == 0) return false;
+    const auto [idx, found] = Probe<false>(key, hash_(key));
+    *out = idx;
+    return found;
+  }
+
+  /// Walks key's probe sequence from its home to the first empty. Returns
+  /// {position, true} when key is present. Otherwise returns {p, false},
+  /// where p (computed only when kInsertPos) is the first non-full
+  /// position passed — the first tombstone before the first empty, or that
+  /// empty — where an insert of key goes.
+  template <bool kInsertPos>
+  std::pair<size_t, bool> Probe(const K& key, size_t hash) const {
+    const size_t cap = ctrl_.size();
+    const size_t mask = cap - 1;
+    const uint8_t full = FullCtrl(hash);
+    size_t idx = hash & mask;
+    // Below the load cap most probes end at the home byte: read it alone
+    // first, before a group load that may straddle two cache lines.
+    const uint8_t home = ctrl_[idx];
+    if (home == full && slots_[idx].key == key) return {idx, true};
+    if (home == kEmpty) return {idx, false};
+    size_t insert_at = kNoPosition;
     while (true) {
-      if (ctrl_[idx] == Ctrl::kEmpty) return false;
-      if (ctrl_[idx] == Ctrl::kFull && slots_[idx].key == key) {
-        *out = idx;
-        return true;
+#if GPS_FLAT_HASH_SSE2
+      if (idx + kGroupWidth <= cap) {
+        const Group group(ctrl_.data() + idx);
+        const uint32_t empty = group.Match(kEmpty);
+        // Tag matches at or past the first empty belong to other chains.
+        const uint32_t before_empty = (empty & (0u - empty)) - 1u;
+        for (uint32_t match = group.Match(full) & before_empty; match != 0;
+             match &= match - 1) {
+          const size_t pos = idx + std::countr_zero(match);
+          if (slots_[pos].key == key) return {pos, true};
+        }
+        if constexpr (kInsertPos) {
+          const uint32_t non_full = group.NonFull();
+          if (insert_at == kNoPosition && non_full != 0) {
+            insert_at = idx + std::countr_zero(non_full);
+          }
+        }
+        if (empty != 0) return {insert_at, false};
+        idx = (idx + kGroupWidth) & mask;
+        continue;
       }
+#endif
+      const uint8_t ctrl = ctrl_[idx];
+      if (ctrl == full && slots_[idx].key == key) return {idx, true};
+      if (kInsertPos && insert_at == kNoPosition && !IsFull(ctrl)) {
+        insert_at = idx;
+      }
+      if (ctrl == kEmpty) return {insert_at, false};
       idx = (idx + 1) & mask;
     }
   }
 
-  size_t FindInsertIndex(const K& key) const {
-    const size_t mask = ctrl_.size() - 1;
-    size_t idx = hash_(key) & mask;
-    size_t first_tombstone = SIZE_MAX;
+  /// The first non-full position (tombstone or empty) from hash's home.
+  size_t FirstNonFull(size_t hash) const {
+    const size_t cap = ctrl_.size();
+    const size_t mask = cap - 1;
+    size_t idx = hash & mask;
     while (true) {
-      if (ctrl_[idx] == Ctrl::kEmpty) {
-        return first_tombstone != SIZE_MAX ? first_tombstone : idx;
+#if GPS_FLAT_HASH_SSE2
+      if (idx + kGroupWidth <= cap) {
+        const uint32_t non_full = Group(ctrl_.data() + idx).NonFull();
+        if (non_full != 0) return idx + std::countr_zero(non_full);
+        idx = (idx + kGroupWidth) & mask;
+        continue;
       }
-      if (ctrl_[idx] == Ctrl::kTombstone && first_tombstone == SIZE_MAX) {
-        first_tombstone = idx;
-      }
+#endif
+      if (!IsFull(ctrl_[idx])) return idx;
       idx = (idx + 1) & mask;
     }
   }
 
-  std::vector<Ctrl> ctrl_;
+  std::vector<uint8_t> ctrl_;
   std::vector<Slot> slots_;
   size_t size_ = 0;  // live elements
   size_t used_ = 0;  // live + tombstones

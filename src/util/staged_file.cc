@@ -1,6 +1,7 @@
 #include "util/staged_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cassert>
@@ -21,6 +22,13 @@ std::string ErrnoText(int err) {
 }  // namespace
 
 Result<StagedFile> StagedFile::Create(const std::string& path) {
+  // Publish() renames over the target: a device node, FIFO or directory
+  // there would be replaced by (or refuse) a regular file.
+  struct stat target;
+  if (::stat(path.c_str(), &target) == 0 && !S_ISREG(target.st_mode)) {
+    return Status::IoError("cannot replace '" + path +
+                           "': not a regular file");
+  }
   std::string temp_path = path + ".tmp";
   const int fd = ::open(temp_path.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);

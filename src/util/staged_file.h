@@ -25,8 +25,10 @@ namespace gps {
 class StagedFile {
  public:
   /// Creates (or truncates) "<path>.tmp" for writing. Fails with an
-  /// IoError naming the temp file when it cannot be created — for
-  /// example when a directory already sits at that name.
+  /// IoError naming `path` when something other than a regular file (a
+  /// device node, a FIFO, a directory) already sits there, and naming the
+  /// temp file when it cannot be created — for example when a directory
+  /// already sits at that name.
   static Result<StagedFile> Create(const std::string& path);
 
   StagedFile(StagedFile&& other) noexcept;

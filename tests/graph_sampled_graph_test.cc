@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -200,6 +201,58 @@ TEST(SampledGraphTest, RandomizedChurnConsistency) {
       ASSERT_EQ(removed, ref.erase(EdgeKey(e)) > 0);
     }
     ASSERT_EQ(g.NumEdges(), ref.size());
+  }
+}
+
+TEST(SampledGraphTest, NodeTableLayoutMatchesFindThenInsertAndErase) {
+  // AddEdge finds-or-inserts each endpoint in one probe and RemoveEdge
+  // erases an emptied node at the position its lookup found. The node
+  // table must end up exactly as with separate calls: Find, then Insert on
+  // a miss; Erase by key when a degree drops to zero. Positions matter:
+  // passes walk the node table in position order.
+  SampledGraph g;
+  FlatHashMap<NodeId, uint32_t> degrees;
+  std::vector<Edge> present;  // a sparse graph: nodes come and go
+  std::set<uint64_t> keys;
+  Rng rng(78);
+  for (int op = 0; op < 20000; ++op) {
+    const Edge random = MakeEdge(rng.UniformU32(400), rng.UniformU32(400));
+    const size_t pick = present.empty() ? 0 : rng.UniformU64(present.size());
+    const bool add = rng.Bernoulli(present.size() < 150 ? 0.7 : 0.3);
+    // One op in ten repeats a present edge or removes an absent one.
+    const bool mismatch = !present.empty() && rng.Bernoulli(0.1);
+    if (add) {
+      const Edge e = mismatch ? present[pick] : random;
+      const bool added = !e.IsSelfLoop() && keys.insert(EdgeKey(e)).second;
+      ASSERT_EQ(g.AddEdge(e, 1), added);
+      if (added) {
+        present.push_back(e);
+        for (const NodeId x : {e.u, e.v}) {
+          uint32_t* degree = degrees.Find(x);
+          if (degree == nullptr) degree = degrees.Insert(x, 0).first;
+          ++*degree;
+        }
+      }
+    } else {
+      const Edge e = mismatch || present.empty() ? random : present[pick];
+      const bool removed = keys.erase(EdgeKey(e)) > 0;
+      ASSERT_EQ(g.RemoveEdge(e) != kNoSlot, removed);
+      if (removed) {
+        present.erase(std::find(present.begin(), present.end(), e));
+        for (const NodeId x : {e.u, e.v}) {
+          if (--*degrees.Find(x) == 0) degrees.Erase(x);
+        }
+      }
+    }
+    ASSERT_EQ(g.node_table_size(), degrees.capacity()) << "op " << op;
+    std::vector<std::pair<NodeId, size_t>> nodes, expected;
+    g.ForEachNode([&](NodeId node, size_t degree) {
+      nodes.emplace_back(node, degree);
+    });
+    degrees.ForEach([&](NodeId node, uint32_t degree) {
+      expected.emplace_back(node, degree);
+    });
+    ASSERT_EQ(nodes, expected) << "op " << op;
   }
 }
 

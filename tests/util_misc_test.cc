@@ -1,6 +1,8 @@
 // Tests for Status/Result, OnlineStats, timers, text formatting, and
 // staged (temp + fsync + rename) file writes.
 
+#include <sys/stat.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_test_util.h"
 #include "util/staged_file.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -200,6 +203,29 @@ TEST(StagedFileTest, SinkErrorMidWriteKeepsOldContentsAndNoTemp) {
   EXPECT_EQ(ReadAll(target), "old checkpoint");
   EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
   std::filesystem::remove(target);
+}
+
+TEST(StagedFileTest, RefusesTargetThatIsNotARegularFile) {
+  // Publish() renames over its target, so a FIFO or a device node there
+  // would be replaced by a regular file. Create refuses such a target by
+  // name, stages nothing, and the target keeps its type.
+  const engine_test::ScopedTempDir dir("staged", "targets");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string fifo = (dir / "fifo").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string subdir = (dir / "subdir").string();
+  ASSERT_TRUE(std::filesystem::create_directory(subdir));
+  for (const std::string& target : {fifo, subdir}) {
+    Result<StagedFile> file = StagedFile::Create(target);
+    ASSERT_FALSE(file.ok()) << target;
+    EXPECT_EQ(file.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(file.status().message(),
+              "cannot replace '" + target + "': not a regular file");
+    EXPECT_FALSE(std::filesystem::exists(target + ".tmp")) << target;
+  }
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_TRUE(std::filesystem::is_directory(subdir));
+  EXPECT_TRUE(std::filesystem::is_empty(subdir));
 }
 
 }  // namespace

@@ -335,13 +335,12 @@ Result<std::vector<Edge>> LoadStream(const Flags& flags) {
   auto list = LoadDatasetEdges(flags);
   if (!list.ok()) return list.status();
   if (flags.Has("no-permute")) {
-    EdgeList simplified = *list;
-    simplified.Simplify();
-    return simplified.Edges();
+    list->Simplify();
+    return std::move(*list).TakeEdges();
   }
   auto seed = flags.GetU64("seed", 1);
   if (!seed.ok()) return seed.status();
-  return MakePermutedStream(*list, *seed);
+  return MakePermutedStream(std::move(*list), *seed);
 }
 
 // ---- Shared estimate formatting ------------------------------------------
