@@ -495,7 +495,6 @@ int main(int argc, char** argv) {
   GpsSamplerOptions base;
   base.capacity = capacity;
   base.seed = 903;
-  base.mem_bytes = mem_budget;  // provenance only; never affects sampling
 
   std::vector<Row> rows;
 

@@ -52,8 +52,8 @@ echo "=== Intersection kernel microbench (>= 2x skewed-block gate) ==="
 # Per-kernel timings across adversarial size ratios plus the hard gate:
 # adaptive dispatch must beat scalar merge by >= 2x on skewed block
 # pairs (the hub-vs-leaf shape). Byte identity across kernels is a test
-# contract (graph_intersect_test, cli_test's GPS_INTERSECT_KERNEL
-# matrix), not a bench concern.
+# contract (graph_intersect_test, down to a monitor's ticks), not a bench
+# concern.
 ./build/bench_intersect --quick
 
 echo "=== Engine perf smoke (JSON + baseline regression gate) ==="

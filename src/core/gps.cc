@@ -4,8 +4,7 @@ namespace gps {
 
 GpsSampler::GpsSampler(GpsSamplerOptions options)
     : weight_fn_(options.weight),
-      reservoir_(GpsOptions{options.capacity, options.seed,
-                            options.mem_bytes}) {}
+      reservoir_(GpsOptions{options.capacity, options.seed}) {}
 
 GpsReservoir::ProcessResult GpsSampler::Process(const Edge& raw) {
   const Edge e = raw.Canonical();

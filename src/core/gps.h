@@ -26,9 +26,6 @@ struct GpsSamplerOptions {
   size_t capacity = 100000;
   uint64_t seed = 1;
   WeightOptions weight = {};
-  /// Capacity provenance: the --mem byte budget `capacity` was derived
-  /// from, or 0 for an explicit capacity (see GpsOptions::mem_bytes).
-  uint64_t mem_bytes = 0;
 };
 
 class GpsSampler {

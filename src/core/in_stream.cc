@@ -17,8 +17,7 @@ constexpr size_t kPrefetchDistance = 8;
 
 InStreamEstimator::InStreamEstimator(GpsSamplerOptions options)
     : weight_fn_(options.weight),
-      reservoir_(GpsOptions{options.capacity, options.seed,
-                            options.mem_bytes}) {}
+      reservoir_(GpsOptions{options.capacity, options.seed}) {}
 
 void InStreamEstimator::Process(const Edge& raw) {
   const Edge e = raw.Canonical();

@@ -55,8 +55,7 @@ struct InStreamColumns {
 /// (budget_bytes == 0, the legacy `--capacity` path) or a `--mem` budget
 /// from which the capacity was derived. The byte fields are the
 /// derivation formula's terms, surfaced verbatim in the startup
-/// allocation report and re-checkable from a manifest (capacity
-/// provenance).
+/// allocation report.
 struct StoreLayout {
   uint64_t budget_bytes = 0;  ///< 0 = explicit capacity, no budget.
   size_t capacity = 0;        ///< reservoir capacity m.

@@ -58,12 +58,6 @@ struct GpsOptions {
   size_t capacity = 100000;
   /// Seed for the priority randomization u(k).
   uint64_t seed = 1;
-  /// Provenance of `capacity`: the --mem byte budget it was derived from,
-  /// or 0 when the capacity was given explicitly. Never affects the
-  /// sample path — a budget-derived run is byte-identical to an explicit
-  /// --capacity run of the same size; recorded so manifests and
-  /// allocation reports can state where the number came from.
-  uint64_t mem_bytes = 0;
 };
 
 class GpsReservoir {

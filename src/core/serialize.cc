@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "core/motifs.h"
-#include "core/packed_store.h"
 #include "util/digest.h"
 #include "util/text_writer.h"
 
@@ -22,10 +20,11 @@ namespace {
 constexpr const char* kReservoirHeader = "GPS-RESERVOIR";
 constexpr const char* kInStreamHeader = "GPS-INSTREAM";
 constexpr const char* kManifestHeader = "GPS-MANIFEST";
-constexpr int kFormatVersion = 1;
-// Manifests are versioned independently of the single-estimator formats.
-// Readers take exactly the version this build writes (serialize.h).
-constexpr int kManifestVersion = 4;
+// Each format is versioned on its own; readers take exactly the version
+// this build writes (serialize.h).
+constexpr int kReservoirVersion = 1;
+constexpr int kInStreamVersion = 2;
+constexpr int kManifestVersion = 5;
 // Records reserved up front when reading a reservoir (40 B each).
 constexpr size_t kRecordReserveLimit = size_t{1} << 16;
 
@@ -101,7 +100,7 @@ Status WriteReservoir(const GpsReservoir& reservoir, TextWriter& out) {
         "] cannot be checkpointed (raise kMaxCheckpointCapacity "
         "deliberately if needed)");
   }
-  out.Text(kReservoirHeader).Char(' ').Int(kFormatVersion).Char('\n');
+  out.Text(kReservoirHeader).Char(' ').Int(kReservoirVersion).Char('\n');
   out.Int(reservoir.options().capacity).Char(' ');
   out.Int(reservoir.options().seed).Char('\n');
   out.Double(reservoir.threshold()).Char(' ');
@@ -119,8 +118,8 @@ Status WriteReservoir(const GpsReservoir& reservoir, TextWriter& out) {
 }
 
 Status WriteInStreamEstimator(const InStreamEstimator& estimator,
-                              TextWriter& out) {
-  out.Text(kInStreamHeader).Char(' ').Int(kFormatVersion).Char('\n');
+                              const MotifSuite& motifs, TextWriter& out) {
+  out.Text(kInStreamHeader).Char(' ').Int(kInStreamVersion).Char('\n');
   if (Status s =
           WriteWeightOptions(estimator.weight_function().options(), out);
       !s.ok()) {
@@ -131,7 +130,60 @@ Status WriteInStreamEstimator(const InStreamEstimator& estimator,
     out.Double(v).Char(' ');
   }
   out.Char('\n');
+  // The motif line: the suite's size, then per motif its name, count,
+  // variance and snapshots, so the digest binds them with the sample.
+  out.Int(motifs.size());
+  for (size_t m = 0; m < motifs.size(); ++m) {
+    const MotifAccumulator& motif = motifs.accumulator(m);
+    out.Char(' ').Text(motifs.name(m)).Char(' ').Double(motif.count);
+    out.Char(' ').Double(motif.variance).Char(' ').Int(motif.snapshots);
+  }
+  out.Char('\n');
   return WriteReservoir(estimator.reservoir(), out);
+}
+
+/// Reads the motif count that starts a motif line of `file` ("manifest"
+/// or "checkpoint"), held to the registry size so a corrupt count cannot
+/// drive the loop that reads the motifs.
+Result<size_t> ReadMotifCount(std::istream& in, const std::string& file) {
+  size_t count = 0;
+  if (!(in >> count)) {
+    return Status::IoError("truncated " + file + ": motif count");
+  }
+  if (count > MotifEntries().size()) {
+    return Status::InvalidArgument(
+        file + " motif count " + std::to_string(count) +
+        " exceeds the registry size " +
+        std::to_string(MotifEntries().size()));
+  }
+  return count;
+}
+
+/// Reads the motif line WriteInStreamEstimator writes.
+Status ReadMotifLine(std::istream& in, std::vector<std::string>* names,
+                     std::vector<MotifAccumulator>* accs) {
+  Result<size_t> num_motifs = ReadMotifCount(in, "checkpoint");
+  if (!num_motifs.ok()) return num_motifs.status();
+  for (size_t m = 0; m < *num_motifs; ++m) {
+    std::string& name = names->emplace_back();
+    MotifAccumulator& acc = accs->emplace_back();
+    if (!(in >> name >> acc.count >> acc.variance >> acc.snapshots)) {
+      return Status::IoError("truncated checkpoint: motif accumulators");
+    }
+    // Count and variance accumulators are sums of nonnegative snapshot
+    // terms (core/snapshot.h).
+    if (!std::isfinite(acc.count) || acc.count < 0.0 ||
+        !std::isfinite(acc.variance) || acc.variance < 0.0) {
+      return Status::InvalidArgument("invalid '" + name +
+                                     "' motif accumulator in checkpoint");
+    }
+  }
+  // A name this build does not know is refused BY NAME: its accumulator
+  // would be meaningless to carry forward.
+  if (Status s = ValidateMotifNames(*names); !s.ok()) {
+    return s.WithContext("checkpoint motif set");
+  }
+  return Status::Ok();
 }
 
 Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
@@ -139,9 +191,7 @@ Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
   out.Text(kManifestHeader).Char(' ').Int(kManifestVersion).Char('\n');
   out.Int(manifest.num_shards).Char(' ').Int(manifest.base_seed).Char(' ');
   out.Int(manifest.total_capacity).Char(' ');
-  out.Int(1).Char(' ');  // the split-capacity column (ShardManifest)
-  out.Int(manifest.stream_offset).Char(' ');
-  out.Int(manifest.mem_budget_bytes).Char('\n');
+  out.Int(manifest.stream_offset).Char('\n');
   if (Status s = WriteWeightOptions(manifest.weight, out); !s.ok()) return s;
   out.Int(manifest.motif_names.size());
   for (const std::string& name : manifest.motif_names) {
@@ -150,14 +200,7 @@ Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
   out.Char('\n');
   out.Int(manifest.entries.size()).Char('\n');
   for (const ShardManifestEntry& entry : manifest.entries) {
-    out.Int(entry.shard_index).Char(' ').Int(entry.shard_seed).Char(' ');
-    out.Int(entry.edges_processed).Char(' ').Int(entry.digest).Char(' ');
-    out.Text(entry.filename);
-    for (const MotifAccumulator& acc : entry.motif_accumulators) {
-      out.Char(' ').Double(acc.count).Char(' ').Double(acc.variance);
-      out.Char(' ').Int(acc.snapshots);
-    }
-    out.Char('\n');
+    out.Int(entry.shard_index).Char(' ').Int(entry.digest).Char('\n');
   }
   return Status::Ok();
 }
@@ -174,7 +217,7 @@ Status WriteText(ByteSink sink, WriteFn&& write) {
 }  // namespace
 
 int ManifestFormatVersion() { return kManifestVersion; }
-int EstimatorFormatVersion() { return kFormatVersion; }
+int ShardFileFormatVersion() { return kInStreamVersion; }
 
 Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
   return WriteText(StreamSink(out), [&](TextWriter& w) {
@@ -183,7 +226,7 @@ Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
 }
 
 Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
-  if (Status s = ExpectHeader(in, kReservoirHeader, kFormatVersion);
+  if (Status s = ExpectHeader(in, kReservoirHeader, kReservoirVersion);
       !s.ok()) {
     return s;
   }
@@ -278,14 +321,15 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
 }
 
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
+                                  const MotifSuite& motifs,
                                   const ByteSink& sink) {
   return WriteText(sink, [&](TextWriter& w) {
-    return WriteInStreamEstimator(estimator, w);
+    return WriteInStreamEstimator(estimator, motifs, w);
   });
 }
 
-Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in) {
-  if (Status s = ExpectHeader(in, kInStreamHeader, kFormatVersion);
+Result<InStreamCheckpoint> DeserializeInStreamEstimator(std::istream& in) {
+  if (Status s = ExpectHeader(in, kInStreamHeader, kInStreamVersion);
       !s.ok()) {
     return s;
   }
@@ -308,9 +352,17 @@ Result<InStreamEstimator> DeserializeInStreamEstimator(std::istream& in) {
     return Status::InvalidArgument(
         "non-finite covariance accumulator in checkpoint");
   }
+  std::vector<std::string> motif_names;
+  std::vector<MotifAccumulator> motif_accumulators;
+  if (Status s = ReadMotifLine(in, &motif_names, &motif_accumulators);
+      !s.ok()) {
+    return s;
+  }
   Result<GpsReservoir> reservoir = DeserializeReservoir(in);
   if (!reservoir.ok()) return reservoir.status();
-  return InStreamEstimator::FromParts(*weight, std::move(*reservoir), acc);
+  return InStreamCheckpoint{
+      InStreamEstimator::FromParts(*weight, std::move(*reservoir), acc),
+      std::move(motif_names), std::move(motif_accumulators)};
 }
 
 uint64_t ChecksumBytes(std::string_view bytes) {
@@ -334,26 +386,6 @@ Status ValidateManifest(const ShardManifest& manifest) {
         "manifest capacity " + std::to_string(manifest.total_capacity) +
         " outside (0, " + std::to_string(kMaxCheckpointCapacity) + "]");
   }
-  if (manifest.mem_budget_bytes > 0) {
-    // Capacity provenance: when the run derived its capacity from a byte
-    // budget, the recorded capacity must still be the one that budget
-    // derives to. A mismatch means the manifest was corrupted or
-    // hand-edited, and resuming would silently change the memory
-    // envelope the operator asked for.
-    Result<StoreLayout> layout =
-        DeriveStoreLayout(manifest.mem_budget_bytes);
-    if (!layout.ok()) {
-      return layout.status().WithContext("manifest memory budget");
-    }
-    if (layout->capacity != manifest.total_capacity) {
-      return Status::InvalidArgument(
-          "manifest capacity provenance mismatch: budget " +
-          std::to_string(manifest.mem_budget_bytes) + " bytes derives " +
-          std::to_string(layout->capacity) + " slots, but the manifest "
-          "records total capacity " +
-          std::to_string(manifest.total_capacity));
-    }
-  }
   if (manifest.weight.kind == WeightKind::kCustom) {
     return Status::FailedPrecondition(
         "custom weight callables cannot be serialized");
@@ -361,50 +393,13 @@ Status ValidateManifest(const ShardManifest& manifest) {
   if (Status s = ValidateWeightOptions(manifest.weight); !s.ok()) return s;
   // Motif names resolve against the registry: a manifest naming a motif
   // this build does not know must be refused BY NAME, not silently
-  // dropped (the accumulators would be meaningless to carry forward).
+  // dropped.
   if (Status s = ValidateMotifNames(manifest.motif_names); !s.ok()) {
     return s.WithContext("manifest motif set");
   }
   if (manifest.entries.size() > manifest.num_shards) {
     return Status::InvalidArgument(
         "manifest lists more shard files than shards");
-  }
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    if (entry.motif_accumulators.size() != manifest.motif_names.size()) {
-      return Status::InvalidArgument(
-          "manifest shard " + std::to_string(entry.shard_index) +
-          " carries " + std::to_string(entry.motif_accumulators.size()) +
-          " motif accumulators for " +
-          std::to_string(manifest.motif_names.size()) + " named motifs");
-    }
-    for (size_t m = 0; m < entry.motif_accumulators.size(); ++m) {
-      const MotifAccumulator& acc = entry.motif_accumulators[m];
-      // Count and variance accumulators are sums of nonnegative snapshot
-      // terms (core/snapshot.h).
-      if (!std::isfinite(acc.count) || acc.count < 0.0 ||
-          !std::isfinite(acc.variance) || acc.variance < 0.0) {
-        return Status::InvalidArgument(
-            "invalid '" + manifest.motif_names[m] +
-            "' accumulator for manifest shard " +
-            std::to_string(entry.shard_index));
-      }
-    }
-  }
-  // The entries describe shards of the recorded run prefix, so no shard
-  // can have consumed more arrivals than the engine ever routed — and
-  // the covered shards together cannot exceed the routed total either.
-  // The counts are untrusted: detect wrap-around so crafted huge values
-  // cannot fold back under the offset.
-  uint64_t entry_sum = 0;
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    if (entry_sum + entry.edges_processed < entry_sum ||
-        entry_sum + entry.edges_processed > manifest.stream_offset) {
-      return Status::InvalidArgument(
-          "manifest shard arrival counts exceed the recorded stream "
-          "offset " +
-          std::to_string(manifest.stream_offset));
-    }
-    entry_sum += entry.edges_processed;
   }
   std::vector<bool> seen(manifest.num_shards, false);
   for (const ShardManifestEntry& entry : manifest.entries) {
@@ -419,25 +414,6 @@ Status ValidateManifest(const ShardManifest& manifest) {
           " twice");
     }
     seen[entry.shard_index] = true;
-    // Bare file names only: shard files live next to their manifest, and
-    // rejecting separators closes path traversal from untrusted input.
-    // Whitespace would break the whitespace-delimited manifest format
-    // itself, so a validated manifest is guaranteed to round-trip.
-    bool has_space = false;
-    for (const char c : entry.filename) {
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        has_space = true;
-        break;
-      }
-    }
-    if (entry.filename.empty() || has_space ||
-        entry.filename.find('/') != std::string::npos ||
-        entry.filename.find('\\') != std::string::npos ||
-        entry.filename == "." || entry.filename == "..") {
-      return Status::InvalidArgument(
-          "manifest shard filename '" + entry.filename +
-          "' must be a bare file name without whitespace");
-    }
   }
   return Status::Ok();
 }
@@ -454,36 +430,17 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
     return s;
   }
   ShardManifest manifest;
-  int split = -1;
   if (!(in >> manifest.num_shards >> manifest.base_seed >>
-        manifest.total_capacity >> split >> manifest.stream_offset >>
-        manifest.mem_budget_bytes)) {
+        manifest.total_capacity >> manifest.stream_offset)) {
     return Status::IoError("truncated manifest: layout");
-  }
-  if (split != 0 && split != 1) {
-    return Status::InvalidArgument(
-        "manifest split-capacity flag must be 0 or 1");
-  }
-  if (split == 0) {
-    return Status::InvalidArgument(
-        "manifest split-capacity flag 0 (the full capacity in every shard) "
-        "is not supported: every shard holds ceil(capacity / K) slots");
   }
   Result<WeightOptions> weight = ReadWeightOptions(in);
   if (!weight.ok()) return weight.status();
   manifest.weight = *weight;
-  size_t num_motifs = 0;
-  if (!(in >> num_motifs)) {
-    return Status::IoError("truncated manifest: motif count");
-  }
-  if (num_motifs > MotifEntries().size()) {
-    return Status::InvalidArgument(
-        "manifest motif count " + std::to_string(num_motifs) +
-        " exceeds the registry size " +
-        std::to_string(MotifEntries().size()));
-  }
-  manifest.motif_names.reserve(num_motifs);
-  for (size_t m = 0; m < num_motifs; ++m) {
+  Result<size_t> num_motifs = ReadMotifCount(in, "manifest");
+  if (!num_motifs.ok()) return num_motifs.status();
+  manifest.motif_names.reserve(*num_motifs);
+  for (size_t m = 0; m < *num_motifs; ++m) {
     std::string name;
     if (!(in >> name)) {
       return Status::IoError("truncated manifest: motif names");
@@ -501,18 +458,10 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
   }
   manifest.entries.reserve(num_entries);
   for (size_t i = 0; i < num_entries; ++i) {
-    ShardManifestEntry entry;
-    if (!(in >> entry.shard_index >> entry.shard_seed >>
-          entry.edges_processed >> entry.digest >> entry.filename)) {
+    ShardManifestEntry& entry = manifest.entries.emplace_back();
+    if (!(in >> entry.shard_index >> entry.digest)) {
       return Status::IoError("truncated manifest: shard entries");
     }
-    entry.motif_accumulators.resize(manifest.motif_names.size());
-    for (MotifAccumulator& acc : entry.motif_accumulators) {
-      if (!(in >> acc.count >> acc.variance >> acc.snapshots)) {
-        return Status::IoError("truncated manifest: motif accumulators");
-      }
-    }
-    manifest.entries.push_back(std::move(entry));
   }
   if (Status s = ValidateManifest(manifest); !s.ok()) return s;
   return manifest;

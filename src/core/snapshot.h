@@ -41,8 +41,8 @@ namespace gps {
 
 /// Serializable snapshot-accumulator state of one motif statistic: the
 /// running count, the conservative variance estimate, and the number of
-/// snapshots frozen. Checkpoints (GPS-MANIFEST v3) carry these verbatim so
-/// motif estimation can resume mid-stream (core/serialize.h).
+/// snapshots frozen. Shard files (GPS-INSTREAM v2) carry these verbatim
+/// so motif estimation can resume mid-stream (core/serialize.h).
 struct MotifAccumulator {
   /// Σ of frozen snapshots: unbiased estimate of the number of motif
   /// instances whose edges have all arrived (Theorem 4(ii)).

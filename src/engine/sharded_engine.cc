@@ -27,14 +27,14 @@
 #include "util/staged_file.h"
 
 namespace gps {
-namespace {
 
-/// Name of shard s's file inside a checkpoint directory.
-std::string ShardFileName(size_t s) {
+std::string ShardFileName(uint32_t shard) {
   char name[32];
-  std::snprintf(name, sizeof(name), "shard-%04zu.gps", s);
+  std::snprintf(name, sizeof(name), "shard-%04u.gps", shard);
   return name;
 }
+
+namespace {
 
 /// Per-shard reservoir capacity: each of the k shards gets ceil(total /
 /// k) slots, so the layout's memory matches the serial sampler's.
@@ -82,10 +82,11 @@ Status CheckManifestsCompatible(const ShardManifest& base,
         std::to_string(other.base_seed) + " does not match " +
         std::to_string(base.base_seed));
   }
-  if (other.total_capacity != base.total_capacity ||
-      other.mem_budget_bytes != base.mem_budget_bytes) {
+  if (other.total_capacity != base.total_capacity) {
     return Status::FailedPrecondition(
-        "manifest " + path + ": capacity layout does not match");
+        "manifest " + path + ": total capacity " +
+        std::to_string(other.total_capacity) + " does not match " +
+        std::to_string(base.total_capacity));
   }
   if (!SameWeightConfig(other.weight, base.weight)) {
     return Status::FailedPrecondition(
@@ -166,8 +167,8 @@ Result<LoadedCheckpoints> LoadCheckpoints(
     }
     const std::filesystem::path dir =
         std::filesystem::path(path).parent_path();
-    for (ShardManifestEntry& entry : manifest->entries) {
-      located.push_back({std::move(entry), dir});
+    for (const ShardManifestEntry& entry : manifest->entries) {
+      located.push_back({entry, dir});
     }
   }
 
@@ -198,14 +199,7 @@ Result<LoadedCheckpoints> LoadCheckpoints(
   // engine's 0..K-1 iteration for bit-identical merged estimates.
   for (uint32_t s = 0; s < k; ++s) {
     const LocatedEntry& le = *by_index[s];
-    const uint64_t want_seed = DeriveShardSeed(base.base_seed, s, k);
-    if (le.entry.shard_seed != want_seed) {
-      return Status::FailedPrecondition(
-          "manifest seed for shard " + std::to_string(s) +
-          " does not match the layout derivation from base seed " +
-          std::to_string(base.base_seed));
-    }
-    const std::filesystem::path file = le.dir / le.entry.filename;
+    const std::filesystem::path file = le.dir / ShardFileName(s);
     Result<std::string> bytes = ReadFileBytes(file);
     if (!bytes.ok()) return bytes.status();
     if (ChecksumBytes(*bytes) != le.entry.digest) {
@@ -213,36 +207,47 @@ Result<LoadedCheckpoints> LoadCheckpoints(
           "digest mismatch for shard file " + file.string() +
           " (corrupt or mismatched checkpoint)");
     }
+    // The digest vouches for the bytes; the layout checks below vouch
+    // that they belong to this shard of this layout.
     std::istringstream in(*bytes);
-    Result<InStreamEstimator> est = DeserializeInStreamEstimator(in);
-    if (!est.ok()) {
-      return est.status().WithContext("shard file " + file.string());
+    Result<InStreamCheckpoint> shard = DeserializeInStreamEstimator(in);
+    if (!shard.ok()) {
+      return shard.status().WithContext("shard file " + file.string());
     }
-    if (est->reservoir().options().seed != want_seed) {
+    const InStreamEstimator& est = shard->estimator;
+    if (est.reservoir().options().seed !=
+        DeriveShardSeed(base.base_seed, s, k)) {
       return Status::InvalidArgument(
           "shard file " + file.string() +
-          " seed disagrees with its manifest entry");
+          " seed does not match the layout derivation from base seed " +
+          std::to_string(base.base_seed));
     }
-    if (est->reservoir().options().capacity != per_shard_capacity) {
+    if (est.reservoir().options().capacity != per_shard_capacity) {
       return Status::InvalidArgument(
           "shard file " + file.string() +
           " capacity disagrees with the manifest layout");
     }
-    if (!SameWeightConfig(est->weight_function().options(), base.weight)) {
+    if (!SameWeightConfig(est.weight_function().options(), base.weight)) {
       return Status::InvalidArgument(
           "shard file " + file.string() +
           " weight configuration disagrees with the manifest");
     }
+    if (shard->motif_names != base.motif_names) {
+      return Status::InvalidArgument(
+          "shard file " + file.string() +
+          " motif set disagrees with the manifest");
+    }
     // Shard files are untrusted: a wrapped sum must not masquerade as a
     // consistent stream offset.
-    if (arrival_sum + est->edges_processed() < arrival_sum) {
+    if (arrival_sum + est.edges_processed() < arrival_sum) {
       return Status::InvalidArgument(
           "shard arrival counts overflow across the checkpoint set");
     }
-    arrival_sum += est->edges_processed();
+    arrival_sum += est.edges_processed();
     loaded.estimators.push_back(
-        std::make_unique<InStreamEstimator>(std::move(*est)));
-    loaded.motif_accumulators.push_back(le.entry.motif_accumulators);
+        std::make_unique<InStreamEstimator>(std::move(shard->estimator)));
+    loaded.motif_accumulators.push_back(
+        std::move(shard->motif_accumulators));
   }
 
   // A fully covered layout accounts for every routed edge: each one is
@@ -588,7 +593,6 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   manifest.base_seed = options_.sampler.seed;
   manifest.total_capacity = options_.sampler.capacity;
   manifest.stream_offset = edges_processed_;
-  manifest.mem_budget_bytes = options_.sampler.mem_bytes;
   manifest.weight = options_.sampler.weight;
   manifest.motif_names = options_.motifs;
   // Reject un-serializable layouts (capacity out of range, custom weight)
@@ -625,13 +629,15 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   std::vector<Status> written(k);
   ForEachChunk(k, MergeThreads(), [&](size_t s, unsigned) {
     Result<StagedFile> file = StagedFile::Create(
-        (std::filesystem::path(dir) / ShardFileName(s)).string());
+        (std::filesystem::path(dir) / ShardFileName(static_cast<uint32_t>(s)))
+            .string());
     if (!file.ok()) {
       written[s] = file.status();
       return;
     }
     Status st = SerializeInStreamEstimator(
-        shards_[s]->in_stream_estimator(), [&](std::string_view chunk) {
+        shards_[s]->in_stream_estimator(), shards_[s]->motif_suite(),
+        [&](std::string_view chunk) {
           digests[s] = Fnv1a64(chunk.data(), chunk.size(), digests[s]);
           return file->Write(chunk);
         });
@@ -644,14 +650,7 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   }
 
   for (uint32_t s = 0; s < k; ++s) {
-    ShardManifestEntry entry;
-    entry.shard_index = s;
-    entry.shard_seed = shards_[s]->reservoir().options().seed;
-    entry.edges_processed = shards_[s]->reservoir().edges_processed();
-    entry.digest = digests[s];
-    entry.filename = ShardFileName(s);
-    entry.motif_accumulators = shards_[s]->motif_suite().Accumulators();
-    manifest.entries.push_back(std::move(entry));
+    manifest.entries.push_back({s, digests[s]});
   }
   Result<StagedFile> manifest_file = StagedFile::Create(
       (std::filesystem::path(dir) / kShardManifestFilename).string());
@@ -707,7 +706,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
   options.sampler.capacity = loaded->layout.total_capacity;
   options.sampler.seed = loaded->layout.base_seed;
   options.sampler.weight = loaded->layout.weight;
-  options.sampler.mem_bytes = loaded->layout.mem_budget_bytes;
   options.num_shards = loaded->layout.num_shards;
   options.merge_mode = MergeMode::kInStreamPlusCross;
   options.motifs = loaded->layout.motif_names;

@@ -58,14 +58,15 @@ namespace gps {
 /// directory.
 inline constexpr const char* kShardManifestFilename = "manifest.gpsm";
 
+/// File name of shard s's GPS-INSTREAM file inside a checkpoint directory
+/// ("shard-0003.gps"). Readers derive it from the manifest entry's index.
+std::string ShardFileName(uint32_t shard);
+
 struct ShardedEngineOptions {
   /// Base sampler configuration. `capacity` is the TOTAL memory budget:
   /// each shard's reservoir gets ceil(capacity / K) slots, so the
   /// engine's total memory matches the serial sampler's; `seed` is the
-  /// base seed each shard's seed is derived from (core/seeding.h);
-  /// `mem_bytes` is the --mem byte budget the capacity was derived from
-  /// (0 for an explicit capacity) — recorded in checkpoint manifests as
-  /// capacity provenance, never consulted by the sample path.
+  /// base seed each shard's seed is derived from (core/seeding.h).
   GpsSamplerOptions sampler;
   /// Number of shards K (>= 1).
   uint32_t num_shards = 1;
@@ -172,13 +173,13 @@ class ShardedEngine {
   /// state, so the sample path is the same however often it is called.
   MonitorRecord MergedRecord();
 
-  /// Drains and serializes every shard's in-stream estimator into `dir`
-  /// (created if missing): one GPS-INSTREAM file per shard plus a
+  /// Drains and serializes every shard into `dir` (created if missing):
+  /// one GPS-INSTREAM file per shard (ShardFileName) holding its whole
+  /// state — in-stream estimator and motif accumulators — plus a
   /// GPS-MANIFEST file (kShardManifestFilename) recording the layout,
-  /// per-shard seeds, weight configuration, and per-file digests. The
-  /// engine stays usable afterwards, so checkpoints can be taken
-  /// mid-stream. Requires in-stream shard estimators
-  /// (MergeMode::kInStreamPlusCross).
+  /// weight configuration, motif set and per-file digests. The engine
+  /// stays usable afterwards, so checkpoints can be taken mid-stream.
+  /// Requires in-stream shard estimators (MergeMode::kInStreamPlusCross).
   Status SerializeShards(const std::string& dir);
 
   /// Rebuilds a RUNNING engine from one or more manifests written by
@@ -186,19 +187,20 @@ class ShardedEngine {
   /// subset of the K shards — so the stream can continue where the
   /// interrupted run left off, or (after Finish) the merged estimates of
   /// the checkpointed prefix can be read without re-streaming. Per-shard
-  /// reservoirs, snapshot accumulators, and RNG states are restored from
-  /// the shard files (exact round trip), workers are started (none at
-  /// K=1), and edges_processed() resumes at the manifests' stream offset.
-  /// Feeding the suffix of the original stream yields per-shard
-  /// reservoirs and merged estimates byte-identical to an uninterrupted
-  /// run. All manifests must agree on K, base seed, capacity, weight
-  /// configuration, motif suite and stream offset (FailedPrecondition
-  /// otherwise), and the shards' arrival counts must sum to it; their
-  /// entries must cover every shard exactly once and match the
-  /// core/seeding.h derivation, and every shard file must match its
-  /// recorded digest. A directory passed as a manifest path is refused by
-  /// name. The resumed engine runs the default batch size and no trace:
-  /// neither reaches the sample path.
+  /// reservoirs, snapshot and motif accumulators, and RNG states are
+  /// restored from the shard files (exact round trip), workers are
+  /// started (none at K=1), and edges_processed() resumes at the
+  /// manifests' stream offset. Feeding the suffix of the original stream
+  /// yields per-shard reservoirs and merged estimates byte-identical to
+  /// an uninterrupted run. All manifests must agree on K, base seed,
+  /// capacity, weight configuration, motif suite and stream offset
+  /// (FailedPrecondition otherwise), and the shards' arrival counts must
+  /// sum to it; their entries must cover every shard exactly once, every
+  /// shard file must match its recorded digest, and its seed, capacity,
+  /// weight configuration and motif set must match the layout. A
+  /// directory passed as a manifest path is refused by name. The resumed
+  /// engine runs the default batch size and no trace: neither reaches
+  /// the sample path.
   static Result<std::unique_ptr<ShardedEngine>> ResumeFromCheckpoints(
       std::span<const std::string> manifest_paths);
 

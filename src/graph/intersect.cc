@@ -16,10 +16,6 @@
 
 #include "graph/intersect.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #if GPS_INTERSECT_X86
 #include <immintrin.h>
 #endif
@@ -246,34 +242,11 @@ const SimdOps* ResolveSimdOps() {
 #endif
 }
 
-/// Reads GPS_INTERSECT_KERNEL once at startup. Unknown values warn (to
-/// stderr, once) and keep adaptive dispatch rather than refusing: kernel
-/// choice can never change results, only speed.
-uint8_t InitialForcedKernel() {
-  const char* env = std::getenv("GPS_INTERSECT_KERNEL");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
-    return static_cast<uint8_t>(IntersectKernel::kAuto);
-  }
-  if (std::strcmp(env, "merge") == 0) {
-    return static_cast<uint8_t>(IntersectKernel::kMerge);
-  }
-  if (std::strcmp(env, "gallop") == 0) {
-    return static_cast<uint8_t>(IntersectKernel::kGallop);
-  }
-  if (std::strcmp(env, "simd") == 0) {
-    return static_cast<uint8_t>(IntersectKernel::kSimd);
-  }
-  std::fprintf(stderr,
-               "warning: GPS_INTERSECT_KERNEL='%s' is not one of "
-               "auto|merge|gallop|simd; using adaptive dispatch\n",
-               env);
-  return static_cast<uint8_t>(IntersectKernel::kAuto);
-}
-
 }  // namespace
 
 const SimdOps* const g_simd_ops = ResolveSimdOps();
-std::atomic<uint8_t> g_forced_kernel{InitialForcedKernel()};
+std::atomic<uint8_t> g_forced_kernel{
+    static_cast<uint8_t>(IntersectKernel::kAuto)};
 
 }  // namespace intersect_detail
 

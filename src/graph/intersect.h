@@ -31,9 +31,9 @@
 // (a, b) argument order. Callers accumulate floating-point sums in emission
 // order, so kernel choice (and therefore CPU generation, -DGPS_SIMD
 // setting, or a forced kernel) can never change estimate bytes. Forced
-// mode — SetIntersectKernel() or the GPS_INTERSECT_KERNEL environment
-// variable (auto|merge|gallop|simd) — exists so tests can assert exactly
-// that (tests/graph_intersect_test.cc, the cli_test golden-stream matrix).
+// mode — SetIntersectKernel(), the one way to force a kernel — exists so
+// tests can assert exactly that (tests/graph_intersect_test.cc, down to a
+// sharded engine's monitor ticks).
 //
 // Metrics: per-call kernel counters (intersect.merge/gallop/simd) and a
 // comparisons-saved tally (scalar-merge cost na+nb minus the comparisons
@@ -118,9 +118,8 @@ struct SimdOps {
 /// architecture is not x86-64. Set once at static init (intersect.cc).
 extern const SimdOps* const g_simd_ops;
 
-/// Forced kernel as a raw IntersectKernel value; initialized from the
-/// GPS_INTERSECT_KERNEL environment variable, overridable via
-/// SetIntersectKernel. kAuto = no forcing.
+/// Forced kernel as a raw IntersectKernel value, set by
+/// SetIntersectKernel. kAuto (the initial value) = no forcing.
 extern std::atomic<uint8_t> g_forced_kernel;
 
 /// Gallop-vs-merge size-ratio crossover. Tuned with bench_intersect on the

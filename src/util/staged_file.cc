@@ -21,7 +21,7 @@ std::string ErrnoText(int err) {
 
 }  // namespace
 
-Result<StagedFile> StagedFile::Create(const std::string& path) {
+Status CheckReplaceableTarget(const std::string& path) {
   // Publish() renames over the target: a device node, FIFO or directory
   // there would be replaced by (or refuse) a regular file.
   struct stat target;
@@ -29,6 +29,11 @@ Result<StagedFile> StagedFile::Create(const std::string& path) {
     return Status::IoError("cannot replace '" + path +
                            "': not a regular file");
   }
+  return Status::Ok();
+}
+
+Result<StagedFile> StagedFile::Create(const std::string& path) {
+  if (Status s = CheckReplaceableTarget(path); !s.ok()) return s;
   std::string temp_path = path + ".tmp";
   const int fd = ::open(temp_path.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);

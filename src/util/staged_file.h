@@ -22,11 +22,17 @@
 
 namespace gps {
 
+/// The target rule of StagedFile::Create: an IoError naming `path` when
+/// something other than a regular file (a device node, a FIFO, a
+/// directory) already sits there, which Publish() would replace or fail
+/// on. A caller that writes its file at the end of a long run checks the
+/// target up front with it.
+Status CheckReplaceableTarget(const std::string& path);
+
 class StagedFile {
  public:
-  /// Creates (or truncates) "<path>.tmp" for writing. Fails with an
-  /// IoError naming `path` when something other than a regular file (a
-  /// device node, a FIFO, a directory) already sits there, and naming the
+  /// Creates (or truncates) "<path>.tmp" for writing. Fails as
+  /// CheckReplaceableTarget(path) does, and with an IoError naming the
   /// temp file when it cannot be created — for example when a directory
   /// already sits at that name.
   static Result<StagedFile> Create(const std::string& path);

@@ -2,6 +2,8 @@
 // resume round trips, and error paths. The binary path is injected by
 // CMake via GPS_CLI_PATH.
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/serialize.h"
+#include "engine_test_util.h"
 
 #ifndef GPS_CLI_PATH
 #define GPS_CLI_PATH "gps_cli"
@@ -42,16 +45,10 @@ CommandResult RunShell(const std::string& command) {
   return result;
 }
 
-/// Runs the CLI with `env_prefix` prepended (e.g. "GPS_INTERSECT_KERNEL=simd")
-/// so tests can exercise environment-driven modes of a fresh process.
-/// `output` holds stdout and stderr together.
-CommandResult RunCliEnv(const std::string& env_prefix,
-                        const std::string& args) {
-  return RunShell((env_prefix.empty() ? "" : env_prefix + " ") +
-                  std::string(GPS_CLI_PATH) + " " + args + " 2>&1");
+/// Runs the CLI; `output` holds stdout and stderr together.
+CommandResult RunCli(const std::string& args) {
+  return RunShell(std::string(GPS_CLI_PATH) + " " + args + " 2>&1");
 }
-
-CommandResult RunCli(const std::string& args) { return RunCliEnv("", args); }
 
 // ctest runs these cases in parallel processes; every path must be unique
 // per test or TearDown in one process deletes a file another is reading.
@@ -259,6 +256,38 @@ TEST_F(CliTest, FailedOutputWritesKeepPreviousFiles) {
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << args;
     std::remove(path.c_str());
   }
+}
+
+TEST_F(CliTest, NonRegularStatsAndTraceTargetsFailBeforeTheStream) {
+  // --stats-out and --trace are written after the run; a FIFO or a
+  // directory at either target fails the run before the input is read,
+  // so no estimate is printed, and the target is left as it was.
+  const gps::engine_test::ScopedTempDir dir("cli", "targets");
+  std::filesystem::create_directories(dir);
+  const std::string fifo = dir / "fifo";
+  const std::string subdir = dir / "subdir";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  ASSERT_TRUE(std::filesystem::create_directory(subdir));
+  for (const std::string command :
+       {"estimate --capacity 500 --shards 2", "monitor --every 1000"}) {
+    for (const std::string flag : {"--stats-out", "--trace"}) {
+      for (const std::string& target : {fifo, subdir}) {
+        const std::string args = command + " --input " + graph_path_ + " " +
+                                 flag + " " + target;
+        SCOPED_TRACE(args);
+        std::string err;
+        const CommandResult r = RunCliSplit(args, &err);
+        EXPECT_EQ(r.exit_code, 1) << r.output << err;
+        EXPECT_EQ(r.output, "") << r.output;
+        EXPECT_NE(err.find("cannot replace '" + target +
+                           "': not a regular file"),
+                  std::string::npos)
+            << err;
+      }
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_TRUE(std::filesystem::is_directory(subdir));
 }
 
 TEST_F(CliTest, ManifestCommandsRefuseBareInStreamFile) {
@@ -519,12 +548,12 @@ TEST_F(CliTest, UnallocatableCeilingCheckpointIsRefused) {
   const std::string dir = FreshPath("ceiling_ckpt");
   std::filesystem::create_directories(dir);
   const std::string shard =
-      "GPS-INSTREAM 1\n2 9 1 1\n0 0 0 0 0\n"
+      "GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0\n0\n"
       "GPS-RESERVOIR 1\n268435456 3\n0 0\n1 2 3 4\n0\n";
   std::ofstream(dir + "/shard-0000.gps") << shard;
   std::ofstream(dir + "/manifest.gpsm")
-      << "GPS-MANIFEST 4\n1 3 268435456 1 0 0\n2 9 1 1\n0\n1\n0 3 0 "
-      << gps::ChecksumBytes(shard) << " shard-0000.gps\n";
+      << "GPS-MANIFEST 5\n1 3 268435456 0\n2 9 1 1\n0\n1\n0 "
+      << gps::ChecksumBytes(shard) << "\n";
   for (const std::string& command :
        {"merge-checkpoints --manifest " + dir + "/manifest.gpsm",
         "resume-shards --manifest " + dir + "/manifest.gpsm --input " +
@@ -976,7 +1005,8 @@ TEST_F(CliTest, EstimateWithMotifsPrintsMotifRows) {
 }
 
 TEST_F(CliTest, EstimateMotifsRouteThroughEngineAtOneShard) {
-  // A K=1 motif run checkpoints a manifest that carries the accumulators.
+  // A K=1 motif run checkpoints a shard file that carries the
+  // accumulators.
   const std::string dir = TempPath("motif_ckpt");
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
@@ -1028,27 +1058,28 @@ TEST_F(CliTest, MonitorWithMotifsExtendsCsvSchema) {
   }
 }
 
-TEST_F(CliTest, ResumeShardsCrossChecksMotifSet) {
+TEST_F(CliTest, ResumeShardsAdoptsTheCheckpointMotifSet) {
+  // The motif set is part of the checkpoint: resume-shards prints its
+  // motif rows without being told, and takes no --motifs flag.
   const std::string dir = FreshPath("resume_motifs");
   ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
                    " --capacity 1000 --shards 2 --motifs tri,4clique"
                    " --estimator in-stream --checkpoint " + dir)
                 .exit_code,
             0);
-  // Matching set passes and prints motif rows.
-  const CommandResult ok =
-      RunCli("resume-shards --manifest " + dir + "/manifest.gpsm"
-             " --input " + graph_path_ + " --motifs tri,4clique");
+  const CommandResult ok = RunCli("resume-shards --manifest " + dir +
+                                  "/manifest.gpsm --input " + graph_path_);
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("motif:tri"), std::string::npos) << ok.output;
   EXPECT_NE(ok.output.find("motif:4clique"), std::string::npos)
       << ok.output;
-  // Mismatched set is refused.
-  const CommandResult mismatch =
+  const CommandResult flag =
       RunCli("resume-shards --manifest " + dir + "/manifest.gpsm"
-             " --input " + graph_path_ + " --motifs tri");
-  EXPECT_NE(mismatch.exit_code, 0);
-  EXPECT_NE(mismatch.output.find("motif"), std::string::npos)
-      << mismatch.output;
+             " --input " + graph_path_ + " --motifs tri,4clique");
+  EXPECT_EQ(flag.exit_code, 2) << flag.output;
+  EXPECT_NE(flag.output.find("unknown flag '--motifs' for 'resume-shards'"),
+            std::string::npos)
+      << flag.output;
   std::filesystem::remove_all(dir);
 }
 
@@ -1109,47 +1140,19 @@ TEST_F(CliTest, ResumeSavePersistsContinuedState) {
 TEST_F(CliTest, VersionReportsFormats) {
   const CommandResult r = RunCli("version");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("manifest format"), std::string::npos);
-  EXPECT_NE(r.output.find("v4"), std::string::npos);
-  EXPECT_NE(r.output.find("estimator format"), std::string::npos);
-  EXPECT_NE(r.output.find("stream format"), std::string::npos);
+  // Each row names a component, then its value on the same line.
+  const auto row_has = [&r](const std::string& component,
+                            const std::string& value) {
+    const size_t at = r.output.find(component);
+    if (at == std::string::npos) return false;
+    const size_t end = r.output.find('\n', at);
+    return r.output.substr(at, end - at).find(value) != std::string::npos;
+  };
+  EXPECT_TRUE(row_has("manifest format", "v5")) << r.output;
+  EXPECT_TRUE(row_has("shard-file format", "v2")) << r.output;
+  EXPECT_TRUE(row_has("stream format", "v1")) << r.output;
   EXPECT_NE(r.output.find("metrics"), std::string::npos);
   EXPECT_NE(r.output.find("intersect simd"), std::string::npos);
-}
-
-TEST_F(CliTest, ForcedIntersectKernelsAreByteIdenticalOnGoldenStream) {
-  // The intersection kernels' user-facing contract (graph/intersect.h):
-  // GPS_INTERSECT_KERNEL=merge|gallop|simd runs of the same estimate and
-  // the same monitor CSV produce byte-identical output — kernel choice
-  // (and therefore CPU generation or -DGPS_SIMD setting) can never move
-  // an estimate. 'simd' rides along even on non-simd builds, where it
-  // must degrade to merge rather than diverge or crash.
-  const std::string estimate_args = "estimate --input " + graph_path_ +
-                                    " --capacity 2000 --shards 4 --seed 9";
-  const std::string monitor_args = "monitor --input " + graph_path_ +
-                                   " --capacity 1500 --seed 11 --shards 2 "
-                                   "--every 1000";
-  const CommandResult est_base = RunCli(estimate_args);
-  ASSERT_EQ(est_base.exit_code, 0) << est_base.output;
-  const CommandResult mon_base = RunCli(monitor_args);
-  ASSERT_EQ(mon_base.exit_code, 0) << mon_base.output;
-  for (const std::string kernel : {"merge", "gallop", "simd"}) {
-    const std::string env = "GPS_INTERSECT_KERNEL=" + kernel;
-    const CommandResult est = RunCliEnv(env, estimate_args);
-    ASSERT_EQ(est.exit_code, 0) << kernel << ": " << est.output;
-    EXPECT_EQ(est.output, est_base.output) << kernel;
-    const CommandResult mon = RunCliEnv(env, monitor_args);
-    ASSERT_EQ(mon.exit_code, 0) << kernel << ": " << mon.output;
-    EXPECT_EQ(mon.output, mon_base.output) << kernel;
-  }
-}
-
-TEST_F(CliTest, UnknownIntersectKernelWarnsAndRunsAdaptive) {
-  const CommandResult r =
-      RunCliEnv("GPS_INTERSECT_KERNEL=quantum", "version");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("GPS_INTERSECT_KERNEL"), std::string::npos)
-      << r.output;
 }
 
 TEST_F(CliTest, VersionRejectsFlags) {

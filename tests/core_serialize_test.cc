@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/motifs.h"
 #include "core/post_stream.h"
 #include "gen/generators.h"
 #include "graph/stream.h"
@@ -81,15 +82,19 @@ TEST(SerializeTest, ResumedInStreamEstimatorMatchesUninterrupted) {
     first_half.Process(stream[i]);
   }
   std::stringstream buffer;
-  ASSERT_TRUE(SerializeInStreamEstimator(first_half, StreamSink(buffer)).ok());
+  ASSERT_TRUE(
+      SerializeInStreamEstimator(first_half, MotifSuite(), StreamSink(buffer))
+          .ok());
   auto resumed = DeserializeInStreamEstimator(buffer);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->motif_names.empty());
+  EXPECT_TRUE(resumed->motif_accumulators.empty());
   for (size_t i = stream.size() / 3; i < stream.size(); ++i) {
-    resumed->Process(stream[i]);
+    resumed->estimator.Process(stream[i]);
   }
 
   const GraphEstimates a = uninterrupted.Estimates();
-  const GraphEstimates b = resumed->Estimates();
+  const GraphEstimates b = resumed->estimator.Estimates();
   EXPECT_DOUBLE_EQ(a.triangles.value, b.triangles.value);
   EXPECT_DOUBLE_EQ(a.triangles.variance, b.triangles.variance);
   EXPECT_DOUBLE_EQ(a.wedges.value, b.wedges.value);
@@ -106,7 +111,8 @@ TEST(SerializeTest, CustomWeightRefused) {
   };
   InStreamEstimator estimator(options);
   std::stringstream buffer;
-  const Status s = SerializeInStreamEstimator(estimator, StreamSink(buffer));
+  const Status s =
+      SerializeInStreamEstimator(estimator, MotifSuite(), StreamSink(buffer));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
@@ -247,16 +253,128 @@ TEST(SerializeTest, RejectsRecordCountBeyondTheFileBeforeAllocating) {
 }
 
 TEST(SerializeTest, RejectsInvalidInStreamAccumulators) {
-  // "GPS-INSTREAM 1\n <weight kind coeff adj default>\n <5 accumulators>\n"
-  // followed by a reservoir block (never reached here).
+  // "GPS-INSTREAM 2\n <weight kind coeff adj default>\n <5 accumulators>\n
+  // <motif line>\n" followed by a reservoir block (never reached here).
   std::stringstream buffer(
-      "GPS-INSTREAM 1\n"
+      "GPS-INSTREAM 2\n"
       "2 9 1 1\n"
       "-1 0 0 0 0\n"
+      "0\n"
       "GPS-RESERVOIR 1\n10 1\n0 0\n1 2 3 4\n0\n");
   auto r = DeserializeInStreamEstimator(buffer);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// A K=1-sized in-stream run over `stream` with a motif suite beside it,
+/// fed as a shard worker feeds them: the suite observes each arrival
+/// before the estimator samples it.
+struct SuiteRun {
+  InStreamEstimator estimator;
+  MotifSuite suite;
+};
+
+SuiteRun RunWithSuite(const std::vector<Edge>& stream,
+                      const std::vector<std::string>& motifs) {
+  GpsSamplerOptions options;
+  options.capacity = 120;
+  options.seed = 642;
+  SuiteRun run{InStreamEstimator(options), MotifSuite(motifs)};
+  for (const Edge& e : stream) {
+    run.suite.Observe(e, run.estimator.reservoir());
+    run.estimator.Process(e);
+  }
+  return run;
+}
+
+TEST(SerializeTest, ShardFileCarriesTheMotifSuite) {
+  // Version 2 adds one line after the accumulators: the suite's size,
+  // then per motif its name, count, variance and snapshots. The rest of
+  // the file is the version-1 layout.
+  const SuiteRun run = RunWithSuite(TestStream(641), {"tri", "4clique"});
+  ASSERT_GT(run.suite.accumulator(0).count, 0.0);
+  std::stringstream buffer;
+  ASSERT_TRUE(SerializeInStreamEstimator(run.estimator, run.suite,
+                                         StreamSink(buffer))
+                  .ok());
+  const std::string text = buffer.str();
+  ASSERT_EQ(text.rfind("GPS-INSTREAM 2\n", 0), 0u) << text.substr(0, 80);
+  std::istringstream lines(text);
+  std::string line;
+  for (int i = 0; i < 4; ++i) std::getline(lines, line);
+  EXPECT_EQ(line.rfind("2 tri ", 0), 0u) << line;
+  EXPECT_NE(line.find(" 4clique "), std::string::npos) << line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "GPS-RESERVOIR 1");
+
+  auto restored = DeserializeInStreamEstimator(buffer);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->motif_names, run.suite.Names());
+  ASSERT_EQ(restored->motif_accumulators.size(), 2u);
+  for (size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(restored->motif_accumulators[m].count,
+              run.suite.accumulator(m).count);
+    EXPECT_EQ(restored->motif_accumulators[m].variance,
+              run.suite.accumulator(m).variance);
+    EXPECT_EQ(restored->motif_accumulators[m].snapshots,
+              run.suite.accumulator(m).snapshots);
+  }
+  // Written again, the restored state is the same bytes.
+  MotifSuite suite(restored->motif_names);
+  suite.RestoreAccumulators(restored->motif_accumulators);
+  std::stringstream again;
+  ASSERT_TRUE(
+      SerializeInStreamEstimator(restored->estimator, suite, StreamSink(again))
+          .ok());
+  EXPECT_EQ(again.str(), text);
+}
+
+TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
+  const struct {
+    const char* name;
+    const char* motif_line;
+    StatusCode want;
+    const char* message;
+  } kCases[] = {
+      {"unknown motif", "1 pentagon 1 0 1", StatusCode::kInvalidArgument,
+       "checkpoint motif set: unknown motif 'pentagon'"},
+      {"duplicate motif", "2 tri 1 0 1 tri 1 0 1",
+       StatusCode::kInvalidArgument, "motif 'tri' listed twice"},
+      {"negative count", "1 tri -1 0 1", StatusCode::kInvalidArgument,
+       "invalid 'tri' motif accumulator in checkpoint"},
+      {"negative variance", "1 tri 1 -2 1", StatusCode::kInvalidArgument,
+       "invalid 'tri' motif accumulator in checkpoint"},
+      {"more motifs than the registry", "99", StatusCode::kInvalidArgument,
+       "checkpoint motif count 99 exceeds the registry size"},
+      {"truncated accumulators", "1 tri 1", StatusCode::kIoError,
+       "truncated checkpoint: motif accumulators"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    std::stringstream buffer(
+        std::string("GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0 \n") +
+        c.motif_line + "\nGPS-RESERVOIR 1\n10 1\n0 0\n1 2 3 4\n0\n");
+    auto r = DeserializeInStreamEstimator(buffer);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), c.want) << r.status().ToString();
+    EXPECT_NE(r.status().message().find(c.message), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(SerializeTest, ShardFileVersionOneIsRefusedByName) {
+  // A version-1 shard file has no motif line; the reader takes version 2
+  // only and names the version it found.
+  std::stringstream buffer(
+      "GPS-INSTREAM 1\n2 9 1 1\n0 0 0 0 0 \n"
+      "GPS-RESERVOIR 1\n10 1\n0 0\n1 2 3 4\n0\n");
+  auto r = DeserializeInStreamEstimator(buffer);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find(
+                "unsupported checkpoint version 1 for GPS-INSTREAM"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 ShardManifest TestManifest() {
@@ -269,8 +387,8 @@ ShardManifest TestManifest() {
   manifest.weight.coefficient = 9.0;
   manifest.weight.adjacency_coefficient = 2.5;
   manifest.weight.default_weight = 0.5;
-  manifest.entries.push_back({0, 111, 250, 0x1234abcdu, "shard-0000.gps", {}});
-  manifest.entries.push_back({2, 333, 260, 0x9876fedcu, "shard-0002.gps", {}});
+  manifest.entries.push_back({0, 0x1234abcdu});
+  manifest.entries.push_back({2, 0x9876fedcu});
   return manifest;
 }
 
@@ -293,46 +411,42 @@ TEST(SerializeTest, ManifestRoundTripPreservesEverything) {
   ASSERT_EQ(r->entries.size(), manifest.entries.size());
   for (size_t i = 0; i < manifest.entries.size(); ++i) {
     EXPECT_EQ(r->entries[i].shard_index, manifest.entries[i].shard_index);
-    EXPECT_EQ(r->entries[i].shard_seed, manifest.entries[i].shard_seed);
-    EXPECT_EQ(r->entries[i].edges_processed,
-              manifest.entries[i].edges_processed);
     EXPECT_EQ(r->entries[i].digest, manifest.entries[i].digest);
-    EXPECT_EQ(r->entries[i].filename, manifest.entries[i].filename);
   }
+}
+
+TEST(SerializeTest, ManifestHoldsOnlyTheLayoutAndTheDigests) {
+  // Header, layout line, weights, motif names, entry count, then one
+  // "index digest" line per shard: nothing a shard file already holds.
+  ShardManifest manifest = TestManifest();
+  manifest.motif_names = {"tri", "4clique"};
+  std::stringstream buffer;
+  ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
+  EXPECT_EQ(buffer.str(),
+            "GPS-MANIFEST 5\n"
+            "4 42 1000 600\n"
+            "3 9 2.5 0.5\n"
+            "2 tri 4clique\n"
+            "2\n"
+            "0 305441741\n"
+            "2 2557935324\n");
 }
 
 TEST(SerializeTest, ManifestMotifSetRoundTrip) {
   ShardManifest manifest = TestManifest();
   manifest.motif_names = {"tri", "4clique"};
-  manifest.entries[0].motif_accumulators = {{12.5, 3.0, 9}, {0.0, 0.0, 0}};
-  manifest.entries[1].motif_accumulators = {{7.0, 1.0, 4},
-                                            {100.25, 55.5, 17}};
   std::stringstream buffer;
   ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   auto r = DeserializeManifest(buffer);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->motif_names, manifest.motif_names);
-  ASSERT_EQ(r->entries.size(), 2u);
-  for (size_t i = 0; i < r->entries.size(); ++i) {
-    ASSERT_EQ(r->entries[i].motif_accumulators.size(), 2u) << i;
-    for (size_t m = 0; m < 2; ++m) {
-      EXPECT_DOUBLE_EQ(r->entries[i].motif_accumulators[m].count,
-                       manifest.entries[i].motif_accumulators[m].count);
-      EXPECT_DOUBLE_EQ(r->entries[i].motif_accumulators[m].variance,
-                       manifest.entries[i].motif_accumulators[m].variance);
-      EXPECT_EQ(r->entries[i].motif_accumulators[m].snapshots,
-                manifest.entries[i].motif_accumulators[m].snapshots);
-    }
-  }
+  EXPECT_EQ(r->entries.size(), 2u);
 }
 
 TEST(SerializeTest, ManifestMotifValidation) {
   // Unknown motif names are refused BY NAME on write and read.
   ShardManifest unknown = TestManifest();
   unknown.motif_names = {"tri", "pentagon"};
-  for (ShardManifestEntry& entry : unknown.entries) {
-    entry.motif_accumulators.resize(2);
-  }
   std::stringstream buffer;
   const Status write = SerializeManifest(unknown, StreamSink(buffer));
   ASSERT_FALSE(write.ok());
@@ -340,7 +454,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
       << write.ToString();
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 4\n1 42 1000 1 0 0\n2 9 1 1\n1 pentagon\n0\n");
+        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n1 pentagon\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -352,41 +466,11 @@ TEST(SerializeTest, ManifestMotifValidation) {
   // A duplicated motif name is refused.
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 4\n1 42 1000 1 0 0\n2 9 1 1\n2 tri tri\n0\n");
+        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n2 tri tri\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("motif 'tri' listed twice"),
-              std::string::npos)
-        << r.status().ToString();
-  }
-
-  // Entry accumulator arity must match the motif set.
-  ShardManifest arity = TestManifest();
-  arity.motif_names = {"tri"};
-  arity.entries[0].motif_accumulators = {{1.0, 0.0, 1}};
-  // entries[1] left without accumulators
-  std::stringstream arity_buffer;
-  EXPECT_FALSE(SerializeManifest(arity, StreamSink(arity_buffer)).ok());
-
-  // Negative / non-finite accumulators are refused.
-  ShardManifest negative = TestManifest();
-  negative.motif_names = {"tri"};
-  negative.entries[0].motif_accumulators = {{-1.0, 0.0, 0}};
-  negative.entries[1].motif_accumulators = {{1.0, 0.0, 1}};
-  std::stringstream negative_buffer;
-  const Status neg = SerializeManifest(negative, StreamSink(negative_buffer));
-  ASSERT_FALSE(neg.ok());
-  EXPECT_NE(neg.message().find("tri"), std::string::npos);
-  {
-    std::stringstream crafted(
-        "GPS-MANIFEST 4\n1 42 1000 1 10 0\n2 9 1 1\n1 tri\n1\n"
-        "0 42 10 123 shard.gps 5 -1 2\n");
-    auto r = DeserializeManifest(crafted);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find(
-                  "invalid 'tri' accumulator for manifest shard 0"),
               std::string::npos)
         << r.status().ToString();
   }
@@ -399,24 +483,14 @@ TEST(SerializeTest, ManifestSerializationValidates) {
   // Entry index out of range.
   ShardManifest range = TestManifest();
   range.entries[0].shard_index = 9;
-  // Path traversal in a shard filename.
-  ShardManifest traversal = TestManifest();
-  traversal.entries[0].filename = "../evil.gps";
-  // Whitespace would break the whitespace-delimited format on re-read.
-  ShardManifest spacey = TestManifest();
-  spacey.entries[0].filename = "my shard.gps";
   // Non-finite weight configuration.
   ShardManifest nan_weight = TestManifest();
   nan_weight.weight.coefficient = std::nan("");
   // Zero capacity.
   ShardManifest zero_cap = TestManifest();
   zero_cap.total_capacity = 0;
-  // Stream offset smaller than the shards' recorded arrival counts.
-  ShardManifest small_offset = TestManifest();
-  small_offset.stream_offset = 100;
 
-  for (const ShardManifest* m : {&dup, &range, &traversal, &spacey,
-                                 &nan_weight, &zero_cap, &small_offset}) {
+  for (const ShardManifest* m : {&dup, &range, &nan_weight, &zero_cap}) {
     std::stringstream buffer;
     const Status s = SerializeManifest(*m, StreamSink(buffer));
     ASSERT_FALSE(s.ok());
@@ -425,55 +499,40 @@ TEST(SerializeTest, ManifestSerializationValidates) {
 }
 
 TEST(SerializeTest, ManifestRejectsCorruptText) {
-  // Layout reminder: "GPS-MANIFEST 4\n K base_seed capacity split offset
-  // budget\n kind coeff adj default\n num_motifs names\n num_entries\n
-  // idx seed edges digest file\n".
+  // Layout reminder: "GPS-MANIFEST 5\n K base_seed capacity offset\n
+  // kind coeff adj default\n num_motifs names\n num_entries\n
+  // idx digest\n".
   const struct {
     const char* name;
     const char* text;
     StatusCode want;
     const char* message;
   } kCases[] = {
-      {"wrong header", "GPS-NOPE 4\n", StatusCode::kInvalidArgument,
+      {"wrong header", "GPS-NOPE 5\n", StatusCode::kInvalidArgument,
        "expected GPS-MANIFEST, found GPS-NOPE"},
-      {"truncated", "GPS-MANIFEST 4\n4 42\n", StatusCode::kIoError,
+      {"truncated", "GPS-MANIFEST 5\n4 42\n", StatusCode::kIoError,
        "truncated manifest: layout"},
-      {"zero shards",
-       "GPS-MANIFEST 4\n0 42 1000 1 0 0\n2 9 1 1\n0\n0\n",
+      {"zero shards", "GPS-MANIFEST 5\n0 42 1000 0\n2 9 1 1\n0\n0\n",
        StatusCode::kInvalidArgument, "manifest shard count 0 outside"},
       {"shard count over ceiling",
-       "GPS-MANIFEST 4\n5000 42 1000 1 0 0\n2 9 1 1\n0\n0\n",
+       "GPS-MANIFEST 5\n5000 42 1000 0\n2 9 1 1\n0\n0\n",
        StatusCode::kInvalidArgument, "manifest shard count 5000 outside"},
       {"capacity over ceiling",
-       "GPS-MANIFEST 4\n4 42 999999999999 1 0 0\n2 9 1 1\n0\n0\n",
+       "GPS-MANIFEST 5\n4 42 999999999999 0\n2 9 1 1\n0\n0\n",
        StatusCode::kInvalidArgument, "manifest capacity 999999999999"},
-      {"bad split flag",
-       "GPS-MANIFEST 4\n4 42 1000 7 0 0\n2 9 1 1\n0\n0\n",
-       StatusCode::kInvalidArgument, "split-capacity flag must be 0 or 1"},
       {"entry index out of range",
-       "GPS-MANIFEST 4\n4 42 1000 1 250 0\n2 9 1 1\n0\n1\n"
-       "9 111 250 777 shard.gps\n",
+       "GPS-MANIFEST 5\n4 42 1000 250\n2 9 1 1\n0\n1\n9 777\n",
        StatusCode::kInvalidArgument, "manifest shard index 9 out of range"},
       {"duplicate entry",
-       "GPS-MANIFEST 4\n4 42 1000 1 500 0\n2 9 1 1\n0\n2\n"
-       "0 111 250 777 a.gps\n0 111 250 777 b.gps\n",
+       "GPS-MANIFEST 5\n4 42 1000 500\n2 9 1 1\n0\n2\n0 777\n0 778\n",
        StatusCode::kInvalidArgument, "manifest lists shard 0 twice"},
       {"more entries than shards",
-       "GPS-MANIFEST 4\n2 42 1000 1 6 0\n2 9 1 1\n0\n3\n"
-       "0 1 2 3 a.gps\n1 1 2 3 b.gps\n1 1 2 3 c.gps\n",
+       "GPS-MANIFEST 5\n2 42 1000 6\n2 9 1 1\n0\n3\n0 3\n1 3\n1 3\n",
        StatusCode::kInvalidArgument,
        "manifest lists more shard files than shards"},
-      {"path traversal filename",
-       "GPS-MANIFEST 4\n4 42 1000 1 250 0\n2 9 1 1\n0\n1\n"
-       "0 111 250 777 ../evil.gps\n",
-       StatusCode::kInvalidArgument, "must be a bare file name"},
-      // Offset 0 is an empty prefix, not "unknown": an entry that ran
-      // arrivals does not fit under it.
-      {"arrivals past the stream offset",
-       "GPS-MANIFEST 4\n4 42 1000 1 0 0\n2 9 1 1\n0\n1\n"
-       "0 111 250 777 shard.gps\n",
-       StatusCode::kInvalidArgument,
-       "arrival counts exceed the recorded stream offset 0"},
+      {"truncated entry",
+       "GPS-MANIFEST 5\n4 42 1000 250\n2 9 1 1\n0\n1\n0\n",
+       StatusCode::kIoError, "truncated manifest: shard entries"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
@@ -487,24 +546,18 @@ TEST(SerializeTest, ManifestRejectsCorruptText) {
 }
 
 TEST(SerializeTest, ManifestVersionCompatibility) {
-  // The reader takes exactly the version writers emit, 4: the layout line
-  // ends with the --mem budget the capacity was derived from (0 marks an
-  // explicit --capacity run).
-  const std::string body =
-      "\n4 42 1000 1 900 141096\n2 9 1 1\n0\n1\n"
-      "0 111 250 777 shard.gps\n";
+  // The reader takes exactly the version writers emit, 5.
+  const std::string body = "\n4 42 1000 900\n2 9 1 1\n0\n1\n0 777\n";
   {
-    std::stringstream v4("GPS-MANIFEST 4" + body);
-    auto r = DeserializeManifest(v4);
+    std::stringstream v5("GPS-MANIFEST 5" + body);
+    auto r = DeserializeManifest(v5);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->stream_offset, 900u);
-    EXPECT_EQ(r->mem_budget_bytes, 141096u);
     EXPECT_TRUE(r->motif_names.empty());
   }
-  // Every other version is refused by name, older ones included: no
-  // writer has emitted them, and their layout lines differ from this
-  // one.
-  for (const int version : {1, 2, 3, 5}) {
+  // Every other version is refused by name, older ones included: their
+  // layout lines and entries differ from this one.
+  for (const int version : {1, 2, 3, 4, 6}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::stringstream other("GPS-MANIFEST " + std::to_string(version) +
                             body);
@@ -517,9 +570,22 @@ TEST(SerializeTest, ManifestVersionCompatibility) {
               std::string::npos)
         << r.status().ToString();
   }
-  // A truncated layout line (budget missing) is an IO error.
+  // A version-4 manifest as the previous writer emitted it: refused by
+  // name before its layout line is read.
   {
-    std::stringstream truncated("GPS-MANIFEST 4\n4 42 1000 1 900\n");
+    std::stringstream v4(
+        "GPS-MANIFEST 4\n1 42 1000 1 900 0\n2 9 1 1\n0\n1\n"
+        "0 9 900 777 shard-0000.gps\n");
+    auto r = DeserializeManifest(v4);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find(
+                  "unsupported checkpoint version 4 for GPS-MANIFEST"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // A truncated layout line (offset missing) is an IO error.
+  {
+    std::stringstream truncated("GPS-MANIFEST 5\n4 42 1000\n");
     auto r = DeserializeManifest(truncated);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kIoError);
@@ -527,58 +593,7 @@ TEST(SerializeTest, ManifestVersionCompatibility) {
   // Writers always emit the current version.
   std::stringstream out;
   ASSERT_TRUE(SerializeManifest(TestManifest(), StreamSink(out)).ok());
-  EXPECT_EQ(out.str().rfind("GPS-MANIFEST 4", 0), 0u) << out.str();
-}
-
-TEST(SerializeTest, ManifestCapacityProvenanceCrossChecked) {
-  // A version-4 manifest whose recorded budget does not derive its
-  // recorded capacity is corrupt (or hand-edited): resuming it would
-  // silently run under a different memory envelope than the operator
-  // budgeted. LayoutForCapacity(1000) needs 141096 bytes, so that budget
-  // round-trips...
-  ShardManifest manifest;
-  manifest.num_shards = 1;
-  manifest.base_seed = 42;
-  manifest.total_capacity = 1000;
-  manifest.stream_offset = 250;
-  manifest.mem_budget_bytes = 141096;
-  manifest.entries.push_back({0, 9, 250, 777, "shard.gps", {}});
-  std::stringstream buffer;
-  ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
-  auto ok = DeserializeManifest(buffer);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->mem_budget_bytes, 141096u);
-
-  // ...while a 10M budget derives 76508 slots, not 1000: refused by name
-  // on write and on read.
-  manifest.mem_budget_bytes = 10485760;
-  std::stringstream corrupt_buffer;
-  const Status write = SerializeManifest(manifest, StreamSink(corrupt_buffer));
-  ASSERT_FALSE(write.ok());
-  EXPECT_NE(write.message().find("provenance"), std::string::npos)
-      << write.ToString();
-  {
-    std::stringstream crafted(
-        "GPS-MANIFEST 4\n1 42 1000 1 250 10485760\n2 9 1 1\n0\n1\n"
-        "0 9 250 777 shard.gps\n");
-    auto r = DeserializeManifest(crafted);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("provenance"), std::string::npos)
-        << r.status().ToString();
-  }
-  // A budget too small for even one slot is refused by the layout
-  // derivation, with the refusal's context naming the manifest field.
-  {
-    std::stringstream crafted(
-        "GPS-MANIFEST 4\n1 42 1000 1 250 12\n2 9 1 1\n0\n1\n"
-        "0 9 250 777 shard.gps\n");
-    auto r = DeserializeManifest(crafted);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("manifest memory budget"),
-              std::string::npos)
-        << r.status().ToString();
-  }
+  EXPECT_EQ(out.str().rfind("GPS-MANIFEST 5", 0), 0u) << out.str();
 }
 
 TEST(SerializeTest, ChecksumIsStableAndSensitive) {

@@ -300,16 +300,18 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
     ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
     ASSERT_EQ(manifest->entries.size(), k);
     for (const ShardManifestEntry& entry : manifest->entries) {
-      const std::string bytes = ReadFileBytes(dir / entry.filename);
+      const std::string name = ShardFileName(entry.shard_index);
+      const std::string bytes = ReadFileBytes(dir / name);
+      const ShardWorker& shard = engine.shard(entry.shard_index);
       std::ostringstream want;
-      ASSERT_TRUE(SerializeInStreamEstimator(
-                      engine.shard(entry.shard_index).in_stream_estimator(),
-                      StreamSink(want))
+      ASSERT_TRUE(SerializeInStreamEstimator(shard.in_stream_estimator(),
+                                             shard.motif_suite(),
+                                             StreamSink(want))
                       .ok());
-      EXPECT_EQ(bytes, want.str()) << entry.filename;
-      EXPECT_EQ(entry.digest, ChecksumBytes(bytes)) << entry.filename;
+      EXPECT_EQ(bytes, want.str()) << name;
+      EXPECT_EQ(entry.digest, ChecksumBytes(bytes)) << name;
     }
-    EXPECT_GT(ReadFileBytes(dir / manifest->entries[0].filename).size(),
+    EXPECT_GT(ReadFileBytes(dir / ShardFileName(0)).size(),
               TextWriter::kChunkBytes);
     EXPECT_TRUE(TempEntries(dir).empty());
   }
@@ -345,8 +347,8 @@ TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
 }
 
 TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
-  // A motif-configured run checkpoints its per-shard accumulators into
-  // the v3 manifest; the merge must reproduce the live merged motif
+  // A motif-configured run checkpoints each shard's motif accumulators
+  // into its shard file; the merge must reproduce the live merged motif
   // estimates and edge count bit for bit, at every K.
   const std::vector<Edge> stream = TestStream(781);
   for (const uint32_t k : {1u, 2u, 4u}) {
@@ -414,34 +416,6 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
       << merged.status().ToString();
 }
 
-TEST(EngineCheckpointTest, UnsplitCapacityManifestIsRefusedByName) {
-  // The manifest's split-capacity column is always 1: every shard holds
-  // ceil(capacity / K) slots. A hand-edited 0 (every shard given the full
-  // capacity) is refused by name at every K — also at K=1, where both
-  // readings give the one shard the same capacity.
-  const std::vector<Edge> stream = TestStream(821);
-  for (const uint32_t k : {1u, 4u}) {
-    SCOPED_TRACE("K=" + std::to_string(k));
-    const auto dir = FreshDir("unsplit-k" + std::to_string(k));
-    RunAndCheckpoint(stream, EngineOptions(k, 59), dir);
-    std::string text = ReadFileBytes(ManifestPath(dir));
-    // Line 2: <K> <base_seed> <total_capacity> <split> <offset> <budget>.
-    const std::string layout = std::to_string(k) + " 59 600 1 ";
-    const size_t at = text.find("\n" + layout);
-    ASSERT_NE(at, std::string::npos) << text;
-    text[at + layout.size() - 1] = '0';
-    std::ofstream(ManifestPath(dir), std::ios::binary | std::ios::trunc)
-        << text;
-
-    auto merged = MergeCheckpoints(std::vector<std::string>{ManifestPath(dir)});
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(merged.status().message().find("split-capacity flag 0"),
-              std::string::npos)
-        << merged.status().ToString();
-  }
-}
-
 /// `text` cut after every '\n'; the last piece lacks one when the text
 /// does not end in a newline.
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -501,70 +475,181 @@ std::string Mutate(Mutation kind, const std::string& text,
   return out;
 }
 
+/// Overwrites `path` with `bytes`.
+void WriteFileBytes(const std::filesystem::path& path,
+                    const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(EngineCheckpointTest, SeededMutantsEndInAStatus) {
-  // Checkpoints are untrusted input. Seeded mutants of a real K=2
-  // checkpoint — byte flips, truncations, deleted, duplicated and spliced
-  // lines, other header versions — must each end in a Status from the
-  // merge: no abort, no sanitizer report. The digests bind the shard
-  // files, so every shard-file mutant is refused by its digest; a
-  // manifest of any version but 4 is refused by name; a manifest mutant
-  // the reader accepts (whitespace, a trailing line, a smaller
-  // diagnostic arrival count) merges to the live estimates.
+  // Checkpoints are untrusted input. Seeded mutants of real K=2
+  // checkpoints, without and with a motif suite — byte flips,
+  // truncations, deleted, duplicated and spliced lines, other header
+  // versions — must each end in a Status from the merge: no abort, no
+  // sanitizer report. The digests bind the shard files, and with them
+  // every per-shard value, motif accumulators included, so every
+  // shard-file mutant is refused by its digest; a manifest of any version
+  // but 5 is refused by name; a manifest mutant the reader accepts
+  // (whitespace, a trailing line) merges to the live graph and motif
+  // estimates.
   const std::vector<Edge> stream = TestStream(891);
-  const auto dir = FreshDir("mutants");
-  const GraphEstimates live =
-      RunAndCheckpoint(stream, EngineOptions(2, 61), dir);
-  const std::vector<std::string> manifests = {ManifestPath(dir)};
-  auto original = MergeCheckpoints(manifests);
-  ASSERT_TRUE(original.ok()) << original.status().ToString();
-  ExpectExactlyEqual(original->graph, live);
+  for (const std::vector<std::string>& motifs :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"tri", "4clique"}}) {
+    SCOPED_TRACE(std::to_string(motifs.size()) + " motifs");
+    const auto dir =
+        FreshDir("mutants-" + std::to_string(motifs.size()) + "motifs");
+    ShardedEngineOptions options = EngineOptions(2, 61);
+    options.motifs = motifs;
+    ShardedEngine engine(options);
+    for (const Edge& e : stream) engine.Process(e);
+    engine.Finish();
+    ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+    const GraphEstimates live = engine.MergedEstimates();
+    const std::vector<MotifEstimate> live_motifs =
+        engine.MergedMotifEstimates();
+    const std::vector<std::string> manifests = {ManifestPath(dir)};
+    auto original = MergeCheckpoints(manifests);
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    ExpectExactlyEqual(original->graph, live);
+    engine_test::ExpectMotifsExactlyEqual(original->motifs, live_motifs);
 
-  const std::filesystem::path files[] = {
-      ManifestPath(dir), dir / "shard-0000.gps", dir / "shard-0001.gps"};
-  std::vector<std::string> bytes;
-  for (const std::filesystem::path& file : files) {
-    bytes.push_back(ReadFileBytes(file));
-  }
-  std::mt19937_64 rng(20171024);
-  for (size_t f = 0; f < 3; ++f) {
-    // The manifest takes its spliced lines from shard 1's file, each
-    // shard file from the other one.
-    const std::string& donor = bytes[f == 1 ? 2 : 1];
-    int tried = 0;
-    while (tried < 200) {
-      const auto kind = static_cast<Mutation>(rng() % 6);
-      const std::string mutant = Mutate(kind, bytes[f], donor, rng);
-      if (mutant == bytes[f]) continue;
-      ++tried;
-      SCOPED_TRACE(files[f].filename().string() + " mutant " +
-                   std::to_string(tried) + " (kind " +
-                   std::to_string(static_cast<int>(kind)) + ")");
-      std::ofstream(files[f], std::ios::binary | std::ios::trunc) << mutant;
-
-      auto merged = MergeCheckpoints(manifests);
-      if (f > 0) {
-        ASSERT_FALSE(merged.ok());
-        EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-        EXPECT_NE(merged.status().message().find(
-                      "digest mismatch for shard file"),
-                  std::string::npos)
-            << merged.status().ToString();
-      } else if (kind == Mutation::kVersion) {
-        ASSERT_FALSE(merged.ok());
-        EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-        EXPECT_NE(merged.status().message().find("version"),
-                  std::string::npos)
-            << merged.status().ToString();
-      } else if (merged.ok()) {
-        ExpectExactlyEqual(merged->graph, live);
-        EXPECT_EQ(merged->edge_count, original->edge_count);
-      }
+    const std::filesystem::path files[] = {
+        ManifestPath(dir), dir / ShardFileName(0), dir / ShardFileName(1)};
+    std::vector<std::string> bytes;
+    for (const std::filesystem::path& file : files) {
+      bytes.push_back(ReadFileBytes(file));
     }
-    std::ofstream(files[f], std::ios::binary | std::ios::trunc) << bytes[f];
+    std::mt19937_64 rng(20171024);
+    for (size_t f = 0; f < 3; ++f) {
+      // The manifest takes its spliced lines from shard 1's file, each
+      // shard file from the other one.
+      const std::string& donor = bytes[f == 1 ? 2 : 1];
+      int tried = 0;
+      while (tried < 200) {
+        const auto kind = static_cast<Mutation>(rng() % 6);
+        const std::string mutant = Mutate(kind, bytes[f], donor, rng);
+        if (mutant == bytes[f]) continue;
+        ++tried;
+        SCOPED_TRACE(files[f].filename().string() + " mutant " +
+                     std::to_string(tried) + " (kind " +
+                     std::to_string(static_cast<int>(kind)) + ")");
+        WriteFileBytes(files[f], mutant);
+
+        auto merged = MergeCheckpoints(manifests);
+        if (f > 0) {
+          ASSERT_FALSE(merged.ok());
+          EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_NE(merged.status().message().find(
+                        "digest mismatch for shard file"),
+                    std::string::npos)
+              << merged.status().ToString();
+        } else if (kind == Mutation::kVersion) {
+          ASSERT_FALSE(merged.ok());
+          EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_NE(merged.status().message().find("version"),
+                    std::string::npos)
+              << merged.status().ToString();
+        } else if (merged.ok()) {
+          ExpectExactlyEqual(merged->graph, live);
+          engine_test::ExpectMotifsExactlyEqual(merged->motifs, live_motifs);
+          EXPECT_EQ(merged->edge_count, original->edge_count);
+        }
+      }
+      WriteFileBytes(files[f], bytes[f]);
+    }
+    auto restored = MergeCheckpoints(manifests);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectExactlyEqual(restored->graph, live);
   }
-  auto restored = MergeCheckpoints(manifests);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectExactlyEqual(restored->graph, live);
+}
+
+TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
+  // The motif accumulators live in the shard files, inside the digest the
+  // manifest records; the manifest holds the layout and the digests. So
+  // an edited accumulator is refused by the digest, a manifest motif set
+  // that disagrees with the files is refused by name, and a version-1
+  // shard file is refused by its version even under a digest that
+  // vouches for it (engine_resume_test refuses a version-4 manifest).
+  const std::vector<Edge> stream = TestStream(901);
+  const auto dir = FreshDir("bound");
+  ShardedEngineOptions options = EngineOptions(2, 67);
+  options.motifs = {"tri", "4clique"};
+  ShardedEngine engine(options);
+  for (const Edge& e : stream) engine.Process(e);
+  engine.Finish();
+  ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+  const std::vector<std::string> manifests = {ManifestPath(dir)};
+  const std::filesystem::path shard0 = dir / ShardFileName(0);
+  const std::string shard_bytes = ReadFileBytes(shard0);
+  const std::string manifest_bytes = ReadFileBytes(ManifestPath(dir));
+  ShardManifest manifest;
+  {
+    std::istringstream in(manifest_bytes);
+    auto parsed = DeserializeManifest(in);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    manifest = *parsed;
+  }
+  const auto expect_refused = [&](StatusCode code, const std::string& what) {
+    auto merged = MergeCheckpoints(manifests);
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), code) << merged.status().ToString();
+    EXPECT_NE(merged.status().message().find(what), std::string::npos)
+        << merged.status().ToString();
+  };
+
+  {
+    SCOPED_TRACE("raised tri count in shard 0's file");
+    std::vector<std::string> lines = SplitLines(shard_bytes);
+    // Line 4: "2 tri <count> <variance> <snapshots> 4clique ...".
+    std::string& motif_line = lines[3];
+    ASSERT_EQ(motif_line.rfind("2 tri ", 0), 0u) << motif_line;
+    const size_t lead = 6;  // the count's leading digit, raised by one
+    ASSERT_TRUE(motif_line[lead] >= '0' && motif_line[lead] <= '9')
+        << motif_line;
+    if (motif_line[lead] == '9') {
+      motif_line.insert(lead, "1");
+    } else {
+      ++motif_line[lead];
+    }
+    WriteFileBytes(shard0, JoinLines(lines));
+    expect_refused(StatusCode::kInvalidArgument,
+                   "digest mismatch for shard file");
+    WriteFileBytes(shard0, shard_bytes);
+  }
+  {
+    SCOPED_TRACE("manifest motif renamed to another registered one");
+    std::string text = manifest_bytes;
+    const std::string names = "\n2 tri 4clique\n";
+    const size_t at = text.find(names);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, names.size(), "\n2 wedge 4clique\n");
+    WriteFileBytes(ManifestPath(dir), text);
+    expect_refused(StatusCode::kInvalidArgument, "motif set");
+  }
+  {
+    SCOPED_TRACE("version-1 shard file under a digest that vouches for it");
+    std::vector<std::string> lines = SplitLines(shard_bytes);
+    ASSERT_EQ(lines[0], "GPS-INSTREAM 2\n");
+    lines[0] = "GPS-INSTREAM 1\n";
+    lines.erase(lines.begin() + 3);  // version 1 had no motif line
+    const std::string v1 = JoinLines(lines);
+    WriteFileBytes(shard0, v1);
+    ShardManifest vouching = manifest;
+    vouching.entries[0].digest = ChecksumBytes(v1);
+    {
+      std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
+      ASSERT_TRUE(SerializeManifest(vouching, StreamSink(out)).ok());
+    }
+    expect_refused(StatusCode::kInvalidArgument,
+                   "unsupported checkpoint version 1 for GPS-INSTREAM");
+  }
+  WriteFileBytes(shard0, shard_bytes);
+  WriteFileBytes(ManifestPath(dir), manifest_bytes);
+  auto merged = MergeCheckpoints(manifests);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  engine_test::ExpectMotifsExactlyEqual(merged->motifs,
+                                        engine.MergedMotifEstimates());
 }
 
 TEST(EngineCheckpointTest, MergeRequiresAtLeastOneManifest) {

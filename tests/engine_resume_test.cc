@@ -239,7 +239,7 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
 }
 
 TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
-  // The v3 manifest carries the motif accumulators; a resumed run must
+  // Each shard file carries its motif accumulators; a resumed run must
   // continue the suite mid-stream and land on exactly the uninterrupted
   // run's motif estimates (estimation is deterministic given the sample
   // path, and the sample path round-trips exactly).
@@ -280,7 +280,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
 
 TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
   // Every version but the one writers emit is refused by name, older ones
-  // included, by resume and merge alike: the reader takes only version 4.
+  // included, by resume and merge alike: the reader takes only version 5.
   const std::vector<Edge> stream = TestStream(841);
   const auto dir = FreshDir("versions");
   const std::string manifest_path =
@@ -292,9 +292,9 @@ TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
     buffer << in.rdbuf();
     original = buffer.str();
   }
-  ASSERT_EQ(original.rfind("GPS-MANIFEST 4\n", 0), 0u) << original;
+  ASSERT_EQ(original.rfind("GPS-MANIFEST 5\n", 0), 0u) << original;
 
-  for (const int version : {1, 2, 3, 9}) {
+  for (const int version : {1, 2, 3, 4, 9}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::string text = original;
     text.replace(0, 14, "GPS-MANIFEST " + std::to_string(version));

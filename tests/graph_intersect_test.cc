@@ -4,7 +4,7 @@
 // 1:1 … 1:1024, empty/disjoint/identical blocks, runs of near-adjacent
 // ids, unaligned block offsets — plus the byte-identity contract on the
 // in-stream estimator and the sharded engine (forced kernels must produce
-// bit-identical estimates and manifests).
+// bit-identical estimates, monitor ticks and manifests).
 
 #include "graph/intersect.h"
 
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -357,6 +358,58 @@ TEST(IntersectByteIdentityTest, ShardedEngineEstimatesAndManifests) {
   }
   ASSERT_FALSE(manifests.empty());
   EXPECT_FALSE(manifests[0].empty());
+}
+
+TEST(IntersectByteIdentityTest, MonitorTicksAcrossForcedKernels) {
+  // A monitor keeps its union sample across ticks and patches it at each
+  // one (engine/merge.h), so every tick's cross pass intersects blocks of
+  // a patched union. A K=2 engine fed in 1000-edge pieces, with a merged
+  // record after each piece and the post-stream and edge-count estimates
+  // at the end, must read the same values under every forced kernel.
+  const std::vector<Edge> stream = TestStream(1500, 6, 91, 92);
+  struct Run {
+    std::vector<MonitorRecord> ticks;
+    GraphEstimates post;
+    double edges = 0.0;
+  };
+  std::vector<Run> runs;
+  for (const IntersectKernel kernel : ForcibleKernels()) {
+    KernelGuard guard;
+    SetIntersectKernel(kernel);
+    ShardedEngineOptions options;
+    options.sampler.capacity = 1500;
+    options.sampler.seed = 11;
+    options.num_shards = 2;
+    options.motifs = {"tri", "4clique"};
+    ShardedEngine engine(options);
+    Run& run = runs.emplace_back();
+    const std::span<const Edge> all(stream);
+    for (size_t at = 0; at < all.size(); at += 1000) {
+      const size_t take = std::min<size_t>(1000, all.size() - at);
+      engine.ProcessEdges(all.subspan(at, take));
+      run.ticks.push_back(engine.MergedRecord());
+    }
+    engine.Finish();
+    run.post = engine.MergedPostStreamEstimates();
+    run.edges = engine.MergedEdgeCountEstimate();
+  }
+  ASSERT_FALSE(runs.empty());
+  ASSERT_GT(runs[0].ticks.size(), 1u);
+  for (size_t k = 1; k < runs.size(); ++k) {
+    SCOPED_TRACE("kernel #" + std::to_string(k));
+    ASSERT_EQ(runs[k].ticks.size(), runs[0].ticks.size());
+    for (size_t t = 0; t < runs[0].ticks.size(); ++t) {
+      SCOPED_TRACE("tick " + std::to_string(t));
+      EXPECT_EQ(runs[k].ticks[t].edges_processed,
+                runs[0].ticks[t].edges_processed);
+      engine_test::ExpectExactlyEqual(runs[k].ticks[t].estimates,
+                                      runs[0].ticks[t].estimates);
+      engine_test::ExpectMotifsExactlyEqual(runs[k].ticks[t].motifs,
+                                            runs[0].ticks[t].motifs);
+    }
+    engine_test::ExpectExactlyEqual(runs[k].post, runs[0].post);
+    EXPECT_EQ(runs[k].edges, runs[0].edges);
+  }
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //       threads; the output is the same for any count.
 //   resume-shards  --manifest FILE [--manifest FILE ...] --input FILE
 //             [--save DIR] [--no-permute]
-//       Rebuild a RUNNING sharded engine from checkpoint manifests and
+//       Rebuild a RUNNING sharded engine from checkpoint manifests (its
+//       layout, weights and motif set come from the checkpoint) and
 //       continue streaming. When --input is the exact remaining
 //       substream in arrival order (pass --no-permute for a file that
 //       is already ordered; the default permutes the file standalone),
@@ -201,7 +202,6 @@ int Usage() {
       "           the allocation report prints on stderr at startup\n"
       "  resume-shards --manifest FILE [--manifest FILE ...]\n"
       "           --input FILE [--save DIR] [--no-permute]\n"
-      "           [--motifs LIST]  (cross-checked against the manifest)\n"
       "  monitor  --input FILE --every N [--capacity N | --mem BYTES]\n"
       "           [--seed S] [--weight KIND] [--shards K]\n"
       "           [--motifs LIST]\n"
@@ -480,7 +480,6 @@ bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
       return false;
     }
     capacity = layout->capacity;
-    out->sampler.mem_bytes = *budget;
     std::fprintf(stderr, "%s", FormatAllocationReport(*layout).c_str());
   }
   if (capacity < 1 || capacity > kMaxCheckpointCapacity) {
@@ -546,12 +545,19 @@ struct StatsConfig {
 };
 
 /// Parses --stats / --stats-out / --trace. --stats-out implies --stats.
-StatsConfig ParseStatsConfig(const Flags& flags) {
+/// Both files are written after the run, so their targets are checked
+/// here, before any input is read: a FIFO or a directory there fails the
+/// run at once, not after the whole stream.
+Result<StatsConfig> ParseStatsConfig(const Flags& flags) {
   StatsConfig config;
   config.stats = flags.Has("stats");
   config.stats_out = flags.Get("stats-out", "");
   config.trace = flags.Get("trace", "");
   if (!config.stats_out.empty()) config.stats = true;
+  for (const std::string* target : {&config.stats_out, &config.trace}) {
+    if (target->empty()) continue;
+    if (Status s = CheckReplaceableTarget(*target); !s.ok()) return s;
+  }
   return config;
 }
 
@@ -614,6 +620,8 @@ RunText TextForShards(uint64_t shards) {
 }
 
 int RunEstimate(const Flags& flags) {
+  StatsConfig obs;
+  if (!GetFlag(ParseStatsConfig(flags), &obs)) return 1;
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
@@ -637,7 +645,6 @@ int RunEstimate(const Flags& flags) {
   }
   std::vector<NodeId> degree_nodes;
   if (!GetDegreeNodes(flags, &degree_nodes)) return 1;
-  const StatsConfig obs = ParseStatsConfig(flags);
 
   if (!config.motifs.empty() && estimator == "post") {
     std::fprintf(stderr,
@@ -731,19 +738,6 @@ int RunResumeShards(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  // The motif set is part of the checkpoint layout; --motifs here is a
-  // cross-check (useful in scripted pipelines), not a reconfiguration.
-  std::vector<std::string> expected_motifs;
-  if (!GetMotifNames(flags, &expected_motifs)) return 1;
-  if (flags.Has("motifs") &&
-      expected_motifs != (*engine)->options().motifs) {
-    std::fprintf(stderr,
-                 "error: --motifs does not match the checkpoint's motif "
-                 "set (%zu configured); resume adopts the manifest's "
-                 "suite\n",
-                 (*engine)->options().motifs.size());
-    return 1;
-  }
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
@@ -808,6 +802,8 @@ void PrintMonitorRow(const MonitorRecord& record) {
 }
 
 int RunMonitor(const Flags& flags) {
+  StatsConfig obs;
+  if (!GetFlag(ParseStatsConfig(flags), &obs)) return 1;
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
@@ -848,7 +844,6 @@ int RunMonitor(const Flags& flags) {
     return 1;
   }
 
-  const StatsConfig obs = ParseStatsConfig(flags);
   TraceEventSink trace_sink;
   ShardedEngineOptions engine_options = MakeEngineOptions(config);
   engine_options.trace = obs.trace.empty() ? nullptr : &trace_sink;
@@ -1076,8 +1071,8 @@ int RunVersion() {
   TextTable t({"component", "value"});
   t.AddRow({"manifest format",
             "v" + std::to_string(ManifestFormatVersion())});
-  t.AddRow({"estimator format",
-            "v" + std::to_string(EstimatorFormatVersion())});
+  t.AddRow({"shard-file format",
+            "v" + std::to_string(ShardFileFormatVersion())});
   t.AddRow({"stream format",
             "v" + std::to_string(BinaryStreamFormatVersion())});
   t.AddRow({"build type", GPS_BUILD_TYPE});
@@ -1101,8 +1096,7 @@ int main(int argc, char** argv) {
                "motifs",     "degree",     "stats",  "stats-out",
                "trace",      "mem"};
   } else if (command == "resume-shards") {
-    allowed = {"manifest", "input",      "seed",
-               "save",     "no-permute", "motifs"};
+    allowed = {"manifest", "input", "seed", "save", "no-permute"};
   } else if (command == "monitor") {
     allowed = {"input",      "capacity",   "seed",
                "weight",     "shards",     "every",
