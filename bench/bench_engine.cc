@@ -28,9 +28,10 @@
 //
 // An ingest-only row times the stream's two on-disk decoders against
 // each other over a warm page cache: the strict bulk text parser
-// (EdgeList::Load) vs. the GPS-STREAM v1 mmap block reader
-// (graph/binary_stream.h). Binary must win by >= 3x — hard-gated here
-// and relative-gated against the baseline.
+// (EdgeList::Load) vs. the GPS-STREAM v1 block reader
+// (graph/binary_stream.h), both reading through util/input_file.h.
+// Binary must win by >= 3x — hard-gated here and relative-gated against
+// the baseline.
 //
 // --json FILE emits every row plus the gated relative metrics
 // (speedup_k4, fixed_envelope_ingest_speedup,
@@ -249,12 +250,12 @@ bool GateAgainstBaseline(const std::string& path, double speedup_k4,
 
 /// Front-end (format decode only) throughput: the same stream written as
 /// a text edge list and as a GPS-STREAM v1 binary, read back through
-/// each format's production path — EdgeList::Load (strict bulk parse)
-/// vs. BinaryStreamReader block iteration (mmap + per-block digest; the
-/// block spans alias the mapping and can go straight into
-/// ShardedEngine::ProcessEdges). Best-of-N over a warm page
-/// cache, so the ratio measures decode cost, not disk. Gated: the binary
-/// format's reason to exist is outrunning the text parser.
+/// each format's production path — EdgeList::Load (buffered reads +
+/// strict bulk parse) vs. BinaryStreamReader block iteration (one read
+/// per block into the reader's buffer + per-block digest; each span can
+/// go straight into ShardedEngine::ProcessEdges). Best-of-N over a warm
+/// page cache, so the ratio measures decode cost, not disk. Gated: the
+/// binary format's reason to exist is outrunning the text parser.
 IngestOnlyResult RunIngestOnlyBench(const std::vector<Edge>& stream) {
   namespace fs = std::filesystem;
   const std::string text_path =
@@ -278,7 +279,7 @@ IngestOnlyResult RunIngestOnlyBench(const std::vector<Edge>& stream) {
 
   constexpr int kTrials = 3;
   uint64_t text_edges = 0;
-  uint64_t sink = 0;  // XOR-consumed so the zero-copy reads cannot be DCE'd
+  uint64_t sink = 0;  // XOR-consumed so the block reads cannot be DCE'd
   for (int t = 0; t < kTrials; ++t) {
     WallTimer timer;
     auto list = EdgeList::Load(text_path);

@@ -1,10 +1,11 @@
 // Shared helpers for the table/figure reproduction benches.
 //
-// Scaling note (documented in EXPERIMENTS.md): the paper's corpus spans
-// 0.9M-265M edges with reservoirs of 10K-1M edges; our analog corpus spans
-// ~0.4M-1M edges, so reservoir sizes are scaled to keep the *sampling
-// fraction* regimes comparable (e.g. Table 1's m=200K on 27.9M edges ~ 0.7%
-// maps to m=20K on ~600K edges ~ 3%).
+// Corpus-scale rule: the paper's corpus spans 0.9M-265M edges with
+// reservoirs of 10K-1M edges; our analog corpus spans ~0.4M-1M edges, so
+// each driver scales its reservoir sizes to keep the *sampling fraction*
+// regimes comparable (e.g. Table 1's m=200K on 27.9M edges ~ 0.7% maps to
+// m=20K on ~600K edges ~ 3%), and generates the corpus at scale 1.0 unless
+// GPS_BENCH_SCALE (BenchScale below) shrinks it for a quick pass.
 
 #ifndef GPS_BENCH_BENCH_UTIL_H_
 #define GPS_BENCH_BENCH_UTIL_H_

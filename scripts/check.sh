@@ -84,15 +84,16 @@ for workload in orkut-serial orkut-monitor amazon-binary; do
 done
 
 echo "=== ASan/UBSan build + engine/serialization/cli/store/ingest tests ==="
-# graph_binary_stream_test + graph_edge_list_test ride along: the mmap'd
-# GPS-STREAM reader hands out spans aliasing the mapping and the strict
-# bulk text parser walks raw mapped bytes — exactly the code ASan must
-# bless for out-of-bounds reads on truncated/corrupt inputs.
+# graph_binary_stream_test + graph_edge_list_test ride along: the
+# GPS-STREAM reader hands out spans into its block buffer (sized by each
+# block's own edge count) and the strict bulk text parser walks read
+# buffers whose lines straddle two reads — exactly the code ASan must
+# bless for out-of-bounds reads on truncated/corrupt/mutated inputs.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
 # engine_router_test rides along for the span-lifetime rules:
 # ProcessEdges routes spans aliasing the producer's input into the shard
-# rings (graph_binary_stream_test: spans aliasing the mmap).
+# rings (graph_binary_stream_test: spans into the reader's block buffer).
 # graph_intersect_test rides along for the simd kernels: unaligned
 # vector loads and scalar tails over arena block boundaries are exactly
 # where an out-of-bounds read would hide.
@@ -123,10 +124,10 @@ echo "=== TSan build + threaded suites ==="
 # shard worker owns.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
   -DGPS_BUILD_BENCHES=OFF -DGPS_BUILD_EXAMPLES=OFF
-# graph_binary_stream_test feeds mapped GPS-STREAM block spans into live
-# shard worker rings (BinaryStreamReader::Block -> ProcessEdges) — the
-# zero-copy hand-off TSan must bless. engine_router_test feeds spans of
-# every size the same way.
+# graph_binary_stream_test feeds GPS-STREAM block spans from the
+# reader's buffer into live shard worker rings (BinaryStreamReader::Block
+# -> ProcessEdges) — the hand-off TSan must bless. engine_router_test
+# feeds spans of every size the same way.
 # graph_intersect_test rides along: per-shard IntersectMetrics counters
 # are relaxed atomics that metric snapshots read while workers run.
 # engine_merge_test runs the Algorithm-2 merge passes on several threads

@@ -28,13 +28,21 @@ constexpr int kManifestVersion = 5;
 // Records reserved up front when reading a reservoir (40 B each).
 constexpr size_t kRecordReserveLimit = size_t{1} << 16;
 
+/// The refusal for a failed `in >> ...` of `what`: truncated (IoError)
+/// if the stream ran out, malformed (InvalidArgument) if it holds a token
+/// the field cannot take (a word, `inf`, an out-of-range number).
+Status ReadFailure(const std::istream& in, const std::string& what) {
+  if (in.eof()) return Status::IoError("truncated " + what);
+  return Status::InvalidArgument("malformed " + what);
+}
+
 /// Reads and checks "<HEADER> <version>"; any other version is refused
 /// by name.
 Status ExpectHeader(std::istream& in, const std::string& want, int version) {
   std::string header;
   int found = 0;
   if (!(in >> header >> found)) {
-    return Status::IoError("truncated checkpoint: missing header");
+    return ReadFailure(in, "checkpoint: missing header");
   }
   if (header != want) {
     return Status::InvalidArgument("checkpoint header mismatch: expected " +
@@ -77,7 +85,7 @@ Result<WeightOptions> ReadWeightOptions(std::istream& in) {
   WeightOptions weight;
   if (!(in >> kind >> weight.coefficient >> weight.adjacency_coefficient >>
         weight.default_weight)) {
-    return Status::IoError("truncated checkpoint: weight options");
+    return ReadFailure(in, "checkpoint: weight options");
   }
   if (kind < 0 || kind >= static_cast<int>(WeightKind::kCustom)) {
     return Status::InvalidArgument("invalid weight kind in checkpoint");
@@ -148,7 +156,7 @@ Status WriteInStreamEstimator(const InStreamEstimator& estimator,
 Result<size_t> ReadMotifCount(std::istream& in, const std::string& file) {
   size_t count = 0;
   if (!(in >> count)) {
-    return Status::IoError("truncated " + file + ": motif count");
+    return ReadFailure(in, file + ": motif count");
   }
   if (count > MotifEntries().size()) {
     return Status::InvalidArgument(
@@ -168,7 +176,7 @@ Status ReadMotifLine(std::istream& in, std::vector<std::string>* names,
     std::string& name = names->emplace_back();
     MotifAccumulator& acc = accs->emplace_back();
     if (!(in >> name >> acc.count >> acc.variance >> acc.snapshots)) {
-      return Status::IoError("truncated checkpoint: motif accumulators");
+      return ReadFailure(in, "checkpoint: motif accumulators");
     }
     // Count and variance accumulators are sums of nonnegative snapshot
     // terms (core/snapshot.h).
@@ -237,7 +245,7 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
   size_t num_edges = 0;
   if (!(in >> options.capacity >> options.seed >> z_star >> processed >>
         rng[0] >> rng[1] >> rng[2] >> rng[3] >> num_edges)) {
-    return Status::IoError("truncated checkpoint: reservoir metadata");
+    return ReadFailure(in, "checkpoint: reservoir metadata");
   }
   // The capacity sizes the restored store (GpsReservoir::FromParts), so
   // a corrupt header is held to the ceiling before anything else.
@@ -274,7 +282,7 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
     GpsReservoir::EdgeRecord& rec = records.emplace_back();
     if (!(in >> rec.edge.u >> rec.edge.v >> rec.weight >> rec.priority >>
           rec.cov_tri >> rec.cov_wedge)) {
-      return Status::IoError("truncated checkpoint: edge records");
+      return ReadFailure(in, "checkpoint: edge records");
     }
     if (rec.edge.IsSelfLoop()) {
       return Status::InvalidArgument("self loop in reservoir checkpoint");
@@ -338,7 +346,7 @@ Result<InStreamCheckpoint> DeserializeInStreamEstimator(std::istream& in) {
   InStreamEstimator::Accumulators acc;
   if (!(in >> acc.n_tri >> acc.v_tri >> acc.n_wed >> acc.v_wed >>
         acc.cov_tw)) {
-    return Status::IoError("truncated checkpoint: accumulators");
+    return ReadFailure(in, "checkpoint: accumulators");
   }
   // Count and variance accumulators are sums of non-negative snapshot
   // terms; only the triangle-wedge covariance may be negative.
@@ -432,7 +440,7 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
   ShardManifest manifest;
   if (!(in >> manifest.num_shards >> manifest.base_seed >>
         manifest.total_capacity >> manifest.stream_offset)) {
-    return Status::IoError("truncated manifest: layout");
+    return ReadFailure(in, "manifest: layout");
   }
   Result<WeightOptions> weight = ReadWeightOptions(in);
   if (!weight.ok()) return weight.status();
@@ -443,13 +451,13 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
   for (size_t m = 0; m < *num_motifs; ++m) {
     std::string name;
     if (!(in >> name)) {
-      return Status::IoError("truncated manifest: motif names");
+      return ReadFailure(in, "manifest: motif names");
     }
     manifest.motif_names.push_back(std::move(name));
   }
   size_t num_entries = 0;
   if (!(in >> num_entries)) {
-    return Status::IoError("truncated manifest: entry count");
+    return ReadFailure(in, "manifest: entry count");
   }
   if (num_entries > kMaxManifestShards) {
     return Status::InvalidArgument(
@@ -460,7 +468,7 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
   for (size_t i = 0; i < num_entries; ++i) {
     ShardManifestEntry& entry = manifest.entries.emplace_back();
     if (!(in >> entry.shard_index >> entry.digest)) {
-      return Status::IoError("truncated manifest: shard entries");
+      return ReadFailure(in, "manifest: shard entries");
     }
   }
   if (Status s = ValidateManifest(manifest); !s.ok()) return s;

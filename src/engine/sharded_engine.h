@@ -120,7 +120,7 @@ class ShardedEngine {
 
   /// Process() over a span of edges of any size: a whole parsed stream,
   /// a piece of one cut at a monitor tick, or a GPS-STREAM reader's
-  /// Block() span aliasing the file mapping. Byte-identical to calling
+  /// Block() span into its read buffer. Byte-identical to calling
   /// Process(e) for each edge in order (same routing, same batch
   /// boundaries); how a stream is cut into spans is never part of the
   /// sample path. The edges are copied into pending batches before the

@@ -29,8 +29,8 @@ const std::vector<CorpusEntry>& CorpusEntries();
 bool IsCorpusGraph(const std::string& name);
 
 /// Generates a corpus graph by name. `scale` in (0, 1] shrinks node and
-/// edge targets proportionally (tests use small scales for speed; benches
-/// use 1.0 or the scale recorded in EXPERIMENTS.md).
+/// edge targets proportionally (tests use small scales for speed; bench
+/// drivers use 1.0 unless GPS_BENCH_SCALE asks for less).
 Result<EdgeList> MakeCorpusGraph(const std::string& name, double scale = 1.0);
 
 }  // namespace gps

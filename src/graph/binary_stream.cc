@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <string_view>
 
 #include "util/digest.h"
@@ -12,13 +11,14 @@
 namespace gps {
 namespace {
 
-// The zero-copy contract: a block payload IS an Edge array. Pin every
-// assumption the reinterpret below relies on at compile time.
+// A block payload IS an Edge array: the reader reads its bytes straight
+// into an Edge buffer. Pin every assumption that relies on at compile
+// time.
 static_assert(sizeof(Edge) == 8, "GPS-STREAM stores edges as 8 bytes");
 static_assert(sizeof(NodeId) == 4, "GPS-STREAM v1 is 4-byte node ids");
 static_assert(std::is_trivially_copyable_v<Edge>);
 static_assert(std::endian::native == std::endian::little,
-              "GPS-STREAM block aliasing requires a little-endian host; "
+              "GPS-STREAM block reads require a little-endian host; "
               "add a byte-swapping copy path before porting");
 
 constexpr uint32_t kVersion = 1;
@@ -122,27 +122,29 @@ Status WriteBinaryStream(const std::string& path,
 }
 
 bool LooksLikeBinaryStream(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  Result<InputFile> file = InputFile::Open(path);
   char magic[sizeof(kBinaryStreamMagic)];
-  if (!in.read(magic, sizeof(magic))) return false;
-  return std::memcmp(magic, kBinaryStreamMagic, sizeof(magic)) == 0;
+  return file.ok() && file->size() >= sizeof(magic) &&
+         file->ReadAt(0, magic, sizeof(magic)).ok() &&
+         std::memcmp(magic, kBinaryStreamMagic, sizeof(magic)) == 0;
 }
 
 Result<BinaryStreamReader> BinaryStreamReader::Open(
     const std::string& path) {
-  auto file = MappedFile::Open(path);
+  auto file = InputFile::Open(path);
   if (!file.ok()) return file.status();
 
-  BinaryStreamReader reader;
-  reader.file_ = std::move(*file);
-  reader.path_ = path;
-  const auto* bytes =
-      reinterpret_cast<const unsigned char*>(reader.file_.data());
-  if (reader.file_.size() < kBinaryStreamHeaderBytes) {
+  BinaryStreamReader reader(std::move(*file));
+  const uint64_t size = reader.file_.size();
+  if (size < kBinaryStreamHeaderBytes) {
     return Status::InvalidArgument(
         "truncated GPS-STREAM header in '" + path + "' (" +
-        std::to_string(reader.file_.size()) + " bytes, need " +
+        std::to_string(size) + " bytes, need " +
         std::to_string(kBinaryStreamHeaderBytes) + ")");
+  }
+  unsigned char bytes[kBinaryStreamHeaderBytes];
+  if (Status s = reader.file_.ReadAt(0, bytes, sizeof(bytes)); !s.ok()) {
+    return s;
   }
   if (std::memcmp(bytes, kBinaryStreamMagic, sizeof(kBinaryStreamMagic)) !=
       0) {
@@ -201,60 +203,64 @@ Result<BinaryStreamReader> BinaryStreamReader::Open(
   const uint64_t expected = kBinaryStreamHeaderBytes +
                             reader.edge_count_ * sizeof(Edge) +
                             reader.num_blocks_ * kBlockDigestBytes;
-  if (reader.file_.size() < expected) {
+  if (size < expected) {
     return Status::InvalidArgument(
-        "truncated GPS-STREAM file '" + path + "' (" +
-        std::to_string(reader.file_.size()) + " bytes, header implies " +
-        std::to_string(expected) + ")");
+        "truncated GPS-STREAM file '" + path + "' (" + std::to_string(size) +
+        " bytes, header implies " + std::to_string(expected) + ")");
   }
-  if (reader.file_.size() > expected) {
+  if (size > expected) {
     return Status::InvalidArgument(
         "trailing bytes after the final GPS-STREAM block in '" + path +
-        "' (" + std::to_string(reader.file_.size()) +
-        " bytes, header implies " + std::to_string(expected) + ")");
+        "' (" + std::to_string(size) + " bytes, header implies " +
+        std::to_string(expected) + ")");
   }
   return reader;
 }
 
-Result<std::span<const Edge>> BinaryStreamReader::Block(
-    size_t index) const {
+Result<std::span<const Edge>> BinaryStreamReader::Block(size_t index) {
   if (index >= num_blocks_) {
     return Status::OutOfRange("GPS-STREAM block index " +
                               std::to_string(index) + " out of range (" +
                               std::to_string(num_blocks_) + " blocks)");
   }
-  const size_t full_block_bytes =
-      static_cast<size_t>(block_edges_) * sizeof(Edge) + kBlockDigestBytes;
-  const char* payload =
-      file_.data() + kBinaryStreamHeaderBytes + index * full_block_bytes;
+  const uint64_t full_block_bytes =
+      uint64_t{block_edges_} * sizeof(Edge) + kBlockDigestBytes;
+  const uint64_t offset = kBinaryStreamHeaderBytes + index * full_block_bytes;
+  // Open checked the file size against the header, so n edges are in the
+  // file as opened; the buffer holds them and the digest word.
   const size_t n =
       index + 1 < num_blocks_
           ? block_edges_
           : static_cast<size_t>(edge_count_ -
                                 static_cast<uint64_t>(index) * block_edges_);
+  block_.resize(n + 1);
+  if (Status s = file_.ReadAt(offset, block_.data(), (n + 1) * sizeof(Edge));
+      !s.ok()) {
+    return s.WithContext("GPS-STREAM block " + std::to_string(index));
+  }
   const size_t payload_bytes = n * sizeof(Edge);
-  const uint64_t stored = LoadU64(
-      reinterpret_cast<const unsigned char*>(payload + payload_bytes));
-  if (Fnv1a64Words(payload, payload_bytes) != stored) {
+  const uint64_t stored =
+      LoadU64(reinterpret_cast<const unsigned char*>(block_.data() + n));
+  if (Fnv1a64Words(block_.data(), payload_bytes) != stored) {
     return Status::InvalidArgument(
         "GPS-STREAM block " + std::to_string(index) +
-        " digest mismatch in '" + path_ + "' (corrupt payload or digest)");
+        " digest mismatch in '" + file_.path() +
+        "' (corrupt payload or digest)");
   }
-  const Edge* edges = reinterpret_cast<const Edge*>(payload);
   // A digest-valid but hand-crafted file could still smuggle the
   // invalid-node sentinel past the writer's refusal; keep it out of the
   // estimators. Cheap next to the per-byte digest pass above.
   for (size_t i = 0; i < n; ++i) {
-    if (edges[i].u == kInvalidNode || edges[i].v == kInvalidNode) {
+    if (block_[i].u == kInvalidNode || block_[i].v == kInvalidNode) {
       return Status::InvalidArgument(
           "invalid node id in GPS-STREAM block " + std::to_string(index) +
-          " of '" + path_ + "'");
+          " of '" + file_.path() + "'");
     }
   }
-  return std::span<const Edge>(edges, n);
+  return std::span<const Edge>(block_.data(), n);
 }
 
-Status BinaryStreamReader::VerifyAll() const {
+Status BinaryStreamReader::VerifyAll() {
   for (size_t b = 0; b < num_blocks_; ++b) {
     if (auto block = Block(b); !block.ok()) return block.status();
   }

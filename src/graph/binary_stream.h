@@ -1,13 +1,11 @@
-// GPS-STREAM v1: the versioned binary edge-stream format + zero-copy
-// mmap reader.
+// GPS-STREAM v1: the versioned binary edge-stream format and its block
+// reader.
 //
 // Text edge lists bound ingest: even the strict bulk parser spends its
 // time classifying characters. GPS-STREAM stores the stream the way the
 // engine consumes it — fixed-width little-endian (u, v) pairs — so a
-// reader's only per-byte work is the integrity digest, and the block
-// payloads can feed ShardedEngine rings straight out of the page cache
-// (ShardedEngine::ProcessEdges), no per-edge decode, no intermediate
-// EdgeList.
+// reader's only per-byte work is the integrity digest: each block is
+// read into one buffer and served as edges with no per-edge decode.
 //
 // Design mirrors the GPS-MANIFEST philosophy (core/serialize.h) and
 // mccortex's versioned graph files: magic, version, typed header,
@@ -39,9 +37,9 @@
 // the reader's critical path. Any flipped bit still flips the digest.
 //
 // The total file size is fully determined by the header; a shorter file
-// is refused as truncated, a longer one as trailing bytes. Payload
-// offsets are 8-aligned by construction, so on little-endian hosts a
-// block is served as a std::span<const Edge> aliasing the mapping.
+// is refused as truncated, a longer one as trailing bytes. On
+// little-endian hosts a block's payload bytes are its Edge array, so the
+// reader reads them straight into an Edge buffer.
 
 #ifndef GPS_GRAPH_BINARY_STREAM_H_
 #define GPS_GRAPH_BINARY_STREAM_H_
@@ -49,9 +47,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/types.h"
-#include "util/mmap_file.h"
+#include "util/input_file.h"
 #include "util/status.h"
 
 namespace gps {
@@ -85,16 +85,15 @@ Status WriteBinaryStream(const std::string& path,
                          std::span<const Edge> edges,
                          const BinaryStreamWriteOptions& options = {});
 
-/// True if `path` starts with the GPS-STREAM magic (how gps_cli picks
-/// the decoder for --input). False for unreadable/short files — callers
-/// fall back to the text parser, whose errors name the real problem.
+/// True if `path` is a regular file that starts with the GPS-STREAM
+/// magic (how gps_cli picks the decoder for --input). False for anything
+/// InputFile refuses (a FIFO at once) and for short files — callers fall
+/// back to the text parser, whose errors name the real problem.
 bool LooksLikeBinaryStream(const std::string& path);
 
-/// Zero-copy reader over a memory-mapped GPS-STREAM file. Open() maps the
-/// file and validates the complete header (magic, version, flags, node
-/// width, digest, exact file size); Block(i) digest-checks one block and
-/// returns its edges aliased into the mapping — the bytes are never
-/// copied out of the page cache.
+/// Block reader over a GPS-STREAM file. Open() validates the complete
+/// header (magic, version, flags, node width, digest, exact file size);
+/// Block(i) reads and digest-checks one block.
 class BinaryStreamReader {
  public:
   static Result<BinaryStreamReader> Open(const std::string& path);
@@ -103,20 +102,24 @@ class BinaryStreamReader {
   uint32_t block_edges() const { return block_edges_; }
   size_t num_blocks() const { return num_blocks_; }
 
-  /// Edges of block `index` (digest-verified on every call; a flipped
-  /// payload or digest byte is an InvalidArgument naming the block).
-  /// The span aliases the mapping and is valid for the reader's lifetime.
-  Result<std::span<const Edge>> Block(size_t index) const;
+  /// Edges of block `index`, read into the reader's buffer (sized by the
+  /// block's own edge count) and digest-verified there: a flipped payload
+  /// or digest byte is an InvalidArgument naming the block, a file cut
+  /// short since Open an IoError naming it. Valid until the next Block.
+  Result<std::span<const Edge>> Block(size_t index);
 
   /// Verifies every block digest (the `convert` post-write check).
-  Status VerifyAll() const;
+  Status VerifyAll();
 
  private:
-  MappedFile file_;
-  std::string path_;
+  explicit BinaryStreamReader(InputFile file) : file_(std::move(file)) {}
+
+  InputFile file_;
   uint64_t edge_count_ = 0;
   uint32_t block_edges_ = 1;
   size_t num_blocks_ = 0;
+  /// One block's payload followed by its digest (as one more Edge).
+  std::vector<Edge> block_;
 };
 
 }  // namespace gps

@@ -4,9 +4,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/flat_hash_map.h"
-#include "util/mmap_file.h"
+#include "util/input_file.h"
 #include "util/staged_file.h"
 #include "util/text_writer.h"
 
@@ -75,16 +76,16 @@ TokenKind ParseNodeId(const char** p, const char* end, uint64_t* value) {
   return over ? TokenKind::kOverflow : TokenKind::kOk;
 }
 
-/// Parses a whole "u v"-per-line buffer into `out`. Blank lines and
-/// '#'/'%' comment lines are skipped; '\r' before a newline is tolerated
-/// (CRLF files); anything after the two ids is a named refusal.
-Status ParseEdgeTextBuffer(const char* data, size_t size, EdgeList* out) {
+/// Parses whole "u v" lines into `out`, numbering them on from
+/// `*line_no`. Blank lines and '#'/'%' comment lines are skipped; '\r'
+/// before a newline is tolerated (CRLF files); anything after the two ids
+/// is a named refusal. Only the buffer's last line may lack its newline.
+Status ParseEdgeTextBuffer(const char* data, size_t size, size_t* line_no,
+                           EdgeList* out) {
   const char* p = data;
   const char* const end = data + size;
-  size_t line_no = 0;
-  out->Reserve(size / 16);
   while (p < end) {
-    ++line_no;
+    ++*line_no;
     const char* const line_begin = p;
     const char* const nl =
         static_cast<const char*>(std::memchr(p, '\n', end - p));
@@ -100,12 +101,12 @@ Status ParseEdgeTextBuffer(const char* data, size_t size, EdgeList* out) {
 
     const auto fail = [&](const char* what) {
       return Status::InvalidArgument(std::string(what) + " on line " +
-                                     std::to_string(line_no) + ": '" +
+                                     std::to_string(*line_no) + ": '" +
                                      EchoLine(line_begin, line_end) + "'");
     };
     const auto out_of_range = [&] {
       return Status::OutOfRange("node id out of range on line " +
-                                std::to_string(line_no));
+                                std::to_string(*line_no));
     };
 
     uint64_t a = 0;
@@ -170,7 +171,9 @@ size_t EdgeList::CountTouchedNodes() const {
 
 Result<EdgeList> EdgeList::FromText(const std::string& text) {
   EdgeList list;
-  if (Status s = ParseEdgeTextBuffer(text.data(), text.size(), &list);
+  list.Reserve(text.size() / 16);
+  size_t line_no = 0;
+  if (Status s = ParseEdgeTextBuffer(text.data(), text.size(), &line_no, &list);
       !s.ok()) {
     return s;
   }
@@ -178,17 +181,38 @@ Result<EdgeList> EdgeList::FromText(const std::string& text) {
 }
 
 Result<EdgeList> EdgeList::Load(const std::string& path) {
-  // One read-only mapping, one parser pass: peak memory is the parsed
-  // edge vector plus reclaimable page cache — the old
-  // file -> ostringstream -> string -> istringstream chain held TWO heap
-  // copies of the file on top of the edges. Errors match FromText on the
-  // same bytes exactly (shared ParseEdgeTextBuffer).
-  auto file = MappedFile::Open(path);
+  // Each read appends the next kEdgeListReadBufferBytes of the file to
+  // the unfinished line the last one left at the buffer's front; the
+  // parser sees whole lines only, so errors and line numbers match
+  // FromText. The buffer grows only when a line straddles a read.
+  Result<InputFile> file = InputFile::Open(path);
   if (!file.ok()) return file.status();
   EdgeList list;
-  if (Status s = ParseEdgeTextBuffer(file->data(), file->size(), &list);
-      !s.ok()) {
-    return s;
+  list.Reserve(file->size() / 16);
+  std::vector<char> buffer;
+  size_t carried = 0;  // bytes of the unfinished line at buffer's front
+  size_t line_no = 0;
+  for (uint64_t offset = 0; offset < file->size();) {
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(kEdgeListReadBufferBytes, file->size() - offset));
+    const size_t filled = carried + want;
+    if (buffer.size() < filled) buffer.resize(filled);
+    if (Status s = file->ReadAt(offset, buffer.data() + carried, want);
+        !s.ok()) {
+      return s;
+    }
+    offset += want;
+    // Up to the last newline (npos + 1 == 0: none yet); all of the last read.
+    const size_t whole =
+        offset == file->size()
+            ? filled
+            : std::string_view(buffer.data(), filled).rfind('\n') + 1;
+    if (Status s = ParseEdgeTextBuffer(buffer.data(), whole, &line_no, &list);
+        !s.ok()) {
+      return s;
+    }
+    carried = filled - whole;
+    std::memmove(buffer.data(), buffer.data() + whole, carried);
   }
   return list;
 }

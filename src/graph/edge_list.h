@@ -8,6 +8,7 @@
 #ifndef GPS_GRAPH_EDGE_LIST_H_
 #define GPS_GRAPH_EDGE_LIST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -17,6 +18,10 @@
 #include "util/status.h"
 
 namespace gps {
+
+/// Bytes EdgeList::Load reads from its file at a time: small enough to
+/// stay in cache between the read and the parse.
+inline constexpr size_t kEdgeListReadBufferBytes = size_t{1} << 16;
 
 /// A growable list of undirected edges plus the implied node-id upper bound.
 class EdgeList {
@@ -59,9 +64,10 @@ class EdgeList {
   /// NodeId-overflowing ids are OutOfRange.
   static Result<EdgeList> FromText(const std::string& text);
 
-  /// FromText over a memory-mapped file: one parser pass, no intermediate
-  /// file-sized buffer. Error text and line numbers are identical to
-  /// FromText on the same bytes. Refuses directories by name.
+  /// FromText over a file read kEdgeListReadBufferBytes at a time
+  /// (util/input_file.h): same edges, error text and line numbers.
+  /// Refuses non-regular files by name, and names a file cut short while
+  /// it is read.
   static Result<EdgeList> Load(const std::string& path);
 
   /// Writes "u v" lines, staged (util/staged_file.h): on failure the

@@ -1406,6 +1406,29 @@ TEST_F(CliTest, InputPreflightRefusesDirectoryAndEmptyFile) {
   std::remove(empty.c_str());
 }
 
+TEST_F(CliTest, InputPreflightRefusesFifoByName) {
+  // A FIFO with no writer as --input: every stream-reading subcommand
+  // refuses it by name at once instead of waiting for a writer.
+  const gps::engine_test::ScopedTempDir dir("cli", "fifo_input");
+  std::filesystem::create_directories(dir);
+  const std::string fifo = dir / "fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string output = (dir / "out.gps").string();
+  for (const std::string& command : std::vector<std::string>{
+           "estimate --capacity 100", "monitor --every 1000", "exact",
+           "convert --output " + output}) {
+    const std::string args = command + " --input " + fifo;
+    SCOPED_TRACE(args);
+    std::string err;
+    const CommandResult r = RunCliSplit(args, &err);
+    EXPECT_EQ(r.exit_code, 1) << r.output << err;
+    EXPECT_NE(err.find("'" + fifo + "' is not a regular file"),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+}
+
 TEST_F(CliTest, EstimateRefusesCorruptBinaryByName) {
   const std::string binary = TempPath("corrupt.gps");
   ASSERT_EQ(RunCli("convert --input " + graph_path_ + " --output " +

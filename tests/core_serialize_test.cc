@@ -346,8 +346,12 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
        "invalid 'tri' motif accumulator in checkpoint"},
       {"more motifs than the registry", "99", StatusCode::kInvalidArgument,
        "checkpoint motif count 99 exceeds the registry size"},
-      {"truncated accumulators", "1 tri 1", StatusCode::kIoError,
-       "truncated checkpoint: motif accumulators"},
+      {"short accumulator line", "1 tri 1", StatusCode::kInvalidArgument,
+       "malformed checkpoint: motif accumulators"},
+      {"non-numeric variance", "1 tri 1 abc 1", StatusCode::kInvalidArgument,
+       "malformed checkpoint: motif accumulators"},
+      {"inf variance", "1 tri 1 inf 1", StatusCode::kInvalidArgument,
+       "malformed checkpoint: motif accumulators"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
@@ -359,6 +363,41 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
     EXPECT_EQ(r.status().code(), c.want) << r.status().ToString();
     EXPECT_NE(r.status().message().find(c.message), std::string::npos)
         << r.status().ToString();
+  }
+  // A file that ends inside the motif line is truncated, not malformed.
+  std::stringstream cut("GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0 \n1 tri 1");
+  auto r = DeserializeInStreamEstimator(cut);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().ToString();
+  EXPECT_EQ(r.status().message(), "truncated checkpoint: motif accumulators");
+}
+
+TEST(SerializeTest, ReservoirMetadataNamesTruncatedAndMalformed) {
+  // Layout reminder: "GPS-RESERVOIR 1\n capacity seed\n z* processed\n
+  // rng0..rng3\n num_edges\n". A token the field cannot take is
+  // malformed; a file that ends inside the metadata is truncated.
+  const struct {
+    const char* name;
+    const char* text;
+    StatusCode want;
+    const char* message;
+  } kCases[] = {
+      {"non-numeric capacity", "GPS-RESERVOIR 1\nabc 1\n0 0\n1 2 3 4\n0\n",
+       StatusCode::kInvalidArgument,
+       "malformed checkpoint: reservoir metadata"},
+      {"inf threshold", "GPS-RESERVOIR 1\n10 1\ninf 0\n1 2 3 4\n0\n",
+       StatusCode::kInvalidArgument,
+       "malformed checkpoint: reservoir metadata"},
+      {"ends inside the rng state", "GPS-RESERVOIR 1\n10 1\n0 0\n1 2",
+       StatusCode::kIoError, "truncated checkpoint: reservoir metadata"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    std::stringstream buffer(c.text);
+    auto r = DeserializeReservoir(buffer);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), c.want) << r.status().ToString();
+    EXPECT_EQ(r.status().message(), c.message);
   }
 }
 
@@ -512,6 +551,10 @@ TEST(SerializeTest, ManifestRejectsCorruptText) {
        "expected GPS-MANIFEST, found GPS-NOPE"},
       {"truncated", "GPS-MANIFEST 5\n4 42\n", StatusCode::kIoError,
        "truncated manifest: layout"},
+      {"non-numeric layout", "GPS-MANIFEST 5\n4 42 abc 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "malformed manifest: layout"},
+      {"inf in layout", "GPS-MANIFEST 5\n4 42 inf 0\n2 9 1 1\n0\n0\n",
+       StatusCode::kInvalidArgument, "malformed manifest: layout"},
       {"zero shards", "GPS-MANIFEST 5\n0 42 1000 0\n2 9 1 1\n0\n0\n",
        StatusCode::kInvalidArgument, "manifest shard count 0 outside"},
       {"shard count over ceiling",

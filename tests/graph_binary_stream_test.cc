@@ -1,14 +1,19 @@
 // Tests for GPS-STREAM v1 (graph/binary_stream.h): round trips, strict
-// named refusals on every corruption class, and the zero-copy engine
-// feed's byte-identity with a per-edge Process loop: block spans aliasing
-// the mapping go straight into ShardedEngine::ProcessEdges.
+// named refusals on every corruption class and on seeded mutants, a file
+// cut short while it is read, and the block feed's byte-identity with a
+// per-edge Process loop: block spans from the reader's buffer go straight
+// into ShardedEngine::ProcessEdges.
 
 #include "graph/binary_stream.h"
+
+#include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -125,6 +130,19 @@ TEST_F(BinaryStreamTest, LooksLikeBinaryStreamSniffsMagic) {
   WriteFileBytes(text, "0 1\n2 3\n");
   EXPECT_FALSE(LooksLikeBinaryStream(text));
   EXPECT_FALSE(LooksLikeBinaryStream(TempPath("bs_sniff_missing.gps")));
+
+  // A FIFO with no writer: the sniff returns at once instead of waiting
+  // for one, and the reader refuses it by name.
+  const engine_test::ScopedTempDir dir("bs", "sniff");
+  std::filesystem::create_directories(dir);
+  const std::string fifo = dir / "fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_FALSE(LooksLikeBinaryStream(fifo));
+  auto reader = BinaryStreamReader::Open(fifo);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("is not a regular file"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 TEST_F(BinaryStreamTest, WriterRejectsInvalidNodeSentinel) {
@@ -311,14 +329,207 @@ TEST_F(CorruptionTest, RejectsMissingFile) {
   EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
 }
 
-// ---- Zero-copy engine feed -----------------------------------------------
+TEST_F(BinaryStreamTest, FileCutShortAfterOpenIsANamedError) {
+  // A reader opened on a file several pages long, which is then cut to
+  // 4096 bytes: reading a later block is an IoError naming the block and
+  // where the file ended, not a fault.
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < 8192; ++i) edges.push_back({i, i + 1});
+  const std::string path = Track(TempPath("bs_cut_short.gps"));
+  BinaryStreamWriteOptions options;
+  options.block_edges = 1024;
+  ASSERT_TRUE(WriteBinaryStream(path, edges, options).ok());
+  const uintmax_t size = std::filesystem::file_size(path);
+  auto reader = BinaryStreamReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->num_blocks(), 8u);
+  ASSERT_TRUE(reader->Block(0).ok());
 
-TEST_F(BinaryStreamTest, MappedBlockSpansFeedEngineLikeProcessLoop) {
-  // The acceptance contract: feeding the engine straight from mapped
-  // blocks must be byte-identical to the per-edge Process loop over the
-  // same stream — same reservoirs, same estimates, same counters. The
-  // spans alias the mapping while a K=3 engine routes them into its
-  // worker rings.
+  std::filesystem::resize_file(path, 4096);
+  auto block = reader->Block(5);
+  ASSERT_FALSE(block.ok());
+  EXPECT_EQ(block.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(block.status().message(),
+            "GPS-STREAM block 5: '" + path +
+                "' was cut short while being read: it ended at byte 4096 "
+                "of the " +
+                std::to_string(size) + " it held when opened");
+  EXPECT_FALSE(reader->VerifyAll().ok());
+}
+
+TEST_F(BinaryStreamTest, BufferHoldsTheBlockNotTheDeclaredBlockSize) {
+  // Two edges under a header declaring 2^24-edge blocks: one 2-edge
+  // block. The reader's buffer holds those 2 edges, not the 128 MiB a
+  // full declared block would take.
+  const std::vector<Edge> edges = {{3, 4}, {5, 6}};
+  const std::string path = Track(TempPath("bs_huge_blocks.gps"));
+  BinaryStreamWriteOptions options;
+  options.block_edges = kBinaryStreamMaxBlockEdges;
+  ASSERT_TRUE(WriteBinaryStream(path, edges, options).ok());
+
+  rusage before;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  auto reader = BinaryStreamReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->block_edges(), kBinaryStreamMaxBlockEdges);
+  ASSERT_EQ(reader->num_blocks(), 1u);
+  auto block = reader->Block(0);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
+  EXPECT_EQ(std::vector<Edge>(block->begin(), block->end()), edges);
+  rusage after;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024)  // KiB
+      << "peak RSS grew by " << after.ru_maxrss - before.ru_maxrss
+      << " KiB reading a 2-edge block";
+}
+
+// ---- Seeded mutants --------------------------------------------------------
+
+/// The blocks a structurally valid GPS-STREAM byte string holds, decoded
+/// from the bytes alone: the reference for an accepted mutant.
+std::vector<std::vector<Edge>> DecodeBlocks(const std::string& bytes) {
+  uint64_t edge_count = 0;
+  uint32_t block_edges = 0;
+  std::memcpy(&edge_count, bytes.data() + 20, sizeof(edge_count));
+  std::memcpy(&block_edges, bytes.data() + 28, sizeof(block_edges));
+  std::vector<std::vector<Edge>> blocks;
+  size_t at = kBinaryStreamHeaderBytes;
+  for (uint64_t left = edge_count; left > 0;) {
+    const uint64_t n = std::min<uint64_t>(left, block_edges);
+    std::vector<Edge>& block = blocks.emplace_back(n);
+    std::memcpy(block.data(), bytes.data() + at, n * sizeof(Edge));
+    at += n * sizeof(Edge) + 8;
+    left -= n;
+  }
+  return blocks;
+}
+
+TEST_F(BinaryStreamTest, SeededMutantsEndInAStatus) {
+  // GPS-STREAM files are untrusted input. Seeded mutants of a valid
+  // 10-edge file in three blocks (4 + 4 + 2 edges) — byte flips, every
+  // truncation, a trailing byte, spliced blocks, header-field edits and
+  // payload edits behind recomputed digests — must each end in Ok or in
+  // a status that names the format and the file: no abort, no sanitizer
+  // report. An accepted mutant reads exactly the edges its bytes hold.
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < 10; ++i) edges.push_back({i, 2 * i + 1});
+  const std::string path = Track(TempPath("bs_mutants.gps"));
+  BinaryStreamWriteOptions options;
+  options.block_edges = 4;
+  ASSERT_TRUE(WriteBinaryStream(path, edges, options).ok());
+  const std::string valid = ReadFileBytes(path);
+  ASSERT_EQ(valid.size(), 40u + (32 + 8) + (32 + 8) + (16 + 8));
+
+  const auto set_u32 = [](std::string bytes, size_t at, uint32_t value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    FixHeaderDigest(&bytes);
+    return bytes;
+  };
+  const auto set_u64 = [](std::string bytes, size_t at, uint64_t value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    FixHeaderDigest(&bytes);
+    return bytes;
+  };
+  const auto set_byte = [](std::string bytes, size_t at, char value) {
+    bytes[at] = value;
+    FixHeaderDigest(&bytes);
+    return bytes;
+  };
+  const size_t block_at[] = {40, 80, 120};
+  const size_t block_bytes[] = {40, 40, 24};
+
+  std::vector<std::pair<std::string, std::string>> mutants;
+  std::mt19937_64 rng(20170904);
+  for (int i = 0; i < 300; ++i) {
+    std::string m = valid;
+    m[rng() % m.size()] ^= static_cast<char>(1u << (rng() % 8));
+    mutants.emplace_back("byte flip " + std::to_string(i), m);
+  }
+  for (size_t n = 0; n < valid.size(); ++n) {
+    mutants.emplace_back("truncated to " + std::to_string(n),
+                         valid.substr(0, n));
+  }
+  mutants.emplace_back("trailing byte", valid + '\0');
+  for (size_t from = 0; from < 3; ++from) {
+    for (size_t to = 0; to < 3; ++to) {
+      if (from == to) continue;
+      mutants.emplace_back(
+          "block " + std::to_string(from) + " over block " +
+              std::to_string(to),
+          valid.substr(0, block_at[to]) +
+              valid.substr(block_at[from], block_bytes[from]) +
+              valid.substr(block_at[to] + block_bytes[to]));
+    }
+  }
+  for (uint32_t version : {0u, 2u}) {
+    mutants.emplace_back("version " + std::to_string(version),
+                         set_u32(valid, 8, version));
+  }
+  for (uint32_t flags : {1u, 0x80000000u}) {
+    mutants.emplace_back("flags " + std::to_string(flags),
+                         set_u32(valid, 12, flags));
+  }
+  for (char width : {0, 8}) {
+    mutants.emplace_back("node width " + std::to_string(width),
+                         set_byte(valid, 16, width));
+  }
+  for (size_t at : {17, 18, 19}) {
+    mutants.emplace_back("reserved byte " + std::to_string(at),
+                         set_byte(valid, at, 1));
+  }
+  for (uint64_t count : {9u, 11u}) {
+    mutants.emplace_back("edge count " + std::to_string(count),
+                         set_u64(valid, 20, count));
+  }
+  for (uint32_t block : {0u, 1u, kBinaryStreamMaxBlockEdges,
+                         kBinaryStreamMaxBlockEdges + 1}) {
+    mutants.emplace_back("block_edges " + std::to_string(block),
+                         set_u32(valid, 28, block));
+  }
+  for (uint32_t id : {uint32_t{77}, kInvalidNode}) {
+    // An edge of block 1 rewritten, behind a recomputed block digest.
+    std::string m = valid;
+    std::memcpy(m.data() + block_at[1] + 12, &id, sizeof(id));
+    const uint64_t digest = Fnv1a64Words(m.data() + block_at[1], 32);
+    std::memcpy(m.data() + block_at[1] + 32, &digest, sizeof(digest));
+    mutants.emplace_back("payload id " + std::to_string(id), m);
+  }
+
+  size_t accepted = 0;
+  for (const auto& [name, bytes] : mutants) {
+    SCOPED_TRACE(name);
+    WriteFileBytes(path, bytes);
+    auto reader = BinaryStreamReader::Open(path);
+    Status s = reader.ok() ? reader->VerifyAll() : reader.status();
+    if (!s.ok()) {
+      EXPECT_NE(s.message().find("GPS-STREAM"), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find(path), std::string::npos) << s.ToString();
+      continue;
+    }
+    ++accepted;
+    const std::vector<std::vector<Edge>> want = DecodeBlocks(bytes);
+    ASSERT_EQ(reader->num_blocks(), want.size());
+    for (size_t b = 0; b < want.size(); ++b) {
+      auto block = reader->Block(b);
+      ASSERT_TRUE(block.ok()) << block.status().ToString();
+      EXPECT_EQ(std::vector<Edge>(block->begin(), block->end()), want[b])
+          << "block " << b;
+    }
+  }
+  // Only the equal-size splices and the valid payload edit keep every
+  // digest and the file size: each is a different valid stream.
+  EXPECT_EQ(accepted, 3u);
+}
+
+// ---- Block feed into the engine ------------------------------------------
+
+TEST_F(BinaryStreamTest, BlockSpansFeedEngineLikeProcessLoop) {
+  // The acceptance contract: feeding the engine straight from the
+  // reader's blocks must be byte-identical to the per-edge Process loop
+  // over the same stream — same reservoirs, same estimates, same
+  // counters. Each span points into the reader's buffer while a K=3
+  // engine routes it into its worker rings.
   std::vector<Edge> stream;
   uint32_t x = 12345;
   for (int i = 0; i < 20000; ++i) {

@@ -1,5 +1,7 @@
-// Tests for EdgeList: canonicalization, simplification, text I/O and
-// failure injection on malformed input.
+// Tests for EdgeList: canonicalization, simplification, text I/O (Load
+// reads its file a buffer at a time and must agree with FromText across
+// buffer boundaries), a file cut short while it is read, and failure
+// injection on malformed input.
 
 #include "graph/edge_list.h"
 
@@ -8,10 +10,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/types.h"
+#include "util/input_file.h"
 
 namespace gps {
 namespace {
@@ -169,24 +173,92 @@ TEST(EdgeListTest, FromTextTruncatesEchoedLineTo80Chars) {
   EXPECT_NE(message.find("trailing junk"), std::string::npos);
 }
 
+/// Appends "7 8" lines and one padding comment line so that `text` ends
+/// exactly at byte `end`.
+void PadTo(std::string* text, size_t end) {
+  ASSERT_GE(end, text->size() + 2);
+  while (end - text->size() > 64) *text += "7 8\n";
+  *text += '#';
+  text->append(end - text->size() - 1, ' ');
+  *text += '\n';
+}
+
 TEST(EdgeListTest, LoadAndFromTextReportIdenticalErrors) {
-  // Load parses the mmap'd bytes with the same parser as FromText; the
-  // error strings (message, line number, echo) must match exactly.
-  const std::string text = "0 1\n# ok\n5 6 junk here\n";
+  // Load runs FromText's parser over buffers it reads from the file; the
+  // edges and the error strings (code, message, line number, echo) must
+  // match exactly, also where a line straddles two reads.
+  constexpr size_t kBuffer = kEdgeListReadBufferBytes;
+  std::string straddling;  // longer than two read buffers
+  PadTo(&straddling, kBuffer - 5);
+  straddling += "12345 67890\n";  // a data line across the first boundary
+  PadTo(&straddling, kBuffer + 1000);
+  // A comment line longer than a whole buffer, across the second.
+  straddling += "# ";
+  straddling.append(kBuffer + 100, 'c');
+  straddling += '\n';
+  PadTo(&straddling, 3 * kBuffer - 4);
+  straddling += "4 5\r\n";  // '\r' ends the third read, '\n' starts the fourth
+  straddling += "9 10\n";
+  std::string error_after_first_buffer = straddling;
+  error_after_first_buffer.insert(
+      error_after_first_buffer.find('\n', kBuffer + 200) + 1,
+      "5 6 junk here\n");
+
+  const std::vector<std::string> texts = {
+      "0 1\n# ok\n5 6 junk here\n",
+      straddling,
+      error_after_first_buffer,
+      straddling.substr(0, straddling.size() - 1),  // no final newline
+      straddling + "11 x",  // an error on a last line without a newline
+  };
   const std::string path =
       testing::TempDir() + "/gps_edge_list_err_test.txt";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+  for (size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE("text " + std::to_string(i));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << texts[i];
+    auto from_text = EdgeList::FromText(texts[i]);
+    auto from_load = EdgeList::Load(path);
+    EXPECT_EQ(from_text.status().code(), from_load.status().code());
+    EXPECT_EQ(from_text.status().message(), from_load.status().message());
+    if (from_text.ok() && from_load.ok()) {
+      EXPECT_EQ(from_text->Edges(), from_load->Edges());
+      EXPECT_EQ(from_text->NumNodes(), from_load->NumNodes());
+    }
   }
-  auto from_text = EdgeList::FromText(text);
-  auto from_load = EdgeList::Load(path);
-  ASSERT_FALSE(from_text.ok());
-  ASSERT_FALSE(from_load.ok());
-  EXPECT_EQ(from_text.status().code(), from_load.status().code());
-  EXPECT_EQ(from_text.status().message(), from_load.status().message());
+  EXPECT_FALSE(EdgeList::FromText(texts[0]).ok());
+  EXPECT_TRUE(EdgeList::FromText(texts[1]).ok());
+  EXPECT_EQ(EdgeList::FromText(texts[1])->Edges().back(), (Edge{9, 10}));
+  EXPECT_NE(EdgeList::FromText(texts[2]).status().message().find("junk"),
+            std::string::npos);
+  EXPECT_TRUE(EdgeList::FromText(texts[3]).ok());
+  EXPECT_FALSE(EdgeList::FromText(texts[4]).ok());
+  std::remove(path.c_str());
+}
+
+TEST(EdgeListTest, LoadReaderNamesAFileCutShortWhileRead) {
+  // The reader Load uses, opened on a text file several pages long that
+  // is then cut to 4096 bytes: a read past the new end is an IoError
+  // naming the file, where it ended and its size at open.
+  const std::string path = testing::TempDir() + "/gps_edge_list_cut.txt";
+  std::string text;
+  PadTo(&text, 5 * 4096);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  auto file = InputFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->size(), text.size());
+
+  std::filesystem::resize_file(path, 4096);
+  std::vector<char> buffer(1000);
+  const std::string want =
+      "'" + path +
+      "' was cut short while being read: it ended at byte 4096 of the " +
+      std::to_string(text.size()) + " it held when opened";
+  for (const uint64_t offset : {uint64_t{3500}, uint64_t{8000}}) {
+    const Status s = file->ReadAt(offset, buffer.data(), buffer.size());
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+    EXPECT_EQ(s.message(), want);
+  }
+  EXPECT_TRUE(file->ReadAt(3000, buffer.data(), buffer.size()).ok());
   std::remove(path.c_str());
 }
 

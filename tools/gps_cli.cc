@@ -56,8 +56,6 @@
 // chrome://tracing or Perfetto. All observation-only: estimates are
 // byte-identical with or without these flags.
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -65,7 +63,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <new>
@@ -87,6 +84,7 @@
 #include "graph/exact.h"
 #include "graph/intersect.h"
 #include "graph/stream.h"
+#include "util/input_file.h"
 #include "util/metrics.h"
 #include "util/parse_bytes.h"
 #include "util/staged_file.h"
@@ -280,25 +278,18 @@ Result<WeightOptions> WeightFromName(const std::string& name) {
 
 // ---- Dataset loading (text and GPS-STREAM binary) ------------------------
 
-/// CLI-level preflight on --input before any parser runs, so the two
-/// classic unhelpful failures — pointing a subcommand at a directory or
-/// at an empty file — are refusals that name the problem, not a generic
-/// parse error (or a silent empty stream).
+/// CLI-level preflight on --input before any parser runs, so the
+/// classic unhelpful failures — pointing a subcommand at a directory, a
+/// FIFO or an empty file — are refusals that name the problem, not a
+/// generic parse error, a silent empty stream or a read that never
+/// returns. InputFile::Open holds the regular-file rule.
 Status CheckDatasetPath(const std::string& path) {
   if (path.empty()) {
     return Status::InvalidArgument("missing --input FILE");
   }
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IoError("cannot open '" + path +
-                           "' for reading: " + std::strerror(errno));
-  }
-  if (S_ISDIR(st.st_mode)) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is a directory, not an edge-stream "
-                                   "file");
-  }
-  if (S_ISREG(st.st_mode) && st.st_size == 0) {
+  Result<InputFile> file = InputFile::Open(path);
+  if (!file.ok()) return file.status();
+  if (file->size() == 0) {
     return Status::InvalidArgument("'" + path +
                                    "' is empty (0 bytes) — not an edge "
                                    "stream");
@@ -970,10 +961,6 @@ int RunConvert(const Flags& flags) {
                  "error: convert needs --input FILE and --output FILE\n");
     return 1;
   }
-  if (Status s = CheckDatasetPath(input); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
   const std::string to = flags.Get("to", "auto");
   if (to != "auto" && to != "binary" && to != "text") {
     std::fprintf(stderr,
@@ -1017,12 +1004,8 @@ int RunConvert(const Flags& flags) {
       return 1;
     }
     auto reader = BinaryStreamReader::Open(output);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "convert verification failed: %s\n",
-                   reader.status().ToString().c_str());
-      return 1;
-    }
-    if (Status s = reader->VerifyAll(); !s.ok()) {
+    if (Status s = reader.ok() ? reader->VerifyAll() : reader.status();
+        !s.ok()) {
       std::fprintf(stderr, "convert verification failed: %s\n",
                    s.ToString().c_str());
       return 1;
