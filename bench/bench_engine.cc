@@ -456,9 +456,11 @@ int main(int argc, char** argv) {
   // The store layout every row runs under: derived from --mem when given,
   // otherwise the bytes the configured capacity implies. Either way the
   // fixed-envelope row reports against layout.total_bytes.
-  StoreLayout layout = LayoutForCapacity(capacity, 0);
+  // Every row runs Algorithm 3's estimator.
+  StoreLayout layout = LayoutForCapacity(capacity, 0, /*in_stream=*/true);
   if (mem_budget > 0) {
-    Result<StoreLayout> derived = DeriveStoreLayout(mem_budget);
+    Result<StoreLayout> derived =
+        DeriveStoreLayout(mem_budget, /*in_stream=*/true);
     if (!derived.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    derived.status().ToString().c_str());

@@ -99,7 +99,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # where an out-of-bounds read would hide.
 # core_in_stream_test and core_reservoir_test drive Algorithm 3's
 # per-arrival loop directly (duplicates, loops, eviction edge cases): it
-# indexes raw slot-column pointers and prefetches ahead.
+# indexes raw per-slot record pointers and prefetches ahead. The engine_
+# suites drive its two-thread form, whose slot log records span chunks.
 # util_flat_hash_map_test and graph_sampled_graph_test drive the node
 # table's 16-byte control-byte group loads, which end exactly at the
 # table's last byte.
@@ -139,6 +140,10 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=thread \
 # writers: SerializeShards streams the drained shards into their files on
 # the merge threads, and engine_resume_test's monitor loop calls it right
 # after a tick's merge passes.
+# engine_sharded_test's SingleShard* cases and engine_resume_test's
+# SingleShardCheckpointBetweenHelperSpans feed K=1 spans above
+# kMinHelperSpan: the producer/helper hand-off over the slot log, with
+# its spinning waits and records larger than a chunk.
 cmake --build build-tsan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_metrics_test \
   engine_router_test engine_merge_test engine_checkpoint_test \

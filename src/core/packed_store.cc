@@ -7,38 +7,41 @@
 
 namespace gps {
 
-StoreLayout LayoutForCapacity(size_t capacity, uint64_t budget_bytes) {
+StoreLayout LayoutForCapacity(size_t capacity, uint64_t budget_bytes,
+                              bool in_stream) {
   StoreLayout layout;
   layout.budget_bytes = budget_bytes;
   layout.capacity = capacity;
   const uint64_t m = capacity;
   layout.slot_bytes = m * kStoreSlotBytes;
+  layout.record_bytes = in_stream ? m * kInStreamRecordBytes : 0;
   layout.heap_bytes = m * kStoreHeapBytes;
   layout.adjacency_bytes = m * kStoreAdjacencyBytes;
   layout.node_index_bytes = m * kStoreNodeIndexBytes;
   layout.total_bytes = kStoreFixedBytes + layout.slot_bytes +
-                       layout.heap_bytes + layout.adjacency_bytes +
-                       layout.node_index_bytes;
+                       layout.record_bytes + layout.heap_bytes +
+                       layout.adjacency_bytes + layout.node_index_bytes;
   return layout;
 }
 
-Result<StoreLayout> DeriveStoreLayout(uint64_t budget_bytes) {
-  if (budget_bytes < kStoreFixedBytes + kStoreBytesPerSlot) {
+Result<StoreLayout> DeriveStoreLayout(uint64_t budget_bytes, bool in_stream) {
+  const uint64_t per_slot = BytesPerSlot(in_stream);
+  if (budget_bytes < kStoreFixedBytes + per_slot) {
     return Status::OutOfRange(
         "memory budget " + FormatByteSize(budget_bytes) +
         " cannot hold even one reservoir slot (needs at least " +
-        std::to_string(kStoreFixedBytes + kStoreBytesPerSlot) +
+        std::to_string(kStoreFixedBytes + per_slot) +
         " bytes: " + std::to_string(kStoreFixedBytes) + " fixed + " +
-        std::to_string(kStoreBytesPerSlot) + " per slot)");
+        std::to_string(per_slot) + " per slot)");
   }
   // TotalBytes(m) is linear in m, so the largest fitting capacity is a
   // division, not a search; asserted monotone below for safety.
-  const size_t capacity = static_cast<size_t>(
-      (budget_bytes - kStoreFixedBytes) / kStoreBytesPerSlot);
-  StoreLayout layout = LayoutForCapacity(capacity, budget_bytes);
+  const size_t capacity =
+      static_cast<size_t>((budget_bytes - kStoreFixedBytes) / per_slot);
+  StoreLayout layout = LayoutForCapacity(capacity, budget_bytes, in_stream);
   assert(layout.total_bytes <= budget_bytes);
-  assert(LayoutForCapacity(capacity + 1, budget_bytes).total_bytes >
-         budget_bytes);
+  assert(LayoutForCapacity(capacity + 1, budget_bytes, in_stream)
+             .total_bytes > budget_bytes);
   return layout;
 }
 
@@ -53,6 +56,7 @@ std::string FormatAllocationReport(const StoreLayout& layout) {
   }
   out << "\n";
   out << "  slot columns (SoA)   : " << layout.slot_bytes << " bytes\n";
+  out << "  in-stream records    : " << layout.record_bytes << " bytes\n";
   out << "  priority heap        : " << layout.heap_bytes << " bytes\n";
   out << "  adjacency arena      : " << layout.adjacency_bytes
       << " bytes\n";
@@ -72,8 +76,6 @@ PackedSampleStore::PackedSampleStore(size_t capacity)
   keys_.reserve(cap_);
   weights_.reserve(cap_);
   priorities_.reserve(cap_);
-  cov_tri_.reserve(cap_);
-  cov_wedge_.reserve(cap_);
   live_.reserve(cap_);
   free_.reserve(cap_);
 }
@@ -95,8 +97,6 @@ Result<SlotId> PackedSampleStore::TryAllocate() {
   keys_.push_back(0);
   weights_.push_back(0.0);
   priorities_.push_back(0.0);
-  cov_tri_.push_back(0.0);
-  cov_wedge_.push_back(0.0);
   live_.push_back(0);
   return static_cast<SlotId>(used_++);
 }
@@ -116,8 +116,6 @@ void PackedSampleStore::Store(SlotId slot, const EdgeRecord& record) {
   keys_[slot] = EdgeKey(record.edge);
   weights_[slot] = record.weight;
   priorities_[slot] = record.priority;
-  cov_tri_[slot] = record.cov_tri;
-  cov_wedge_[slot] = record.cov_wedge;
   live_[slot] = 1;
 }
 

@@ -2,8 +2,8 @@
 //
 // The reservoir used to keep an AoS std::vector<EdgeRecord> whose size was
 // `--capacity` guesswork. This store packs the same records into parallel
-// structure-of-arrays columns (edge keys, weights, priorities, covariance
-// accumulators, liveness) sized ONCE from a StoreLayout, so a `--mem`
+// structure-of-arrays columns (edge keys, weights, priorities, liveness)
+// sized ONCE from a StoreLayout, so a `--mem`
 // byte budget translates into a derived capacity and a predictable
 // resident footprint instead of allocator noise. The idiom follows
 // mccortex's packed gpath_hash (fixed arena, capacity derived from the
@@ -13,8 +13,21 @@
 // matter how much churn surrounds it. Snapshot, serialize, and adjacency
 // code all hold SlotIds across evictions and depend on that stability.
 //
-// Concurrency: the store is single-writer (the shard worker that owns the
-// reservoir); readers take it only under the engine's drain handshake.
+// Who owns what: the store holds what sampling needs, 25 B per slot. The
+// in-stream covariance accumulators C̃_k(△) and C̃_k(Λ) of Algorithm 3
+// belong to the estimation stage, so InStreamEstimator keeps them in its
+// own per-slot records (24 B with a copy of the weight; core/in_stream.h),
+// and a post-stream reservoir carries none.
+//
+// Layout terms (StoreLayout): the store's slot columns, the in-stream
+// records (only in a run that keeps Algorithm 3's estimator), the
+// priority heap, the adjacency arena and the node index, each m times its
+// per-slot bytes, plus a flat fixed overhead. A budget derives the
+// largest m whose terms fit.
+//
+// Concurrency: the store is single-writer (the thread that runs the
+// reservoir's sampling stage); readers take it only under the engine's
+// drain handshake.
 
 #ifndef GPS_CORE_PACKED_STORE_H_
 #define GPS_CORE_PACKED_STORE_H_
@@ -36,19 +49,6 @@ struct EdgeRecord {
   Edge edge;
   double weight = 0.0;
   double priority = 0.0;
-  /// Cumulative covariance accumulators for in-stream estimation
-  /// (Algorithm 3: C̃_k(△) and C̃_k(Λ)); zeroed on insertion, discarded on
-  /// eviction. Unused by post-stream estimation.
-  double cov_tri = 0.0;
-  double cov_wedge = 0.0;
-};
-
-/// Base pointers of the columns Algorithm 3 reads and updates for every
-/// sampled edge adjacent to an arrival (see core/in_stream.h).
-struct InStreamColumns {
-  const double* weight;
-  double* cov_tri;
-  double* cov_wedge;
 };
 
 /// How a reservoir's bytes were sized: either an explicit capacity
@@ -59,7 +59,8 @@ struct InStreamColumns {
 struct StoreLayout {
   uint64_t budget_bytes = 0;  ///< 0 = explicit capacity, no budget.
   size_t capacity = 0;        ///< reservoir capacity m.
-  uint64_t slot_bytes = 0;       ///< SoA record columns.
+  uint64_t slot_bytes = 0;       ///< the store's SoA record columns.
+  uint64_t record_bytes = 0;     ///< in-stream records (0 without).
   uint64_t heap_bytes = 0;       ///< priority min-heap items.
   uint64_t adjacency_bytes = 0;  ///< arena blocks (incl. size-class slack).
   uint64_t node_index_bytes = 0; ///< open-addressing node table at its
@@ -69,16 +70,20 @@ struct StoreLayout {
 
 /// Derivation-formula terms, exposed for tests and documentation.
 /// Per-slot costs (bytes per reservoir slot, counting the +1 transient):
-///   slots: 8 (edge key) + 4*8 (weight/priority/cov columns) + 1 (live)
+///   slots: 8 (edge key) + 2*8 (weight/priority) + 1 (live)
+///   in-stream records: 3*8 (weight, cov_tri, cov_wedge), only in a run
+///                      that keeps Algorithm 3's estimator
 ///   heap:  16 (priority + slot, padded)
 ///   adjacency: 2 directed entries * 8 bytes, doubled for pow2
 ///              size-class slack
 ///   node index: <= 2 nodes/edge * 17 bytes/bucket (key + block ref +
 ///               ctrl), doubled for the 7/8 load cap + pow2 rounding
-inline constexpr uint64_t kStoreSlotBytes = 41;
+inline constexpr uint64_t kStoreSlotBytes = 25;
+inline constexpr uint64_t kInStreamRecordBytes = 24;
 inline constexpr uint64_t kStoreHeapBytes = 16;
 inline constexpr uint64_t kStoreAdjacencyBytes = 32;
 inline constexpr uint64_t kStoreNodeIndexBytes = 48;
+/// Bytes per slot of a reservoir alone (a post-stream run).
 inline constexpr uint64_t kStoreBytesPerSlot =
     kStoreSlotBytes + kStoreHeapBytes + kStoreAdjacencyBytes +
     kStoreNodeIndexBytes;
@@ -86,14 +91,21 @@ inline constexpr uint64_t kStoreBytesPerSlot =
 /// list) independent of capacity.
 inline constexpr uint64_t kStoreFixedBytes = 4096;
 
+/// Bytes per slot of a run: the reservoir's, plus the in-stream record
+/// when the run keeps Algorithm 3's estimator (`in_stream`).
+constexpr uint64_t BytesPerSlot(bool in_stream) {
+  return kStoreBytesPerSlot + (in_stream ? kInStreamRecordBytes : 0);
+}
+
 /// The layout an explicit capacity implies (budget recorded verbatim;
-/// pass 0 for the legacy path).
-StoreLayout LayoutForCapacity(size_t capacity, uint64_t budget_bytes);
+/// pass 0 for the legacy path). `in_stream` as for BytesPerSlot.
+StoreLayout LayoutForCapacity(size_t capacity, uint64_t budget_bytes,
+                              bool in_stream);
 
 /// Derives the largest capacity whose layout fits `budget_bytes`
 /// (monotone formula, so this is exact, not a guess). Named refusal when
 /// the budget cannot hold even one slot.
-Result<StoreLayout> DeriveStoreLayout(uint64_t budget_bytes);
+Result<StoreLayout> DeriveStoreLayout(uint64_t budget_bytes, bool in_stream);
 
 /// Multi-line human-readable allocation report, printed at startup when
 /// a budget is in force and archived next to bench artifacts in CI.
@@ -127,7 +139,7 @@ class PackedSampleStore {
   /// Materializes the record held in `slot`.
   EdgeRecord Record(SlotId slot) const {
     return EdgeRecord{EdgeFromKey(keys_[slot]), weights_[slot],
-                      priorities_[slot], cov_tri_[slot], cov_wedge_[slot]};
+                      priorities_[slot]};
   }
 
   // Column accessors for hot paths that need one field, not a
@@ -136,15 +148,6 @@ class PackedSampleStore {
   double weight(SlotId slot) const { return weights_[slot]; }
   double priority(SlotId slot) const { return priorities_[slot]; }
 
-  /// The three columns in-stream estimation touches per sampled neighbour,
-  /// indexed by SlotId: weights are read, and the covariance accumulators
-  /// are updated in place (the one mutation that outlives Store). The
-  /// columns are preallocated, so Allocate never moves them: the pointers
-  /// stay valid until the store is assigned to or destroyed.
-  InStreamColumns in_stream_columns() {
-    return {weights_.data(), cov_tri_.data(), cov_wedge_.data()};
-  }
-
   bool live(SlotId slot) const { return live_[slot] != 0; }
 
   /// Slots ever touched (high-water mark) and currently live.
@@ -152,19 +155,12 @@ class PackedSampleStore {
   size_t live_slots() const { return used_ - free_.size(); }
   size_t slot_capacity() const { return cap_; }
 
-  /// Bytes preallocated for the SoA columns.
-  uint64_t soa_bytes() const {
-    return static_cast<uint64_t>(cap_) * kStoreSlotBytes;
-  }
-
  private:
   size_t cap_ = 0;   // preallocated slots (capacity + 1)
   size_t used_ = 0;  // high-water mark of handed-out slots
   std::vector<uint64_t> keys_;
   std::vector<double> weights_;
   std::vector<double> priorities_;
-  std::vector<double> cov_tri_;
-  std::vector<double> cov_wedge_;
   std::vector<uint8_t> live_;
   std::vector<SlotId> free_;
 };

@@ -32,7 +32,7 @@ GpsReservoir::ProcessResult GpsReservoir::Process(const Edge& raw,
     return {};
   }
 
-  const EdgeRecord record{e, weight, priority, 0.0, 0.0};
+  const EdgeRecord record{e, weight, priority};
   ProcessResult result;
   if (heap_.size() < options_.capacity) {
     const SlotId slot = store_.Allocate();

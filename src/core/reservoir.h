@@ -12,8 +12,7 @@
 //   * a binary min-heap over (priority, slot) gives O(1) access to the
 //     lowest-priority edge and O(log m) insert/evict;
 //   * a PackedSampleStore holds per-edge records as SoA columns
-//     (endpoints, weight, priority, and the in-stream covariance
-//     accumulators of Algorithm 3) with stable recycled SlotIds, sized
+//     (endpoints, weight, priority) with stable recycled SlotIds, sized
 //     once — optionally from a --mem byte budget (core/packed_store.h);
 //   * a SampledGraph adjacency indexes the sampled topology so weight
 //     functions and estimators can query neighborhoods in O(min deg).
@@ -130,11 +129,6 @@ class GpsReservoir {
   /// Materializes the record in `slot` from the store's SoA columns.
   EdgeRecord Record(SlotId slot) const { return store_.Record(slot); }
 
-  /// The weight and covariance-accumulator columns in-stream estimation
-  /// reads and updates (Algorithm 3 lines 14-27) — the only record
-  /// mutation that happens after admission.
-  InStreamColumns in_stream_columns() { return store_.in_stream_columns(); }
-
   /// Calls fn(slot, record) for each sampled edge (heap order).
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
@@ -167,7 +161,8 @@ class GpsReservoir {
 
   /// Reconstructs a reservoir from checkpointed parts. `records` must hold
   /// at most `options.capacity` edges with distinct endpoints; priorities
-  /// and weights are taken verbatim. Used by deserialization.
+  /// and weights are taken verbatim, and record i is stored in slot i.
+  /// Used by deserialization.
   static GpsReservoir FromParts(const GpsOptions& options, double z_star,
                                 uint64_t processed,
                                 const std::array<uint64_t, 4>& rng_state,

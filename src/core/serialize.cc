@@ -25,7 +25,8 @@ constexpr const char* kManifestHeader = "GPS-MANIFEST";
 constexpr int kReservoirVersion = 1;
 constexpr int kInStreamVersion = 2;
 constexpr int kManifestVersion = 5;
-// Records reserved up front when reading a reservoir (40 B each).
+// Records reserved up front when reading a reservoir (48 B each with
+// their covariance accumulators).
 constexpr size_t kRecordReserveLimit = size_t{1} << 16;
 
 /// The refusal for a failed `in >> ...` of `what`: truncated (IoError)
@@ -95,7 +96,11 @@ Result<WeightOptions> ReadWeightOptions(std::istream& in) {
   return weight;
 }
 
-Status WriteReservoir(const GpsReservoir& reservoir, TextWriter& out) {
+/// Writes the reservoir section. Each record carries its covariance
+/// accumulators: `estimator`'s per-slot records for an in-stream
+/// estimator's reservoir, zeros for a bare reservoir, which holds none.
+Status WriteReservoir(const GpsReservoir& reservoir,
+                      const InStreamEstimator* estimator, TextWriter& out) {
   // Mirror the read-side ceiling: a checkpoint the deserializer would
   // reject must fail loudly at WRITE time, not when the operator tries
   // to resume from it.
@@ -117,10 +122,15 @@ Status WriteReservoir(const GpsReservoir& reservoir, TextWriter& out) {
   out.Int(rng[0]).Char(' ').Int(rng[1]).Char(' ');
   out.Int(rng[2]).Char(' ').Int(rng[3]).Char('\n');
   out.Int(reservoir.size()).Char('\n');
-  reservoir.ForEachEdge([&](SlotId, const GpsReservoir::EdgeRecord& rec) {
+  reservoir.ForEachEdge([&](SlotId slot, const GpsReservoir::EdgeRecord& rec) {
     out.Int(rec.edge.u).Char(' ').Int(rec.edge.v).Char(' ');
     out.Double(rec.weight).Char(' ').Double(rec.priority).Char(' ');
-    out.Double(rec.cov_tri).Char(' ').Double(rec.cov_wedge).Char('\n');
+    if (estimator != nullptr) {
+      const InStreamEstimator::SlotRecord& acc = estimator->slot_record(slot);
+      out.Double(acc.cov_tri).Char(' ').Double(acc.cov_wedge).Char('\n');
+    } else {
+      out.Double(0.0).Char(' ').Double(0.0).Char('\n');
+    }
   });
   return Status::Ok();
 }
@@ -147,7 +157,7 @@ Status WriteInStreamEstimator(const InStreamEstimator& estimator,
     out.Char(' ').Double(motif.variance).Char(' ').Int(motif.snapshots);
   }
   out.Char('\n');
-  return WriteReservoir(estimator.reservoir(), out);
+  return WriteReservoir(estimator.reservoir(), &estimator, out);
 }
 
 /// Reads the motif count that starts a motif line of `file` ("manifest"
@@ -229,11 +239,17 @@ int ShardFileFormatVersion() { return kInStreamVersion; }
 
 Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out) {
   return WriteText(StreamSink(out), [&](TextWriter& w) {
-    return WriteReservoir(reservoir, w);
+    return WriteReservoir(reservoir, nullptr, w);
   });
 }
 
-Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
+namespace {
+
+/// Reads a reservoir section; `slots` receives each record's weight and
+/// covariance accumulators in record order, which is slot order in the
+/// restored reservoir.
+Result<GpsReservoir> ReadReservoir(
+    std::istream& in, std::vector<InStreamEstimator::SlotRecord>* slots) {
   if (Status s = ExpectHeader(in, kReservoirHeader, kReservoirVersion);
       !s.ok()) {
     return s;
@@ -278,12 +294,16 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
   // refused after reading what it holds, not after a 10 GiB allocation.
   std::vector<GpsReservoir::EdgeRecord> records;
   records.reserve(std::min(num_edges, kRecordReserveLimit));
+  slots->clear();
+  slots->reserve(std::min(num_edges, kRecordReserveLimit));
   for (size_t i = 0; i < num_edges; ++i) {
     GpsReservoir::EdgeRecord& rec = records.emplace_back();
+    InStreamEstimator::SlotRecord& acc = slots->emplace_back();
     if (!(in >> rec.edge.u >> rec.edge.v >> rec.weight >> rec.priority >>
-          rec.cov_tri >> rec.cov_wedge)) {
+          acc.cov_tri >> acc.cov_wedge)) {
       return ReadFailure(in, "checkpoint: edge records");
     }
+    acc.weight = rec.weight;
     if (rec.edge.IsSelfLoop()) {
       return Status::InvalidArgument("self loop in reservoir checkpoint");
     }
@@ -305,7 +325,7 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
       return Status::InvalidArgument(
           "edge priority below threshold z* in reservoir checkpoint");
     }
-    if (!std::isfinite(rec.cov_tri) || !std::isfinite(rec.cov_wedge)) {
+    if (!std::isfinite(acc.cov_tri) || !std::isfinite(acc.cov_wedge)) {
       return Status::InvalidArgument(
           "non-finite covariance accumulator in reservoir checkpoint");
     }
@@ -326,6 +346,15 @@ Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
         "cannot allocate a reservoir of capacity " +
         std::to_string(options.capacity) + " from checkpoint");
   }
+}
+
+}  // namespace
+
+Result<GpsReservoir> DeserializeReservoir(std::istream& in) {
+  // A bare reservoir holds no covariance accumulators: the columns are
+  // read and checked, then dropped.
+  std::vector<InStreamEstimator::SlotRecord> slots;
+  return ReadReservoir(in, &slots);
 }
 
 Status SerializeInStreamEstimator(const InStreamEstimator& estimator,
@@ -366,11 +395,23 @@ Result<InStreamCheckpoint> DeserializeInStreamEstimator(std::istream& in) {
       !s.ok()) {
     return s;
   }
-  Result<GpsReservoir> reservoir = DeserializeReservoir(in);
+  std::vector<InStreamEstimator::SlotRecord> slots;
+  Result<GpsReservoir> reservoir = ReadReservoir(in, &slots);
   if (!reservoir.ok()) return reservoir.status();
-  return InStreamCheckpoint{
-      InStreamEstimator::FromParts(*weight, std::move(*reservoir), acc),
-      std::move(motif_names), std::move(motif_accumulators)};
+  // The estimator reserves a record for every slot of the store, so a
+  // capacity the reservoir could hold may still fail here.
+  const size_t capacity = reservoir->capacity();
+  try {
+    return InStreamCheckpoint{
+        InStreamEstimator::FromParts(*weight, std::move(*reservoir), acc,
+                                     slots),
+        std::move(motif_names), std::move(motif_accumulators)};
+  } catch (const std::bad_alloc&) {
+    return Status::OutOfRange("cannot allocate an in-stream estimator of "
+                              "capacity " +
+                              std::to_string(capacity) +
+                              " from checkpoint");
+  }
 }
 
 uint64_t ChecksumBytes(std::string_view bytes) {

@@ -127,11 +127,13 @@ Status SerializeManifest(const ShardManifest& manifest, const ByteSink& sink);
 /// Reads and validates a manifest written by SerializeManifest.
 Result<ShardManifest> DeserializeManifest(std::istream& in);
 
-/// Writes the reservoir state. Estimation-agnostic: covariance accumulators
-/// are included so in-stream estimation can resume on top.
+/// Writes the reservoir state (GPS-RESERVOIR). A reservoir holds no
+/// covariance accumulators, so their columns are written as zeros; a shard
+/// file fills them from its in-stream estimator.
 Status SerializeReservoir(const GpsReservoir& reservoir, std::ostream& out);
 
-/// Reads a reservoir previously written by SerializeReservoir. A capacity
+/// Reads a reservoir previously written by SerializeReservoir; the
+/// covariance columns are checked and dropped. A capacity
 /// whose store cannot be allocated is refused (OUT_OF_RANGE naming the
 /// capacity), like every other invalid field.
 Result<GpsReservoir> DeserializeReservoir(std::istream& in);

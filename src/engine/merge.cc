@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/algorithm2.h"
@@ -12,6 +11,7 @@
 #include "core/post_stream.h"
 #include "graph/sampled_graph.h"
 #include "graph/types.h"
+#include "util/cpus.h"
 #include "util/parallel_chunks.h"
 
 namespace gps {
@@ -281,9 +281,7 @@ void UnionSample::Impl::RecomputeLists(std::span<const SlotId> slots,
   });
 }
 
-unsigned MergeThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
+unsigned MergeThreads() { return UsableCpus(); }
 
 UnionSample::UnionSample() : impl_(std::make_unique<Impl>()) {}
 UnionSample::~UnionSample() = default;

@@ -71,7 +71,8 @@ struct ShardSampleRef {
 };
 
 /// Threads an Algorithm-2 pass or a union update runs on unless the
-/// caller says otherwise: every hardware thread (at least 1). The engine's
+/// caller says otherwise: every CPU the calling thread may run on
+/// (UsableCpus, at least 1). The engine's
 /// shard workers sit idle while the producer merges, so the passes borrow
 /// their cores; the thread count never changes a result bit
 /// (core/algorithm2.h).

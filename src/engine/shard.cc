@@ -1,10 +1,16 @@
 #include "engine/shard.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <cassert>
 #include <chrono>
 #include <ctime>
 #include <optional>
+#include <system_error>
 #include <utility>
+
+#include "util/cpus.h"
 
 namespace gps {
 
@@ -69,7 +75,10 @@ ShardWorker::ShardWorker(const ShardOptions& options,
   motifs_.RestoreAccumulators(restored_motifs);
 }
 
-ShardWorker::~ShardWorker() { Join(); }
+ShardWorker::~ShardWorker() {
+  StopEstimationHelper();
+  Join();
+}
 
 void ShardWorker::SetTrace(TraceEventSink* sink, TraceBuffer* buffer) {
   assert(!thread_.joinable() && "trace must be attached before Start");
@@ -117,22 +126,65 @@ void ShardWorker::RunInline(std::span<const Edge> batch) {
   RunBatch(batch);
 }
 
+bool ShardWorker::StartEstimationHelper() {
+  assert(!thread_.joinable() && "a started worker runs both stages");
+  assert(!helper_.joinable());
+  if (!in_stream_) return false;
+  // Keep the helper off the producer's CPU. Both sides spin while they
+  // wait, and a helper the scheduler placed beside the producer ran the
+  // two stages in turn, no faster than one thread.
+  cpu_set_t others;
+  CPU_ZERO(&others);
+  bool pin = false;
+  if (sched_getaffinity(0, sizeof(others), &others) == 0) {
+    if (CPU_COUNT(&others) < 2) return false;
+    const int here = sched_getcpu();
+    if (here >= 0 && CPU_ISSET(here, &others)) {
+      CPU_CLR(here, &others);
+      pin = true;
+    }
+  } else if (UsableCpus() < 2) {
+    return false;
+  }
+  log_ = std::make_unique<SlotLog>();
+  try {
+    helper_ = std::thread([this, others, pin] {
+      if (pin) pthread_setaffinity_np(pthread_self(), sizeof(others), &others);
+      const uint64_t start = ThreadCpuNowNs();
+      in_stream_->Estimate(*log_);
+      estimation_ns_ += ThreadCpuNowNs() - start;
+    });
+  } catch (const std::system_error&) {
+    return false;
+  }
+  return true;
+}
+
+void ShardWorker::StopEstimationHelper() {
+  if (!helper_.joinable()) return;
+  log_->Close();
+  helper_.join();
+}
+
 void ShardWorker::RunBatch(std::span<const Edge> batch) {
   const BusyScope busy(&busy_ns_);
   const ScopedLatencyTimer latency(&worker_metrics_.batch_latency);
   TraceSpan span(trace_sink_, trace_buf_, "batch");
   span.SetArg("edges", static_cast<int64_t>(batch.size()));
   if (in_stream_) {
-    if (!motifs_.empty()) {
+    // With a helper, this thread runs the sampling stage and the helper
+    // the snapshot updates.
+    SlotLog* const log = helper_.joinable() ? log_.get() : nullptr;
+    for (const Edge& e : batch) {
       // Motif snapshots freeze at the stopping time BEFORE the arriving
       // edge's own sampling step, so the suite observes first; it only
       // reads the reservoir, leaving the sample path untouched.
-      for (const Edge& e : batch) {
-        motifs_.Observe(e, in_stream_->reservoir());
+      if (!motifs_.empty()) motifs_.Observe(e, in_stream_->reservoir());
+      if (log != nullptr) {
+        in_stream_->Sample(e, *log);
+      } else {
         in_stream_->Process(e);
       }
-    } else {
-      for (const Edge& e : batch) in_stream_->Process(e);
     }
   } else {
     for (const Edge& e : batch) sampler_->Process(e);

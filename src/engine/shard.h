@@ -1,16 +1,23 @@
 // One shard of the sharded streaming engine: a GPS estimator running on
 // its own worker thread, fed batches of edges through a bounded batch
 // ring (engine/ring_buffer.h) — or, when the worker is never started, on
-// the producer thread itself (RunInline; the engine's K=1 layout).
+// the producer thread itself (RunInline; the engine's K=1 layout). An
+// unstarted in-stream worker can also hand Algorithm 3's estimation
+// stage to a helper thread for a while (StartEstimationHelper): the
+// producer then runs the sampling stage and the helper the snapshot
+// updates, over a SlotLog (core/in_stream.h).
 //
 // Threading contract:
 //   * exactly one producer thread calls Submit/RunInline/WaitDrained/Join
-//     (the engine's ingestion thread);
+//     and Start/StopEstimationHelper (the engine's ingestion thread);
 //   * the worker thread, or the producer for an unstarted worker, is the
-//     only mutator of the estimator state;
+//     only mutator of the estimator state — except that while a helper
+//     runs, the helper alone mutates the estimation-stage state (the
+//     per-slot records and snapshot sums) and the producer the rest;
 //   * after WaitDrained() or Join() returns, the producer may read the
 //     estimator (the ring's mutex orders the worker's writes before
-//     either return).
+//     either return); with a helper, after StopEstimationHelper() (the
+//     join orders the helper's writes before it).
 //
 // Determinism: the worker consumes its substream in submission order
 // with a private, deterministically seeded RNG, so the reservoir state
@@ -31,6 +38,7 @@
 #include "core/gps.h"
 #include "core/in_stream.h"
 #include "core/motifs.h"
+#include "core/slot_log.h"
 #include "engine/ring_buffer.h"
 #include "graph/types.h"
 #include "util/metrics.h"
@@ -107,8 +115,22 @@ class ShardWorker {
 
   /// Runs one batch on the calling thread through the worker loop's batch
   /// body. For a worker that is never started: the engine's K=1 layout
-  /// feeds its one shard this way, with no thread and no ring hand-off.
+  /// feeds its one shard this way, with no ring hand-off.
   void RunInline(std::span<const Edge> batch);
+
+  /// For an unstarted in-stream worker: runs the estimation stage of the
+  /// following RunInline batches on a helper thread, until
+  /// StopEstimationHelper. The helper may run on any CPU the process may
+  /// use but the producer's current one. Returns false, changing nothing,
+  /// where both stages stay on the calling thread: a post-stream shard,
+  /// one usable CPU (UsableCpus), or a helper thread that cannot start.
+  bool StartEstimationHelper();
+
+  /// Waits until the helper has applied every record of the batches run
+  /// since StartEstimationHelper, then joins it: the estimator is then
+  /// exactly as RunInline without a helper would have left it. A no-op
+  /// without a helper.
+  void StopEstimationHelper();
 
   /// Hands a batch to the worker; sleeps while the ring is full.
   /// Producer thread only. Empty batches are ignored.
@@ -128,10 +150,19 @@ class ShardWorker {
 
   /// Seconds this worker spent executing batches (per-thread CPU time).
   /// The maximum over workers is the ingest critical path: on a host with
-  /// enough cores it bounds the ingestion wall-clock.
+  /// enough cores it bounds the ingestion wall-clock. While a helper runs
+  /// the estimation stage, it counts the producer's sampling stage,
+  /// including its waits for a free log chunk.
   double busy_seconds() const {
     return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
            1e-9;
+  }
+
+  /// CPU seconds helper threads spent in the estimation stage, including
+  /// their waits for a log chunk (0 if none ran). Read after
+  /// StopEstimationHelper.
+  double estimation_seconds() const {
+    return static_cast<double>(estimation_ns_) * 1e-9;
   }
 
   /// Wall-clock seconds this worker slept on an empty ring.
@@ -185,6 +216,12 @@ class ShardWorker {
   BatchRing<std::vector<Edge>> ring_;
   std::thread thread_;
   bool joined_ = false;
+
+  // The estimation-stage helper (StartEstimationHelper) and its log. The
+  // thread is declared after what it uses.
+  std::unique_ptr<SlotLog> log_;
+  uint64_t estimation_ns_ = 0;  // helper-written, read after its join
+  std::thread helper_;
 
   uint64_t submitted_edges_ = 0;       // producer-owned
   std::atomic<uint64_t> busy_ns_{0};   // executed-work clock

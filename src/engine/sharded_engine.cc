@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "core/seeding.h"
 #include "core/serialize.h"
 #include "util/digest.h"
+#include "util/input_file.h"
 #include "util/parallel_chunks.h"
 #include "util/random.h"
 #include "util/staged_file.h"
@@ -109,13 +109,22 @@ Status CheckManifestsCompatible(const ShardManifest& base,
   return Status::Ok();
 }
 
-Result<std::string> ReadFileBytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on " + path.string());
-  return buffer.str();
+/// Reads a whole checkpoint file (`what` names it in the refusals) through
+/// InputFile, which refuses a FIFO or any other non-regular file by name
+/// at once instead of waiting for a writer.
+Result<std::string> ReadFileBytes(const std::string& path,
+                                  const std::string& what) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
+    return Status::NotFound("cannot open " + what + " " + path);
+  }
+  Result<InputFile> file = InputFile::Open(path);
+  if (!file.ok()) return file.status().WithContext(what);
+  std::string bytes(file->size(), '\0');
+  if (Status st = file->ReadAt(0, bytes.data(), bytes.size()); !st.ok()) {
+    return st.WithContext(what);
+  }
+  return bytes;
 }
 
 /// A fully validated checkpoint set: the shared layout (with the stream
@@ -144,16 +153,16 @@ Result<LoadedCheckpoints> LoadCheckpoints(
   std::vector<LocatedEntry> located;
   bool first = true;
   for (const std::string& path : manifest_paths) {
-    // An ifstream opens a directory and then reads nothing, which would
-    // surface as a truncated header. Every checkpoint is a directory, so
-    // name the file inside it instead.
+    // Every checkpoint is a directory, so passing the directory itself is
+    // the likely slip: name the file inside it.
     if (std::filesystem::is_directory(path)) {
       return Status::InvalidArgument(
           "manifest " + path + " is a checkpoint directory; pass " +
           (std::filesystem::path(path) / kShardManifestFilename).string());
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound("cannot open manifest " + path);
+    Result<std::string> bytes = ReadFileBytes(path, "manifest");
+    if (!bytes.ok()) return bytes.status();
+    std::istringstream in(*bytes);
     Result<ShardManifest> manifest = DeserializeManifest(in);
     if (!manifest.ok()) {
       return manifest.status().WithContext("manifest " + path);
@@ -200,7 +209,7 @@ Result<LoadedCheckpoints> LoadCheckpoints(
   for (uint32_t s = 0; s < k; ++s) {
     const LocatedEntry& le = *by_index[s];
     const std::filesystem::path file = le.dir / ShardFileName(s);
-    Result<std::string> bytes = ReadFileBytes(file);
+    Result<std::string> bytes = ReadFileBytes(file.string(), "shard file");
     if (!bytes.ok()) return bytes.status();
     if (ChecksumBytes(*bytes) != le.entry.digest) {
       return Status::InvalidArgument(
@@ -296,6 +305,7 @@ void ShardedEngine::StartWorkers() {
   // the shard then allocates from the thread's own malloc arena, where
   // the post-stream pass cannot reuse the pages ingest freed: peak RSS of
   // a soc-orkut-sim estimate (capacity 100000) rose from 25.9 to 29.6 MB.
+  // The K=1 estimation helper (ProcessEdges) allocates nothing.
   if (num_shards() == 1) return;
   for (auto& shard : shards_) shard->Start();
 }
@@ -346,6 +356,11 @@ void ShardedEngine::Process(const Edge& e) {
 
 void ShardedEngine::ProcessEdges(std::span<const Edge> edges) {
   assert(!finished_);
+  // At K=1 the shard's estimation stage runs on a helper thread for the
+  // length of a long span; shorter spans, and hosts with one usable CPU,
+  // keep both stages on this thread.
+  const bool helper = num_shards() == 1 && edges.size() >= kMinHelperSpan &&
+                      shards_[0]->StartEstimationHelper();
   // The same RouteOne step as Process, clocked for the route stage
   // (hand-offs excluded via the submit clock).
   const uint64_t t0 = ThreadCpuNowNs();
@@ -356,6 +371,9 @@ void ShardedEngine::ProcessEdges(std::span<const Edge> edges) {
   }
   producer_route_ns_ +=
       (ThreadCpuNowNs() - t0) - (producer_submit_ns_ - submit0);
+  // Returns once the helper has applied every handed-off arrival, so the
+  // shard is exactly as the one-thread path would have left it.
+  if (helper) shards_[0]->StopEstimationHelper();
 }
 
 void ShardedEngine::Flush() {
@@ -444,6 +462,7 @@ MetricsSnapshot ShardedEngine::SnapshotMetrics() {
       latency.buckets[b] += worker.batch_latency.BucketCount(b);
     }
     max_into("worker.busy_seconds", shard.busy_seconds());
+    max_into("worker.estimation_seconds", shard.estimation_seconds());
     max_into("worker.idle_seconds", shard.idle_seconds());
 
     const GpsReservoir& res = shard.reservoir();

@@ -13,7 +13,11 @@
 //                              (or GpsSampler) per shard — engine/shard.h
 //
 // At K=1 there is no worker thread and no ring: each full batch runs on
-// the producer through the same batch body (ShardWorker::RunInline).
+// the producer through the same batch body (ShardWorker::RunInline). For
+// the length of a ProcessEdges span of at least kMinHelperSpan edges, a
+// helper thread runs Algorithm 3's estimation stage beside it
+// (ShardWorker::StartEstimationHelper), so a K=1 ingest keeps two cores
+// busy.
 //
 //   MergedEstimates() = sum of per-shard in-stream estimates (within-shard
 //   stratum) + cross-shard Horvitz-Thompson correction over the union
@@ -53,6 +57,16 @@
 #include "util/trace.h"
 
 namespace gps {
+
+/// Shortest ProcessEdges span whose K=1 estimation stage runs on a helper
+/// thread. Each span pays for the thread's start and join and for the
+/// chunks the two stages cannot overlap at its ends. Feeding soc-orkut-sim
+/// (capacity 100000) to a K=1 engine in spans of s edges, with the helper
+/// against one thread (8 interleaved runs on a 4-vCPU VM, median time
+/// ratio and the runs the helper won): s = 128, 1.12 and 1/8; 512, 0.82
+/// and 6/8; 1024, 0.81 and 5/8; 2048, 0.66 and 7/8; 4096 and 8192, 0.66
+/// and 8/8. Below 4096 the helper's gain is not reliable.
+inline constexpr size_t kMinHelperSpan = 4096;
 
 /// File name SerializeShards gives the manifest inside a checkpoint
 /// directory.
@@ -124,7 +138,9 @@ class ShardedEngine {
   /// Process(e) for each edge in order (same routing, same batch
   /// boundaries); how a stream is cut into spans is never part of the
   /// sample path. The edges are copied into pending batches before the
-  /// call returns, so the span need not outlive it.
+  /// call returns, so the span need not outlive it. At K=1 a span of at
+  /// least kMinHelperSpan edges runs the estimation stage on a helper
+  /// thread that exits before the call returns.
   void ProcessEdges(std::span<const Edge> edges);
 
   /// Hands every partly filled batch to its shard and waits until the

@@ -1207,8 +1207,9 @@ TEST_F(CliTest, StatsNameListGolden) {
   for (const char* name :
        {"merge.union_sample_size", "reservoir.sample_size", "reservoir.zstar",
         "ring.occupancy_hwm", "store.arena_bytes", "store.load_factor",
-        "store.probe_len_p99", "worker.busy_seconds", "worker.idle_seconds",
-        "histograms", "worker.batch_latency"}) {
+        "store.probe_len_p99", "worker.busy_seconds",
+        "worker.estimation_seconds", "worker.idle_seconds", "histograms",
+        "worker.batch_latency"}) {
     golden.push_back(name);
   }
   EXPECT_EQ(names, golden);
@@ -1307,17 +1308,17 @@ TEST_F(CliTest, MemTooSmallIsNamedRefusal) {
 }
 
 TEST_F(CliTest, MemDerivedCapacityMatchesExplicitCapacity) {
-  // LayoutForCapacity(2000) costs 4096 + 137 * 2000 = 278096 bytes, so a
-  // --mem of exactly that must run the estimator with capacity 2000 and
-  // print byte-identical estimates (capacity is the only thing --mem
-  // changes).
+  // An in-stream LayoutForCapacity(2000) costs 4096 + 145 * 2000 = 294096
+  // bytes, so a --mem of exactly that must run the estimator with
+  // capacity 2000 and print byte-identical estimates (capacity is the
+  // only thing --mem changes).
   const std::string params = " --seed 5 --estimator in-stream";
   const CommandResult explicit_run =
       RunCli("estimate --input " + graph_path_ + params +
              " --capacity 2000");
   ASSERT_EQ(explicit_run.exit_code, 0) << explicit_run.output;
   const CommandResult mem_run = RunCli(
-      "estimate --input " + graph_path_ + params + " --mem 278096");
+      "estimate --input " + graph_path_ + params + " --mem 294096");
   ASSERT_EQ(mem_run.exit_code, 0) << mem_run.output;
 
   const std::string label = "in-stream estimates";
@@ -1325,11 +1326,45 @@ TEST_F(CliTest, MemDerivedCapacityMatchesExplicitCapacity) {
             EstimatesBlock(mem_run.output, label));
   // The startup allocation report names every budget term and the
   // derived capacity.
-  for (const char* term :
-       {"derived capacity", "2000", "slot columns", "adjacency arena"}) {
+  for (const char* term : {"derived capacity", "2000", "slot columns",
+                           "in-stream records", "adjacency arena"}) {
     EXPECT_NE(mem_run.output.find(term), std::string::npos)
         << term << "\n" << mem_run.output;
   }
+}
+
+TEST_F(CliTest, PostStreamMemBudgetPaysForNoInStreamRecords) {
+  // 278096 = 4096 + 137 * 2000 bought 2000 slots while every slot carried
+  // two covariance columns. A post-stream run keeps no Algorithm 3
+  // records, so its slots cost 121 bytes and the budget buys 2264; only
+  // an in-stream run pays 145 bytes a slot (1889 slots).
+  const std::string budget = " --seed 5 --mem 278096";
+  const CommandResult post = RunCli("estimate --input " + graph_path_ +
+                                    budget + " --estimator post");
+  ASSERT_EQ(post.exit_code, 0) << post.output;
+  EXPECT_NE(post.output.find("derived capacity 2264"), std::string::npos)
+      << post.output;
+  const CommandResult post_explicit =
+      RunCli("estimate --input " + graph_path_ +
+             " --seed 5 --capacity 2264 --estimator post");
+  ASSERT_EQ(post_explicit.exit_code, 0) << post_explicit.output;
+  const std::string label = "post-stream estimates";
+  EXPECT_EQ(EstimatesBlock(post.output, label),
+            EstimatesBlock(post_explicit.output, label));
+
+  for (const char* estimator : {"in-stream", "both"}) {
+    const CommandResult run =
+        RunCli("estimate --input " + graph_path_ + budget +
+               " --estimator " + estimator);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find("derived capacity 1889"), std::string::npos)
+        << estimator << "\n" << run.output;
+  }
+  const CommandResult monitor = RunCli("monitor --input " + graph_path_ +
+                                       budget + " --every 100000");
+  ASSERT_EQ(monitor.exit_code, 0) << monitor.output;
+  EXPECT_NE(monitor.output.find("derived capacity 1889"), std::string::npos)
+      << monitor.output;
 }
 
 // ---- convert + GPS-STREAM binary input -----------------------------------
@@ -1427,6 +1462,44 @@ TEST_F(CliTest, InputPreflightRefusesFifoByName) {
         << err;
   }
   EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+}
+
+TEST_F(CliTest, CheckpointReadersRefuseFifoByName) {
+  // A FIFO with no writer as a manifest, or standing where a shard file
+  // should be: both checkpoint readers refuse it by name at once instead
+  // of waiting for a writer.
+  const gps::engine_test::ScopedTempDir dir("cli", "fifo_checkpoint");
+  std::filesystem::create_directories(dir);
+  const std::string fifo = dir / "manifest-fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string checkpoint = dir / "ck";
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1000 --shards 2 --checkpoint " + checkpoint)
+                .exit_code,
+            0);
+  const std::string shard = checkpoint + "/shard-0001.gps";
+  ASSERT_TRUE(std::filesystem::remove(shard));
+  ASSERT_EQ(::mkfifo(shard.c_str(), 0600), 0);
+  const std::string manifest = checkpoint + "/manifest.gpsm";
+  for (const auto& [args, named] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"merge-checkpoints --manifest " + fifo, fifo},
+           {"resume-shards --manifest " + fifo + " --input " + graph_path_,
+            fifo},
+           {"merge-checkpoints --manifest " + manifest, shard},
+           {"resume-shards --manifest " + manifest + " --input " +
+                graph_path_,
+            shard}}) {
+    SCOPED_TRACE(args);
+    std::string err;
+    const CommandResult r = RunCliSplit(args, &err);
+    EXPECT_EQ(r.exit_code, 1) << r.output << err;
+    EXPECT_NE(err.find("'" + named + "' is not a regular file"),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_TRUE(std::filesystem::is_fifo(shard));
 }
 
 TEST_F(CliTest, EstimateRefusesCorruptBinaryByName) {

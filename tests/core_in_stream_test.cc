@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,18 +125,29 @@ void ExpectRepeatsChangeOnlyTheArrivalCount(NodeId hub, NodeId first_leaf) {
   EXPECT_EQ(clean.reservoir().RngState(), dirty.reservoir().RngState());
   EXPECT_EQ(clean.reservoir().threshold(), dirty.reservoir().threshold());
 
-  std::vector<EdgeRecord> clean_records, dirty_records;
-  clean.reservoir().ForEachEdge(
-      [&](SlotId, const EdgeRecord& r) { clean_records.push_back(r); });
-  dirty.reservoir().ForEachEdge(
-      [&](SlotId, const EdgeRecord& r) { dirty_records.push_back(r); });
+  // Each sampled edge's reservoir record and its estimator record.
+  using Records =
+      std::vector<std::pair<EdgeRecord, InStreamEstimator::SlotRecord>>;
+  const auto records = [](const InStreamEstimator& est) {
+    Records out;
+    est.reservoir().ForEachEdge([&](SlotId slot, const EdgeRecord& r) {
+      out.emplace_back(r, est.slot_record(slot));
+    });
+    return out;
+  };
+  const Records clean_records = records(clean);
+  const Records dirty_records = records(dirty);
   ASSERT_EQ(clean_records.size(), dirty_records.size());
   for (size_t i = 0; i < clean_records.size(); ++i) {
-    EXPECT_EQ(clean_records[i].edge, dirty_records[i].edge);
-    EXPECT_EQ(clean_records[i].weight, dirty_records[i].weight);
-    EXPECT_EQ(clean_records[i].priority, dirty_records[i].priority);
-    EXPECT_EQ(clean_records[i].cov_tri, dirty_records[i].cov_tri);
-    EXPECT_EQ(clean_records[i].cov_wedge, dirty_records[i].cov_wedge);
+    const auto& [clean_edge, clean_acc] = clean_records[i];
+    const auto& [dirty_edge, dirty_acc] = dirty_records[i];
+    EXPECT_EQ(clean_edge.edge, dirty_edge.edge);
+    EXPECT_EQ(clean_edge.weight, dirty_edge.weight);
+    EXPECT_EQ(clean_edge.priority, dirty_edge.priority);
+    EXPECT_EQ(clean_acc.weight, clean_edge.weight);
+    EXPECT_EQ(clean_acc.weight, dirty_acc.weight);
+    EXPECT_EQ(clean_acc.cov_tri, dirty_acc.cov_tri);
+    EXPECT_EQ(clean_acc.cov_wedge, dirty_acc.cov_wedge);
   }
 }
 

@@ -34,7 +34,7 @@ namespace gps {
 namespace {
 
 using engine_test::ExpectExactlyEqual;
-using engine_test::ReservoirBytes;
+using engine_test::ShardBytes;
 using engine_test::ScopedTempDir;
 
 std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
@@ -272,8 +272,7 @@ TEST(EngineMetricsTest, ObservationPreservesByteIdentity) {
   observed.SnapshotMetrics();
 
   for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(ReservoirBytes(plain.shard(s).reservoir()),
-              ReservoirBytes(observed.shard(s).reservoir()))
+    EXPECT_EQ(ShardBytes(plain, s), ShardBytes(observed, s))
         << "shard " << s;
   }
   ExpectExactlyEqual(plain.MergedEstimates(), observed.MergedEstimates());

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/in_stream.h"
 #include "core/serialize.h"
 #include "engine/sharded_engine.h"
 #include "engine_test_util.h"
@@ -48,7 +49,7 @@ ShardedEngineOptions EngineOptions(uint32_t num_shards, uint64_t seed) {
 
 using engine_test::ExpectExactlyEqual;
 using engine_test::ManifestPath;
-using engine_test::ReservoirBytes;
+using engine_test::ShardBytes;
 
 /// Streams [0, cut) through a fresh engine, checkpoints into `dir`, and
 /// returns the path of the manifest written there.
@@ -60,6 +61,53 @@ std::string CheckpointPrefix(const std::vector<Edge>& stream, size_t cut,
   const Status s = engine.SerializeShards(dir.string());
   EXPECT_TRUE(s.ok()) << s.ToString();
   return ManifestPath(dir);
+}
+
+TEST(EngineResumeTest, SingleShardCheckpointBetweenHelperSpans) {
+  // At K=1 a long ProcessEdges span runs the estimation stage on a helper
+  // thread. A checkpoint taken between two such spans must hold exactly
+  // the bytes the one-thread estimator writes at that point: the shard
+  // file equals a serial estimator's, and its digest equals the one this
+  // layout's checkpoint had before the stages were split. The resumed
+  // engine must finish exactly as the uninterrupted one.
+  EdgeList graph = GenerateBarabasiAlbert(2000, 5, 0.4, 811).value();
+  const std::vector<Edge> stream = MakePermutedStream(graph, 812);
+  const size_t cut = 5000;
+  ASSERT_GE(cut, kMinHelperSpan);
+  ASSERT_GE(stream.size() - cut, kMinHelperSpan);
+  ShardedEngineOptions options = EngineOptions(1, 813);
+  options.sampler.capacity = 3000;
+  const std::span<const Edge> prefix = std::span(stream).first(cut);
+  const std::span<const Edge> suffix = std::span(stream).subspan(cut);
+
+  const auto dir = FreshDir("k1_helper");
+  ShardedEngine engine(options);
+  engine.ProcessEdges(prefix);
+  ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
+  engine.ProcessEdges(suffix);
+  engine.Finish();
+
+  InStreamEstimator serial(options.sampler);
+  for (const Edge& e : prefix) serial.Process(e);
+  std::ifstream file(dir / ShardFileName(0), std::ios::binary);
+  std::ostringstream shard_file;
+  shard_file << file.rdbuf();
+  EXPECT_EQ(shard_file.str(), engine_test::InStreamBytes(serial));
+  std::ifstream manifest_in(ManifestPath(dir), std::ios::binary);
+  const Result<ShardManifest> manifest = DeserializeManifest(manifest_in);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->entries.size(), 1u);
+  EXPECT_EQ(manifest->entries[0].digest, 0x22aade04112ecd27ull);
+
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(
+      std::vector<std::string>{ManifestPath(dir)});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  (*resumed)->ProcessEdges(suffix);
+  (*resumed)->Finish();
+  EXPECT_EQ(ShardBytes(**resumed, 0), ShardBytes(engine, 0));
+  ExpectExactlyEqual((*resumed)->MergedEstimates(), engine.MergedEstimates());
+  ExpectExactlyEqual((*resumed)->MergedPostStreamEstimates(),
+                     engine.MergedPostStreamEstimates());
 }
 
 TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
@@ -99,8 +147,7 @@ TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
       EXPECT_EQ((*resumed)->edges_processed(), stream.size());
       ExpectExactlyEqual((*resumed)->MergedEstimates(), expected);
       for (uint32_t s = 0; s < k; ++s) {
-        EXPECT_EQ(ReservoirBytes((*resumed)->shard(s).reservoir()),
-                  ReservoirBytes(uninterrupted.shard(s).reservoir()))
+        EXPECT_EQ(ShardBytes(**resumed, s), ShardBytes(uninterrupted, s))
             << "shard " << s;
       }
     }
@@ -138,8 +185,7 @@ TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
   ExpectExactlyEqual((*resumed)->MergedEstimates(),
                      uninterrupted.MergedEstimates());
   for (uint32_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(ReservoirBytes((*resumed)->shard(s).reservoir()),
-              ReservoirBytes(uninterrupted.shard(s).reservoir()))
+    EXPECT_EQ(ShardBytes(**resumed, s), ShardBytes(uninterrupted, s))
         << "shard " << s;
   }
 }
@@ -271,8 +317,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
     engine_test::ExpectMotifsExactlyEqual(
         (*resumed)->MergedMotifEstimates(), expected);
     for (uint32_t s = 0; s < k; ++s) {
-      EXPECT_EQ(ReservoirBytes((*resumed)->shard(s).reservoir()),
-                ReservoirBytes(uninterrupted.shard(s).reservoir()))
+      EXPECT_EQ(ShardBytes(**resumed, s), ShardBytes(uninterrupted, s))
           << "shard " << s;
     }
   }

@@ -29,7 +29,7 @@ namespace {
 
 using engine_test::ExpectExactlyEqual;
 using engine_test::ExpectMotifsExactlyEqual;
-using engine_test::ReservoirBytes;
+using engine_test::ShardBytes;
 
 std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
                              uint64_t graph_seed, uint64_t stream_seed) {
@@ -69,7 +69,7 @@ EngineState CaptureState(ShardedEngine& engine) {
   engine.Finish();
   EngineState state;
   for (uint32_t s = 0; s < engine.num_shards(); ++s) {
-    state.reservoirs.push_back(ReservoirBytes(engine.shard(s).reservoir()));
+    state.reservoirs.push_back(ShardBytes(engine, s));
   }
   state.merged = engine.MergedEstimates();
   state.motifs = engine.MergedMotifEstimates();

@@ -19,11 +19,14 @@
 // The span entry point (ProcessEdges) is covered in
 // tests/engine_router_test.cc.
 
+#include <sched.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,15 +42,18 @@
 #include "core/post_stream.h"
 #include "core/seeding.h"
 #include "core/serialize.h"
+#include "core/slot_log.h"
 #include "core/snapshot.h"
 #include "engine/merge.h"
 #include "engine/sharded_engine.h"
 #include "engine_test_util.h"
 #include "gen/generators.h"
+#include "gen/registry.h"
 #include "graph/csr_graph.h"
 #include "graph/exact.h"
 #include "graph/stream.h"
 #include "stat_harness.h"
+#include "util/cpus.h"
 
 namespace gps {
 namespace {
@@ -61,7 +67,9 @@ std::vector<Edge> TestStream(uint32_t nodes, uint32_t edges_per_node,
 
 using engine_test::ExpectExactlyEqual;
 using engine_test::ExpectMotifsExactlyEqual;
+using engine_test::InStreamBytes;
 using engine_test::ReservoirBytes;
+using engine_test::ShardBytes;
 
 GpsSamplerOptions BaseOptions(size_t capacity, uint64_t seed) {
   GpsSamplerOptions options;
@@ -150,11 +158,12 @@ TEST(ShardedEngineTest, SingleShardReservoirByteIdenticalToSerial) {
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
 
-  // In-stream mode mutates the reservoir's covariance accumulator columns,
-  // so byte-compare against the serial estimator of the same kind; the
-  // bare GpsSampler comparison runs the post-stream-mode engine below.
-  EXPECT_EQ(ReservoirBytes(engine.shard(0).reservoir()),
-            ReservoirBytes(serial_in_stream.reservoir()));
+  // In-stream mode keeps per-slot covariance accumulators beside the
+  // reservoir, so byte-compare the whole estimator against the serial
+  // estimator of the same kind; the bare GpsSampler comparison runs the
+  // post-stream-mode engine below.
+  EXPECT_EQ(InStreamBytes(engine.shard(0).in_stream_estimator()),
+            InStreamBytes(serial_in_stream));
 
   ShardedEngineOptions post_options = engine_options;
   post_options.batch_size = 1024;
@@ -223,7 +232,7 @@ TEST(ShardedEngineTest, ShardReservoirsInvariantToBatching) {
 
     std::vector<std::string> bytes;
     for (uint32_t s = 0; s < kShards; ++s) {
-      bytes.push_back(ReservoirBytes(engine.shard(s).reservoir()));
+      bytes.push_back(ShardBytes(engine, s));
     }
     if (reference.empty()) {
       reference = bytes;
@@ -260,8 +269,8 @@ TEST(ShardedEngineTest, ShardSubstreamMatchesStandaloneEstimator) {
         standalone.Process(e);
       }
     }
-    EXPECT_EQ(ReservoirBytes(engine.shard(s).reservoir()),
-              ReservoirBytes(standalone.reservoir()))
+    EXPECT_EQ(InStreamBytes(engine.shard(s).in_stream_estimator()),
+              InStreamBytes(standalone))
         << "shard " << s;
   }
 }
@@ -407,8 +416,8 @@ TEST(ShardedEngineTest, MotifSuiteDoesNotPerturbSamplePathOrEstimates) {
     with_motifs.Finish();
 
     for (uint32_t s = 0; s < k; ++s) {
-      EXPECT_EQ(ReservoirBytes(with_motifs.shard(s).reservoir()),
-                ReservoirBytes(plain.shard(s).reservoir()))
+      EXPECT_EQ(InStreamBytes(with_motifs.shard(s).in_stream_estimator()),
+                InStreamBytes(plain.shard(s).in_stream_estimator()))
           << "K=" << k << " shard " << s;
     }
     ExpectExactlyEqual(with_motifs.MergedEstimates(),
@@ -579,8 +588,7 @@ TEST(ShardedEngineTest, MonitorTicksSampleExactPrefixEstimates) {
   unmonitored.Finish();
   ExpectExactlyEqual(monitored_final, unmonitored.MergedEstimates());
   for (uint32_t s = 0; s < engine.num_shards(); ++s) {
-    EXPECT_EQ(ReservoirBytes(engine.shard(s).reservoir()),
-              ReservoirBytes(unmonitored.shard(s).reservoir()))
+    EXPECT_EQ(ShardBytes(engine, s), ShardBytes(unmonitored, s))
         << "shard " << s;
   }
 }
@@ -598,19 +606,228 @@ double ProcessCpuSeconds() {
 TEST(ShardedEngineTest, IdleWorkersSleepAfterDrain) {
   // A drained engine has nothing for its workers to do: each must sleep
   // on its empty ring, not poll it. Spinning workers burned about 800 ms
-  // of process CPU in this 200 ms window on a 4-vCPU host.
-  const std::vector<Edge> stream = TestStream(1000, 4, 51, 52);
-  ShardedEngineOptions options;
-  options.sampler = BaseOptions(1000, 53);
-  options.num_shards = 4;
-  ShardedEngine engine(options);
-  for (const Edge& e : stream) engine.Process(e);
+  // of process CPU in this 200 ms window on a 4-vCPU host. At K=1 the
+  // estimation helper of a ProcessEdges span must be gone once the call
+  // returns: a helper left spinning on an empty log would burn the window.
+  const std::vector<Edge> stream = TestStream(2000, 4, 51, 52);
+  ASSERT_GE(stream.size(), kMinHelperSpan);
+  for (const uint32_t k : {4u, 1u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ShardedEngineOptions options;
+    options.sampler = BaseOptions(1000, 53);
+    options.num_shards = k;
+    ShardedEngine engine(options);
+    if (k == 1) {
+      engine.ProcessEdges(stream);
+      if (UsableCpus() > 1) {
+        EXPECT_GT(engine.shard(0).estimation_seconds(), 0.0);
+      }
+    } else {
+      for (const Edge& e : stream) engine.Process(e);
+    }
+    engine.Drain();
+    const double cpu_before = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double idle_cpu = ProcessCpuSeconds() - cpu_before;
+    EXPECT_LT(idle_cpu, 0.050) << "process CPU seconds while drained";
+    engine.Finish();
+  }
+}
+
+// --- K=1: the estimation stage on a helper thread --------------------------
+//
+// At K=1, ProcessEdges runs Algorithm 3's estimation stage on a helper
+// thread over a slot log for spans of at least kMinHelperSpan edges. Each
+// test below feeds a stream in one span (the helper on) and in uneven
+// spans on both sides of the threshold (the helper switching on and off
+// between spans, with batches that straddle them), and must land on the
+// bits the one-thread path gives.
+
+/// Span plans: the whole stream, then uneven pieces (the rest of the
+/// stream goes in one last span).
+const std::vector<std::vector<size_t>>& SpanPlans() {
+  static const std::vector<std::vector<size_t>> plans = {
+      {}, {1, kMinHelperSpan, kMinHelperSpan - 1, 3, 5003, 17011}};
+  return plans;
+}
+
+/// Feeds `stream` through ProcessEdges in spans of `plan`'s lengths, then
+/// the rest in one span, and drains.
+void FeedSpans(ShardedEngine& engine, std::span<const Edge> stream,
+               const std::vector<size_t>& plan) {
+  for (const size_t len : plan) {
+    const size_t take = std::min(len, stream.size());
+    engine.ProcessEdges(stream.first(take));
+    stream = stream.subspan(take);
+  }
+  if (!stream.empty()) engine.ProcessEdges(stream);
   engine.Drain();
-  const double cpu_before = ProcessCpuSeconds();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const double idle_cpu = ProcessCpuSeconds() - cpu_before;
-  EXPECT_LT(idle_cpu, 0.050) << "process CPU seconds while drained";
-  engine.Finish();
+}
+
+ShardedEngineOptions SingleShardOptions(size_t capacity, uint64_t seed) {
+  ShardedEngineOptions options;
+  options.sampler = BaseOptions(capacity, seed);
+  options.num_shards = 1;
+  return options;
+}
+
+TEST(ShardedEngineTest, SingleShardSpansReachGoldenAlgorithm3Bits) {
+  // core_in_stream_test's GoldenAlgorithm3Bits stream and literals: the
+  // helper must reach the serial estimator's bits, not just agree with
+  // another run that shares its arithmetic.
+  EdgeList graph = MakeCorpusGraph("soc-orkut-sim", 0.05).value();
+  const std::vector<Edge> stream = MakePermutedStream(graph, 2017);
+  ASSERT_EQ(stream.size(), 40000u);
+  for (const std::vector<size_t>& plan : SpanPlans()) {
+    SCOPED_TRACE("spans: " + std::to_string(plan.size() + 1));
+    ShardedEngine engine(SingleShardOptions(2000, 41));
+    FeedSpans(engine, stream, plan);
+    if (UsableCpus() > 1) {
+      EXPECT_GT(engine.shard(0).estimation_seconds(), 0.0);
+    }
+    const InStreamEstimator& est = engine.shard(0).in_stream_estimator();
+    ASSERT_EQ(est.reservoir().threshold(), 0x1.cbc156683dc21p+4);
+    const InStreamEstimator::Accumulators acc = est.SaveAccumulators();
+    EXPECT_EQ(acc.n_tri, 0x1.eb8e174d18743p+15);
+    EXPECT_EQ(acc.v_tri, 0x1.79f830d00924fp+25);
+    EXPECT_EQ(acc.n_wed, 0x1.b7956087b22b9p+21);
+    EXPECT_EQ(acc.v_wed, 0x1.2337cfd4b7f98p+33);
+    EXPECT_EQ(acc.cov_tw, 0x1.7e41d6f717636p+28);
+    const GraphEstimates post = EstimatePostStream(est.reservoir());
+    EXPECT_EQ(post.triangles.value, 0x1.1ca9b9634a729p+16);
+    EXPECT_EQ(post.wedges.value, 0x1.a4bd3272b840ap+21);
+    engine.Finish();
+  }
+}
+
+/// Runs `stream` through a serial estimator (and `motifs` beside it, in
+/// the order a shard runs them) and through K=1 engines under every span
+/// plan, and requires the engines' shard state to equal the serial one
+/// byte for byte: snapshot and motif accumulators, reservoir, and every
+/// slot's covariance accumulators.
+/// `before_each(serial, e)` sees the serial estimator before each arrival.
+void ExpectSpansMatchSerial(
+    const std::vector<Edge>& stream, size_t capacity, uint64_t seed,
+    const std::vector<std::string>& motifs = {},
+    const std::function<void(const InStreamEstimator&, const Edge&)>&
+        before_each = nullptr) {
+  ASSERT_GE(stream.size(), kMinHelperSpan);
+  InStreamEstimator serial(BaseOptions(capacity, seed));
+  MotifSuite serial_motifs(motifs);
+  for (const Edge& e : stream) {
+    if (before_each) before_each(serial, e);
+    serial_motifs.Observe(e, serial.reservoir());
+    serial.Process(e);
+  }
+  const std::string want = InStreamBytes(serial, serial_motifs);
+  for (const std::vector<size_t>& plan : SpanPlans()) {
+    SCOPED_TRACE("spans: " + std::to_string(plan.size() + 1));
+    ShardedEngineOptions options = SingleShardOptions(capacity, seed);
+    options.motifs = motifs;
+    ShardedEngine engine(options);
+    FeedSpans(engine, stream, plan);
+    if (UsableCpus() > 1) {
+      EXPECT_GT(engine.shard(0).estimation_seconds(), 0.0);
+    }
+    EXPECT_EQ(ShardBytes(engine, 0), want);
+    ExpectExactlyEqual(engine.MergedEstimates(), serial.Estimates());
+    engine.Finish();
+  }
+}
+
+TEST(ShardedEngineTest, SingleShardHelperCarriesRecordsLargerThanAChunk) {
+  // Hub 0 has 4400 leaves, hub 1 shares 2600 of them, a sparse ring joins
+  // the leaves, and the hub-hub edge comes last. The hub's sampled block
+  // outgrows one log chunk, so the records of its later arrivals span
+  // chunks, and the last arrival matches thousands of pairs, so its pair
+  // list spans chunks too.
+  EdgeList list;
+  for (NodeId leaf = 2; leaf < 4402; ++leaf) list.Add(0, leaf);
+  for (NodeId leaf = 2; leaf < 2602; ++leaf) list.Add(1, leaf);
+  for (NodeId leaf = 2; leaf + 7 < 4402; leaf += 7) list.Add(leaf, leaf + 7);
+  std::vector<Edge> stream = MakePermutedStream(list, 61);
+  stream.push_back(MakeEdge(0, 1));
+
+  // The shapes the test needs, read off the serial sample path.
+  size_t max_hub_block = 0;
+  size_t last_pairs = 0;
+  ExpectSpansMatchSerial(
+      stream, 7200, 62, {},
+      [&](const InStreamEstimator& serial, const Edge& e) {
+        const SampledGraph& graph = serial.reservoir().graph();
+        max_hub_block = std::max(max_hub_block, graph.Degree(0));
+        if (e != MakeEdge(0, 1)) return;
+        for (const AdjEntry& entry : graph.Neighbors(1)) {
+          if (SampledGraph::FindInBlock(graph.Neighbors(0), entry.nbr) !=
+              kNoSlot) {
+            ++last_pairs;
+          }
+        }
+      });
+  EXPECT_GT(max_hub_block, SlotLog::kChunkWords);
+  EXPECT_GT(2 * last_pairs, SlotLog::kChunkWords);
+}
+
+TEST(ShardedEngineTest, SingleShardHelperSkipsRepeatsAndLoops) {
+  // Reversed repeats of recent edges and self loops: the sampling stage
+  // skips them with no log record, and they still count as arrivals.
+  const std::vector<Edge> base = TestStream(1500, 6, 71, 72);
+  std::vector<Edge> stream;
+  for (size_t i = 0; i < base.size(); ++i) {
+    stream.push_back(base[i]);
+    if (i % 5 == 4) stream.push_back(Edge{base[i - 3].v, base[i - 3].u});
+    if (i % 11 == 10) stream.push_back(Edge{base[i].u, base[i].u});
+  }
+  ExpectSpansMatchSerial(stream, 3000, 73);
+}
+
+TEST(ShardedEngineTest, SingleShardHelperWithMotifSuite) {
+  // The motif suite observes on the producer, before the sampling stage,
+  // while the helper runs the snapshot updates.
+  ExpectSpansMatchSerial(TestStream(2500, 5, 81, 82), 2500, 83,
+                         {"tri", "4clique"});
+}
+
+TEST(ShardedEngineTest, SingleShardRunsInlineOnOneCpu) {
+  // With one usable CPU the helper would only take turns with the
+  // producer: K=1 runs both stages on the calling thread, and the merge
+  // passes on one thread. The test restricts its own thread's affinity
+  // and restores it on every exit.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  struct RestoreMask {
+    const cpu_set_t* mask;
+    ~RestoreMask() { sched_setaffinity(0, sizeof(*mask), mask); }
+  } restore{&saved};
+
+  const std::vector<Edge> stream = TestStream(1500, 6, 91, 92);
+  InStreamEstimator serial(BaseOptions(2500, 93));
+  for (const Edge& e : stream) serial.Process(e);
+
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(UsableCpus(), 1u);
+  EXPECT_EQ(MergeThreads(), 1u);
+  ShardedEngine inline_engine(SingleShardOptions(2500, 93));
+  inline_engine.ProcessEdges(stream);
+  inline_engine.Drain();
+  EXPECT_EQ(inline_engine.shard(0).estimation_seconds(), 0.0);
+  EXPECT_EQ(ShardBytes(inline_engine, 0), InStreamBytes(serial));
+  const GraphEstimates inline_post = inline_engine.MergedPostStreamEstimates();
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  ShardedEngine engine(SingleShardOptions(2500, 93));
+  engine.ProcessEdges(stream);
+  engine.Drain();
+  if (UsableCpus() > 1) {
+    EXPECT_GT(engine.shard(0).estimation_seconds(), 0.0);
+  }
+  EXPECT_EQ(ShardBytes(engine, 0), ShardBytes(inline_engine, 0));
+  ExpectExactlyEqual(engine.MergedPostStreamEstimates(), inline_post);
 }
 
 TEST(ShardedEngineTest, CountsAndOptionsExposed) {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/estimates.h"
+#include "core/in_stream.h"
 #include "core/motifs.h"
 #include "core/serialize.h"
 #include "engine/sharded_engine.h"
@@ -73,6 +74,28 @@ inline std::string ReservoirBytes(const GpsReservoir& reservoir) {
   std::ostringstream out;
   EXPECT_TRUE(SerializeReservoir(reservoir, out).ok());
   return out.str();
+}
+
+/// An in-stream estimator's full state as its GPS-INSTREAM shard file with
+/// `motifs` beside it: the snapshot accumulators, the motif accumulators,
+/// and the reservoir with each record's covariance accumulators (which
+/// ReservoirBytes writes as zeros: a bare reservoir holds none).
+inline std::string InStreamBytes(const InStreamEstimator& estimator,
+                                 const MotifSuite& motifs = MotifSuite()) {
+  std::ostringstream out;
+  EXPECT_TRUE(
+      SerializeInStreamEstimator(estimator, motifs, StreamSink(out)).ok());
+  return out.str();
+}
+
+/// Shard s's full state as bytes: its shard file for an in-stream engine,
+/// its reservoir for a post-stream one.
+inline std::string ShardBytes(const ShardedEngine& engine, uint32_t s) {
+  const ShardWorker& shard = engine.shard(s);
+  if (engine.options().merge_mode != MergeMode::kInStreamPlusCross) {
+    return ReservoirBytes(shard.reservoir());
+  }
+  return InStreamBytes(shard.in_stream_estimator(), shard.motif_suite());
 }
 
 /// Exact (bitwise, not approximate) equality of every estimate field.

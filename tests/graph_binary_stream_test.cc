@@ -564,8 +564,8 @@ TEST_F(BinaryStreamTest, BlockSpansFeedEngineLikeProcessLoop) {
   EXPECT_EQ(from_file.edges_processed(), stream.size());
   EXPECT_EQ(from_loop.edges_processed(), stream.size());
   for (uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(engine_test::ReservoirBytes(from_file.shard(s).reservoir()),
-              engine_test::ReservoirBytes(from_loop.shard(s).reservoir()))
+    EXPECT_EQ(engine_test::ShardBytes(from_file, s),
+              engine_test::ShardBytes(from_loop, s))
         << "shard " << s;
   }
   const GraphEstimates a = from_file.MergedEstimates();

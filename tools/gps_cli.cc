@@ -437,9 +437,11 @@ struct ShardedRunConfig {
 };
 
 /// Parses and range-checks the sampler/sharding flags; false (after
-/// printing the error) on any misparse or out-of-range value.
+/// printing the error) on any misparse or out-of-range value. `in_stream`
+/// says whether the run keeps Algorithm 3's estimator, whose per-slot
+/// records a `--mem` budget pays for.
 bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
-                           ShardedRunConfig* out) {
+                           bool in_stream, ShardedRunConfig* out) {
   if (flags.Has("mem") && flags.Has("capacity")) {
     std::fprintf(stderr,
                  "error: --mem and --capacity are mutually exclusive "
@@ -464,7 +466,7 @@ bool ParseShardedRunConfig(const Flags& flags, size_t stream_size,
                    budget.status().ToString().c_str());
       return false;
     }
-    auto layout = DeriveStoreLayout(*budget);
+    auto layout = DeriveStoreLayout(*budget, in_stream);
     if (!layout.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    layout.status().ToString().c_str());
@@ -623,10 +625,6 @@ int RunEstimate(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", weight.status().ToString().c_str());
     return 1;
   }
-  ShardedRunConfig config;
-  if (!ParseShardedRunConfig(flags, stream->size(), &config)) return 1;
-  config.sampler.weight = *weight;
-
   const std::string estimator = flags.Get("estimator", "both");
   if (estimator != "in-stream" && estimator != "post" &&
       estimator != "both") {
@@ -634,6 +632,13 @@ int RunEstimate(const Flags& flags) {
                  estimator.c_str());
     return 1;
   }
+  ShardedRunConfig config;
+  if (!ParseShardedRunConfig(flags, stream->size(), estimator != "post",
+                             &config)) {
+    return 1;
+  }
+  config.sampler.weight = *weight;
+
   std::vector<NodeId> degree_nodes;
   if (!GetDegreeNodes(flags, &degree_nodes)) return 1;
 
@@ -806,7 +811,10 @@ int RunMonitor(const Flags& flags) {
     return 1;
   }
   ShardedRunConfig config;
-  if (!ParseShardedRunConfig(flags, stream->size(), &config)) return 1;
+  if (!ParseShardedRunConfig(flags, stream->size(), /*in_stream=*/true,
+                             &config)) {
+    return 1;
+  }
   config.sampler.weight = *weight;
 
   if (!flags.Has("every")) {
