@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: Release build + full ctest (in an empty temp directory that
-# must stay empty), the realtime_tracking example, the motif and
-# intersection-kernel smokes, then the engine perf smoke with its
+# must stay empty), the realtime_tracking example, the
+# intersection-kernel smoke, then the engine perf smoke with its
 # machine-readable JSON artifact gated against the checked-in baseline
 # (> 10% relative regression fails), then an ASan/UBSan Debug pass and
 # a TSan Debug pass over the threaded engine suites — the TSan pass
@@ -44,9 +44,6 @@ echo "=== Example: realtime_tracking ==="
 # at each tick, finish) in about 0.2 s. motif_monitoring stays
 # compile-only: it runs for minutes.
 ./build/examples/realtime_tracking
-
-echo "=== Motif pipeline smoke ==="
-./build/bench_motif --smoke
 
 echo "=== Intersection kernel microbench (>= 2x skewed-block gate) ==="
 # Per-kernel timings across adversarial size ratios plus the hard gate:
@@ -103,19 +100,22 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DGPS_SANITIZE=address \
 # suites drive its two-thread form, whose slot log records span chunks.
 # util_flat_hash_map_test and graph_sampled_graph_test drive the node
 # table's 16-byte control-byte group loads, which end exactly at the
-# table's last byte.
+# table's last byte. core_motifs_test and core_snapshot_test drive the
+# motif enumerators' nested neighbor-block walks and the emitter's slot
+# lookups.
 cmake --build build-asan -j"$(nproc)" --target \
   engine_ring_buffer_test engine_sharded_test engine_checkpoint_test \
   engine_resume_test engine_metrics_test engine_router_test \
   engine_merge_test \
   core_parallel_test core_serialize_test core_packed_store_test \
-  core_in_stream_test core_reservoir_test \
+  core_in_stream_test core_reservoir_test core_motifs_test \
+  core_snapshot_test \
   graph_binary_stream_test graph_edge_list_test graph_intersect_test \
   graph_sampled_graph_test util_flat_hash_map_test \
   util_parse_bytes_test cli_test gps_cli
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   --timeout 300 \
-  -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|graph_binary_stream|graph_edge_list|graph_intersect|graph_sampled_graph|util_flat_hash_map|util_parse_bytes|cli_test'
+  -R 'engine_|core_parallel|core_serialize|core_packed_store|core_in_stream|core_reservoir|core_motifs|core_snapshot|graph_binary_stream|graph_edge_list|graph_intersect|graph_sampled_graph|util_flat_hash_map|util_parse_bytes|cli_test'
 
 echo "=== TSan build + threaded suites ==="
 # engine_ring_buffer_test drives the batch ring's sleeping waits (full

@@ -6,15 +6,13 @@ namespace gps {
 
 const std::vector<MotifEntry>& MotifEntries() {
   static const std::vector<MotifEntry>* entries = new std::vector<MotifEntry>{
-      {"tri", "triangles (3-cliques)", 3, &TriangleEnumerator},
-      {"wedge", "wedges (paths of length 2)", 2, &WedgeEnumerator},
-      {"4clique", "4-cliques (K4)", 6, &FourCliqueEnumerator},
+      {"4clique", "4-cliques (K4)", 6, &EnumerateFourCliques},
       {"3path", "simple paths of length 3 (4 distinct nodes)", 3,
-       &ThreePathEnumerator},
-      {"4cycle", "4-cycles (C4, chords allowed)", 4, &FourCycleEnumerator},
-      {"5clique", "5-cliques (K5)", 10, &FiveCliqueEnumerator},
+       &EnumerateThreePaths},
+      {"4cycle", "4-cycles (C4, chords allowed)", 4, &EnumerateFourCycles},
+      {"5clique", "5-cliques (K5)", 10, &EnumerateFiveCliques},
       {"tailed_triangle", "tailed triangles (triangle + pendant edge)", 4,
-       &TailedTriangleEnumerator},
+       &EnumerateTailedTriangles},
   };
   return *entries;
 }
@@ -70,7 +68,7 @@ MotifSuite::MotifSuite(std::span<const std::string> names) {
   for (const std::string& name : names) {
     const MotifEntry* entry = FindMotif(name);
     assert(entry != nullptr && "unvalidated motif name");
-    motifs_.push_back({entry, entry->make_enumerator(), MotifAccumulator{}});
+    motifs_.push_back({entry, MotifAccumulator{}});
   }
 }
 
@@ -81,7 +79,8 @@ void MotifSuite::Observe(const Edge& raw, const GpsReservoir& reservoir) {
   // subgraphs under the simple-graph model.
   if (e.IsSelfLoop() || reservoir.graph().HasEdge(e)) return;
   for (ActiveMotif& motif : motifs_) {
-    AccumulateMotifSnapshots(e, reservoir, motif.enumerate, &motif.acc);
+    AccumulateMotifSnapshots(e, reservoir, motif.entry->enumerate,
+                             &motif.acc);
   }
 }
 

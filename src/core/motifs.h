@@ -2,20 +2,24 @@
 //
 // The engine serves motif statistics by NAME (mirroring gen/registry's
 // named corpus): a checkpoint manifest, a CLI flag, and a shard worker all
-// refer to "tri", "wedge", "4clique", "3path" and resolve them here. Each
-// registry entry pairs the streaming enumerator (core/snapshot.h) with the
-// structural constant the merge layer needs — the number of edges per
-// instance, which is the multiplicity divisor of the post-stream pass over
-// the merged union sample (engine/merge.cc enumerates every instance once
-// per member edge).
+// refer to "4clique", "3path", "4cycle", "5clique" and "tailed_triangle"
+// and resolve them here. Each registry entry points at its enumerator, a
+// plain function (core/snapshot.h), and carries the structural constant
+// the merge layer needs — the number of edges per instance, which is the
+// multiplicity divisor of the post-stream pass over the merged union
+// sample (engine/merge.cc enumerates every instance once per member
+// edge). Triangles and wedges are not registered: Algorithm 3 estimates
+// them with their snapshot covariances (core/in_stream.h), so any other
+// name, "tri" and "wedge" included, is refused as unknown.
 //
 // MotifSuite is the live multi-motif pass: a fixed, ordered set of named
 // motifs estimated against ONE shared reservoir (typically the
-// InStreamEstimator's). Observe() must run before the reservoir's sampling
-// step for the same edge, so snapshot probabilities are measured at the
-// stopping time T_k; it only READS the reservoir, so enabling a suite
-// never perturbs the sample path — the engine's byte-identity and
-// scheduling-invariance contracts survive with motifs on.
+// InStreamEstimator's, or a GpsSampler's). Observe() must run before the
+// reservoir's sampling step for the same edge, so snapshot probabilities
+// are measured at the stopping time T_k; it only READS the reservoir, so
+// enabling a suite never perturbs the sample path — the engine's
+// byte-identity and scheduling-invariance contracts survive with motifs
+// on.
 
 #ifndef GPS_CORE_MOTIFS_H_
 #define GPS_CORE_MOTIFS_H_
@@ -41,11 +45,12 @@ struct MotifEntry {
   /// Edges per motif instance: the multiplicity divisor of post-stream
   /// passes that enumerate an instance once per member edge.
   int num_edges = 0;
-  /// Factory for the streaming enumerator (core/snapshot.h).
-  InStreamMotifCounter::EnumerateFn (*make_enumerator)() = nullptr;
+  /// The enumerator (core/snapshot.h).
+  EnumerateFn enumerate = nullptr;
 };
 
-/// All registry entries in canonical order: tri, wedge, 4clique, 3path.
+/// All registry entries in canonical order: 4clique, 3path, 4cycle,
+/// 5clique, tailed_triangle.
 const std::vector<MotifEntry>& MotifEntries();
 
 /// Looks up a motif by registry name; nullptr if unknown.
@@ -56,7 +61,7 @@ const MotifEntry* FindMotif(const std::string& name);
 /// their refusals through here).
 Status ValidateMotifNames(std::span<const std::string> names);
 
-/// Parses a comma-separated motif list ("tri,4clique") into validated
+/// Parses a comma-separated motif list ("4clique,3path") into validated
 /// registry names. Empty items and unknown/duplicate names are refused by
 /// name.
 Result<std::vector<std::string>> ParseMotifNames(const std::string& csv);
@@ -110,7 +115,6 @@ class MotifSuite {
  private:
   struct ActiveMotif {
     const MotifEntry* entry = nullptr;
-    InStreamMotifCounter::EnumerateFn enumerate;
     MotifAccumulator acc;
   };
   std::vector<ActiveMotif> motifs_;

@@ -8,21 +8,21 @@
 // it suffices to add the inverse probability of each matching subgraph to
 // a counter."
 //
-// InStreamMotifCounter packages that recipe behind a user-supplied
-// enumerator: on each arrival it invokes the enumerator, which reports the
-// sampled edge sets of all motif instances the arriving edge completes;
-// the counter freezes their snapshots, then performs the normal GPS
-// sampling step. Built-in enumerators cover triangles, wedges, 4-cliques
-// and 3-paths; writing a custom one is ~10 lines. Named, registry-backed
-// access to the built-ins (and the multi-motif suite that shares one
-// reservoir) lives in core/motifs.h.
+// AccumulateMotifSnapshots applies that recipe for one arrival: it calls
+// an enumerator, a plain function that reports the sampled edge sets of
+// all motif instances the arriving edge completes, and freezes their
+// snapshots into a MotifAccumulator. The built-in enumerators below cover
+// 4-cliques, 3-paths, 4-cycles, 5-cliques and tailed triangles; the named
+// registry that points at them, and MotifSuite, which runs a set of them
+// against one shared reservoir, live in core/motifs.h. Triangles and
+// wedges have no generic enumerator: Algorithm 3 (core/in_stream.h)
+// estimates them with their covariances.
 //
 // Variance: per Theorem 5(iii), Σ Ŝ(Ŝ-1) over snapshots unbiasedly
 // estimates the sum of individual snapshot variances; because snapshot
 // covariances are nonnegative (Theorem 5(ii)) this is a LOWER estimate of
-// the total variance. The specialized InStreamEstimator additionally
-// tracks the pairwise covariance terms for triangles/wedges; the generic
-// counter exposes the conservative bound instead.
+// the total variance, and an interval built from it is narrower than a
+// 95% CI.
 
 #ifndef GPS_CORE_SNAPSHOT_H_
 #define GPS_CORE_SNAPSHOT_H_
@@ -32,7 +32,6 @@
 #include <span>
 
 #include "core/estimates.h"
-#include "core/gps.h"
 #include "core/reservoir.h"
 #include "graph/sampled_graph.h"
 #include "graph/types.h"
@@ -59,96 +58,60 @@ struct MotifAccumulator {
   }
 };
 
-class InStreamMotifCounter {
- public:
-  /// Callback the enumerator uses to report one completed motif instance:
-  /// the sampled constituent edges, EXCLUDING the arriving edge (whose
-  /// indicator is deterministically 1 at its own arrival slot).
-  using Emitter = std::function<void(std::span<const Edge>)>;
+/// Callback an enumerator uses to report one completed motif instance:
+/// the sampled constituent edges, EXCLUDING the arriving edge (whose
+/// indicator is deterministically 1 at its own arrival slot).
+using Emitter = std::function<void(std::span<const Edge>)>;
 
-  /// Enumerates all motif instances completed by `arriving` whose other
-  /// edges are present in the sampled adjacency, calling `emit` once per
-  /// instance. Enumerators see only topology (never probabilities), so the
-  /// same enumerator drives both in-stream snapshot estimation and the
-  /// engine's post-stream pass over the merged union sample
-  /// (engine/merge.cc).
-  using EnumerateFn = std::function<void(
-      const Edge& arriving, const SampledGraph& graph, const Emitter& emit)>;
-
-  InStreamMotifCounter(GpsSamplerOptions options, EnumerateFn enumerate);
-
-  /// Snapshot estimation for motifs completed by e, then the GPS sampling
-  /// step. A self loop or a repeat of a sampled edge is counted as an
-  /// arrival and otherwise skipped.
-  void Process(const Edge& e);
-
-  /// Unbiased estimate of the number of motif instances whose edges have
-  /// all arrived (Theorem 4(ii)).
-  double Count() const { return acc_.count; }
-
-  /// Conservative (downward-biased) variance estimate: the sum of
-  /// single-snapshot variance estimators, omitting nonnegative pairwise
-  /// covariances.
-  double VarianceLowerEstimate() const { return acc_.variance; }
-
-  /// Number of snapshots frozen so far.
-  uint64_t SnapshotsTaken() const { return acc_.snapshots; }
-
-  /// The full accumulator state, for checkpointing and merging.
-  const MotifAccumulator& accumulator() const { return acc_; }
-
-  const GpsReservoir& reservoir() const { return reservoir_; }
-
- private:
-  WeightFunction weight_fn_;
-  GpsReservoir reservoir_;
-  EnumerateFn enumerate_;
-  MotifAccumulator acc_;
-};
+/// Enumerates all motif instances completed by `arriving` whose other
+/// edges are present in the sampled adjacency, calling `emit` once per
+/// instance. Enumerators see only topology (never probabilities), so the
+/// same enumerator drives both in-stream snapshot estimation and the
+/// engine's post-stream pass over the merged union sample
+/// (engine/merge.cc).
+using EnumerateFn = void (*)(const Edge& arriving, const SampledGraph& graph,
+                             const Emitter& emit);
 
 /// Freezes one snapshot per motif instance `enumerate` reports for the
 /// arriving canonical edge `e` (not yet sampled): each instance contributes
 /// the product of inverse inclusion probabilities of its sampled member
 /// edges, measured at the stopping time T_k (before e's sampling step).
-/// Instances reporting an unsampled member are ignored. Shared by
-/// InStreamMotifCounter and MotifSuite (core/motifs.h).
+/// Instances reporting an unsampled member are ignored. MotifSuite
+/// (core/motifs.h) calls it once per configured motif.
 void AccumulateMotifSnapshots(const Edge& e, const GpsReservoir& reservoir,
-                              const InStreamMotifCounter::EnumerateFn& enumerate,
-                              MotifAccumulator* acc);
+                              EnumerateFn enumerate, MotifAccumulator* acc);
 
-/// Built-in enumerator: triangles completed by the arriving edge (the two
-/// sampled edges to each common neighbor).
-InStreamMotifCounter::EnumerateFn TriangleEnumerator();
+/// 4-cliques completed by the arriving edge (u,v): pairs of common
+/// neighbors w1, w2 with the sampled edge (w1,w2) present; five sampled
+/// edges per instance.
+void EnumerateFourCliques(const Edge& arriving, const SampledGraph& graph,
+                          const Emitter& emit);
 
-/// Built-in enumerator: wedges formed by the arriving edge with each
-/// sampled adjacent edge.
-InStreamMotifCounter::EnumerateFn WedgeEnumerator();
+/// Simple paths of length 3 (4 distinct nodes) completed by the arriving
+/// edge, which may be the middle or either end edge of the path; two
+/// sampled edges per instance.
+void EnumerateThreePaths(const Edge& arriving, const SampledGraph& graph,
+                         const Emitter& emit);
 
-/// Built-in enumerator: 4-cliques completed by the arriving edge (u,v) —
-/// pairs of common neighbors w1, w2 with the sampled edge (w1,w2) present;
-/// five sampled edges per instance.
-InStreamMotifCounter::EnumerateFn FourCliqueEnumerator();
+/// 4-cycles (C4, chords allowed) closed by the arriving edge (u,v):
+/// sampled paths u–y, y–x, x–v for x ∈ Γ̂(v), y ∈ Γ̂(u), x ≠ y; three
+/// sampled edges per instance.
+void EnumerateFourCycles(const Edge& arriving, const SampledGraph& graph,
+                         const Emitter& emit);
 
-/// Built-in enumerator: simple paths of length 3 (4 distinct nodes)
-/// completed by the arriving edge, which may be the middle or either end
-/// edge of the path; two sampled edges per instance.
-InStreamMotifCounter::EnumerateFn ThreePathEnumerator();
+/// 5-cliques completed by the arriving edge (u,v): triples of common
+/// neighbors w1, w2, w3 with all three bridge edges sampled; nine sampled
+/// edges per instance.
+void EnumerateFiveCliques(const Edge& arriving, const SampledGraph& graph,
+                          const Emitter& emit);
 
-/// Built-in enumerator: 4-cycles (C4, chords allowed) closed by the
-/// arriving edge (u,v) — sampled paths u–y, y–x, x–v for x ∈ Γ̂(v),
-/// y ∈ Γ̂(u), x ≠ y; three sampled edges per instance.
-InStreamMotifCounter::EnumerateFn FourCycleEnumerator();
-
-/// Built-in enumerator: 5-cliques completed by the arriving edge (u,v) —
-/// triples of common neighbors w1, w2, w3 with all three bridge edges
-/// sampled; nine sampled edges per instance.
-InStreamMotifCounter::EnumerateFn FiveCliqueEnumerator();
-
-/// Built-in enumerator: tailed triangles (a triangle plus one pendant
-/// edge at a triangle vertex, 4 distinct nodes) completed by the arriving
-/// edge, which may be the pendant tail or one of the triangle edges;
-/// three sampled edges per instance.
-InStreamMotifCounter::EnumerateFn TailedTriangleEnumerator();
+/// Tailed triangles (a triangle plus one pendant edge at a triangle
+/// vertex, 4 distinct nodes) completed by the arriving edge, which may be
+/// the pendant tail or one of the triangle edges; three sampled edges per
+/// instance.
+void EnumerateTailedTriangles(const Edge& arriving,
+                              const SampledGraph& graph,
+                              const Emitter& emit);
 
 }  // namespace gps
 

@@ -152,8 +152,6 @@ std::vector<MotifAccumulator> CrossShardMotifs(
   for (size_t m = 0; m < motif_names.size(); ++m) {
     const MotifEntry* entry = FindMotif(motif_names[m]);
     assert(entry != nullptr && "unvalidated motif name");
-    const InStreamMotifCounter::EnumerateFn enumerate =
-        entry->make_enumerator();
     MotifAccumulator raw;
     for (const SlotId slot : order) {
       const UnionRecord& rec = records[slot];
@@ -161,23 +159,22 @@ std::vector<MotifAccumulator> CrossShardMotifs(
       // the streaming enumerators report instances containing it without
       // ever listing it among the members, so each instance is enumerated
       // once per member edge — hence the num_edges division below.
-      const InStreamMotifCounter::Emitter emit =
-          [&](std::span<const Edge> members) {
-            double product = rec.inv_q;
-            bool spans = false;
-            for (const Edge& member : members) {
-              const SlotId member_slot = graph.FindEdge(member.Canonical());
-              if (member_slot == kNoSlot) return;
-              product *= records[member_slot].inv_q;
-              spans |= records[member_slot].stratum != rec.stratum;
-            }
-            // Within-shard instances belong to the in-stream stratum.
-            if (!spans) return;
-            raw.count += product;
-            raw.variance += product * (product - 1.0);
-            ++raw.snapshots;
-          };
-      enumerate(rec.edge, graph, emit);
+      const Emitter emit = [&](std::span<const Edge> members) {
+        double product = rec.inv_q;
+        bool spans = false;
+        for (const Edge& member : members) {
+          const SlotId member_slot = graph.FindEdge(member.Canonical());
+          if (member_slot == kNoSlot) return;
+          product *= records[member_slot].inv_q;
+          spans |= records[member_slot].stratum != rec.stratum;
+        }
+        // Within-shard instances belong to the in-stream stratum.
+        if (!spans) return;
+        raw.count += product;
+        raw.variance += product * (product - 1.0);
+        ++raw.snapshots;
+      };
+      entry->enumerate(rec.edge, graph, emit);
     }
     out[m].count = raw.count / entry->num_edges;
     out[m].variance = raw.variance / entry->num_edges;

@@ -176,9 +176,9 @@ GraphEstimates AddEstimates(const GraphEstimates& a, const GraphEstimates& b);
 // counts all sum across independent shards) or its edges span >= 2 shards
 // (estimated by a post-stream Horvitz-Thompson pass over the union of the
 // shard reservoirs, reusing the registry's streaming enumerators). Both
-// strata report the conservative Σ Ŝ(Ŝ-1) variance bound, so merged motif
-// CIs are mildly anti-conservative-proof (never overstated downward by
-// covariance omission alone — see core/snapshot.h).
+// strata report the Σ Ŝ(Ŝ-1) variance lower bound, which leaves out the
+// non-negative snapshot covariances, so a merged motif interval is
+// narrower than a 95% CI (core/snapshot.h).
 
 /// Element-wise sum of per-shard motif accumulators (independent strata).
 /// All shards must carry the same suite arity/order; the engine guarantees

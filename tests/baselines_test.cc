@@ -1,5 +1,5 @@
 // Tests for the baseline algorithms: TRIEST (base/impr), MASCOT
-// (improved/basic), NSAMP, and the uniform reservoir. Accuracy claims on
+// (improved/basic) and NSAMP. Accuracy claims on
 // generator graphs are gated through the shared statistical harness
 // (tests/stat_harness.h, trial count scaled by GPS_STAT_TRIALS).
 
@@ -12,7 +12,6 @@
 #include "baselines/mascot.h"
 #include "baselines/nsamp.h"
 #include "baselines/triest.h"
-#include "baselines/uniform_reservoir.h"
 #include "gen/generators.h"
 #include "graph/csr_graph.h"
 #include "graph/exact.h"
@@ -200,7 +199,7 @@ TEST(NsampTest, EstimatorCountPreserved) {
 
 /// ER and BA accuracy fixtures shared by the MASCOT/TRIEST harness
 /// suites, mirroring the generator families the GPS estimators and the
-/// JSP/NSAMP suites are gated on.
+/// NSAMP suite are gated on.
 struct GeneratorGraph {
   std::vector<Edge> stream;
   ExactCounts exact;
@@ -274,41 +273,6 @@ TEST_P(BaselineAccuracyTest, MascotAccurateOnGeneratorGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Generators, BaselineAccuracyTest,
                          ::testing::Values("er", "ba"));
-
-// ------------------------------------------------ Uniform reservoir
-
-TEST(UniformReservoirTest, SizeBoundAndFill) {
-  UniformReservoir res(50, 3);
-  const TestGraph tg = MakeTestGraph(310);
-  for (const Edge& e : tg.stream) {
-    res.Process(e);
-    EXPECT_LE(res.Sample().size(), 50u);
-  }
-  EXPECT_EQ(res.Sample().size(), 50u);
-  EXPECT_EQ(res.edges_processed(), tg.stream.size());
-}
-
-TEST(UniformReservoirTest, InclusionUniformAcrossPositions) {
-  // Each stream position must be retained with probability m/t; compare
-  // early vs late positions over many runs.
-  const size_t n = 400, m = 40;
-  std::vector<int> kept(n, 0);
-  const int trials = 2000;
-  for (int trial = 0; trial < trials; ++trial) {
-    UniformReservoir res(m, 5000 + trial);
-    std::vector<Edge> stream;
-    for (uint32_t i = 0; i < n; ++i) {
-      stream.push_back(MakeEdge(i, i + 10000));  // distinct edges
-    }
-    for (const Edge& e : stream) res.Process(e);
-    for (const Edge& e : res.Sample()) kept[e.u] += 1;
-  }
-  const double expected = static_cast<double>(m) / n * trials;  // 200
-  for (size_t pos : {0ul, n / 2, n - 1}) {
-    EXPECT_NEAR(kept[pos], expected, 5.0 * std::sqrt(expected))
-        << "position " << pos;
-  }
-}
 
 }  // namespace
 }  // namespace gps

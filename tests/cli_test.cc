@@ -986,8 +986,8 @@ TEST_F(CliTest, ResumeShardsContinuationMatchesUninterruptedByteForByte) {
 TEST_F(CliTest, ListMotifsShowsRegistry) {
   const CommandResult r = RunCli("list-motifs");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  for (const char* name : {"tri", "wedge", "4clique", "3path", "4cycle",
-                           "5clique", "tailed_triangle"}) {
+  for (const char* name :
+       {"4clique", "3path", "4cycle", "5clique", "tailed_triangle"}) {
     EXPECT_NE(r.output.find(name), std::string::npos) << name;
   }
 }
@@ -995,10 +995,10 @@ TEST_F(CliTest, ListMotifsShowsRegistry) {
 TEST_F(CliTest, EstimateWithMotifsPrintsMotifRows) {
   const CommandResult r =
       RunCli("estimate --input " + graph_path_ +
-             " --capacity 2000 --seed 5 --shards 2 --motifs tri,4clique"
+             " --capacity 2000 --seed 5 --shards 2 --motifs 3path,4clique"
              " --estimator in-stream --degree 3");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("motif:tri"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("motif:3path"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("motif:4clique"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("edges"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("deg(3)"), std::string::npos) << r.output;
@@ -1027,16 +1027,84 @@ TEST_F(CliTest, EstimateMotifsRouteThroughEngineAtOneShard) {
 
 TEST_F(CliTest, EstimateRejectsBadMotifFlags) {
   const CommandResult unknown = RunCli(
-      "estimate --input " + graph_path_ + " --motifs tri,pentagon");
+      "estimate --input " + graph_path_ + " --motifs 3path,pentagon");
   EXPECT_NE(unknown.exit_code, 0);
   EXPECT_NE(unknown.output.find("pentagon"), std::string::npos)
       << unknown.output;
 
   const CommandResult post = RunCli("estimate --input " + graph_path_ +
-                                    " --motifs tri --estimator post");
+                                    " --motifs 3path --estimator post");
   EXPECT_NE(post.exit_code, 0);
   EXPECT_NE(post.output.find("in-stream"), std::string::npos)
       << post.output;
+}
+
+TEST_F(CliTest, GenericTriangleAndWedgeMotifsAreUnknown) {
+  // Algorithm 3's triangles and wedges rows are the one estimate of each;
+  // the registry has no generic "tri" or "wedge" motif to shadow them.
+  const CommandResult tri = RunCli("estimate --input " + graph_path_ +
+                                   " --capacity 1500 --motifs tri");
+  EXPECT_EQ(tri.exit_code, 1) << tri.output;
+  EXPECT_NE(tri.output.find("unknown motif 'tri'"), std::string::npos)
+      << tri.output;
+
+  const CommandResult wedge =
+      RunCli("monitor --input " + graph_path_ +
+             " --capacity 1500 --every 3000 --motifs 4clique,wedge");
+  EXPECT_EQ(wedge.exit_code, 1) << wedge.output;
+  EXPECT_NE(wedge.output.find("unknown motif 'wedge'"), std::string::npos)
+      << wedge.output;
+}
+
+TEST_F(CliTest, MotifIntervalsAreMarkedAsLowerBounds) {
+  // Every motif variance is the Σ Ŝ(Ŝ-1) lower bound: each motif row's
+  // interval carries a marker and the block a footnote, in estimate and
+  // in merge-checkpoints. Blocks without motif rows carry neither.
+  const std::string footnote =
+      "\n* variance lower bound (snapshot covariances left out): narrower "
+      "than a 95% CI\n";
+  // The last cell of a table row, padding dropped.
+  const auto ci_cell = [](std::string line) {
+    line.erase(line.find_last_not_of(' ') + 1);
+    return line.substr(line.rfind('|') + 2);
+  };
+  const auto expect_marked = [&](const std::string& output) {
+    size_t motif_rows = 0;
+    size_t graph_rows = 0;
+    for (const std::string& line : Lines(output)) {
+      if (line.rfind(" motif:4clique ", 0) == 0) {
+        ++motif_rows;
+        EXPECT_EQ(ci_cell(line).back(), '*') << line;
+      } else if (line.rfind(" triangles ", 0) == 0 ||
+                 line.rfind(" wedges ", 0) == 0) {
+        ++graph_rows;
+        EXPECT_EQ(ci_cell(line).back(), ']') << line;
+      }
+    }
+    EXPECT_GE(motif_rows, 1u) << output;
+    EXPECT_GE(graph_rows, 2u) << output;
+    EXPECT_NE(output.find(footnote), std::string::npos) << output;
+  };
+  const std::string dir = FreshPath("marked_motifs");
+  const CommandResult est =
+      RunCli("estimate --input " + graph_path_ +
+             " --capacity 1500 --shards 2 --motifs 4clique"
+             " --estimator in-stream --checkpoint " + dir);
+  ASSERT_EQ(est.exit_code, 0) << est.output;
+  expect_marked(est.output);
+  const CommandResult merged =
+      RunCli("merge-checkpoints --manifest " + dir + "/manifest.gpsm");
+  ASSERT_EQ(merged.exit_code, 0) << merged.output;
+  expect_marked(merged.output);
+  std::filesystem::remove_all(dir);
+
+  const CommandResult plain = RunCli("estimate --input " + graph_path_ +
+                                     " --capacity 1500 --shards 2");
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_EQ(plain.output.find("motif"), std::string::npos) << plain.output;
+  EXPECT_EQ(plain.output.find("]*"), std::string::npos) << plain.output;
+  EXPECT_EQ(plain.output.find("lower bound"), std::string::npos)
+      << plain.output;
 }
 
 TEST_F(CliTest, MonitorWithMotifsExtendsCsvSchema) {
@@ -1063,19 +1131,19 @@ TEST_F(CliTest, ResumeShardsAdoptsTheCheckpointMotifSet) {
   // motif rows without being told, and takes no --motifs flag.
   const std::string dir = FreshPath("resume_motifs");
   ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
-                   " --capacity 1000 --shards 2 --motifs tri,4clique"
+                   " --capacity 1000 --shards 2 --motifs 3path,4clique"
                    " --estimator in-stream --checkpoint " + dir)
                 .exit_code,
             0);
   const CommandResult ok = RunCli("resume-shards --manifest " + dir +
                                   "/manifest.gpsm --input " + graph_path_);
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
-  EXPECT_NE(ok.output.find("motif:tri"), std::string::npos) << ok.output;
+  EXPECT_NE(ok.output.find("motif:3path"), std::string::npos) << ok.output;
   EXPECT_NE(ok.output.find("motif:4clique"), std::string::npos)
       << ok.output;
   const CommandResult flag =
       RunCli("resume-shards --manifest " + dir + "/manifest.gpsm"
-             " --input " + graph_path_ + " --motifs tri,4clique");
+             " --input " + graph_path_ + " --motifs 3path,4clique");
   EXPECT_EQ(flag.exit_code, 2) << flag.output;
   EXPECT_NE(flag.output.find("unknown flag '--motifs' for 'resume-shards'"),
             std::string::npos)

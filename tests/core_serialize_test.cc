@@ -291,7 +291,7 @@ TEST(SerializeTest, ShardFileCarriesTheMotifSuite) {
   // Version 2 adds one line after the accumulators: the suite's size,
   // then per motif its name, count, variance and snapshots. The rest of
   // the file is the version-1 layout.
-  const SuiteRun run = RunWithSuite(TestStream(641), {"tri", "4clique"});
+  const SuiteRun run = RunWithSuite(TestStream(641), {"3path", "4clique"});
   ASSERT_GT(run.suite.accumulator(0).count, 0.0);
   std::stringstream buffer;
   ASSERT_TRUE(SerializeInStreamEstimator(run.estimator, run.suite,
@@ -302,7 +302,7 @@ TEST(SerializeTest, ShardFileCarriesTheMotifSuite) {
   std::istringstream lines(text);
   std::string line;
   for (int i = 0; i < 4; ++i) std::getline(lines, line);
-  EXPECT_EQ(line.rfind("2 tri ", 0), 0u) << line;
+  EXPECT_EQ(line.rfind("2 3path ", 0), 0u) << line;
   EXPECT_NE(line.find(" 4clique "), std::string::npos) << line;
   std::getline(lines, line);
   EXPECT_EQ(line, "GPS-RESERVOIR 1");
@@ -338,19 +338,25 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
   } kCases[] = {
       {"unknown motif", "1 pentagon 1 0 1", StatusCode::kInvalidArgument,
        "checkpoint motif set: unknown motif 'pentagon'"},
-      {"duplicate motif", "2 tri 1 0 1 tri 1 0 1",
-       StatusCode::kInvalidArgument, "motif 'tri' listed twice"},
-      {"negative count", "1 tri -1 0 1", StatusCode::kInvalidArgument,
-       "invalid 'tri' motif accumulator in checkpoint"},
-      {"negative variance", "1 tri 1 -2 1", StatusCode::kInvalidArgument,
-       "invalid 'tri' motif accumulator in checkpoint"},
+      {"generic triangle motif", "1 tri 1 0 1", StatusCode::kInvalidArgument,
+       "checkpoint motif set: unknown motif 'tri'"},
+      {"generic wedge motif", "2 3path 1 0 1 wedge 1 0 1",
+       StatusCode::kInvalidArgument,
+       "checkpoint motif set: unknown motif 'wedge'"},
+      {"duplicate motif", "2 3path 1 0 1 3path 1 0 1",
+       StatusCode::kInvalidArgument, "motif '3path' listed twice"},
+      {"negative count", "1 3path -1 0 1", StatusCode::kInvalidArgument,
+       "invalid '3path' motif accumulator in checkpoint"},
+      {"negative variance", "1 3path 1 -2 1", StatusCode::kInvalidArgument,
+       "invalid '3path' motif accumulator in checkpoint"},
       {"more motifs than the registry", "99", StatusCode::kInvalidArgument,
        "checkpoint motif count 99 exceeds the registry size"},
-      {"short accumulator line", "1 tri 1", StatusCode::kInvalidArgument,
+      {"short accumulator line", "1 3path 1", StatusCode::kInvalidArgument,
        "malformed checkpoint: motif accumulators"},
-      {"non-numeric variance", "1 tri 1 abc 1", StatusCode::kInvalidArgument,
+      {"non-numeric variance", "1 3path 1 abc 1",
+       StatusCode::kInvalidArgument,
        "malformed checkpoint: motif accumulators"},
-      {"inf variance", "1 tri 1 inf 1", StatusCode::kInvalidArgument,
+      {"inf variance", "1 3path 1 inf 1", StatusCode::kInvalidArgument,
        "malformed checkpoint: motif accumulators"},
   };
   for (const auto& c : kCases) {
@@ -365,7 +371,7 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
         << r.status().ToString();
   }
   // A file that ends inside the motif line is truncated, not malformed.
-  std::stringstream cut("GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0 \n1 tri 1");
+  std::stringstream cut("GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0 \n1 3path 1");
   auto r = DeserializeInStreamEstimator(cut);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().ToString();
@@ -458,14 +464,14 @@ TEST(SerializeTest, ManifestHoldsOnlyTheLayoutAndTheDigests) {
   // Header, layout line, weights, motif names, entry count, then one
   // "index digest" line per shard: nothing a shard file already holds.
   ShardManifest manifest = TestManifest();
-  manifest.motif_names = {"tri", "4clique"};
+  manifest.motif_names = {"3path", "4clique"};
   std::stringstream buffer;
   ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   EXPECT_EQ(buffer.str(),
             "GPS-MANIFEST 5\n"
             "4 42 1000 600\n"
             "3 9 2.5 0.5\n"
-            "2 tri 4clique\n"
+            "2 3path 4clique\n"
             "2\n"
             "0 305441741\n"
             "2 2557935324\n");
@@ -473,7 +479,7 @@ TEST(SerializeTest, ManifestHoldsOnlyTheLayoutAndTheDigests) {
 
 TEST(SerializeTest, ManifestMotifSetRoundTrip) {
   ShardManifest manifest = TestManifest();
-  manifest.motif_names = {"tri", "4clique"};
+  manifest.motif_names = {"3path", "4clique"};
   std::stringstream buffer;
   ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   auto r = DeserializeManifest(buffer);
@@ -485,19 +491,24 @@ TEST(SerializeTest, ManifestMotifSetRoundTrip) {
 TEST(SerializeTest, ManifestMotifValidation) {
   // Unknown motif names are refused BY NAME on write and read.
   ShardManifest unknown = TestManifest();
-  unknown.motif_names = {"tri", "pentagon"};
+  unknown.motif_names = {"3path", "pentagon"};
   std::stringstream buffer;
   const Status write = SerializeManifest(unknown, StreamSink(buffer));
   ASSERT_FALSE(write.ok());
   EXPECT_NE(write.message().find("pentagon"), std::string::npos)
       << write.ToString();
-  {
+  // So are the generic triangle and wedge motifs: Algorithm 3 owns
+  // those statistics, and no mapping keeps the old names readable.
+  for (const char* name : {"pentagon", "tri", "wedge"}) {
+    SCOPED_TRACE(name);
     std::stringstream crafted(
-        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n1 pentagon\n0\n");
+        std::string("GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n1 ") + name +
+        "\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("unknown motif 'pentagon'"),
+    EXPECT_NE(r.status().message().find("manifest motif set: unknown motif '" +
+                                        std::string(name) + "'"),
               std::string::npos)
         << r.status().ToString();
   }
@@ -505,11 +516,11 @@ TEST(SerializeTest, ManifestMotifValidation) {
   // A duplicated motif name is refused.
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n2 tri tri\n0\n");
+        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n2 3path 3path\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(r.status().message().find("motif 'tri' listed twice"),
+    EXPECT_NE(r.status().message().find("motif '3path' listed twice"),
               std::string::npos)
         << r.status().ToString();
   }

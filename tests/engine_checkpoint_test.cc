@@ -288,7 +288,7 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
     SCOPED_TRACE("K=" + std::to_string(k));
     ShardedEngineOptions options = EngineOptions(k, 43);
     options.sampler.capacity = 12000;
-    options.motifs = {"tri"};
+    options.motifs = {"4clique"};
     const auto dir = FreshDir("bytes-k" + std::to_string(k));
     ShardedEngine engine(options);
     for (const Edge& e : stream) engine.Process(e);
@@ -354,7 +354,7 @@ TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
   for (const uint32_t k : {1u, 2u, 4u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     ShardedEngineOptions options = EngineOptions(k, 31);
-    options.motifs = {"tri", "4clique", "3path"};
+    options.motifs = {"4cycle", "4clique", "3path"};
     const auto dir = FreshDir("motif-k" + std::to_string(k));
 
     ShardedEngine engine(options);
@@ -381,9 +381,9 @@ TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
   const auto dir_a = FreshDir("motifs-a");
   const auto dir_b = FreshDir("motifs-b");
   ShardedEngineOptions options = EngineOptions(2, 37);
-  options.motifs = {"tri"};
+  options.motifs = {"3path"};
   RunAndCheckpoint(stream, options, dir_a);
-  options.motifs = {"tri", "4clique"};
+  options.motifs = {"3path", "4clique"};
   RunAndCheckpoint(stream, options, dir_b);
 
   // Cross-wire: shard 0 from run A, shard 1 from run B (rewrite the
@@ -495,7 +495,7 @@ TEST(EngineCheckpointTest, SeededMutantsEndInAStatus) {
   const std::vector<Edge> stream = TestStream(891);
   for (const std::vector<std::string>& motifs :
        {std::vector<std::string>{},
-        std::vector<std::string>{"tri", "4clique"}}) {
+        std::vector<std::string>{"3path", "4clique"}}) {
     SCOPED_TRACE(std::to_string(motifs.size()) + " motifs");
     const auto dir =
         FreshDir("mutants-" + std::to_string(motifs.size()) + "motifs");
@@ -570,11 +570,13 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
   // an edited accumulator is refused by the digest, a manifest motif set
   // that disagrees with the files is refused by name, and a version-1
   // shard file is refused by its version even under a digest that
-  // vouches for it (engine_resume_test refuses a version-4 manifest).
+  // vouches for it (engine_resume_test refuses a version-4 manifest). A
+  // motif set naming the generic "tri" or "wedge" motifs, which this
+  // build does not register, is refused by that name in either file.
   const std::vector<Edge> stream = TestStream(901);
   const auto dir = FreshDir("bound");
   ShardedEngineOptions options = EngineOptions(2, 67);
-  options.motifs = {"tri", "4clique"};
+  options.motifs = {"3path", "4clique"};
   ShardedEngine engine(options);
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
@@ -599,12 +601,12 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
   };
 
   {
-    SCOPED_TRACE("raised tri count in shard 0's file");
+    SCOPED_TRACE("raised 3path count in shard 0's file");
     std::vector<std::string> lines = SplitLines(shard_bytes);
-    // Line 4: "2 tri <count> <variance> <snapshots> 4clique ...".
+    // Line 4: "2 3path <count> <variance> <snapshots> 4clique ...".
     std::string& motif_line = lines[3];
-    ASSERT_EQ(motif_line.rfind("2 tri ", 0), 0u) << motif_line;
-    const size_t lead = 6;  // the count's leading digit, raised by one
+    ASSERT_EQ(motif_line.rfind("2 3path ", 0), 0u) << motif_line;
+    const size_t lead = 8;  // the count's leading digit, raised by one
     ASSERT_TRUE(motif_line[lead] >= '0' && motif_line[lead] <= '9')
         << motif_line;
     if (motif_line[lead] == '9') {
@@ -620,12 +622,41 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
   {
     SCOPED_TRACE("manifest motif renamed to another registered one");
     std::string text = manifest_bytes;
-    const std::string names = "\n2 tri 4clique\n";
+    const std::string names = "\n2 3path 4clique\n";
     const size_t at = text.find(names);
     ASSERT_NE(at, std::string::npos) << text;
-    text.replace(at, names.size(), "\n2 wedge 4clique\n");
+    text.replace(at, names.size(), "\n2 4cycle 4clique\n");
     WriteFileBytes(ManifestPath(dir), text);
     expect_refused(StatusCode::kInvalidArgument, "motif set");
+  }
+  {
+    SCOPED_TRACE("manifest motif set naming tri");
+    std::string text = manifest_bytes;
+    const std::string names = "\n2 3path 4clique\n";
+    const size_t at = text.find(names);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, names.size(), "\n2 tri 4clique\n");
+    WriteFileBytes(ManifestPath(dir), text);
+    expect_refused(StatusCode::kInvalidArgument,
+                   "manifest motif set: unknown motif 'tri'");
+  }
+  WriteFileBytes(ManifestPath(dir), manifest_bytes);
+  {
+    SCOPED_TRACE("shard file naming wedge under a recomputed digest");
+    std::vector<std::string> lines = SplitLines(shard_bytes);
+    std::string& motif_line = lines[3];
+    ASSERT_EQ(motif_line.rfind("2 3path ", 0), 0u) << motif_line;
+    motif_line.replace(0, 8, "2 wedge ");
+    const std::string renamed = JoinLines(lines);
+    WriteFileBytes(shard0, renamed);
+    ShardManifest vouching = manifest;
+    vouching.entries[0].digest = ChecksumBytes(renamed);
+    {
+      std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
+      ASSERT_TRUE(SerializeManifest(vouching, StreamSink(out)).ok());
+    }
+    expect_refused(StatusCode::kInvalidArgument,
+                   "checkpoint motif set: unknown motif 'wedge'");
   }
   {
     SCOPED_TRACE("version-1 shard file under a digest that vouches for it");

@@ -334,7 +334,7 @@ TEST(Algorithm2CountersTest, EstimationLeavesIntersectCountersUnchanged) {
   ShardedEngineOptions engine_options;
   engine_options.sampler = options;
   engine_options.num_shards = 4;
-  engine_options.motifs = {"tri"};
+  engine_options.motifs = {"4clique"};
   ShardedEngine engine(engine_options);
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
@@ -462,7 +462,7 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
     options.sampler.seed = 73;
     options.num_shards = k;
     options.batch_size = 16;
-    options.motifs = {"tri", "4clique", "3path"};
+    options.motifs = {"4cycle", "4clique", "3path"};
 
     int ticks = 0;
     TriangleChangeTracker tracker;

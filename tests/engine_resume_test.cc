@@ -293,7 +293,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
   for (const uint32_t k : {1u, 4u}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     ShardedEngineOptions options = EngineOptions(k, 59);
-    options.motifs = {"tri", "4clique", "3path"};
+    options.motifs = {"4cycle", "4clique", "3path"};
 
     ShardedEngine uninterrupted(options);
     for (const Edge& e : stream) uninterrupted.Process(e);

@@ -43,7 +43,6 @@
 #include "core/seeding.h"
 #include "core/serialize.h"
 #include "core/slot_log.h"
-#include "core/snapshot.h"
 #include "engine/merge.h"
 #include "engine/sharded_engine.h"
 #include "engine_test_util.h"
@@ -410,7 +409,7 @@ TEST(ShardedEngineTest, MotifSuiteDoesNotPerturbSamplePathOrEstimates) {
     for (const Edge& e : stream) plain.Process(e);
     plain.Finish();
 
-    options.motifs = {"tri", "wedge", "4clique", "3path"};
+    options.motifs = {"4clique", "3path", "4cycle"};
     ShardedEngine with_motifs(options);
     for (const Edge& e : stream) with_motifs.Process(e);
     with_motifs.Finish();
@@ -425,10 +424,10 @@ TEST(ShardedEngineTest, MotifSuiteDoesNotPerturbSamplePathOrEstimates) {
   }
 }
 
-TEST(ShardedEngineTest, SingleShardMotifsMatchStandaloneCounters) {
-  // K=1 has no cross-shard stratum: merged motif estimates ARE the serial
-  // InStreamMotifCounter values, digit for digit (same seed, same sample
-  // path — estimation consumes no randomness).
+TEST(ShardedEngineTest, SingleShardMotifsMatchSerialSuite) {
+  // K=1 has no cross-shard stratum: merged motif estimates ARE the values
+  // a MotifSuite beside a serial GpsSampler gives, digit for digit (same
+  // seed, same sample path — estimation consumes no randomness).
   const std::vector<Edge> stream = TestStream(1200, 6, 95, 96);
   const GpsSamplerOptions base = BaseOptions(1000, 97);
 
@@ -442,18 +441,19 @@ TEST(ShardedEngineTest, SingleShardMotifsMatchStandaloneCounters) {
   const std::vector<MotifEstimate> merged = engine.MergedMotifEstimates();
   ASSERT_EQ(merged.size(), 2u);
 
-  InStreamMotifCounter k4(base, FourCliqueEnumerator());
-  InStreamMotifCounter p3(base, ThreePathEnumerator());
+  MotifSuite suite(options.motifs);
+  GpsSampler serial(base);
   for (const Edge& e : stream) {
-    k4.Process(e);
-    p3.Process(e);
+    suite.Observe(e, serial.reservoir());
+    serial.Process(e);
   }
   EXPECT_EQ(merged[0].name, "4clique");
-  EXPECT_DOUBLE_EQ(merged[0].estimate.value, k4.Count());
+  EXPECT_GT(suite.accumulator(0).count, 0.0);
+  EXPECT_DOUBLE_EQ(merged[0].estimate.value, suite.accumulator(0).count);
   EXPECT_DOUBLE_EQ(merged[0].estimate.variance,
-                   k4.VarianceLowerEstimate());
-  EXPECT_EQ(merged[0].snapshots, k4.SnapshotsTaken());
-  EXPECT_DOUBLE_EQ(merged[1].estimate.value, p3.Count());
+                   suite.accumulator(0).variance);
+  EXPECT_EQ(merged[0].snapshots, suite.accumulator(0).snapshots);
+  EXPECT_DOUBLE_EQ(merged[1].estimate.value, suite.accumulator(1).count);
 }
 
 TEST(ShardedEngineTest, MergedEdgeCountAndDegreeMatchSerialAtKOne) {
@@ -553,7 +553,7 @@ TEST(ShardedEngineTest, MonitorTicksSampleExactPrefixEstimates) {
   options.sampler = BaseOptions(1500, 83);
   options.num_shards = 4;
   options.batch_size = 64;
-  options.motifs = {"tri", "3path"};
+  options.motifs = {"4clique", "3path"};
 
   constexpr uint64_t kEvery = 700;
   std::vector<MonitorRecord> records;
@@ -785,7 +785,7 @@ TEST(ShardedEngineTest, SingleShardHelperWithMotifSuite) {
   // The motif suite observes on the producer, before the sampling stage,
   // while the helper runs the snapshot updates.
   ExpectSpansMatchSerial(TestStream(2500, 5, 81, 82), 2500, 83,
-                         {"tri", "4clique"});
+                         {"3path", "4clique"});
 }
 
 TEST(ShardedEngineTest, SingleShardRunsInlineOnOneCpu) {

@@ -380,7 +380,7 @@ TEST(IntersectByteIdentityTest, MonitorTicksAcrossForcedKernels) {
     options.sampler.capacity = 1500;
     options.sampler.seed = 11;
     options.num_shards = 2;
-    options.motifs = {"tri", "4clique"};
+    options.motifs = {"4clique", "3path"};
     ShardedEngine engine(options);
     Run& run = runs.emplace_back();
     const std::span<const Edge> all(stream);

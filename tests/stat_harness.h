@@ -14,7 +14,7 @@
 //     mean relative error, empirical CI coverage with a binomial
 //     tolerance bound, unbiasedness, and variance calibration;
 //   * PointTrials — the same for estimators that report only a point
-//     value (TRIEST, MASCOT, NSAMP, JSP).
+//     value (TRIEST, MASCOT, NSAMP).
 //
 // All gates are non-fatal EXPECTs labelled with a caller-supplied `what`,
 // so one test can gate several metrics and report every failure.
