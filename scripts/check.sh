@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: Release build + full ctest (in an empty temp directory that
-# must stay empty), the realtime_tracking example, the
-# intersection-kernel smoke, then the engine perf smoke with its
+# must stay empty), the realtime_tracking example, the paper drivers and
+# three more examples (each must exit 0), the intersection-kernel smoke, then the engine perf smoke with its
 # machine-readable JSON artifact gated against the checked-in baseline
 # (> 10% relative regression fails), then an ASan/UBSan Debug pass and
 # a TSan Debug pass over the threaded engine suites — the TSan pass
@@ -44,6 +44,18 @@ echo "=== Example: realtime_tracking ==="
 # at each tick, finish) in about 0.2 s. motif_monitoring stays
 # compile-only: it runs for minutes.
 ./build/examples/realtime_tracking
+
+echo "=== Paper drivers and examples ==="
+# Nothing else runs these programs, so each must exit 0 here: the seven
+# paper drivers at GPS_BENCH_SCALE=0.05 (about 4 s in all) and three
+# examples (under 1 s each).
+for driver in bench_table1 bench_table2 bench_table3 bench_fig1 \
+    bench_fig2 bench_fig3 bench_ablation_weights; do
+  GPS_BENCH_SCALE=0.05 "./build/$driver"
+done
+for example in quickstart retrospective_queries baseline_shootout; do
+  "./build/examples/$example"
+done
 
 echo "=== Intersection kernel microbench (>= 2x skewed-block gate) ==="
 # Per-kernel timings across adversarial size ratios plus the hard gate:

@@ -24,7 +24,7 @@ constexpr const char* kManifestHeader = "GPS-MANIFEST";
 // this build writes (serialize.h).
 constexpr int kReservoirVersion = 1;
 constexpr int kInStreamVersion = 2;
-constexpr int kManifestVersion = 5;
+constexpr int kManifestVersion = 6;
 // Records reserved up front when reading a reservoir (48 B each with
 // their covariance accumulators).
 constexpr size_t kRecordReserveLimit = size_t{1} << 16;
@@ -160,46 +160,45 @@ Status WriteInStreamEstimator(const InStreamEstimator& estimator,
   return WriteReservoir(estimator.reservoir(), &estimator, out);
 }
 
-/// Reads the motif count that starts a motif line of `file` ("manifest"
-/// or "checkpoint"), held to the registry size so a corrupt count cannot
-/// drive the loop that reads the motifs.
-Result<size_t> ReadMotifCount(std::istream& in, const std::string& file) {
-  size_t count = 0;
-  if (!(in >> count)) {
-    return ReadFailure(in, file + ": motif count");
-  }
-  if (count > MotifEntries().size()) {
-    return Status::InvalidArgument(
-        file + " motif count " + std::to_string(count) +
-        " exceeds the registry size " +
-        std::to_string(MotifEntries().size()));
-  }
-  return count;
+/// Reads one name of a motif line onto `names` (`what` names the field
+/// in a read failure) and checks it against the registry and the names
+/// before it, so an unknown or repeated name is refused BY NAME, with
+/// `set` as context, the moment it is read. The registry holds five
+/// names, so no line gets past five: the count that starts the line
+/// bounds nothing and sizes nothing.
+Status ReadMotifName(std::istream& in, const std::string& what,
+                     const std::string& set,
+                     std::vector<std::string>* names) {
+  std::string name;
+  if (!(in >> name)) return ReadFailure(in, what);
+  names->push_back(std::move(name));
+  return ValidateMotifNames(*names).WithContext(set);
 }
 
-/// Reads the motif line WriteInStreamEstimator writes.
+/// Reads the motif line WriteInStreamEstimator writes. A name this build
+/// does not know is refused: its accumulator would be meaningless to
+/// carry forward.
 Status ReadMotifLine(std::istream& in, std::vector<std::string>* names,
                      std::vector<MotifAccumulator>* accs) {
-  Result<size_t> num_motifs = ReadMotifCount(in, "checkpoint");
-  if (!num_motifs.ok()) return num_motifs.status();
-  for (size_t m = 0; m < *num_motifs; ++m) {
-    std::string& name = names->emplace_back();
+  const std::string what = "checkpoint: motif accumulators";
+  size_t num_motifs = 0;
+  if (!(in >> num_motifs)) return ReadFailure(in, "checkpoint: motif count");
+  for (size_t m = 0; m < num_motifs; ++m) {
+    if (Status s = ReadMotifName(in, what, "checkpoint motif set", names);
+        !s.ok()) {
+      return s;
+    }
     MotifAccumulator& acc = accs->emplace_back();
-    if (!(in >> name >> acc.count >> acc.variance >> acc.snapshots)) {
-      return ReadFailure(in, "checkpoint: motif accumulators");
+    if (!(in >> acc.count >> acc.variance >> acc.snapshots)) {
+      return ReadFailure(in, what);
     }
     // Count and variance accumulators are sums of nonnegative snapshot
     // terms (core/snapshot.h).
     if (!std::isfinite(acc.count) || acc.count < 0.0 ||
         !std::isfinite(acc.variance) || acc.variance < 0.0) {
-      return Status::InvalidArgument("invalid '" + name +
+      return Status::InvalidArgument("invalid '" + names->back() +
                                      "' motif accumulator in checkpoint");
     }
-  }
-  // A name this build does not know is refused BY NAME: its accumulator
-  // would be meaningless to carry forward.
-  if (Status s = ValidateMotifNames(*names); !s.ok()) {
-    return s.WithContext("checkpoint motif set");
   }
   return Status::Ok();
 }
@@ -216,10 +215,7 @@ Status WriteManifest(const ShardManifest& manifest, TextWriter& out) {
     out.Char(' ').Text(name);
   }
   out.Char('\n');
-  out.Int(manifest.entries.size()).Char('\n');
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    out.Int(entry.shard_index).Char(' ').Int(entry.digest).Char('\n');
-  }
+  for (const uint64_t digest : manifest.digests) out.Int(digest).Char('\n');
   return Status::Ok();
 }
 
@@ -422,13 +418,21 @@ uint64_t ChecksumBytes(std::string_view bytes) {
   return Fnv1a64(bytes);
 }
 
-Status ValidateManifest(const ShardManifest& manifest) {
-  if (manifest.num_shards < 1 ||
-      manifest.num_shards > kMaxManifestShards) {
+namespace {
+
+Status CheckShardCount(uint32_t num_shards) {
+  if (num_shards < 1 || num_shards > kMaxManifestShards) {
     return Status::InvalidArgument(
-        "manifest shard count " + std::to_string(manifest.num_shards) +
+        "manifest shard count " + std::to_string(num_shards) +
         " outside [1, " + std::to_string(kMaxManifestShards) + "]");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status ValidateManifest(const ShardManifest& manifest) {
+  if (Status s = CheckShardCount(manifest.num_shards); !s.ok()) return s;
   if (manifest.total_capacity == 0 ||
       manifest.total_capacity > kMaxCheckpointCapacity) {
     return Status::InvalidArgument(
@@ -446,23 +450,10 @@ Status ValidateManifest(const ShardManifest& manifest) {
   if (Status s = ValidateMotifNames(manifest.motif_names); !s.ok()) {
     return s.WithContext("manifest motif set");
   }
-  if (manifest.entries.size() > manifest.num_shards) {
+  if (manifest.digests.size() != manifest.num_shards) {
     return Status::InvalidArgument(
-        "manifest lists more shard files than shards");
-  }
-  std::vector<bool> seen(manifest.num_shards, false);
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    if (entry.shard_index >= manifest.num_shards) {
-      return Status::InvalidArgument(
-          "manifest shard index " + std::to_string(entry.shard_index) +
-          " out of range for K=" + std::to_string(manifest.num_shards));
-    }
-    if (seen[entry.shard_index]) {
-      return Status::InvalidArgument(
-          "manifest lists shard " + std::to_string(entry.shard_index) +
-          " twice");
-    }
-    seen[entry.shard_index] = true;
+        "manifest holds " + std::to_string(manifest.digests.size()) +
+        " shard digests for K=" + std::to_string(manifest.num_shards));
   }
   return Status::Ok();
 }
@@ -483,34 +474,23 @@ Result<ShardManifest> DeserializeManifest(std::istream& in) {
         manifest.total_capacity >> manifest.stream_offset)) {
     return ReadFailure(in, "manifest: layout");
   }
+  // K sizes the digests read below, so it is held to its ceiling first.
+  if (Status s = CheckShardCount(manifest.num_shards); !s.ok()) return s;
   Result<WeightOptions> weight = ReadWeightOptions(in);
   if (!weight.ok()) return weight.status();
   manifest.weight = *weight;
-  Result<size_t> num_motifs = ReadMotifCount(in, "manifest");
-  if (!num_motifs.ok()) return num_motifs.status();
-  manifest.motif_names.reserve(*num_motifs);
-  for (size_t m = 0; m < *num_motifs; ++m) {
-    std::string name;
-    if (!(in >> name)) {
-      return ReadFailure(in, "manifest: motif names");
+  size_t num_motifs = 0;
+  if (!(in >> num_motifs)) return ReadFailure(in, "manifest: motif count");
+  for (size_t m = 0; m < num_motifs; ++m) {
+    if (Status s = ReadMotifName(in, "manifest: motif names",
+                                 "manifest motif set", &manifest.motif_names);
+        !s.ok()) {
+      return s;
     }
-    manifest.motif_names.push_back(std::move(name));
   }
-  size_t num_entries = 0;
-  if (!(in >> num_entries)) {
-    return ReadFailure(in, "manifest: entry count");
-  }
-  if (num_entries > kMaxManifestShards) {
-    return Status::InvalidArgument(
-        "manifest entry count " + std::to_string(num_entries) +
-        " exceeds " + std::to_string(kMaxManifestShards));
-  }
-  manifest.entries.reserve(num_entries);
-  for (size_t i = 0; i < num_entries; ++i) {
-    ShardManifestEntry& entry = manifest.entries.emplace_back();
-    if (!(in >> entry.shard_index >> entry.digest)) {
-      return ReadFailure(in, "manifest: shard entries");
-    }
+  manifest.digests.resize(manifest.num_shards);
+  for (uint64_t& digest : manifest.digests) {
+    if (!(in >> digest)) return ReadFailure(in, "manifest: shard digests");
   }
   if (Status s = ValidateManifest(manifest); !s.ok()) return s;
   return manifest;

@@ -16,18 +16,16 @@
 // std::ostream. Custom weight callables cannot be serialized; estimators
 // configured with WeightKind::kCustom return FailedPrecondition.
 //
-// Checkpoints are untrusted input (they cross machines in the distributed
-// merge pipeline): every deserializer validates structural invariants —
-// finite, correctly signed numeric fields, priority/threshold consistency,
-// canonical edges, and a capacity ceiling — before allocating or
-// reconstructing state.
+// Checkpoints are untrusted input (a file on disk may be damaged, cut
+// short or from another run): every deserializer validates structural
+// invariants — finite, correctly signed numeric fields,
+// priority/threshold consistency, canonical edges, and a capacity
+// ceiling — before allocating or reconstructing state.
 //
-// Multi-shard runs are described by a GPS-MANIFEST file (ShardManifest):
+// A checkpoint of a K-shard run is one GPS-MANIFEST file (ShardManifest):
 // the shard layout (K, base seed, total capacity, stream offset, weight
-// configuration, motif set) plus one entry per shard file with its
-// content digest. A manifest may cover a subset of the K shards; a
-// coordinator merges a set of manifests whose layouts agree and whose
-// entries cover every shard exactly once (src/engine/sharded_engine.h).
+// configuration, motif set) plus the content digest of each of the K
+// shard files, in shard order (src/engine/sharded_engine.h).
 //
 // Each checkpoint fact is written once, where the reader checks it. A
 // shard's whole state — weight configuration, Algorithm-3 accumulators,
@@ -35,12 +33,13 @@
 // arrival count, seed and RNG state — lives in its GPS-INSTREAM file
 // (version 2), which the manifest's digest binds byte for byte; the
 // embedded GPS-RESERVOIR section keeps version 1. The manifest (version
-// 5) holds only what no shard file fixes: the layout and the digests.
-// Shard files are named by index (shard-NNNN.gps), so no file name is
-// read from a file. Readers take exactly the versions this build writes
-// and refuse every other version by name; with no released checkpoints
-// to honour, an older-version reader would never retire. Unknown motif
-// names are refused BY NAME at read.
+// 6) holds only what no shard file fixes: the layout and the digests.
+// Shard files are named by index and digest (shard-NNNN-<16 hex>.gps), so
+// no file name is read from a file. Readers take exactly the versions
+// this build writes and refuse every other version by name; with no
+// released checkpoints to honour, an older-version reader would never
+// retire. Motif names are checked as they are read, so an unknown or
+// repeated one is refused BY NAME.
 
 #ifndef GPS_CORE_SERIALIZE_H_
 #define GPS_CORE_SERIALIZE_H_
@@ -76,17 +75,9 @@ int ManifestFormatVersion();
 /// The GPS-INSTREAM (shard file) version this build writes and reads.
 int ShardFileFormatVersion();
 
-/// FNV-1a 64-bit digest of a byte string; binds manifest entries to the
-/// exact shard-file bytes they were written with.
+/// FNV-1a 64-bit digest of a byte string; binds a manifest's digests to
+/// the exact shard-file bytes they were written with.
 uint64_t ChecksumBytes(std::string_view bytes);
-
-/// One shard file referenced by a multi-shard manifest. The file itself
-/// is shard-NNNN.gps (NNNN = shard_index) next to the manifest.
-struct ShardManifestEntry {
-  uint32_t shard_index = 0;
-  /// ChecksumBytes of the shard file's contents.
-  uint64_t digest = 0;
-};
 
 /// Versioned multi-shard checkpoint manifest (GPS-MANIFEST header).
 struct ShardManifest {
@@ -98,9 +89,9 @@ struct ShardManifest {
   /// ceil(total / K) slots.
   size_t total_capacity = 0;
   /// Stream edges the writing engine had ingested when the checkpoint was
-  /// taken (0: an empty prefix). A set covering every shard must account
-  /// for exactly this many arrivals in its shard files: every routed edge
-  /// is consumed by exactly one shard.
+  /// taken (0: an empty prefix). The shard files must account for exactly
+  /// this many arrivals: every routed edge is consumed by exactly one
+  /// shard.
   uint64_t stream_offset = 0;
   /// Weight configuration shared by all shards; kind != kCustom.
   WeightOptions weight;
@@ -109,15 +100,13 @@ struct ShardManifest {
   /// Unknown names are refused by name. Every shard file carries the same
   /// names with its accumulators.
   std::vector<std::string> motif_names;
-  /// Shard files this manifest covers — possibly a subset of the K shards
-  /// when a host ran only part of the layout.
-  std::vector<ShardManifestEntry> entries;
+  /// ChecksumBytes of each shard file, in shard order: exactly K digests.
+  std::vector<uint64_t> digests;
 };
 
 /// Validates manifest invariants: shard count and capacity within their
 /// ceilings, finite serializable weight configuration, registered motif
-/// names, entry indices unique and in range. Enforced on both write and
-/// read.
+/// names, one digest per shard. Enforced on both write and read.
 Status ValidateManifest(const ShardManifest& manifest);
 
 /// Writes a manifest (validating it first) to `sink`, chunk by chunk;

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -28,9 +29,10 @@
 
 namespace gps {
 
-std::string ShardFileName(uint32_t shard) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard-%04u.gps", shard);
+std::string ShardFileName(uint32_t shard, uint64_t digest) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "shard-%04u-%016llx.gps", shard,
+                static_cast<unsigned long long>(digest));
   return name;
 }
 
@@ -65,50 +67,6 @@ ShardOptions MakeShardOptions(const ShardedEngineOptions& options,
   return shard_options;
 }
 
-/// Layout compatibility between manifests that should describe shards of
-/// one logical run. Field-by-field so errors name what disagrees.
-Status CheckManifestsCompatible(const ShardManifest& base,
-                                const ShardManifest& other,
-                                const std::string& path) {
-  if (other.num_shards != base.num_shards) {
-    return Status::FailedPrecondition(
-        "manifest " + path + ": shard count " +
-        std::to_string(other.num_shards) + " does not match " +
-        std::to_string(base.num_shards));
-  }
-  if (other.base_seed != base.base_seed) {
-    return Status::FailedPrecondition(
-        "manifest " + path + ": base seed " +
-        std::to_string(other.base_seed) + " does not match " +
-        std::to_string(base.base_seed));
-  }
-  if (other.total_capacity != base.total_capacity) {
-    return Status::FailedPrecondition(
-        "manifest " + path + ": total capacity " +
-        std::to_string(other.total_capacity) + " does not match " +
-        std::to_string(base.total_capacity));
-  }
-  if (!SameWeightConfig(other.weight, base.weight)) {
-    return Status::FailedPrecondition(
-        "manifest " + path + ": weight configuration does not match");
-  }
-  if (other.motif_names != base.motif_names) {
-    return Status::FailedPrecondition(
-        "manifest " + path +
-        ": motif set does not match (shards of one run share one ordered "
-        "motif suite)");
-  }
-  if (other.stream_offset != base.stream_offset) {
-    return Status::FailedPrecondition(
-        "manifest " + path + ": stream offset " +
-        std::to_string(other.stream_offset) + " does not match " +
-        std::to_string(base.stream_offset) +
-        " (checkpoints taken at different stream positions cannot be "
-        "combined)");
-  }
-  return Status::Ok();
-}
-
 /// Reads a whole checkpoint file (`what` names it in the refusals) through
 /// InputFile, which refuses a FIFO or any other non-regular file by name
 /// at once instead of waiting for a writer.
@@ -127,79 +85,86 @@ Result<std::string> ReadFileBytes(const std::string& path,
   return bytes;
 }
 
-/// A fully validated checkpoint set: the shared layout (with the stream
-/// position the run was interrupted at) and the restored per-shard
-/// estimators in shard order. ResumeFromCheckpoints builds its engine on
-/// it.
+/// Whether `name` is a shard file's: "shard-NNNN-<16 hex>.gps", or
+/// "shard-NNNN.gps" as the previous format named them.
+bool IsShardFileName(std::string_view name) {
+  if (!name.starts_with("shard-") || !name.ends_with(".gps")) return false;
+  const std::string_view stem = name.substr(6, name.size() - 10);
+  const auto only = [](std::string_view text, std::string_view chars) {
+    return text.find_first_not_of(chars) == std::string_view::npos;
+  };
+  return (stem.size() == 4 ||
+          (stem.size() == 21 && stem[4] == '-' &&
+           only(stem.substr(5), "0123456789abcdef"))) &&
+         only(stem.substr(0, 4), "0123456789");
+}
+
+/// Removes every shard file in `dir` that the manifest with `digests`
+/// does not name: a previous checkpoint's, or one a failed or killed
+/// checkpoint published. Nothing else in `dir` is touched.
+Status RemoveStaleShardFiles(const std::filesystem::path& dir,
+                             const std::vector<uint64_t>& digests) {
+  std::set<std::string> named;
+  for (uint32_t s = 0; s < digests.size(); ++s) {
+    named.insert(ShardFileName(s, digests[s]));
+  }
+  std::error_code ec;
+  std::vector<std::filesystem::path> stale;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::error_code not_regular;
+    if (IsShardFileName(name) && !named.contains(name) &&
+        it->is_regular_file(not_regular)) {
+      stale.push_back(it->path());
+    }
+  }
+  if (ec) {
+    return Status::IoError("cannot list checkpoint directory " +
+                           dir.string() + ": " + ec.message());
+  }
+  for (const std::filesystem::path& path : stale) {
+    if (!std::filesystem::remove(path, ec) && ec) {
+      return Status::IoError("cannot remove stale shard file " +
+                             path.string() + ": " + ec.message());
+    }
+  }
+  return Status::Ok();
+}
+
+/// A fully validated checkpoint: its layout (with the stream position
+/// the run was interrupted at) and the restored per-shard estimators in
+/// shard order. ResumeFromCheckpoints builds its engine on it.
 struct LoadedCheckpoints {
-  ShardManifest layout;  // entries cleared; motif_names retained
+  ShardManifest layout;  // digests cleared; motif_names retained
   std::vector<std::unique_ptr<InStreamEstimator>> estimators;
   /// Restored motif accumulators, one vector per shard in shard order;
   /// every inner vector matches layout.motif_names (possibly empty).
   std::vector<std::vector<MotifAccumulator>> motif_accumulators;
 };
 
-Result<LoadedCheckpoints> LoadCheckpoints(
-    std::span<const std::string> manifest_paths) {
-  if (manifest_paths.empty()) {
-    return Status::InvalidArgument("no manifests to merge");
+Result<LoadedCheckpoints> LoadCheckpoints(const std::string& manifest_path) {
+  // Every checkpoint is a directory, so passing the directory itself is
+  // the likely slip: name the file inside it.
+  if (std::filesystem::is_directory(manifest_path)) {
+    return Status::InvalidArgument(
+        "manifest " + manifest_path + " is a checkpoint directory; pass " +
+        (std::filesystem::path(manifest_path) / kShardManifestFilename)
+            .string());
   }
-
-  struct LocatedEntry {
-    ShardManifestEntry entry;
-    std::filesystem::path dir;
-  };
-  ShardManifest base;
-  std::vector<LocatedEntry> located;
-  bool first = true;
-  for (const std::string& path : manifest_paths) {
-    // Every checkpoint is a directory, so passing the directory itself is
-    // the likely slip: name the file inside it.
-    if (std::filesystem::is_directory(path)) {
-      return Status::InvalidArgument(
-          "manifest " + path + " is a checkpoint directory; pass " +
-          (std::filesystem::path(path) / kShardManifestFilename).string());
-    }
-    Result<std::string> bytes = ReadFileBytes(path, "manifest");
-    if (!bytes.ok()) return bytes.status();
-    std::istringstream in(*bytes);
-    Result<ShardManifest> manifest = DeserializeManifest(in);
-    if (!manifest.ok()) {
-      return manifest.status().WithContext("manifest " + path);
-    }
-    if (first) {
-      base = *manifest;
-      first = false;
-    } else if (Status st = CheckManifestsCompatible(base, *manifest, path);
-               !st.ok()) {
-      return st;
-    }
-    const std::filesystem::path dir =
-        std::filesystem::path(path).parent_path();
-    for (const ShardManifestEntry& entry : manifest->entries) {
-      located.push_back({entry, dir});
-    }
+  Result<std::string> manifest_bytes =
+      ReadFileBytes(manifest_path, "manifest");
+  if (!manifest_bytes.ok()) return manifest_bytes.status();
+  std::istringstream manifest_in(*manifest_bytes);
+  Result<ShardManifest> manifest = DeserializeManifest(manifest_in);
+  if (!manifest.ok()) {
+    return manifest.status().WithContext("manifest " + manifest_path);
   }
+  const ShardManifest& base = *manifest;
+  const std::filesystem::path dir =
+      std::filesystem::path(manifest_path).parent_path();
 
   const uint32_t k = base.num_shards;
-  std::vector<const LocatedEntry*> by_index(k, nullptr);
-  for (const LocatedEntry& le : located) {
-    if (by_index[le.entry.shard_index] != nullptr) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(le.entry.shard_index) +
-          " appears in multiple manifests");
-    }
-    by_index[le.entry.shard_index] = &le;
-  }
-  for (uint32_t s = 0; s < k; ++s) {
-    if (by_index[s] == nullptr) {
-      return Status::FailedPrecondition(
-          "manifests cover " + std::to_string(located.size()) + " of " +
-          std::to_string(k) + " shards (shard " + std::to_string(s) +
-          " missing)");
-    }
-  }
-
   const size_t per_shard_capacity = PerShardCapacity(base.total_capacity, k);
   LoadedCheckpoints loaded;
   loaded.estimators.reserve(k);
@@ -207,11 +172,11 @@ Result<LoadedCheckpoints> LoadCheckpoints(
   // Shard order matters: summation in the merge must match the live
   // engine's 0..K-1 iteration for bit-identical merged estimates.
   for (uint32_t s = 0; s < k; ++s) {
-    const LocatedEntry& le = *by_index[s];
-    const std::filesystem::path file = le.dir / ShardFileName(s);
+    const std::filesystem::path file =
+        dir / ShardFileName(s, base.digests[s]);
     Result<std::string> bytes = ReadFileBytes(file.string(), "shard file");
     if (!bytes.ok()) return bytes.status();
-    if (ChecksumBytes(*bytes) != le.entry.digest) {
+    if (ChecksumBytes(*bytes) != base.digests[s]) {
       return Status::InvalidArgument(
           "digest mismatch for shard file " + file.string() +
           " (corrupt or mismatched checkpoint)");
@@ -250,7 +215,7 @@ Result<LoadedCheckpoints> LoadCheckpoints(
     // consistent stream offset.
     if (arrival_sum + est.edges_processed() < arrival_sum) {
       return Status::InvalidArgument(
-          "shard arrival counts overflow across the checkpoint set");
+          "shard arrival counts overflow across the checkpoint");
     }
     arrival_sum += est.edges_processed();
     loaded.estimators.push_back(
@@ -259,16 +224,16 @@ Result<LoadedCheckpoints> LoadCheckpoints(
         std::move(shard->motif_accumulators));
   }
 
-  // A fully covered layout accounts for every routed edge: each one is
-  // consumed by exactly one shard.
+  // The shards account for every routed edge: each one is consumed by
+  // exactly one shard.
   if (base.stream_offset != arrival_sum) {
     return Status::FailedPrecondition(
         "manifest stream offset " + std::to_string(base.stream_offset) +
         " disagrees with the shards' arrival counts (" +
         std::to_string(arrival_sum) + ")");
   }
-  loaded.layout = std::move(base);
-  loaded.layout.entries.clear();  // superseded by the restored estimators
+  loaded.layout = std::move(*manifest);
+  loaded.layout.digests.clear();  // superseded by the restored estimators
   return loaded;
 }
 
@@ -607,16 +572,19 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
     return Status::FailedPrecondition(
         "sharded checkpoints require in-stream shard estimators");
   }
+  const uint32_t k = num_shards();
   ShardManifest manifest;
-  manifest.num_shards = num_shards();
+  manifest.num_shards = k;
   manifest.base_seed = options_.sampler.seed;
   manifest.total_capacity = options_.sampler.capacity;
   manifest.stream_offset = edges_processed_;
   manifest.weight = options_.sampler.weight;
   manifest.motif_names = options_.motifs;
+  // Each digest is chained over its shard file's chunks as they are
+  // written.
+  manifest.digests.assign(k, kFnv1a64Offset);
   // Reject un-serializable layouts (capacity out of range, custom weight)
-  // BEFORE overwriting anything: a failed re-checkpoint must not destroy
-  // a previous valid checkpoint in the same directory.
+  // BEFORE writing anything.
   if (Status st = ValidateManifest(manifest); !st.ok()) return st;
 
   TraceSpan span(options_.trace, producer_trace_buf_, "checkpoint");
@@ -632,32 +600,35 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   }
 
   // Every file is staged beside its target and fsynced before any is
-  // renamed (util/staged_file.h): a write failure (disk full, I/O error)
-  // mid-checkpoint leaves the previous checkpoint in `dir` intact — a
-  // monitor's periodic checkpoints rewrite the same directory, so a
-  // destroyed checkpoint means a destroyed resume point. An unpublished
-  // StagedFile removes its temp file, so every early return cleans up.
+  // renamed (util/staged_file.h), and no file the previous manifest names
+  // is replaced or removed before the new manifest is durable: a write
+  // failure (disk full, I/O error) or a kill at any point leaves the
+  // previous checkpoint in `dir` readable — a monitor's periodic
+  // checkpoints rewrite the same directory, so a destroyed checkpoint
+  // means a destroyed resume point. An unpublished StagedFile removes its
+  // temp file, so every early return cleans up.
   //
   // The drained shards are read-only, as in the merge passes, so the K
   // shard files are written on the merge threads: each streams its shard
-  // into its temp file and chains the digest over the same chunks. Which
-  // thread writes which shard never changes a byte.
-  const uint32_t k = num_shards();
+  // into its temp file (shard-NNNN.gps.tmp) and chains the digest over
+  // the same chunks. Which thread writes which shard never changes a
+  // byte.
+  const std::filesystem::path root(dir);
   std::vector<std::optional<StagedFile>> staged(k);
-  std::vector<uint64_t> digests(k, kFnv1a64Offset);
   std::vector<Status> written(k);
   ForEachChunk(k, MergeThreads(), [&](size_t s, unsigned) {
-    Result<StagedFile> file = StagedFile::Create(
-        (std::filesystem::path(dir) / ShardFileName(static_cast<uint32_t>(s)))
-            .string());
+    char staging_name[32];
+    std::snprintf(staging_name, sizeof(staging_name), "shard-%04zu.gps", s);
+    Result<StagedFile> file = StagedFile::Create((root / staging_name).string());
     if (!file.ok()) {
       written[s] = file.status();
       return;
     }
+    uint64_t& digest = manifest.digests[s];
     Status st = SerializeInStreamEstimator(
         shards_[s]->in_stream_estimator(), shards_[s]->motif_suite(),
         [&](std::string_view chunk) {
-          digests[s] = Fnv1a64(chunk.data(), chunk.size(), digests[s]);
+          digest = Fnv1a64(chunk.data(), chunk.size(), digest);
           return file->Write(chunk);
         });
     if (st.ok()) st = file->Sync();
@@ -668,11 +639,8 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
     if (!st.ok()) return st;
   }
 
-  for (uint32_t s = 0; s < k; ++s) {
-    manifest.entries.push_back({s, digests[s]});
-  }
-  Result<StagedFile> manifest_file = StagedFile::Create(
-      (std::filesystem::path(dir) / kShardManifestFilename).string());
+  Result<StagedFile> manifest_file =
+      StagedFile::Create((root / kShardManifestFilename).string());
   if (!manifest_file.ok()) return manifest_file.status();
   if (Status st = SerializeManifest(manifest,
                                     [&](std::string_view chunk) {
@@ -683,14 +651,21 @@ Status ShardedEngine::SerializeShards(const std::string& dir) {
   }
   if (Status st = manifest_file->Sync(); !st.ok()) return st;
 
-  // Everything is durable under its temp name; publish. Shard files
-  // first, manifest last, so an interrupted publish leaves at worst a mix
-  // of generations the per-file digests detect — resume refuses it.
-  for (std::optional<StagedFile>& file : staged) {
-    if (Status st = file->Publish(); !st.ok()) return st;
+  // Everything is durable under its temp name; publish. The shard files
+  // go under their digest names, which the previous manifest's files
+  // never share unless they hold the same bytes; then the manifest, each
+  // step made durable before the next.
+  for (uint32_t s = 0; s < k; ++s) {
+    if (Status st = staged[s]->PublishAs(
+            (root / ShardFileName(s, manifest.digests[s])).string());
+        !st.ok()) {
+      return st;
+    }
   }
+  if (Status st = SyncDirectory(dir); !st.ok()) return st;
   if (Status st = manifest_file->Publish(); !st.ok()) return st;
-  return SyncDirectory(dir);
+  if (Status st = SyncDirectory(dir); !st.ok()) return st;
+  return RemoveStaleShardFiles(root, manifest.digests);
 }
 
 ShardedEngine::ShardedEngine(
@@ -717,8 +692,8 @@ ShardedEngine::ShardedEngine(
 }
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::ResumeFromCheckpoints(
-    std::span<const std::string> manifest_paths) {
-  Result<LoadedCheckpoints> loaded = LoadCheckpoints(manifest_paths);
+    const std::string& manifest_path) {
+  Result<LoadedCheckpoints> loaded = LoadCheckpoints(manifest_path);
   if (!loaded.ok()) return loaded.status();
 
   ShardedEngineOptions options;

@@ -72,9 +72,13 @@ inline constexpr size_t kMinHelperSpan = 4096;
 /// directory.
 inline constexpr const char* kShardManifestFilename = "manifest.gpsm";
 
-/// File name of shard s's GPS-INSTREAM file inside a checkpoint directory
-/// ("shard-0003.gps"). Readers derive it from the manifest entry's index.
-std::string ShardFileName(uint32_t shard);
+/// File name of shard s's GPS-INSTREAM file inside a checkpoint directory,
+/// from its index and the digest of its bytes
+/// ("shard-0003-00c0ffee12345678.gps"). Each checkpoint names its own
+/// files, so writing one never replaces a file an older manifest names
+/// with other bytes; readers derive the name from the shard index and
+/// the manifest's digest for it.
+std::string ShardFileName(uint32_t shard, uint64_t digest);
 
 struct ShardedEngineOptions {
   /// Base sampler configuration. `capacity` is the TOTAL memory budget:
@@ -193,32 +197,33 @@ class ShardedEngine {
   /// one GPS-INSTREAM file per shard (ShardFileName) holding its whole
   /// state — in-stream estimator and motif accumulators — plus a
   /// GPS-MANIFEST file (kShardManifestFilename) recording the layout,
-  /// weight configuration, motif set and per-file digests. The engine
-  /// stays usable afterwards, so checkpoints can be taken mid-stream.
-  /// Requires in-stream shard estimators (MergeMode::kInStreamPlusCross).
+  /// weight configuration, motif set and the K file digests. The files
+  /// are published before the manifest, and the shard files of earlier
+  /// checkpoints are removed only after it, so a run killed or failing at
+  /// any point leaves `dir` holding the previous checkpoint or the new
+  /// one. The engine stays usable afterwards, so checkpoints can be taken
+  /// mid-stream. Requires in-stream shard estimators
+  /// (MergeMode::kInStreamPlusCross).
   Status SerializeShards(const std::string& dir);
 
-  /// Rebuilds a RUNNING engine from one or more manifests written by
-  /// SerializeShards — possibly on different machines, each covering a
-  /// subset of the K shards — so the stream can continue where the
-  /// interrupted run left off, or (after Finish) the merged estimates of
-  /// the checkpointed prefix can be read without re-streaming. Per-shard
-  /// reservoirs, snapshot and motif accumulators, and RNG states are
-  /// restored from the shard files (exact round trip), workers are
-  /// started (none at K=1), and edges_processed() resumes at the
-  /// manifests' stream offset. Feeding the suffix of the original stream
-  /// yields per-shard reservoirs and merged estimates byte-identical to
-  /// an uninterrupted run. All manifests must agree on K, base seed,
-  /// capacity, weight configuration, motif suite and stream offset
-  /// (FailedPrecondition otherwise), and the shards' arrival counts must
-  /// sum to it; their entries must cover every shard exactly once, every
-  /// shard file must match its recorded digest, and its seed, capacity,
-  /// weight configuration and motif set must match the layout. A
-  /// directory passed as a manifest path is refused by name. The resumed
-  /// engine runs the default batch size and no trace: neither reaches
-  /// the sample path.
+  /// Rebuilds a RUNNING engine from the manifest SerializeShards wrote, so
+  /// the stream can continue where the interrupted run left off, or
+  /// (after Finish) the merged estimates of the checkpointed prefix can
+  /// be read without re-streaming. Per-shard reservoirs, snapshot and
+  /// motif accumulators, and RNG states are restored from the K shard
+  /// files beside the manifest (exact round trip), workers are started
+  /// (none at K=1), and edges_processed() resumes at the manifest's
+  /// stream offset. Feeding the suffix of the original stream yields
+  /// per-shard reservoirs and merged estimates byte-identical to an
+  /// uninterrupted run. Every shard file must match its digest, and its
+  /// seed, capacity, weight configuration and motif set must match the
+  /// manifest's layout (InvalidArgument otherwise); the shards' arrival
+  /// counts must sum to the stream offset (FailedPrecondition). A
+  /// directory passed as the manifest path is refused by name. The
+  /// resumed engine runs the default batch size and no trace: neither
+  /// reaches the sample path.
   static Result<std::unique_ptr<ShardedEngine>> ResumeFromCheckpoints(
-      std::span<const std::string> manifest_paths);
+      const std::string& manifest_path);
 
   /// Deterministic shard assignment: SplitMix64 avalanche of the
   /// canonical edge key, reduced to [0, num_shards) by Lemire's

@@ -1,5 +1,6 @@
 // Synthetic graph generators: the reproduction's stand-in for the paper's
-// real-graph corpus (see DESIGN.md, "Substitutions"). Each generator is
+// real-graph corpus (see the family-regime comment in src/gen/registry.cc,
+// which maps each paper graph onto one of them). Each generator is
 // deterministic given its parameters and seed, and returns a simplified
 // EdgeList (canonical, deduplicated, loop-free).
 
@@ -41,25 +42,11 @@ Result<EdgeList> GenerateWattsStrogatz(uint32_t num_nodes, uint32_t k,
 Result<EdgeList> GenerateChungLu(uint32_t num_nodes, uint64_t num_edges,
                                  double gamma, uint64_t seed);
 
-/// Random geometric graph on the unit square: nodes connect iff within
-/// `radius` (grid-bucketed). Spatial, high clustering.
-Result<EdgeList> GenerateRandomGeometric(uint32_t num_nodes, double radius,
-                                         uint64_t seed);
-
 /// Road-like graph: rows x cols 4-neighbor lattice where each unit square
 /// independently gains one diagonal with probability diag_prob. Near-planar,
 /// low degree, few triangles — the road-network analog.
 Result<EdgeList> GenerateGrid(uint32_t rows, uint32_t cols, double diag_prob,
                               uint64_t seed);
-
-/// Stochastic Kronecker graph by ball dropping: 2x2 seed matrix
-/// [[a, b], [c, d]] (entries in [0,1]), `levels` Kronecker powers
-/// (n = 2^levels nodes), `num_edges` drop attempts after deduplication the
-/// edge count may be slightly lower. Hierarchical, heavy-tailed — the
-/// web-graph analog.
-Result<EdgeList> GenerateKronecker(uint32_t levels, uint64_t num_edges,
-                                   double a, double b, double c, double d,
-                                   uint64_t seed);
 
 }  // namespace gps
 

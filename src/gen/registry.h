@@ -1,8 +1,9 @@
 // The paper-analog corpus: a named registry of synthetic graphs standing in
-// for the real-world graphs of the paper's evaluation (see DESIGN.md,
-// "Substitutions"). Each entry matches the *family regime* of its paper
-// counterpart — degree-tail heaviness, clustering level, density — at
-// laptop scale, and is fully deterministic (fixed seed per entry).
+// for the real-world graphs of the paper's evaluation (see the
+// family-regime comment in src/gen/registry.cc). Each entry matches the
+// *family regime* of its paper counterpart — degree-tail heaviness,
+// clustering level, density — at laptop scale, and is fully deterministic
+// (fixed seed per entry).
 
 #ifndef GPS_GEN_REGISTRY_H_
 #define GPS_GEN_REGISTRY_H_

@@ -86,12 +86,15 @@ Status StagedFile::Sync() {
   return Status::Ok();
 }
 
-Status StagedFile::Publish() {
+Status StagedFile::Publish() { return PublishAs(path_); }
+
+Status StagedFile::PublishAs(const std::string& path) {
   assert(fd_ < 0 && owns_temp_ && "Publish needs a synced, unpublished file");
-  if (::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+  if (Status s = CheckReplaceableTarget(path); !s.ok()) return s;
+  if (::rename(temp_path_.c_str(), path.c_str()) != 0) {
     const int err = errno;
     return Status::IoError("cannot rename '" + temp_path_ + "' over '" +
-                           path_ + "': " + ErrnoText(err));
+                           path + "': " + ErrnoText(err));
   }
   owns_temp_ = false;
   return Status::Ok();

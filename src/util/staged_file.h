@@ -8,8 +8,8 @@
 // file, so every failure path cleans up after itself.
 //
 // Writers of several files that must appear together (a checkpoint
-// directory) Sync every file, Publish them in a safe order, then call
-// SyncDirectory once; a single file just calls Commit().
+// directory) Sync every file, then Publish them in a safe order with a
+// SyncDirectory between steps; a single file just calls Commit().
 
 #ifndef GPS_UTIL_STAGED_FILE_H_
 #define GPS_UTIL_STAGED_FILE_H_
@@ -52,6 +52,11 @@ class StagedFile {
   /// rename survives a crash once the directory is synced
   /// (SyncDirectory).
   Status Publish();
+
+  /// Publish() to `path` instead of the target, for a file whose name
+  /// depends on its bytes (a checkpoint's digest-named shard files). Both
+  /// refuse a target that fails CheckReplaceableTarget.
+  Status PublishAs(const std::string& path);
 
   /// Sync, Publish, then SyncDirectory of the target's directory.
   Status Commit();

@@ -84,6 +84,12 @@ CommandResult RunCliSplit(const std::string& args, std::string* err) {
   return result;
 }
 
+/// Path of shard s's file in checkpoint directory `dir`, as its manifest
+/// names it.
+std::string ShardFile(const std::string& dir, uint32_t s) {
+  return gps::engine_test::ShardPath(dir, s).string();
+}
+
 /// Every regular file under `dir`, name -> contents. Equal maps mean
 /// byte-identical checkpoint directories.
 std::map<std::string, std::string> DirBytes(const std::string& dir) {
@@ -291,7 +297,7 @@ TEST_F(CliTest, NonRegularStatsAndTraceTargetsFailBeforeTheStream) {
 }
 
 TEST_F(CliTest, ManifestCommandsRefuseBareInStreamFile) {
-  // A K=1 checkpoint directory's shard-0000.gps holds the bytes that
+  // A K=1 checkpoint directory's shard file holds the bytes that
   // `estimate --checkpoint FILE` once wrote as a single GPS-INSTREAM
   // file. Such a file is not a checkpoint on its own: both manifest
   // readers refuse it, naming the header they found.
@@ -300,7 +306,7 @@ TEST_F(CliTest, ManifestCommandsRefuseBareInStreamFile) {
                    " --capacity 1500 --checkpoint " + dir)
                 .exit_code,
             0);
-  const std::string bare = dir + "/shard-0000.gps";
+  const std::string bare = ShardFile(dir, 0);
   for (const std::string& command :
        {"merge-checkpoints --manifest " + bare,
         "resume-shards --manifest " + bare + " --input " + graph_path_}) {
@@ -440,7 +446,7 @@ TEST_F(CliTest, ShardedCheckpointWritesManifest) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("sharded checkpoint written"), std::string::npos);
   EXPECT_TRUE(std::ifstream(dir + "/manifest.gpsm").good());
-  EXPECT_TRUE(std::ifstream(dir + "/shard-0001.gps").good());
+  EXPECT_TRUE(std::ifstream(ShardFile(dir, 1)).good());
   std::filesystem::remove_all(dir);
 }
 
@@ -550,9 +556,11 @@ TEST_F(CliTest, UnallocatableCeilingCheckpointIsRefused) {
   const std::string shard =
       "GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0\n0\n"
       "GPS-RESERVOIR 1\n268435456 3\n0 0\n1 2 3 4\n0\n";
-  std::ofstream(dir + "/shard-0000.gps") << shard;
+  const std::string shard_path =
+      dir + "/" + gps::ShardFileName(0, gps::ChecksumBytes(shard));
+  std::ofstream(shard_path) << shard;
   std::ofstream(dir + "/manifest.gpsm")
-      << "GPS-MANIFEST 5\n1 3 268435456 0\n2 9 1 1\n0\n1\n0 "
+      << "GPS-MANIFEST 6\n1 3 268435456 0\n2 9 1 1\n0\n"
       << gps::ChecksumBytes(shard) << "\n";
   for (const std::string& command :
        {"merge-checkpoints --manifest " + dir + "/manifest.gpsm",
@@ -564,7 +572,7 @@ TEST_F(CliTest, UnallocatableCeilingCheckpointIsRefused) {
     // One error line: the first is the last.
     EXPECT_EQ(r.output.find("error: "), r.output.rfind("error: "))
         << r.output;
-    EXPECT_NE(r.output.find("shard file " + dir + "/shard-0000.gps"),
+    EXPECT_NE(r.output.find("shard file " + shard_path),
               std::string::npos)
         << r.output;
     EXPECT_NE(r.output.find("cannot allocate a reservoir of capacity "
@@ -659,23 +667,28 @@ TEST_F(CliTest, CheckpointMergeMatchesLiveByteForByte) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(CliTest, MergeCheckpointsRejectsMismatchedSeeds) {
-  const std::string dir_a = FreshPath("merge_a");
-  const std::string dir_b = FreshPath("merge_b");
-  const std::string base =
-      "estimate --input " + graph_path_ +
-      " --capacity 1000 --shards 2 --estimator in-stream --checkpoint ";
-  ASSERT_EQ(RunCli(base + dir_a + " --seed 1").exit_code, 0);
-  ASSERT_EQ(RunCli(base + dir_b + " --seed 2").exit_code, 0);
-  const CommandResult r =
-      RunCli("merge-checkpoints --manifest " + dir_a +
-             "/manifest.gpsm --manifest " + dir_b + "/manifest.gpsm");
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("FAILED_PRECONDITION"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("base seed"), std::string::npos) << r.output;
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
+TEST_F(CliTest, CheckpointReadersTakeOneManifest) {
+  // A checkpoint is one manifest: a second --manifest is refused by name,
+  // before anything is read.
+  const std::string dir = FreshPath("one_manifest");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1000 --shards 2 --checkpoint " + dir)
+                .exit_code,
+            0);
+  const std::string manifest = dir + "/manifest.gpsm";
+  for (const std::string& command :
+       {"merge-checkpoints --manifest " + manifest + " --manifest " +
+            manifest,
+        "resume-shards --manifest " + manifest + " --manifest " + manifest +
+            " --input " + graph_path_}) {
+    SCOPED_TRACE(command);
+    const CommandResult r = RunCli(command);
+    EXPECT_NE(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("flag '--manifest' given twice"),
+              std::string::npos)
+        << r.output;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(CliTest, MergeCheckpointsRequiresManifestFlag) {
@@ -1205,6 +1218,84 @@ TEST_F(CliTest, ResumeSavePersistsContinuedState) {
   std::filesystem::remove_all(second);
 }
 
+/// The names in checkpoint directory `dir`, and the names its manifest
+/// gives them: the manifest and its K shard files.
+std::pair<std::vector<std::string>, std::vector<std::string>>
+CheckpointNames(const std::string& dir, uint32_t k) {
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    found.push_back(entry.path().filename().string());
+  }
+  std::vector<std::string> named = {"manifest.gpsm"};
+  for (uint32_t s = 0; s < k; ++s) {
+    named.push_back(std::filesystem::path(ShardFile(dir, s)).filename().string());
+  }
+  std::sort(found.begin(), found.end());
+  std::sort(named.begin(), named.end());
+  return {found, named};
+}
+
+TEST_F(CliTest, CheckpointKilledBeforeItsManifestKeepsThePreviousOne) {
+  // A checkpoint killed after publishing its shard files, before renaming
+  // its manifest, leaves them beside the previous checkpoint under the
+  // names its own manifest would give them. Those names are the
+  // previous files' only when the bytes are too, so the directory still
+  // merges to its own block.
+  const std::string dir = FreshPath("killed_prev");
+  const std::string longer = FreshPath("killed_longer");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1000 --shards 2 --checkpoint " + dir)
+                .exit_code,
+            0);
+  const CommandResult own =
+      RunCli("merge-checkpoints --manifest " + dir + "/manifest.gpsm");
+  ASSERT_EQ(own.exit_code, 0) << own.output;
+  ASSERT_EQ(RunCli("resume-shards --manifest " + dir + "/manifest.gpsm" +
+                   " --input " + graph_path_ + " --save " + longer)
+                .exit_code,
+            0);
+  for (uint32_t s = 0; s < 2; ++s) {
+    const std::filesystem::path file = ShardFile(longer, s);
+    std::filesystem::copy_file(file,
+                               std::filesystem::path(dir) / file.filename());
+  }
+  const CommandResult merged =
+      RunCli("merge-checkpoints --manifest " + dir + "/manifest.gpsm");
+  EXPECT_EQ(merged.exit_code, 0) << merged.output;
+  EXPECT_EQ(merged.output, own.output);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(longer);
+}
+
+TEST_F(CliTest, CheckpointDirectoryHoldsOnlyTheLatestCheckpoint) {
+  // Every checkpoint into one directory removes the shard files of the
+  // ones before it, and of the previous format's names: after monitor's
+  // periodic checkpoints, a second monitor run and resume-shards --save
+  // into the source directory, the directory holds its manifest, the K
+  // files it names and the one file no checkpoint wrote.
+  const std::string dir = FreshPath("latest_only");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/notes.txt") << "kept\n";
+  std::ofstream(dir + "/shard-0000.gps") << "GPS-INSTREAM 1\n";
+  const std::string monitor = "monitor --input " + graph_path_ +
+                              " --capacity 1000 --shards 2 --every 1000"
+                              " --checkpoint-every 1000 --checkpoint " +
+                              dir;
+  for (const std::string& command :
+       {monitor + " --seed 1", monitor + " --seed 2",
+        "resume-shards --manifest " + dir + "/manifest.gpsm --input " +
+            graph_path_ + " --save " + dir}) {
+    SCOPED_TRACE(command);
+    const CommandResult r = RunCli(command);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    auto [found, named] = CheckpointNames(dir, 2);
+    named.push_back("notes.txt");
+    std::sort(named.begin(), named.end());
+    EXPECT_EQ(found, named);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(CliTest, VersionReportsFormats) {
   const CommandResult r = RunCli("version");
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -1216,7 +1307,7 @@ TEST_F(CliTest, VersionReportsFormats) {
     const size_t end = r.output.find('\n', at);
     return r.output.substr(at, end - at).find(value) != std::string::npos;
   };
-  EXPECT_TRUE(row_has("manifest format", "v5")) << r.output;
+  EXPECT_TRUE(row_has("manifest format", "v6")) << r.output;
   EXPECT_TRUE(row_has("shard-file format", "v2")) << r.output;
   EXPECT_TRUE(row_has("stream format", "v1")) << r.output;
   EXPECT_NE(r.output.find("metrics"), std::string::npos);
@@ -1545,7 +1636,7 @@ TEST_F(CliTest, CheckpointReadersRefuseFifoByName) {
                    " --capacity 1000 --shards 2 --checkpoint " + checkpoint)
                 .exit_code,
             0);
-  const std::string shard = checkpoint + "/shard-0001.gps";
+  const std::string shard = ShardFile(checkpoint, 1);
   ASSERT_TRUE(std::filesystem::remove(shard));
   ASSERT_EQ(::mkfifo(shard.c_str(), 0600), 0);
   const std::string manifest = checkpoint + "/manifest.gpsm";

@@ -349,8 +349,15 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
        "invalid '3path' motif accumulator in checkpoint"},
       {"negative variance", "1 3path 1 -2 1", StatusCode::kInvalidArgument,
        "invalid '3path' motif accumulator in checkpoint"},
-      {"more motifs than the registry", "99", StatusCode::kInvalidArgument,
-       "checkpoint motif count 99 exceeds the registry size"},
+      {"seven motifs, tri first",
+       "7 tri 1 0 1 wedge 1 0 1 4clique 1 0 1 3path 1 0 1 4cycle 1 0 1 "
+       "5clique 1 0 1 tailed_triangle 1 0 1",
+       StatusCode::kInvalidArgument,
+       "checkpoint motif set: unknown motif 'tri'"},
+      {"six motifs, a registered one repeated",
+       "6 4clique 1 0 1 3path 1 0 1 4cycle 1 0 1 5clique 1 0 1 "
+       "tailed_triangle 1 0 1 4cycle 1 0 1",
+       StatusCode::kInvalidArgument, "motif '4cycle' listed twice"},
       {"short accumulator line", "1 3path 1", StatusCode::kInvalidArgument,
        "malformed checkpoint: motif accumulators"},
       {"non-numeric variance", "1 3path 1 abc 1",
@@ -376,6 +383,14 @@ TEST(SerializeTest, ShardFileRejectsCorruptMotifLine) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().ToString();
   EXPECT_EQ(r.status().message(), "truncated checkpoint: motif accumulators");
+  // So does one whose huge motif count is followed by nothing: the count
+  // sizes nothing, and the first missing name ends the read.
+  std::stringstream huge(
+      "GPS-INSTREAM 2\n2 9 1 1\n0 0 0 0 0 \n18446744073709551615");
+  auto h = DeserializeInStreamEstimator(huge);
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kIoError) << h.status().ToString();
+  EXPECT_EQ(h.status().message(), "truncated checkpoint: motif accumulators");
 }
 
 TEST(SerializeTest, ReservoirMetadataNamesTruncatedAndMalformed) {
@@ -432,8 +447,7 @@ ShardManifest TestManifest() {
   manifest.weight.coefficient = 9.0;
   manifest.weight.adjacency_coefficient = 2.5;
   manifest.weight.default_weight = 0.5;
-  manifest.entries.push_back({0, 0x1234abcdu});
-  manifest.entries.push_back({2, 0x9876fedcu});
+  manifest.digests = {0x1234abcdu, 7, 0x9876fedcu, 0};
   return manifest;
 }
 
@@ -453,28 +467,25 @@ TEST(SerializeTest, ManifestRoundTripPreservesEverything) {
                    manifest.weight.adjacency_coefficient);
   EXPECT_DOUBLE_EQ(r->weight.default_weight,
                    manifest.weight.default_weight);
-  ASSERT_EQ(r->entries.size(), manifest.entries.size());
-  for (size_t i = 0; i < manifest.entries.size(); ++i) {
-    EXPECT_EQ(r->entries[i].shard_index, manifest.entries[i].shard_index);
-    EXPECT_EQ(r->entries[i].digest, manifest.entries[i].digest);
-  }
+  EXPECT_EQ(r->digests, manifest.digests);
 }
 
 TEST(SerializeTest, ManifestHoldsOnlyTheLayoutAndTheDigests) {
-  // Header, layout line, weights, motif names, entry count, then one
-  // "index digest" line per shard: nothing a shard file already holds.
+  // Header, layout line, weights, motif names, then the K digests in
+  // shard order: nothing a shard file already holds.
   ShardManifest manifest = TestManifest();
   manifest.motif_names = {"3path", "4clique"};
   std::stringstream buffer;
   ASSERT_TRUE(SerializeManifest(manifest, StreamSink(buffer)).ok());
   EXPECT_EQ(buffer.str(),
-            "GPS-MANIFEST 5\n"
+            "GPS-MANIFEST 6\n"
             "4 42 1000 600\n"
             "3 9 2.5 0.5\n"
             "2 3path 4clique\n"
-            "2\n"
-            "0 305441741\n"
-            "2 2557935324\n");
+            "305441741\n"
+            "7\n"
+            "2557935324\n"
+            "0\n");
 }
 
 TEST(SerializeTest, ManifestMotifSetRoundTrip) {
@@ -485,7 +496,7 @@ TEST(SerializeTest, ManifestMotifSetRoundTrip) {
   auto r = DeserializeManifest(buffer);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->motif_names, manifest.motif_names);
-  EXPECT_EQ(r->entries.size(), 2u);
+  EXPECT_EQ(r->digests.size(), 4u);
 }
 
 TEST(SerializeTest, ManifestMotifValidation) {
@@ -502,7 +513,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
   for (const char* name : {"pentagon", "tri", "wedge"}) {
     SCOPED_TRACE(name);
     std::stringstream crafted(
-        std::string("GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n1 ") + name +
+        std::string("GPS-MANIFEST 6\n1 42 1000 0\n2 9 1 1\n1 ") + name +
         "\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
@@ -516,7 +527,7 @@ TEST(SerializeTest, ManifestMotifValidation) {
   // A duplicated motif name is refused.
   {
     std::stringstream crafted(
-        "GPS-MANIFEST 5\n1 42 1000 0\n2 9 1 1\n2 3path 3path\n0\n");
+        "GPS-MANIFEST 6\n1 42 1000 0\n2 9 1 1\n2 3path 3path\n0\n");
     auto r = DeserializeManifest(crafted);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -527,12 +538,11 @@ TEST(SerializeTest, ManifestMotifValidation) {
 }
 
 TEST(SerializeTest, ManifestSerializationValidates) {
-  // Duplicate shard index.
-  ShardManifest dup = TestManifest();
-  dup.entries.push_back(dup.entries[0]);
-  // Entry index out of range.
-  ShardManifest range = TestManifest();
-  range.entries[0].shard_index = 9;
+  // One digest more, and one fewer, than shards.
+  ShardManifest extra = TestManifest();
+  extra.digests.push_back(1);
+  ShardManifest missing = TestManifest();
+  missing.digests.pop_back();
   // Non-finite weight configuration.
   ShardManifest nan_weight = TestManifest();
   nan_weight.weight.coefficient = std::nan("");
@@ -540,7 +550,7 @@ TEST(SerializeTest, ManifestSerializationValidates) {
   ShardManifest zero_cap = TestManifest();
   zero_cap.total_capacity = 0;
 
-  for (const ShardManifest* m : {&dup, &range, &nan_weight, &zero_cap}) {
+  for (const ShardManifest* m : {&extra, &missing, &nan_weight, &zero_cap}) {
     std::stringstream buffer;
     const Status s = SerializeManifest(*m, StreamSink(buffer));
     ASSERT_FALSE(s.ok());
@@ -549,44 +559,48 @@ TEST(SerializeTest, ManifestSerializationValidates) {
 }
 
 TEST(SerializeTest, ManifestRejectsCorruptText) {
-  // Layout reminder: "GPS-MANIFEST 5\n K base_seed capacity offset\n
-  // kind coeff adj default\n num_motifs names\n num_entries\n
-  // idx digest\n".
+  // Layout reminder: "GPS-MANIFEST 6\n K base_seed capacity offset\n
+  // kind coeff adj default\n num_motifs names\n digest\n" (K digests).
   const struct {
     const char* name;
     const char* text;
     StatusCode want;
     const char* message;
   } kCases[] = {
-      {"wrong header", "GPS-NOPE 5\n", StatusCode::kInvalidArgument,
+      {"wrong header", "GPS-NOPE 6\n", StatusCode::kInvalidArgument,
        "expected GPS-MANIFEST, found GPS-NOPE"},
-      {"truncated", "GPS-MANIFEST 5\n4 42\n", StatusCode::kIoError,
+      {"truncated", "GPS-MANIFEST 6\n4 42\n", StatusCode::kIoError,
        "truncated manifest: layout"},
-      {"non-numeric layout", "GPS-MANIFEST 5\n4 42 abc 0\n2 9 1 1\n0\n0\n",
+      {"non-numeric layout", "GPS-MANIFEST 6\n4 42 abc 0\n2 9 1 1\n0\n",
        StatusCode::kInvalidArgument, "malformed manifest: layout"},
-      {"inf in layout", "GPS-MANIFEST 5\n4 42 inf 0\n2 9 1 1\n0\n0\n",
+      {"inf in layout", "GPS-MANIFEST 6\n4 42 inf 0\n2 9 1 1\n0\n",
        StatusCode::kInvalidArgument, "malformed manifest: layout"},
-      {"zero shards", "GPS-MANIFEST 5\n0 42 1000 0\n2 9 1 1\n0\n0\n",
+      {"zero shards", "GPS-MANIFEST 6\n0 42 1000 0\n2 9 1 1\n0\n",
        StatusCode::kInvalidArgument, "manifest shard count 0 outside"},
       {"shard count over ceiling",
-       "GPS-MANIFEST 5\n5000 42 1000 0\n2 9 1 1\n0\n0\n",
+       "GPS-MANIFEST 6\n5000 42 1000 0\n2 9 1 1\n0\n",
        StatusCode::kInvalidArgument, "manifest shard count 5000 outside"},
       {"capacity over ceiling",
-       "GPS-MANIFEST 5\n4 42 999999999999 0\n2 9 1 1\n0\n0\n",
+       "GPS-MANIFEST 6\n1 42 999999999999 0\n2 9 1 1\n0\n7\n",
        StatusCode::kInvalidArgument, "manifest capacity 999999999999"},
-      {"entry index out of range",
-       "GPS-MANIFEST 5\n4 42 1000 250\n2 9 1 1\n0\n1\n9 777\n",
-       StatusCode::kInvalidArgument, "manifest shard index 9 out of range"},
-      {"duplicate entry",
-       "GPS-MANIFEST 5\n4 42 1000 500\n2 9 1 1\n0\n2\n0 777\n0 778\n",
-       StatusCode::kInvalidArgument, "manifest lists shard 0 twice"},
-      {"more entries than shards",
-       "GPS-MANIFEST 5\n2 42 1000 6\n2 9 1 1\n0\n3\n0 3\n1 3\n1 3\n",
+      {"fewer digests than shards",
+       "GPS-MANIFEST 6\n4 42 1000 250\n2 9 1 1\n0\n777\n778\n",
+       StatusCode::kIoError, "truncated manifest: shard digests"},
+      {"non-numeric digest",
+       "GPS-MANIFEST 6\n2 42 1000 250\n2 9 1 1\n0\n777\nshard-0001\n",
+       StatusCode::kInvalidArgument, "malformed manifest: shard digests"},
+      {"seven motif names, tri first",
+       "GPS-MANIFEST 6\n1 42 1000 0\n2 9 1 1\n"
+       "7 tri wedge 4clique 3path 4cycle 5clique tailed_triangle\n0\n",
        StatusCode::kInvalidArgument,
-       "manifest lists more shard files than shards"},
-      {"truncated entry",
-       "GPS-MANIFEST 5\n4 42 1000 250\n2 9 1 1\n0\n1\n0\n",
-       StatusCode::kIoError, "truncated manifest: shard entries"},
+       "manifest motif set: unknown motif 'tri'"},
+      {"six names, a registered one repeated",
+       "GPS-MANIFEST 6\n1 42 1000 0\n2 9 1 1\n"
+       "6 4clique 3path 4cycle 5clique tailed_triangle 3path\n0\n",
+       StatusCode::kInvalidArgument, "motif '3path' listed twice"},
+      {"huge motif count, then end of file",
+       "GPS-MANIFEST 6\n1 42 1000 0\n2 9 1 1\n18446744073709551615",
+       StatusCode::kIoError, "truncated manifest: motif names"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
@@ -600,18 +614,19 @@ TEST(SerializeTest, ManifestRejectsCorruptText) {
 }
 
 TEST(SerializeTest, ManifestVersionCompatibility) {
-  // The reader takes exactly the version writers emit, 5.
-  const std::string body = "\n4 42 1000 900\n2 9 1 1\n0\n1\n0 777\n";
+  // The reader takes exactly the version writers emit, 6.
+  const std::string body = "\n1 42 1000 900\n2 9 1 1\n0\n777\n";
   {
-    std::stringstream v5("GPS-MANIFEST 5" + body);
-    auto r = DeserializeManifest(v5);
+    std::stringstream v6("GPS-MANIFEST 6" + body);
+    auto r = DeserializeManifest(v6);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->stream_offset, 900u);
     EXPECT_TRUE(r->motif_names.empty());
+    EXPECT_EQ(r->digests, std::vector<uint64_t>{777});
   }
   // Every other version is refused by name, older ones included: their
   // layout lines and entries differ from this one.
-  for (const int version : {1, 2, 3, 4, 6}) {
+  for (const int version : {1, 2, 3, 4, 5, 7}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::stringstream other("GPS-MANIFEST " + std::to_string(version) +
                             body);
@@ -624,22 +639,22 @@ TEST(SerializeTest, ManifestVersionCompatibility) {
               std::string::npos)
         << r.status().ToString();
   }
-  // A version-4 manifest as the previous writer emitted it: refused by
-  // name before its layout line is read.
+  // A version-5 manifest as the previous writer emitted it (an entry
+  // count, then "index digest" lines): refused by name before its layout
+  // line is read.
   {
-    std::stringstream v4(
-        "GPS-MANIFEST 4\n1 42 1000 1 900 0\n2 9 1 1\n0\n1\n"
-        "0 9 900 777 shard-0000.gps\n");
-    auto r = DeserializeManifest(v4);
+    std::stringstream v5(
+        "GPS-MANIFEST 5\n1 42 1000 900\n2 9 1 1\n0\n1\n0 777\n");
+    auto r = DeserializeManifest(v5);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().message().find(
-                  "unsupported checkpoint version 4 for GPS-MANIFEST"),
+                  "unsupported checkpoint version 5 for GPS-MANIFEST"),
               std::string::npos)
         << r.status().ToString();
   }
   // A truncated layout line (offset missing) is an IO error.
   {
-    std::stringstream truncated("GPS-MANIFEST 5\n4 42 1000\n");
+    std::stringstream truncated("GPS-MANIFEST 6\n4 42 1000\n");
     auto r = DeserializeManifest(truncated);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kIoError);
@@ -647,7 +662,7 @@ TEST(SerializeTest, ManifestVersionCompatibility) {
   // Writers always emit the current version.
   std::stringstream out;
   ASSERT_TRUE(SerializeManifest(TestManifest(), StreamSink(out)).ok());
-  EXPECT_EQ(out.str().rfind("GPS-MANIFEST 5", 0), 0u) << out.str();
+  EXPECT_EQ(out.str().rfind("GPS-MANIFEST 6", 0), 0u) << out.str();
 }
 
 TEST(SerializeTest, ChecksumIsStableAndSensitive) {

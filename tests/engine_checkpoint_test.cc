@@ -2,9 +2,8 @@
 // then the merge merge-checkpoints runs (ResumeFromCheckpoints, Finish,
 // the merged estimates), must reproduce the live engine's merged
 // estimates exactly (bit-for-bit, since checkpoints round-trip doubles
-// exactly and the merge is the live code path), and incompatible,
-// incomplete, or corrupt checkpoint sets must fail with typed Status
-// errors.
+// exactly and the merge is the live code path), and corrupt or missing
+// checkpoint files must fail with typed Status errors.
 
 #include <algorithm>
 #include <filesystem>
@@ -69,87 +68,53 @@ TEST(EngineCheckpointTest, MergeReproducesLiveEstimatesExactly) {
     const auto dir = FreshDir("k" + std::to_string(k));
     const GraphEstimates live =
         RunAndCheckpoint(stream, EngineOptions(k, 77), dir);
-    const std::vector<std::string> manifests = {ManifestPath(dir)};
-    auto merged = MergeCheckpoints(manifests);
+    auto merged = MergeCheckpoints(ManifestPath(dir));
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ExpectExactlyEqual(merged->graph, live);
   }
 }
 
-TEST(EngineCheckpointTest, PartialManifestsFromDifferentHostsMerge) {
-  const std::vector<Edge> stream = TestStream(711);
-  const auto dir = FreshDir("hosts");
-  const GraphEstimates live =
-      RunAndCheckpoint(stream, EngineOptions(4, 99), dir);
-
-  // Split the manifest in two, as if shards {0,1} and {2,3} were
-  // checkpointed by different hosts sharing only the layout.
-  std::ifstream min(ManifestPath(dir), std::ios::binary);
-  auto full = DeserializeManifest(min);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(full->entries.size(), 4u);
-  ShardManifest host_a = *full;
-  ShardManifest host_b = *full;
-  host_a.entries.assign(full->entries.begin(), full->entries.begin() + 2);
-  host_b.entries.assign(full->entries.begin() + 2, full->entries.end());
-  const std::string path_a = (dir / "host-a.gpsm").string();
-  const std::string path_b = (dir / "host-b.gpsm").string();
-  {
-    std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_a, StreamSink(out)).ok());
-  }
-  {
-    std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_b, StreamSink(out)).ok());
-  }
-
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{path_a, path_b});
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectExactlyEqual(merged->graph, live);
-
-  // A partial set fails with a typed coverage error.
-  auto incomplete = MergeCheckpoints(
-      std::vector<std::string>{path_a});
-  ASSERT_FALSE(incomplete.ok());
-  EXPECT_EQ(incomplete.status().code(), StatusCode::kFailedPrecondition);
-
-  // The same shard claimed twice fails.
-  auto duplicated = MergeCheckpoints(
-      std::vector<std::string>{path_a, path_a, path_b});
-  ASSERT_FALSE(duplicated.ok());
-  EXPECT_EQ(duplicated.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(EngineCheckpointTest, RejectsMismatchedLayouts) {
+TEST(EngineCheckpointTest, RejectsShardFilesOfAnotherLayout) {
+  // A manifest whose layout its shard files do not share is refused by
+  // what disagrees, the digests notwithstanding: each shard file's seed
+  // comes from the base seed and K, its capacity from the total, and it
+  // holds its own weight configuration and motif set.
   const std::vector<Edge> stream = TestStream(721);
-  const auto dir_base = FreshDir("base");
-  const auto dir_k2 = FreshDir("k2");
-  const auto dir_seed = FreshDir("seed");
-  const auto dir_weight = FreshDir("weight");
-  RunAndCheckpoint(stream, EngineOptions(4, 5), dir_base);
-  RunAndCheckpoint(stream, EngineOptions(2, 5), dir_k2);
-  RunAndCheckpoint(stream, EngineOptions(4, 6), dir_seed);
-  ShardedEngineOptions uniform = EngineOptions(4, 5);
-  uniform.sampler.weight.kind = WeightKind::kUniform;
-  RunAndCheckpoint(stream, uniform, dir_weight);
+  const auto dir = FreshDir("layout");
+  RunAndCheckpoint(stream, EngineOptions(4, 5), dir);
+  const ShardManifest base = engine_test::ReadManifest(dir);
 
+  ShardManifest k2 = base;
+  k2.num_shards = 2;
+  k2.digests.resize(2);
+  ShardManifest seed = base;
+  seed.base_seed = 6;
+  ShardManifest capacity = base;
+  capacity.total_capacity += 4;
+  ShardManifest weight = base;
+  weight.weight.kind = WeightKind::kUniform;
+  ShardManifest motifs = base;
+  motifs.motif_names = {"3path"};
   const struct {
     const char* name;
-    std::filesystem::path other;
+    const ShardManifest* manifest;
     const char* expect_substr;
   } kCases[] = {
-      {"shard count", dir_k2, "shard count"},
-      {"base seed", dir_seed, "base seed"},
-      {"weight config", dir_weight, "weight configuration"},
+      {"shard count", &k2, "seed does not match the layout derivation"},
+      {"base seed", &seed, "seed does not match the layout derivation"},
+      {"total capacity", &capacity, "capacity disagrees"},
+      {"weight config", &weight, "weight configuration disagrees"},
+      {"motif set", &motifs, "motif set disagrees"},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.name);
-    auto merged = MergeCheckpoints(
-        std::vector<std::string>{ManifestPath(dir_base),
-                                 ManifestPath(c.other)});
+    {
+      std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
+      ASSERT_TRUE(SerializeManifest(*c.manifest, StreamSink(out)).ok());
+    }
+    auto merged = MergeCheckpoints(ManifestPath(dir));
     ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(merged.status().message().find(c.expect_substr),
               std::string::npos)
         << merged.status().ToString();
@@ -161,12 +126,11 @@ TEST(EngineCheckpointTest, RejectsCorruptShardFile) {
   const auto dir = FreshDir("corrupt");
   RunAndCheckpoint(stream, EngineOptions(2, 13), dir);
   {
-    std::ofstream out(dir / "shard-0000.gps",
+    std::ofstream out(engine_test::ShardPath(dir, 0),
                       std::ios::binary | std::ios::app);
     out << "tamper";
   }
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  auto merged = MergeCheckpoints(ManifestPath(dir));
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(merged.status().message().find("digest"), std::string::npos)
@@ -177,9 +141,8 @@ TEST(EngineCheckpointTest, RejectsMissingShardFile) {
   const std::vector<Edge> stream = TestStream(741);
   const auto dir = FreshDir("missing");
   RunAndCheckpoint(stream, EngineOptions(2, 17), dir);
-  std::filesystem::remove(dir / "shard-0001.gps");
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  std::filesystem::remove(engine_test::ShardPath(dir, 1));
+  auto merged = MergeCheckpoints(ManifestPath(dir));
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
 }
@@ -217,8 +180,7 @@ TEST(EngineCheckpointTest, MidStreamCheckpointKeepsEngineUsable) {
   ShardedEngine prefix_engine(options);
   for (size_t i = 0; i < half; ++i) prefix_engine.Process(stream[i]);
   prefix_engine.Finish();
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  auto merged = MergeCheckpoints(ManifestPath(dir));
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectExactlyEqual(merged->graph, prefix_engine.MergedEstimates());
 
@@ -251,8 +213,7 @@ TEST(EngineCheckpointTest, FailedCheckpointDoesNotClobberExisting) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  auto merged = MergeCheckpoints(ManifestPath(dir));
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectExactlyEqual(merged->graph, live);
 }
@@ -295,23 +256,21 @@ TEST(EngineCheckpointTest, ShardFilesAreSerializerBytesWithTheirDigests) {
     engine.Finish();
     ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
 
-    std::ifstream min(ManifestPath(dir), std::ios::binary);
-    auto manifest = DeserializeManifest(min);
-    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-    ASSERT_EQ(manifest->entries.size(), k);
-    for (const ShardManifestEntry& entry : manifest->entries) {
-      const std::string name = ShardFileName(entry.shard_index);
+    const ShardManifest manifest = engine_test::ReadManifest(dir);
+    ASSERT_EQ(manifest.digests.size(), k);
+    for (uint32_t s = 0; s < k; ++s) {
+      const std::string name = ShardFileName(s, manifest.digests[s]);
       const std::string bytes = ReadFileBytes(dir / name);
-      const ShardWorker& shard = engine.shard(entry.shard_index);
+      const ShardWorker& shard = engine.shard(s);
       std::ostringstream want;
       ASSERT_TRUE(SerializeInStreamEstimator(shard.in_stream_estimator(),
                                              shard.motif_suite(),
                                              StreamSink(want))
                       .ok());
       EXPECT_EQ(bytes, want.str()) << name;
-      EXPECT_EQ(entry.digest, ChecksumBytes(bytes)) << name;
+      EXPECT_EQ(manifest.digests[s], ChecksumBytes(bytes)) << name;
     }
-    EXPECT_GT(ReadFileBytes(dir / ShardFileName(0)).size(),
+    EXPECT_GT(ReadFileBytes(engine_test::ShardPath(dir, 0)).size(),
               TextWriter::kChunkBytes);
     EXPECT_TRUE(TempEntries(dir).empty());
   }
@@ -340,8 +299,7 @@ TEST(EngineCheckpointTest, FailedShardWriteKeepsOldCheckpointAndNoTemp) {
             std::vector<std::string>{"shard-0002.gps.tmp"});  // ours only
 
   std::filesystem::remove(squatter);
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  auto merged = MergeCheckpoints(ManifestPath(dir));
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ExpectExactlyEqual(merged->graph, live);
 }
@@ -366,54 +324,12 @@ TEST(EngineCheckpointTest, MotifCheckpointsMergeExactly) {
         engine.MergedMotifEstimates();
     const double live_edges = engine.MergedEdgeCountEstimate();
 
-    auto merged = MergeCheckpoints(
-        std::vector<std::string>{ManifestPath(dir)});
+    auto merged = MergeCheckpoints(ManifestPath(dir));
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ExpectExactlyEqual(merged->graph, live);
     engine_test::ExpectMotifsExactlyEqual(merged->motifs, live_motifs);
     EXPECT_EQ(merged->edge_count, live_edges);
   }
-}
-
-TEST(EngineCheckpointTest, RejectsMismatchedMotifSets) {
-  // Manifests of one run must agree on the ordered motif suite.
-  const std::vector<Edge> stream = TestStream(791);
-  const auto dir_a = FreshDir("motifs-a");
-  const auto dir_b = FreshDir("motifs-b");
-  ShardedEngineOptions options = EngineOptions(2, 37);
-  options.motifs = {"3path"};
-  RunAndCheckpoint(stream, options, dir_a);
-  options.motifs = {"3path", "4clique"};
-  RunAndCheckpoint(stream, options, dir_b);
-
-  // Cross-wire: shard 0 from run A, shard 1 from run B (rewrite the
-  // manifests to cover disjoint shards so only the motif sets disagree).
-  auto load = [](const std::filesystem::path& dir) {
-    std::ifstream in(ManifestPath(dir), std::ios::binary);
-    auto m = DeserializeManifest(in);
-    EXPECT_TRUE(m.ok()) << m.status().ToString();
-    return *m;
-  };
-  ShardManifest a = load(dir_a);
-  ShardManifest b = load(dir_b);
-  a.entries.resize(1);
-  b.entries.erase(b.entries.begin());
-  const std::string path_a = (dir_a / "half.gpsm").string();
-  const std::string path_b = (dir_b / "half.gpsm").string();
-  {
-    std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(a, StreamSink(out)).ok());
-  }
-  {
-    std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(b, StreamSink(out)).ok());
-  }
-  auto merged = MergeCheckpoints(
-      std::vector<std::string>{path_a, path_b});
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(merged.status().message().find("motif"), std::string::npos)
-      << merged.status().ToString();
 }
 
 /// `text` cut after every '\n'; the last piece lacks one when the text
@@ -489,7 +405,7 @@ TEST(EngineCheckpointTest, SeededMutantsEndInAStatus) {
   // sanitizer report. The digests bind the shard files, and with them
   // every per-shard value, motif accumulators included, so every
   // shard-file mutant is refused by its digest; a manifest of any version
-  // but 5 is refused by name; a manifest mutant the reader accepts
+  // but 6 is refused by name; a manifest mutant the reader accepts
   // (whitespace, a trailing line) merges to the live graph and motif
   // estimates.
   const std::vector<Edge> stream = TestStream(891);
@@ -508,14 +424,15 @@ TEST(EngineCheckpointTest, SeededMutantsEndInAStatus) {
     const GraphEstimates live = engine.MergedEstimates();
     const std::vector<MotifEstimate> live_motifs =
         engine.MergedMotifEstimates();
-    const std::vector<std::string> manifests = {ManifestPath(dir)};
+    const std::string manifests = ManifestPath(dir);
     auto original = MergeCheckpoints(manifests);
     ASSERT_TRUE(original.ok()) << original.status().ToString();
     ExpectExactlyEqual(original->graph, live);
     engine_test::ExpectMotifsExactlyEqual(original->motifs, live_motifs);
 
     const std::filesystem::path files[] = {
-        ManifestPath(dir), dir / ShardFileName(0), dir / ShardFileName(1)};
+        ManifestPath(dir), engine_test::ShardPath(dir, 0),
+        engine_test::ShardPath(dir, 1)};
     std::vector<std::string> bytes;
     for (const std::filesystem::path& file : files) {
       bytes.push_back(ReadFileBytes(file));
@@ -570,7 +487,7 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
   // an edited accumulator is refused by the digest, a manifest motif set
   // that disagrees with the files is refused by name, and a version-1
   // shard file is refused by its version even under a digest that
-  // vouches for it (engine_resume_test refuses a version-4 manifest). A
+  // vouches for it (engine_resume_test refuses a version-5 manifest). A
   // motif set naming the generic "tri" or "wedge" motifs, which this
   // build does not register, is refused by that name in either file.
   const std::vector<Edge> stream = TestStream(901);
@@ -581,8 +498,8 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
   for (const Edge& e : stream) engine.Process(e);
   engine.Finish();
   ASSERT_TRUE(engine.SerializeShards(dir.string()).ok());
-  const std::vector<std::string> manifests = {ManifestPath(dir)};
-  const std::filesystem::path shard0 = dir / ShardFileName(0);
+  const std::string manifests = ManifestPath(dir);
+  const std::filesystem::path shard0 = engine_test::ShardPath(dir, 0);
   const std::string shard_bytes = ReadFileBytes(shard0);
   const std::string manifest_bytes = ReadFileBytes(ManifestPath(dir));
   ShardManifest manifest;
@@ -592,6 +509,15 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     manifest = *parsed;
   }
+  // Writes `bytes` as shard 0's file under its digest name and a manifest
+  // that vouches for it: a re-sealed edit only the layout checks can see.
+  const auto reseal = [&](const std::string& bytes) {
+    ShardManifest vouching = manifest;
+    vouching.digests[0] = ChecksumBytes(bytes);
+    WriteFileBytes(dir / ShardFileName(0, vouching.digests[0]), bytes);
+    std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(SerializeManifest(vouching, StreamSink(out)).ok());
+  };
   const auto expect_refused = [&](StatusCode code, const std::string& what) {
     auto merged = MergeCheckpoints(manifests);
     ASSERT_FALSE(merged.ok());
@@ -647,14 +573,7 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
     std::string& motif_line = lines[3];
     ASSERT_EQ(motif_line.rfind("2 3path ", 0), 0u) << motif_line;
     motif_line.replace(0, 8, "2 wedge ");
-    const std::string renamed = JoinLines(lines);
-    WriteFileBytes(shard0, renamed);
-    ShardManifest vouching = manifest;
-    vouching.entries[0].digest = ChecksumBytes(renamed);
-    {
-      std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(SerializeManifest(vouching, StreamSink(out)).ok());
-    }
+    reseal(JoinLines(lines));
     expect_refused(StatusCode::kInvalidArgument,
                    "checkpoint motif set: unknown motif 'wedge'");
   }
@@ -664,30 +583,15 @@ TEST(EngineCheckpointTest, EveryShardValueIsBoundByItsFileDigest) {
     ASSERT_EQ(lines[0], "GPS-INSTREAM 2\n");
     lines[0] = "GPS-INSTREAM 1\n";
     lines.erase(lines.begin() + 3);  // version 1 had no motif line
-    const std::string v1 = JoinLines(lines);
-    WriteFileBytes(shard0, v1);
-    ShardManifest vouching = manifest;
-    vouching.entries[0].digest = ChecksumBytes(v1);
-    {
-      std::ofstream out(ManifestPath(dir), std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(SerializeManifest(vouching, StreamSink(out)).ok());
-    }
+    reseal(JoinLines(lines));
     expect_refused(StatusCode::kInvalidArgument,
                    "unsupported checkpoint version 1 for GPS-INSTREAM");
   }
-  WriteFileBytes(shard0, shard_bytes);
   WriteFileBytes(ManifestPath(dir), manifest_bytes);
   auto merged = MergeCheckpoints(manifests);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   engine_test::ExpectMotifsExactlyEqual(merged->motifs,
                                         engine.MergedMotifEstimates());
-}
-
-TEST(EngineCheckpointTest, MergeRequiresAtLeastOneManifest) {
-  auto merged =
-      MergeCheckpoints(std::vector<std::string>{});
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -486,8 +486,7 @@ TEST(UnionPatchTest, PatchedUnionMatchesFreshBuildAtEveryTick) {
     EXPECT_GT(tracker.multi_evicted(), 0);
     ExpectFinalMatchesFreshUnion(engine);
 
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(
-        std::vector<std::string>{ManifestPath(dir)});
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(ManifestPath(dir));
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ShardedEngine& continued = **resumed;
     ticks = 0;

@@ -89,18 +89,16 @@ TEST(EngineResumeTest, SingleShardCheckpointBetweenHelperSpans) {
 
   InStreamEstimator serial(options.sampler);
   for (const Edge& e : prefix) serial.Process(e);
-  std::ifstream file(dir / ShardFileName(0), std::ios::binary);
+  const ShardManifest manifest = engine_test::ReadManifest(dir);
+  ASSERT_EQ(manifest.digests.size(), 1u);
+  EXPECT_EQ(manifest.digests[0], 0x22aade04112ecd27ull);
+  std::ifstream file(dir / "shard-0000-22aade04112ecd27.gps",
+                     std::ios::binary);
   std::ostringstream shard_file;
   shard_file << file.rdbuf();
   EXPECT_EQ(shard_file.str(), engine_test::InStreamBytes(serial));
-  std::ifstream manifest_in(ManifestPath(dir), std::ios::binary);
-  const Result<ShardManifest> manifest = DeserializeManifest(manifest_in);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  ASSERT_EQ(manifest->entries.size(), 1u);
-  EXPECT_EQ(manifest->entries[0].digest, 0x22aade04112ecd27ull);
 
-  auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{ManifestPath(dir)});
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(ManifestPath(dir));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   (*resumed)->ProcessEdges(suffix);
   (*resumed)->Finish();
@@ -134,8 +132,7 @@ TEST(EngineResumeTest, ResumedRunByteIdenticalToUninterrupted) {
       const std::string manifest =
           CheckpointPrefix(stream, cut, options, dir);
 
-      auto resumed = ShardedEngine::ResumeFromCheckpoints(
-          std::vector<std::string>{manifest});
+      auto resumed = ShardedEngine::ResumeFromCheckpoints(manifest);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
       EXPECT_EQ((*resumed)->num_shards(), k);
       EXPECT_EQ((*resumed)->edges_processed(), cut);
@@ -175,8 +172,7 @@ TEST(EngineResumeTest, RepeatsAndLoopsCountAsArrivals) {
 
   const auto dir = FreshDir("repeats");
   const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
-  auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{manifest});
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(manifest);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ((*resumed)->edges_processed(), cut);
   for (size_t i = cut; i < stream.size(); ++i) (*resumed)->Process(stream[i]);
@@ -206,14 +202,12 @@ TEST(EngineResumeTest, ChainedResumeMatchesUninterrupted) {
   const std::string manifest1 =
       CheckpointPrefix(stream, third, options, dir1);
 
-  auto hop = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{manifest1});
+  auto hop = ShardedEngine::ResumeFromCheckpoints(manifest1);
   ASSERT_TRUE(hop.ok()) << hop.status().ToString();
   for (size_t i = third; i < 2 * third; ++i) (*hop)->Process(stream[i]);
   ASSERT_TRUE((*hop)->SerializeShards(dir2.string()).ok());
 
-  auto final_hop = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{ManifestPath(dir2)});
+  auto final_hop = ShardedEngine::ResumeFromCheckpoints(ManifestPath(dir2));
   ASSERT_TRUE(final_hop.ok()) << final_hop.status().ToString();
   EXPECT_EQ((*final_hop)->edges_processed(), 2 * third);
   for (size_t i = 2 * third; i < stream.size(); ++i) {
@@ -256,8 +250,7 @@ TEST(EngineResumeTest, ResumeRestoresMonitoringCadence) {
     });
     full.Finish();
 
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(
-        std::vector<std::string>{ManifestPath(dir)});
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(ManifestPath(dir));
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ((*resumed)->edges_processed(), cut);
     std::vector<MonitorRecord> tail_records;
@@ -305,8 +298,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
     const auto dir = FreshDir("motif-k" + std::to_string(k));
     const std::string manifest = CheckpointPrefix(stream, cut, options, dir);
 
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(
-        std::vector<std::string>{manifest});
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(manifest);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     // The resumed engine adopts the manifest's motif suite.
     EXPECT_EQ((*resumed)->options().motifs, options.motifs);
@@ -325,7 +317,7 @@ TEST(EngineResumeTest, MotifSuiteResumesByteIdentically) {
 
 TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
   // Every version but the one writers emit is refused by name, older ones
-  // included, by resume and merge alike: the reader takes only version 5.
+  // included, by resume and merge alike: the reader takes only version 6.
   const std::vector<Edge> stream = TestStream(841);
   const auto dir = FreshDir("versions");
   const std::string manifest_path =
@@ -337,9 +329,9 @@ TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
     buffer << in.rdbuf();
     original = buffer.str();
   }
-  ASSERT_EQ(original.rfind("GPS-MANIFEST 5\n", 0), 0u) << original;
+  ASSERT_EQ(original.rfind("GPS-MANIFEST 6\n", 0), 0u) << original;
 
-  for (const int version : {1, 2, 3, 4, 9}) {
+  for (const int version : {1, 2, 3, 4, 5, 9}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::string text = original;
     text.replace(0, 14, "GPS-MANIFEST " + std::to_string(version));
@@ -350,15 +342,13 @@ TEST(EngineResumeTest, RejectsUnknownManifestVersion) {
     const std::string named =
         "unsupported checkpoint version " + std::to_string(version);
 
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(
-        std::vector<std::string>{manifest_path});
+    auto resumed = ShardedEngine::ResumeFromCheckpoints(manifest_path);
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(resumed.status().message().find(named), std::string::npos)
         << resumed.status().ToString();
 
-    auto merged = engine_test::MergeCheckpoints(
-        std::vector<std::string>{manifest_path});
+    auto merged = engine_test::MergeCheckpoints(manifest_path);
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(merged.status().message().find(named), std::string::npos)
@@ -388,61 +378,12 @@ TEST(EngineResumeTest, RejectsTamperedStreamOffset) {
     ASSERT_TRUE(SerializeManifest(manifest, StreamSink(out)).ok());
   }
 
-  auto resumed = ShardedEngine::ResumeFromCheckpoints(
-      std::vector<std::string>{manifest_path});
+  auto resumed = ShardedEngine::ResumeFromCheckpoints(manifest_path);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(resumed.status().message().find("stream offset"),
             std::string::npos)
       << resumed.status().ToString();
-}
-
-TEST(EngineResumeTest, RejectsInconsistentOffsetsRegardlessOfOrder) {
-  // Two manifests of one layout that record different stream offsets
-  // were taken at different stream positions: the set is refused no
-  // matter which file is listed first, before any shard file is read —
-  // validation is a property of the set, not of the argument order.
-  const std::vector<Edge> stream = TestStream(871);
-  const auto dir = FreshDir("mixed");
-  const std::string manifest_path =
-      CheckpointPrefix(stream, stream.size() / 2, EngineOptions(2, 67), dir);
-
-  ShardManifest full;
-  {
-    std::ifstream in(manifest_path, std::ios::binary);
-    auto parsed = DeserializeManifest(in);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    full = *parsed;
-  }
-  ASSERT_EQ(full.entries.size(), 2u);
-  // Host A covers shard 0 at the true offset; host B covers shard 1 with
-  // a WRONG one.
-  ShardManifest host_a = full;
-  host_a.entries.assign(full.entries.begin(), full.entries.begin() + 1);
-  ShardManifest host_b = full;
-  host_b.entries.assign(full.entries.begin() + 1, full.entries.end());
-  host_b.stream_offset = full.stream_offset + 1000;
-  const std::string path_a = (dir / "host-a.gpsm").string();
-  const std::string path_b = (dir / "host-b.gpsm").string();
-  {
-    std::ofstream out(path_a, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_a, StreamSink(out)).ok());
-  }
-  {
-    std::ofstream out(path_b, std::ios::binary);
-    ASSERT_TRUE(SerializeManifest(host_b, StreamSink(out)).ok());
-  }
-
-  for (const auto& order :
-       {std::vector<std::string>{path_a, path_b},
-        std::vector<std::string>{path_b, path_a}}) {
-    auto resumed = ShardedEngine::ResumeFromCheckpoints(order);
-    ASSERT_FALSE(resumed.ok());
-    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(resumed.status().message().find("stream offset"),
-              std::string::npos)
-        << resumed.status().ToString();
-  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -66,6 +67,21 @@ class ScopedTempDir {
 
 inline std::string ManifestPath(const std::filesystem::path& dir) {
   return (dir / kShardManifestFilename).string();
+}
+
+/// The manifest a checkpoint directory holds.
+inline ShardManifest ReadManifest(const std::filesystem::path& dir) {
+  std::ifstream in(ManifestPath(dir), std::ios::binary);
+  Result<ShardManifest> manifest = DeserializeManifest(in);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  return manifest.ok() ? *manifest : ShardManifest();
+}
+
+/// Path of shard s's file in checkpoint directory `dir`, as its manifest
+/// names it.
+inline std::filesystem::path ShardPath(const std::filesystem::path& dir,
+                                       uint32_t s) {
+  return dir / ShardFileName(s, ReadManifest(dir).digests.at(s));
 }
 
 /// The reservoir's full serialized state; equal strings mean equal
@@ -140,18 +156,18 @@ void FeedCutAt(ShardedEngine& engine, std::span<const Edge> stream,
   }
 }
 
-/// Everything merge-checkpoints prints for a checkpoint set.
+/// Everything merge-checkpoints prints for a checkpoint.
 struct MergedCheckpoint {
   GraphEstimates graph;
   std::vector<MotifEstimate> motifs;
   double edge_count = 0.0;
 };
 
-/// Merges a checkpoint set the way merge-checkpoints does: resume it,
-/// feed nothing, finish, and read the merged estimates.
+/// Merges a checkpoint the way merge-checkpoints does: resume it, feed
+/// nothing, finish, and read the merged estimates.
 inline Result<MergedCheckpoint> MergeCheckpoints(
-    const std::vector<std::string>& manifest_paths) {
-  auto engine = ShardedEngine::ResumeFromCheckpoints(manifest_paths);
+    const std::string& manifest_path) {
+  auto engine = ShardedEngine::ResumeFromCheckpoints(manifest_path);
   if (!engine.ok()) return engine.status();
   (*engine)->Finish();
   MergedCheckpoint merged;

@@ -122,21 +122,6 @@ TEST(ChungLuTest, RejectsBadParameters) {
   EXPECT_FALSE(GenerateChungLu(10, 100000, 2.0, 1).ok());
 }
 
-TEST(RandomGeometricTest, SpatialClustering) {
-  auto g = GenerateRandomGeometric(3000, 0.03, 10);
-  ASSERT_TRUE(g.ok());
-  EXPECT_GT(g->NumEdges(), 1000u);
-  const ExactCounts c = CountExact(CsrGraph::FromEdgeList(*g));
-  // Unit-disk graphs have clustering around 0.5-0.6.
-  EXPECT_GT(c.ClusteringCoefficient(), 0.3);
-}
-
-TEST(RandomGeometricTest, RejectsBadParameters) {
-  EXPECT_FALSE(GenerateRandomGeometric(1, 0.1, 1).ok());
-  EXPECT_FALSE(GenerateRandomGeometric(100, 0.0, 1).ok());
-  EXPECT_FALSE(GenerateRandomGeometric(100, 1.0, 1).ok());
-}
-
 TEST(GridTest, LatticeEdgeCount) {
   auto g = GenerateGrid(10, 20, 0.0, 11);
   ASSERT_TRUE(g.ok());
@@ -159,23 +144,6 @@ TEST(GridTest, DiagonalsCreateTriangles) {
 TEST(GridTest, RejectsBadParameters) {
   EXPECT_FALSE(GenerateGrid(1, 10, 0.0, 1).ok());
   EXPECT_FALSE(GenerateGrid(10, 10, -0.1, 1).ok());
-}
-
-TEST(KroneckerTest, EdgeCountAndSkew) {
-  auto g = GenerateKronecker(12, 15000, 0.9, 0.55, 0.55, 0.15, 13);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NumEdges(), 15000u);
-  EXPECT_LE(g->NumNodes(), 1u << 12);
-  CsrGraph csr = CsrGraph::FromEdgeList(*g);
-  EXPECT_GT(csr.MaxDegree(), 80u);  // skewed seed matrix -> hubs
-}
-
-TEST(KroneckerTest, RejectsBadParameters) {
-  EXPECT_FALSE(GenerateKronecker(0, 10, 0.9, 0.5, 0.5, 0.1, 1).ok());
-  EXPECT_FALSE(GenerateKronecker(40, 10, 0.9, 0.5, 0.5, 0.1, 1).ok());
-  EXPECT_FALSE(GenerateKronecker(10, 10, -1.0, 0.5, 0.5, 0.1, 1).ok());
-  EXPECT_FALSE(GenerateKronecker(10, 10, 0.0, 0.0, 0.0, 0.0, 1).ok());
-  EXPECT_FALSE(GenerateKronecker(3, 100, 0.9, 0.5, 0.5, 0.1, 1).ok());
 }
 
 // Common invariants across every generator, parameterized.
@@ -245,18 +213,9 @@ INSTANTIATE_TEST_SUITE_P(
                        [](uint64_t s) {
                          return GenerateChungLu(500, 1500, 2.3, s);
                        }},
-        NamedGenerator{"random_geometric",
-                       [](uint64_t s) {
-                         return GenerateRandomGeometric(800, 0.05, s);
-                       }},
         NamedGenerator{"grid",
                        [](uint64_t s) {
                          return GenerateGrid(20, 25, 0.2, s);
-                       }},
-        NamedGenerator{"kronecker",
-                       [](uint64_t s) {
-                         return GenerateKronecker(10, 3000, 0.9, 0.55, 0.55,
-                                                  0.15, s);
                        }}),
     [](const ::testing::TestParamInfo<NamedGenerator>& info) {
       return info.param.first;

@@ -9,11 +9,12 @@
 //       this thread) and print triangle/wedge/clustering estimates with
 //       95% CIs. With --checkpoint, the in-stream state is saved
 //       afterwards into DIR: a GPS-MANIFEST file plus one GPS-INSTREAM
-//       file per shard. Every post-stream pass runs on all hardware
-//       threads; the output is the same for any count.
-//   resume-shards  --manifest FILE [--manifest FILE ...] --input FILE
-//             [--save DIR] [--no-permute]
-//       Rebuild a RUNNING sharded engine from checkpoint manifests (its
+//       file per shard. Every post-stream pass runs on every CPU the
+//       process may use (UsableCpus, the affinity mask); the output is
+//       the same for any count.
+//   resume-shards  --manifest FILE --input FILE [--save DIR]
+//             [--no-permute]
+//       Rebuild a RUNNING sharded engine from a checkpoint manifest (its
 //       layout, weights and motif set come from the checkpoint) and
 //       continue streaming. When --input is the exact remaining
 //       substream in arrival order (pass --no-permute for a file that
@@ -27,10 +28,9 @@
 //       bounds and widths), plus a final row at end of stream.
 //       --checkpoint-every M additionally rewrites a resumable checkpoint
 //       in DIR at every multiple of M and at the end of the stream.
-//   merge-checkpoints  --manifest FILE [--manifest FILE ...]
-//       Resume shard checkpoints (possibly produced on different
-//       machines) and print the estimates the live run would produce,
-//       without re-streaming.
+//   merge-checkpoints  --manifest FILE
+//       Resume a checkpoint and print the estimates the live run would
+//       produce, without re-streaming.
 //   convert   --input FILE --output FILE [--to auto|binary|text]
 //       Convert an edge stream between the text format and GPS-STREAM v1
 //       binary (graph/binary_stream.h), preserving stream order and
@@ -65,6 +65,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -124,8 +125,8 @@ Result<double> ParseDoubleFlag(const std::string& key,
 }
 
 struct Flags {
-  // Repeatable flags keep every occurrence ("merge-checkpoints --manifest
-  // a --manifest b"); single-valued lookups take the last one.
+  // Every occurrence of a repeatable flag ("--degree 3 --degree 9");
+  // any other flag holds one value (ParseFlags).
   std::map<std::string, std::vector<std::string>> values;
 
   std::string Get(const std::string& key, const std::string& fallback) const {
@@ -197,14 +198,14 @@ int Usage() {
       "           --mem BYTES (e.g. 512M, 2G): derive the reservoir\n"
       "           capacity from a memory budget instead of --capacity;\n"
       "           the allocation report prints on stderr at startup\n"
-      "  resume-shards --manifest FILE [--manifest FILE ...]\n"
-      "           --input FILE [--save DIR] [--no-permute]\n"
+      "  resume-shards --manifest FILE --input FILE [--save DIR]\n"
+      "           [--no-permute]\n"
       "  monitor  --input FILE --every N [--capacity N | --mem BYTES]\n"
       "           [--seed S] [--weight KIND] [--shards K]\n"
       "           [--motifs LIST]\n"
       "           [--no-permute] [--checkpoint-every M --checkpoint DIR]\n"
       "           [--stats] [--stats-out FILE.json] [--trace FILE.json]\n"
-      "  merge-checkpoints --manifest FILE [--manifest FILE ...]\n"
+      "  merge-checkpoints --manifest FILE\n"
       "  convert  --input FILE --output FILE [--to auto|binary|text]\n"
       "           (text <-> GPS-STREAM v1 binary; stream order and\n"
       "           duplicates preserved; binary writes are digest-verified\n"
@@ -224,6 +225,9 @@ int Usage() {
 bool IsBooleanFlag(const std::string& key) {
   return key == "no-permute" || key == "higher-motifs" || key == "stats";
 }
+
+/// The one flag that may be given more than once.
+bool IsRepeatableFlag(const std::string& key) { return key == "degree"; }
 
 Result<Flags> ParseFlags(int argc, char** argv, int first,
                          const std::string& command,
@@ -245,6 +249,9 @@ Result<Flags> ParseFlags(int argc, char** argv, int first,
     if (!known) {
       return Status::InvalidArgument("unknown flag '" + arg + "' for '" +
                                      command + "'");
+    }
+    if (flags.Has(key) && !IsRepeatableFlag(key)) {
+      return Status::InvalidArgument("flag '" + arg + "' given twice");
     }
     if (IsBooleanFlag(key)) {
       flags.values[key] = {"1"};
@@ -707,40 +714,41 @@ int RunEstimate(const Flags& flags) {
   return EmitObservability(engine, obs, &trace_sink) ? 0 : 1;
 }
 
-int RunMergeCheckpoints(const Flags& flags) {
-  const std::vector<std::string>& manifests = flags.GetAll("manifest");
-  if (manifests.empty()) {
-    std::fprintf(stderr,
-                 "error: merge-checkpoints needs at least one "
-                 "--manifest FILE\n");
-    return 1;
+/// Resumes the checkpoint --manifest names (merge-checkpoints and
+/// resume-shards), reporting a missing flag or a refused checkpoint on
+/// stderr; null then.
+std::unique_ptr<ShardedEngine> ResumeManifest(const Flags& flags,
+                                              const std::string& command) {
+  if (!flags.Has("manifest")) {
+    std::fprintf(stderr, "error: %s needs --manifest FILE\n",
+                 command.c_str());
+    return nullptr;
   }
-  // The checkpointed prefix, merged as the live engine merged it: resume
-  // the set, feed nothing, finish.
-  auto engine = ShardedEngine::ResumeFromCheckpoints(manifests);
+  auto engine =
+      ShardedEngine::ResumeFromCheckpoints(flags.Get("manifest", ""));
   if (!engine.ok()) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
-  (*engine)->Finish();
-  PrintEstimateReport(TextForShards((*engine)->num_shards()).in_stream_label,
-                      MergedReport(**engine));
+  return std::move(*engine);
+}
+
+int RunMergeCheckpoints(const Flags& flags) {
+  // The checkpointed prefix, merged as the live engine merged it: resume
+  // it, feed nothing, finish.
+  std::unique_ptr<ShardedEngine> engine =
+      ResumeManifest(flags, "merge-checkpoints");
+  if (engine == nullptr) return 1;
+  engine->Finish();
+  PrintEstimateReport(TextForShards(engine->num_shards()).in_stream_label,
+                      MergedReport(*engine));
   return 0;
 }
 
 int RunResumeShards(const Flags& flags) {
-  const std::vector<std::string>& manifests = flags.GetAll("manifest");
-  if (manifests.empty()) {
-    std::fprintf(stderr,
-                 "error: resume-shards needs at least one --manifest "
-                 "FILE\n");
-    return 1;
-  }
-  auto engine = ShardedEngine::ResumeFromCheckpoints(manifests);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  std::unique_ptr<ShardedEngine> engine =
+      ResumeManifest(flags, "resume-shards");
+  if (engine == nullptr) return 1;
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
@@ -748,16 +756,16 @@ int RunResumeShards(const Flags& flags) {
   }
   std::printf("resumed %u shards at %llu processed edges; feeding %zu "
               "more\n",
-              (*engine)->num_shards(),
-              static_cast<unsigned long long>((*engine)->edges_processed()),
+              engine->num_shards(),
+              static_cast<unsigned long long>(engine->edges_processed()),
               stream->size());
-  (*engine)->ProcessEdges(std::span<const Edge>(*stream));
-  (*engine)->Finish();
-  PrintEstimateReport(TextForShards((*engine)->num_shards()).in_stream_label,
-                      MergedReport(**engine));
+  engine->ProcessEdges(std::span<const Edge>(*stream));
+  engine->Finish();
+  PrintEstimateReport(TextForShards(engine->num_shards()).in_stream_label,
+                      MergedReport(*engine));
   if (flags.Has("save")) {
     const std::string dir = flags.Get("save", "");
-    if (Status s = (*engine)->SerializeShards(dir); !s.ok()) {
+    if (Status s = engine->SerializeShards(dir); !s.ok()) {
       std::fprintf(stderr, "checkpoint error: %s\n", s.ToString().c_str());
       return 1;
     }
