@@ -6,9 +6,8 @@
 //
 //   build/bench_scaling [--json FILE]
 //
-// --json FILE emits the rows as machine-readable JSON (same flat schema
-// family as bench_engine's BENCH_engine.json) so the scaling trajectory
-// can be archived and diffed across runs.
+// --json FILE emits the rows as machine-readable JSON so the scaling
+// trajectory can be archived and diffed across runs.
 
 #include <cstdio>
 #include <cstring>

@@ -35,8 +35,14 @@ Status CheckReplaceableTarget(const std::string& path) {
 Result<StagedFile> StagedFile::Create(const std::string& path) {
   if (Status s = CheckReplaceableTarget(path); !s.ok()) return s;
   std::string temp_path = path + ".tmp";
-  const int fd = ::open(temp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  // A stale temp file (a killed run's) goes, and the name is created anew:
+  // opening whatever sits there would follow a symlink, or truncate a
+  // file shared through a hard link, and write the new bytes into it.
+  int fd = -1;
+  if (::unlink(temp_path.c_str()) == 0 || errno == ENOENT) {
+    fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                0666);
+  }
   if (fd < 0) {
     const int err = errno;
     return Status::IoError("cannot create '" + temp_path +

@@ -31,10 +31,11 @@ Status CheckReplaceableTarget(const std::string& path);
 
 class StagedFile {
  public:
-  /// Creates (or truncates) "<path>.tmp" for writing. Fails as
-  /// CheckReplaceableTarget(path) does, and with an IoError naming the
-  /// temp file when it cannot be created — for example when a directory
-  /// already sits at that name.
+  /// Creates "<path>.tmp" for writing, after removing whatever file or
+  /// link sits at that name: a link there is never followed, so its
+  /// target keeps its bytes. Fails as CheckReplaceableTarget(path) does,
+  /// and with an IoError naming the temp file when it cannot be created —
+  /// for example when a directory already sits at that name.
   static Result<StagedFile> Create(const std::string& path);
 
   StagedFile(StagedFile&& other) noexcept;

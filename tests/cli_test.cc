@@ -264,36 +264,119 @@ TEST_F(CliTest, FailedOutputWritesKeepPreviousFiles) {
   }
 }
 
-TEST_F(CliTest, NonRegularStatsAndTraceTargetsFailBeforeTheStream) {
-  // --stats-out and --trace are written after the run; a FIFO or a
-  // directory at either target fails the run before the input is read,
-  // so no estimate is printed, and the target is left as it was.
+TEST_F(CliTest, BadStatsAndTraceTargetsFailBeforeTheStream) {
+  // --stats-out and --trace are renamed over their targets after the run.
+  // A FIFO or a directory there, a target naming --input in any spelling
+  // (it would replace the edge list), or both naming one file (only the
+  // second would be left) fails the run by name before the input is
+  // read: no estimate is printed, and no file changes.
   const gps::engine_test::ScopedTempDir dir("cli", "targets");
   std::filesystem::create_directories(dir);
   const std::string fifo = dir / "fifo";
   const std::string subdir = dir / "subdir";
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
   ASSERT_TRUE(std::filesystem::create_directory(subdir));
+  const std::filesystem::path input(graph_path_);
+  const std::string input_respelled =
+      (input.parent_path() / "." / input.filename()).string();
+  const std::string out = dir / "out.json";
+  const std::string not_regular = "': not a regular file";
+  const struct {
+    std::string flags;
+    std::string error;
+  } kCases[] = {
+      {"--stats-out " + fifo, "cannot replace '" + fifo + not_regular},
+      {"--stats-out " + subdir, "cannot replace '" + subdir + not_regular},
+      {"--trace " + fifo, "cannot replace '" + fifo + not_regular},
+      {"--trace " + subdir, "cannot replace '" + subdir + not_regular},
+      {"--stats-out " + input_respelled,
+       "--stats-out and --input name the same file"},
+      {"--trace " + graph_path_, "--trace and --input name the same file"},
+      {"--stats-out " + out + " --trace " + out,
+       "--trace and --stats-out name the same file"},
+  };
+  const std::string input_bytes = FileBytes(graph_path_);
   for (const std::string command :
        {"estimate --capacity 500 --shards 2", "monitor --every 1000"}) {
-    for (const std::string flag : {"--stats-out", "--trace"}) {
-      for (const std::string& target : {fifo, subdir}) {
-        const std::string args = command + " --input " + graph_path_ + " " +
-                                 flag + " " + target;
-        SCOPED_TRACE(args);
-        std::string err;
-        const CommandResult r = RunCliSplit(args, &err);
-        EXPECT_EQ(r.exit_code, 1) << r.output << err;
-        EXPECT_EQ(r.output, "") << r.output;
-        EXPECT_NE(err.find("cannot replace '" + target +
-                           "': not a regular file"),
-                  std::string::npos)
-            << err;
-      }
+    for (const auto& c : kCases) {
+      const std::string args =
+          command + " --input " + graph_path_ + " " + c.flags;
+      SCOPED_TRACE(args);
+      std::string err;
+      const CommandResult r = RunCliSplit(args, &err);
+      EXPECT_EQ(r.exit_code, 1) << r.output << err;
+      EXPECT_EQ(r.output, "") << r.output;
+      EXPECT_NE(err.find(c.error), std::string::npos) << err;
     }
   }
   EXPECT_TRUE(std::filesystem::is_fifo(fifo));
   EXPECT_TRUE(std::filesystem::is_directory(subdir));
+  EXPECT_EQ(FileBytes(graph_path_), input_bytes);
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST_F(CliTest, CheckpointTargetThatIsNotADirectoryFailsBeforeTheStream) {
+  // --checkpoint and --save name a directory: an existing file there is
+  // refused by name before the input is read, so nothing is printed, and
+  // the file keeps its bytes. (A missing directory is created at the
+  // first checkpoint, as every other checkpoint test shows.)
+  const std::string file = TempPath("not_a_dir");
+  std::ofstream(file) << "keep\n";
+  const std::string dir = FreshPath("ckpt");
+  ASSERT_EQ(RunCli("estimate --input " + graph_path_ +
+                   " --capacity 1500 --checkpoint " + dir)
+                .exit_code,
+            0);
+  for (const std::string& args :
+       {"estimate --input " + graph_path_ + " --capacity 1500 --checkpoint " +
+            file,
+        "monitor --input " + graph_path_ +
+            " --capacity 1500 --every 2000 --checkpoint-every 3000 "
+            "--checkpoint " +
+            file,
+        "resume-shards --manifest " + dir + "/manifest.gpsm --input " +
+            graph_path_ + " --save " + file}) {
+    SCOPED_TRACE(args);
+    std::string err;
+    const CommandResult r = RunCliSplit(args, &err);
+    EXPECT_EQ(r.exit_code, 1) << r.output << err;
+    EXPECT_EQ(r.output, "");
+    EXPECT_NE(err.find("'" + file + "' exists and is not a directory"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(FileBytes(file), "keep\n");
+  }
+  std::remove(file.c_str());
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliTest, CheckpointDoesNotWriteThroughALinkAtItsTempNames) {
+  // Symlinks squatting on a shard file's and the manifest's temp names
+  // are replaced, not followed: the file they point at keeps its bytes,
+  // and the checkpoint is written as if they were not there.
+  const std::string dir = FreshPath("link_squatted");
+  const std::string victim = TempPath("victim.txt");
+  std::ofstream(victim) << "victim bytes\n";
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  for (const char* temp : {"/shard-0000.gps.tmp", "/manifest.gpsm.tmp"}) {
+    std::filesystem::create_symlink(victim, dir + temp);
+  }
+  const std::string run = "estimate --input " + graph_path_ +
+                          " --capacity 1500 --seed 3 --checkpoint ";
+  const CommandResult r = RunCli(run + dir);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(FileBytes(victim), "victim bytes\n");
+  // The same run into a fresh directory writes the same files.
+  const std::string fresh = FreshPath("fresh");
+  ASSERT_EQ(RunCli(run + fresh).exit_code, 0);
+  EXPECT_EQ(DirBytes(dir), DirBytes(fresh));
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_TRUE(entry.is_regular_file() && !entry.is_symlink())
+        << entry.path();
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(fresh);
+  std::remove(victim.c_str());
 }
 
 TEST_F(CliTest, ManifestCommandsRefuseBareInStreamFile) {

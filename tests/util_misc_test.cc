@@ -228,5 +228,42 @@ TEST(StagedFileTest, RefusesTargetThatIsNotARegularFile) {
   EXPECT_TRUE(std::filesystem::is_empty(subdir));
 }
 
+TEST(StagedFileTest, LinkAtTheTempNameIsReplacedNotWrittenThrough) {
+  // Create removes whatever squats on "<target>.tmp" and creates the name
+  // anew. A symlink there is never followed (not even a dangling one,
+  // which would create its target), and a hard link's shared file is
+  // never truncated: the file behind the link keeps its bytes, and the
+  // published target is a regular file holding the new ones.
+  const engine_test::ScopedTempDir dir("staged", "links");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string victim = (dir / "victim.txt").string();
+  std::ofstream(victim) << "victim bytes";
+  const std::string missing = (dir / "missing.txt").string();
+  const auto publish = [&](const std::string& target) {
+    SCOPED_TRACE(target);
+    Result<StagedFile> file = StagedFile::Create(target);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE(file->Write("new bytes").ok());
+    ASSERT_TRUE(file->Commit().ok());
+    EXPECT_EQ(ReadAll(victim), "victim bytes");
+    EXPECT_FALSE(std::filesystem::exists(missing));
+    EXPECT_TRUE(std::filesystem::is_regular_file(
+        std::filesystem::symlink_status(target)));
+    EXPECT_EQ(ReadAll(target), "new bytes");
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::symlink_status(target + ".tmp")));
+  };
+  const std::string symlinked = (dir / "symlinked").string();
+  std::filesystem::create_symlink(victim, symlinked + ".tmp");
+  publish(symlinked);
+  const std::string dangling = (dir / "dangling").string();
+  std::filesystem::create_symlink(missing, dangling + ".tmp");
+  publish(dangling);
+  const std::string hard_linked = (dir / "hard_linked").string();
+  std::filesystem::create_hard_link(victim, hard_linked + ".tmp");
+  publish(hard_linked);
+  EXPECT_EQ(std::filesystem::hard_link_count(victim), 1u);
+}
+
 }  // namespace
 }  // namespace gps

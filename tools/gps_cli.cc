@@ -38,10 +38,14 @@
 //       the command reports success.
 //   generate  --name CORPUS [--scale X] [--output FILE]
 //       Materialize a corpus graph to an edge-list file.
-//   exact     --input FILE
-//       Exact triangle/wedge/clustering counts (offline oracle).
+//   exact     --input FILE [--higher-motifs]
+//       Exact triangle/wedge/clustering counts (offline oracle);
+//       --higher-motifs adds the 4-clique, 3-path, 4-cycle, 5-clique and
+//       tailed-triangle counts.
 //   corpus
 //       List the paper-analog corpus.
+//   list-motifs
+//       List the motifs --motifs accepts, with their edges per instance.
 //   version
 //       Print the checkpoint format versions this build writes and reads,
 //       the build type and the intersection kernels' SIMD level.
@@ -551,10 +555,21 @@ struct StatsConfig {
   std::string trace;
 };
 
+/// `path` with symlinks, `.` and `..` resolved as far as it exists, so
+/// two spellings of one file compare equal.
+std::filesystem::path ResolvedPath(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::path resolved = std::filesystem::weakly_canonical(path, ec);
+  return ec ? std::filesystem::path(path) : resolved;
+}
+
 /// Parses --stats / --stats-out / --trace. --stats-out implies --stats.
 /// Both files are written after the run, so their targets are checked
-/// here, before any input is read: a FIFO or a directory there fails the
-/// run at once, not after the whole stream.
+/// here, before any input is read: a FIFO or a directory there, or a
+/// target that names --input or the other output, fails the run at once,
+/// not after the whole stream. Each output is renamed over its target,
+/// so one naming the input would replace the edge list, and two naming
+/// one file would leave only the second.
 Result<StatsConfig> ParseStatsConfig(const Flags& flags) {
   StatsConfig config;
   config.stats = flags.Has("stats");
@@ -565,7 +580,39 @@ Result<StatsConfig> ParseStatsConfig(const Flags& flags) {
     if (target->empty()) continue;
     if (Status s = CheckReplaceableTarget(*target); !s.ok()) return s;
   }
+  const std::string input = flags.Get("input", "");
+  const struct {
+    const char* names;
+    const std::string& a;
+    const std::string& b;
+  } pairs[] = {{"--stats-out and --input", config.stats_out, input},
+               {"--trace and --input", config.trace, input},
+               {"--trace and --stats-out", config.trace, config.stats_out}};
+  for (const auto& [names, a, b] : pairs) {
+    if (!a.empty() && !b.empty() && ResolvedPath(a) == ResolvedPath(b)) {
+      return Status::InvalidArgument(std::string(names) +
+                                     " name the same file '" + a + "'");
+    }
+  }
   return config;
+}
+
+/// --checkpoint and --save name the directory a run writes its
+/// checkpoints into, after the stream or at a monitor's ticks: one that
+/// exists and is not a directory fails the run here, before any input is
+/// read. A missing directory is created at the first checkpoint.
+bool CheckCheckpointDir(const Flags& flags, const std::string& key) {
+  if (!flags.Has(key)) return true;
+  const std::string dir = flags.Get(key, "");
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(dir, ec);
+  if (!std::filesystem::exists(status) ||
+      std::filesystem::is_directory(status)) {
+    return true;
+  }
+  std::fprintf(stderr, "error: --%s '%s' exists and is not a directory\n",
+               key.c_str(), dir.c_str());
+  return false;
 }
 
 /// Emits the requested observability outputs after the engine finished:
@@ -629,6 +676,7 @@ RunText TextForShards(uint64_t shards) {
 int RunEstimate(const Flags& flags) {
   StatsConfig obs;
   if (!GetFlag(ParseStatsConfig(flags), &obs)) return 1;
+  if (!CheckCheckpointDir(flags, "checkpoint")) return 1;
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
@@ -746,6 +794,7 @@ int RunMergeCheckpoints(const Flags& flags) {
 }
 
 int RunResumeShards(const Flags& flags) {
+  if (!CheckCheckpointDir(flags, "save")) return 1;
   std::unique_ptr<ShardedEngine> engine =
       ResumeManifest(flags, "resume-shards");
   if (engine == nullptr) return 1;
@@ -816,6 +865,7 @@ void PrintMonitorRow(const MonitorRecord& record) {
 int RunMonitor(const Flags& flags) {
   StatsConfig obs;
   if (!GetFlag(ParseStatsConfig(flags), &obs)) return 1;
+  if (!CheckCheckpointDir(flags, "checkpoint")) return 1;
   auto stream = LoadStream(flags);
   if (!stream.ok()) {
     std::fprintf(stderr, "error: %s\n", stream.status().ToString().c_str());
